@@ -86,11 +86,15 @@ def add_arc_to_closure(reach, u, v):
     """Update closure bitmasks in place for a newly added arc (u, v).
 
     Assumes v does not already reach u, i.e. the extended graph stays acyclic.
+    Returns the bitmask of u and its ancestors, the nodes whose sets grew.
     """
     gained = reach[v] | (1 << v)
+    ancestors = 0
     for a in range(len(reach)):
         if a == u or (reach[a] >> u) & 1:
             reach[a] |= gained
+            ancestors |= 1 << a
+    return ancestors
 
 
 def reaches(reach, i, j):

@@ -97,7 +97,11 @@ def _solve_one(config: BenchConfig, path: Path, gamma: int, variant: str) -> Res
         return ResultRecord(name, gamma, variant, "error", None, None, None,
                             time.perf_counter() - t0)
     if variant == "bnb":
-        res = bnb_mod.solve_exact(inst, gamma, time_limit_s=config.time_limit_s)
+        try:
+            res = bnb_mod.solve_exact(inst, gamma, time_limit_s=config.time_limit_s)
+        except RobustRcpspError:
+            return ResultRecord(name, gamma, variant, "error", None, None, None,
+                                time.perf_counter() - t0)
         status = "optimal" if res.status == "optimal" else "feasible"
         gap = bnb_mod.optimality_gap(res)
         return ResultRecord(name, gamma, variant, status, float(res.value),

@@ -5,6 +5,22 @@ unresolved minimal forbidden set and adds one ordered precedence pair from
 it per child; the worst-case makespan of the partial extension is a valid
 lower bound because adding arcs never shortens the adversary's longest
 path.  Extensions reaching an already-seen transitive closure are merged.
+
+The search runs on bitsets.  A node holds its closure (one reachability
+bitmask per activity) and its unresolved catalog sets as one bitmask over
+catalog indices.  With ``member[a]`` the sets holding activity ``a``, adding
+arc (i, j) resolves exactly the sets that touch both the ancestors-or-self
+of ``i`` and the descendants-or-self of ``j`` (two disjoint node sets in an
+acyclic graph), so a child costs a few big-int operations per activity
+rather than a pair scan of every open set.  The branching set is the lowest
+unresolved index.
+
+Children are bounded by a value-only form of the adversary DP (see
+``_relax``): no arc list, topological sort, table or backtrack.  Each node
+keeps its predecessor lists (the parent's plus ``i`` appended to ``j``'s)
+and one row of level values per activity; a child recomputes only the rows
+of ``j`` and its descendants, in the order the closure gives.  The root
+bound and every reported value still come from ``worst_case_makespan_dp``.
 """
 from __future__ import annotations
 
@@ -13,19 +29,19 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
-from ._graph import add_arc_to_closure, closure_bitsets, reaches
+from ._graph import closure_bitsets, predecessors, reaches
 from .adversary import worst_case_makespan_dp
 from .heuristics import warm_start
 from .instance import ProjectInstance
-from .network import ForbiddenSetCatalog, Selection, minimal_forbidden_sets
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    added_arcs: frozenset[tuple[int, int]]
-    closure: tuple[int, ...]
-    unresolved: tuple[int, ...]
-    bound: int
+from .network import (
+    ForbiddenSetCatalog,
+    Selection,
+    add_resolving_arc,
+    first_set,
+    membership_masks,
+    minimal_forbidden_sets,
+    unresolved_sets,
+)
 
 
 @dataclass(frozen=True)
@@ -58,18 +74,22 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
         warm = warm_start(inst, gamma)
         incumbent_value, incumbent_sel = warm.upper_bound, warm.selection
 
-    root_closure = list(closure_bitsets(inst.n_nodes, inst.precedence))
-    root_unresolved = tuple(
-        idx for idx, fset in enumerate(catalog.sets)
-        if not _resolved(root_closure, fset)
-    )
+    n_nodes = inst.n_nodes
+    member = membership_masks(n_nodes, catalog)
+    nominal = inst.nominal_duration
+    delayed = tuple(inst.worst_case_duration(i) for i in range(n_nodes))
+    root_closure = tuple(closure_bitsets(n_nodes, inst.precedence))
+    root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
+    root_rows = [[0] * (gamma + 1)] + [None] * (n_nodes - 1)
+    # Every activity but the source, with every predecessor dirty (-1).
+    _relax(root_rows, (1 << n_nodes) - 2, -1, root_closure, root_pred, nominal, delayed)
     root_bound = worst_case_makespan_dp(inst, Selection(), gamma).value
-    heap = []
+    # Heap entries: (bound, tie-break counter, added arcs, closure,
+    # predecessor lists, DP rows, unresolved-set mask).
+    heap = [(root_bound, 0, frozenset(), root_closure, root_pred, root_rows,
+             unresolved_sets(root_closure, member, len(catalog)))]
     counter = 0
-    seen = {tuple(root_closure)}
-    heapq.heappush(heap, (root_bound, counter, SearchNode(
-        added_arcs=frozenset(), closure=tuple(root_closure),
-        unresolved=root_unresolved, bound=root_bound)))
+    seen = {root_closure}
     nodes_explored = 0
 
     def result(status, best_bound):
@@ -84,41 +104,79 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             return result("incumbent", heap[0][0])
         if node_cap is not None and nodes_explored >= node_cap:
             return result("incumbent", heap[0][0])
-        bound, _, node = heapq.heappop(heap)
+        bound, _, arcs, closure, pred, rows, unresolved = heapq.heappop(heap)
         nodes_explored += 1
         if bound >= incumbent_value:
             return result("optimal", incumbent_value)
-        if not node.unresolved:
+        if not unresolved:
             incumbent_value = bound
-            incumbent_sel = Selection(node.added_arcs)
+            incumbent_sel = Selection(arcs)
             continue
-        fset = catalog.sets[node.unresolved[0]]
-        for i, j in permutations(fset, 2):
-            if reaches(node.closure, j, i):
+        for i, j in permutations(catalog.sets[first_set(unresolved)], 2):
+            if reaches(closure, j, i):
                 continue
-            child_closure = list(node.closure)
-            add_arc_to_closure(child_closure, i, j)
-            key = tuple(child_closure)
+            child = list(closure)
+            resolved = add_resolving_arc(child, member, i, j)
+            key = tuple(child)
             if key in seen:
                 continue
             seen.add(key)
-            child_arcs = node.added_arcs | {(i, j)}
-            child_bound = worst_case_makespan_dp(inst, Selection(child_arcs), gamma).value
+            child_pred = list(pred)
+            child_pred[j] += (i,)
+            child_rows = list(rows)
+            _relax(child_rows, key[j] | (1 << j), 1 << i, key, child_pred, nominal, delayed)
+            child_bound = child_rows[-1][gamma]
             if child_bound >= incumbent_value:
                 continue
-            child_unresolved = tuple(
-                idx for idx in node.unresolved
-                if not _resolved(child_closure, catalog.sets[idx])
-            )
             counter += 1
-            heapq.heappush(heap, (child_bound, counter, SearchNode(
-                added_arcs=child_arcs, closure=key,
-                unresolved=child_unresolved, bound=child_bound)))
+            heapq.heappush(heap, (child_bound, counter, arcs | {(i, j)}, key,
+                                  child_pred, child_rows, unresolved & ~resolved))
     return result("optimal", incumbent_value)
 
 
-def _resolved(closure, fset):
-    return any(reaches(closure, i, j) for i, j in permutations(fset, 2))
+def _relax(rows, nodes, dirty, closure, pred, nominal, delayed):
+    """Raise in place the value-only DP rows of the activities in the
+    bitmask ``nodes`` through their predecessors in the bitmask ``dirty``.
+
+    ``rows[j][g]`` is the longest path to ``j`` with at most ``g`` delays:
+    W(j, g) = max over i in pred[j] of max(W(i, g) + nominal_i,
+    W(i, g-1) + delayed_i), with W(source, .) = 0.  At the sink this is the
+    V(sink, g) of ``worst_case_makespan_dp``, whose sink self-arcs take the
+    same maximum over levels; every activity is reachable from the source,
+    so no state is unreachable.
+
+    Adding arc (i, j) only lengthens paths, so the new row of a node is
+    its old row raised by the predecessors whose rows changed, and only
+    ``j`` and its descendants can change.  ``nodes`` are visited in
+    topological order (an activity reaches strictly more activities than
+    each of its descendants); a node whose row rises becomes dirty.
+    """
+    todo = []
+    while nodes:
+        low = nodes & -nodes
+        todo.append(low.bit_length() - 1)
+        nodes ^= low
+    todo.sort(key=lambda v: -closure[v].bit_count())
+    for j in todo:
+        old = best = rows[j]
+        for i in pred[j]:
+            if not (dirty >> i) & 1:
+                continue
+            row = rows[i]
+            a = nominal[i]
+            b = delayed[i]
+            cand = [row[0] + a]
+            for g in range(1, len(row)):
+                x = row[g] + a
+                y = row[g - 1] + b
+                cand.append(x if x > y else y)
+            if best is None:
+                best = cand
+            else:
+                best = [x if x > y else y for x, y in zip(best, cand)]
+        if best != old:
+            rows[j] = best
+            dirty |= 1 << j
 
 
 def optimality_gap(result: OptResult, best_bound: int | None = None) -> float | None:

@@ -598,11 +598,19 @@ def solve_external(model: MilpModel, warm=None, *, command: str,
     ``{time_s}`` placeholders.  The solver must exit 0 and write a solution
     file starting with a status word (optionally followed by a best bound)
     and one ``name value`` line per variable.  Reported solutions are
-    re-validated against the model within 1e-6.
+    re-validated against the model within 1e-6.  Without ``workdir`` the
+    files go to a temporary directory that is removed before returning.
     """
     t0 = time.perf_counter()
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="robust_rcpsp_"))
-    base.mkdir(parents=True, exist_ok=True)
+    if workdir:
+        base = Path(workdir)
+        base.mkdir(parents=True, exist_ok=True)
+        return _solve_in(base, model, warm, command, time_limit_s, t0)
+    with tempfile.TemporaryDirectory(prefix="robust_rcpsp_") as scratch:
+        return _solve_in(Path(scratch), model, warm, command, time_limit_s, t0)
+
+
+def _solve_in(base: Path, model, warm, command, time_limit_s, t0) -> SolveOutcome:
     lp_path = base / "model.lp"
     mst_path = base / "warm.mst"
     sol_path = base / "solution.sol"

@@ -134,6 +134,61 @@ def _resolved(reach, fset):
     return any(reaches(reach, i, j) for i, j in permutations(fset, 2))
 
 
+# ---------------------------------------------------------------------------
+# Catalog membership masks: the resolution primitive of the search
+#
+# Sets of catalog indices are kept as int bitmasks.  ``member[a]`` holds the
+# indices of the forbidden sets containing activity ``a``, so the sets that
+# hold some activity of a node bitmask are the OR of their members' masks.
+
+
+def membership_masks(n_nodes: int, catalog: ForbiddenSetCatalog) -> list[int]:
+    """Per activity, the bitmask of catalog indices of the sets holding it."""
+    member = [0] * n_nodes
+    for idx, fset in enumerate(catalog.sets):
+        for a in fset:
+            member[a] |= 1 << idx
+    return member
+
+
+def _sets_touching(nodes: int, member) -> int:
+    """Catalog indices of the sets that hold some node of the bitmask."""
+    acc = 0
+    while nodes:
+        low = nodes & -nodes
+        acc |= member[low.bit_length() - 1]
+        nodes ^= low
+    return acc
+
+
+def unresolved_sets(reach, member, n_sets: int) -> int:
+    """Bitmask of the catalog sets no precedence-related pair resolves."""
+    resolved = 0
+    for a, sets in enumerate(member):
+        if sets:
+            resolved |= sets & _sets_touching(reach[a], member)
+    return ((1 << n_sets) - 1) & ~resolved
+
+
+def add_resolving_arc(reach, member, u, v) -> int:
+    """Add arc (u, v) to the closure in place; return the sets it resolves.
+
+    The arc relates every ancestor-or-self of u to every descendant-or-self
+    of v and nothing else.  In an acyclic graph those two node sets are
+    disjoint, so a set holding a node of each contains a newly related pair:
+    the newly resolved sets are exactly the AND of the two touching masks.
+    Assumes v does not reach u.
+    """
+    below = reach[v] | (1 << v)
+    above = add_arc_to_closure(reach, u, v)
+    return _sets_touching(above, member) & _sets_touching(below, member)
+
+
+def first_set(unresolved: int) -> int:
+    """Catalog index of the lowest unresolved set; the branching set."""
+    return (unresolved & -unresolved).bit_length() - 1
+
+
 def selection_from_schedule(inst: ProjectInstance, start, dur) -> Selection:
     """Arcs implied by a schedule: i before j whenever j starts after i ends.
 
@@ -161,9 +216,10 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
     """Yield one selection per closure-minimal sufficient extension.
 
     Exhaustive oracle for tiny instances: branches over ordered pairs of the
-    first unresolved forbidden set, de-duplicates extensions by transitive
-    closure, then keeps only closures not strictly containing another
-    sufficient closure.  Deterministic order: sorted added-arc tuples.
+    first unresolved forbidden set, tracked with the same membership masks
+    as the branch-and-bound, de-duplicates extensions by transitive closure,
+    then keeps only closures not strictly containing another sufficient
+    closure.  Deterministic order: sorted added-arc tuples.
     """
     if inst.n_activities > max_non_dummies:
         raise CapExceeded(
@@ -171,26 +227,26 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
         )
     n_nodes = inst.n_nodes
     root_reach = closure_bitsets(n_nodes, inst.precedence)
+    member = membership_masks(n_nodes, catalog)
     leaves = {}
     seen = set()
 
-    def visit(reach, added):
+    def visit(reach, added, unresolved):
         key = tuple(reach)
         if key in seen:
             return
         seen.add(key)
-        unresolved = next((f for f in catalog.sets if not _resolved(reach, f)), None)
-        if unresolved is None:
+        if not unresolved:
             leaves.setdefault(key, tuple(sorted(added)))
             return
-        for i, j in permutations(unresolved, 2):
+        for i, j in permutations(catalog.sets[first_set(unresolved)], 2):
             if reaches(reach, j, i):
                 continue
             child = list(reach)
-            add_arc_to_closure(child, i, j)
-            visit(child, added | {(i, j)})
+            resolved = add_resolving_arc(child, member, i, j)
+            visit(child, added | {(i, j)}, unresolved & ~resolved)
 
-    visit(root_reach, frozenset())
+    visit(root_reach, frozenset(), unresolved_sets(root_reach, member, len(catalog)))
 
     relation_sets = {
         key: frozenset((i, j) for i in range(n_nodes) for j in range(n_nodes)

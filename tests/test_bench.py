@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from gen import psplib_text, random_dag_instance
+from robust_rcpsp import bnb
 from robust_rcpsp.bench import (
     BenchConfig,
     ResultRecord,
@@ -18,6 +19,7 @@ from robust_rcpsp.bench import (
     summarize,
     write_outputs,
 )
+from robust_rcpsp.errors import CapExceeded
 
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
 
@@ -193,6 +195,22 @@ def test_run_experiment_records_error_for_unreadable(tmp_path):
     config = BenchConfig(instances_dir=str(tmp_path), gammas=(1,), variants=("bnb",))
     records = run_experiment(config)
     assert [r.status for r in records] == ["error"]
+
+
+def test_run_experiment_records_error_for_failed_search(instance_dir, monkeypatch):
+    real = bnb.solve_exact
+
+    def capped(inst, gamma, **kwargs):
+        if gamma == 1:
+            raise CapExceeded("more than 10 minimal forbidden sets; raise max_sets")
+        return real(inst, gamma, **kwargs)
+
+    monkeypatch.setattr(bnb, "solve_exact", capped)
+    config = BenchConfig(instances_dir=str(instance_dir), gammas=(0, 1),
+                         variants=("bnb",), workers=2)
+    records = run_experiment(config)
+    assert len(records) == 2 * 2
+    assert {(r.gamma, r.status) for r in records} == {(0, "optimal"), (1, "error")}
 
 
 def test_write_outputs(instance_dir, tmp_path):

@@ -1,12 +1,21 @@
 import random
+from itertools import permutations
 
-from gen import make_instance, random_dag_instance
+from gen import make_instance, random_dag_instance, random_psplib_instance
+from robust_rcpsp import network
+from robust_rcpsp._graph import closure_bitsets, predecessors, reaches
 from robust_rcpsp.adversary import worst_case_makespan_dp
-from robust_rcpsp.bnb import OptResult, optimality_gap, solve_exact
+from robust_rcpsp.bnb import OptResult, _relax, optimality_gap, solve_exact
+from robust_rcpsp.instance import robustify
 from robust_rcpsp.network import (
+    ForbiddenSetCatalog,
     Selection,
+    add_resolving_arc,
     enumerate_sufficient_selections,
+    first_set,
+    membership_masks,
     minimal_forbidden_sets,
+    unresolved_sets,
     verify_selection,
 )
 
@@ -44,6 +53,64 @@ def test_matches_exhaustive_oracle():
             res = solve_exact(inst, gamma)
             assert res.status == "optimal"
             assert res.value == exhaustive_optimum(inst, gamma)
+
+
+def test_matches_exhaustive_oracle_seven_and_eight_activities():
+    rng = random.Random(2004)
+    for _ in range(6):
+        inst = random_dag_instance(rng, rng.randint(7, 8), n_res=rng.randint(2, 3))
+        selections = list(enumerate_sufficient_selections(inst, minimal_forbidden_sets(inst)))
+        for gamma in (0, 1, 2, 3):
+            res = solve_exact(inst, gamma)
+            assert res.status == "optimal"
+            assert res.value == min(worst_case_makespan_dp(inst, sel, gamma).value
+                                    for sel in selections)
+
+
+def test_kernel_masks_and_bounds_follow_arc_additions():
+    """Along random acyclic arc sequences, the unresolved-set mask matches
+    the pair-wise filter and the value-only DP rows match the full DP.
+
+    The catalog also gets the instance's own arcs between activities as
+    two-element sets, which the root closure already resolves."""
+    rng = random.Random(2020)
+    gammas = (0, 1, 3)
+    for _ in range(6):
+        inst = robustify(random_psplib_instance(rng, rng.randint(12, 20), 4))
+        related = tuple((i, j) for i, j in inst.precedence if i != 0 and j != inst.sink)
+        catalog = ForbiddenSetCatalog(minimal_forbidden_sets(inst).sets + related)
+        n_nodes = inst.n_nodes
+        member = membership_masks(n_nodes, catalog)
+        reach = closure_bitsets(n_nodes, inst.precedence)
+        pred = predecessors(n_nodes, inst.precedence)
+        delayed = [inst.worst_case_duration(i) for i in range(n_nodes)]
+        rows = {}
+        for gamma in gammas:
+            rows[gamma] = [[0] * (gamma + 1)] + [None] * (n_nodes - 1)
+            _relax(rows[gamma], (1 << n_nodes) - 2, -1, reach, pred,
+                   inst.nominal_duration, delayed)
+        unresolved = unresolved_sets(reach, member, len(catalog))
+        arcs = set()
+        while True:
+            assert [idx for idx in range(len(catalog)) if (unresolved >> idx) & 1] == \
+                [idx for idx, f in enumerate(catalog.sets) if not network._resolved(reach, f)]
+            for gamma in gammas:
+                assert rows[gamma][inst.sink][gamma] == \
+                    worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma).value
+            free = [(i, j) for i in range(1, inst.sink) for j in range(1, inst.sink)
+                    if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
+            if not free:
+                break
+            if unresolved and rng.random() < 0.5:
+                i, j = rng.choice(list(permutations(catalog.sets[first_set(unresolved)], 2)))
+            else:
+                i, j = rng.choice(free)
+            unresolved &= ~add_resolving_arc(reach, member, i, j)
+            pred[j].append(i)
+            arcs.add((i, j))
+            for gamma in gammas:
+                _relax(rows[gamma], reach[j] | (1 << j), 1 << i, reach, pred,
+                       inst.nominal_duration, delayed)
 
 
 def test_budget_zero_equals_deterministic_optimum():

@@ -1,5 +1,6 @@
 import random
 import sys
+import tempfile
 
 import pytest
 
@@ -255,6 +256,20 @@ def test_bridge_rejects_constraint_violating_solution(tmp_path):
     outcome = solve_external(toy_model(), command=f"{sys.executable} {fake} {{sol}}")
     assert outcome.status == "error"
     assert "violates" in outcome.message
+
+
+def test_bridge_removes_its_temporary_directory(tmp_path, monkeypatch):
+    solver = tmp_path / "solver.py"
+    solver.write_text("import sys, pathlib\n"
+                      "pathlib.Path(sys.argv[1]).write_text('optimal\\nx 2\\n')\n")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    solved = solve_external(toy_model(), command=f"{sys.executable} {solver} {{sol}}")
+    assert solved.status == "optimal"
+    assert solved.values == {"x": 2.0}
+    failed = solve_external(toy_model(), command=f"{tmp_path / 'no_such_solver'} {{lp}}")
+    assert failed.status == "error"
+    assert "failed to launch" in failed.message
+    assert list(tmp_path.glob("robust_rcpsp_*")) == []
 
 
 def test_bridge_diamond_fixed_selection_value_three():
