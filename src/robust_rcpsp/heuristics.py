@@ -52,13 +52,11 @@ class WarmStart:
     upper_bound: int
 
 
-def lft_priorities(inst: ProjectInstance) -> tuple[int, ...]:
-    """Latest finish times from a nominal backward pass, horizon = total work."""
-    horizon = sum(inst.nominal_duration)
+def _latest_finishes(inst: ProjectInstance, horizon: int) -> tuple[int, ...]:
+    """Latest nominal finishes from a backward pass over the instance arcs."""
     succ = successors(inst.n_nodes, inst.precedence)
-    order = topological_order(inst.n_nodes, inst.precedence)
     lf = [horizon] * inst.n_nodes
-    for v in reversed(order):
+    for v in reversed(topological_order(inst.n_nodes, inst.precedence)):
         if succ[v]:
             lf[v] = min(lf[w] - inst.nominal_duration[w] for w in succ[v])
     return tuple(lf)
@@ -74,7 +72,7 @@ def lft_schedule(inst: ProjectInstance) -> Schedule:
     n_nodes = inst.n_nodes
     durations = inst.nominal_duration
     horizon = sum(durations) + 1
-    priorities = lft_priorities(inst)
+    priorities = _latest_finishes(inst, sum(durations))
     pred = predecessors(n_nodes, inst.precedence)
     usage = [[0] * horizon for _ in inst.resource_types]
     start: list[int | None] = [None] * n_nodes
@@ -194,7 +192,6 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
     n_nodes = inst.n_nodes
     order = topological_order(n_nodes, inst.precedence)
     pred = predecessors(n_nodes, inst.precedence)
-    succ = successors(n_nodes, inst.precedence)
     es = [0] * n_nodes
     for j in order:
         for i in pred[j]:
@@ -203,8 +200,4 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
         raise InvalidHorizonError(
             f"horizon {horizon} is below the nominal critical path {es[inst.sink]}"
         )
-    lf = [horizon] * n_nodes
-    for v in reversed(order):
-        if succ[v]:
-            lf[v] = min(lf[w] - inst.nominal_duration[w] for w in succ[v])
-    return TimeWindows(es=tuple(es), lf=tuple(lf), horizon=horizon)
+    return TimeWindows(es=tuple(es), lf=_latest_finishes(inst, horizon), horizon=horizon)

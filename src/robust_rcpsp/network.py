@@ -69,50 +69,94 @@ def extended_arcs(inst: ProjectInstance, sel: Selection) -> tuple[tuple[int, int
 def minimal_forbidden_sets(inst: ProjectInstance, max_sets: int = 10**6) -> ForbiddenSetCatalog:
     """Enumerate all minimal forbidden sets by depth-first antichain growth.
 
-    Only activities with a positive requirement can appear in a minimal set,
-    and supersets of a forbidden set are never explored.  A hard cap guards
-    pathological inputs.
+    Candidates are the activities with a positive requirement; activity
+    ids double as bit positions.  A node of the search is an antichain
+    (members added in increasing id order) and an ``allowed`` mask of the
+    larger candidates unrelated to every member; it tries them lowest bit
+    first.  Supersets of a forbidden set are never explored, and a hard cap
+    guards pathological inputs.
+
+    Resource sums are packed into one int with a field of ``w`` bits per
+    resource, resource k in bits ``[k*w, (k+1)*w)``.  Field k starts at
+    ``2**(w-1) - 1 - cap[k]``, so its top bit (the overflow bit) is set
+    exactly when the summed requirement exceeds ``cap[k]``; ``w`` leaves
+    room for every requirement sum plus the largest capacity, so no carry
+    crosses into the next field.  Adding an activity is one int add and the
+    overload test is ``total & high``.  An overloaded antichain is minimal
+    when dropping any member clears every overflow bit; each field holds at
+    least that member's requirement, so the subtraction borrows nothing.
+
+    The usable-resource cut is exact.  A set that overloads resource k is
+    minimal only if every member has a positive requirement on k, since
+    dropping a member with none on k leaves k overloaded.  So the search
+    carries ``usable``, the overflow bits of the resources on which every
+    member is positive, rejects an overload that touches a resource outside
+    it, and extends only with candidates positive on some usable resource:
+    any other extension leaves no usable resource, and no set below it can
+    be minimal.  Both cuts skip only antichains that lead to no minimal
+    forbidden set, so the sets are found in the same order as without them.
     """
-    n_nodes = inst.n_nodes
-    reach = closure_bitsets(n_nodes, inst.precedence)
     req = inst.requirement
     cap = inst.capacity
     k_range = inst.resource_types
     cands = [i for i in range(1, inst.sink) if any(req[i][k] > 0 for k in k_range)]
+    if not cands:
+        return ForbiddenSetCatalog(())
 
-    related = [0] * n_nodes
-    for i in cands:
-        for j in cands:
-            if i != j and (reaches(reach, i, j) or reaches(reach, j, i)):
-                related[i] |= 1 << j
+    reach = closure_bitsets(inst.n_nodes, inst.precedence)
+    reached_by = closure_bitsets(inst.n_nodes, [(j, i) for i, j in inst.precedence])
+    cand_mask = sum(1 << c for c in cands)
+    unrelated = [cand_mask & ~(r | b | (1 << c))
+                 for c, (r, b) in enumerate(zip(reach, reached_by))]
+
+    bound = max(sum(row[k] for row in req) for k in k_range) + max(cap)
+    w = bound.bit_length() + 1
+    top = 1 << (w - 1)
+    high = sum(top << (k * w) for k in k_range)
+    empty = sum((top - 1 - cap[k]) << (k * w) for k in k_range)
+    packed = [sum(r[k] << (k * w) for k in k_range) for r in req]
+    positive = [sum(top << (k * w) for k in k_range if r[k] > 0) for r in req]
+
+    positive_on_memo = {}
+
+    def positive_on(usable):
+        mask = positive_on_memo.get(usable)
+        if mask is None:
+            mask = sum(1 << c for c in cands if positive[c] & usable)
+            positive_on_memo[usable] = mask
+        return mask
 
     results = []
+    members = []
 
-    def is_minimal(members, sums):
-        for m in members:
-            if any(sums[k] - req[m][k] > cap[k] for k in k_range):
-                return False
-        return True
-
-    def grow(start_idx, members, sums, blocked):
-        for idx in range(start_idx, len(cands)):
-            c = cands[idx]
-            if (blocked >> c) & 1:
-                continue
-            new_sums = [sums[k] + req[c][k] for k in k_range]
-            members.append(c)
-            if any(new_sums[k] > cap[k] for k in k_range):
-                if is_minimal(members, new_sums):
-                    results.append(tuple(members))
+    def grow(allowed, total, usable):
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            c = low.bit_length() - 1
+            new_total = total + packed[c]
+            new_usable = usable & positive[c]
+            over = new_total & high
+            if over:
+                if over & ~new_usable:
+                    continue
+                for m in members:
+                    if (new_total - packed[m]) & high:
+                        break
+                else:
+                    results.append((*members, c))
                     if len(results) > max_sets:
                         raise CapExceeded(
                             f"more than {max_sets} minimal forbidden sets; raise max_sets"
                         )
             else:
-                grow(idx + 1, members, new_sums, blocked | related[c])
-            members.pop()
+                child = allowed & unrelated[c] & positive_on(new_usable)
+                if child:
+                    members.append(c)
+                    grow(child, new_total, new_usable)
+                    members.pop()
 
-    grow(0, [], [0] * len(cap), 0)
+    grow(cand_mask, empty, high)
     return ForbiddenSetCatalog(tuple(sorted(results)))
 
 
@@ -143,12 +187,18 @@ def _resolved(reach, fset):
 
 
 def membership_masks(n_nodes: int, catalog: ForbiddenSetCatalog) -> list[int]:
-    """Per activity, the bitmask of catalog indices of the sets holding it."""
-    member = [0] * n_nodes
+    """Per activity, the bitmask of catalog indices of the sets holding it.
+
+    Bits are set in one little-endian byte buffer per activity and each
+    buffer is converted once, which keeps the build linear in the catalog.
+    """
+    n_bytes = (len(catalog) + 7) // 8
+    buffers = [bytearray(n_bytes) for _ in range(n_nodes)]
     for idx, fset in enumerate(catalog.sets):
+        byte, bit = idx >> 3, 1 << (idx & 7)
         for a in fset:
-            member[a] |= 1 << idx
-    return member
+            buffers[a][byte] |= bit
+    return [int.from_bytes(buf, "little") for buf in buffers]
 
 
 def _sets_touching(nodes: int, member) -> int:

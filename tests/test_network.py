@@ -8,6 +8,7 @@ from gen import (
     connect_dummies,
     make_instance,
     random_dag_instance,
+    random_psplib_instance,
     random_selection,
 )
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
@@ -78,9 +79,12 @@ def test_pair_catalog():
 
 
 def test_no_conflicts_empty_catalog():
-    inst = make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
-                         [(0,), (1,), (1,), (0,)], (2,))
-    assert minimal_forbidden_sets(inst).sets == ()
+    arcs = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    slack = make_instance([0, 1, 1, 0], arcs, [(0,), (1,), (1,), (0,)], (2,))
+    no_resources = make_instance([0, 1, 1, 0], arcs, capacities=())
+    zero_rows = make_instance([0, 1, 1, 0], arcs, [(0, 0)] * 4, (1, 1))
+    for inst in (slack, no_resources, zero_rows):
+        assert minimal_forbidden_sets(inst).sets == ()
 
 
 def test_frozen_catalog_family():
@@ -95,12 +99,26 @@ def test_catalog_matches_brute_force_on_random_instances():
     for _ in range(40):
         inst = random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 2))
         assert minimal_forbidden_sets(inst).sets == brute_force_forbidden_sets(inst)
+    # The benchmark's shape: up to four resources, zero entries, slack capacities.
+    for _ in range(40):
+        inst = random_psplib_instance(rng, n_act=rng.randint(8, 12), n_res=rng.randint(1, 4))
+        assert minimal_forbidden_sets(inst).sets == brute_force_forbidden_sets(inst)
 
 
 def test_catalog_cap():
     inst = k3_instance()
     with pytest.raises(CapExceeded):
         minimal_forbidden_sets(inst, max_sets=1)
+
+
+def test_catalog_cap_boundary():
+    inst = random_psplib_instance(random.Random(3), n_act=12, n_res=4)
+    full = minimal_forbidden_sets(inst)
+    m = len(full)
+    assert m > 1
+    assert minimal_forbidden_sets(inst, max_sets=m) == full
+    with pytest.raises(CapExceeded):
+        minimal_forbidden_sets(inst, max_sets=m - 1)
 
 
 # ---------------------------------------------------------------------------
