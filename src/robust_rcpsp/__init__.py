@@ -8,14 +8,12 @@ solves instances exactly with a branch-and-bound, and benchmarks variants.
 """
 
 from .adversary import (
-    AugmentedNetwork,
     CertificateCheck,
     DpResult,
     DpTable,
     FractionalCertificate,
     TuVerdict,
     build_adversary_constraint_matrix,
-    build_augmented_network,
     check_fractional_certificate,
     counterexample_certificate,
     counterexample_instance,
@@ -47,7 +45,6 @@ from .heuristics import (
     Schedule,
     TimeWindows,
     WarmStart,
-    leveled_start_times,
     lft_schedule,
     time_windows,
     validate_schedule,

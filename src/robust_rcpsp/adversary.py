@@ -1,12 +1,14 @@
 """Worst-case makespan evaluation for a fixed selection.
 
 The adversary distributes up to ``gamma`` unit delays over activities to
-maximise the minimum makespan.  For integer budgets this is a longest-path
-problem on an augmented network of gamma+1 stacked copies of the extended
-project network: same-level arcs carry nominal durations, level-crossing
-arcs carry worst-case durations (the tail activity is delayed), and
-zero-weight sink self-arcs connect consecutive levels so the top level is
-always reachable.
+maximise the minimum makespan.  For integer budgets this is a longest path
+over leveled states (node, number of delays so far): staying on a level
+costs the nominal duration of the tail activity, moving up one level costs
+its worst-case duration.  ``relax_leveled_rows`` is the one kernel for that
+recursion.  The same rows are the leveled start times of the compact model
+(the warm start), their level-zero column is the nominal earliest start
+(the time windows), and the branch-and-bound raises them incrementally as
+it adds arcs.
 
 Also houses the fractional-certificate checker for the single-level
 linearized adversary model and the Ghouila-Houri refutation of its total
@@ -26,58 +28,15 @@ from .network import Selection, extended_arcs
 
 
 # ---------------------------------------------------------------------------
-# Augmented network
-
-
-@dataclass(frozen=True)
-class AugmentedNetwork:
-    """Layered copy stack of the extended network.
-
-    ``alpha_arcs`` are (i, j, level, weight) within a level, ``beta_arcs``
-    are (i, j, level, weight) from ``level`` to ``level + 1``, and
-    ``sink_self_arcs`` are (level, 0) entries linking the sink to itself one
-    level up.
-    """
-
-    gamma: int
-    sink: int
-    alpha_arcs: tuple[tuple[int, int, int, int], ...]
-    beta_arcs: tuple[tuple[int, int, int, int], ...]
-    sink_self_arcs: tuple[tuple[int, int], ...]
-
-    def state_arcs(self):
-        """All arcs as ((node, level), (node, level), weight) triples."""
-        for i, j, g, w in self.alpha_arcs:
-            yield (i, g), (j, g), w
-        for i, j, g, w in self.beta_arcs:
-            yield (i, g), (j, g + 1), w
-        for g, w in self.sink_self_arcs:
-            yield (self.sink, g), (self.sink, g + 1), w
-
-
-def build_augmented_network(inst: ProjectInstance, sel: Selection, gamma: int) -> AugmentedNetwork:
-    arcs = extended_arcs(inst, sel)
-    topological_order(inst.n_nodes, arcs)  # reject cyclic extensions early
-    nominal = inst.nominal_duration
-    alpha = tuple((i, j, g, nominal[i]) for g in range(gamma + 1) for i, j in arcs)
-    beta = tuple(
-        (i, j, g, nominal[i] + inst.max_deviation[i])
-        for g in range(gamma) for i, j in arcs
-    )
-    sink_self = tuple((g, 0) for g in range(gamma))
-    return AugmentedNetwork(gamma=gamma, sink=inst.sink, alpha_arcs=alpha,
-                            beta_arcs=beta, sink_self_arcs=sink_self)
-
-
-# ---------------------------------------------------------------------------
 # Dynamic program
 
 
 @dataclass(frozen=True)
 class DpTable:
-    """State values indexed [node][level]; None marks unreachable states."""
+    """Leveled start times indexed [node][level]: the longest path from the
+    source to the node with at most ``level`` delays."""
 
-    values: tuple[tuple[int | None, ...], ...]
+    values: tuple[tuple[int, ...], ...]
     gamma: int
 
 
@@ -89,14 +48,55 @@ class DpResult:
     table: DpTable
 
 
-def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) -> DpResult:
-    """Longest path through the augmented network, with delay backtracking.
+def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
+    """The leveled longest-path kernel: raise in place the rows of the
+    nodes in ``order`` through their predecessors in the bitmask ``dirty``.
 
-    State value recursion over predecessors i of node j:
-    V(j, g) = max( V(i, g) + nominal_i,  V(i, g-1) + nominal_i + deviation_i )
-    with V(0, 0) = 0, plus a zero-cost sink self-arc lifting V(sink, g-1) to
-    level g.  The returned value is V(sink, gamma), which by the self-arcs
-    equals the maximum over all levels up to gamma.
+    ``rows[j][g]`` is the longest path from the source to ``j`` with at
+    most ``g`` delays:
+    W(j, g) = max over i in pred[j] of max(W(i, g) + nominal_i,
+    W(i, g-1) + delayed_i), with W(source, .) = 0.  Durations are
+    nonnegative and every activity is reachable from the source, so rows
+    that start at zero and are only raised hold no unreachable state.
+
+    ``order`` must be topological.  A row is copied once before it is
+    raised, so rows shared with other tables are never written; a node
+    whose row rises becomes dirty for the nodes after it.
+    """
+    for j in order:
+        old = rows[j]
+        new = None
+        for i in pred[j]:
+            if not (dirty >> i) & 1:
+                continue
+            if new is None:
+                new = list(old)
+            row = rows[i]
+            a = nominal[i]
+            b = delayed[i]
+            prev = row[0]
+            if prev + a > new[0]:
+                new[0] = prev + a
+            for g in range(1, len(new)):
+                cur = row[g]
+                x = cur + a
+                y = prev + b
+                if y > x:
+                    x = y
+                if x > new[g]:
+                    new[g] = x
+                prev = cur
+        if new is not None and new != old:
+            rows[j] = new
+            dirty |= 1 << j
+
+
+def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) -> DpResult:
+    """Worst-case makespan of a selection, with one worst delay set.
+
+    One pass of ``relax_leveled_rows`` over the extended network in
+    topological order (which rejects cyclic extensions); the value is
+    W(sink, gamma) and the table holds every leveled start.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -106,72 +106,37 @@ def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) ->
     order = topological_order(n_nodes, arcs)
     pred = predecessors(n_nodes, arcs)
     nominal = inst.nominal_duration
-    dev = inst.max_deviation
+    delayed = [a + d for a, d in zip(nominal, inst.max_deviation)]
+    rows = [[0] * (gamma + 1)] * n_nodes  # one shared row: the kernel copies before it raises
+    relax_leveled_rows(rows, order, -1, pred, nominal, delayed)
 
-    values = [[None] * (gamma + 1) for _ in range(n_nodes)]
-    values[0][0] = 0
-    for g in range(gamma + 1):
-        for j in order:
-            if j == 0:
-                continue
-            best = values[j][g]  # stays None unless some branch applies
-            for i in pred[j]:
-                vi = values[i][g]
-                if vi is not None:
-                    cand = vi + nominal[i]
-                    if best is None or cand > best:
-                        best = cand
-                if g > 0:
-                    vi_prev = values[i][g - 1]
-                    if vi_prev is not None:
-                        cand = vi_prev + nominal[i] + dev[i]
-                        if best is None or cand > best:
-                            best = cand
-            if j == sink and g > 0 and values[sink][g - 1] is not None:
-                cand = values[sink][g - 1]
-                if best is None or cand > best:
-                    best = cand
-            values[j][g] = best
-
-    value = values[sink][gamma]
-    delayed, path = _backtrack(values, pred, nominal, dev, sink, gamma)
-    table = DpTable(values=tuple(tuple(v) for v in values), gamma=gamma)
-    return DpResult(value=value, delayed=frozenset(delayed), path=tuple(path), table=table)
+    value = rows[sink][gamma]
+    delays, path = _backtrack(rows, pred, nominal, delayed, sink, gamma)
+    table = DpTable(values=tuple(map(tuple, rows)), gamma=gamma)
+    return DpResult(value=value, delayed=frozenset(delays), path=tuple(path), table=table)
 
 
-def _backtrack(values, pred, nominal, dev, sink, gamma):
-    """Recover one optimal delay set; prefers sink self-arcs, then
-    non-delayed predecessors, so vacuous delays are never reported."""
-    delayed = []
+def _backtrack(rows, pred, nominal, delayed, sink, gamma):
+    """Recover one optimal delay set; prefers non-delayed predecessors, so
+    vacuous delays are never reported."""
+    delays = []
     path = [sink]
     j, g = sink, gamma
-    while (j, g) != (0, 0):
-        target = values[j][g]
-        if j == sink and g > 0 and values[sink][g - 1] == target:
-            g -= 1
-            continue
-        step = None
-        for i in sorted(pred[j]):
-            vi = values[i][g]
-            if vi is not None and vi + nominal[i] == target:
-                step = (i, g, False)
-                break
-        if step is None:
-            for i in sorted(pred[j]):
-                if g > 0:
-                    vi = values[i][g - 1]
-                    if vi is not None and vi + nominal[i] + dev[i] == target:
-                        step = (i, g - 1, True)
-                        break
+    while j != 0:
+        target = rows[j][g]
+        step = next((i for i in sorted(pred[j]) if rows[i][g] + nominal[i] == target), None)
+        if step is None and g > 0:
+            step = next((i for i in sorted(pred[j])
+                         if rows[i][g - 1] + delayed[i] == target), None)
+            if step is not None:
+                delays.append(step)
+                g -= 1
         if step is None:  # pragma: no cover - recursion and backtrack disagree
             raise AssertionError("backtracking failed to reproduce the DP value")
-        i, g, was_delayed = step
-        if was_delayed:
-            delayed.append(i)
-        path.append(i)
-        j = i
+        path.append(step)
+        j = step
     path.reverse()
-    return delayed, path
+    return delays, path
 
 
 def worst_case_makespan_bruteforce(inst: ProjectInstance, sel: Selection, gamma: int,

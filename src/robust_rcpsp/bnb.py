@@ -15,12 +15,14 @@ acyclic graph), so a child costs a few big-int operations per activity
 rather than a pair scan of every open set.  The branching set is the lowest
 unresolved index.
 
-Children are bounded by a value-only form of the adversary DP (see
-``_relax``): no arc list, topological sort, table or backtrack.  Each node
+Every bound comes from the adversary DP's leveled rows.  The root takes
+its rows and bound from one ``worst_case_makespan_dp`` call.  Each node
 keeps its predecessor lists (the parent's plus ``i`` appended to ``j``'s)
-and one row of level values per activity; a child recomputes only the rows
-of ``j`` and its descendants, in the order the closure gives.  The root
-bound and every reported value still come from ``worst_case_makespan_dp``.
+and its rows; a child raises, with ``relax_leveled_rows``, only the rows of
+``j`` and its descendants, in the order the closure gives (an activity
+reaches strictly more activities than each of its descendants), starting
+from ``i`` as the one dirty predecessor.  Adding an arc only lengthens
+paths, so no other row can change.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from ._graph import closure_bitsets, predecessors, reaches
-from .adversary import worst_case_makespan_dp
+from .adversary import relax_leveled_rows, worst_case_makespan_dp
 from .heuristics import warm_start
 from .instance import ProjectInstance
 from .network import (
@@ -80,10 +82,11 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     delayed = tuple(inst.worst_case_duration(i) for i in range(n_nodes))
     root_closure = tuple(closure_bitsets(n_nodes, inst.precedence))
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
-    root_rows = [[0] * (gamma + 1)] + [None] * (n_nodes - 1)
-    # Every activity but the source, with every predecessor dirty (-1).
-    _relax(root_rows, (1 << n_nodes) - 2, -1, root_closure, root_pred, nominal, delayed)
-    root_bound = worst_case_makespan_dp(inst, Selection(), gamma).value
+    root = worst_case_makespan_dp(inst, Selection(), gamma)
+    root_bound = root.value
+    # Lists, not the table's tuples: the kernel compares a copied row with
+    # the old one to see whether it rose.
+    root_rows = [list(row) for row in root.table.values]
     # Heap entries: (bound, tie-break counter, added arcs, closure,
     # predecessor lists, DP rows, unresolved-set mask).
     heap = [(root_bound, 0, frozenset(), root_closure, root_pred, root_rows,
@@ -124,7 +127,9 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             child_pred = list(pred)
             child_pred[j] += (i,)
             child_rows = list(rows)
-            _relax(child_rows, key[j] | (1 << j), 1 << i, key, child_pred, nominal, delayed)
+            order = _bits(key[j] | (1 << j))
+            order.sort(key=lambda v: -key[v].bit_count())
+            relax_leveled_rows(child_rows, order, 1 << i, child_pred, nominal, delayed)
             child_bound = child_rows[-1][gamma]
             if child_bound >= incumbent_value:
                 continue
@@ -134,49 +139,13 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     return result("optimal", incumbent_value)
 
 
-def _relax(rows, nodes, dirty, closure, pred, nominal, delayed):
-    """Raise in place the value-only DP rows of the activities in the
-    bitmask ``nodes`` through their predecessors in the bitmask ``dirty``.
-
-    ``rows[j][g]`` is the longest path to ``j`` with at most ``g`` delays:
-    W(j, g) = max over i in pred[j] of max(W(i, g) + nominal_i,
-    W(i, g-1) + delayed_i), with W(source, .) = 0.  At the sink this is the
-    V(sink, g) of ``worst_case_makespan_dp``, whose sink self-arcs take the
-    same maximum over levels; every activity is reachable from the source,
-    so no state is unreachable.
-
-    Adding arc (i, j) only lengthens paths, so the new row of a node is
-    its old row raised by the predecessors whose rows changed, and only
-    ``j`` and its descendants can change.  ``nodes`` are visited in
-    topological order (an activity reaches strictly more activities than
-    each of its descendants); a node whose row rises becomes dirty.
-    """
-    todo = []
-    while nodes:
-        low = nodes & -nodes
-        todo.append(low.bit_length() - 1)
-        nodes ^= low
-    todo.sort(key=lambda v: -closure[v].bit_count())
-    for j in todo:
-        old = best = rows[j]
-        for i in pred[j]:
-            if not (dirty >> i) & 1:
-                continue
-            row = rows[i]
-            a = nominal[i]
-            b = delayed[i]
-            cand = [row[0] + a]
-            for g in range(1, len(row)):
-                x = row[g] + a
-                y = row[g - 1] + b
-                cand.append(x if x > y else y)
-            if best is None:
-                best = cand
-            else:
-                best = [x if x > y else y for x, y in zip(best, cand)]
-        if best != old:
-            rows[j] = best
-            dirty |= 1 << j
+def _bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def optimality_gap(result: OptResult, best_bound: int | None = None) -> float | None:

@@ -2,17 +2,19 @@
 
 A latest-finish-time priority rule drives a serial schedule-generation
 scheme on the nominal durations.  The resulting schedule yields a feasible
-selection, leveled start times, and an upper bound that seed both the
-branch-and-bound and the compact model.
+selection whose adversary DP gives the leveled start times and the upper
+bound that seed both the branch-and-bound and the compact model.  The
+earliest starts of the time windows are the DP's level-zero column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ._graph import predecessors, successors, topological_order
+from .adversary import worst_case_makespan_dp
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
-from .network import Selection, extended_arcs, selection_from_schedule
+from .network import Selection, selection_from_schedule
 
 
 @dataclass(frozen=True)
@@ -138,45 +140,13 @@ def validate_schedule(inst: ProjectInstance, sched: Schedule) -> None:
                 raise ValueError(f"resource {k} overloaded at time {t}: {load}")
 
 
-def leveled_start_times(inst: ProjectInstance, sel: Selection, gamma: int) -> tuple[tuple[int, ...], ...]:
-    """Earliest leveled starts over the extended network.
-
-    S[j][g] is the earliest start of j when g delays have occurred upstream:
-    the longest-path recursion of the augmented network floored at zero, so
-    the values are feasible for the compact model even on states no path
-    from the source reaches.  The sink additionally carries its value up one
-    level, mirroring the level-linking sink self-arc.
-    """
-    arcs = extended_arcs(inst, sel)
-    n_nodes = inst.n_nodes
-    sink = inst.sink
-    order = topological_order(n_nodes, arcs)
-    pred = predecessors(n_nodes, arcs)
-    starts = [[0] * (gamma + 1) for _ in range(n_nodes)]
-    for g in range(gamma + 1):
-        for j in order:
-            best = 0
-            for i in pred[j]:
-                cand = starts[i][g] + inst.nominal_duration[i]
-                if cand > best:
-                    best = cand
-                if g > 0:
-                    cand = starts[i][g - 1] + inst.worst_case_duration(i)
-                    if cand > best:
-                        best = cand
-            if j == sink and g > 0 and starts[sink][g - 1] > best:
-                best = starts[sink][g - 1]
-            starts[j][g] = best
-    return tuple(tuple(row) for row in starts)
-
-
 def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
-    """LFT schedule -> selection -> leveled starts -> upper bound."""
+    """LFT schedule -> selection -> adversary DP: leveled starts and bound."""
     sched = lft_schedule(inst)
     sel = selection_from_schedule(inst, sched.start, sched.durations_used)
-    starts = leveled_start_times(inst, sel, gamma)
-    return WarmStart(selection=sel, schedule=sched, leveled_starts=starts,
-                     upper_bound=starts[inst.sink][gamma])
+    dp = worst_case_makespan_dp(inst, sel, gamma)
+    return WarmStart(selection=sel, schedule=sched, leveled_starts=dp.table.values,
+                     upper_bound=dp.value)
 
 
 def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
@@ -189,15 +159,10 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
     horizon cannot accommodate even the nominal critical path.
     """
     del sel, gamma  # part of the call contract; see docstring
-    n_nodes = inst.n_nodes
-    order = topological_order(n_nodes, inst.precedence)
-    pred = predecessors(n_nodes, inst.precedence)
-    es = [0] * n_nodes
-    for j in order:
-        for i in pred[j]:
-            es[j] = max(es[j], es[i] + inst.nominal_duration[i])
-    if horizon < es[inst.sink]:
+    nominal = worst_case_makespan_dp(inst, Selection(), 0)
+    if horizon < nominal.value:
         raise InvalidHorizonError(
-            f"horizon {horizon} is below the nominal critical path {es[inst.sink]}"
+            f"horizon {horizon} is below the nominal critical path {nominal.value}"
         )
-    return TimeWindows(es=tuple(es), lf=_latest_finishes(inst, horizon), horizon=horizon)
+    es = tuple(row[0] for row in nominal.table.values)
+    return TimeWindows(es=es, lf=_latest_finishes(inst, horizon), horizon=horizon)

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from ._graph import topological_order, predecessors
+from .adversary import worst_case_makespan_dp
 from .errors import BridgeError, InvalidHorizonError
 from .heuristics import TimeWindows, WarmStart
 from .instance import ProjectInstance
-from .network import extended_arcs
+from .network import Selection, extended_arcs
 
 
 def start_name(i, g):
@@ -82,16 +82,6 @@ def default_big_m(inst: ProjectInstance) -> int:
     return sum(inst.nominal_duration) + sum(inst.max_deviation)
 
 
-def nominal_critical_path(inst: ProjectInstance) -> int:
-    order = topological_order(inst.n_nodes, inst.precedence)
-    pred = predecessors(inst.n_nodes, inst.precedence)
-    dist = [0] * inst.n_nodes
-    for j in order:
-        for i in pred[j]:
-            dist[j] = max(dist[j], dist[i] + inst.nominal_duration[i])
-    return dist[inst.sink]
-
-
 def build_compact(inst: ProjectInstance, gamma: int, *,
                   transitivity: bool = False,
                   tighten: TimeWindows | None = None,
@@ -113,10 +103,12 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
     nominal = inst.nominal_duration
     dev = inst.max_deviation
     m_global = default_big_m(inst) if big_m is None else int(big_m)
-    if tighten is not None and tighten.horizon < nominal_critical_path(inst):
-        raise InvalidHorizonError(
-            f"tightening horizon {tighten.horizon} is below the nominal critical path"
-        )
+    if tighten is not None:
+        critical = worst_case_makespan_dp(inst, Selection(), 0).value
+        if tighten.horizon < critical:
+            raise InvalidHorizonError(
+                f"tightening horizon {tighten.horizon} is below the nominal critical path"
+            )
 
     def m_same(i, j):
         if tighten is None:

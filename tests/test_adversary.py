@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gen import make_instance, random_dag_instance, random_selection
+from gen import make_instance, random_dag_instance, random_psplib_instance, random_selection
 from robust_rcpsp.adversary import (
     build_adversary_constraint_matrix,
-    build_augmented_network,
     check_fractional_certificate,
     counterexample_certificate,
     counterexample_instance,
@@ -18,67 +17,10 @@ from robust_rcpsp.adversary import (
     worst_case_makespan_dp,
 )
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
+from robust_rcpsp.instance import robustify
 from robust_rcpsp.network import Selection
 
 EMPTY = Selection()
-
-
-# ---------------------------------------------------------------------------
-# augmented network
-
-
-def test_augmented_network_arc_counts():
-    inst = counterexample_instance()
-    for gamma in (0, 1, 3):
-        net = build_augmented_network(inst, EMPTY, gamma)
-        n_arcs = len(inst.precedence)
-        assert len(net.alpha_arcs) == (gamma + 1) * n_arcs
-        assert len(net.beta_arcs) == gamma * n_arcs
-        assert len(net.sink_self_arcs) == gamma
-
-
-def test_augmented_network_weights():
-    inst = counterexample_instance()
-    net = build_augmented_network(inst, EMPTY, 2)
-    assert all(w == inst.nominal_duration[i] for i, _, _, w in net.alpha_arcs)
-    assert all(w == inst.nominal_duration[i] + inst.max_deviation[i]
-               for i, _, _, w in net.beta_arcs)
-    assert all(w == 0 for _, w in net.sink_self_arcs)
-
-
-def generic_longest_path(net, sink, gamma):
-    """Independent longest path over the materialized state arcs."""
-    arcs = list(net.state_arcs())
-    states = sorted({s for a in arcs for s in (a[0], a[1])} | {(0, 0)},
-                    key=lambda s: (s[1], s[0]))
-    dist = {s: None for s in states}
-    dist[(0, 0)] = 0
-    incoming = {}
-    for u, v, w in arcs:
-        incoming.setdefault(v, []).append((u, w))
-    changed = True
-    while changed:  # few levels, tiny graphs: relaxation is fine
-        changed = False
-        for s in states:
-            for u, w in incoming.get(s, []):
-                if dist.get(u) is None:
-                    continue
-                cand = dist[u] + w
-                if dist[s] is None or cand > dist[s]:
-                    dist[s] = cand
-                    changed = True
-    return dist[(sink, gamma)]
-
-
-def test_dp_equals_augmented_longest_path():
-    rng = random.Random(99)
-    for _ in range(20):
-        inst = random_dag_instance(rng, rng.randint(1, 6))
-        sel = random_selection(rng, inst)
-        gamma = rng.randint(0, 3)
-        net = build_augmented_network(inst, sel, gamma)
-        dp = worst_case_makespan_dp(inst, sel, gamma)
-        assert dp.value == generic_longest_path(net, inst.sink, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +53,8 @@ def test_dp_table_invariants():
     assert table.values[0][0] == 0
     sink_row = table.values[inst.sink]
     assert all(a <= b for a, b in zip(sink_row, sink_row[1:]))
-    # source is unreachable above level zero
-    assert table.values[0][1] is None
+    # rows hold "at most g delays": the source starts at 0 on every level
+    assert table.values[0][1] == 0
 
 
 def test_dp_rejects_cyclic_extension():
@@ -129,6 +71,12 @@ def test_dp_matches_bruteforce_randomised():
         for gamma in (0, 1, 2, 3):
             dp = worst_case_makespan_dp(inst, sel, gamma)
             assert dp.value == worst_case_makespan_bruteforce(inst, sel, gamma)
+    for _ in range(20):
+        inst = robustify(random_psplib_instance(rng, rng.randint(10, 14), 4))
+        sel = random_selection(rng, inst, max_arcs=rng.randint(0, 6))
+        gamma = rng.randint(0, 3)
+        dp = worst_case_makespan_dp(inst, sel, gamma)
+        assert dp.value == worst_case_makespan_bruteforce(inst, sel, gamma)
 
 
 def test_dp_delayed_set_reproduces_value():
@@ -138,6 +86,8 @@ def test_dp_delayed_set_reproduces_value():
         gamma = rng.randint(0, 3)
         dp = worst_case_makespan_dp(inst, EMPTY, gamma)
         assert len(dp.delayed) <= gamma
+        # no vacuous delays: every reported delay lengthens the path
+        assert all(inst.max_deviation[i] > 0 for i in dp.delayed)
         cert = path_certificate(inst, EMPTY, dp.path, dp.delayed & set(dp.path))
         check = check_fractional_certificate(inst, EMPTY, gamma, cert)
         assert check.feasible

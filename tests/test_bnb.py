@@ -4,8 +4,8 @@ from itertools import permutations
 from gen import make_instance, random_dag_instance, random_psplib_instance
 from robust_rcpsp import network
 from robust_rcpsp._graph import closure_bitsets, predecessors, reaches
-from robust_rcpsp.adversary import worst_case_makespan_dp
-from robust_rcpsp.bnb import OptResult, _relax, optimality_gap, solve_exact
+from robust_rcpsp.adversary import relax_leveled_rows, worst_case_makespan_dp
+from robust_rcpsp.bnb import OptResult, optimality_gap, solve_exact
 from robust_rcpsp.instance import robustify
 from robust_rcpsp.network import (
     ForbiddenSetCatalog,
@@ -69,7 +69,8 @@ def test_matches_exhaustive_oracle_seven_and_eight_activities():
 
 def test_kernel_masks_and_bounds_follow_arc_additions():
     """Along random acyclic arc sequences, the unresolved-set mask matches
-    the pair-wise filter and the value-only DP rows match the full DP.
+    the pair-wise filter and the incrementally raised leveled rows match
+    the full DP table, row for row.
 
     The catalog also gets the instance's own arcs between activities as
     two-element sets, which the root closure already resolves."""
@@ -84,19 +85,17 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
         reach = closure_bitsets(n_nodes, inst.precedence)
         pred = predecessors(n_nodes, inst.precedence)
         delayed = [inst.worst_case_duration(i) for i in range(n_nodes)]
-        rows = {}
-        for gamma in gammas:
-            rows[gamma] = [[0] * (gamma + 1)] + [None] * (n_nodes - 1)
-            _relax(rows[gamma], (1 << n_nodes) - 2, -1, reach, pred,
-                   inst.nominal_duration, delayed)
+        rows = {gamma: [list(row) for row in
+                        worst_case_makespan_dp(inst, Selection(), gamma).table.values]
+                for gamma in gammas}
         unresolved = unresolved_sets(reach, member, len(catalog))
         arcs = set()
         while True:
             assert [idx for idx in range(len(catalog)) if (unresolved >> idx) & 1] == \
                 [idx for idx, f in enumerate(catalog.sets) if not network._resolved(reach, f)]
             for gamma in gammas:
-                assert rows[gamma][inst.sink][gamma] == \
-                    worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma).value
+                table = worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma).table
+                assert rows[gamma] == [list(row) for row in table.values]
             free = [(i, j) for i in range(1, inst.sink) for j in range(1, inst.sink)
                     if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
             if not free:
@@ -108,9 +107,11 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             unresolved &= ~add_resolving_arc(reach, member, i, j)
             pred[j].append(i)
             arcs.add((i, j))
+            order = sorted((v for v in range(n_nodes) if v == j or reaches(reach, j, v)),
+                           key=lambda v: -reach[v].bit_count())
             for gamma in gammas:
-                _relax(rows[gamma], reach[j] | (1 << j), 1 << i, reach, pred,
-                       inst.nominal_duration, delayed)
+                relax_leveled_rows(rows[gamma], order, 1 << i, pred,
+                                   inst.nominal_duration, delayed)
 
 
 def test_budget_zero_equals_deterministic_optimum():

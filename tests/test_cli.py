@@ -187,7 +187,18 @@ def test_evaluate_with_table(capsys):
     table = payload["table"]
     assert table[0][0] == 0
     assert table[-1][-1] == 8
-    assert table[0][1] is None  # source unreachable above level zero
+    assert table[0][1] == 0  # leveled starts: the source starts at 0 on every level
+
+
+def test_evaluate_table_is_warmstart_starts(capsys):
+    _, out, _ = run_cli(capsys, "warmstart", str(DATA / "toy5.sm"), "--gamma", "2")
+    warm = json.loads(out)
+    code, out, _ = run_cli(capsys, "evaluate", str(DATA / "toy5.sm"), "--gamma", "2",
+                           "--selection", json.dumps(warm["selection"]), "--table")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["table"] == warm["starts"]
+    assert payload["value"] == warm["upper_bound"]
 
 
 def test_verify_tu_matrix_csv(capsys, tmp_path):

@@ -6,7 +6,6 @@ from gen import make_instance, random_dag_instance, random_psplib_instance
 from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
 from robust_rcpsp.errors import InvalidHorizonError
 from robust_rcpsp.heuristics import (
-    leveled_start_times,
     lft_schedule,
     time_windows,
     validate_schedule,
@@ -131,6 +130,6 @@ def test_window_invariants_along_instance_arcs():
 
 def test_leveled_starts_usable_without_warm_start():
     inst = counterexample_instance()
-    starts = leveled_start_times(inst, Selection(), 1)
+    starts = worst_case_makespan_dp(inst, Selection(), 1).table.values
     assert starts[0][0] == 0
     assert starts[inst.sink][1] == 3
