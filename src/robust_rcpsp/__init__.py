@@ -10,7 +10,6 @@ solves instances exactly with a branch-and-bound, and benchmarks variants.
 from .adversary import (
     CertificateCheck,
     DpResult,
-    DpTable,
     FractionalCertificate,
     TuVerdict,
     build_adversary_constraint_matrix,
@@ -51,13 +50,11 @@ from .heuristics import (
     warm_start,
 )
 from .instance import (
-    Budget,
     InstanceMeta,
     ProjectInstance,
     from_json,
     parse_psplib,
     robustify,
-    scenario_durations,
     to_json,
 )
 from .milp import (
@@ -79,7 +76,6 @@ from .network import (
     enumerate_sufficient_selections,
     minimal_forbidden_sets,
     selection_from_schedule,
-    transitive_closure,
     verify_selection,
 )
 

@@ -32,20 +32,13 @@ from .network import Selection, extended_arcs
 
 
 @dataclass(frozen=True)
-class DpTable:
-    """Leveled start times indexed [node][level]: the longest path from the
-    source to the node with at most ``level`` delays."""
-
-    values: tuple[tuple[int, ...], ...]
-    gamma: int
-
-
-@dataclass(frozen=True)
 class DpResult:
     value: int
     delayed: frozenset[int]
     path: tuple[int, ...]
-    table: DpTable
+    # [node][level]: the longest path from the source to the node with at
+    # most ``level`` delays.
+    leveled_starts: tuple[tuple[int, ...], ...]
 
 
 def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
@@ -96,7 +89,7 @@ def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) ->
 
     One pass of ``relax_leveled_rows`` over the extended network in
     topological order (which rejects cyclic extensions); the value is
-    W(sink, gamma) and the table holds every leveled start.
+    W(sink, gamma) and ``leveled_starts`` holds every row.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -112,8 +105,8 @@ def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) ->
 
     value = rows[sink][gamma]
     delays, path = _backtrack(rows, pred, nominal, delayed, sink, gamma)
-    table = DpTable(values=tuple(map(tuple, rows)), gamma=gamma)
-    return DpResult(value=value, delayed=frozenset(delays), path=tuple(path), table=table)
+    return DpResult(value=value, delayed=frozenset(delays), path=tuple(path),
+                    leveled_starts=tuple(map(tuple, rows)))
 
 
 def _backtrack(rows, pred, nominal, delayed, sink, gamma):

@@ -105,12 +105,11 @@ def _solve_one(config: BenchConfig, path: Path, gamma: int, variant: str) -> Res
         status = "optimal" if res.status == "optimal" else "feasible"
         gap = bnb_mod.optimality_gap(res)
         return ResultRecord(name, gamma, variant, status, float(res.value),
-                            float(res.best_bound) if res.best_bound is not None else None,
-                            gap, res.time_s)
+                            float(res.best_bound), gap, res.time_s)
     if config.bridge_cmd is None:
         return ResultRecord(name, gamma, variant, "skipped", None, None, None, 0.0)
     try:
-        model, assignment = _build_variant(inst, gamma, variant)
+        model, assignment = build_variant(inst, gamma, variant)
     except RobustRcpspError:
         return ResultRecord(name, gamma, variant, "error", None, None, None,
                             time.perf_counter() - t0)
@@ -125,7 +124,9 @@ def _solve_one(config: BenchConfig, path: Path, gamma: int, variant: str) -> Res
                         outcome.bound, gap, outcome.time_s)
 
 
-def _build_variant(inst, gamma, variant):
+def build_variant(inst, gamma, variant):
+    """The compact model of a MILP variant and, for the ``warm`` variants,
+    the warm-start assignment (else None)."""
     transitivity = variant in ("trans", "warm+trans")
     warm_started = variant in ("warm", "warm+trans")
     tighten = None
@@ -283,12 +284,14 @@ def _fmt(value):
 
 
 _COLORS = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#b7950b")
+_SVG_WIDTH = 640
+_SVG_HEIGHT = 420
 
 
-def profile_svg(profile: PerformanceProfile, variants=None,
-                width: int = 640, height: int = 420) -> str:
+def profile_svg(profile: PerformanceProfile, variants=None) -> str:
     """Step-function line chart of the profile, no plotting dependency."""
     variants = list(variants) if variants else sorted(profile.rho)
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     left, right, top, bottom = 60, 20, 30, 50
     plot_w = width - left - right
     plot_h = height - top - bottom

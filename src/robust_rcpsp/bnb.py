@@ -4,7 +4,9 @@ Search nodes carry a partial selection.  Branching picks the first
 unresolved minimal forbidden set and adds one ordered precedence pair from
 it per child; the worst-case makespan of the partial extension is a valid
 lower bound because adding arcs never shortens the adversary's longest
-path.  Extensions reaching an already-seen transitive closure are merged.
+path.  Children come from ``network.branch``, the child step the
+exhaustive ``enumerate_sufficient_selections`` shares, which merges
+extensions reaching an already-seen transitive closure.
 
 The search runs on bitsets.  A node holds its closure (one reachability
 bitmask per activity) and its unresolved catalog sets as one bitmask over
@@ -29,16 +31,14 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import permutations
 
-from ._graph import closure_bitsets, predecessors, reaches
+from ._graph import closure_bitsets, predecessors
 from .adversary import relax_leveled_rows, worst_case_makespan_dp
 from .heuristics import warm_start
 from .instance import ProjectInstance
 from .network import (
-    ForbiddenSetCatalog,
     Selection,
-    add_resolving_arc,
+    branch,
     first_set,
     membership_masks,
     minimal_forbidden_sets,
@@ -48,33 +48,27 @@ from .network import (
 
 @dataclass(frozen=True)
 class OptResult:
-    selection: Selection | None
-    value: int | None
+    selection: Selection
+    value: int
     status: str  # "optimal" | "incumbent"
     nodes: int
     time_s: float
-    best_bound: int | None
+    best_bound: int
 
 
 def solve_exact(inst: ProjectInstance, gamma: int, *,
                 time_limit_s: float | None = None,
-                node_cap: int | None = None,
-                ub_hint: int | None = None,
-                catalog: ForbiddenSetCatalog | None = None) -> OptResult:
+                node_cap: int | None = None) -> OptResult:
     """Best-first search for the minimum worst-case makespan.
 
-    The incumbent starts from ``ub_hint`` (which must be achievable) or the
-    LFT warm start.  Nodes whose bound reaches the incumbent are pruned;
-    when the best open bound reaches the incumbent the incumbent is optimal.
+    The incumbent starts from the LFT warm start.  Nodes whose bound
+    reaches the incumbent are pruned; when the best open bound reaches the
+    incumbent the incumbent is optimal.
     """
     t0 = time.perf_counter()
-    if catalog is None:
-        catalog = minimal_forbidden_sets(inst)
-    if ub_hint is not None:
-        incumbent_value, incumbent_sel = ub_hint, None
-    else:
-        warm = warm_start(inst, gamma)
-        incumbent_value, incumbent_sel = warm.upper_bound, warm.selection
+    catalog = minimal_forbidden_sets(inst)
+    warm = warm_start(inst, gamma)
+    incumbent_value, incumbent_sel = warm.upper_bound, warm.selection
 
     n_nodes = inst.n_nodes
     member = membership_masks(n_nodes, catalog)
@@ -84,9 +78,9 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
     root = worst_case_makespan_dp(inst, Selection(), gamma)
     root_bound = root.value
-    # Lists, not the table's tuples: the kernel compares a copied row with
+    # Lists, not the DP's tuples: the kernel compares a copied row with
     # the old one to see whether it rose.
-    root_rows = [list(row) for row in root.table.values]
+    root_rows = [list(row) for row in root.leveled_starts]
     # Heap entries: (bound, tie-break counter, added arcs, closure,
     # predecessor lists, DP rows, unresolved-set mask).
     heap = [(root_bound, 0, frozenset(), root_closure, root_pred, root_rows,
@@ -115,15 +109,8 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             incumbent_value = bound
             incumbent_sel = Selection(arcs)
             continue
-        for i, j in permutations(catalog.sets[first_set(unresolved)], 2):
-            if reaches(closure, j, i):
-                continue
-            child = list(closure)
-            resolved = add_resolving_arc(child, member, i, j)
-            key = tuple(child)
-            if key in seen:
-                continue
-            seen.add(key)
+        fset = catalog.sets[first_set(unresolved)]
+        for i, j, key, resolved in branch(closure, member, fset, seen):
             child_pred = list(pred)
             child_pred[j] += (i,)
             child_rows = list(rows)
@@ -148,17 +135,14 @@ def _bits(mask):
     return out
 
 
-def optimality_gap(result: OptResult, best_bound: int | None = None) -> float | None:
+def optimality_gap(result: OptResult) -> float | None:
     """Relative gap in percent: 100 * (incumbent - bound) / incumbent.
 
-    Returns None when the incumbent is missing or not positive.
+    Returns None when the incumbent is not positive.
     """
     incumbent = result.value
-    if incumbent is None or incumbent <= 0:
+    if incumbent <= 0:
         return None
     if result.status == "optimal":
         return 0.0
-    bound = best_bound if best_bound is not None else result.best_bound
-    if bound is None:
-        return None
-    return max(0.0, 100.0 * (incumbent - bound) / incumbent)
+    return max(0.0, 100.0 * (incumbent - result.best_bound) / incumbent)

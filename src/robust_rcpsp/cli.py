@@ -148,7 +148,7 @@ def _cmd_evaluate(args):
     res = adversary.worst_case_makespan_dp(inst, sel, args.gamma)
     payload = {"value": res.value, "delayed": sorted(res.delayed)}
     if args.table:
-        payload["table"] = [list(row) for row in res.table.values]
+        payload["table"] = [list(row) for row in res.leveled_starts]
     _emit(payload)
     return 0
 
@@ -195,8 +195,7 @@ def _cmd_solve(args):
             "bound": res.best_bound,
             "gap_percent": bnb.optimality_gap(res),
             "nodes": res.nodes,
-            "selection": network.selection_to_jsonable(res.selection)
-            if res.selection is not None else None,
+            "selection": network.selection_to_jsonable(res.selection),
             "time_s": round(res.time_s, 6),
         })
         return 0
@@ -205,11 +204,8 @@ def _cmd_solve(args):
         print(f"error: no bridge command; pass --bridge-cmd or set ${BRIDGE_ENV}",
               file=sys.stderr)
         return 1
-    warm = warm_start(inst, args.gamma)
-    tighten = time_windows(inst, warm.selection, args.gamma, warm.upper_bound)
-    model = milp.build_compact(inst, args.gamma, transitivity=args.trans,
-                               tighten=tighten, integral_starts=True)
-    assignment = milp.warm_start_assignment(inst, args.gamma, warm)
+    model, assignment = bench.build_variant(inst, args.gamma,
+                                            "warm+trans" if args.trans else "warm")
     outcome = milp.solve_external(model, assignment, command=command,
                                   time_limit_s=args.time_limit)
     _emit({

@@ -145,7 +145,7 @@ def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     sched = lft_schedule(inst)
     sel = selection_from_schedule(inst, sched.start, sched.durations_used)
     dp = worst_case_makespan_dp(inst, sel, gamma)
-    return WarmStart(selection=sel, schedule=sched, leveled_starts=dp.table.values,
+    return WarmStart(selection=sel, schedule=sched, leveled_starts=dp.leveled_starts,
                      upper_bound=dp.value)
 
 
@@ -164,5 +164,5 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
         raise InvalidHorizonError(
             f"horizon {horizon} is below the nominal critical path {nominal.value}"
         )
-    es = tuple(row[0] for row in nominal.table.values)
+    es = tuple(row[0] for row in nominal.leveled_starts)
     return TimeWindows(es=es, lf=_latest_finishes(inst, horizon), horizon=horizon)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from ._graph import closure_bitsets, topological_order
 from .errors import ParseError
@@ -25,17 +24,6 @@ class InstanceMeta:
     resource_factor: float | None = None
     resource_strength: float | None = None
     source_path: str = ""
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Uncertainty budget: how many activities may hit their worst case."""
-
-    gamma: int
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"budget must be nonnegative, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -146,19 +134,6 @@ def robustify(inst: ProjectInstance) -> ProjectInstance:
     for i in range(1, inst.sink):
         dev[i] = -(-inst.nominal_duration[i] // 2)
     return replace(inst, max_deviation=tuple(dev), robustified=True)
-
-
-def scenario_durations(inst: ProjectInstance, delta) -> tuple[Fraction, ...]:
-    """Durations for a delay scenario: nominal + delta * deviation, exact."""
-    delta = [Fraction(d) for d in delta]
-    if len(delta) != inst.n_nodes:
-        raise ValueError(f"delta must have {inst.n_nodes} entries")
-    if any(d < 0 or d > 1 for d in delta):
-        raise ValueError("delta entries must lie in [0, 1]")
-    return tuple(
-        Fraction(inst.nominal_duration[i]) + delta[i] * inst.max_deviation[i]
-        for i in range(inst.n_nodes)
-    )
 
 
 # ---------------------------------------------------------------------------

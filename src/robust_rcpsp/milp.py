@@ -62,19 +62,6 @@ class MilpModel:
     constraints: tuple[LinearConstraint, ...]
     objective: tuple[tuple[str, int], ...]
     objective_sense: str = "min"
-    roles: dict = field(default_factory=dict)
-
-    def variable(self, name):
-        return self._by_name()[name]
-
-    def _by_name(self):
-        if not hasattr(self, "_name_map"):
-            self._name_map = {v.name: v for v in self.variables}
-        return self._name_map
-
-    def fixed_value(self, name):
-        v = self._by_name()[name]
-        return v.lb if v.ub is not None and v.lb == v.ub else None
 
 
 def default_big_m(inst: ProjectInstance) -> int:
@@ -85,24 +72,18 @@ def default_big_m(inst: ProjectInstance) -> int:
 def build_compact(inst: ProjectInstance, gamma: int, *,
                   transitivity: bool = False,
                   tighten: TimeWindows | None = None,
-                  integral_starts: bool = False,
-                  big_m: int | None = None,
-                  classical_source_flow: bool = True) -> MilpModel:
+                  integral_starts: bool = False) -> MilpModel:
     """Build the compact reformulation as a solver-neutral model.
 
     ``tighten`` replaces the global big-M by per-arc values derived from the
     window bounds: lf[i] - es[j] on same-level rows and additionally the
     deviation of i on level-crossing rows, both clamped at zero.
-
-    ``classical_source_flow`` routes the full capacity out of the source and
-    into the sink; switching it off keeps the dummy requirements of zero in
-    the balance rows, which leaves the flow block vacuous.
     """
     n_nodes = inst.n_nodes
     sink = inst.sink
     nominal = inst.nominal_duration
     dev = inst.max_deviation
-    m_global = default_big_m(inst) if big_m is None else int(big_m)
+    m_global = default_big_m(inst)
     if tighten is not None:
         critical = worst_case_makespan_dp(inst, Selection(), 0).value
         if tighten.horizon < critical:
@@ -122,14 +103,12 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
 
     base_arcs = set(inst.precedence)
     variables = []
-    roles = {}
     start_kind = "integer" if integral_starts else "continuous"
     for i in range(n_nodes):
         for g in range(gamma + 1):
             name = start_name(i, g)
             ub = 0 if (i, g) == (0, 0) else None
             variables.append(Variable(name=name, kind=start_kind, lb=0, ub=ub))
-            roles[name] = "start"
     for i in range(n_nodes):
         for j in range(n_nodes):
             name = arc_name(i, j)
@@ -140,13 +119,11 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
             else:
                 lb, ub = 0, 1
             variables.append(Variable(name=name, kind="binary", lb=lb, ub=ub))
-            roles[name] = "arc"
     for i in range(n_nodes):
         for j in range(n_nodes):
             for k in inst.resource_types:
-                name = flow_name(i, j, k)
-                variables.append(Variable(name=name, kind="continuous", lb=0, ub=None))
-                roles[name] = "flow"
+                variables.append(Variable(name=flow_name(i, j, k), kind="continuous",
+                                          lb=0, ub=None))
 
     constraints = []
     for i in range(n_nodes):
@@ -178,14 +155,14 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
                     sense="<=", rhs=0))
     for j in range(n_nodes):
         for k in inst.resource_types:
-            rhs = _balance_rhs(inst, j, k, inbound=True, classical=classical_source_flow)
+            rhs = _balance_rhs(inst, j, k, inbound=True)
             constraints.append(LinearConstraint(
                 name=f"fin_{j}_{k}",
                 coeffs=tuple((flow_name(i, j, k), 1) for i in range(n_nodes)),
                 sense="=", rhs=rhs))
     for i in range(n_nodes):
         for k in inst.resource_types:
-            rhs = _balance_rhs(inst, i, k, inbound=False, classical=classical_source_flow)
+            rhs = _balance_rhs(inst, i, k, inbound=False)
             constraints.append(LinearConstraint(
                 name=f"fout_{i}_{k}",
                 coeffs=tuple((flow_name(i, j, k), 1) for j in range(n_nodes)),
@@ -217,13 +194,13 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
         constraints=tuple(constraints),
         objective=((start_name(sink, gamma), 1),),
         objective_sense="min",
-        roles=roles,
     )
 
 
-def _balance_rhs(inst, node, k, *, inbound, classical):
-    if not classical:
-        return inst.requirement[node][k]
+def _balance_rhs(inst, node, k, *, inbound):
+    # The source emits and the sink absorbs the full capacity: with the
+    # dummies' zero requirements in the balance, as the paper writes it, no
+    # flow could leave the source and every positive demand would strand.
     if node == 0:
         return 0 if inbound else inst.capacity[k]
     if node == inst.sink:
@@ -235,8 +212,8 @@ def _balance_rhs(inst, node, k, *, inbound, classical):
 # Warm-start assignments
 
 
-def warm_start_assignment(inst: ProjectInstance, gamma: int, warm: WarmStart,
-                          classical_source_flow: bool = True) -> dict[str, int]:
+def warm_start_assignment(inst: ProjectInstance, gamma: int,
+                          warm: WarmStart) -> dict[str, int]:
     """Full variable assignment feasible for every build_compact variant.
 
     Arc binaries follow the schedule-derived selection (which is closed
@@ -253,7 +230,7 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int, warm: WarmStart,
     for i in range(n_nodes):
         for j in range(n_nodes):
             values[arc_name(i, j)] = 1 if (i, j) in active else 0
-    flows = _greedy_flows(inst, warm, classical_source_flow)
+    flows = _greedy_flows(inst, warm)
     for i in range(n_nodes):
         for j in range(n_nodes):
             for k in inst.resource_types:
@@ -261,15 +238,13 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int, warm: WarmStart,
     return values
 
 
-def _greedy_flows(inst, warm, classical):
+def _greedy_flows(inst, warm):
     """Hand resources from finished activities to starting ones.
 
     Eligibility (finish of the holder at or before the consumer's start) is
     exactly the schedule-derived arc relation, and schedule feasibility
     guarantees the finished pool always covers the next demand.
     """
-    if not classical:
-        return {}
     start = warm.schedule.start
     dur = warm.schedule.durations_used
     order = sorted(range(1, inst.n_nodes), key=lambda a: (start[a], a))
@@ -544,30 +519,14 @@ def _parse_num(tok):
     return int(f) if f.is_integer() else f
 
 
-def coefficient_matrix(model: MilpModel):
-    """Canonical (constraints, bounds) view for matrix-identity comparisons."""
-    rows = {
-        c.name: (frozenset((n, v) for n, v in c.coeffs if v != 0), c.sense, c.rhs)
-        for c in model.constraints
-    }
-    cols = {v.name: (v.kind, v.lb, v.ub) for v in model.variables}
-    return rows, cols
-
-
 # ---------------------------------------------------------------------------
 # Warm-start files and the external bridge
 
 
-def export_warm_start(assignment, model: MilpModel | None = None) -> str:
-    """MST-style lines ``<name> <value>``, one per variable, name order.
-
-    When a model is given, its declaration order is used; otherwise names
-    are sorted.
-    """
-    if model is not None:
-        names = [v.name for v in model.variables if v.name in assignment]
-    else:
-        names = sorted(assignment)
+def export_warm_start(assignment, model: MilpModel) -> str:
+    """MST-style lines ``<name> <value>``, one per assigned variable, in the
+    model's declaration order."""
+    names = [v.name for v in model.variables if v.name in assignment]
     return "\n".join(f"{name} {_num(assignment[name])}" for name in names) + "\n"
 
 
@@ -582,22 +541,17 @@ class SolveOutcome:
 
 
 def solve_external(model: MilpModel, warm=None, *, command: str,
-                   time_limit_s: float | None = None,
-                   workdir: str | None = None) -> SolveOutcome:
+                   time_limit_s: float | None = None) -> SolveOutcome:
     """Run a solver process over the exported LP file.
 
     ``command`` is a template with ``{lp}``, ``{mst}``, ``{sol}`` and
     ``{time_s}`` placeholders.  The solver must exit 0 and write a solution
     file starting with a status word (optionally followed by a best bound)
     and one ``name value`` line per variable.  Reported solutions are
-    re-validated against the model within 1e-6.  Without ``workdir`` the
-    files go to a temporary directory that is removed before returning.
+    re-validated against the model within 1e-6.  The files go to a
+    temporary directory that is removed before returning.
     """
     t0 = time.perf_counter()
-    if workdir:
-        base = Path(workdir)
-        base.mkdir(parents=True, exist_ok=True)
-        return _solve_in(base, model, warm, command, time_limit_s, t0)
     with tempfile.TemporaryDirectory(prefix="robust_rcpsp_") as scratch:
         return _solve_in(Path(scratch), model, warm, command, time_limit_s, t0)
 

@@ -3,6 +3,13 @@
 A selection is a set of extra precedence arcs resolving resource conflicts.
 It is sufficient when the extended graph is acyclic and every minimal
 forbidden set contains two activities that became precedence-related.
+
+``branch`` is the one child step of every search over selections: the
+branch-and-bound and the exhaustive ``enumerate_sufficient_selections``
+both extend a closure by one ordered pair of the first unresolved set and
+merge children that reach an already-seen closure.  ``verify_selection``
+checks a finished selection independently, pair by pair, without the
+membership masks.
 """
 from __future__ import annotations
 
@@ -45,12 +52,6 @@ class SelectionVerdict:
     cycle: tuple[int, ...] | None = None
 
 
-def transitive_closure(n_nodes: int, arcs) -> list[list[bool]]:
-    """Boolean matrix M with M[i][j] true iff j is reachable from i."""
-    reach = closure_bitsets(n_nodes, arcs)
-    return [[bool((reach[i] >> j) & 1) for j in range(n_nodes)] for i in range(n_nodes)]
-
-
 def extended_arcs(inst: ProjectInstance, sel: Selection) -> tuple[tuple[int, int], ...]:
     """Instance arcs plus selection arcs, validated and sorted.
 
@@ -58,8 +59,9 @@ def extended_arcs(inst: ProjectInstance, sel: Selection) -> tuple[tuple[int, int
     checked, which is the verdict verify_selection is meant to deliver.
     """
     base = set(inst.precedence)
+    n_nodes = inst.n_nodes
     for i, j in sel.added_arcs:
-        if not (0 <= i < inst.n_nodes and 0 <= j < inst.n_nodes):
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise ValueError(f"selection arc ({i}, {j}) references an unknown activity")
         if (i, j) in base:
             raise ValueError(f"selection arc ({i}, {j}) duplicates an instance arc")
@@ -239,6 +241,31 @@ def first_set(unresolved: int) -> int:
     return (unresolved & -unresolved).bit_length() - 1
 
 
+def branch(closure, member, fset, seen):
+    """Children of a search node that branches on the forbidden set ``fset``.
+
+    One child per ordered pair (i, j) of ``fset`` with j not reaching i:
+    the closure extended by arc (i, j).  No pair of an unresolved set is
+    related, so the reach test only guards the acyclicity that
+    ``add_resolving_arc`` assumes.  A child whose closure tuple is in
+    ``seen`` is skipped; otherwise the tuple joins ``seen`` and
+    ``(i, j, key, resolved)`` is yielded, with ``key`` the child closure
+    and ``resolved`` the catalog sets the arc resolves.  Children are made
+    lazily, so a caller that searches a child before taking the next one
+    has the child's descendants in ``seen`` by then.
+    """
+    for i, j in permutations(fset, 2):
+        if reaches(closure, j, i):
+            continue
+        child = list(closure)
+        resolved = add_resolving_arc(child, member, i, j)
+        key = tuple(child)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield i, j, key, resolved
+
+
 def selection_from_schedule(inst: ProjectInstance, start, dur) -> Selection:
     """Arcs implied by a schedule: i before j whenever j starts after i ends.
 
@@ -265,38 +292,30 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
                                     max_non_dummies: int = 8):
     """Yield one selection per closure-minimal sufficient extension.
 
-    Exhaustive oracle for tiny instances: branches over ordered pairs of the
-    first unresolved forbidden set, tracked with the same membership masks
-    as the branch-and-bound, de-duplicates extensions by transitive closure,
-    then keeps only closures not strictly containing another sufficient
-    closure.  Deterministic order: sorted added-arc tuples.
+    Exhaustive search for tiny instances: a depth-first search over the
+    same ``branch`` children as the branch-and-bound, without a bound, then
+    keeps only closures not strictly containing another sufficient closure.
+    Deterministic order: sorted added-arc tuples.
     """
     if inst.n_activities > max_non_dummies:
         raise CapExceeded(
             f"{inst.n_activities} non-dummy activities exceed the cap of {max_non_dummies}"
         )
     n_nodes = inst.n_nodes
-    root_reach = closure_bitsets(n_nodes, inst.precedence)
+    root = tuple(closure_bitsets(n_nodes, inst.precedence))
     member = membership_masks(n_nodes, catalog)
     leaves = {}
-    seen = set()
+    seen = {root}
 
-    def visit(reach, added, unresolved):
-        key = tuple(reach)
-        if key in seen:
-            return
-        seen.add(key)
+    def visit(closure, added, unresolved):
         if not unresolved:
-            leaves.setdefault(key, tuple(sorted(added)))
+            leaves[closure] = tuple(sorted(added))
             return
-        for i, j in permutations(catalog.sets[first_set(unresolved)], 2):
-            if reaches(reach, j, i):
-                continue
-            child = list(reach)
-            resolved = add_resolving_arc(child, member, i, j)
-            visit(child, added | {(i, j)}, unresolved & ~resolved)
+        fset = catalog.sets[first_set(unresolved)]
+        for i, j, key, resolved in branch(closure, member, fset, seen):
+            visit(key, added | {(i, j)}, unresolved & ~resolved)
 
-    visit(root_reach, frozenset(), unresolved_sets(root_reach, member, len(catalog)))
+    visit(root, frozenset(), unresolved_sets(root, member, len(catalog)))
 
     relation_sets = {
         key: frozenset((i, j) for i in range(n_nodes) for j in range(n_nodes)

@@ -122,7 +122,7 @@ def test_exact_solver_oracle_equivalence():
         catalog = minimal_forbidden_sets(inst)
         selections = list(enumerate_sufficient_selections(inst, catalog))
         for gamma in (0, 1, 2):
-            res = solve_exact(inst, gamma, catalog=catalog)
+            res = solve_exact(inst, gamma)
             exhaustive = min(worst_case_makespan_dp(inst, sel, gamma).value
                              for sel in selections)
             assert res.status == "optimal"
@@ -142,7 +142,7 @@ def test_budget_zero_reduction():
         catalog = minimal_forbidden_sets(inst)
         deterministic = min(worst_case_makespan_dp(inst, sel, 0).value
                             for sel in enumerate_sufficient_selections(inst, catalog))
-        assert solve_exact(inst, 0, catalog=catalog).value == deterministic
+        assert solve_exact(inst, 0).value == deterministic
     ok("budget-zero solves reduce to the deterministic optimum")
 
 
@@ -197,7 +197,7 @@ def test_model_size_formulas():
                          if c.name.startswith(("nom_", "dev_")))
         flow_rows = sum(1 for c in model.constraints
                         if c.name.startswith(("fin_", "fout_")))
-        start_vars = sum(1 for v in model.variables if model.roles[v.name] == "start")
+        start_vars = sum(1 for v in model.variables if v.name.startswith("S_"))
         assert big_m_rows == (2 * gamma + 1) * n * n
         assert flow_rows == 2 * n * k
         assert start_vars == (gamma + 1) * n

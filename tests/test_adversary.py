@@ -49,12 +49,12 @@ def test_diamond_budget_two_value_four():
 def test_dp_table_invariants():
     inst = counterexample_instance()
     dp = worst_case_makespan_dp(inst, EMPTY, 2)
-    table = dp.table
-    assert table.values[0][0] == 0
-    sink_row = table.values[inst.sink]
+    starts = dp.leveled_starts
+    assert starts[0][0] == 0
+    sink_row = starts[inst.sink]
     assert all(a <= b for a, b in zip(sink_row, sink_row[1:]))
     # rows hold "at most g delays": the source starts at 0 on every level
-    assert table.values[0][1] == 0
+    assert starts[0][1] == 0
 
 
 def test_dp_rejects_cyclic_extension():

@@ -86,7 +86,7 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
         pred = predecessors(n_nodes, inst.precedence)
         delayed = [inst.worst_case_duration(i) for i in range(n_nodes)]
         rows = {gamma: [list(row) for row in
-                        worst_case_makespan_dp(inst, Selection(), gamma).table.values]
+                        worst_case_makespan_dp(inst, Selection(), gamma).leveled_starts]
                 for gamma in gammas}
         unresolved = unresolved_sets(reach, member, len(catalog))
         arcs = set()
@@ -94,8 +94,8 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             assert [idx for idx in range(len(catalog)) if (unresolved >> idx) & 1] == \
                 [idx for idx, f in enumerate(catalog.sets) if not network._resolved(reach, f)]
             for gamma in gammas:
-                table = worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma).table
-                assert rows[gamma] == [list(row) for row in table.values]
+                dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma)
+                assert rows[gamma] == [list(row) for row in dp.leveled_starts]
             free = [(i, j) for i in range(1, inst.sink) for j in range(1, inst.sink)
                     if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
             if not free:
@@ -145,25 +145,27 @@ def test_node_cap_yields_incumbent():
         assert res.best_bound <= full.value <= res.value
 
 
-def test_ub_hint_is_respected():
+def test_every_result_carries_a_selection():
+    """The incumbent always has a selection behind it: the warm start's
+    before any node, the optimum's after the search."""
     inst = make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
                          [(0,), (2,), (2,), (0,)], (2,))
-    res = solve_exact(inst, 0, ub_hint=2)
-    assert res.status == "optimal"
+    catalog = minimal_forbidden_sets(inst)
+    for node_cap in (0, None):
+        res = solve_exact(inst, 0, node_cap=node_cap)
+        assert res.status == ("incumbent" if node_cap == 0 else "optimal")
+        assert verify_selection(inst, res.selection, catalog).sufficient
+        assert res.value == worst_case_makespan_dp(inst, res.selection, 0).value
     assert res.value == 2
 
 
 def test_optimality_gap():
-    closed = OptResult(selection=None, value=100, status="optimal", nodes=1,
+    closed = OptResult(selection=Selection(), value=100, status="optimal", nodes=1,
                        time_s=0.0, best_bound=100)
     assert optimality_gap(closed) == 0.0
-    open_res = OptResult(selection=None, value=100, status="incumbent", nodes=1,
+    open_res = OptResult(selection=Selection(), value=100, status="incumbent", nodes=1,
                          time_s=0.0, best_bound=80)
     assert optimality_gap(open_res) == 20.0
-    assert optimality_gap(open_res, best_bound=100) == 0.0
-    tight = OptResult(selection=None, value=3, status="optimal", nodes=1,
-                      time_s=0.0, best_bound=3)
-    assert optimality_gap(tight, best_bound=3) == 0.0
-    missing = OptResult(selection=None, value=None, status="incumbent", nodes=0,
-                        time_s=0.0, best_bound=None)
-    assert optimality_gap(missing) is None
+    empty = OptResult(selection=Selection(), value=0, status="incumbent", nodes=0,
+                      time_s=0.0, best_bound=0)
+    assert optimality_gap(empty) is None

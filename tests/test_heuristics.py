@@ -130,6 +130,6 @@ def test_window_invariants_along_instance_arcs():
 
 def test_leveled_starts_usable_without_warm_start():
     inst = counterexample_instance()
-    starts = worst_case_makespan_dp(inst, Selection(), 1).table.values
+    starts = worst_case_makespan_dp(inst, Selection(), 1).leveled_starts
     assert starts[0][0] == 0
     assert starts[inst.sink][1] == 3

@@ -1,20 +1,19 @@
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gen import make_instance, psplib_text, random_psplib_instance
+from robust_rcpsp.adversary import worst_case_makespan_dp
 from robust_rcpsp.errors import ParseError
 from robust_rcpsp.instance import (
-    Budget,
     ProjectInstance,
     from_json,
     parse_psplib,
     robustify,
-    scenario_durations,
     to_json,
 )
+from robust_rcpsp.network import Selection
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,21 +103,6 @@ def test_robustify_examples(nominal, expected):
     assert robustify(inst).max_deviation[1] == expected
 
 
-def test_scenario_durations():
-    inst = make_instance([0, 1, 1, 1, 0], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
-                         deviations=[0, 1, 1, 1, 0])
-    nominal = scenario_durations(inst, [0] * 5)
-    assert nominal == (0, 1, 1, 1, 0)
-    worst = scenario_durations(inst, [1] * 5)
-    assert worst == (0, 2, 2, 2, 0)
-    mixed = scenario_durations(inst, [0, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0])
-    assert mixed[1:4] == (Fraction(3, 2), Fraction(5, 4), Fraction(5, 4))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        scenario_durations(inst, [0, 2, 0, 0, 0])
-    with pytest.raises(ValueError, match="entries"):
-        scenario_durations(inst, [0, 0])
-
-
 def test_json_round_trip_identity():
     inst = robustify(parse_psplib((DATA / "toy5.sm").read_text(), source_path="toy5.sm"))
     again = from_json(to_json(inst))
@@ -148,9 +132,10 @@ def test_validation_rejects_bad_instances():
 
 
 def test_budget_validation():
-    assert Budget(0).gamma == 0
-    with pytest.raises(ValueError):
-        Budget(-1)
+    inst = make_instance([0, 1, 0], [(0, 1), (1, 2)], deviations=[0, 1, 0])
+    assert worst_case_makespan_dp(inst, Selection(), 0).value == 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        worst_case_makespan_dp(inst, Selection(), -1)
 
 
 def test_instances_are_hashable_and_immutable():

@@ -16,7 +16,6 @@ from robust_rcpsp.milp import (
     arc_name,
     build_compact,
     check_assignment,
-    coefficient_matrix,
     default_big_m,
     export_lp,
     export_warm_start,
@@ -59,7 +58,7 @@ def test_row_family_counts():
         nom = [c for c in model.constraints if c.name.startswith("nom_")]
         dev = [c for c in model.constraints if c.name.startswith("dev_")]
         flow = [c for c in model.constraints if c.name.startswith(("fin_", "fout_"))]
-        starts = [v for v in model.variables if model.roles[v.name] == "start"]
+        starts = [v for v in model.variables if v.name.startswith("S_")]
         assert len(nom) == (gamma + 1) * n * n
         assert len(dev) == gamma * n * n
         assert len(nom) + len(dev) == (2 * gamma + 1) * n * n
@@ -70,11 +69,12 @@ def test_row_family_counts():
 def test_fixings_via_bounds():
     inst = pair_conflict_instance()
     model = build_compact(inst, 1)
+    bounds = {v.name: (v.lb, v.ub) for v in model.variables}
     for i, j in list(inst.precedence) + [(inst.sink, inst.sink)]:
-        assert model.fixed_value(arc_name(i, j)) == 1
+        assert bounds[arc_name(i, j)] == (1, 1)
     for i in range(inst.n_nodes - 1):
-        assert model.fixed_value(arc_name(i, i)) == 0
-    assert model.fixed_value(start_name(0, 0)) == 0
+        assert bounds[arc_name(i, i)] == (0, 0)
+    assert bounds[start_name(0, 0)] == (0, 0)
     assert model.objective == ((start_name(inst.sink, 1), 1),)
 
 
@@ -138,21 +138,6 @@ def test_warm_start_objective_matches_bound():
     assert assignment[start_name(inst.sink, 1)] == warm.upper_bound
 
 
-def test_verbatim_flow_reading():
-    # with all-zero requirements the verbatim balance admits the zero flow
-    free = make_instance([0, 2, 0], [(0, 1), (1, 2)], [(0,), (0,), (0,)], (1,))
-    warm = warm_start(free, 0)
-    model = build_compact(free, 0, classical_source_flow=False)
-    assignment = warm_start_assignment(free, 0, warm, classical_source_flow=False)
-    assert check_assignment(model, assignment) == []
-    # a positive requirement strands its demand under the verbatim reading:
-    # the source may not emit flow, so the whole model goes infeasible
-    loaded = make_instance([0, 2, 0], [(0, 1), (1, 2)], [(0,), (1,), (0,)], (2,))
-    outcome = solve_external(build_compact(loaded, 0, classical_source_flow=False),
-                             command=BRIDGE)
-    assert outcome.status == "infeasible"
-
-
 def test_classical_flow_balance_rhs():
     inst = pair_conflict_instance()
     model = build_compact(inst, 0)
@@ -184,6 +169,14 @@ def test_lp_bounds_contain_fixings():
     assert " S_0_0 = 0" in text.splitlines()
 
 
+def canonical(model):
+    """(rows, columns) keyed by name, for matrix-identity comparisons."""
+    rows = {c.name: (frozenset((n, v) for n, v in c.coeffs if v != 0), c.sense, c.rhs)
+            for c in model.constraints}
+    cols = {v.name: (v.kind, v.lb, v.ub) for v in model.variables}
+    return rows, cols
+
+
 def test_lp_round_trip_reproduces_matrix():
     rng = random.Random(31)
     models = [build_compact(pair_conflict_instance(), 1, transitivity=True,
@@ -195,10 +188,7 @@ def test_lp_round_trip_reproduces_matrix():
                                     integral_starts=rng.random() < 0.5))
     for model in models:
         again = read_lp(export_lp(model))
-        rows, cols = coefficient_matrix(model)
-        rows2, cols2 = coefficient_matrix(again)
-        assert rows == rows2
-        assert cols == cols2
+        assert canonical(again) == canonical(model)
         assert tuple(again.objective) == tuple(model.objective)
 
 
@@ -279,14 +269,14 @@ def test_bridge_diamond_fixed_selection_value_three():
     fixed = []
     active = set(extended_arcs(inst, Selection())) | {(inst.sink, inst.sink)}
     for v in model.variables:
-        if model.roles.get(v.name) == "arc":
+        if v.name.startswith("y_"):
             i, j = (int(x) for x in v.name.split("_")[1:])
             val = 1 if (i, j) in active else 0
             fixed.append(Variable(v.name, v.kind, val, val))
         else:
             fixed.append(v)
     pinned = MilpModel(variables=tuple(fixed), constraints=model.constraints,
-                       objective=model.objective, roles=model.roles)
+                       objective=model.objective)
     outcome = solve_external(pinned, command=BRIDGE)
     assert outcome.status == "optimal"
     assert outcome.objective == pytest.approx(3.0, abs=1e-6)
@@ -313,14 +303,14 @@ def fix_arcs_to_closure(model, inst, sel):
     closure_active.add((inst.sink, inst.sink))
     fixed = []
     for v in model.variables:
-        if model.roles.get(v.name) == "arc":
+        if v.name.startswith("y_"):
             i, j = (int(x) for x in v.name.split("_")[1:])
             val = 1 if (i, j) in closure_active else 0
             fixed.append(Variable(v.name, v.kind, val, val))
         else:
             fixed.append(v)
     return MilpModel(variables=tuple(fixed), constraints=model.constraints,
-                     objective=model.objective, roles=model.roles)
+                     objective=model.objective)
 
 
 def test_dual_consistency_fixed_selection_equals_dp():

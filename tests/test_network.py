@@ -11,13 +11,15 @@ from gen import (
     random_psplib_instance,
     random_selection,
 )
+from robust_rcpsp._graph import closure_bitsets
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
 from robust_rcpsp.network import (
     Selection,
+    branch,
     enumerate_sufficient_selections,
+    membership_masks,
     minimal_forbidden_sets,
     selection_from_schedule,
-    transitive_closure,
     verify_selection,
 )
 
@@ -49,25 +51,24 @@ def catalog_family():
 
 
 def test_closure_chain():
-    m = transitive_closure(3, [(0, 1), (1, 2)])
-    reachable = {(i, j) for i in range(3) for j in range(3) if m[i][j]}
+    reach = closure_bitsets(3, [(0, 1), (1, 2)])
+    reachable = {(i, j) for i in range(3) for j in range(3) if (reach[i] >> j) & 1}
     assert reachable == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_closure_empty():
-    m = transitive_closure(3, [])
-    assert not any(any(row) for row in m)
+    assert closure_bitsets(3, []) == [0, 0, 0]
 
 
 def test_closure_diamond():
-    m = transitive_closure(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
-    assert all(m[0][v] for v in range(1, 5))
-    assert not m[2][3] and not m[3][2]
+    reach = closure_bitsets(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+    assert reach[0] == 0b11110
+    assert not (reach[2] >> 3) & 1 and not (reach[3] >> 2) & 1
 
 
 def test_closure_cycle_error():
     with pytest.raises(CyclicGraphError):
-        transitive_closure(3, [(0, 1), (1, 2), (2, 0)])
+        closure_bitsets(3, [(0, 1), (1, 2), (2, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,26 @@ def test_zero_duration_ties_stay_acyclic():
 
 
 # ---------------------------------------------------------------------------
-# enumerate_sufficient_selections
+# branch and enumerate_sufficient_selections
+
+
+def test_branch_merges_seen_closures():
+    inst = k3_instance()
+    catalog = minimal_forbidden_sets(inst)  # (1, 2), (1, 3), (2, 3)
+    member = membership_masks(inst.n_nodes, catalog)
+    root = tuple(closure_bitsets(inst.n_nodes, inst.precedence))
+    seen = {root}
+    first = list(branch(root, member, (1, 2), seen))
+    assert [(i, j, resolved) for i, j, _, resolved in first] == [(1, 2, 0b001), (2, 1, 0b001)]
+    assert seen == {root} | {key for _, _, key, _ in first}
+    assert list(branch(root, member, (1, 2), seen)) == []
+    one_two = first[0][2]
+    chain = [key for i, j, key, _ in branch(one_two, member, (2, 3), seen) if (i, j) == (2, 3)]
+    assert chain == [tuple(closure_bitsets(inst.n_nodes, inst.precedence + ((1, 2), (2, 3))))]
+    # 2 -> 3 then 1 -> 2 reaches the same closure as 1 -> 2 then 2 -> 3: merged
+    two_three = next(key for i, j, key, _ in branch(root, member, (2, 3), seen)
+                     if (i, j) == (2, 3))
+    assert [(i, j) for i, j, _, _ in branch(two_three, member, (1, 2), seen)] == [(2, 1)]
 
 
 def test_enumerate_empty_catalog():
@@ -256,18 +276,22 @@ def oracle_minimal_closures(inst, catalog):
 
 
 def test_enumerate_matches_arc_subset_brute_force():
+    """The shared ``branch`` step, checked through the enumerator against
+    every arc subset: eight instances of three activities and four of four
+    (at most 12 candidate pairs, 4,096 subsets)."""
     rng = random.Random(77)
-    checked = 0
-    while checked < 8:
-        inst = random_dag_instance(rng, 3, n_res=1)
-        catalog = minimal_forbidden_sets(inst)
-        if not catalog.sets:
-            continue
-        checked += 1
-        expected = oracle_minimal_closures(inst, catalog)
-        got = {closure_relation(inst, s.added_arcs)
-               for s in enumerate_sufficient_selections(inst, catalog)}
-        assert got == expected
+    for n_act, count in ((3, 8), (4, 4)):
+        checked = 0
+        while checked < count:
+            inst = random_dag_instance(rng, n_act, n_res=1)
+            catalog = minimal_forbidden_sets(inst)
+            if not catalog.sets:
+                continue
+            checked += 1
+            expected = oracle_minimal_closures(inst, catalog)
+            got = {closure_relation(inst, s.added_arcs)
+                   for s in enumerate_sufficient_selections(inst, catalog)}
+            assert got == expected
 
 
 def test_enumerate_cap():
