@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .adversary import worst_case_makespan_dp
 from .errors import BridgeError, InvalidHorizonError
@@ -40,16 +41,14 @@ def flow_name(i, j, k):
     return f"f_{i}_{j}_{k}"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str  # "continuous" | "integer" | "binary"
     lb: int | Fraction = 0
     ub: int | Fraction | None = None
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     name: str
     coeffs: tuple[tuple[str, int], ...]
     sense: str  # "<=", ">=", "="
@@ -77,12 +76,17 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
 
     ``tighten`` replaces the global big-M by per-arc values derived from the
     window bounds: lf[i] - es[j] on same-level rows and additionally the
-    deviation of i on level-crossing rows, both clamped at zero.
+    deviation of i on level-crossing rows, both clamped at zero.  Zero
+    coefficients are dropped from the big-M and transitivity rows.
     """
     n_nodes = inst.n_nodes
     sink = inst.sink
     nominal = inst.nominal_duration
     dev = inst.max_deviation
+    capacity = inst.capacity
+    nodes = range(n_nodes)
+    levels = range(gamma + 1)
+    resources = inst.resource_types
     m_global = default_big_m(inst)
     if tighten is not None:
         critical = worst_case_makespan_dp(inst, Selection(), 0).value
@@ -91,110 +95,100 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
                 f"tightening horizon {tighten.horizon} is below the nominal critical path"
             )
 
-    def m_same(i, j):
-        if tighten is None:
-            return m_global
-        return max(0, tighten.lf[i] - tighten.es[j])
-
-    def m_cross(i, j):
-        if tighten is None:
-            return m_global
-        return max(0, tighten.lf[i] + dev[i] - tighten.es[j])
+    # Names and the (name, +-1) terms are built once and shared by every row
+    # that uses them; a row name is a per-pair prefix plus an index suffix.
+    suffix = [str(x) for x in range(max(n_nodes, gamma + 1, len(capacity)))]
+    S = [[start_name(i, g) for g in levels] for i in nodes]
+    Y = [[arc_name(i, j) for j in nodes] for i in nodes]
+    F = [[[flow_name(i, j, k) for k in resources] for j in nodes] for i in nodes]
+    s_pos = [[(s, 1) for s in row] for row in S]
+    s_neg = [[(s, -1) for s in row] for row in S]
+    y_pos = [[(y, 1) for y in row] for row in Y]
+    y_neg = [[(y, -1) for y in row] for row in Y]
+    f_pos = [[[(f, 1) for f in fs] for fs in row] for row in F]
 
     base_arcs = set(inst.precedence)
-    variables = []
     start_kind = "integer" if integral_starts else "continuous"
-    for i in range(n_nodes):
-        for g in range(gamma + 1):
-            name = start_name(i, g)
-            ub = 0 if (i, g) == (0, 0) else None
-            variables.append(Variable(name=name, kind=start_kind, lb=0, ub=ub))
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            name = arc_name(i, j)
+    variables = [Variable(S[i][g], start_kind, 0, 0 if i == g == 0 else None)
+                 for i in nodes for g in levels]
+    for i in nodes:
+        for j in nodes:
             if (i, j) in base_arcs or (i, j) == (sink, sink):
                 lb = ub = 1
             elif i == j:
                 lb = ub = 0  # self-arcs are meaningless and poison big-M rows
             else:
                 lb, ub = 0, 1
-            variables.append(Variable(name=name, kind="binary", lb=lb, ub=ub))
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            for k in inst.resource_types:
-                variables.append(Variable(name=flow_name(i, j, k), kind="continuous",
-                                          lb=0, ub=None))
+            variables.append(Variable(Y[i][j], "binary", lb, ub))
+    variables += [Variable(f, "continuous", 0, None) for row in F for fs in row for f in fs]
 
-    constraints = []
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            y = arc_name(i, j)
-            for g in range(gamma + 1):
-                m = m_same(i, j)
-                if i == j:
-                    coeffs = [(y, -m)]  # start terms cancel on the diagonal
-                else:
-                    coeffs = [(start_name(j, g), 1), (start_name(i, g), -1), (y, -m)]
-                constraints.append(LinearConstraint(
-                    name=f"nom_{i}_{j}_{g}",
-                    coeffs=tuple((n_, c) for n_, c in coeffs if c != 0),
-                    sense=">=", rhs=nominal[i] - m))
-            for g in range(gamma):
-                m = m_cross(i, j)
-                coeffs = [(start_name(j, g + 1), 1), (start_name(i, g), -1), (y, -m)]
-                constraints.append(LinearConstraint(
-                    name=f"dev_{i}_{j}_{g}",
-                    coeffs=tuple((n_, c) for n_, c in coeffs if c != 0),
-                    sense=">=", rhs=nominal[i] + dev[i] - m))
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            for k in inst.resource_types:
-                constraints.append(LinearConstraint(
-                    name=f"cap_{i}_{j}_{k}",
-                    coeffs=((flow_name(i, j, k), 1), (arc_name(i, j), -inst.capacity[k])),
-                    sense="<=", rhs=0))
-    for j in range(n_nodes):
-        for k in inst.resource_types:
-            rhs = _balance_rhs(inst, j, k, inbound=True)
-            constraints.append(LinearConstraint(
-                name=f"fin_{j}_{k}",
-                coeffs=tuple((flow_name(i, j, k), 1) for i in range(n_nodes)),
-                sense="=", rhs=rhs))
-    for i in range(n_nodes):
-        for k in inst.resource_types:
-            rhs = _balance_rhs(inst, i, k, inbound=False)
-            constraints.append(LinearConstraint(
-                name=f"fout_{i}_{k}",
-                coeffs=tuple((flow_name(i, j, k), 1) for j in range(n_nodes)),
-                sense="=", rhs=rhs))
+    rows = []
+    for i in nodes:
+        for j in nodes:
+            if tighten is None:
+                m_same = m_cross = m_global
+            else:
+                m_same = max(0, tighten.lf[i] - tighten.es[j])
+                m_cross = max(0, tighten.lf[i] + dev[i] - tighten.es[j])
+            s_j, s_i = s_pos[j], s_neg[i]
+            big_m = ((Y[i][j], -m_same),) if m_same else ()
+            pre = f"nom_{i}_{j}_"
+            rhs = nominal[i] - m_same
+            if i == j:  # the start terms cancel on the diagonal
+                rows += [LinearConstraint(pre + suffix[g], big_m, ">=", rhs) for g in levels]
+            else:
+                rows += [LinearConstraint(pre + suffix[g], (s_j[g], s_i[g]) + big_m, ">=", rhs)
+                         for g in levels]
+            big_m = ((Y[i][j], -m_cross),) if m_cross else ()
+            pre = f"dev_{i}_{j}_"
+            rhs = nominal[i] + dev[i] - m_cross
+            rows += [LinearConstraint(pre + suffix[g], (s_j[g + 1], s_i[g]) + big_m, ">=", rhs)
+                     for g in range(gamma)]
+    for i in nodes:
+        for j in nodes:
+            y, f_ij, pre = Y[i][j], f_pos[i][j], f"cap_{i}_{j}_"
+            rows += [LinearConstraint(pre + suffix[k], (f_ij[k], (y, -capacity[k])), "<=", 0)
+                     for k in resources]
+    for j in nodes:
+        for k in resources:
+            rows.append(LinearConstraint(f"fin_{j}_{k}", tuple(f_pos[i][j][k] for i in nodes),
+                                         "=", _balance_rhs(inst, j, k, inbound=True)))
+    for i in nodes:
+        for k in resources:
+            rows.append(LinearConstraint(f"fout_{i}_{k}", tuple(f_pos[i][j][k] for j in nodes),
+                                         "=", _balance_rhs(inst, i, k, inbound=False)))
     if transitivity:
-        for i in range(n_nodes):
-            for j in range(n_nodes):
+        for i in nodes:
+            for j in nodes:
                 if (i, j) == (sink, sink):
                     continue
-                if i == j:
-                    coeffs = ((arc_name(i, i), 2),)
-                else:
-                    coeffs = ((arc_name(i, j), 1), (arc_name(j, i), 1))
-                constraints.append(LinearConstraint(
-                    name=f"pair_{i}_{j}", coeffs=coeffs, sense="<=", rhs=1))
-        for i in range(n_nodes):
-            for l in range(n_nodes):
-                for j in range(n_nodes):
-                    terms = {}
-                    for name, c in ((arc_name(i, l), 1), (arc_name(l, j), 1),
-                                    (arc_name(i, j), -1)):
-                        terms[name] = terms.get(name, 0) + c
-                    coeffs = tuple((n, c) for n, c in terms.items() if c != 0)
-                    constraints.append(LinearConstraint(
-                        name=f"tri_{i}_{l}_{j}", coeffs=coeffs, sense="<=", rhs=1))
+                coeffs = ((Y[i][i], 2),) if i == j else (y_pos[i][j], y_pos[j][i])
+                rows.append(LinearConstraint(f"pair_{i}_{j}", coeffs, "<=", 1))
+        for i in nodes:
+            for l in nodes:
+                # y_il + y_lj - y_ij <= 1; the names coincide only when
+                # i == l or l == j, and only those rows need merging.
+                y_il = y_pos[i][l]
+                coeffs = [(y_il, y_lj, y_ij) for y_lj, y_ij in zip(y_pos[l], y_neg[i])]
+                for j in (nodes if i == l else (l,)):
+                    coeffs[j] = _merge_terms(coeffs[j])
+                pre = f"tri_{i}_{l}_"
+                rows += [LinearConstraint(pre + sfx, c, "<=", 1) for sfx, c in zip(suffix, coeffs)]
 
     return MilpModel(
         variables=tuple(variables),
-        constraints=tuple(constraints),
-        objective=((start_name(sink, gamma), 1),),
+        constraints=tuple(rows),
+        objective=((S[sink][gamma], 1),),
         objective_sense="min",
     )
+
+
+def _merge_terms(terms):
+    """Sum the coefficients of repeated names and drop the zeros."""
+    merged = {}
+    for name, c in terms:
+        merged[name] = merged.get(name, 0) + c
+    return tuple((name, c) for name, c in merged.items() if c != 0)
 
 
 def _balance_rhs(inst, node, k, *, inbound):
@@ -321,9 +315,9 @@ def export_lp(model: MilpModel) -> str:
     out.append(sense)
     out.append(f" obj: {_render_terms(model.objective)}")
     out.append("Subject To")
-    for c in model.constraints:
-        body = _render_terms(c.coeffs) if c.coeffs else f"0 {model.variables[0].name}"
-        out.append(f" {c.name}: {body} {c.sense} {_num(c.rhs)}")
+    for name, coeffs, sense, rhs in model.constraints:
+        body = _render_terms(coeffs) if coeffs else f"0 {model.variables[0].name}"
+        out.append(f" {name}: {body} {sense} {rhs if type(rhs) is int else _num(rhs)}")
     out.append("Bounds")
     for v in model.variables:
         if v.kind == "binary" and v.lb == 0 and v.ub == 1:
@@ -348,20 +342,28 @@ def export_lp(model: MilpModel) -> str:
 
 
 def _render_terms(coeffs):
+    # Int coefficients, the only kind build_compact writes, skip _num.
     parts = []
-    for idx, (name, coef) in enumerate(coeffs):
-        mag = abs(coef)
-        term = name if mag == 1 else f"{_num(mag)} {name}"
-        if idx == 0:
-            parts.append(term if coef >= 0 else f"- {term}")
-        else:
+    for name, coef in coeffs:
+        if type(coef) is not int:
+            mag = abs(coef)
+            term = name if mag == 1 else f"{_num(mag)} {name}"
             parts.append(f"+ {term}" if coef >= 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
+        elif coef == 1:
+            parts.append("+ " + name)
+        elif coef == -1:
+            parts.append("- " + name)
+        elif coef >= 0:
+            parts.append(f"+ {coef} {name}")
+        else:
+            parts.append(f"- {-coef} {name}")
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+") else text or "0"
 
 
 def _num(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        x = int(x)
+    if isinstance(x, Fraction):  # LP text has no ratios: 1/2 is written 0.5
+        x = int(x) if x.denominator == 1 else float(x)
     if isinstance(x, float) and x.is_integer():
         x = int(x)
     return str(x)

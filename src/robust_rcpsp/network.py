@@ -317,16 +317,15 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
 
     visit(root, frozenset(), unresolved_sets(root, member, len(catalog)))
 
-    relation_sets = {
-        key: frozenset((i, j) for i in range(n_nodes) for j in range(n_nodes)
-                       if (key[i] >> j) & 1)
-        for key in leaves
-    }
-    minimal = []
-    for key, arcs in leaves.items():
-        rel = relation_sets[key]
-        if not any(other < rel for other in relation_sets.values()):
-            minimal.append(arcs)
+    # A leaf is kept unless another leaf's closure is a strict subset of its
+    # own.  Each closure is packed into one int of n_nodes**2 bits; in order
+    # of bit count, only earlier closures can be strict subsets, and o is a
+    # subset of rel exactly when rel | o == rel.
+    packed = sorted(((sum(row << (i * n_nodes) for i, row in enumerate(key)), arcs)
+                     for key, arcs in leaves.items()), key=lambda leaf: leaf[0].bit_count())
+    rels = [rel for rel, _ in packed]
+    minimal = [arcs for idx, (rel, arcs) in enumerate(packed)
+               if rel not in map(rel.__or__, rels[:idx])]
     for arcs in sorted(minimal):
         yield Selection(frozenset(arcs))
 

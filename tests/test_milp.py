@@ -1,14 +1,18 @@
+import hashlib
 import random
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 
-from gen import make_instance, random_dag_instance
+from gen import make_instance, random_dag_instance, random_psplib_instance
 from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
+from robust_rcpsp.bench import MILP_VARIANTS, build_variant
 from robust_rcpsp.bnb import solve_exact
 from robust_rcpsp.errors import InvalidHorizonError
 from robust_rcpsp.heuristics import time_windows, warm_start
+from robust_rcpsp.instance import robustify
 from robust_rcpsp.milp import (
     LinearConstraint,
     MilpModel,
@@ -190,6 +194,71 @@ def test_lp_round_trip_reproduces_matrix():
         again = read_lp(export_lp(model))
         assert canonical(again) == canonical(model)
         assert tuple(again.objective) == tuple(model.objective)
+
+
+# SHA-256 of the LP text of every bench variant (``bench.build_variant``:
+# integral starts, and for the warm variants the warm_start/time_windows
+# tighten), recorded with the frozen-dataclass rows that preceded the
+# NamedTuple rows and the name tables of build_compact.
+PINNED_LP_SHA256 = {
+    ("psplib12", "basic"): "ed51bb4e70b45fd9d73f14309749e2a069dd5c3d59fdf983ec60e39c327ca27c",
+    ("psplib12", "trans"): "cd468a89e9c0ff5bcbf826c6dafbcb6a4eef45b566cf130a6be96488f70ded93",
+    ("psplib12", "warm"): "981751fb8f6924edfb0a7f4f2ad97622e67a34ca739d180a2b2e1b626c599ceb",
+    ("psplib12", "warm+trans"): "6816f8af8175f37ff61ef3d0706b353aedefc7e0b170f93b854a3207223b76cb",
+    ("diamond", "basic"): "653ec617a46c5c7dfbd8a8c5e2e8932566847d9ddf9f28dbfb5dc05dcfd97f18",
+    ("diamond", "trans"): "6dfef9f176c91a1331fb22fec3ebfbaad55e42a324f9755030cbdf563e232a69",
+    ("diamond", "warm"): "3095017dba69ff909e4ff94bbcd2b1c22a79942663c485feae2db9840d9ce8c1",
+    ("diamond", "warm+trans"): "d926dd13a8dc99ddb32d49c74dcd76bef1caa8f8821fe19466308867bf48a380",
+}
+
+
+def test_lp_text_is_pinned():
+    cases = {
+        "psplib12": (robustify(random_psplib_instance(random.Random(6), n_act=12, n_res=4)), 3),
+        "diamond": (counterexample_instance(), 1),
+    }
+    for label, (inst, gamma) in cases.items():
+        for variant in MILP_VARIANTS:
+            model, _ = build_variant(inst, gamma, variant)
+            digest = hashlib.sha256(export_lp(model).encode()).hexdigest()
+            assert digest == PINNED_LP_SHA256[label, variant], (label, variant)
+
+
+def test_lp_round_trip_of_non_int_values():
+    """Fraction and float coefficients, bounds and right-hand sides take the
+    general number path of export_lp, which build_compact never uses."""
+    model = MilpModel(
+        variables=(Variable("x", "continuous", Fraction(1, 4), None),
+                   Variable(name="y", kind="integer", ub=4)),
+        constraints=(
+            LinearConstraint("half", (("x", -1), ("y", Fraction(1, 2))), "<=", 3),
+            LinearConstraint(name="mixed", coeffs=(("x", 2.5), ("y", -3)), sense=">=",
+                             rhs=1.5),
+            LinearConstraint("whole", (("y", Fraction(4, 2)), ("x", -2.0)), "=",
+                             Fraction(6, 3)),
+        ),
+        objective=(("x", -1), ("y", 2)),
+    )
+    text = export_lp(model)
+    assert " half: - x + 0.5 y <= 3" in text.splitlines()
+    assert " whole: 2 y - 2 x = 2" in text.splitlines()
+    again = read_lp(text)
+    assert again.constraints == model.constraints
+    assert again.objective == model.objective
+    assert {v.name: v for v in again.variables} == {v.name: v for v in model.variables}
+
+
+def test_rows_and_columns_are_immutable_named_records():
+    v = Variable(name="z", kind="binary")
+    assert v == Variable("z", "binary", 0, None)
+    assert (v.lb, v.ub) == (0, None)
+    row = LinearConstraint(name="r", coeffs=(("z", 1),), sense="<=", rhs=1)
+    assert row.coeffs == (("z", 1),)
+    assert len({v, Variable("z", "binary")}) == 1
+    with pytest.raises(AttributeError):
+        v.lb = 1
+    with pytest.raises(AttributeError):
+        row.rhs = 2
 
 
 def test_mst_lines():
