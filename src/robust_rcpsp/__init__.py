@@ -41,7 +41,6 @@ from .errors import (
     RobustRcpspError,
 )
 from .heuristics import (
-    Schedule,
     TimeWindows,
     WarmStart,
     lft_schedule,

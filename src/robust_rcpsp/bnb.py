@@ -24,7 +24,8 @@ and its rows; a child raises, with ``relax_leveled_rows``, only the rows of
 ``j`` and its descendants, in the order the closure gives (an activity
 reaches strictly more activities than each of its descendants), starting
 from ``i`` as the one dirty predecessor.  Adding an arc only lengthens
-paths, so no other row can change.
+paths, so no other row can change.  The predecessors appended after the
+root's are the node's added arcs, so a leaf's selection is read from them.
 """
 from __future__ import annotations
 
@@ -81,9 +82,9 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     # Lists, not the DP's tuples: the kernel compares a copied row with
     # the old one to see whether it rose.
     root_rows = [list(row) for row in root.leveled_starts]
-    # Heap entries: (bound, tie-break counter, added arcs, closure,
-    # predecessor lists, DP rows, unresolved-set mask).
-    heap = [(root_bound, 0, frozenset(), root_closure, root_pred, root_rows,
+    # Heap entries: (bound, tie-break counter, closure, predecessor lists,
+    # DP rows, unresolved-set mask).
+    heap = [(root_bound, 0, root_closure, root_pred, root_rows,
              unresolved_sets(root_closure, member, len(catalog)))]
     counter = 0
     seen = {root_closure}
@@ -101,13 +102,14 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             return result("incumbent", heap[0][0])
         if node_cap is not None and nodes_explored >= node_cap:
             return result("incumbent", heap[0][0])
-        bound, _, arcs, closure, pred, rows, unresolved = heapq.heappop(heap)
+        bound, _, closure, pred, rows, unresolved = heapq.heappop(heap)
         nodes_explored += 1
         if bound >= incumbent_value:
             return result("optimal", incumbent_value)
         if not unresolved:
             incumbent_value = bound
-            incumbent_sel = Selection(arcs)
+            incumbent_sel = Selection(frozenset(
+                (i, j) for j in range(n_nodes) for i in pred[j][len(root_pred[j]):]))
             continue
         fset = catalog.sets[first_set(unresolved)]
         for i, j, key, resolved in branch(closure, member, fset, seen):
@@ -121,8 +123,8 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             if child_bound >= incumbent_value:
                 continue
             counter += 1
-            heapq.heappush(heap, (child_bound, counter, arcs | {(i, j)}, key,
-                                  child_pred, child_rows, unresolved & ~resolved))
+            heapq.heappush(heap, (child_bound, counter, key, child_pred, child_rows,
+                                  unresolved & ~resolved))
     return result("optimal", incumbent_value)
 
 

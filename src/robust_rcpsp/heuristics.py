@@ -1,10 +1,16 @@
 """Deterministic scheduling heuristics and big-M time windows.
 
 A latest-finish-time priority rule drives a serial schedule-generation
-scheme on the nominal durations.  The resulting schedule yields a feasible
-selection whose adversary DP gives the leveled start times and the upper
-bound that seed both the branch-and-bound and the compact model.  The
-earliest starts of the time windows are the DP's level-zero column.
+scheme on the nominal durations.  An activity of duration d started at t
+holds its resources over the buckets ``range(t, t + max(d, 1))``, so a
+zero-duration activity holds its start bucket and no activity that would
+overload a resource together with it runs across that instant.  Two
+activities the schedule leaves unordered then hold a common bucket, so
+the members of a forbidden set cannot all be unordered: the implied
+selection is sufficient.  Its adversary DP gives the leveled start times
+and the upper bound that seed both the branch-and-bound and the compact
+model.  The earliest starts of the time windows are the DP's level-zero
+column.
 """
 from __future__ import annotations
 
@@ -15,18 +21,6 @@ from .adversary import worst_case_makespan_dp
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
 from .network import Selection, selection_from_schedule
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Start times plus the durations they were computed with."""
-
-    start: tuple[int, ...]
-    durations_used: tuple[int, ...]
-
-    @property
-    def makespan(self):
-        return self.start[-1] + self.durations_used[-1]
 
 
 @dataclass(frozen=True)
@@ -46,10 +40,11 @@ class TimeWindows:
 
 @dataclass(frozen=True)
 class WarmStart:
-    """LFT selection, its schedule, leveled starts and the implied bound."""
+    """LFT selection, its schedule's start times, leveled starts and the
+    implied bound."""
 
     selection: Selection
-    schedule: Schedule
+    start: tuple[int, ...]
     leveled_starts: tuple[tuple[int, ...], ...]  # [node][level]
     upper_bound: int
 
@@ -64,8 +59,9 @@ def _latest_finishes(inst: ProjectInstance, horizon: int) -> tuple[int, ...]:
     return tuple(lf)
 
 
-def lft_schedule(inst: ProjectInstance) -> Schedule:
-    """Serial schedule-generation scheme under the LFT priority rule.
+def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
+    """Start times of a serial schedule-generation scheme under the LFT
+    priority rule.
 
     Activities become eligible once all predecessors are scheduled; the
     eligible activity with the smallest latest finish (ties by id) is placed
@@ -73,7 +69,7 @@ def lft_schedule(inst: ProjectInstance) -> Schedule:
     """
     n_nodes = inst.n_nodes
     durations = inst.nominal_duration
-    horizon = sum(durations) + 1
+    horizon = sum(max(d, 1) for d in durations) + 1
     priorities = _latest_finishes(inst, sum(durations))
     pred = predecessors(n_nodes, inst.precedence)
     usage = [[0] * horizon for _ in inst.resource_types]
@@ -84,44 +80,37 @@ def lft_schedule(inst: ProjectInstance) -> Schedule:
     while unscheduled:
         eligible = [j for j in unscheduled if all(start[p] is not None for p in pred[j])]
         j = min(eligible, key=lambda a: (priorities[a], a))
-        est = max((start[p] + durations[p] for p in pred[j]), default=0)
-        t = est
+        needs = [(k, need) for k, need in enumerate(inst.requirement[j]) if need]
+        t = max((start[p] + durations[p] for p in pred[j]), default=0)
         while True:
-            clash = _first_conflict(inst, usage, j, t)
+            span = range(t, t + max(durations[j], 1))
+            clash = _first_conflict(inst, usage, needs, span)
             if clash is None:
                 break
             t = clash + 1
         start[j] = t
-        for k in inst.resource_types:
-            need = inst.requirement[j][k]
-            if need:
-                for u in range(t, t + durations[j]):
-                    usage[k][u] += need
+        for k, need in needs:
+            for u in span:
+                usage[k][u] += need
         unscheduled.discard(j)
-    return Schedule(start=tuple(start), durations_used=durations)
+    return tuple(start)
 
 
-def _first_conflict(inst, usage, j, t):
-    # Zero-duration activities occupy no bucket, but their requirement must
-    # still be handed over at the start instant, so they are placed only
-    # where the current bucket leaves enough headroom.
-    dur = inst.nominal_duration[j]
-    span = range(t, t + dur) if dur else (t,)
-    for k in inst.resource_types:
-        need = inst.requirement[j][k]
-        if not need:
-            continue
+def _first_conflict(inst, usage, needs, span):
+    # ``span`` is every bucket the activity holds, its start bucket even at
+    # zero duration; the first one without headroom for a need is returned.
+    for k, need in needs:
         for u in span:
             if usage[k][u] + need > inst.capacity[k]:
                 return u
     return None
 
 
-def validate_schedule(inst: ProjectInstance, sched: Schedule) -> None:
-    """Raise ValueError unless the schedule is precedence- and
-    resource-feasible (checked by a per-time-unit resource profile)."""
-    start = sched.start
-    dur = sched.durations_used
+def validate_schedule(inst: ProjectInstance, start) -> None:
+    """Raise ValueError unless the start times are precedence- and
+    resource-feasible under the nominal durations (checked by a
+    per-time-unit resource profile)."""
+    dur = inst.nominal_duration
     if start[0] != 0:
         raise ValueError("dummy source must start at time 0")
     if any(s < 0 for s in start):
@@ -129,7 +118,7 @@ def validate_schedule(inst: ProjectInstance, sched: Schedule) -> None:
     for i, j in inst.precedence:
         if start[j] < start[i] + dur[i]:
             raise ValueError(f"precedence ({i}, {j}) violated")
-    makespan = sched.makespan
+    makespan = start[-1] + dur[-1]
     for k in inst.resource_types:
         profile = [0] * (makespan + 1)
         for i in inst.activities:
@@ -142,10 +131,10 @@ def validate_schedule(inst: ProjectInstance, sched: Schedule) -> None:
 
 def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     """LFT schedule -> selection -> adversary DP: leveled starts and bound."""
-    sched = lft_schedule(inst)
-    sel = selection_from_schedule(inst, sched.start, sched.durations_used)
+    start = lft_schedule(inst)
+    sel = selection_from_schedule(inst, start)
     dp = worst_case_makespan_dp(inst, sel, gamma)
-    return WarmStart(selection=sel, schedule=sched, leveled_starts=dp.leveled_starts,
+    return WarmStart(selection=sel, start=start, leveled_starts=dp.leveled_starts,
                      upper_bound=dp.value)
 
 

@@ -212,7 +212,7 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
 
     Arc binaries follow the schedule-derived selection (which is closed
     under transitivity), start values are the leveled recursion, and flows
-    are routed greedily through the schedule in start order.
+    are routed greedily along the selection's arcs in start order.
     """
     n_nodes = inst.n_nodes
     sink = inst.sink
@@ -224,7 +224,7 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
     for i in range(n_nodes):
         for j in range(n_nodes):
             values[arc_name(i, j)] = 1 if (i, j) in active else 0
-    flows = _greedy_flows(inst, warm)
+    flows = _greedy_flows(inst, warm.start, active)
     for i in range(n_nodes):
         for j in range(n_nodes):
             for k in inst.resource_types:
@@ -232,15 +232,15 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
     return values
 
 
-def _greedy_flows(inst, warm):
-    """Hand resources from finished activities to starting ones.
+def _greedy_flows(inst, start, active):
+    """Hand resources along the arcs ``active`` in (start, id) order.
 
-    Eligibility (finish of the holder at or before the consumer's start) is
-    exactly the schedule-derived arc relation, and schedule feasibility
-    guarantees the finished pool always covers the next demand.
+    An activity takes its demand from the parcels of earlier holders that
+    have an arc to it, the source first.  An earlier holder without one
+    still holds the activity's start bucket, which the activity holds too,
+    even at zero duration; the schedule keeps that bucket within capacity,
+    so the parcels with an arc always cover the demand.
     """
-    start = warm.schedule.start
-    dur = warm.schedule.durations_used
     order = sorted(range(1, inst.n_nodes), key=lambda a: (start[a], a))
     flows = {}
     for k in inst.resource_types:
@@ -251,9 +251,7 @@ def _greedy_flows(inst, warm):
                 if need == 0:
                     break
                 holder, remaining = parcel
-                if remaining == 0:
-                    continue
-                if holder != 0 and start[j] < start[holder] + dur[holder]:
+                if remaining == 0 or (holder, j) not in active:
                     continue
                 take = min(need, remaining)
                 parcel[1] -= take

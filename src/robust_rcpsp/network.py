@@ -266,13 +266,15 @@ def branch(closure, member, fset, seen):
         yield i, j, key, resolved
 
 
-def selection_from_schedule(inst: ProjectInstance, start, dur) -> Selection:
-    """Arcs implied by a schedule: i before j whenever j starts after i ends.
+def selection_from_schedule(inst: ProjectInstance, start) -> Selection:
+    """Arcs implied by start times under the nominal durations: i before j
+    whenever j starts after i ends.
 
     Mutually qualifying pairs (possible only between zero-duration
     activities starting together) keep the arc out of the smaller id, which
     keeps the result acyclic.
     """
+    dur = inst.nominal_duration
     base = set(inst.precedence)
     added = set()
     for i in range(inst.n_nodes):

@@ -47,12 +47,23 @@ def test_pair_conflict_budget_zero():
 
 def test_matches_exhaustive_oracle():
     rng = random.Random(321)
-    for _ in range(20):
-        inst = random_dag_instance(rng, rng.randint(2, 6), n_res=rng.randint(1, 2))
+    cases = [random_dag_instance(rng, rng.randint(2, 6), n_res=rng.randint(1, 2))
+             for _ in range(20)]
+    # zero-duration activity 4 holds its start bucket in the warm schedule;
+    # with 4 at 8 and activity 3 over [5, 10), the warm selection left
+    # {3, 4} unresolved and the search returned 10 where the optimum is 12
+    cases.append(make_instance(
+        (0, 5, 3, 5, 0, 2, 0),
+        ((0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 5), (5, 6)),
+        ((0, 0, 0), (4, 0, 4), (3, 2, 1), (2, 0, 2), (2, 3, 4), (4, 4, 3), (0, 0, 0)),
+        (6, 4, 5)))
+    for inst in cases:
+        catalog = minimal_forbidden_sets(inst)
         for gamma in (0, 1, 2):
             res = solve_exact(inst, gamma)
             assert res.status == "optimal"
             assert res.value == exhaustive_optimum(inst, gamma)
+            assert verify_selection(inst, res.selection, catalog).sufficient
 
 
 def test_matches_exhaustive_oracle_seven_and_eight_activities():

@@ -17,26 +17,32 @@ from robust_rcpsp.network import Selection, minimal_forbidden_sets, verify_selec
 def test_unconstrained_schedule_is_earliest_start():
     inst = make_instance([0, 2, 3, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
                          [(0,), (1,), (1,), (0,)], (5,))
-    sched = lft_schedule(inst)
-    assert sched.start == (0, 0, 0, 3)
-    assert sched.makespan == 3
+    assert lft_schedule(inst) == (0, 0, 0, 3)
 
 
 def test_pair_conflict_serializes():
     inst = make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
                          [(0,), (2,), (2,), (0,)], (2,))
-    sched = lft_schedule(inst)
-    assert sorted(sched.start[1:3]) == [0, 1]
-    assert sched.makespan == 2
-    validate_schedule(inst, sched)
+    start = lft_schedule(inst)
+    assert sorted(start[1:3]) == [0, 1]
+    assert start[inst.sink] == 2
+    validate_schedule(inst, start)
 
 
 def test_lft_schedules_are_feasible_and_sufficient():
     rng = random.Random(21)
-    for _ in range(25):
-        inst = random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 3))
-        sched = lft_schedule(inst)
-        validate_schedule(inst, sched)
+    cases = [random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 3))
+             for _ in range(25)]
+    # zero-duration activity 3 holds its start bucket, so activity 4, which
+    # overloads resource 0 with it, may not straddle it; a schedule with 3
+    # at 1 and 4 over [0, 6) leaves {3, 4} unresolved
+    cases.append(make_instance(
+        (0, 1, 1, 0, 6, 0),
+        ((0, 1), (0, 2), (0, 4), (1, 3), (2, 5), (3, 5), (4, 5)),
+        ((0, 0, 0), (0, 2, 0), (2, 0, 1), (4, 1, 2), (2, 1, 0), (0, 0, 0)),
+        (5, 4, 2)))
+    for inst in cases:
+        validate_schedule(inst, lft_schedule(inst))
         warm = warm_start(inst, 1)
         catalog = minimal_forbidden_sets(inst)
         assert verify_selection(inst, warm.selection, catalog).sufficient
@@ -46,8 +52,7 @@ def test_lft_on_synthetic_psplib_instances():
     rng = random.Random(5)
     for _ in range(3):
         inst = random_psplib_instance(rng)
-        sched = lft_schedule(inst)
-        validate_schedule(inst, sched)
+        validate_schedule(inst, lft_schedule(inst))
         warm = warm_start(inst, 3)
         catalog = minimal_forbidden_sets(inst)
         assert verify_selection(inst, warm.selection, catalog).sufficient
@@ -57,7 +62,7 @@ def test_warm_start_budget_zero_is_deterministic_makespan():
     inst = make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
                          [(0,), (2,), (2,), (0,)], (2,))
     warm = warm_start(inst, 0)
-    assert warm.upper_bound == warm.schedule.makespan == 2
+    assert warm.upper_bound == warm.start[inst.sink] == 2
 
 
 def test_warm_start_on_diamond():

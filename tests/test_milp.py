@@ -125,6 +125,13 @@ def test_warm_start_assignment_feasible_all_variants():
     # big-M values on level-crossing rows
     cases.append(make_instance([0, 1, 1, 1, 0], [(0, 1), (1, 2), (2, 3), (3, 4)],
                                deviations=[0, 1, 1, 1, 0]))
+    # zero-duration activity 2 needs resource 0, which activity 1 takes
+    # whole: a warm schedule starting both at 0 starved 2 of flow
+    cases.append(make_instance(
+        (0, 7, 0, 1, 1, 3, 0),
+        ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 6), (5, 6)),
+        ((0, 0), (4, 0), (1, 2), (3, 1), (1, 4), (1, 3), (0, 0)),
+        (4, 4), deviations=(0, 4, 0, 1, 1, 2, 0)))
     for inst in cases:
         for gamma in (0, 1, 2):
             warm = warm_start(inst, gamma)

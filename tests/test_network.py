@@ -189,9 +189,7 @@ def test_monotonicity_of_sufficiency():
 
 def test_serial_schedule_relates_all():
     inst = k3_instance()
-    start = (0, 0, 1, 2, 3)
-    dur = (0, 1, 1, 1, 0)
-    sel = selection_from_schedule(inst, start, dur)
+    sel = selection_from_schedule(inst, (0, 0, 1, 2, 3))
     assert {(1, 2), (2, 3), (1, 3)} <= sel.added_arcs
     catalog = minimal_forbidden_sets(inst)
     assert verify_selection(inst, sel, catalog).sufficient
@@ -201,7 +199,7 @@ def test_unconstrained_earliest_schedule_is_vacuously_sufficient():
     inst = make_instance([0, 2, 3, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
                          [(0,), (1,), (1,), (0,)], (2,))
     start = (0, 0, 0, 3)
-    sel = selection_from_schedule(inst, start, inst.nominal_duration)
+    sel = selection_from_schedule(inst, start)
     catalog = minimal_forbidden_sets(inst)
     assert catalog.sets == ()
     assert verify_selection(inst, sel, catalog).sufficient
@@ -210,7 +208,7 @@ def test_unconstrained_earliest_schedule_is_vacuously_sufficient():
 
 def test_zero_duration_ties_stay_acyclic():
     inst = make_instance([0, 0, 0, 0], [(0, 1), (0, 2), (1, 3), (2, 3)])
-    sel = selection_from_schedule(inst, (0, 0, 0, 0), (0, 0, 0, 0))
+    sel = selection_from_schedule(inst, (0, 0, 0, 0))
     # mutual qualifications keep only the small-to-large direction
     assert (1, 2) in sel.added_arcs and (2, 1) not in sel.added_arcs
     closure_relation(inst, sel.added_arcs)  # acyclicity would raise
