@@ -13,14 +13,16 @@ import csv
 import io
 import json
 import re
+import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import bnb as bnb_mod
 from . import milp
-from .errors import RobustRcpspError
+from .errors import ParseError, RobustRcpspError
 from .heuristics import time_windows, warm_start
 from .instance import parse_psplib, robustify
 
@@ -89,30 +91,36 @@ def run_experiment(config: BenchConfig) -> list[ResultRecord]:
 
 
 def _solve_one(config: BenchConfig, path: Path, gamma: int, variant: str) -> ResultRecord:
-    name = path.stem
+    """The record of one task.  A task that raises is recorded as ``error``,
+    so one bad instance cannot abort the run; an exception other than the
+    library's own is a bug and also prints its traceback on stderr."""
     t0 = time.perf_counter()
     try:
+        return _run_task(config, path, gamma, variant)
+    except RobustRcpspError:
+        pass
+    except Exception:
+        print(f"bench: task ({path.stem}, gamma={gamma}, {variant}) failed:", file=sys.stderr)
+        traceback.print_exc()
+    return ResultRecord(path.stem, gamma, variant, "error", None, None, None,
+                        time.perf_counter() - t0)
+
+
+def _run_task(config, path, gamma, variant):
+    name = path.stem
+    try:
         inst = robustify(parse_psplib(path.read_text(), source_path=str(path)))
-    except (OSError, RobustRcpspError, ValueError):
-        return ResultRecord(name, gamma, variant, "error", None, None, None,
-                            time.perf_counter() - t0)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     if variant == "bnb":
-        try:
-            res = bnb_mod.solve_exact(inst, gamma, time_limit_s=config.time_limit_s)
-        except RobustRcpspError:
-            return ResultRecord(name, gamma, variant, "error", None, None, None,
-                                time.perf_counter() - t0)
+        res = bnb_mod.solve_exact(inst, gamma, time_limit_s=config.time_limit_s)
         status = "optimal" if res.status == "optimal" else "feasible"
         gap = bnb_mod.optimality_gap(res)
         return ResultRecord(name, gamma, variant, status, float(res.value),
                             float(res.best_bound), gap, res.time_s)
     if config.bridge_cmd is None:
         return ResultRecord(name, gamma, variant, "skipped", None, None, None, 0.0)
-    try:
-        model, assignment = build_variant(inst, gamma, variant)
-    except RobustRcpspError:
-        return ResultRecord(name, gamma, variant, "error", None, None, None,
-                            time.perf_counter() - t0)
+    model, assignment = build_variant(inst, gamma, variant)
     outcome = milp.solve_external(model, assignment, command=config.bridge_cmd,
                                   time_limit_s=config.time_limit_s)
     gap = None

@@ -1,89 +1,93 @@
-"""Reference external-solver bridge backed by scipy's HiGHS MILP.
+"""Reference external-solver bridge backed by the HiGHS core bundled with scipy.
 
 Usage: ``python -m robust_rcpsp.highs_bridge MODEL.lp OUT.sol [TIME_S] [WARM.mst]``
 
-Reads the LP dialect written by :mod:`robust_rcpsp.milp`, solves it with
-``scipy.optimize.milp``, and writes the solution-file contract expected by
-``solve_external``: a status line (status word plus optional best bound)
-followed by one ``name value`` line per variable.  A warm-start file is
-accepted for interface compatibility but HiGHS via scipy cannot consume it.
+HiGHS reads the LP file written by :mod:`robust_rcpsp.milp` itself and
+solves it.  The bridge then writes the solution-file contract expected by
+``solve_external``: a status line (status word, plus the best bound when the
+model has integer columns and a solution was found) followed by one
+``name value`` line per variable.  A warm-start file is accepted for
+interface compatibility but is not passed to HiGHS.
+
+The HiGHS extension ``scipy/optimize/_highspy/_core`` is loaded straight
+from its file, inside :func:`solve_lp_file`.  Neither ``scipy.optimize``,
+``scipy.sparse`` nor numpy is imported, so a solver process starts in a
+fraction of the time an ``import scipy.optimize`` takes.  If the extension
+cannot be found the bridge exits 1 with a message on stderr.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
 import sys
+from functools import cache
 from pathlib import Path
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
+from .errors import BridgeError
 
-from .milp import read_lp
+_CORE = "scipy.optimize._highspy._core"
 
-_KIND_INTEGRALITY = {"continuous": 0, "integer": 1, "binary": 1}
+
+def status_word(model_status: str, objective: float) -> str:
+    """The solution-file status word of a ``HighsModelStatus`` member name.
+
+    A time or iteration limit counts as ``feasible`` only when HiGHS holds a
+    solution, which it signals by a finite objective value.
+    """
+    if model_status == "kOptimal":
+        return "optimal"
+    if model_status in ("kTimeLimit", "kIterationLimit"):
+        return "feasible" if math.isfinite(objective) else "timeout"
+    if model_status == "kInfeasible":
+        return "infeasible"
+    return "error"
+
+
+@cache
+def load_core():
+    """The HiGHS extension module, loaded without running scipy's packages."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise BridgeError("scipy is not installed; the HiGHS bridge needs its bundled HiGHS")
+    folder = Path(spec.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.exists():
+            loader = importlib.machinery.ExtensionFileLoader(_CORE, str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_CORE, loader))
+            loader.exec_module(module)
+            return module
+    raise BridgeError(f"no HiGHS extension _core in {folder}; the bridge needs "
+                      "a scipy that ships optimize/_highspy/_core")
+
+
+def read_model(lp_path):
+    """A silent HiGHS solver holding the model HiGHS reads from the LP file."""
+    core = load_core()
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.readModel(str(lp_path)) == core.HighsStatus.kError:
+        raise BridgeError(f"HiGHS could not read {lp_path}")
+    return highs
 
 
 def solve_lp_file(lp_path, sol_path, time_limit_s=None):
-    model = read_lp(Path(lp_path).read_text())
-    names = [v.name for v in model.variables]
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-
-    c = np.zeros(n)
-    for name, coef in model.objective:
-        c[index[name]] += coef
-    if model.objective_sense == "max":
-        c = -c
-
-    lb = np.array([-np.inf if v.lb is None else float(v.lb) for v in model.variables])
-    ub = np.array([np.inf if v.ub is None else float(v.ub) for v in model.variables])
-    integrality = np.array([_KIND_INTEGRALITY[v.kind] for v in model.variables])
-
-    rows, cols, vals = [], [], []
-    c_lb, c_ub = [], []
-    for r, constraint in enumerate(model.constraints):
-        for name, coef in constraint.coeffs:
-            rows.append(r)
-            cols.append(index[name])
-            vals.append(float(coef))
-        rhs = float(constraint.rhs)
-        if constraint.sense == "<=":
-            c_lb.append(-np.inf)
-            c_ub.append(rhs)
-        elif constraint.sense == ">=":
-            c_lb.append(rhs)
-            c_ub.append(np.inf)
-        else:
-            c_lb.append(rhs)
-            c_ub.append(rhs)
-    a = sparse.csr_matrix((vals, (rows, cols)), shape=(len(model.constraints), n))
-
-    options = {}
+    core = load_core()
+    highs = read_model(lp_path)
     if time_limit_s:
-        options["time_limit"] = float(time_limit_s)
-    res = scipy_milp(
-        c=c,
-        constraints=LinearConstraint(a, np.array(c_lb), np.array(c_ub)),
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
-        options=options,
-    )
+        highs.setOptionValue("time_limit", float(time_limit_s))
+    highs.run()
+    info = highs.getInfo()
+    status = status_word(highs.getModelStatus().name, info.objective_function_value)
 
-    if res.status == 0:
-        status = "optimal"
-    elif res.status == 1 and res.x is not None:
-        status = "feasible"
-    elif res.status == 1:
-        status = "timeout"
-    elif res.status == 2:
-        status = "infeasible"
-    else:
-        status = "error"
-
-    lines = []
-    bound = getattr(res, "mip_dual_bound", None)
-    lines.append(f"{status} {bound}" if bound is not None else status)
-    if res.x is not None:
-        for name, value in zip(names, res.x):
+    lines = [status]
+    if status in ("optimal", "feasible"):
+        lp = highs.getLp()
+        if any(kind != core.HighsVarType.kContinuous for kind in lp.integrality_):
+            lines[0] = f"{status} {info.mip_dual_bound}"
+        for name, value in zip(lp.col_names_, highs.getSolution().col_value):
             lines.append(f"{name} {_clean(value)}")
     Path(sol_path).write_text("\n".join(lines) + "\n")
     return status
@@ -102,7 +106,11 @@ def main(argv):
         return 2
     lp_path, sol_path = argv[0], argv[1]
     time_limit = float(argv[2]) if len(argv) > 2 and float(argv[2]) > 0 else None
-    solve_lp_file(lp_path, sol_path, time_limit)
+    try:
+        solve_lp_file(lp_path, sol_path, time_limit)
+    except BridgeError as exc:
+        print(f"highs_bridge: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

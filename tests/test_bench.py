@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from gen import psplib_text, random_dag_instance
-from robust_rcpsp import bnb
+from robust_rcpsp import bench, bnb
 from robust_rcpsp.bench import (
     BenchConfig,
     ResultRecord,
@@ -211,6 +211,22 @@ def test_run_experiment_records_error_for_failed_search(instance_dir, monkeypatc
     records = run_experiment(config)
     assert len(records) == 2 * 2
     assert {(r.gamma, r.status) for r in records} == {(0, "optimal"), (1, "error")}
+
+
+def test_run_experiment_records_error_for_a_bug_in_one_task(instance_dir, monkeypatch,
+                                                            capsys):
+    def broken(inst, gamma, variant):
+        raise AssertionError("flow routing starved activity 2")
+
+    monkeypatch.setattr(bench, "build_variant", broken)
+    config = BenchConfig(instances_dir=str(instance_dir), gammas=(1,),
+                         variants=("basic", "bnb"), bridge_cmd="never-run {lp}", workers=2)
+    records = run_experiment(config)
+    assert len(records) == 2 * 2
+    assert {(r.variant, r.status) for r in records} == {("basic", "error"), ("bnb", "optimal")}
+    err = capsys.readouterr().err
+    assert err.count("Traceback") == 2
+    assert "AssertionError: flow routing starved activity 2" in err
 
 
 def test_write_outputs(instance_dir, tmp_path):

@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
+import math
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -7,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from gen import make_instance, random_dag_instance, random_psplib_instance
+from robust_rcpsp import highs_bridge
 from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
 from robust_rcpsp.bench import MILP_VARIANTS, build_variant
 from robust_rcpsp.bnb import solve_exact
@@ -219,7 +223,8 @@ PINNED_LP_SHA256 = {
 }
 
 
-def test_lp_text_is_pinned():
+def pinned_lp_texts():
+    """(label, variant, LP text) of every entry of PINNED_LP_SHA256."""
     cases = {
         "psplib12": (robustify(random_psplib_instance(random.Random(6), n_act=12, n_res=4)), 3),
         "diamond": (counterexample_instance(), 1),
@@ -227,8 +232,31 @@ def test_lp_text_is_pinned():
     for label, (inst, gamma) in cases.items():
         for variant in MILP_VARIANTS:
             model, _ = build_variant(inst, gamma, variant)
-            digest = hashlib.sha256(export_lp(model).encode()).hexdigest()
-            assert digest == PINNED_LP_SHA256[label, variant], (label, variant)
+            yield label, variant, export_lp(model)
+
+
+def test_lp_text_is_pinned():
+    for label, variant, text in pinned_lp_texts():
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_LP_SHA256[label, variant], (label, variant)
+
+
+def test_highs_reads_the_pinned_lp_texts_like_read_lp(tmp_path):
+    """The bridge hands the LP file to HiGHS's reader: it must see the model
+    read_lp sees, column for column."""
+    for label, variant, text in pinned_lp_texts():
+        path = tmp_path / f"{label}-{variant}.lp"
+        path.write_text(text)
+        ours, highs = read_lp(text), highs_bridge.read_model(path)
+        lp = highs.getLp()
+        assert list(lp.col_names_) == [v.name for v in ours.variables], (label, variant)
+        assert list(lp.col_lower_) == [float(v.lb) for v in ours.variables]
+        assert list(lp.col_upper_) == [math.inf if v.ub is None else float(v.ub)
+                                       for v in ours.variables]
+        integral = [kind.name == "kInteger" for kind in lp.integrality_]
+        assert integral == [v.kind != "continuous" for v in ours.variables]
+        assert highs.getNumRow() == len(ours.constraints)
+        assert highs.getNumNz() == sum(len(c.coeffs) for c in ours.constraints)
 
 
 def test_lp_round_trip_of_non_int_values():
@@ -290,6 +318,48 @@ def test_bridge_infeasible_toy():
     )
     outcome = solve_external(model, command=BRIDGE)
     assert outcome.status == "infeasible"
+    # a continuous model reports no best bound
+    solved = solve_external(toy_model(), command=BRIDGE)
+    assert (solved.status, solved.objective, solved.bound) == ("optimal", 2.0, None)
+
+
+@pytest.mark.parametrize("model_status, objective, word", [
+    ("kOptimal", 3.0, "optimal"),
+    ("kTimeLimit", 7.0, "feasible"),
+    ("kTimeLimit", math.inf, "timeout"),
+    ("kIterationLimit", 7.0, "feasible"),
+    ("kIterationLimit", math.inf, "timeout"),
+    ("kInfeasible", math.inf, "infeasible"),
+    ("kModelError", math.inf, "error"),
+    ("kUnbounded", -math.inf, "error"),
+    ("kSolutionLimit", 7.0, "error"),
+])
+def test_bridge_status_words(model_status, objective, word):
+    assert highs_bridge.status_word(model_status, objective) == word
+
+
+def test_bridge_without_scipy_exits_1(tmp_path, monkeypatch, capsys):
+    lp = tmp_path / "toy.lp"
+    lp.write_text(export_lp(toy_model()))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    highs_bridge.load_core.cache_clear()
+    assert highs_bridge.main([str(lp), str(tmp_path / "toy.sol")]) == 1
+    assert "scipy is not installed" in capsys.readouterr().err
+    assert not (tmp_path / "toy.sol").exists()
+
+
+def test_bridge_leaves_scipy_optimize_and_numpy_unimported(tmp_path):
+    """The solver child loads the HiGHS core alone: no scipy.optimize, no numpy."""
+    lp = tmp_path / "toy.lp"
+    lp.write_text(export_lp(toy_model()))
+    script = ("import sys\n"
+              "from robust_rcpsp.highs_bridge import solve_lp_file\n"
+              f"print(solve_lp_file({str(lp)!r}, {str(tmp_path / 'toy.sol')!r}))\n"
+              "print(sorted(m for m in ('numpy', 'scipy.optimize') if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines() == ["optimal", "[]"]
+    assert (tmp_path / "toy.sol").read_text() == "optimal\nx 2\n"
 
 
 def toy_model():
