@@ -20,7 +20,7 @@ from .instance import from_json, parse_psplib, robustify, to_json
 BRIDGE_ENV = "ROBUST_RCPSP_BRIDGE"
 
 
-def dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -32,10 +32,6 @@ def dispatch(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return dispatch(argv)
 
 
 def _build_parser():

@@ -11,8 +11,8 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-from ._graph import closure_bitsets, topological_order
-from .errors import ParseError
+from ._graph import closure_bitsets
+from .errors import CyclicGraphError, ParseError
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,10 @@ def _validate(inst: ProjectInstance):
     for i, j in inst.precedence:
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise ValueError(f"arc ({i}, {j}) references an unknown activity")
-    reach = closure_bitsets(n_nodes, inst.precedence)  # raises on cycles
+    try:
+        reach = closure_bitsets(n_nodes, inst.precedence)
+    except CyclicGraphError as exc:
+        raise ValueError(f"cyclic precedence relations: {exc}") from exc
     for v in range(1, n_nodes):
         if not (reach[0] >> v) & 1:
             raise ValueError(f"activity {v} is not reachable from the source")
@@ -206,12 +209,6 @@ def parse_psplib(text: str, *, name: str = "", source_path: str = "") -> Project
     for job, succ in successors.items():
         for s in succ:
             arcs.append((job - 1, s - 1))
-    try:
-        topological_order(n_jobs, arcs)
-    except Exception as exc:
-        raise ParseError(f"cyclic precedence relations: {exc}",
-                         section="PRECEDENCE RELATIONS") from exc
-
     meta = InstanceMeta(
         name=name or (os.path.splitext(os.path.basename(source_path))[0] if source_path else ""),
         source_path=source_path,

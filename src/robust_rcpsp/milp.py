@@ -267,28 +267,21 @@ def _greedy_flows(inst, start, active):
 def check_assignment(model: MilpModel, values, tol: float | Fraction = 0) -> list[str]:
     """Violated bounds/rows of the model under ``values`` (empty if feasible).
 
-    With the default zero tolerance the check is exact over the rationals.
+    Sums are taken in the values' own arithmetic: int and Fraction values
+    are checked exactly, solver floats within ``tol``.
     """
-    tol = Fraction(tol) if not isinstance(tol, float) else tol
-    exact = not isinstance(tol, float)
     violations = []
-
-    def num(x):
-        return Fraction(x) if exact else float(x)
-
     for v in model.variables:
-        val = num(values.get(v.name, 0))
-        if val < num(v.lb) - tol:
+        val = values.get(v.name, 0)
+        if val < v.lb - tol:
             violations.append(f"{v.name}={val} below lower bound {v.lb}")
-        if v.ub is not None and val > num(v.ub) + tol:
+        if v.ub is not None and val > v.ub + tol:
             violations.append(f"{v.name}={val} above upper bound {v.ub}")
-        if v.kind in ("integer", "binary"):
-            nearest = round(float(val))
-            if abs(float(val) - nearest) > (tol if isinstance(tol, float) else 0):
-                violations.append(f"{v.name}={val} not integral")
+        if v.kind in ("integer", "binary") and abs(val - round(val)) > tol:
+            violations.append(f"{v.name}={val} not integral")
     for c in model.constraints:
-        lhs = sum(num(values.get(name, 0)) * coef for name, coef in c.coeffs)
-        rhs = num(c.rhs)
+        lhs = sum(values.get(name, 0) * coef for name, coef in c.coeffs)
+        rhs = c.rhs
         if c.sense == "<=" and lhs > rhs + tol:
             violations.append(f"{c.name}: {lhs} <= {rhs} violated")
         elif c.sense == ">=" and lhs < rhs - tol:
@@ -299,7 +292,7 @@ def check_assignment(model: MilpModel, values, tol: float | Fraction = 0) -> lis
 
 
 def evaluate_objective(model: MilpModel, values):
-    return sum(Fraction(values.get(name, 0)) * coef for name, coef in model.objective)
+    return sum(values.get(name, 0) * coef for name, coef in model.objective)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ from pathlib import Path
 import pytest
 
 from gen import psplib_text, random_dag_instance
-from robust_rcpsp.cli import dispatch
+from robust_rcpsp.cli import main
 
 DATA = Path(__file__).parent / "data"
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
 
 
 def run_cli(capsys, *argv):
-    code = dispatch(list(argv))
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -46,7 +46,7 @@ def test_parse_missing_file_is_domain_error(capsys):
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
-        dispatch(["evaluate"])  # missing required arguments
+        main(["evaluate"])  # missing required arguments
     assert exc.value.code == 2
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -118,6 +119,14 @@ def test_json_keys_are_canonical():
     payload = json.loads(to_json(inst))
     assert list(payload) == ["activities", "nominal", "deviation", "requirements",
                              "capacities", "arcs", "meta"]
+
+
+def test_from_json_cyclic_arcs_is_parse_error():
+    payload = {"nominal": [0, 1, 1, 0], "deviation": [0, 0, 0, 0],
+               "requirements": [[0], [1], [1], [0]], "capacities": [1],
+               "arcs": [[1, 2], [2, 1]]}
+    with pytest.raises(ParseError, match="cyclic precedence relations"):
+        from_json(json.dumps(payload))
 
 
 def test_validation_rejects_bad_instances():

@@ -145,6 +145,22 @@ def test_warm_start_assignment_feasible_all_variants():
                 assert check_assignment(model, assignment) == []
 
 
+def test_check_assignment_compares_solver_floats_within_tol():
+    model = MilpModel(
+        variables=(Variable("x", "continuous", 0, 5), Variable("b", "binary", 0, 1)),
+        constraints=(LinearConstraint("floor", (("x", 1), ("b", 1)), ">=", 2),),
+        objective=(("x", 1),),
+    )
+    assert check_assignment(model, {"x": 1 - 1e-9, "b": 1.0}, tol=1e-6) == []
+    assert check_assignment(model, {"x": 1 - 1e-3, "b": 1.0}, tol=1e-6) == [
+        "floor: 1.999 >= 2 violated"]
+    assert check_assignment(model, {"x": 1.5, "b": 0.5}, tol=1e-6) == ["b=0.5 not integral"]
+    # int and Fraction values stay exact under the default zero tolerance
+    assert check_assignment(model, {"x": 1, "b": 1}) == []
+    assert check_assignment(model, {"x": 1 - Fraction(1, 10**9), "b": 1}) == [
+        "floor: 1999999999/1000000000 >= 2 violated"]
+
+
 def test_warm_start_objective_matches_bound():
     inst = pair_conflict_instance()
     warm = warm_start(inst, 1)
@@ -355,11 +371,14 @@ def test_bridge_leaves_scipy_optimize_and_numpy_unimported(tmp_path):
     script = ("import sys\n"
               "from robust_rcpsp.highs_bridge import solve_lp_file\n"
               f"print(solve_lp_file({str(lp)!r}, {str(tmp_path / 'toy.sol')!r}))\n"
-              "print(sorted(m for m in ('numpy', 'scipy.optimize') if m in sys.modules))\n")
+              "print(sorted(m for m in ('numpy', 'scipy.optimize') if m in sys.modules))\n"
+              "print(sorted(m for m in sys.modules if m.startswith('robust_rcpsp')))\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True).stdout
-    assert out.splitlines() == ["optimal", "[]"]
+    solved, heavy, ours = out.splitlines()
+    assert [solved, heavy] == ["optimal", "[]"]
     assert (tmp_path / "toy.sol").read_text() == "optimal\nx 2\n"
+    assert ours == str(["robust_rcpsp", "robust_rcpsp.errors", "robust_rcpsp.highs_bridge"])
 
 
 def toy_model():
