@@ -5,6 +5,8 @@ keeps closure updates cheap inside the branch-and-bound search.
 """
 from __future__ import annotations
 
+import heapq
+
 from .errors import CyclicGraphError
 
 
@@ -31,8 +33,6 @@ def topological_order(n_nodes, arcs):
     succ = successors(n_nodes, arcs)
     for _, j in arcs:
         indeg[j] += 1
-    import heapq
-
     ready = [v for v in range(n_nodes) if indeg[v] == 0]
     heapq.heapify(ready)
     order = []

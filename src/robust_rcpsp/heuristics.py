@@ -7,20 +7,23 @@ zero-duration activity holds its start bucket and no activity that would
 overload a resource together with it runs across that instant.  Two
 activities the schedule leaves unordered then hold a common bucket, so
 the members of a forbidden set cannot all be unordered: the implied
-selection is sufficient.  Its adversary DP gives the leveled start times
-and the upper bound that seed both the branch-and-bound and the compact
-model.  The earliest starts of the time windows are the DP's level-zero
-column.
+selection is sufficient.  The warm start builds the schedule's order
+once (``network.schedule_order``), reads the selection from it and runs
+the adversary DP kernel over its covering arcs only; that DP gives the
+leveled start times and the upper bound that seed both the
+branch-and-bound and the compact model.  The earliest starts of the
+time windows are the DP's level-zero column.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from ._graph import predecessors, successors, topological_order
-from .adversary import worst_case_makespan_dp
+from ._graph import successors, topological_order
+from .adversary import relax_leveled_rows, worst_case_makespan_dp
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
-from .network import Selection, selection_from_schedule
+from .network import Selection, schedule_order, selection_from_order
 
 
 @dataclass(frozen=True)
@@ -65,44 +68,61 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
 
     Activities become eligible once all predecessors are scheduled; the
     eligible activity with the smallest latest finish (ties by id) is placed
-    at its earliest precedence- and resource-feasible start.
+    at its earliest precedence- and resource-feasible start.  The eligible
+    activities wait in a heap keyed by (latest finish, id), and an activity
+    joins it when its count of unscheduled predecessors reaches zero.
     """
     n_nodes = inst.n_nodes
     durations = inst.nominal_duration
+    capacity = inst.capacity
     horizon = sum(max(d, 1) for d in durations) + 1
     priorities = _latest_finishes(inst, sum(durations))
-    pred = predecessors(n_nodes, inst.precedence)
+    succ = successors(n_nodes, inst.precedence)
+    waiting = [0] * n_nodes  # unscheduled predecessors
+    for _, j in inst.precedence:
+        waiting[j] += 1
     usage = [[0] * horizon for _ in inst.resource_types]
-    start: list[int | None] = [None] * n_nodes
-    start[0] = 0
-    unscheduled = set(range(1, n_nodes))
+    start = [0] * n_nodes
+    earliest = [0] * n_nodes
+    ready = [(priorities[0], 0)]
 
-    while unscheduled:
-        eligible = [j for j in unscheduled if all(start[p] is not None for p in pred[j])]
-        j = min(eligible, key=lambda a: (priorities[a], a))
-        needs = [(k, need) for k, need in enumerate(inst.requirement[j]) if need]
-        t = max((start[p] + durations[p] for p in pred[j]), default=0)
+    while ready:
+        _, j = heapq.heappop(ready)
+        # Each need: (usage profile of its resource, need, headroom beside it).
+        needs = [(usage[k], need, capacity[k] - need)
+                 for k, need in enumerate(inst.requirement[j]) if need]
+        length = max(durations[j], 1)
+        t = earliest[j]
         while True:
-            span = range(t, t + max(durations[j], 1))
-            clash = _first_conflict(inst, usage, needs, span)
+            clash = _conflict(needs, t, t + length)
             if clash is None:
                 break
             t = clash + 1
         start[j] = t
-        for k, need in needs:
-            for u in span:
-                usage[k][u] += need
-        unscheduled.discard(j)
+        for profile, need, _ in needs:
+            for u in range(t, t + length):
+                profile[u] += need
+        finish = t + durations[j]
+        for w in succ[j]:
+            if finish > earliest[w]:
+                earliest[w] = finish
+            waiting[w] -= 1
+            if not waiting[w]:
+                heapq.heappush(ready, (priorities[w], w))
     return tuple(start)
 
 
-def _first_conflict(inst, usage, needs, span):
-    # ``span`` is every bucket the activity holds, its start bucket even at
-    # zero duration; the first one without headroom for a need is returned.
-    for k, need in needs:
-        for u in span:
-            if usage[k][u] + need > inst.capacity[k]:
-                return u
+def _conflict(needs, lo, hi):
+    # Buckets ``lo..hi-1`` are every bucket the activity holds, its start
+    # bucket even at zero duration.  Returns the last one without headroom
+    # for the first need that lacks some; no start up to that bucket can
+    # hold the activity, so the search resumes after it.
+    for profile, _, headroom in needs:
+        if max(profile[lo:hi]) > headroom:
+            u = hi - 1
+            while profile[u] <= headroom:
+                u -= 1
+            return u
     return None
 
 
@@ -130,12 +150,35 @@ def validate_schedule(inst: ProjectInstance, start) -> None:
 
 
 def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
-    """LFT schedule -> selection -> adversary DP: leveled starts and bound."""
+    """LFT schedule -> its order -> adversary DP: leveled starts and bound.
+
+    The selection and the DP's input both come from one ``schedule_order``.
+    The DP runs over its covering arcs only, in schedule order: an arc a
+    longer path implies raises no row, since durations are nonnegative, so
+    the rows are those of the DP over the whole extended network.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
     start = lft_schedule(inst)
-    sel = selection_from_schedule(inst, start)
-    dp = worst_case_makespan_dp(inst, sel, gamma)
-    return WarmStart(selection=sel, start=start, leveled_starts=dp.leveled_starts,
-                     upper_bound=dp.value)
+    order, cut = schedule_order(inst, start)
+    sel = selection_from_order(inst, order, cut)
+    n_nodes = inst.n_nodes
+    # Node order[q] precedes order[cut[q]:].  A successor at position p is
+    # covered when some successor m has cut[m] <= p, so the covering ones
+    # lie before the least cut from cut[q] on: ``least[x] = min(cut[x:])``.
+    least = cut + [n_nodes]
+    for x in reversed(range(n_nodes)):
+        least[x] = min(least[x], least[x + 1])
+    pred = [[] for _ in range(n_nodes)]
+    for i, c in zip(order, cut):
+        for j in order[c:least[c]]:
+            pred[j].append(i)
+    nominal = inst.nominal_duration
+    delayed = [a + d for a, d in zip(nominal, inst.max_deviation)]
+    rows = [[0] * (gamma + 1)] * n_nodes  # one shared row: the kernel copies before it raises
+    relax_leveled_rows(rows, order, -1, pred, nominal, delayed)
+    return WarmStart(selection=sel, start=start, leveled_starts=tuple(map(tuple, rows)),
+                     upper_bound=rows[inst.sink][gamma])
 
 
 def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,

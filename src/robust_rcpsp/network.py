@@ -10,13 +10,18 @@ both extend a closure by one ordered pair of the first unresolved set and
 merge children that reach an already-seen closure.  ``verify_selection``
 checks a finished selection independently, pair by pair, without the
 membership masks.
+
+``schedule_order`` is the one source of the order a schedule implies,
+with its tie rule; ``selection_from_schedule`` and the warm start's DP
+both read it.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 
-from ._graph import add_arc_to_closure, closure_bitsets, reaches
+from ._graph import add_arc_to_closure, closure_bitsets, reaches, topological_order
 from .errors import CapExceeded, CyclicGraphError
 from .instance import ProjectInstance
 
@@ -266,28 +271,44 @@ def branch(closure, member, fset, seen):
         yield i, j, key, resolved
 
 
-def selection_from_schedule(inst: ProjectInstance, start) -> Selection:
-    """Arcs implied by start times under the nominal durations: i before j
+def schedule_order(inst: ProjectInstance, start):
+    """The order start times imply under the nominal durations: i before j
     whenever j starts after i ends.
 
-    Mutually qualifying pairs (possible only between zero-duration
-    activities starting together) keep the arc out of the smaller id, which
-    keeps the result acyclic.
+    Returns ``(order, cut)``.  ``order`` lists the nodes by start time,
+    zero-duration nodes first, then by tie rank: the position in
+    ``topological_order`` of the instance arcs.  Node ``order[q]`` precedes
+    exactly the nodes ``order[cut[q]:]``: those after it that start when
+    it ends or later.  A pair qualifies both ways only between
+    zero-duration nodes starting together; the arc then goes the way of the
+    tie rank, which is the way of any instance arc between them.  Every
+    related pair goes forward in ``order``, so the order is acyclic, and
+    it is transitive.  For start times that respect the instance arcs, it
+    holds every instance arc.
     """
     dur = inst.nominal_duration
-    base = set(inst.precedence)
-    added = set()
-    for i in range(inst.n_nodes):
-        for j in range(inst.n_nodes):
-            if i == j or (i, j) in base:
-                continue
-            if start[j] < start[i] + dur[i]:
-                continue
-            mutual = start[i] >= start[j] + dur[j]
-            if mutual and j < i:
-                continue
-            added.add((i, j))
-    return Selection(frozenset(added))
+    n_nodes = inst.n_nodes
+    rank = [0] * n_nodes
+    for r, v in enumerate(topological_order(n_nodes, inst.precedence)):
+        rank[v] = r
+    order = sorted(range(n_nodes), key=lambda v: (start[v], dur[v] > 0, rank[v]))
+    starts = [start[v] for v in order]
+    cut = [max(q + 1, bisect_left(starts, start[v] + dur[v])) for q, v in enumerate(order)]
+    return order, cut
+
+
+def selection_from_order(inst: ProjectInstance, order, cut) -> Selection:
+    """Every pair a ``schedule_order`` relates that is not an instance arc."""
+    pairs = set()
+    for i, c in zip(order, cut):
+        pairs.update(zip(repeat(i), order[c:]))
+    return Selection(frozenset(pairs.difference(inst.precedence)))
+
+
+def selection_from_schedule(inst: ProjectInstance, start) -> Selection:
+    """Arcs implied by start times under the nominal durations: the
+    selection of their ``schedule_order``."""
+    return selection_from_order(inst, *schedule_order(inst, start))
 
 
 def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSetCatalog,

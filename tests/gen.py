@@ -3,6 +3,7 @@ independent PSPLIB text renderer used to synthesize corpus files."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from robust_rcpsp._graph import closure_bitsets
 from robust_rcpsp.instance import InstanceMeta, ProjectInstance, robustify
@@ -64,6 +65,21 @@ def random_dag_instance(rng: random.Random, n_act, n_res=0, max_dur=9, arc_prob=
         reqs = [()] * n
     inst = make_instance(dur, arcs, reqs, cap, name=f"rand{n_act}")
     return robustify(inst) if robustified else inst
+
+
+def shuffled_ids(rng: random.Random, inst):
+    """The same project with its non-dummy ids permuted, so that instance
+    arcs may run from a higher id to a lower one."""
+    perm = [0] + rng.sample(range(1, inst.sink), inst.n_activities) + [inst.sink]
+    n = inst.n_nodes
+    inv = [0] * n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return replace(inst,
+                   nominal_duration=tuple(inst.nominal_duration[inv[v]] for v in range(n)),
+                   max_deviation=tuple(inst.max_deviation[inv[v]] for v in range(n)),
+                   requirement=tuple(inst.requirement[inv[v]] for v in range(n)),
+                   precedence=tuple((perm[i], perm[j]) for i, j in inst.precedence))
 
 
 def random_selection(rng: random.Random, inst, max_arcs=3):

@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from gen import make_instance, random_dag_instance, random_psplib_instance
+from gen import make_instance, random_dag_instance, random_psplib_instance, shuffled_ids
 from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
+from robust_rcpsp.bench import build_variant
+from robust_rcpsp.bnb import solve_exact
 from robust_rcpsp.errors import InvalidHorizonError
 from robust_rcpsp.heuristics import (
     lft_schedule,
@@ -11,7 +14,14 @@ from robust_rcpsp.heuristics import (
     validate_schedule,
     warm_start,
 )
-from robust_rcpsp.network import Selection, minimal_forbidden_sets, verify_selection
+from robust_rcpsp.instance import robustify
+from robust_rcpsp.milp import check_assignment
+from robust_rcpsp.network import (
+    Selection,
+    minimal_forbidden_sets,
+    selection_from_schedule,
+    verify_selection,
+)
 
 
 def test_unconstrained_schedule_is_earliest_start():
@@ -81,6 +91,76 @@ def test_warm_start_bound_equals_dp_of_selection():
         gamma = rng.randint(0, 3)
         warm = warm_start(inst, gamma)
         assert warm.upper_bound == worst_case_makespan_dp(inst, warm.selection, gamma).value
+
+
+
+def test_zero_duration_tie_follows_the_instance_arc():
+    # zero-duration activities 1 and 2 start together and the instance
+    # orders 2 before 1: the tie goes the instance arc's way, where "smaller
+    # id first" added (1, 2) and made the warm selection cyclic
+    inst = make_instance([0, 0, 0, 0], [(0, 2), (2, 1), (1, 3)])
+    assert selection_from_schedule(inst, (0, 0, 0, 0)).added_arcs == {(0, 1), (0, 3), (2, 3)}
+    warm = warm_start(inst, 1)
+    assert warm.start == (0, 0, 0, 0)
+    assert warm.selection.added_arcs == {(0, 1), (0, 3), (2, 3)}
+    assert warm.upper_bound == 0
+    assert warm.leveled_starts == worst_case_makespan_dp(inst, warm.selection, 1).leveled_starts
+    res = solve_exact(inst, 1)
+    assert (res.status, res.value) == ("optimal", 0)
+    # with resources the two still hold one bucket together, and the warm
+    # assignment routes flows along the instance arc
+    inst = make_instance([0, 0, 0, 0], [(0, 2), (2, 1), (1, 3)],
+                         [(0,), (1,), (2,), (0,)], (3,))
+    for variant in ("warm", "warm+trans"):
+        model, assignment = build_variant(inst, 1, variant)
+        assert check_assignment(model, assignment) == []
+
+def test_warm_table_is_the_dp_table_of_its_selection():
+    rng = random.Random(91)
+    cases = [(robustify(random_psplib_instance(rng, n_act=rng.randint(5, 20))), rng.randint(0, 7))
+             for _ in range(10)]
+    cases += [(shuffled_ids(rng, random_dag_instance(rng, rng.randint(1, 8),
+                                                     n_res=rng.randint(0, 2),
+                                                     max_dur=rng.choice((0, 3, 9)))),
+               rng.randint(0, 4))
+              for _ in range(40)]
+    for inst, gamma in cases:
+        warm = warm_start(inst, gamma)
+        dp = worst_case_makespan_dp(inst, warm.selection, gamma)
+        assert warm.leveled_starts == dp.leveled_starts
+        assert warm.upper_bound == dp.value
+
+
+# SHA-256 of the warm starts of warm_start_pins(), per family.
+PINNED_WARM_SHA256 = {
+    "psplib": "e5ae255a27bfb4f318077552e6b21049d61cfda1f9377b10bf3d1fe84a5c6ade",
+    "zero-dag": "cd5692bf70ec81cf5ce9e09ed684219e7e9fac1e2b922dc44b39fde5118b8167",
+}
+
+
+def warm_start_pins():
+    """(family, warm start) over seeded j10/j20/j30-shaped instances and
+    zero-duration DAGs, each at gamma 0, 3 and 7."""
+    rng = random.Random(2024)
+    for n_act in (10, 20, 30):
+        for _ in range(3):
+            inst = robustify(random_psplib_instance(rng, n_act=n_act))
+            for gamma in (0, 3, 7):
+                yield "psplib", warm_start(inst, gamma)
+    for _ in range(12):
+        inst = random_dag_instance(rng, rng.randint(1, 9), n_res=rng.randint(0, 3), max_dur=0)
+        for gamma in (0, 3, 7):
+            yield "zero-dag", warm_start(inst, gamma)
+
+
+def test_warm_start_is_pinned():
+    records = {family: [] for family in PINNED_WARM_SHA256}
+    for family, warm in warm_start_pins():
+        records[family].append((warm.start, warm.selection.sorted_arcs(),
+                                warm.leveled_starts, warm.upper_bound))
+    for family, recs in records.items():
+        digest = hashlib.sha256(repr(recs).encode()).hexdigest()
+        assert digest == PINNED_WARM_SHA256[family], family
 
 
 def test_leveled_starts_satisfy_recursion_bounds():

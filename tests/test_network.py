@@ -10,9 +10,11 @@ from gen import (
     random_dag_instance,
     random_psplib_instance,
     random_selection,
+    shuffled_ids,
 )
-from robust_rcpsp._graph import closure_bitsets
+from robust_rcpsp._graph import closure_bitsets, topological_order
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
+from robust_rcpsp.heuristics import lft_schedule
 from robust_rcpsp.network import (
     Selection,
     branch,
@@ -209,9 +211,33 @@ def test_unconstrained_earliest_schedule_is_vacuously_sufficient():
 def test_zero_duration_ties_stay_acyclic():
     inst = make_instance([0, 0, 0, 0], [(0, 1), (0, 2), (1, 3), (2, 3)])
     sel = selection_from_schedule(inst, (0, 0, 0, 0))
-    # mutual qualifications keep only the small-to-large direction
+    # mutual qualifications keep only the direction of the tie rank, here
+    # the id order
     assert (1, 2) in sel.added_arcs and (2, 1) not in sel.added_arcs
     closure_relation(inst, sel.added_arcs)  # acyclicity would raise
+
+
+def test_selection_from_schedule_is_the_pairwise_order():
+    # the definition pair by pair: i before j when j starts once i ends,
+    # and two zero-duration activities starting together in the order of
+    # their positions in the topological order of the instance arcs
+    rng = random.Random(77)
+    for _ in range(150):
+        inst = shuffled_ids(rng, random_dag_instance(rng, rng.randint(0, 7), n_res=1,
+                                                     max_dur=rng.choice((0, 1, 3))))
+        rank = {v: r for r, v in enumerate(topological_order(inst.n_nodes, inst.precedence))}
+        dur = inst.nominal_duration
+        nodes = range(inst.n_nodes)
+        for feasible, start in ((True, lft_schedule(inst)),
+                                (False, tuple(rng.randint(0, 4) for _ in nodes))):
+            expected = {(i, j) for i in nodes for j in nodes
+                        if i != j and start[j] >= start[i] + dur[i]
+                        and not (start[i] >= start[j] + dur[j] and rank[j] < rank[i])}
+            sel = selection_from_schedule(inst, start)
+            assert sel.added_arcs == expected - set(inst.precedence)
+            if feasible:  # the order holds every instance arc
+                assert set(inst.precedence) <= expected
+                closure_relation(inst, sel.added_arcs)  # acyclicity would raise
 
 
 # ---------------------------------------------------------------------------
