@@ -307,8 +307,6 @@ def profile_svg(profile: PerformanceProfile, variants=None) -> str:
     t_min, t_max = 1.0, max(taus[-1], 1.0 + 1e-9)
 
     def x(tau):
-        if t_max == t_min:
-            return left
         return left + plot_w * (tau - t_min) / (t_max - t_min)
 
     def y(frac):

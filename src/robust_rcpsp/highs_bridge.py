@@ -101,13 +101,14 @@ def _clean(value):
 
 
 def main(argv):
-    if len(argv) < 2:
+    try:
+        lp_path, sol_path = argv[0], argv[1]
+        time_limit = float(argv[2]) if len(argv) > 2 else 0.0
+    except (IndexError, ValueError):  # too few arguments, or TIME_S not a number
         print(__doc__, file=sys.stderr)
         return 2
-    lp_path, sol_path = argv[0], argv[1]
-    time_limit = float(argv[2]) if len(argv) > 2 and float(argv[2]) > 0 else None
     try:
-        solve_lp_file(lp_path, sol_path, time_limit)
+        solve_lp_file(lp_path, sol_path, time_limit if time_limit > 0 else None)
     except BridgeError as exc:
         print(f"highs_bridge: {exc}", file=sys.stderr)
         return 1

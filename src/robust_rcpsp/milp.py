@@ -22,6 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
+from . import highs_bridge
 from .adversary import worst_case_makespan_dp
 from .errors import BridgeError, InvalidHorizonError
 from .heuristics import TimeWindows, WarmStart
@@ -360,156 +361,16 @@ def _num(x):
     return str(x)
 
 
-def read_lp(text: str) -> MilpModel:
-    """Parse the dialect written by :func:`export_lp` back into a model.
+def read_lp(text: str):
+    """HiGHS's view of LP text: the silent HiGHS solver holding the model
+    that its reader, the one the bridge child runs, builds from ``text``.
 
-    Used for round-trip checks and by the reference bridge; it is not a
-    general LP reader.
+    Needs scipy, whose bundled HiGHS :func:`highs_bridge.read_model` loads.
     """
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    section = None
-    objective = []
-    objective_sense = "min"
-    constraints = []
-    bounds = {}
-    generals = set()
-    binaries = set()
-    names_seen = []
-    names_set = set()
-
-    def note(name):
-        if name not in names_set:
-            names_set.add(name)
-            names_seen.append(name)
-
-    for ln in lines:
-        stripped = ln.strip()
-        if not stripped or stripped.startswith("\\"):
-            continue
-        lowered = stripped.lower()
-        if lowered in ("minimize", "maximize"):
-            section = "objective"
-            objective_sense = "min" if lowered == "minimize" else "max"
-            continue
-        if lowered == "subject to":
-            section = "constraints"
-            continue
-        if lowered == "bounds":
-            section = "bounds"
-            continue
-        if lowered == "generals":
-            section = "generals"
-            continue
-        if lowered == "binaries":
-            section = "binaries"
-            continue
-        if lowered == "end":
-            break
-        if section == "objective":
-            label, terms = _split_labelled(stripped)
-            del label
-            objective = _parse_terms(terms, note)
-        elif section == "constraints":
-            label, rest = _split_labelled(stripped)
-            terms, op, rhs = _split_relation(rest)
-            constraints.append(LinearConstraint(
-                name=label, coeffs=tuple(_parse_terms(terms, note)), sense=op,
-                rhs=_parse_num(rhs)))
-        elif section == "bounds":
-            tokens = stripped.split()
-            name = tokens[0]
-            note(name)
-            op, value = tokens[1], _parse_num(tokens[2])
-            lo, hi = bounds.get(name, (0, None))
-            if op == "=":
-                lo = hi = value
-            elif op == ">=":
-                lo = value
-            elif op == "<=":
-                hi = value
-            bounds[name] = (lo, hi)
-        elif section == "generals":
-            generals.add(stripped)
-            note(stripped)
-        elif section == "binaries":
-            binaries.add(stripped)
-            note(stripped)
-
-    variables = []
-    for name in names_seen:
-        lo, hi = bounds.get(name, (0, None))
-        if name in binaries:
-            kind = "binary"
-            if name not in bounds:
-                lo, hi = 0, 1
-        elif name in generals:
-            kind = "integer"
-        else:
-            kind = "continuous"
-        variables.append(Variable(name=name, kind=kind, lb=lo, ub=hi))
-    return MilpModel(
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        objective=tuple(objective),
-        objective_sense=objective_sense,
-    )
-
-
-def _split_labelled(line):
-    if ":" not in line:
-        raise BridgeError(f"missing label in LP line {line!r}")
-    label, rest = line.split(":", 1)
-    return label.strip(), rest.strip()
-
-
-def _split_relation(text):
-    for op in ("<=", ">=", "="):
-        if f" {op} " in text:
-            lhs, rhs = text.rsplit(f" {op} ", 1)
-            return lhs.strip(), op, rhs.strip()
-    raise BridgeError(f"missing relation in LP constraint {text!r}")
-
-
-def _parse_terms(text, note):
-    tokens = text.split()
-    terms = []
-    sign = 1
-    pending = None
-    for tok in tokens:
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        elif _is_number(tok):
-            pending = _parse_num(tok)
-        else:
-            coef = sign * (pending if pending is not None else 1)
-            if coef != 0:
-                terms.append((tok, coef))
-            note(tok)
-            sign = 1
-            pending = None
-    merged = {}
-    order = []
-    for name, coef in terms:
-        if name not in merged:
-            order.append(name)
-            merged[name] = 0
-        merged[name] += coef
-    return [(name, merged[name]) for name in order if merged[name] != 0]
-
-
-def _is_number(tok):
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
-def _parse_num(tok):
-    f = float(tok)
-    return int(f) if f.is_integer() else f
+    with tempfile.TemporaryDirectory(prefix="robust_rcpsp_") as scratch:
+        path = Path(scratch) / "model.lp"
+        path.write_text(text)
+        return highs_bridge.read_model(path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from gen import psplib_text, random_dag_instance
-from robust_rcpsp import bench, bnb
+from robust_rcpsp import bench, bnb, milp
 from robust_rcpsp.bench import (
     BenchConfig,
     ResultRecord,
@@ -188,6 +188,24 @@ def test_run_experiment_with_bridge(instance_dir):
         pairs.setdefault((r.instance, r.gamma), {})[r.variant] = r.objective
     for values in pairs.values():
         assert values["bnb"] == pytest.approx(values["warm+trans"], abs=1e-6)
+
+
+@pytest.mark.parametrize("objective, bound, gap", [
+    (10.0, 8.0, 20.0),
+    (0.0, 0.0, None),  # no relative gap to a zero objective
+    (10.0, None, None),  # no bound reported
+])
+def test_run_experiment_gap_of_a_feasible_milp(instance_dir, monkeypatch, objective, bound,
+                                               gap):
+    def stopped(model, warm=None, **kwargs):
+        return milp.SolveOutcome(status="feasible", objective=objective, bound=bound)
+
+    monkeypatch.setattr(milp, "solve_external", stopped)
+    config = BenchConfig(instances_dir=str(instance_dir), gammas=(1,), variants=("basic",),
+                         bridge_cmd="never-run {lp}")
+    records = run_experiment(config)
+    assert [(r.status, r.objective, r.bound, r.gap_percent) for r in records] == \
+        [("feasible", objective, bound, gap)] * 2
 
 
 def test_run_experiment_records_error_for_unreadable(tmp_path):

@@ -156,6 +156,17 @@ def test_node_cap_yields_incumbent():
         assert res.best_bound <= full.value <= res.value
 
 
+def test_time_limit_yields_the_warm_incumbent():
+    """A spent time limit stops the search before the first node, with the
+    warm start as incumbent and the root's bound."""
+    inst = robustify(random_psplib_instance(random.Random(7), 20, 4))
+    res = solve_exact(inst, 3, time_limit_s=0)
+    assert (res.status, res.nodes, res.value, res.best_bound) == ("incumbent", 0, 77, 38)
+    assert res.best_bound <= res.value
+    assert verify_selection(inst, res.selection, minimal_forbidden_sets(inst)).sufficient
+    assert worst_case_makespan_dp(inst, res.selection, 3).value == res.value
+
+
 def test_every_result_carries_a_selection():
     """The incumbent always has a selection behind it: the warm start's
     before any node, the optimum's after the search."""

@@ -200,12 +200,52 @@ def test_lp_bounds_contain_fixings():
     assert " S_0_0 = 0" in text.splitlines()
 
 
-def canonical(model):
-    """(rows, columns) keyed by name, for matrix-identity comparisons."""
-    rows = {c.name: (frozenset((n, v) for n, v in c.coeffs if v != 0), c.sense, c.rhs)
-            for c in model.constraints}
-    cols = {v.name: (v.kind, v.lb, v.ub) for v in model.variables}
-    return rows, cols
+def model_view(model):
+    """The model as a reader of its LP text sees it: rows by name as
+    (nonzero (column, coefficient) pairs, lower, upper), columns by name as
+    (integral, lower, upper) and the nonzero objective costs, all floats."""
+    rows = {}
+    for c in model.constraints:
+        rhs = float(c.rhs)
+        lo, hi = {"<=": (-math.inf, rhs), ">=": (rhs, math.inf), "=": (rhs, rhs)}[c.sense]
+        rows[c.name] = (frozenset((n, float(v)) for n, v in c.coeffs if v != 0), lo, hi)
+    cols = {v.name: (v.kind != "continuous", float(v.lb),
+                     math.inf if v.ub is None else float(v.ub))
+            for v in model.variables}
+    costs = {n: float(v) for n, v in model.objective if v != 0}
+    return rows, cols, costs
+
+
+def highs_view(highs):
+    """model_view of the model a HiGHS solver holds.  Each vector of the LP
+    is read once: every attribute access copies it out of HiGHS."""
+    lp = highs.getLp()
+    assert lp.sense_.name == "kMinimize" and lp.offset_ == 0
+    a = lp.a_matrix_
+    assert a.format_.name == "kColwise"
+    names = list(lp.col_names_)
+    start, index, value = list(a.start_), list(a.index_), list(a.value_)
+    terms = [set() for _ in range(lp.num_row_)]
+    for col, name in enumerate(names):
+        for k in range(start[col], start[col + 1]):
+            terms[index[k]].add((name, float(value[k])))
+    rows = {name: (frozenset(t), float(lo), float(hi)) for name, t, lo, hi
+            in zip(lp.row_names_, terms, lp.row_lower_, lp.row_upper_)}
+    assert len(rows) == lp.num_row_ == highs.getNumRow()
+    integral = [kind.name == "kInteger" for kind in lp.integrality_]
+    cols = {name: (i, float(lo), float(hi)) for name, i, lo, hi
+            in zip(names, integral, lp.col_lower_, lp.col_upper_)}
+    assert len(cols) == len(names)
+    costs = {n: float(c) for n, c in zip(names, lp.col_cost_) if c != 0}
+    return rows, cols, costs
+
+
+def assert_read_back(model, text):
+    """read_lp (HiGHS's reader) gives back the model, name by name.  Column
+    order is not compared: HiGHS numbers columns by first appearance."""
+    highs = read_lp(text)
+    assert highs_view(highs) == model_view(model)
+    assert highs.getNumNz() == sum(1 for c in model.constraints for _, v in c.coeffs if v != 0)
 
 
 def test_lp_round_trip_reproduces_matrix():
@@ -218,9 +258,7 @@ def test_lp_round_trip_reproduces_matrix():
                                     transitivity=rng.random() < 0.5,
                                     integral_starts=rng.random() < 0.5))
     for model in models:
-        again = read_lp(export_lp(model))
-        assert canonical(again) == canonical(model)
-        assert tuple(again.objective) == tuple(model.objective)
+        assert_read_back(model, export_lp(model))
 
 
 # SHA-256 of the LP text of every bench variant (``bench.build_variant``:
@@ -239,8 +277,8 @@ PINNED_LP_SHA256 = {
 }
 
 
-def pinned_lp_texts():
-    """(label, variant, LP text) of every entry of PINNED_LP_SHA256."""
+def pinned_lp_models():
+    """(label, variant, model) of every entry of PINNED_LP_SHA256."""
     cases = {
         "psplib12": (robustify(random_psplib_instance(random.Random(6), n_act=12, n_res=4)), 3),
         "diamond": (counterexample_instance(), 1),
@@ -248,31 +286,20 @@ def pinned_lp_texts():
     for label, (inst, gamma) in cases.items():
         for variant in MILP_VARIANTS:
             model, _ = build_variant(inst, gamma, variant)
-            yield label, variant, export_lp(model)
+            yield label, variant, model
 
 
 def test_lp_text_is_pinned():
-    for label, variant, text in pinned_lp_texts():
-        digest = hashlib.sha256(text.encode()).hexdigest()
+    for label, variant, model in pinned_lp_models():
+        digest = hashlib.sha256(export_lp(model).encode()).hexdigest()
         assert digest == PINNED_LP_SHA256[label, variant], (label, variant)
 
 
-def test_highs_reads_the_pinned_lp_texts_like_read_lp(tmp_path):
-    """The bridge hands the LP file to HiGHS's reader: it must see the model
-    read_lp sees, column for column."""
-    for label, variant, text in pinned_lp_texts():
-        path = tmp_path / f"{label}-{variant}.lp"
-        path.write_text(text)
-        ours, highs = read_lp(text), highs_bridge.read_model(path)
-        lp = highs.getLp()
-        assert list(lp.col_names_) == [v.name for v in ours.variables], (label, variant)
-        assert list(lp.col_lower_) == [float(v.lb) for v in ours.variables]
-        assert list(lp.col_upper_) == [math.inf if v.ub is None else float(v.ub)
-                                       for v in ours.variables]
-        integral = [kind.name == "kInteger" for kind in lp.integrality_]
-        assert integral == [v.kind != "continuous" for v in ours.variables]
-        assert highs.getNumRow() == len(ours.constraints)
-        assert highs.getNumNz() == sum(len(c.coeffs) for c in ours.constraints)
+def test_highs_reads_the_pinned_lp_texts_like_read_lp():
+    """The bridge hands the LP file to HiGHS's reader, which read_lp runs:
+    it must see the in-memory model of every pinned text."""
+    for _, _, model in pinned_lp_models():
+        assert_read_back(model, export_lp(model))
 
 
 def test_lp_round_trip_of_non_int_values():
@@ -293,10 +320,7 @@ def test_lp_round_trip_of_non_int_values():
     text = export_lp(model)
     assert " half: - x + 0.5 y <= 3" in text.splitlines()
     assert " whole: 2 y - 2 x = 2" in text.splitlines()
-    again = read_lp(text)
-    assert again.constraints == model.constraints
-    assert again.objective == model.objective
-    assert {v.name: v for v in again.variables} == {v.name: v for v in model.variables}
+    assert_read_back(model, text)
 
 
 def test_rows_and_columns_are_immutable_named_records():
@@ -364,6 +388,15 @@ def test_bridge_without_scipy_exits_1(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "toy.sol").exists()
 
 
+def test_bridge_usage_errors_exit_2(tmp_path, capsys):
+    lp, sol = tmp_path / "toy.lp", tmp_path / "toy.sol"
+    lp.write_text(export_lp(toy_model()))
+    for argv in ([], [str(lp)], [str(lp), str(sol), "abc"]):
+        assert highs_bridge.main(argv) == 2, argv
+        assert "Usage:" in capsys.readouterr().err
+    assert not sol.exists()
+
+
 def test_bridge_leaves_scipy_optimize_and_numpy_unimported(tmp_path):
     """The solver child loads the HiGHS core alone: no scipy.optimize, no numpy."""
     lp = tmp_path / "toy.lp"
@@ -424,6 +457,22 @@ def test_bridge_removes_its_temporary_directory(tmp_path, monkeypatch):
     failed = solve_external(toy_model(), command=f"{tmp_path / 'no_such_solver'} {{lp}}")
     assert failed.status == "error"
     assert "failed to launch" in failed.message
+    assert list(tmp_path.glob("robust_rcpsp_*")) == []
+
+
+def test_bridge_overrunning_its_grace_period_is_timeout(tmp_path, monkeypatch):
+    grace = []
+
+    def overrun(cmd, *, timeout, **kwargs):
+        grace.append(timeout)
+        raise subprocess.TimeoutExpired(cmd, timeout)
+
+    monkeypatch.setattr(subprocess, "run", overrun)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    outcome = solve_external(toy_model(), command=BRIDGE, time_limit_s=1)
+    assert outcome.status == "timeout"
+    assert (outcome.objective, outcome.values) == (None, {})
+    assert grace == [61]
     assert list(tmp_path.glob("robust_rcpsp_*")) == []
 
 
