@@ -10,10 +10,11 @@ recursion.  The same rows are the leveled start times of the compact model
 (the time windows), and the branch-and-bound raises them incrementally as
 it adds arcs.
 
-Also houses the fractional-certificate checker for the single-level
-linearized adversary model and the Ghouila-Houri refutation of its total
-unimodularity, including the three-activity diamond example on which a
-fractional flow strictly beats every integral delay choice.
+Also houses the single-level linearized adversary model as one labelled
+constraint matrix, the fractional-certificate checker that evaluates its
+rows, and the Ghouila-Houri refutation of its total unimodularity,
+including the three-activity diamond example on which a fractional flow
+strictly beats every integral delay choice.
 """
 from __future__ import annotations
 
@@ -206,59 +207,40 @@ class CertificateCheck:
 
 def check_fractional_certificate(inst: ProjectInstance, sel: Selection, gamma: int,
                                  cert: FractionalCertificate) -> CertificateCheck:
-    """Exact feasibility check of a certificate over the extension arcs.
+    """Exact feasibility check of a certificate against the rows of
+    ``build_adversary_constraint_matrix`` and the nonnegativity of its
+    columns.
 
     Flows on absent arcs are fixed to zero by the precondition, so the
-    certificate may only index arcs of the extended network.
+    certificate may only index arcs of the extended network.  A cyclic
+    extension raises ``CyclicGraphError``, as in the DP.
     """
-    arcs = set(extended_arcs(inst, sel))
+    matrix = build_adversary_constraint_matrix(inst, sel, gamma)
+    arcs = matrix.arcs
+    arc_set = set(arcs)
     for key in list(cert.alpha) + list(cert.w):
-        if key not in arcs:
+        if key not in arc_set:
             raise ValueError(f"certificate indexes arc {key} outside the extended network")
     for i in cert.delta:
         if not 0 <= i < inst.n_nodes:
             raise ValueError(f"certificate indexes unknown activity {i}")
 
-    alpha = {a: cert.alpha.get(a, Fraction(0)) for a in arcs}
-    w = {a: cert.w.get(a, Fraction(0)) for a in arcs}
-    delta = {i: cert.delta.get(i, Fraction(0)) for i in range(inst.n_nodes)}
-    sink = inst.sink
-    violations = []
-
-    for (i, j), v in alpha.items():
-        if not 0 <= v <= 1:
-            violations.append(f"alpha[{i},{j}]={v} outside [0, 1]")
-    for (i, j), v in w.items():
-        if v < 0:
-            violations.append(f"w[{i},{j}]={v} negative")
-    for i, v in delta.items():
-        if not 0 <= v <= 1:
-            violations.append(f"delta[{i}]={v} outside [0, 1]")
-
-    for node in range(1, sink):
-        inflow = sum(v for (i, j), v in alpha.items() if j == node)
-        outflow = sum(v for (i, j), v in alpha.items() if i == node)
-        if inflow != outflow:
-            violations.append(f"flow not conserved at activity {node}: {inflow} in, {outflow} out")
-    source_out = sum(v for (i, _), v in alpha.items() if i == 0)
-    if source_out != 1:
-        violations.append(f"source outflow {source_out} != 1")
-    sink_in = sum(v for (_, j), v in alpha.items() if j == sink)
-    if sink_in != 1:
-        violations.append(f"sink inflow {sink_in} != 1")
-    for (i, j), v in w.items():
-        if v > delta[i]:
-            violations.append(f"w[{i},{j}]={v} exceeds delta[{i}]={delta[i]}")
-        if v > alpha[(i, j)]:
-            violations.append(f"w[{i},{j}]={v} exceeds alpha[{i},{j}]={alpha[(i, j)]}")
-    total_delay = sum(delta.values())
-    if total_delay > gamma:
-        violations.append(f"total delay {total_delay} exceeds budget {gamma}")
+    zero = Fraction(0)
+    alpha = [cert.alpha.get(a, zero) for a in arcs]
+    w = [cert.w.get(a, zero) for a in arcs]
+    x = alpha + w + [cert.delta.get(v, zero) for v in range(inst.n_nodes)]
+    violations = [f"{label}={v} negative"
+                  for label, v in zip(matrix.column_labels, x) if v < 0]
+    for label, row, sense, rhs in zip(matrix.row_labels, matrix.entries,
+                                      matrix.senses, matrix.rhs):
+        lhs = sum(c * v for c, v in zip(row, x) if c)
+        if (lhs != rhs) if sense == "=" else (lhs > rhs):
+            violations.append(f"{label}: {lhs} {sense} {rhs} violated")
 
     objective = sum(
-        (inst.nominal_duration[i] * alpha[(i, j)] + inst.max_deviation[i] * w[(i, j)]
-         for (i, j) in arcs),
-        Fraction(0),
+        (inst.nominal_duration[i] * a + inst.max_deviation[i] * b
+         for (i, _), a, b in zip(arcs, alpha, w)),
+        zero,
     )
     return CertificateCheck(feasible=not violations, objective=objective,
                             violations=tuple(violations))
@@ -313,15 +295,24 @@ def counterexample_certificate() -> FractionalCertificate:
 
 @dataclass(frozen=True)
 class AdversaryMatrix:
-    """Single-level adversary constraint matrix with labelled row groups.
+    """Single-level linearized adversary as labelled rows over columns
+    x >= 0: row r reads ``entries[r] . x  senses[r]  rhs[r]``, with
+    ``senses[r]`` one of ``"="`` and ``"<="``.
 
-    Row order: flow conservation at internal activities (by id), source,
-    sink; then per-arc w <= delta rows; per-arc w <= alpha rows; the budget
-    row; and per-activity delta upper bounds.  Columns: alpha block, w
-    block, delta block, each lexicographic.
+    Row order: flow conservation at internal activities (by id, ``= 0``),
+    ``source`` and ``sink`` (``= 1``); then per-arc w <= delta rows and
+    per-arc w <= alpha rows (``<= 0``); the ``budget`` row (``<= gamma``);
+    and per-activity delta upper bounds (``<= 1``).  Columns: alpha block,
+    w block, delta block, each in arc order or by id.
+
+    No row bounds alpha by 1: a nonnegative unit flow on an acyclic
+    network carries at most 1 on every arc, and the builder rejects
+    cyclic extensions.
     """
 
     entries: tuple[tuple[int, ...], ...]
+    senses: tuple[str, ...]
+    rhs: tuple[int, ...]
     row_labels: tuple[str, ...]
     column_labels: tuple[str, ...]
     groups: dict = field(hash=False)
@@ -343,74 +334,45 @@ class TuVerdict:
 
 def build_adversary_constraint_matrix(inst: ProjectInstance, sel: Selection,
                                       gamma: int) -> AdversaryMatrix:
+    """The rows of the linearized adversary over the extended network of
+    ``sel``, with ``gamma`` as the budget; raises ``CyclicGraphError`` on a
+    cyclic extension."""
     arcs = extended_arcs(inst, sel)
     topological_order(inst.n_nodes, arcs)
     n_nodes = inst.n_nodes
     sink = inst.sink
     n_arcs = len(arcs)
-    arc_index = {a: idx for idx, a in enumerate(arcs)}
-    n_cols = 2 * n_arcs + n_nodes
     col_w = n_arcs
     col_d = 2 * n_arcs
+    n_cols = col_d + n_nodes
 
-    rows = []
-    labels = []
+    spec = []
+    bounds = [0]
 
-    def blank():
-        return [0] * n_cols
+    def add(label, terms, sense, rhs):
+        row = [0] * n_cols
+        for col, coef in terms:
+            row[col] += coef
+        spec.append((label, tuple(row), sense, rhs))
 
     for node in range(1, sink):
-        row = blank()
-        for (i, j), idx in arc_index.items():
-            if j == node:
-                row[idx] += 1
-            if i == node:
-                row[idx] -= 1
-        rows.append(row)
-        labels.append(f"flow_{node}")
-    row = blank()
-    for (i, _), idx in arc_index.items():
-        if i == 0:
-            row[idx] = 1
-    rows.append(row)
-    labels.append("source")
-    row = blank()
-    for (_, j), idx in arc_index.items():
-        if j == sink:
-            row[idx] = 1
-    rows.append(row)
-    labels.append("sink")
-    group1 = (0, len(rows))
-
-    for (i, j), idx in arc_index.items():
-        row = blank()
-        row[col_w + idx] = 1
-        row[col_d + i] = -1
-        rows.append(row)
-        labels.append(f"wle_d_{i}_{j}")
-    group2 = (group1[1], len(rows))
-
-    for (i, j), idx in arc_index.items():
-        row = blank()
-        row[idx] = -1
-        row[col_w + idx] = 1
-        rows.append(row)
-        labels.append(f"wle_a_{i}_{j}")
-    group3 = (group2[1], len(rows))
-
-    row = blank()
+        add(f"flow_{node}", [(idx, (j == node) - (i == node)) for idx, (i, j) in enumerate(arcs)],
+            "=", 0)
+    add("source", [(idx, 1) for idx, (i, _) in enumerate(arcs) if i == 0], "=", 1)
+    add("sink", [(idx, 1) for idx, (_, j) in enumerate(arcs) if j == sink], "=", 1)
+    bounds.append(len(spec))
+    for idx, (i, j) in enumerate(arcs):
+        add(f"wle_d_{i}_{j}", [(col_w + idx, 1), (col_d + i, -1)], "<=", 0)
+    bounds.append(len(spec))
+    for idx, (i, j) in enumerate(arcs):
+        add(f"wle_a_{i}_{j}", [(idx, -1), (col_w + idx, 1)], "<=", 0)
+    bounds.append(len(spec))
+    add("budget", [(col_d + node, 1) for node in range(n_nodes)], "<=", gamma)
+    bounds.append(len(spec))
     for node in range(n_nodes):
-        row[col_d + node] = 1
-    rows.append(row)
-    labels.append("budget")
-    group4 = (group3[1], len(rows))
-
-    for node in range(n_nodes):
-        row = blank()
-        row[col_d + node] = 1
-        rows.append(row)
-        labels.append(f"dub_{node}")
-    group5 = (group4[1], len(rows))
+        add(f"dub_{node}", [(col_d + node, 1)], "<=", 1)
+    bounds.append(len(spec))
+    labels, rows, senses, rhs = zip(*spec)
 
     columns = (
         [f"a_{i}_{j}" for i, j in arcs]
@@ -418,11 +380,12 @@ def build_adversary_constraint_matrix(inst: ProjectInstance, sel: Selection,
         + [f"d_{v}" for v in range(n_nodes)]
     )
     return AdversaryMatrix(
-        entries=tuple(tuple(r) for r in rows),
-        row_labels=tuple(labels),
+        entries=rows,
+        senses=senses,
+        rhs=rhs,
+        row_labels=labels,
         column_labels=tuple(columns),
-        groups={"group1": group1, "group2": group2, "group3": group3,
-                "group4": group4, "group5": group5},
+        groups={f"group{g}": (bounds[g - 1], bounds[g]) for g in range(1, 6)},
         arcs=arcs,
         n_nodes=n_nodes,
     )
@@ -442,13 +405,7 @@ def refutation_row_subset(matrix: AdversaryMatrix) -> tuple[int, ...]:
     if branch is None:
         raise ValueError("no activity with two outgoing arcs; witness unavailable")
     arc_a, arc_b = sorted(out[branch])[:2]
-    sink = matrix.n_nodes - 1
-    if branch == 0:
-        g1_row = matrix.row_labels.index("source")
-    elif branch == sink:  # pragma: no cover - sink has no outgoing arcs
-        g1_row = matrix.row_labels.index("sink")
-    else:
-        g1_row = matrix.row_labels.index(f"flow_{branch}")
+    g1_row = matrix.row_labels.index("source" if branch == 0 else f"flow_{branch}")
     rows = [
         g1_row,
         matrix.row_labels.index(f"wle_d_{arc_a[0]}_{arc_a[1]}"),

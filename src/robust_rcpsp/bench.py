@@ -74,18 +74,19 @@ class PerformanceProfile:
 
 
 def run_experiment(config: BenchConfig) -> list[ResultRecord]:
-    """Solve every (instance, gamma, variant) combination of the config."""
+    """Solve every (instance, gamma, variant) combination of the config on
+    a pool of ``config.workers`` threads; raises ``ValueError`` when the
+    instance directory holds no ``.sm`` file."""
     for v in config.variants:
         if v not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {v!r}; expected one of {ALL_VARIANTS}")
     files = sorted(Path(config.instances_dir).glob("*.sm"))
+    if not files:
+        raise ValueError(f"no .sm instances in {config.instances_dir}")
     tasks = [(path, gamma, variant)
              for path in files for gamma in config.gammas for variant in config.variants]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(lambda t: _solve_one(config, *t), tasks))
-    else:
-        records = [_solve_one(config, *t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        records = list(pool.map(lambda t: _solve_one(config, *t), tasks))
     records.sort(key=lambda r: (r.instance, r.gamma, r.variant))
     return records
 
@@ -358,7 +359,7 @@ def write_outputs(records, out_dir, variants=None) -> dict:
     }
     paths["results"].write_text(results_to_csv(records))
     profiled = [r for r in records if r.status != "skipped"]
-    profile = performance_profile(profiled, variants) if profiled else PerformanceProfile((), {}, 2.0)
+    profile = performance_profile(profiled, variants)
     paths["profile"].write_text(profile_to_csv(profile, variants))
     paths["svg"].write_text(profile_svg(profile, variants))
     paths["summary"].write_text(summary_to_csv(summarize(records)))

@@ -32,8 +32,8 @@ class ProjectInstance:
 
     Activities are 0..n+1 where 0 and n+1 are zero-duration dummies with no
     resource usage.  Every activity is reachable from the source and reaches
-    the sink; the precedence graph is acyclic.  Violations raise ValueError
-    at construction time.
+    the sink; the precedence graph is acyclic.  Every entry is an integer.
+    Violations raise ValueError at construction time.
     """
 
     nominal_duration: tuple[int, ...]
@@ -45,13 +45,11 @@ class ProjectInstance:
     robustified: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "nominal_duration", tuple(int(d) for d in self.nominal_duration))
-        object.__setattr__(self, "max_deviation", tuple(int(d) for d in self.max_deviation))
-        object.__setattr__(self, "requirement", tuple(tuple(int(r) for r in row) for row in self.requirement))
-        object.__setattr__(self, "capacity", tuple(int(c) for c in self.capacity))
-        object.__setattr__(
-            self, "precedence", tuple(sorted({(int(i), int(j)) for i, j in self.precedence}))
-        )
+        object.__setattr__(self, "nominal_duration", _ints(self.nominal_duration))
+        object.__setattr__(self, "max_deviation", _ints(self.max_deviation))
+        object.__setattr__(self, "requirement", tuple(map(_ints, self.requirement)))
+        object.__setattr__(self, "capacity", _ints(self.capacity))
+        object.__setattr__(self, "precedence", tuple(sorted(set(map(_ints, self.precedence)))))
         _validate(self)
 
     @property
@@ -77,6 +75,17 @@ class ProjectInstance:
 
     def worst_case_duration(self, i):
         return self.nominal_duration[i] + self.max_deviation[i]
+
+
+def _ints(values):
+    """``values`` as a tuple of ints; a value that ``int()`` would change,
+    such as 2.7, raises ValueError instead of being truncated."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if v != i)
+        raise ValueError(f"{bad!r} is not an integer")
+    return ints
 
 
 def _validate(inst: ProjectInstance):
@@ -182,10 +191,9 @@ def parse_psplib(text: str, *, name: str = "", source_path: str = "") -> Project
                 raise ParseError(f"job {job} references unknown successor {s}",
                                  line=lineno, section="PRECEDENCE RELATIONS")
         successors[job] = succ
-    if len(successors) != n_jobs:
-        raise ParseError(f"precedence table lists {len(successors)} of {n_jobs} jobs",
-                         section="PRECEDENCE RELATIONS")
 
+    # _table_rows returns n_jobs rows and every job number is checked to be
+    # new and in range, so each table lists every job.
     durations = [None] * n_jobs
     requirements = [None] * n_jobs
     for lineno, ints in req_rows:
@@ -201,9 +209,6 @@ def parse_psplib(text: str, *, name: str = "", source_path: str = "") -> Project
                              line=lineno, section="REQUESTS/DURATIONS")
         durations[job - 1] = dur
         requirements[job - 1] = tuple(ints[3:])
-    if any(d is None for d in durations):
-        raise ParseError("requests/durations table is incomplete",
-                         section="REQUESTS/DURATIONS")
 
     arcs = []
     for job, succ in successors.items():
@@ -346,5 +351,5 @@ def from_json(text: str) -> ProjectInstance:
             meta=meta,
             robustified=any(d > 0 for d in deviation),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ParseError(f"invalid instance payload: {exc}", section="json") from exc

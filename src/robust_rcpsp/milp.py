@@ -60,8 +60,7 @@ class LinearConstraint(NamedTuple):
 class MilpModel:
     variables: tuple[Variable, ...]
     constraints: tuple[LinearConstraint, ...]
-    objective: tuple[tuple[str, int], ...]
-    objective_sense: str = "min"
+    objective: tuple[tuple[str, int], ...]  # minimized
 
 
 def default_big_m(inst: ProjectInstance) -> int:
@@ -180,7 +179,6 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
         variables=tuple(variables),
         constraints=tuple(rows),
         objective=((S[sink][gamma], 1),),
-        objective_sense="min",
     )
 
 
@@ -302,11 +300,7 @@ def evaluate_objective(model: MilpModel, values):
 
 def export_lp(model: MilpModel) -> str:
     """Standard LP format with deterministic row and variable order."""
-    out = []
-    sense = "Minimize" if model.objective_sense == "min" else "Maximize"
-    out.append(sense)
-    out.append(f" obj: {_render_terms(model.objective)}")
-    out.append("Subject To")
+    out = ["Minimize", f" obj: {_render_terms(model.objective)}", "Subject To"]
     for name, coeffs, sense, rhs in model.constraints:
         body = _render_terms(coeffs) if coeffs else f"0 {model.variables[0].name}"
         out.append(f" {name}: {body} {sense} {rhs if type(rhs) is int else _num(rhs)}")

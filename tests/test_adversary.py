@@ -149,7 +149,7 @@ def test_all_zero_certificate_infeasible():
     cert = FractionalCertificate(alpha={}, w={}, delta={})
     check = check_fractional_certificate(inst, EMPTY, 1, cert)
     assert not check.feasible
-    assert any("source outflow" in v for v in check.violations)
+    assert "source: 0 = 1 violated" in check.violations
 
 
 def test_integral_path_certificate_value_three():
@@ -174,6 +174,58 @@ def test_certificate_budget_violation_detected():
     check = check_fractional_certificate(inst, EMPTY, 0, cert)
     assert not check.feasible
     assert any("budget" in v for v in check.violations)
+
+
+def test_cyclic_certificate_raises():
+    # the checker evaluates the matrix rows, so a cyclic extension is
+    # rejected as in the DP and the matrix builder
+    inst = counterexample_instance()
+    cyclic = Selection.from_pairs([(3, 2), (2, 3)])
+    with pytest.raises(CyclicGraphError):
+        check_fractional_certificate(inst, cyclic, 1, counterexample_certificate())
+
+
+def _diamond_edit(alpha=(), w=(), delta=()):
+    cert = counterexample_certificate()
+    cert.alpha.update(alpha)
+    cert.w.update(w)
+    cert.delta.update(delta)
+    return cert
+
+
+half, quarter = Fraction(1, 2), Fraction(1, 4)
+
+
+@pytest.mark.parametrize("gamma, cert, violations", [
+    # one edit per row group.  Every arc enters two of the flow, source and
+    # sink rows, so an edit of alpha that keeps the rest feasible breaks two
+    # of them.
+    (1, _diamond_edit(alpha={(1, 2): Fraction(3, 4)}),
+     ("flow_1: -1/4 = 0 violated", "flow_2: 1/4 = 0 violated")),
+    (1, _diamond_edit(alpha={(0, 1): Fraction(3, 4)}),
+     ("flow_1: -1/4 = 0 violated", "source: 3/4 = 1 violated")),
+    (1, _diamond_edit(alpha={(2, 4): Fraction(1)}),
+     ("flow_2: -1/2 = 0 violated", "sink: 3/2 = 1 violated")),
+    (1, _diamond_edit(w={(2, 4): half}), ("wle_d_2_4: 1/4 <= 0 violated",)),
+    (2, _diamond_edit(delta={2: Fraction(1)}, w={(2, 4): Fraction(3, 4)}),
+     ("wle_a_2_4: 1/4 <= 0 violated",)),
+    (0, counterexample_certificate(), ("budget: 1 <= 0 violated",)),
+    (3, _diamond_edit(delta={4: Fraction(3, 2)}), ("dub_4: 3/2 <= 1 violated",)),
+    # one edit per column block.  A negative flow must run along a whole
+    # path, and w <= alpha then makes its w negative too.
+    (1, _diamond_edit(alpha={(1, 2): -half, (1, 3): Fraction(3, 2), (2, 4): -half,
+                             (3, 4): Fraction(3, 2)},
+                      w={(1, 2): -half, (2, 4): -half}),
+     ("a_1_2=-1/2 negative", "a_2_4=-1/2 negative",
+      "w_1_2=-1/2 negative", "w_2_4=-1/2 negative")),
+    (1, _diamond_edit(w={(0, 1): -quarter}), ("w_0_1=-1/4 negative",)),
+    (1, _diamond_edit(delta={4: -quarter}), ("d_4=-1/4 negative",)),
+], ids=["flow", "source", "sink", "wle_d", "wle_a", "budget", "dub",
+        "alpha_negative", "w_negative", "delta_negative"])
+def test_each_broken_constraint_is_reported(gamma, cert, violations):
+    check = check_fractional_certificate(counterexample_instance(), EMPTY, gamma, cert)
+    assert not check.feasible
+    assert check.violations == violations
 
 
 def test_path_certificates_never_beat_dp():

@@ -258,6 +258,27 @@ def test_write_outputs(instance_dir, tmp_path):
     assert header == "instance,gamma,variant,status,objective,bound,gap_percent,time_s"
 
 
+def test_write_outputs_of_an_all_skipped_run(instance_dir, tmp_path):
+    config = BenchConfig(instances_dir=str(instance_dir), gammas=(1,), variants=("basic",))
+    records = run_experiment(config)
+    assert {r.status for r in records} == {"skipped"}
+    paths = write_outputs(records, tmp_path / "out", config.variants)
+    assert all(path.exists() for path in paths.values())
+    assert paths["profile"].read_text().splitlines() == ["tau,rho_basic"]
+
+
+def test_run_experiment_rejects_a_directory_without_instances(tmp_path):
+    config = BenchConfig(instances_dir=str(tmp_path), variants=("bnb",))
+    with pytest.raises(ValueError, match="no .sm instances in"):
+        run_experiment(config)
+
+
+def test_run_experiment_needs_a_worker(instance_dir):
+    config = BenchConfig(instances_dir=str(instance_dir), variants=("bnb",), workers=0)
+    with pytest.raises(ValueError, match="max_workers"):
+        run_experiment(config)
+
+
 def test_config_from_json():
     config = BenchConfig.from_json(json.dumps({
         "instances_dir": "inst", "gammas": [3, 5, 7], "variants": ["bnb"],

@@ -157,6 +157,15 @@ def test_bench_and_profile_commands(capsys, tmp_path):
     assert svg_path.exists()
 
 
+def test_bench_without_instances_exits_1(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instances_dir": str(tmp_path / "empty")}))
+    code, out, err = run_cli(capsys, "bench", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert "no .sm instances in" in err
+
+
 def test_verify_counterexample(capsys):
     code, out, _ = run_cli(capsys, "verify", "counterexample")
     assert code == 0

@@ -88,6 +88,35 @@ def test_parse_rejects_multi_mode():
         parse_psplib(broken)
 
 
+@pytest.mark.parametrize("lineno, text, section, line", [
+    (6, "jobs (incl. supersource/sink ):  1", "header", None),
+    (6, "jobs (incl. supersource/sink ):", "header", 6),
+    (9, "  - renewable                 :  x   R", "header", 9),
+    (23, None, "PRECEDENCE RELATIONS", None),
+    (23, "   5        1", "PRECEDENCE RELATIONS", 23),
+    (19, "   1        1          3           2   3", "PRECEDENCE RELATIONS", 19),
+    (20, "   1        1          1           4", "PRECEDENCE RELATIONS", 20),
+    (19, "   9        1          2           2   3", "PRECEDENCE RELATIONS", 19),
+    (29, "  2      1     4       2   1", "REQUESTS/DURATIONS", 29),
+    (29, "  1      1     4       2", "REQUESTS/DURATIONS", 29),
+    (28, "  9      1     0       0", "REQUESTS/DURATIONS", 28),
+    (29, "  2      2     4       2", "REQUESTS/DURATIONS", 29),
+    (36, "    3   4", "RESOURCEAVAILABILITIES", 36),
+    (36, None, "RESOURCEAVAILABILITIES", None),
+], ids=["one-job", "header-no-value", "header-not-int", "precedence-too-few-rows",
+        "precedence-short-row", "successor-count", "precedence-duplicate-job",
+        "precedence-unknown-job", "request-width", "requests-duplicate-job",
+        "requests-unknown-job", "requests-mode", "capacity-count", "capacity-missing"])
+def test_parse_error_names_section_and_line(lineno, text, section, line):
+    # one edit of toy5.sm: line ``lineno`` replaced by ``text``, or deleted
+    lines = (DATA / "toy5.sm").read_text().splitlines()
+    lines[lineno - 1:lineno] = [] if text is None else [text]
+    with pytest.raises(ParseError) as err:
+        parse_psplib("\n".join(lines))
+    assert err.value.section == section
+    assert err.value.line == line
+
+
 def test_robustify_rule_and_flag():
     inst = parse_psplib((DATA / "toy5.sm").read_text())
     robust = robustify(inst)
@@ -127,6 +156,19 @@ def test_from_json_cyclic_arcs_is_parse_error():
                "arcs": [[1, 2], [2, 1]]}
     with pytest.raises(ParseError, match="cyclic precedence relations"):
         from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("nominal", 1, 2.7), ("deviation", 1, 1.5), ("requirements", 1, [1.9]),
+    ("capacities", 0, 2.5), ("arcs", 0, [0, 1.9]), ("nominal", 1, float("inf")),
+])
+def test_from_json_rejects_non_integers(key, index, value):
+    # int() would truncate each finite one of these to a valid toy5 instance
+    payload = json.loads(to_json(robustify(parse_psplib((DATA / "toy5.sm").read_text()))))
+    payload[key][index] = value
+    with pytest.raises(ParseError, match="integer") as err:
+        from_json(json.dumps(payload))
+    assert err.value.section == "json"
 
 
 def test_validation_rejects_bad_instances():
