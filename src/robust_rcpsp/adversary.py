@@ -7,8 +7,8 @@ costs the nominal duration of the tail activity, moving up one level costs
 its worst-case duration.  ``relax_leveled_rows`` is the one kernel for that
 recursion.  The same rows are the leveled start times of the compact model
 (the warm start), their level-zero column is the nominal earliest start
-(the time windows), and the branch-and-bound raises them incrementally as
-it adds arcs.
+(the time windows), and the branch-and-bound raises them, and the tail
+rows the kernel gives on successor lists, incrementally as it adds arcs.
 
 Also houses the single-level linearized adversary model as one labelled
 constraint matrix, the fractional-certificate checker that evaluates its
@@ -56,6 +56,12 @@ def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
     ``order`` must be topological.  A row is copied once before it is
     raised, so rows shared with other tables are never written; a node
     whose row rises becomes dirty for the nodes after it.
+
+    Run on successor lists, in an order where every node comes after its
+    successors, the sink plays the source: ``rows[j][g]`` becomes the
+    longest path from the finish of ``j`` to the sink with at most ``g``
+    delays (the branch-and-bound's tail rows).  Every activity reaches the
+    sink, so the same zero start holds no unreachable state.
     """
     for j in order:
         old = rows[j]

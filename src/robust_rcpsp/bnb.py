@@ -17,15 +17,28 @@ acyclic graph), so a child costs a few big-int operations per activity
 rather than a pair scan of every open set.  The branching set is the lowest
 unresolved index.
 
-Every bound comes from the adversary DP's leveled rows.  The root takes
-its rows and bound from one ``worst_case_makespan_dp`` call.  Each node
-keeps its predecessor lists (the parent's plus ``i`` appended to ``j``'s)
-and its rows; a child raises, with ``relax_leveled_rows``, only the rows of
-``j`` and its descendants, in the order the closure gives (an activity
-reaches strictly more activities than each of its descendants), starting
-from ``i`` as the one dirty predecessor.  Adding an arc only lengthens
-paths, so no other row can change.  The predecessors appended after the
-root's are the node's added arcs, so a leaf's selection is read from them.
+Every bound is the adversary DP's value, read from two tables of leveled
+rows that an expanded node keeps: head rows W (``rows[v][g]``, the longest
+path from the source to the start of ``v`` with at most ``g`` delays) and
+tail rows T (``tails[v][g]``, from the finish of ``v`` to the sink).  A
+longest path of the child with arc (i, j) either avoids the arc, and is no
+longer than the node's bound, or uses it once, so ``arc_bound`` gives the
+child's exact DP value in O(gamma) from ``W(i, .)`` and ``T(j, .)``.
+
+Open nodes are heap entries ``(bound, counter, closure, unresolved,
+parent state, i, j)``: the state ``(pred, rows, succ, tails)`` of the
+expanded parent is shared by all its children, and a node derives its own
+only when it is popped and not pruned.  Its predecessor lists are the
+parent's plus ``i`` appended to ``j``'s; those appended after the root's
+are the node's added arcs, so a leaf's selection is read from them and a
+leaf needs nothing more.  Otherwise ``relax_leveled_rows`` raises the head
+rows of ``j`` and its descendants (in the closure's descending-reach
+order, which is topological) from ``i`` as the one dirty predecessor, and
+the tail rows of ``i`` and its ancestors (ascending reach, on successor
+lists) from ``j`` as the one dirty successor.  Adding an arc only lengthens
+paths, so no other row can change.  The root takes its head rows and bound
+from one ``worst_case_makespan_dp`` call and its tail rows from one full
+backward pass when it is popped.
 """
 from __future__ import annotations
 
@@ -33,7 +46,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from ._graph import closure_bitsets, predecessors
+from ._graph import closure_bitsets, predecessors, successors
 from .adversary import relax_leveled_rows, worst_case_makespan_dp
 from .heuristics import warm_start
 from .instance import ProjectInstance
@@ -64,7 +77,8 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
 
     The incumbent starts from the LFT warm start.  Nodes whose bound
     reaches the incumbent are pruned; when the best open bound reaches the
-    incumbent the incumbent is optimal.
+    incumbent the incumbent is optimal, also when the time limit or the
+    node cap stops the search.
     """
     t0 = time.perf_counter()
     catalog = minimal_forbidden_sets(inst)
@@ -78,14 +92,13 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     root_closure = tuple(closure_bitsets(n_nodes, inst.precedence))
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
     root = worst_case_makespan_dp(inst, Selection(), gamma)
-    root_bound = root.value
     # Lists, not the DP's tuples: the kernel compares a copied row with
     # the old one to see whether it rose.
     root_rows = [list(row) for row in root.leveled_starts]
-    # Heap entries: (bound, tie-break counter, closure, predecessor lists,
-    # DP rows, unresolved-set mask).
-    heap = [(root_bound, 0, root_closure, root_pred, root_rows,
-             unresolved_sets(root_closure, member, len(catalog)))]
+    # The root has no parent; its successor lists and tail rows are made
+    # when it is popped.
+    heap = [(root.value, 0, root_closure, unresolved_sets(root_closure, member, len(catalog)),
+             (root_pred, root_rows, None, None), None, None)]
     counter = 0
     seen = {root_closure}
     nodes_explored = 0
@@ -98,34 +111,79 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
         )
 
     while heap:
-        if time_limit_s is not None and time.perf_counter() - t0 > time_limit_s:
+        if ((time_limit_s is not None and time.perf_counter() - t0 > time_limit_s)
+                or (node_cap is not None and nodes_explored >= node_cap)):
+            if heap[0][0] >= incumbent_value:
+                return result("optimal", incumbent_value)
             return result("incumbent", heap[0][0])
-        if node_cap is not None and nodes_explored >= node_cap:
-            return result("incumbent", heap[0][0])
-        bound, _, closure, pred, rows, unresolved = heapq.heappop(heap)
+        bound, _, closure, unresolved, (pred, rows, succ, tails), i, j = heapq.heappop(heap)
         nodes_explored += 1
         if bound >= incumbent_value:
             return result("optimal", incumbent_value)
+        if i is not None:
+            pred = list(pred)
+            pred[j] += (i,)
         if not unresolved:
             incumbent_value = bound
             incumbent_sel = Selection(frozenset(
-                (i, j) for j in range(n_nodes) for i in pred[j][len(root_pred[j]):]))
+                (a, b) for b in range(n_nodes) for a in pred[b][len(root_pred[b]):]))
             continue
+        if i is None:
+            succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
+            tails = [[0] * (gamma + 1)] * n_nodes  # one shared row: the kernel copies before it raises
+            up = sorted(range(n_nodes), key=lambda v: closure[v].bit_count())
+            relax_leveled_rows(tails, up, -1, succ, nominal, delayed)
+        else:
+            rows = list(rows)
+            down = _bits(closure[j] | (1 << j))
+            down.sort(key=lambda v: -closure[v].bit_count())
+            relax_leveled_rows(rows, down, 1 << i, pred, nominal, delayed)
+            succ = list(succ)
+            succ[i] += (j,)
+            tails = list(tails)
+            up = [v for v in range(n_nodes) if v == i or (closure[v] >> i) & 1]
+            up.sort(key=lambda v: closure[v].bit_count())
+            relax_leveled_rows(tails, up, 1 << j, succ, nominal, delayed)
+        state = (pred, rows, succ, tails)
         fset = catalog.sets[first_set(unresolved)]
-        for i, j, key, resolved in branch(closure, member, fset, seen):
-            child_pred = list(pred)
-            child_pred[j] += (i,)
-            child_rows = list(rows)
-            order = _bits(key[j] | (1 << j))
-            order.sort(key=lambda v: -key[v].bit_count())
-            relax_leveled_rows(child_rows, order, 1 << i, child_pred, nominal, delayed)
-            child_bound = child_rows[-1][gamma]
+        for a, b, key, resolved in branch(closure, member, fset, seen):
+            child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],
+                                               nominal[b], delayed[b]))
             if child_bound >= incumbent_value:
                 continue
             counter += 1
-            heapq.heappush(heap, (child_bound, counter, key, child_pred, child_rows,
-                                  unresolved & ~resolved))
+            heapq.heappush(heap, (child_bound, counter, key, unresolved & ~resolved,
+                                  state, a, b))
     return result("optimal", incumbent_value)
+
+
+def arc_bound(head, tail, nominal_i, delayed_i, nominal_j, delayed_j):
+    """Longest source-sink path through a new arc (i, j) with at most
+    ``gamma = len(head) - 1`` delays, from ``head = W(i, .)`` and
+    ``tail = T(j, .)``.
+
+    The path runs from the source to the start of ``i``, through ``i`` and
+    ``j`` (each nominal or delayed), and from the finish of ``j`` to the
+    sink: the max over g of the finish of ``j`` with g delays plus
+    ``tail[gamma - g]``.
+    """
+    gamma = len(head) - 1
+    start = head[0] + nominal_i  # the start of j through i, with g delays
+    best = start + nominal_j + tail[gamma]
+    for g in range(1, gamma + 1):
+        lower = start
+        start = head[g] + nominal_i
+        x = head[g - 1] + delayed_i
+        if x > start:
+            start = x
+        finish = start + nominal_j
+        x = lower + delayed_j
+        if x > finish:
+            finish = x
+        x = finish + tail[gamma - g]
+        if x > best:
+            best = x
+    return best
 
 
 def _bits(mask):

@@ -1,12 +1,14 @@
+import hashlib
 import random
 from itertools import permutations
+from pathlib import Path
 
 from gen import make_instance, random_dag_instance, random_psplib_instance
 from robust_rcpsp import network
-from robust_rcpsp._graph import closure_bitsets, predecessors, reaches
+from robust_rcpsp._graph import closure_bitsets, predecessors, reaches, successors
 from robust_rcpsp.adversary import relax_leveled_rows, worst_case_makespan_dp
-from robust_rcpsp.bnb import OptResult, optimality_gap, solve_exact
-from robust_rcpsp.instance import robustify
+from robust_rcpsp.bnb import OptResult, arc_bound, optimality_gap, solve_exact
+from robust_rcpsp.instance import parse_psplib, robustify
 from robust_rcpsp.network import (
     ForbiddenSetCatalog,
     Selection,
@@ -18,6 +20,8 @@ from robust_rcpsp.network import (
     unresolved_sets,
     verify_selection,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def exhaustive_optimum(inst, gamma):
@@ -80,25 +84,41 @@ def test_matches_exhaustive_oracle_seven_and_eight_activities():
 
 def test_kernel_masks_and_bounds_follow_arc_additions():
     """Along random acyclic arc sequences, the unresolved-set mask matches
-    the pair-wise filter and the incrementally raised leveled rows match
-    the full DP table, row for row.
+    the pair-wise filter, the incrementally raised head and tail rows match
+    a full forward and backward pass, row for row, and for every arc of the
+    branching set (and the arc the walk adds) ``arc_bound`` gives the DP
+    value of the extended selection.
 
     The catalog also gets the instance's own arcs between activities as
-    two-element sets, which the root closure already resolves."""
+    two-element sets, which the root closure already resolves.  The walks
+    run on j12-j20-shaped instances and on small DAGs with zero-duration
+    activities."""
     rng = random.Random(2020)
     gammas = (0, 1, 3)
-    for _ in range(6):
-        inst = robustify(random_psplib_instance(rng, rng.randint(12, 20), 4))
+    cases = [robustify(random_psplib_instance(rng, rng.randint(12, 20), 4)) for _ in range(6)]
+    cases += [random_dag_instance(rng, rng.randint(4, 9), n_res=2, max_dur=rng.choice((0, 2)))
+              for _ in range(6)]
+    for inst in cases:
         related = tuple((i, j) for i, j in inst.precedence if i != 0 and j != inst.sink)
         catalog = ForbiddenSetCatalog(minimal_forbidden_sets(inst).sets + related)
         n_nodes = inst.n_nodes
         member = membership_masks(n_nodes, catalog)
         reach = closure_bitsets(n_nodes, inst.precedence)
         pred = predecessors(n_nodes, inst.precedence)
+        succ = successors(n_nodes, inst.precedence)
+        nominal = inst.nominal_duration
         delayed = [inst.worst_case_duration(i) for i in range(n_nodes)]
+
+        def full_tails(gamma):
+            tails = [[0] * (gamma + 1)] * n_nodes
+            relax_leveled_rows(tails, sorted(range(n_nodes), key=lambda v: reach[v].bit_count()),
+                               -1, succ, nominal, delayed)
+            return tails
+
         rows = {gamma: [list(row) for row in
                         worst_case_makespan_dp(inst, Selection(), gamma).leveled_starts]
                 for gamma in gammas}
+        tails = {gamma: full_tails(gamma) for gamma in gammas}
         unresolved = unresolved_sets(reach, member, len(catalog))
         arcs = set()
         while True:
@@ -107,6 +127,7 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             for gamma in gammas:
                 dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma)
                 assert rows[gamma] == [list(row) for row in dp.leveled_starts]
+                assert tails[gamma] == full_tails(gamma)
             free = [(i, j) for i in range(1, inst.sink) for j in range(1, inst.sink)
                     if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
             if not free:
@@ -115,14 +136,27 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
                 i, j = rng.choice(list(permutations(catalog.sets[first_set(unresolved)], 2)))
             else:
                 i, j = rng.choice(free)
+            candidates = {(i, j)}
+            if unresolved:
+                candidates.update(permutations(catalog.sets[first_set(unresolved)], 2))
+            for a, b in candidates:
+                for gamma in gammas:
+                    bound = max(rows[gamma][-1][gamma],
+                                arc_bound(rows[gamma][a], tails[gamma][b], nominal[a],
+                                          delayed[a], nominal[b], delayed[b]))
+                    dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs | {(a, b)})), gamma)
+                    assert bound == dp.value
             unresolved &= ~add_resolving_arc(reach, member, i, j)
             pred[j].append(i)
+            succ[i].append(j)
             arcs.add((i, j))
-            order = sorted((v for v in range(n_nodes) if v == j or reaches(reach, j, v)),
-                           key=lambda v: -reach[v].bit_count())
+            down = sorted((v for v in range(n_nodes) if v == j or reaches(reach, j, v)),
+                          key=lambda v: -reach[v].bit_count())
+            up = sorted((v for v in range(n_nodes) if v == i or reaches(reach, v, i)),
+                        key=lambda v: reach[v].bit_count())
             for gamma in gammas:
-                relax_leveled_rows(rows[gamma], order, 1 << i, pred,
-                                   inst.nominal_duration, delayed)
+                relax_leveled_rows(rows[gamma], down, 1 << i, pred, nominal, delayed)
+                relax_leveled_rows(tails[gamma], up, 1 << j, succ, nominal, delayed)
 
 
 def test_budget_zero_equals_deterministic_optimum():
@@ -165,6 +199,51 @@ def test_time_limit_yields_the_warm_incumbent():
     assert res.best_bound <= res.value
     assert verify_selection(inst, res.selection, minimal_forbidden_sets(inst)).sufficient
     assert worst_case_makespan_dp(inst, res.selection, 3).value == res.value
+
+
+def test_limit_exit_at_a_closed_bound_is_optimal():
+    """A cap or time-limit exit whose best open bound already reaches the
+    incumbent proves the incumbent optimal, with the nodes counted so far."""
+    inst = robustify(parse_psplib((DATA / "minimal3.sm").read_text()))
+    res = solve_exact(inst, 1, time_limit_s=0)
+    assert (res.status, res.nodes, res.value, res.best_bound) == ("optimal", 0, 8, 8)
+    assert optimality_gap(res) == 0.0
+    inst = robustify(random_psplib_instance(random.Random(2), 10, 3))
+    capped = [solve_exact(inst, 1, node_cap=cap) for cap in (13, 14)]
+    assert [(r.status, r.nodes, r.value, r.best_bound) for r in capped] == \
+        [("incumbent", 13, 27, 26), ("optimal", 14, 26, 26)]
+    assert solve_exact(inst, 1).nodes == 15
+
+
+# SHA-256 of (value, status, nodes, best_bound, sorted arcs) of the solves of
+# search_pins(), per instance size.
+PINNED_SEARCH_SHA256 = {
+    10: "8e973d45c943600b3049c6c8a3284d96bd16a5f0febde3830717940523d48d47",
+    20: "efb29680cffb53c22ce5ec5e5690eedfbd197cb982ff947cd7e23147dfc1b470",
+    30: "b474ca1f6b23c604adf5f44235a2b0d6030724473acb34adfa6ff8b6c2691855",
+}
+
+
+def search_pins():
+    """(size, result) of seeded j10/j20/j30-shaped solves at gamma 0, 3 and 7,
+    capped at 20 and 500 nodes, and uncapped at j10."""
+    rng = random.Random(2026)
+    for n_act in (10, 20, 30):
+        for _ in range(6 if n_act == 10 else 2):
+            inst = robustify(random_psplib_instance(rng, n_act=n_act))
+            for gamma in (0, 3, 7):
+                for cap in (20, 500) + ((None,) if n_act == 10 else ()):
+                    yield n_act, solve_exact(inst, gamma, node_cap=cap)
+
+
+def test_search_is_pinned():
+    records = {n_act: [] for n_act in PINNED_SEARCH_SHA256}
+    for n_act, res in search_pins():
+        records[n_act].append((res.value, res.status, res.nodes, res.best_bound,
+                               res.selection.sorted_arcs()))
+    for n_act, recs in records.items():
+        digest = hashlib.sha256(repr(recs).encode()).hexdigest()
+        assert digest == PINNED_SEARCH_SHA256[n_act], n_act
 
 
 def test_every_result_carries_a_selection():
