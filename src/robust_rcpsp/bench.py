@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -43,15 +44,38 @@ class BenchConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
+        """Read a config object; raises ``ValueError`` naming the field of
+        a missing or bad value, so a bad config fails before any task runs.
+
+        ``gammas`` are ints >= 0, ``time_limit_s`` is null or a finite
+        number >= 0, and ``workers`` is an int >= 1; booleans are none of
+        these."""
         raw = json.loads(text)
+        if not isinstance(raw, dict) or "instances_dir" not in raw:
+            raise ValueError('bench config: expected an object with "instances_dir"')
+        gammas = raw.get("gammas", (3, 5, 7))
+        if not (isinstance(gammas, (list, tuple)) and all(_is_int(g) and g >= 0 for g in gammas)):
+            raise ValueError(f"bench config: gammas must be a list of ints >= 0, not {gammas!r}")
+        limit = raw.get("time_limit_s")
+        if limit is not None and not (isinstance(limit, (int, float)) and not isinstance(limit, bool)
+                                      and math.isfinite(limit) and limit >= 0):
+            raise ValueError("bench config: time_limit_s must be null or a finite number >= 0, "
+                             f"not {limit!r}")
+        workers = raw.get("workers", 1)
+        if not (_is_int(workers) and workers >= 1):
+            raise ValueError(f"bench config: workers must be an int >= 1, not {workers!r}")
         return cls(
             instances_dir=raw["instances_dir"],
-            gammas=tuple(int(g) for g in raw.get("gammas", (3, 5, 7))),
+            gammas=tuple(gammas),
             variants=tuple(raw.get("variants", ("bnb",))),
-            time_limit_s=raw.get("time_limit_s"),
+            time_limit_s=limit,
             bridge_cmd=raw.get("bridge_cmd"),
-            workers=int(raw.get("workers", 1)),
+            workers=workers,
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

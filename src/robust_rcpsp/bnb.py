@@ -4,9 +4,9 @@ Search nodes carry a partial selection.  Branching picks the first
 unresolved minimal forbidden set and adds one ordered precedence pair from
 it per child; the worst-case makespan of the partial extension is a valid
 lower bound because adding arcs never shortens the adversary's longest
-path.  Children come from ``network.branch``, the child step the
-exhaustive ``enumerate_sufficient_selections`` shares, which merges
-extensions reaching an already-seen transitive closure.
+path.  The child step is the one the exhaustive
+``enumerate_sufficient_selections`` shares: ``network.branch`` yields the
+arcs of a node's children and ``network.child_closure`` builds a child.
 
 The search runs on bitsets.  A node holds its closure (one reachability
 bitmask per activity) and its unresolved catalog sets as one bitmask over
@@ -25,20 +25,42 @@ longest path of the child with arc (i, j) either avoids the arc, and is no
 longer than the node's bound, or uses it once, so ``arc_bound`` gives the
 child's exact DP value in O(gamma) from ``W(i, .)`` and ``T(j, .)``.
 
-Open nodes are heap entries ``(bound, counter, closure, unresolved,
-parent state, i, j)``: the state ``(pred, rows, succ, tails)`` of the
-expanded parent is shared by all its children, and a node derives its own
-only when it is popped and not pruned.  Its predecessor lists are the
-parent's plus ``i`` appended to ``j``'s; those appended after the root's
-are the node's added arcs, so a leaf's selection is read from them and a
-leaf needs nothing more.  Otherwise ``relax_leveled_rows`` raises the head
-rows of ``j`` and its descendants (in the closure's descending-reach
-order, which is topological) from ``i`` as the one dirty predecessor, and
-the tail rows of ``i`` and its ancestors (ascending reach, on successor
-lists) from ``j`` as the one dirty successor.  Adding an arc only lengthens
-paths, so no other row can change.  The root takes its head rows and bound
-from one ``worst_case_makespan_dp`` call and its tail rows from one full
-backward pass when it is popped.
+A child costs only that bound until it is popped.  Open nodes are heap
+entries ``(bound, counter, parent, i, j)``, where ``parent = (closure,
+unresolved, pred, rows, succ, tails)`` is one tuple of the expanded node
+that all its children share.  Expanding a node tests each ordered pair of
+the branching set for reach, bounds it and pushes the entry; no closure is
+built.  On pop the child's closure and the sets its arc resolves come from
+``child_closure`` on a copy of the parent's, and the closure is checked
+against ``seen``, the closures of the nodes popped so far:
+
+- A closure already in ``seen`` makes the entry a duplicate.  It is
+  dropped and is not a node.
+- Otherwise the closure joins ``seen``, the node cap and the time limit
+  are checked with this entry's bound as the best open bound, and then the
+  bound and leaf checks run.
+
+This is the search that merging children when they are made would give.
+A child's bound is the exact DP value of its closure, and the DP value
+depends on the closure only, so all entries with one closure share one
+bound; the first pushed has the lowest counter and is popped first.  A
+duplicate of a pruned child is pruned too, since the incumbent only falls.
+So nodes, values, bounds and selections are those of merging at push time,
+and a limit exit reports the best bound of the entries that are not
+duplicates.
+
+A popped, unpruned node derives its own state from the parent's.  Its
+predecessor lists are the parent's plus ``i`` appended to ``j``'s; those
+appended after the root's are the node's added arcs, so a leaf's selection
+is read from them and a leaf needs nothing more.  Otherwise
+``relax_leveled_rows`` raises the head rows of ``j`` and its descendants
+(in the closure's descending-reach order, which is topological) from
+``i`` as the one dirty predecessor, and the tail rows of ``i`` and its
+ancestors (ascending reach, on successor lists) from ``j`` as the one
+dirty successor.  Adding an arc only lengthens paths, so no other row can
+change.  The root is an entry without an arc: it takes its head rows and
+bound from one ``worst_case_makespan_dp`` call and its tail rows from one
+full backward pass when it is popped.
 """
 from __future__ import annotations
 
@@ -53,6 +75,7 @@ from .instance import ProjectInstance
 from .network import (
     Selection,
     branch,
+    child_closure,
     first_set,
     membership_masks,
     minimal_forbidden_sets,
@@ -95,12 +118,12 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     # Lists, not the DP's tuples: the kernel compares a copied row with
     # the old one to see whether it rose.
     root_rows = [list(row) for row in root.leveled_starts]
-    # The root has no parent; its successor lists and tail rows are made
-    # when it is popped.
-    heap = [(root.value, 0, root_closure, unresolved_sets(root_closure, member, len(catalog)),
-             (root_pred, root_rows, None, None), None, None)]
+    # The root's entry has no arc, and its "parent" is its own state; its
+    # successor lists and tail rows are made when it is popped.
+    heap = [(root.value, 0, (root_closure, unresolved_sets(root_closure, member, len(catalog)),
+                             root_pred, root_rows, None, None), None, None)]
     counter = 0
-    seen = {root_closure}
+    seen = set()
     nodes_explored = 0
 
     def result(status, best_bound):
@@ -111,12 +134,20 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
         )
 
     while heap:
+        bound, _, (closure, unresolved, pred, rows, succ, tails), i, j = heapq.heappop(heap)
+        if i is not None:
+            closure, resolved = child_closure(closure, member, i, j)
+            unresolved &= ~resolved
+        if closure in seen:
+            continue
+        seen.add(closure)
+        # The limits are checked after the dedup, so that a limit exit
+        # reports the bound of an entry that is not a duplicate.
         if ((time_limit_s is not None and time.perf_counter() - t0 > time_limit_s)
                 or (node_cap is not None and nodes_explored >= node_cap)):
-            if heap[0][0] >= incumbent_value:
+            if bound >= incumbent_value:
                 return result("optimal", incumbent_value)
-            return result("incumbent", heap[0][0])
-        bound, _, closure, unresolved, (pred, rows, succ, tails), i, j = heapq.heappop(heap)
+            return result("incumbent", bound)
         nodes_explored += 1
         if bound >= incumbent_value:
             return result("optimal", incumbent_value)
@@ -144,16 +175,14 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             up = [v for v in range(n_nodes) if v == i or (closure[v] >> i) & 1]
             up.sort(key=lambda v: closure[v].bit_count())
             relax_leveled_rows(tails, up, 1 << j, succ, nominal, delayed)
-        state = (pred, rows, succ, tails)
-        fset = catalog.sets[first_set(unresolved)]
-        for a, b, key, resolved in branch(closure, member, fset, seen):
+        parent = (closure, unresolved, pred, rows, succ, tails)
+        for a, b in branch(closure, catalog.sets[first_set(unresolved)]):
             child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],
                                                nominal[b], delayed[b]))
             if child_bound >= incumbent_value:
                 continue
             counter += 1
-            heapq.heappush(heap, (child_bound, counter, key, unresolved & ~resolved,
-                                  state, a, b))
+            heapq.heappush(heap, (child_bound, counter, parent, a, b))
     return result("optimal", incumbent_value)
 
 

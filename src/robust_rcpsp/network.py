@@ -4,12 +4,16 @@ A selection is a set of extra precedence arcs resolving resource conflicts.
 It is sufficient when the extended graph is acyclic and every minimal
 forbidden set contains two activities that became precedence-related.
 
-``branch`` is the one child step of every search over selections: the
-branch-and-bound and the exhaustive ``enumerate_sufficient_selections``
-both extend a closure by one ordered pair of the first unresolved set and
-merge children that reach an already-seen closure.  ``verify_selection``
-checks a finished selection independently, pair by pair, without the
-membership masks.
+``branch`` and ``child_closure`` are the one child step of every search
+over selections: the branch-and-bound and the exhaustive
+``enumerate_sufficient_selections`` both extend a closure by one ordered
+pair of the first unresolved set.  ``branch`` yields the arcs only, and
+``child_closure`` builds a child's closure and resolved-set mask when the
+caller needs them.  Each caller keeps its own ``seen`` set of closures to
+merge children that reach one closure: the enumerator checks it when it
+visits a child, the branch-and-bound when it pops one.
+``verify_selection`` checks a finished selection independently, pair by
+pair, without the membership masks.
 
 ``schedule_order`` is the one source of the order a schedule implies,
 with its tie rule; ``selection_from_schedule`` and the warm start's DP
@@ -246,29 +250,29 @@ def first_set(unresolved: int) -> int:
     return (unresolved & -unresolved).bit_length() - 1
 
 
-def branch(closure, member, fset, seen):
-    """Children of a search node that branches on the forbidden set ``fset``.
+def branch(closure, fset):
+    """Arcs of the children of a search node that branches on the
+    forbidden set ``fset``.
 
-    One child per ordered pair (i, j) of ``fset`` with j not reaching i:
-    the closure extended by arc (i, j).  No pair of an unresolved set is
-    related, so the reach test only guards the acyclicity that
-    ``add_resolving_arc`` assumes.  A child whose closure tuple is in
-    ``seen`` is skipped; otherwise the tuple joins ``seen`` and
-    ``(i, j, key, resolved)`` is yielded, with ``key`` the child closure
-    and ``resolved`` the catalog sets the arc resolves.  Children are made
-    lazily, so a caller that searches a child before taking the next one
-    has the child's descendants in ``seen`` by then.
+    Yields every ordered pair (i, j) of ``fset`` with j not reaching i;
+    the child is the closure extended by arc (i, j).  No pair of an
+    unresolved set is related, so the reach test only guards the
+    acyclicity that ``child_closure`` assumes.  Only the arc is yielded:
+    a caller builds the child with ``child_closure`` when it needs it, and
+    owns the ``seen`` set that merges children reaching one closure.
     """
     for i, j in permutations(fset, 2):
-        if reaches(closure, j, i):
-            continue
-        child = list(closure)
-        resolved = add_resolving_arc(child, member, i, j)
-        key = tuple(child)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield i, j, key, resolved
+        if not reaches(closure, j, i):
+            yield i, j
+
+
+def child_closure(closure, member, i, j):
+    """The child closure of arc (i, j) and the catalog sets the arc
+    resolves: ``(key, resolved)``, with ``key`` the extended closure as a
+    tuple.  ``closure`` is left as it is."""
+    child = list(closure)
+    resolved = add_resolving_arc(child, member, i, j)
+    return tuple(child), resolved
 
 
 def schedule_order(inst: ProjectInstance, start):
@@ -318,6 +322,9 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
     Exhaustive search for tiny instances: a depth-first search over the
     same ``branch`` children as the branch-and-bound, without a bound, then
     keeps only closures not strictly containing another sufficient closure.
+    A child is built when it is visited and skipped when its closure was
+    visited before, so the subtrees of earlier siblings are in ``seen`` by
+    then.
     Deterministic order: sorted added-arc tuples.
     """
     if inst.n_activities > max_non_dummies:
@@ -335,8 +342,11 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
             leaves[closure] = tuple(sorted(added))
             return
         fset = catalog.sets[first_set(unresolved)]
-        for i, j, key, resolved in branch(closure, member, fset, seen):
-            visit(key, added | {(i, j)}, unresolved & ~resolved)
+        for i, j in branch(closure, fset):
+            key, resolved = child_closure(closure, member, i, j)
+            if key not in seen:
+                seen.add(key)
+                visit(key, added | {(i, j)}, unresolved & ~resolved)
 
     visit(root, frozenset(), unresolved_sets(root, member, len(catalog)))
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from gen import psplib_text, random_dag_instance
-from robust_rcpsp import bench, bnb, milp
+from robust_rcpsp import bench, bnb, cli, milp
 from robust_rcpsp.bench import (
     BenchConfig,
     ResultRecord,
@@ -287,6 +287,35 @@ def test_config_from_json():
     assert config.gammas == (3, 5, 7)
     assert config.workers == 3
     assert config.bridge_cmd is None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("time_limit_s", "10"), ("time_limit_s", -1), ("time_limit_s", True),
+    ("time_limit_s", float("inf")), ("time_limit_s", float("nan")),
+    ("gammas", [-1]), ("gammas", [1.5]), ("gammas", ["3"]), ("gammas", [True]), ("gammas", 3),
+    ("workers", 0), ("workers", "2"), ("workers", 2.0), ("workers", True),
+])
+def test_config_from_json_rejects_a_bad_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        BenchConfig.from_json(json.dumps({"instances_dir": "inst", field: value}))
+
+
+def test_config_from_json_needs_an_instance_directory():
+    for raw in ({"gammas": [3]}, ["inst"]):
+        with pytest.raises(ValueError, match="instances_dir"):
+            BenchConfig.from_json(json.dumps(raw))
+
+
+def test_bench_with_a_bad_config_exits_1_before_any_task(instance_dir, tmp_path, capsys):
+    """A string time limit used to reach every bnb task as a TypeError,
+    recorded as one error per task, and the run exited 0."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"instances_dir": str(instance_dir), "time_limit_s": "10"}))
+    assert cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "time_limit_s" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_record_count_arithmetic():

@@ -2,9 +2,10 @@ import hashlib
 import random
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
-from gen import make_instance, random_dag_instance, random_psplib_instance
-from robust_rcpsp import network
+from gen import connect_dummies, make_instance, random_dag_instance, random_psplib_instance
+from robust_rcpsp import bnb, network
 from robust_rcpsp._graph import closure_bitsets, predecessors, reaches, successors
 from robust_rcpsp.adversary import relax_leveled_rows, worst_case_makespan_dp
 from robust_rcpsp.bnb import OptResult, arc_bound, optimality_gap, solve_exact
@@ -213,6 +214,52 @@ def test_limit_exit_at_a_closed_bound_is_optimal():
     assert [(r.status, r.nodes, r.value, r.best_bound) for r in capped] == \
         [("incumbent", 13, 27, 26), ("optimal", 14, 26, 26)]
     assert solve_exact(inst, 1).nodes == 15
+
+
+def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
+    """Two open entries can reach one closure.  The first one popped is
+    expanded; the other is dropped when popped and is not a node, and a cap
+    exit reports the best bound of the entries that are not duplicates.
+
+    Activities 1-4 last 1, 2, 2 and 3 periods and each takes one of two
+    units, so every three of them form a forbidden set; at gamma 0 the
+    root bound is 3.  With the incumbent pinned to the chain 1, 2, 3, 4
+    (8 periods), the nodes of bound 3 are the root, its children 1->2,
+    1->3, 2->1 and 3->1 (2->3 and 3->2 give 4), and the stars
+    {1->2, 1->3} and {2->1, 3->1}.  1->2 branches on (1, 3, 4) and 1->3 on
+    (1, 2, 4), so both push the first star; 2->1 and 3->1 both push the
+    second.  Every child of a star is longer than 3, so the seventh node
+    is the second star, whose duplicate is the last entry of bound 3: a
+    cap of 7 drops it and stops at an entry of bound 4.
+    """
+    inst = make_instance([0, 1, 2, 2, 3, 0], connect_dummies(4, set()),
+                         [(0,)] + [(1,)] * 4 + [(0,)], (2,))
+    chain = Selection(frozenset({(1, 2), (2, 3), (3, 4)}))
+    assert worst_case_makespan_dp(inst, chain, 0).value == 8
+    monkeypatch.setattr(bnb, "warm_start",
+                        lambda inst, gamma: SimpleNamespace(upper_bound=8, selection=chain))
+    made, expanded = [], []
+
+    def child_closure(closure, member, i, j):
+        key, resolved = network.child_closure(closure, member, i, j)
+        made.append(key)
+        return key, resolved
+
+    def branch(closure, fset):
+        expanded.append(closure)
+        return network.branch(closure, fset)
+
+    monkeypatch.setattr(bnb, "child_closure", child_closure)
+    monkeypatch.setattr(bnb, "branch", branch)
+    res = solve_exact(inst, 0, node_cap=7)
+    assert (res.status, res.nodes, res.value, res.best_bound) == ("incumbent", 7, 8, 4)
+    stars = [tuple(closure_bitsets(inst.n_nodes, inst.precedence + arcs))
+             for arcs in (((1, 2), (1, 3)), ((2, 1), (3, 1)))]
+    assert [made.count(star) for star in stars] == [2, 2]
+    assert len(expanded) == len(set(expanded)) == 7
+    assert expanded[-2:] == stars
+    full = solve_exact(inst, 0)
+    assert (full.status, full.value) == ("optimal", exhaustive_optimum(inst, 0)) == ("optimal", 4)
 
 
 # SHA-256 of (value, status, nodes, best_bound, sorted arcs) of the solves of

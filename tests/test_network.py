@@ -18,6 +18,7 @@ from robust_rcpsp.heuristics import lft_schedule
 from robust_rcpsp.network import (
     Selection,
     branch,
+    child_closure,
     enumerate_sufficient_selections,
     membership_masks,
     minimal_forbidden_sets,
@@ -245,22 +246,30 @@ def test_selection_from_schedule_is_the_pairwise_order():
 
 
 def test_branch_merges_seen_closures():
+    """``branch`` yields a node's child arcs, ``child_closure`` builds one
+    child without touching the node, and two arc orders that reach one
+    closure give one key, which a caller's ``seen`` set merges."""
     inst = k3_instance()
     catalog = minimal_forbidden_sets(inst)  # (1, 2), (1, 3), (2, 3)
     member = membership_masks(inst.n_nodes, catalog)
     root = tuple(closure_bitsets(inst.n_nodes, inst.precedence))
-    seen = {root}
-    first = list(branch(root, member, (1, 2), seen))
-    assert [(i, j, resolved) for i, j, _, resolved in first] == [(1, 2, 0b001), (2, 1, 0b001)]
-    assert seen == {root} | {key for _, _, key, _ in first}
-    assert list(branch(root, member, (1, 2), seen)) == []
-    one_two = first[0][2]
-    chain = [key for i, j, key, _ in branch(one_two, member, (2, 3), seen) if (i, j) == (2, 3)]
-    assert chain == [tuple(closure_bitsets(inst.n_nodes, inst.precedence + ((1, 2), (2, 3))))]
+
+    def closure_of(*arcs):
+        return tuple(closure_bitsets(inst.n_nodes, inst.precedence + arcs))
+
+    assert list(branch(root, (1, 2))) == [(1, 2), (2, 1)]
+    assert [child_closure(root, member, i, j) for i, j in branch(root, (1, 2))] == \
+        [(closure_of((1, 2)), 0b001), (closure_of((2, 1)), 0b001)]
+    assert root == closure_of()
+    one_two = closure_of((1, 2))
+    assert list(branch(one_two, (1, 2))) == [(1, 2)]  # 1 reaches 2: no arc 2 -> 1
+    chain, resolved = child_closure(one_two, member, 2, 3)
+    assert (chain, resolved) == (closure_of((1, 2), (2, 3)), 0b110)
     # 2 -> 3 then 1 -> 2 reaches the same closure as 1 -> 2 then 2 -> 3: merged
-    two_three = next(key for i, j, key, _ in branch(root, member, (2, 3), seen)
-                     if (i, j) == (2, 3))
-    assert [(i, j) for i, j, _, _ in branch(two_three, member, (1, 2), seen)] == [(2, 1)]
+    seen = {root, one_two, chain}
+    two_three, _ = child_closure(root, member, 2, 3)
+    assert [(i, j) for i, j in branch(two_three, (1, 2))
+            if child_closure(two_three, member, i, j)[0] not in seen] == [(2, 1)]
 
 
 def test_enumerate_empty_catalog():
