@@ -30,9 +30,10 @@ entries ``(bound, counter, parent, i, j)``, where ``parent = (closure,
 unresolved, pred, rows, succ, tails)`` is one tuple of the expanded node
 that all its children share.  Expanding a node tests each ordered pair of
 the branching set for reach, bounds it and pushes the entry; no closure is
-built.  On pop the child's closure and the sets its arc resolves come from
-``child_closure`` on a copy of the parent's, and the closure is checked
-against ``seen``, the closures of the nodes popped so far:
+built.  On pop the child's closure, the sets its arc resolves and the
+ancestors-or-self of ``i`` come from ``child_closure`` on a copy of the
+parent's, and the closure is checked against ``seen``, the closures of
+the nodes popped so far:
 
 - A closure already in ``seen`` makes the entry a duplicate.  It is
   dropped and is not a node.
@@ -136,7 +137,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     while heap:
         bound, _, (closure, unresolved, pred, rows, succ, tails), i, j = heapq.heappop(heap)
         if i is not None:
-            closure, resolved = child_closure(closure, member, i, j)
+            closure, resolved, above = child_closure(closure, member, i, j)
             unresolved &= ~resolved
         if closure in seen:
             continue
@@ -172,7 +173,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             succ = list(succ)
             succ[i] += (j,)
             tails = list(tails)
-            up = [v for v in range(n_nodes) if v == i or (closure[v] >> i) & 1]
+            up = _bits(above)
             up.sort(key=lambda v: closure[v].bit_count())
             relax_leveled_rows(tails, up, 1 << j, succ, nominal, delayed)
         parent = (closure, unresolved, pred, rows, succ, tails)

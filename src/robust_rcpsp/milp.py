@@ -10,6 +10,17 @@ per-arc tightened big-Ms from time windows, and integer start variables.
 The model is exported in the standard LP text format; ``solve_external``
 bridges to any solver process that accepts an LP file and writes back a
 status line plus ``name value`` pairs.
+
+The transitivity rows (``pair_`` and ``tri_``, n**3 + n**2 - 1 of them for
+n nodes) read nothing of the instance but its node count, so every
+transitivity model of one size shares one block of them: the same row
+objects, appended last.  The block is built once for the most recent size,
+and ``export_lp`` renders its text once and reuses it for any model whose
+last rows equal the block.  The reuse is exact: rows are immutable named
+tuples, the equality is checked on every export (on shared rows it is an
+identity test per row), and equal rows render equal text.  One block stays
+in memory, rows and text, until a transitivity model of another size is
+built: about 9 MB at 32 nodes (j30).
 """
 from __future__ import annotations
 
@@ -97,14 +108,12 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
 
     # Names and the (name, +-1) terms are built once and shared by every row
     # that uses them; a row name is a per-pair prefix plus an index suffix.
-    suffix = [str(x) for x in range(max(n_nodes, gamma + 1, len(capacity)))]
+    suffix = [str(x) for x in range(max(gamma + 1, len(capacity)))]
     S = [[start_name(i, g) for g in levels] for i in nodes]
     Y = [[arc_name(i, j) for j in nodes] for i in nodes]
     F = [[[flow_name(i, j, k) for k in resources] for j in nodes] for i in nodes]
     s_pos = [[(s, 1) for s in row] for row in S]
     s_neg = [[(s, -1) for s in row] for row in S]
-    y_pos = [[(y, 1) for y in row] for row in Y]
-    y_neg = [[(y, -1) for y in row] for row in Y]
     f_pos = [[[(f, 1) for f in fs] for fs in row] for row in F]
 
     base_arcs = set(inst.precedence)
@@ -158,28 +167,60 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
             rows.append(LinearConstraint(f"fout_{i}_{k}", tuple(f_pos[i][j][k] for j in nodes),
                                          "=", _balance_rhs(inst, i, k, inbound=False)))
     if transitivity:
-        for i in nodes:
-            for j in nodes:
-                if (i, j) == (sink, sink):
-                    continue
-                coeffs = ((Y[i][i], 2),) if i == j else (y_pos[i][j], y_pos[j][i])
-                rows.append(LinearConstraint(f"pair_{i}_{j}", coeffs, "<=", 1))
-        for i in nodes:
-            for l in nodes:
-                # y_il + y_lj - y_ij <= 1; the names coincide only when
-                # i == l or l == j, and only those rows need merging.
-                y_il = y_pos[i][l]
-                coeffs = [(y_il, y_lj, y_ij) for y_lj, y_ij in zip(y_pos[l], y_neg[i])]
-                for j in (nodes if i == l else (l,)):
-                    coeffs[j] = _merge_terms(coeffs[j])
-                pre = f"tri_{i}_{l}_"
-                rows += [LinearConstraint(pre + sfx, c, "<=", 1) for sfx, c in zip(suffix, coeffs)]
+        rows += _transitivity_block(n_nodes).rows
 
     return MilpModel(
         variables=tuple(variables),
         constraints=tuple(rows),
         objective=((S[sink][gamma], 1),),
     )
+
+
+class _TransitivityBlock(NamedTuple):
+    n_nodes: int
+    rows: tuple[LinearConstraint, ...]
+    text: str | None  # the rows' LP lines, rendered by the first export
+
+
+# The block of the most recent size.  It is replaced whole, never edited,
+# so a thread reads either the old block or the new one.
+_transitivity_cache: _TransitivityBlock | None = None
+
+
+def _transitivity_block(n_nodes):
+    """The ``pair_`` and ``tri_`` rows over the arc binaries of ``n_nodes``
+    nodes, built once for the most recent size: they read no instance data
+    but the node count, with the sink as the last node."""
+    global _transitivity_cache
+    block = _transitivity_cache
+    if block is not None and block.n_nodes == n_nodes:
+        return block
+    sink = n_nodes - 1
+    nodes = range(n_nodes)
+    suffix = [str(x) for x in nodes]
+    Y = [[arc_name(i, j) for j in nodes] for i in nodes]
+    y_pos = [[(y, 1) for y in row] for row in Y]
+    y_neg = [[(y, -1) for y in row] for row in Y]
+    rows = []
+    for i in nodes:
+        for j in nodes:
+            if (i, j) == (sink, sink):
+                continue
+            coeffs = ((Y[i][i], 2),) if i == j else (y_pos[i][j], y_pos[j][i])
+            rows.append(LinearConstraint(f"pair_{i}_{j}", coeffs, "<=", 1))
+    for i in nodes:
+        for l in nodes:
+            # y_il + y_lj - y_ij <= 1; the names coincide only when
+            # i == l or l == j, and only those rows need merging.
+            y_il = y_pos[i][l]
+            coeffs = [(y_il, y_lj, y_ij) for y_lj, y_ij in zip(y_pos[l], y_neg[i])]
+            for j in (nodes if i == l else (l,)):
+                coeffs[j] = _merge_terms(coeffs[j])
+            pre = f"tri_{i}_{l}_"
+            rows += [LinearConstraint(pre + sfx, c, "<=", 1) for sfx, c in zip(suffix, coeffs)]
+    block = _TransitivityBlock(n_nodes, tuple(rows), None)
+    _transitivity_cache = block
+    return block
 
 
 def _merge_terms(terms):
@@ -299,11 +340,27 @@ def evaluate_objective(model: MilpModel, values):
 
 
 def export_lp(model: MilpModel) -> str:
-    """Standard LP format with deterministic row and variable order."""
+    """Standard LP format with deterministic row and variable order.
+
+    When the model's last rows equal the cached transitivity block, the
+    block's text is rendered once and reused: equal rows render equal
+    text, and no block row has an empty left-hand side, the one case that
+    reads the model's variables.
+    """
+    global _transitivity_cache
     out = ["Minimize", f" obj: {_render_terms(model.objective)}", "Subject To"]
-    for name, coeffs, sense, rhs in model.constraints:
-        body = _render_terms(coeffs) if coeffs else f"0 {model.variables[0].name}"
-        out.append(f" {name}: {body} {sense} {rhs if type(rhs) is int else _num(rhs)}")
+    rows = model.constraints
+    block = _transitivity_cache
+    if block is not None and rows[-len(block.rows):] == block.rows:
+        _render_rows(out, rows[:-len(block.rows)], model)
+        if block.text is None:
+            lines = []
+            _render_rows(lines, block.rows, model)
+            # A lost race with a build of another size only evicts that block.
+            block = _transitivity_cache = block._replace(text="\n".join(lines))
+        out.append(block.text)
+    else:
+        _render_rows(out, rows, model)
     out.append("Bounds")
     for v in model.variables:
         if v.kind == "binary" and v.lb == 0 and v.ub == 1:
@@ -325,6 +382,12 @@ def export_lp(model: MilpModel) -> str:
         out.extend(f" {name}" for name in binaries)
     out.append("End")
     return "\n".join(out) + "\n"
+
+
+def _render_rows(out, rows, model):
+    for name, coeffs, sense, rhs in rows:
+        body = _render_terms(coeffs) if coeffs else f"0 {model.variables[0].name}"
+        out.append(f" {name}: {body} {sense} {rhs if type(rhs) is int else _num(rhs)}")
 
 
 def _render_terms(coeffs):

@@ -8,8 +8,8 @@ forbidden set contains two activities that became precedence-related.
 over selections: the branch-and-bound and the exhaustive
 ``enumerate_sufficient_selections`` both extend a closure by one ordered
 pair of the first unresolved set.  ``branch`` yields the arcs only, and
-``child_closure`` builds a child's closure and resolved-set mask when the
-caller needs them.  Each caller keeps its own ``seen`` set of closures to
+``child_closure`` builds a child's closure, resolved-set mask and the
+ancestors of the arc's tail when the caller needs them.  Each caller keeps its own ``seen`` set of closures to
 merge children that reach one closure: the enumerator checks it when it
 visits a child, the branch-and-bound when it pops one.
 ``verify_selection`` checks a finished selection independently, pair by
@@ -231,20 +231,6 @@ def unresolved_sets(reach, member, n_sets: int) -> int:
     return ((1 << n_sets) - 1) & ~resolved
 
 
-def add_resolving_arc(reach, member, u, v) -> int:
-    """Add arc (u, v) to the closure in place; return the sets it resolves.
-
-    The arc relates every ancestor-or-self of u to every descendant-or-self
-    of v and nothing else.  In an acyclic graph those two node sets are
-    disjoint, so a set holding a node of each contains a newly related pair:
-    the newly resolved sets are exactly the AND of the two touching masks.
-    Assumes v does not reach u.
-    """
-    below = reach[v] | (1 << v)
-    above = add_arc_to_closure(reach, u, v)
-    return _sets_touching(above, member) & _sets_touching(below, member)
-
-
 def first_set(unresolved: int) -> int:
     """Catalog index of the lowest unresolved set; the branching set."""
     return (unresolved & -unresolved).bit_length() - 1
@@ -267,12 +253,21 @@ def branch(closure, fset):
 
 
 def child_closure(closure, member, i, j):
-    """The child closure of arc (i, j) and the catalog sets the arc
-    resolves: ``(key, resolved)``, with ``key`` the extended closure as a
-    tuple.  ``closure`` is left as it is."""
+    """The child of arc (i, j): ``(key, resolved, above)``, with ``key``
+    the extended closure as a tuple, ``resolved`` the catalog sets the arc
+    resolves and ``above`` the mask of ``i`` and its ancestors.
+    ``closure`` is left as it is; ``j`` must not reach ``i``.
+
+    The arc relates every ancestor-or-self of i to every descendant-or-self
+    of j and nothing else.  In an acyclic graph those two node sets are
+    disjoint, so a set holding a node of each contains a newly related pair:
+    the newly resolved sets are exactly the AND of the two touching masks.
+    """
     child = list(closure)
-    resolved = add_resolving_arc(child, member, i, j)
-    return tuple(child), resolved
+    below = child[j] | (1 << j)
+    above = add_arc_to_closure(child, i, j)
+    resolved = _sets_touching(above, member) & _sets_touching(below, member)
+    return tuple(child), resolved, above
 
 
 def schedule_order(inst: ProjectInstance, start):
@@ -343,7 +338,7 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
             return
         fset = catalog.sets[first_set(unresolved)]
         for i, j in branch(closure, fset):
-            key, resolved = child_closure(closure, member, i, j)
+            key, resolved, _ = child_closure(closure, member, i, j)
             if key not in seen:
                 seen.add(key)
                 visit(key, added | {(i, j)}, unresolved & ~resolved)

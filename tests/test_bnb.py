@@ -13,7 +13,7 @@ from robust_rcpsp.instance import parse_psplib, robustify
 from robust_rcpsp.network import (
     ForbiddenSetCatalog,
     Selection,
-    add_resolving_arc,
+    child_closure,
     enumerate_sufficient_selections,
     first_set,
     membership_masks,
@@ -147,7 +147,8 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
                                           delayed[a], nominal[b], delayed[b]))
                     dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs | {(a, b)})), gamma)
                     assert bound == dp.value
-            unresolved &= ~add_resolving_arc(reach, member, i, j)
+            reach, resolved, _ = child_closure(reach, member, i, j)
+            unresolved &= ~resolved
             pred[j].append(i)
             succ[i].append(j)
             arcs.add((i, j))
@@ -241,9 +242,9 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
     made, expanded = [], []
 
     def child_closure(closure, member, i, j):
-        key, resolved = network.child_closure(closure, member, i, j)
-        made.append(key)
-        return key, resolved
+        child = network.child_closure(closure, member, i, j)
+        made.append(child[0])
+        return child
 
     def branch(closure, fset):
         expanded.append(closure)

@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from gen import make_instance, random_dag_instance, random_psplib_instance
-from robust_rcpsp import highs_bridge
+from robust_rcpsp import highs_bridge, milp
 from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
 from robust_rcpsp.bench import MILP_VARIANTS, build_variant
 from robust_rcpsp.bnb import solve_exact
@@ -344,6 +346,103 @@ def test_mst_lines():
     )
     text = export_warm_start({"y_0_1": 1, "S_0_0": 0}, model)
     assert text.splitlines() == ["S_0_0 0", "y_0_1 1"]
+
+
+# ---------------------------------------------------------------------------
+# the transitivity block shared by the trans models of one size
+
+
+def trans_model(n_nodes):
+    inst = random_dag_instance(random.Random(n_nodes), n_nodes - 2, n_res=1)
+    return build_compact(inst, 1, transitivity=True)
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """The row count of every ``_render_rows`` call, in order, starting
+    with no block cached."""
+    monkeypatch.setattr(milp, "_transitivity_cache", None)
+    calls = []
+    render_rows = milp._render_rows
+
+    def spy(out, rows, model):
+        calls.append(len(rows))
+        return render_rows(out, rows, model)
+
+    monkeypatch.setattr(milp, "_render_rows", spy)
+    return calls
+
+
+def test_cached_block_text_equals_the_per_row_text(monkeypatch, rendered):
+    """n = 14, 6, 14: the second 14 finds the cache evicted and builds and
+    renders the block anew.  A copy of each model with newly constructed
+    rows, exported with no block cached, renders every row."""
+    blocks = []
+    for n_nodes in (14, 6, 14):
+        model = trans_model(n_nodes)
+        block = milp._transitivity_cache
+        size, total = len(block.rows), len(model.constraints)
+        assert (block.n_nodes, block.text) == (n_nodes, None)
+        assert all(a is b for a, b in zip(model.constraints[-size:], block.rows))
+        assert all(block is not old for old in blocks)
+        blocks.append(block)
+        rendered.clear()
+        text = export_lp(model)
+        assert rendered == [total - size, size]  # the block is rendered once
+        rendered.clear()
+        assert export_lp(model) == text
+        assert rendered == [total - size]
+        fresh = MilpModel(model.variables, tuple(LinearConstraint(*r) for r in model.constraints),
+                          model.objective)
+        rendered.clear()
+        with monkeypatch.context() as m:
+            m.setattr(milp, "_transitivity_cache", None)
+            assert export_lp(fresh) == text
+        assert rendered == [total]
+
+
+def test_a_model_that_differs_from_the_block_is_written_from_its_own_rows(rendered):
+    model = trans_model(8)
+    text = export_lp(model)  # caches the block's text
+    rows = model.constraints
+    k = next(k for k, r in enumerate(rows) if r.name == "tri_1_2_3")
+    line = f" tri_1_2_3: {milp._render_terms(rows[k].coeffs)} <= "
+    assert line + "1\n" in text
+    replaced = rows[:k] + (rows[k]._replace(rhs=2),) + rows[k + 1:]
+    last = f" {rows[-1].name}: {milp._render_terms(rows[-1].coeffs)} <= 1\n"
+    assert last + "Bounds\n" in text
+    expected = {replaced: text.replace(line + "1\n", line + "2\n"),
+                rows[:-1]: text.replace(last, "")}
+    for constraints, want in expected.items():
+        rendered.clear()
+        assert export_lp(MilpModel(model.variables, constraints, model.objective)) == want
+        assert rendered == [len(constraints)]
+    assert milp._transitivity_cache.text is not None
+
+
+def test_threads_building_two_sizes_get_the_single_threaded_text():
+    """More threads than cores, switching often, each building and
+    exporting trans models while the others evict its block."""
+    sizes = (9, 13, 9, 13)
+    expected = {n_nodes: export_lp(trans_model(n_nodes)) for n_nodes in set(sizes)}
+    barrier = threading.Barrier(len(sizes), timeout=60)
+
+    def build_and_export(n_nodes):
+        texts = []
+        for _ in range(6):
+            barrier.wait()
+            texts.append(export_lp(trans_model(n_nodes)))
+        return texts
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(sizes)) as pool:
+            results = list(pool.map(build_and_export, sizes, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for n_nodes, texts in zip(sizes, results):
+        assert texts == [expected[n_nodes]] * 6, n_nodes
 
 
 # ---------------------------------------------------------------------------

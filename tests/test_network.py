@@ -258,16 +258,17 @@ def test_branch_merges_seen_closures():
         return tuple(closure_bitsets(inst.n_nodes, inst.precedence + arcs))
 
     assert list(branch(root, (1, 2))) == [(1, 2), (2, 1)]
+    # (closure, resolved sets, ancestors-or-self of i); node 0 is the source
     assert [child_closure(root, member, i, j) for i, j in branch(root, (1, 2))] == \
-        [(closure_of((1, 2)), 0b001), (closure_of((2, 1)), 0b001)]
+        [(closure_of((1, 2)), 0b001, 0b0011), (closure_of((2, 1)), 0b001, 0b0101)]
     assert root == closure_of()
     one_two = closure_of((1, 2))
     assert list(branch(one_two, (1, 2))) == [(1, 2)]  # 1 reaches 2: no arc 2 -> 1
-    chain, resolved = child_closure(one_two, member, 2, 3)
-    assert (chain, resolved) == (closure_of((1, 2), (2, 3)), 0b110)
+    chain = child_closure(one_two, member, 2, 3)
+    assert chain == (closure_of((1, 2), (2, 3)), 0b110, 0b0111)
     # 2 -> 3 then 1 -> 2 reaches the same closure as 1 -> 2 then 2 -> 3: merged
-    seen = {root, one_two, chain}
-    two_three, _ = child_closure(root, member, 2, 3)
+    seen = {root, one_two, chain[0]}
+    two_three = child_closure(root, member, 2, 3)[0]
     assert [(i, j) for i, j in branch(two_three, (1, 2))
             if child_closure(two_three, member, i, j)[0] not in seen] == [(2, 1)]
 
