@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -349,24 +350,33 @@ def test_mst_lines():
 
 
 # ---------------------------------------------------------------------------
-# the transitivity block shared by the trans models of one size
+# the block cache: leveled, selection and transitivity rows shared by models
 
 
-def trans_model(n_nodes):
-    inst = random_dag_instance(random.Random(n_nodes), n_nodes - 2, n_res=1)
+BUILDERS = (milp._leveled_block, milp._selection_block, milp._transitivity_block)
+
+
+def trans_model(n_nodes, seed=None):
+    inst = random_dag_instance(random.Random(n_nodes if seed is None else seed), n_nodes - 2,
+                               n_res=1)
     return build_compact(inst, 1, transitivity=True)
+
+
+def is_shared(rows, other):
+    return len(rows) == len(other) and all(a is b for a, b in zip(rows, other))
 
 
 @pytest.fixture
 def rendered(monkeypatch):
-    """The row count of every ``_render_rows`` call, in order, starting
-    with no block cached."""
-    monkeypatch.setattr(milp, "_transitivity_cache", None)
+    """The row count of every ``_render_rows`` call that renders a row, in
+    order, starting with no block cached."""
+    monkeypatch.setattr(milp, "_blocks", {})
     calls = []
     render_rows = milp._render_rows
 
     def spy(out, rows, model):
-        calls.append(len(rows))
+        if rows:
+            calls.append(len(rows))
         return render_rows(out, rows, model)
 
     monkeypatch.setattr(milp, "_render_rows", spy)
@@ -375,35 +385,36 @@ def rendered(monkeypatch):
 
 def test_cached_block_text_equals_the_per_row_text(monkeypatch, rendered):
     """n = 14, 6, 14: the second 14 finds the cache evicted and builds and
-    renders the block anew.  A copy of each model with newly constructed
+    renders its blocks anew.  A copy of each model with newly constructed
     rows, exported with no block cached, renders every row."""
-    blocks = []
+    seen = []
     for n_nodes in (14, 6, 14):
         model = trans_model(n_nodes)
-        block = milp._transitivity_cache
-        size, total = len(block.rows), len(model.constraints)
-        assert (block.n_nodes, block.text) == (n_nodes, None)
-        assert all(a is b for a, b in zip(model.constraints[-size:], block.rows))
-        assert all(block is not old for old in blocks)
-        blocks.append(block)
+        blocks = [milp._blocks[build] for build in BUILDERS]
+        assert blocks[-1].key == (n_nodes,)
+        assert [block.text for block in blocks] == [None] * 3
+        assert is_shared(model.constraints, sum((block.rows for block in blocks), ()))
+        assert is_shared(model.variables, blocks[0].columns + blocks[1].columns)
+        assert all(block is not old for block in blocks for old in seen)
+        seen += blocks
         rendered.clear()
         text = export_lp(model)
-        assert rendered == [total - size, size]  # the block is rendered once
+        assert rendered == [len(block.rows) for block in blocks]  # each rendered once
         rendered.clear()
         assert export_lp(model) == text
-        assert rendered == [total - size]
+        assert rendered == []
         fresh = MilpModel(model.variables, tuple(LinearConstraint(*r) for r in model.constraints),
                           model.objective)
         rendered.clear()
         with monkeypatch.context() as m:
-            m.setattr(milp, "_transitivity_cache", None)
+            m.setattr(milp, "_blocks", {})
             assert export_lp(fresh) == text
-        assert rendered == [total]
+        assert rendered == [len(model.constraints)]
 
 
 def test_a_model_that_differs_from_the_block_is_written_from_its_own_rows(rendered):
     model = trans_model(8)
-    text = export_lp(model)  # caches the block's text
+    text = export_lp(model)  # caches the blocks' text
     rows = model.constraints
     k = next(k for k, r in enumerate(rows) if r.name == "tri_1_2_3")
     line = f" tri_1_2_3: {milp._render_terms(rows[k].coeffs)} <= "
@@ -413,36 +424,119 @@ def test_a_model_that_differs_from_the_block_is_written_from_its_own_rows(render
     assert last + "Bounds\n" in text
     expected = {replaced: text.replace(line + "1\n", line + "2\n"),
                 rows[:-1]: text.replace(last, "")}
+    # the leveled and selection rows still come from their blocks' text
+    head = len(milp._blocks[milp._leveled_block].rows) + len(
+        milp._blocks[milp._selection_block].rows)
     for constraints, want in expected.items():
         rendered.clear()
         assert export_lp(MilpModel(model.variables, constraints, model.objective)) == want
-        assert rendered == [len(constraints)]
-    assert milp._transitivity_cache.text is not None
+        assert rendered == [len(constraints) - head]
+    assert all(milp._blocks[build].text is not None for build in BUILDERS)
+
+
+def test_bench_variants_share_the_blocks_that_read_the_same_inputs(monkeypatch):
+    """The four bench variants at gamma 1 and 2: ``basic``/``trans`` and
+    ``warm``/``warm+trans`` share their leveled rows, all eight one
+    selection block; every cached model equals the one built without the
+    cache, and its text equals its rows rendered one by one."""
+    monkeypatch.setattr(milp, "_blocks", {})
+    inst = robustify(random_psplib_instance(random.Random(6), n_act=8, n_res=2))
+    n, n_res = inst.n_nodes, len(inst.capacity)
+
+    def split(model, gamma):
+        """The model's (leveled, selection) rows."""
+        leveled = (2 * gamma + 1) * n * n
+        return (model.constraints[:leveled],
+                model.constraints[leveled:leveled + n * n * n_res + 2 * n * n_res])
+
+    def uncached(fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` with an empty cache: a model built from
+        new blocks, or a model's text rendered row by row."""
+        with monkeypatch.context() as m:
+            m.setattr(milp, "_blocks", {})
+            return fn(*args, **kwargs)
+
+    models = {(gamma, variant): build_variant(inst, gamma, variant)[0]
+              for gamma in (1, 2) for variant in MILP_VARIANTS}
+    for (gamma, variant), model in models.items():
+        assert model == uncached(build_variant, inst, gamma, variant)[0]
+        assert export_lp(model) == uncached(export_lp, model), (gamma, variant)
+    for gamma in (1, 2):
+        leveled = {v: split(models[gamma, v], gamma)[0] for v in MILP_VARIANTS}
+        assert is_shared(leveled["basic"], leveled["trans"])
+        assert is_shared(leveled["warm"], leveled["warm+trans"])
+        assert not any(a is b for a, b in zip(leveled["basic"], leveled["warm"]))
+    assert not any(a is b for a, b in zip(split(models[1, "basic"], 1)[0],
+                                          split(models[2, "basic"], 2)[0]))
+    selection = split(models[1, "basic"], 1)[1]
+    assert len(selection) == n * n * n_res + 2 * n * n_res
+    assert all(is_shared(split(model, gamma)[1], selection)
+               for (gamma, _), model in models.items())
+
+    # One capacity or one duration apart: a new selection or leveled block.
+    capacity = dataclasses.replace(inst, capacity=(inst.capacity[0] + 1,) + inst.capacity[1:])
+    durations = list(inst.nominal_duration)
+    durations[3] += 1
+    duration = dataclasses.replace(inst, nominal_duration=durations)
+    for other in (capacity, duration):
+        build_compact(inst, 1, integral_starts=True)
+        before = milp._blocks.copy()
+        model = build_compact(other, 1, integral_starts=True)
+        assert model == uncached(build_compact, other, 1, integral_starts=True)
+        changed = [build for build in BUILDERS[:2] if milp._blocks[build] is not before[build]]
+        assert changed == [milp._selection_block if other is capacity else milp._leveled_block]
+
+    # A, then B of the same size, then A's text: B's first leveled and
+    # selection rows equal A's, later ones do not.
+    durations = list(inst.nominal_duration)
+    durations[1], durations[2] = durations[1] + 1, durations[2] - 1
+    requirement = list(inst.requirement)
+    requirement[n - 2] = tuple(min(r + 1, c) if r < c else r - 1
+                               for r, c in zip(requirement[n - 2], inst.capacity))
+    b = dataclasses.replace(inst, nominal_duration=durations, requirement=requirement)
+    for variant in MILP_VARIANTS:
+        a_model = build_variant(inst, 1, variant)[0]
+        b_model = build_variant(b, 1, variant)[0]
+        a_leveled, a_selection = split(a_model, 1)
+        b_leveled, b_selection = split(b_model, 1)
+        assert (a_leveled[0], a_selection[0]) == (b_leveled[0], b_selection[0])
+        assert a_leveled != b_leveled and a_selection != b_selection
+        assert export_lp(a_model) == uncached(export_lp, a_model), variant
+
+    # An empty row's text names the model's first column: a model with the
+    # diamond's rows and its columns reversed is written with its own.
+    diamond = build_variant(counterexample_instance(), 0, "warm")[0]
+    assert any(not row.coeffs for row in diamond.constraints)
+    export_lp(diamond)
+    reversed_columns = MilpModel(diamond.variables[::-1], diamond.constraints, diamond.objective)
+    assert export_lp(reversed_columns) == uncached(export_lp, reversed_columns)
 
 
 def test_threads_building_two_sizes_get_the_single_threaded_text():
     """More threads than cores, switching often, each building and
-    exporting trans models while the others evict its block."""
-    sizes = (9, 13, 9, 13)
-    expected = {n_nodes: export_lp(trans_model(n_nodes)) for n_nodes in set(sizes)}
-    barrier = threading.Barrier(len(sizes), timeout=60)
+    exporting trans models while the others evict its blocks: two
+    instances of 9 nodes evict each other's leveled and selection blocks
+    and share one transitivity block, which the 13-node instance evicts."""
+    cases = ((9, None), (13, None), (9, 90), (13, None))
+    expected = {case: export_lp(trans_model(*case)) for case in set(cases)}
+    barrier = threading.Barrier(len(cases), timeout=60)
 
-    def build_and_export(n_nodes):
+    def build_and_export(case):
         texts = []
         for _ in range(6):
             barrier.wait()
-            texts.append(export_lp(trans_model(n_nodes)))
+            texts.append(export_lp(trans_model(*case)))
         return texts
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(len(sizes)) as pool:
-            results = list(pool.map(build_and_export, sizes, timeout=120))
+        with ThreadPoolExecutor(len(cases)) as pool:
+            results = list(pool.map(build_and_export, cases, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for n_nodes, texts in zip(sizes, results):
-        assert texts == [expected[n_nodes]] * 6, n_nodes
+    for case, texts in zip(cases, results):
+        assert texts == [expected[case]] * 6, case
 
 
 # ---------------------------------------------------------------------------
