@@ -160,19 +160,13 @@ def _run_task(config, path, gamma, variant):
 def build_variant(inst, gamma, variant):
     """The compact model of a MILP variant and, for the ``warm`` variants,
     the warm-start assignment (else None)."""
-    transitivity = variant in ("trans", "warm+trans")
-    warm_started = variant in ("warm", "warm+trans")
-    tighten = None
-    assignment = None
-    if warm_started:
+    warm = tighten = None
+    if variant in ("warm", "warm+trans"):
         warm = warm_start(inst, gamma)
         tighten = time_windows(inst, warm.selection, gamma, warm.upper_bound)
-        model = milp.build_compact(inst, gamma, transitivity=transitivity,
-                                   tighten=tighten, integral_starts=True)
-        assignment = milp.warm_start_assignment(inst, gamma, warm)
-    else:
-        model = milp.build_compact(inst, gamma, transitivity=transitivity,
-                                   integral_starts=True)
+    model = milp.build_compact(inst, gamma, transitivity=variant in ("trans", "warm+trans"),
+                               tighten=tighten, integral_starts=True)
+    assignment = None if warm is None else milp.warm_start_assignment(inst, gamma, warm)
     return model, assignment
 
 

@@ -53,13 +53,13 @@ class WarmStart:
 
 
 def _latest_finishes(inst: ProjectInstance, horizon: int) -> tuple[int, ...]:
-    """Latest nominal finishes from a backward pass over the instance arcs."""
+    """Latest nominal finishes: ``horizon`` less each node's tail row at
+    gamma 0 (its longest nominal path to the sink) over the instance arcs."""
+    tails = [[0]] * inst.n_nodes  # one shared row: the kernel copies before it raises
+    order = reversed(topological_order(inst.n_nodes, inst.precedence))
     succ = successors(inst.n_nodes, inst.precedence)
-    lf = [horizon] * inst.n_nodes
-    for v in reversed(topological_order(inst.n_nodes, inst.precedence)):
-        if succ[v]:
-            lf[v] = min(lf[w] - inst.nominal_duration[w] for w in succ[v])
-    return tuple(lf)
+    relax_leveled_rows(tails, order, -1, succ, inst.nominal_duration, inst.nominal_duration)
+    return tuple(horizon - row[0] for row in tails)
 
 
 def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:

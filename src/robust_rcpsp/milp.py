@@ -23,22 +23,22 @@ each block reads only its own inputs:
 - the transitivity block: the ``pair_`` and ``tri_`` rows, from the node
   count alone.
 
-One cache keeps the most recent block of each kind, keyed by those inputs
-and compared by value, so models that read equal inputs share the same row
-and column objects: the four bench variants of one instance at one gamma
-build two leveled blocks and one selection block, and every transitivity
-model of one size shares one transitivity block.  ``export_lp`` renders a
-block's text once and writes it wherever a model's rows hold the block's
-rows.  The reuse is exact: rows are immutable named tuples, the slice equality is
-checked on every export (on shared rows it is an identity test per row),
-equal rows render equal text, and the one row text that reads the model,
-an empty row's, is reused only for a model with the same first column.
-The cache holds rows, columns and text until a build with other inputs
-replaces them: at j30 and gamma 7, about 4.4 MB for the leveled block,
+Each builder keeps its most recent block (``functools.lru_cache`` of size
+one, emptied by its ``cache_clear``), so models that read equal inputs
+share the same row and column objects: the four bench variants of one
+instance at one gamma build two leveled blocks and one selection block,
+and every transitivity model of one size shares one transitivity block.
+A model holds the blocks it was built from, and ``export_lp`` writes each
+block's text, rendered once per block, in place of its rows.  Rows are
+immutable named tuples and the model is frozen, so a model's rows are its
+blocks' rows; a model made any other way holds no blocks and is written
+row by row.  The cache holds a block until a build with other inputs
+replaces it: at j30 and gamma 7, about 4.4 MB for the leveled block,
 2.5 MB for the selection block and 8.9 MB for the transitivity block.
 """
 from __future__ import annotations
 
+import functools
 import shlex
 import subprocess
 import tempfile
@@ -82,11 +82,14 @@ class LinearConstraint(NamedTuple):
     rhs: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MilpModel:
     variables: tuple[Variable, ...]
     constraints: tuple[LinearConstraint, ...]
     objective: tuple[tuple[str, int], ...]  # minimized
+    # The blocks whose rows, in order, are the constraints; only
+    # build_compact sets them, so a copy or a hand-made model has none.
+    blocks: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 def default_big_m(inst: ProjectInstance) -> int:
@@ -106,7 +109,8 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
     coefficients are dropped from the big-M and transitivity rows.
 
     The model is the leveled block, then the selection block, then the
-    transitivity block if asked for; each comes from the block cache.
+    transitivity block if asked for, and it holds those blocks; each comes
+    from its builder's cache.
     """
     if tighten is not None:
         critical = worst_case_makespan_dp(inst, Selection(), 0).value
@@ -115,42 +119,43 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
                 f"tightening horizon {tighten.horizon} is below the nominal critical path"
             )
     windows = None if tighten is None else (tuple(tighten.es), tuple(tighten.lf))
-    leveled = _cached(_leveled_block, gamma, integral_starts,
-                      inst.nominal_duration, inst.max_deviation, windows)
-    selection = _cached(_selection_block, inst.precedence, inst.capacity, inst.requirement)
-    rows = leveled.rows + selection.rows
+    blocks = (_leveled_block(gamma, integral_starts, inst.nominal_duration,
+                             inst.max_deviation, windows),
+              _selection_block(inst.precedence, inst.capacity, inst.requirement))
     if transitivity:
-        rows += _cached(_transitivity_block, inst.n_nodes).rows
-    return MilpModel(
-        variables=leveled.columns + selection.columns,
-        constraints=rows,
+        blocks += (_transitivity_block(inst.n_nodes),)
+    model = MilpModel(
+        variables=sum((block.columns for block in blocks), ()),
+        constraints=sum((block.rows for block in blocks), ()),
         objective=((start_name(inst.sink, gamma), 1),),
     )
+    object.__setattr__(model, "blocks", blocks)
+    return model
 
 
-class _Block(NamedTuple):
-    key: tuple  # the builder's arguments
-    columns: tuple[Variable, ...]
-    rows: tuple[LinearConstraint, ...]
-    # (the first column of the model that rendered the rows, which an empty
-    # row names; the rows' LP lines), set by the first export
-    text: tuple[str, str] | None
+class _Block:
+    """A builder's columns and rows, and the rows' LP text once an export
+    asks for it."""
+
+    def __init__(self, columns, rows):
+        self.columns = columns
+        self.rows = rows
+        # (the first column of the model that rendered the rows, which an
+        # empty row names; the rows' LP lines)
+        self._text = None
+
+    def text(self, first):
+        # One read of the field: a thread that replaces it in between
+        # cannot hand back another first column's text.
+        memo = self._text
+        if memo is None or memo[0] != first:
+            lines = []
+            _render_rows(lines, self.rows, first)
+            memo = self._text = (first, "\n".join(lines))
+        return memo[1]
 
 
-# The most recent block of each builder.  A block is replaced whole, never
-# edited, so a thread reads either the old block or the new one.
-_blocks: dict = {}
-
-
-def _cached(build, *key):
-    """The block ``build(*key)``: the cached one when its key equals
-    ``key``, else a new one, which replaces it."""
-    block = _blocks.get(build)
-    if block is None or block.key != key:
-        block = _blocks[build] = _Block(key, *build(*key), None)
-    return block
-
-
+@functools.lru_cache(maxsize=1)
 def _leveled_block(gamma, integral_starts, nominal, dev, windows):
     """The start columns ``S_i_g`` and the big-M precedence rows ``nom_``
     and ``dev_`` over ``gamma + 1`` levels.  ``windows`` is ``(es, lf)``
@@ -191,9 +196,10 @@ def _leveled_block(gamma, integral_starts, nominal, dev, windows):
             rhs = nominal[i] + dev[i] - m_cross
             rows += [LinearConstraint(pre + suffix[g], (s_j[g + 1], s_i[g]) + big_m, ">=", rhs)
                      for g in range(gamma)]
-    return columns, tuple(rows)
+    return _Block(columns, tuple(rows))
 
 
+@functools.lru_cache(maxsize=1)
 def _selection_block(precedence, capacity, requirement):
     """The arc binaries ``y_i_j``, the flows ``f_i_j_k`` and the flow rows
     ``cap_``, ``fin_`` and ``fout_``: the arcs fixed by the precedence, and
@@ -237,9 +243,10 @@ def _selection_block(precedence, capacity, requirement):
             rhs = capacity[k] if i == 0 else 0 if i == sink else requirement[i][k]
             rows.append(LinearConstraint(f"fout_{i}_{k}", tuple(f_pos[i][j][k] for j in nodes),
                                          "=", rhs))
-    return tuple(columns), tuple(rows)
+    return _Block(tuple(columns), tuple(rows))
 
 
+@functools.lru_cache(maxsize=1)
 def _transitivity_block(n_nodes):
     """The ``pair_`` and ``tri_`` rows over the arc binaries of ``n_nodes``
     nodes: they read no instance data but the node count, with the sink as
@@ -267,7 +274,7 @@ def _transitivity_block(n_nodes):
                 coeffs[j] = _merge_terms(coeffs[j])
             pre = f"tri_{i}_{l}_"
             rows += [LinearConstraint(pre + sfx, c, "<=", 1) for sfx, c in zip(suffix, coeffs)]
-    return (), tuple(rows)
+    return _Block((), tuple(rows))
 
 
 def _merge_terms(terms):
@@ -378,29 +385,15 @@ def evaluate_objective(model: MilpModel, values):
 def export_lp(model: MilpModel) -> str:
     """Standard LP format with deterministic row and variable order.
 
-    Where the model's rows hold a cached block's rows, in the order
-    ``build_compact`` composes them, the block's text is rendered once and
-    reused: equal rows render equal text, and the one row that reads the
-    model, an empty one, names its first column, which the text records.
+    A model that holds its blocks is written block by block, each block's
+    text rendered once; any other model is written row by row.
     """
     out = ["Minimize", f" obj: {_render_terms(model.objective)}", "Subject To"]
-    rows = model.constraints
     first = model.variables[0].name if model.variables else None
-    pos = 0
-    for build in (_leveled_block, _selection_block, _transitivity_block):
-        block = _blocks.get(build)
-        start = _find_block(rows, pos, block)
-        if start is None:
-            continue
-        _render_rows(out, rows[pos:start], model)
-        if block.text is None or block.text[0] != first:
-            lines = []
-            _render_rows(lines, block.rows, model)
-            # A lost race with a build of another key only evicts that block.
-            block = _blocks[build] = block._replace(text=(first, "\n".join(lines)))
-        out.append(block.text[1])
-        pos = start + len(block.rows)
-    _render_rows(out, rows[pos:], model)
+    if model.blocks:
+        out += [block.text(first) for block in model.blocks if block.rows]
+    else:
+        _render_rows(out, model.constraints, first)
     out.append("Bounds")
     for v in model.variables:
         if v.kind == "binary" and v.lb == 0 and v.ub == 1:
@@ -424,22 +417,9 @@ def export_lp(model: MilpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _find_block(rows, pos, block):
-    """Where the rows of ``block`` start in ``rows`` at or after ``pos``,
-    or None.  On rows shared with the block, the slice equality is an
-    identity test per row."""
-    if block is None or not block.rows:
-        return None
-    try:
-        start = rows.index(block.rows[0], pos)
-    except ValueError:
-        return None
-    return start if rows[start:start + len(block.rows)] == block.rows else None
-
-
-def _render_rows(out, rows, model):
+def _render_rows(out, rows, first):
     for name, coeffs, sense, rhs in rows:
-        body = _render_terms(coeffs) if coeffs else f"0 {model.variables[0].name}"
+        body = _render_terms(coeffs) if coeffs else f"0 {first}"
         out.append(f" {name}: {body} {sense} {rhs if type(rhs) is int else _num(rhs)}")
 
 

@@ -339,6 +339,21 @@ def test_rows_and_columns_are_immutable_named_records():
         row.rhs = 2
 
 
+def test_a_model_is_frozen_and_a_copy_holds_no_blocks():
+    """A copy made by ``dataclasses.replace`` holds no blocks, so it is
+    written from its own rows."""
+    model = trans_model(6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.constraints = model.constraints[:-1]
+    copy = dataclasses.replace(model, constraints=model.constraints[:-1])
+    assert len(model.blocks) == 3 and copy.blocks == ()
+    last = model.constraints[-1]
+    line = f" {last.name}: {milp._render_terms(last.coeffs)} <= 1\n"
+    text = export_lp(model)
+    assert line in text
+    assert export_lp(copy) == text.replace(line, "")
+
+
 def test_mst_lines():
     model = MilpModel(
         variables=(Variable("S_0_0", "continuous", 0, 0), Variable("y_0_1", "binary", 1, 1)),
@@ -356,6 +371,11 @@ def test_mst_lines():
 BUILDERS = (milp._leveled_block, milp._selection_block, milp._transitivity_block)
 
 
+def clear_blocks():
+    for build in BUILDERS:
+        build.cache_clear()
+
+
 def trans_model(n_nodes, seed=None):
     inst = random_dag_instance(random.Random(n_nodes if seed is None else seed), n_nodes - 2,
                                n_res=1)
@@ -366,33 +386,38 @@ def is_shared(rows, other):
     return len(rows) == len(other) and all(a is b for a, b in zip(rows, other))
 
 
+def per_row_text(model):
+    """The model's text from a copy that holds no blocks: every row
+    rendered one by one."""
+    return export_lp(dataclasses.replace(model))
+
+
 @pytest.fixture
 def rendered(monkeypatch):
-    """The row count of every ``_render_rows`` call that renders a row, in
-    order, starting with no block cached."""
-    monkeypatch.setattr(milp, "_blocks", {})
+    """The row count of every ``_render_rows`` call, in order, starting
+    with no block cached."""
+    clear_blocks()
     calls = []
     render_rows = milp._render_rows
 
-    def spy(out, rows, model):
-        if rows:
-            calls.append(len(rows))
-        return render_rows(out, rows, model)
+    def spy(out, rows, first):
+        calls.append(len(rows))
+        return render_rows(out, rows, first)
 
     monkeypatch.setattr(milp, "_render_rows", spy)
     return calls
 
 
-def test_cached_block_text_equals_the_per_row_text(monkeypatch, rendered):
+def test_cached_block_text_equals_the_per_row_text(rendered):
     """n = 14, 6, 14: the second 14 finds the cache evicted and builds and
     renders its blocks anew.  A copy of each model with newly constructed
-    rows, exported with no block cached, renders every row."""
+    rows holds no blocks and renders every row."""
     seen = []
     for n_nodes in (14, 6, 14):
         model = trans_model(n_nodes)
-        blocks = [milp._blocks[build] for build in BUILDERS]
-        assert blocks[-1].key == (n_nodes,)
-        assert [block.text for block in blocks] == [None] * 3
+        blocks = model.blocks
+        assert blocks[-1] is milp._transitivity_block(n_nodes)
+        assert [block._text for block in blocks] == [None] * 3
         assert is_shared(model.constraints, sum((block.rows for block in blocks), ()))
         assert is_shared(model.variables, blocks[0].columns + blocks[1].columns)
         assert all(block is not old for block in blocks for old in seen)
@@ -405,16 +430,14 @@ def test_cached_block_text_equals_the_per_row_text(monkeypatch, rendered):
         assert rendered == []
         fresh = MilpModel(model.variables, tuple(LinearConstraint(*r) for r in model.constraints),
                           model.objective)
-        rendered.clear()
-        with monkeypatch.context() as m:
-            m.setattr(milp, "_blocks", {})
-            assert export_lp(fresh) == text
+        assert fresh == model and fresh.blocks == ()
+        assert export_lp(fresh) == text
         assert rendered == [len(model.constraints)]
 
 
 def test_a_model_that_differs_from_the_block_is_written_from_its_own_rows(rendered):
     model = trans_model(8)
-    text = export_lp(model)  # caches the blocks' text
+    text = export_lp(model)  # renders the blocks' text
     rows = model.constraints
     k = next(k for k, r in enumerate(rows) if r.name == "tri_1_2_3")
     line = f" tri_1_2_3: {milp._render_terms(rows[k].coeffs)} <= "
@@ -424,22 +447,41 @@ def test_a_model_that_differs_from_the_block_is_written_from_its_own_rows(render
     assert last + "Bounds\n" in text
     expected = {replaced: text.replace(line + "1\n", line + "2\n"),
                 rows[:-1]: text.replace(last, "")}
-    # the leveled and selection rows still come from their blocks' text
-    head = len(milp._blocks[milp._leveled_block].rows) + len(
-        milp._blocks[milp._selection_block].rows)
     for constraints, want in expected.items():
         rendered.clear()
         assert export_lp(MilpModel(model.variables, constraints, model.objective)) == want
-        assert rendered == [len(constraints) - head]
-    assert all(milp._blocks[build].text is not None for build in BUILDERS)
+        assert rendered == [len(constraints)]
+    assert all(block._text is not None for block in model.blocks)
 
 
-def test_bench_variants_share_the_blocks_that_read_the_same_inputs(monkeypatch):
+def test_a_model_keeps_its_blocks_text_after_another_build_evicts_them(rendered):
+    """A, then B of the same size with other durations and requirements:
+    B's build evicts A's leveled and selection blocks from the cache, but
+    A holds them, so A's second export renders no row."""
+    inst = robustify(random_psplib_instance(random.Random(6), n_act=8, n_res=2))
+    durations = list(inst.nominal_duration)
+    durations[1] += 1
+    requirement = list(inst.requirement)
+    requirement[2] = tuple(r - 1 if r else 1 for r in requirement[2])
+    b = dataclasses.replace(inst, nominal_duration=durations, requirement=requirement)
+    a_model = build_compact(inst, 2, transitivity=True)
+    b_model = build_compact(b, 2, transitivity=True)
+    assert not any(x is y for x, y in zip(a_model.blocks[:2], b_model.blocks[:2]))
+    assert a_model.blocks[2] is b_model.blocks[2]
+    export_lp(b_model)
+    text = export_lp(a_model)
+    rendered.clear()
+    assert export_lp(a_model) == text
+    assert rendered == []
+    assert text == per_row_text(a_model)
+
+
+def test_bench_variants_share_the_blocks_that_read_the_same_inputs():
     """The four bench variants at gamma 1 and 2: ``basic``/``trans`` and
     ``warm``/``warm+trans`` share their leveled rows, all eight one
     selection block; every cached model equals the one built without the
     cache, and its text equals its rows rendered one by one."""
-    monkeypatch.setattr(milp, "_blocks", {})
+    clear_blocks()
     inst = robustify(random_psplib_instance(random.Random(6), n_act=8, n_res=2))
     n, n_res = inst.n_nodes, len(inst.capacity)
 
@@ -450,17 +492,16 @@ def test_bench_variants_share_the_blocks_that_read_the_same_inputs(monkeypatch):
                 model.constraints[leveled:leveled + n * n * n_res + 2 * n * n_res])
 
     def uncached(fn, *args, **kwargs):
-        """``fn(*args, **kwargs)`` with an empty cache: a model built from
-        new blocks, or a model's text rendered row by row."""
-        with monkeypatch.context() as m:
-            m.setattr(milp, "_blocks", {})
-            return fn(*args, **kwargs)
+        """``fn(*args, **kwargs)`` with every builder's cache emptied
+        first: a model built from new blocks."""
+        clear_blocks()
+        return fn(*args, **kwargs)
 
     models = {(gamma, variant): build_variant(inst, gamma, variant)[0]
               for gamma in (1, 2) for variant in MILP_VARIANTS}
     for (gamma, variant), model in models.items():
         assert model == uncached(build_variant, inst, gamma, variant)[0]
-        assert export_lp(model) == uncached(export_lp, model), (gamma, variant)
+        assert export_lp(model) == per_row_text(model), (gamma, variant)
     for gamma in (1, 2):
         leveled = {v: split(models[gamma, v], gamma)[0] for v in MILP_VARIANTS}
         assert is_shared(leveled["basic"], leveled["trans"])
@@ -479,11 +520,11 @@ def test_bench_variants_share_the_blocks_that_read_the_same_inputs(monkeypatch):
     durations[3] += 1
     duration = dataclasses.replace(inst, nominal_duration=durations)
     for other in (capacity, duration):
-        build_compact(inst, 1, integral_starts=True)
-        before = milp._blocks.copy()
+        before = build_compact(inst, 1, integral_starts=True).blocks
         model = build_compact(other, 1, integral_starts=True)
         assert model == uncached(build_compact, other, 1, integral_starts=True)
-        changed = [build for build in BUILDERS[:2] if milp._blocks[build] is not before[build]]
+        changed = [build for build, old, new in zip(BUILDERS, before, model.blocks)
+                   if new is not old]
         assert changed == [milp._selection_block if other is capacity else milp._leveled_block]
 
     # A, then B of the same size, then A's text: B's first leveled and
@@ -501,15 +542,19 @@ def test_bench_variants_share_the_blocks_that_read_the_same_inputs(monkeypatch):
         b_leveled, b_selection = split(b_model, 1)
         assert (a_leveled[0], a_selection[0]) == (b_leveled[0], b_selection[0])
         assert a_leveled != b_leveled and a_selection != b_selection
-        assert export_lp(a_model) == uncached(export_lp, a_model), variant
+        assert export_lp(a_model) == per_row_text(a_model), variant
 
-    # An empty row's text names the model's first column: a model with the
-    # diamond's rows and its columns reversed is written with its own.
+    # An empty row's text names the model's first column: a block's text
+    # rendered for another first column names that one, and the block's
+    # own model is then written with its own again.
     diamond = build_variant(counterexample_instance(), 0, "warm")[0]
     assert any(not row.coeffs for row in diamond.constraints)
-    export_lp(diamond)
+    text = export_lp(diamond)
     reversed_columns = MilpModel(diamond.variables[::-1], diamond.constraints, diamond.objective)
-    assert export_lp(reversed_columns) == uncached(export_lp, reversed_columns)
+    first = reversed_columns.variables[0].name
+    assert f" 0 {first} " in diamond.blocks[0].text(first)
+    assert diamond.blocks[0].text(first) in export_lp(reversed_columns)
+    assert export_lp(diamond) == text == per_row_text(diamond)
 
 
 def test_threads_building_two_sizes_get_the_single_threaded_text():
