@@ -47,9 +47,10 @@ class BenchConfig:
         """Read a config object; raises ``ValueError`` naming the field of
         a missing or bad value, so a bad config fails before any task runs.
 
-        ``gammas`` are ints >= 0, ``time_limit_s`` is null or a finite
-        number >= 0, and ``workers`` is an int >= 1; booleans are none of
-        these."""
+        ``instances_dir`` is a string, ``gammas`` are ints >= 0,
+        ``variants`` are names from ``ALL_VARIANTS``, ``time_limit_s`` is
+        null or a finite number >= 0, ``bridge_cmd`` is null or a string,
+        and ``workers`` is an int >= 1; booleans are none of these."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or "instances_dir" not in raw:
             raise ValueError('bench config: expected an object with "instances_dir"')
@@ -64,12 +65,24 @@ class BenchConfig:
         workers = raw.get("workers", 1)
         if not (_is_int(workers) and workers >= 1):
             raise ValueError(f"bench config: workers must be an int >= 1, not {workers!r}")
+        instances_dir = raw["instances_dir"]
+        if not isinstance(instances_dir, str):
+            raise ValueError("bench config: instances_dir must be a string, "
+                             f"not {instances_dir!r}")
+        variants = raw.get("variants", ["bnb"])
+        if not (isinstance(variants, list) and all(v in ALL_VARIANTS for v in variants)):
+            raise ValueError(f"bench config: variants must be a list of names from {ALL_VARIANTS}, "
+                             f"not {variants!r}")
+        bridge_cmd = raw.get("bridge_cmd")
+        if bridge_cmd is not None and not isinstance(bridge_cmd, str):
+            raise ValueError("bench config: bridge_cmd must be null or a string, "
+                             f"not {bridge_cmd!r}")
         return cls(
-            instances_dir=raw["instances_dir"],
+            instances_dir=instances_dir,
             gammas=tuple(gammas),
-            variants=tuple(raw.get("variants", ("bnb",))),
+            variants=tuple(variants),
             time_limit_s=limit,
-            bridge_cmd=raw.get("bridge_cmd"),
+            bridge_cmd=bridge_cmd,
             workers=workers,
         )
 
@@ -159,12 +172,15 @@ def _run_task(config, path, gamma, variant):
 
 def build_variant(inst, gamma, variant):
     """The compact model of a MILP variant and, for the ``warm`` variants,
-    the warm-start assignment (else None)."""
+    the warm-start assignment (else None); raises ``ValueError`` for a
+    name not in ``MILP_VARIANTS``."""
+    if variant not in MILP_VARIANTS:
+        raise ValueError(f"unknown MILP variant {variant!r}; expected one of {MILP_VARIANTS}")
     warm = tighten = None
-    if variant in ("warm", "warm+trans"):
+    if variant.startswith("warm"):
         warm = warm_start(inst, gamma)
         tighten = time_windows(inst, warm.selection, gamma, warm.upper_bound)
-    model = milp.build_compact(inst, gamma, transitivity=variant in ("trans", "warm+trans"),
+    model = milp.build_compact(inst, gamma, transitivity=variant.endswith("trans"),
                                tighten=tighten, integral_starts=True)
     assignment = None if warm is None else milp.warm_start_assignment(inst, gamma, warm)
     return model, assignment

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import adversary, bench, bnb, milp, network
 from .errors import RobustRcpspError
-from .heuristics import time_windows, warm_start
+from .heuristics import warm_start
 from .instance import from_json, parse_psplib, robustify, to_json
 
 BRIDGE_ENV = "ROBUST_RCPSP_BRIDGE"
@@ -66,24 +66,20 @@ def _build_parser():
     p.add_argument("--gamma", type=int, required=True)
     p.set_defaults(handler=_cmd_warmstart)
 
-    p = sub.add_parser("build", help="build the compact model and write an LP file")
+    p = sub.add_parser("build", help="build a compact-model variant and write an LP file")
     p.add_argument("file")
     p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--trans", action="store_true", help="add transitivity rows")
-    p.add_argument("--tighten", action="store_true",
-                   help="tighten big-M values from warm-start time windows")
-    p.add_argument("--int-starts", action="store_true", help="integer start variables")
+    p.add_argument("--variant", choices=bench.MILP_VARIANTS, required=True)
     p.add_argument("-o", "--output", required=True, help="LP file path")
-    p.add_argument("--mst", help="also write the warm-start file here")
+    p.add_argument("--mst", help="warm variants: also write the warm-start file here")
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("solve", help="solve an instance exactly")
     p.add_argument("file")
     p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--method", choices=("bnb", "bridge"), default="bnb")
+    p.add_argument("--variant", choices=bench.ALL_VARIANTS, default="bnb",
+                   help="bnb, or a compact-model variant solved through the bridge")
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--trans", action="store_true",
-                   help="bridge method: add transitivity rows")
     p.add_argument("--bridge-cmd", default=None,
                    help=f"solver command template (default: ${BRIDGE_ENV})")
     p.set_defaults(handler=_cmd_solve)
@@ -135,6 +131,8 @@ def _cmd_forbidden(args):
 def _parse_selection(arg):
     text = arg if arg.lstrip().startswith("[") else Path(arg).read_text()
     pairs = json.loads(text)
+    if not isinstance(pairs, list):
+        raise ValueError(f"selection must be a JSON list of [i, j] pairs, not {pairs!r}")
     return network.Selection.from_pairs(pairs)
 
 
@@ -162,27 +160,23 @@ def _cmd_warmstart(args):
 
 def _cmd_build(args):
     inst = _load_instance(args.file)
-    warm = warm_start(inst, args.gamma) if (args.tighten or args.mst) else None
-    tighten = None
-    if args.tighten:
-        tighten = time_windows(inst, warm.selection, args.gamma, warm.upper_bound)
-    model = milp.build_compact(inst, args.gamma, transitivity=args.trans,
-                               tighten=tighten, integral_starts=args.int_starts)
+    model, assignment = bench.build_variant(inst, args.gamma, args.variant)
+    if args.mst and assignment is None:
+        print(f"error: --mst needs a warm variant; {args.variant} has no warm start",
+              file=sys.stderr)
+        return 2
     Path(args.output).write_text(milp.export_lp(model))
-    mst_path = None
     if args.mst:
-        assignment = milp.warm_start_assignment(inst, args.gamma, warm)
         Path(args.mst).write_text(milp.export_warm_start(assignment, model))
-        mst_path = args.mst
     print(f"wrote {args.output}", file=sys.stderr)
-    _emit({"lp": args.output, "mst": mst_path,
+    _emit({"lp": args.output, "mst": args.mst or None,
            "variables": len(model.variables), "constraints": len(model.constraints)})
     return 0
 
 
 def _cmd_solve(args):
     inst = _load_instance(args.file)
-    if args.method == "bnb":
+    if args.variant == "bnb":
         res = bnb.solve_exact(inst, args.gamma, time_limit_s=args.time_limit)
         _emit({
             "method": "bnb",
@@ -200,8 +194,7 @@ def _cmd_solve(args):
         print(f"error: no bridge command; pass --bridge-cmd or set ${BRIDGE_ENV}",
               file=sys.stderr)
         return 1
-    model, assignment = bench.build_variant(inst, args.gamma,
-                                            "warm+trans" if args.trans else "warm")
+    model, assignment = bench.build_variant(inst, args.gamma, args.variant)
     outcome = milp.solve_external(model, assignment, command=command,
                                   time_limit_s=args.time_limit)
     _emit({

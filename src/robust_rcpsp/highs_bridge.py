@@ -5,7 +5,8 @@ Usage: ``python -m robust_rcpsp.highs_bridge MODEL.lp OUT.sol [TIME_S] [WARM.mst
 HiGHS reads the LP file written by :mod:`robust_rcpsp.milp` itself and
 solves it.  The bridge then writes the solution-file contract expected by
 ``solve_external``: a status line (status word, plus the best bound when the
-model has integer columns and a solution was found) followed by one
+model has integer columns, a solution was found and the bound is finite,
+since ``solve_external`` rejects a non-finite one) followed by one
 ``name value`` line per variable.  A warm-start file is accepted for
 interface compatibility but is not passed to HiGHS.
 
@@ -85,8 +86,10 @@ def solve_lp_file(lp_path, sol_path, time_limit_s=None):
     lines = [status]
     if status in ("optimal", "feasible"):
         lp = highs.getLp()
-        if any(kind != core.HighsVarType.kContinuous for kind in lp.integrality_):
-            lines[0] = f"{status} {info.mip_dual_bound}"
+        bound = info.mip_dual_bound
+        if math.isfinite(bound) and any(kind != core.HighsVarType.kContinuous
+                                        for kind in lp.integrality_):
+            lines[0] = f"{status} {bound}"
         for name, value in zip(lp.col_names_, highs.getSolution().col_value):
             lines.append(f"{name} {_clean(value)}")
     Path(sol_path).write_text("\n".join(lines) + "\n")

@@ -39,6 +39,7 @@ replaces it: at j30 and gamma 7, about 4.4 MB for the leveled block,
 from __future__ import annotations
 
 import functools
+import math
 import shlex
 import subprocess
 import tempfile
@@ -92,11 +93,6 @@ class MilpModel:
     blocks: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
-def default_big_m(inst: ProjectInstance) -> int:
-    """Total worst-case work: a safe bound on any minimum makespan."""
-    return sum(inst.nominal_duration) + sum(inst.max_deviation)
-
-
 def build_compact(inst: ProjectInstance, gamma: int, *,
                   transitivity: bool = False,
                   tighten: TimeWindows | None = None,
@@ -140,19 +136,16 @@ class _Block:
     def __init__(self, columns, rows):
         self.columns = columns
         self.rows = rows
-        # (the first column of the model that rendered the rows, which an
-        # empty row names; the rows' LP lines)
         self._text = None
 
-    def text(self, first):
-        # One read of the field: a thread that replaces it in between
-        # cannot hand back another first column's text.
-        memo = self._text
-        if memo is None or memo[0] != first:
+    def text(self):
+        # An empty row names the model's first column, which is S_0_0 in
+        # every model build_compact makes.
+        if self._text is None:
             lines = []
-            _render_rows(lines, self.rows, first)
-            memo = self._text = (first, "\n".join(lines))
-        return memo[1]
+            _render_rows(lines, self.rows, start_name(0, 0))
+            self._text = "\n".join(lines)
+        return self._text
 
 
 @functools.lru_cache(maxsize=1)
@@ -162,7 +155,7 @@ def _leveled_block(gamma, integral_starts, nominal, dev, windows):
     for per-arc big-Ms, or None for the global one."""
     nodes = range(len(nominal))
     levels = range(gamma + 1)
-    m_global = sum(nominal) + sum(dev)  # default_big_m
+    m_global = sum(nominal) + sum(dev)  # total worst-case work bounds any makespan
     # Names and the (name, +-1) terms are built once and shared by every row
     # that uses them; a row name is a per-pair prefix plus an index suffix.
     suffix = [str(g) for g in levels]
@@ -389,11 +382,10 @@ def export_lp(model: MilpModel) -> str:
     text rendered once; any other model is written row by row.
     """
     out = ["Minimize", f" obj: {_render_terms(model.objective)}", "Subject To"]
-    first = model.variables[0].name if model.variables else None
     if model.blocks:
-        out += [block.text(first) for block in model.blocks if block.rows]
+        out += [block.text() for block in model.blocks if block.rows]
     else:
-        _render_rows(out, model.constraints, first)
+        _render_rows(out, model.constraints, model.variables[0].name if model.variables else None)
     out.append("Bounds")
     for v in model.variables:
         if v.kind == "binary" and v.lb == 0 and v.ub == 1:
@@ -551,14 +543,24 @@ def _read_solution(path: Path):
     status = head[0].lower()
     if status not in ("optimal", "feasible", "infeasible", "timeout", "error"):
         raise BridgeError(f"unknown solver status {status!r}")
-    bound = float(head[1]) if len(head) > 1 else None
+    bound = _finite(head[1], lines[0]) if len(head) > 1 else None
     values = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise BridgeError(f"malformed solution line {ln!r}")
-        try:
-            values[parts[0]] = float(parts[1])
-        except ValueError as exc:
-            raise BridgeError(f"non-numeric value in line {ln!r}") from exc
+        values[parts[0]] = _finite(parts[1], ln)
     return status, bound, values
+
+
+def _finite(text, line):
+    """``text`` as a float.  NaN passes every comparison of
+    ``check_assignment`` and an infinity cannot be rounded, so both are
+    errors, like a non-number."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise BridgeError(f"non-numeric value in line {line!r}") from exc
+    if not math.isfinite(value):
+        raise BridgeError(f"non-finite value in line {line!r}")
+    return value

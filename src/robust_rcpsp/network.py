@@ -38,7 +38,15 @@ class Selection:
 
     @classmethod
     def from_pairs(cls, pairs):
-        return cls(frozenset((int(i), int(j)) for i, j in pairs))
+        """The selection of the ``(i, j)`` pairs; raises ``ValueError`` for
+        an entry that is not a pair of ints (a bool or 1.5 is not one)."""
+        arcs = []
+        for pair in pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(type(x) is int for x in pair)):
+                raise ValueError(f"selection entry {pair!r} is not a pair of integers")
+            arcs.append(tuple(pair))
+        return cls(frozenset(arcs))
 
     def sorted_arcs(self):
         return tuple(sorted(self.added_arcs))

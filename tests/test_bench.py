@@ -294,6 +294,8 @@ def test_config_from_json():
     ("time_limit_s", float("inf")), ("time_limit_s", float("nan")),
     ("gammas", [-1]), ("gammas", [1.5]), ("gammas", ["3"]), ("gammas", [True]), ("gammas", 3),
     ("workers", 0), ("workers", "2"), ("workers", 2.0), ("workers", True),
+    ("instances_dir", 5), ("instances_dir", None), ("variants", "bnb"), ("variants", ["nope"]),
+    ("variants", [["bnb"]]), ("bridge_cmd", 5), ("bridge_cmd", ["python3"]),
 ])
 def test_config_from_json_rejects_a_bad_value(field, value):
     with pytest.raises(ValueError, match=field):

@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from gen import psplib_text, random_dag_instance
+from robust_rcpsp.bench import MILP_VARIANTS, build_variant
 from robust_rcpsp.cli import main
+from robust_rcpsp.instance import parse_psplib, robustify
+from robust_rcpsp.milp import export_lp, export_warm_start
 
 DATA = Path(__file__).parent / "data"
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
@@ -74,6 +77,19 @@ def test_evaluate_with_selection_and_budget(capsys):
     assert payload["value"] == 15
 
 
+@pytest.mark.parametrize("selection", ["[1]", "[null]", "[[1.5, 2]]", "[[true, 2]]",
+                                       "[[1, 2, 3]]", "[\"12\"]", "5"])
+def test_evaluate_rejects_a_selection_entry_that_is_not_a_pair_of_ints(selection, capsys,
+                                                                      tmp_path):
+    path = tmp_path / "selection.json"
+    path.write_text(selection)
+    for arg in (selection, str(path)) if selection.startswith("[") else (str(path),):
+        code, out, err = run_cli(capsys, "evaluate", str(DATA / "toy5.sm"), "--gamma", "1",
+                                 "--selection", arg)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: selection") and "pair" in err
+
+
 def test_warmstart_output(capsys):
     code, out, _ = run_cli(capsys, "warmstart", str(DATA / "toy5.sm"),
                            "--gamma", "1")
@@ -87,8 +103,7 @@ def test_build_writes_lp_and_mst(capsys, tmp_path):
     lp = tmp_path / "model.lp"
     mst = tmp_path / "warm.mst"
     code, out, _ = run_cli(capsys, "build", str(DATA / "toy5.sm"), "--gamma", "1",
-                           "--trans", "--tighten", "--int-starts",
-                           "-o", str(lp), "--mst", str(mst))
+                           "--variant", "warm+trans", "-o", str(lp), "--mst", str(mst))
     assert code == 0
     info = json.loads(out)
     assert info["lp"] == str(lp)
@@ -98,12 +113,47 @@ def test_build_writes_lp_and_mst(capsys, tmp_path):
     assert mst.read_text().splitlines()[0].startswith("S_0_0 ")
 
 
+@pytest.mark.parametrize("variant", MILP_VARIANTS)
+def test_build_writes_the_bench_variant(capsys, tmp_path, variant):
+    inst = robustify(parse_psplib((DATA / "toy5.sm").read_text()))
+    model, assignment = build_variant(inst, 2, variant)
+    lp, mst = tmp_path / "model.lp", tmp_path / "warm.mst"
+    argv = ["build", str(DATA / "toy5.sm"), "--gamma", "2", "--variant", variant, "-o", str(lp)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"lp": str(lp), "mst": None, "variables": len(model.variables),
+                               "constraints": len(model.constraints)}
+    assert lp.read_text() == export_lp(model)
+    code, out, err = run_cli(capsys, *argv, "--mst", str(mst))
+    if assignment is None:  # basic and trans have no warm start: a usage error
+        assert (code, out) == (2, "")
+        assert "--mst needs a warm variant" in err
+        assert not mst.exists()
+    else:
+        assert code == 0
+        assert json.loads(out)["mst"] == str(mst)
+        assert mst.read_text() == export_warm_start(assignment, model)
+
+
+@pytest.mark.parametrize("flag", [["--trans"], ["--tighten"], ["--int-starts"],
+                                  ["--method", "bnb"]])
+@pytest.mark.parametrize("command", ["build", "solve"])
+def test_build_and_solve_take_a_variant_not_flags(command, flag, capsys, tmp_path):
+    lp = tmp_path / "model.lp"
+    extra = ["--variant", "basic", "-o", str(lp)] if command == "build" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(DATA / "toy5.sm"), "--gamma", "1", *extra, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not lp.exists()
+
+
 def test_solve_bnb_pair_conflict(capsys, tmp_path):
     rng = random.Random(1)
     inst_path = tmp_path / "toy.sm"
     inst_path.write_text((DATA / "toy5.sm").read_text())
     code, out, _ = run_cli(capsys, "solve", str(inst_path), "--gamma", "0",
-                           "--method", "bnb")
+                           "--variant", "bnb")
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "optimal"
@@ -113,18 +163,20 @@ def test_solve_bnb_pair_conflict(capsys, tmp_path):
 
 def test_solve_bridge(capsys):
     pytest.importorskip("scipy")
-    code, out, _ = run_cli(capsys, "solve", str(DATA / "toy5.sm"), "--gamma", "0",
-                           "--method", "bridge", "--bridge-cmd", BRIDGE)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["status"] == "optimal"
-    assert payload["objective"] == pytest.approx(12.0, abs=1e-6)
+    for variant in MILP_VARIANTS:
+        code, out, _ = run_cli(capsys, "solve", str(DATA / "toy5.sm"), "--gamma", "0",
+                               "--variant", variant, "--bridge-cmd", BRIDGE)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["method", "status", "objective", "bound", "message", "time_s"]
+        assert (payload["method"], payload["status"]) == ("bridge", "optimal")
+        assert payload["objective"] == pytest.approx(12.0, abs=1e-6)
 
 
 def test_solve_bridge_without_command_fails(capsys, monkeypatch):
     monkeypatch.delenv("ROBUST_RCPSP_BRIDGE", raising=False)
     code, _, err = run_cli(capsys, "solve", str(DATA / "toy5.sm"), "--gamma", "0",
-                           "--method", "bridge")
+                           "--variant", "warm")
     assert code == 1
     assert "bridge" in err
 

@@ -27,7 +27,6 @@ from robust_rcpsp.milp import (
     arc_name,
     build_compact,
     check_assignment,
-    default_big_m,
     export_lp,
     export_warm_start,
     read_lp,
@@ -109,9 +108,11 @@ def test_tighten_requires_valid_horizon():
         build_compact(inst, 1, tighten=below_critical_path)
 
 
-def test_default_big_m_is_total_worst_case_work():
+def test_global_big_m_is_total_worst_case_work():
     inst = counterexample_instance()
-    assert default_big_m(inst) == 6
+    assert sum(inst.nominal_duration) + sum(inst.max_deviation) == 6
+    row = next(c for c in build_compact(inst, 1).constraints if c.name == "nom_1_2_0")
+    assert dict(row.coeffs)[arc_name(1, 2)] == -6
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +545,19 @@ def test_bench_variants_share_the_blocks_that_read_the_same_inputs():
         assert a_leveled != b_leveled and a_selection != b_selection
         assert export_lp(a_model) == per_row_text(a_model), variant
 
-    # An empty row's text names the model's first column: a block's text
-    # rendered for another first column names that one, and the block's
-    # own model is then written with its own again.
+    # An empty row's text names the model's first column, S_0_0.
     diamond = build_variant(counterexample_instance(), 0, "warm")[0]
     assert any(not row.coeffs for row in diamond.constraints)
-    text = export_lp(diamond)
-    reversed_columns = MilpModel(diamond.variables[::-1], diamond.constraints, diamond.objective)
-    first = reversed_columns.variables[0].name
-    assert f" 0 {first} " in diamond.blocks[0].text(first)
-    assert diamond.blocks[0].text(first) in export_lp(reversed_columns)
-    assert export_lp(diamond) == text == per_row_text(diamond)
+    assert diamond.variables[0].name == "S_0_0"
+    assert " 0 S_0_0 >= " in diamond.blocks[0].text()
+    assert export_lp(diamond) == per_row_text(diamond)
+
+
+def test_build_variant_rejects_an_unknown_name():
+    inst = counterexample_instance()
+    for name in ("nope", "bnb", "Warm", "warm+"):
+        with pytest.raises(ValueError, match="unknown MILP variant"):
+            build_variant(inst, 1, name)
 
 
 def test_threads_building_two_sizes_get_the_single_threaded_text():
@@ -673,6 +676,33 @@ def test_bridge_garbage_solution_is_error(tmp_path):
     outcome = solve_external(toy_model(), command=f"{sys.executable} {fake} {{sol}}")
     assert outcome.status == "error"
     assert "status" in outcome.message
+
+
+@pytest.mark.parametrize("head, x, n, problem", [
+    ("optimal", "nan", "0", "non-finite"),
+    ("optimal", "inf", "0", "non-finite"),
+    ("optimal", "2", "nan", "non-finite"),
+    ("optimal", "2", "inf", "non-finite"),
+    ("optimal", "2", "-inf", "non-finite"),
+    ("optimal nan", "2", "0", "non-finite"),
+    ("feasible inf", "2", "0", "non-finite"),
+    ("optimal -inf", "2", "0", "non-finite"),
+    ("optimal abc", "2", "0", "non-numeric"),
+])
+def test_bridge_non_finite_or_non_numeric_value_is_error(tmp_path, head, x, n, problem):
+    """NaN passes every comparison of the model check, and rounding an
+    infinite integer value raised ``OverflowError`` out of ``solve_external``."""
+    model = MilpModel(
+        variables=(Variable("x", "continuous", 0, 5), Variable("n", "integer", 0, None)),
+        constraints=(LinearConstraint("floor", (("x", 1),), ">=", 2),),
+        objective=(("x", 1),),
+    )
+    fake = tmp_path / "fake_solver.py"
+    fake.write_text("import sys, pathlib\n"
+                    f"pathlib.Path(sys.argv[1]).write_text('{head}\\nx {x}\\nn {n}\\n')\n")
+    outcome = solve_external(model, command=f"{sys.executable} {fake} {{sol}}")
+    assert (outcome.status, outcome.objective) == ("error", None)
+    assert problem in outcome.message
 
 
 def test_bridge_rejects_constraint_violating_solution(tmp_path):
