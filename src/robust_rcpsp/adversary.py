@@ -7,8 +7,8 @@ costs the nominal duration of the tail activity, moving up one level costs
 its worst-case duration.  ``relax_leveled_rows`` is the one kernel for that
 recursion.  The same rows are the leveled start times of the compact model
 (the warm start), their level-zero column is the nominal earliest start
-(the time windows), and the branch-and-bound raises them, and the tail
-rows the kernel gives on successor lists, incrementally as it adds arcs.
+(the time windows), and the branch-and-bound raises them incrementally
+as it adds arcs; ``tail_rows`` runs it backward on successor lists.
 
 Also houses the single-level linearized adversary model as one labelled
 constraint matrix, the fractional-certificate checker that evaluates its
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from ._graph import predecessors, topological_order
+from ._graph import predecessors, successors, topological_order
 from .errors import CapExceeded
 from .instance import InstanceMeta, ProjectInstance
 from .network import Selection, extended_arcs
@@ -60,8 +60,8 @@ def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
     Run on successor lists, in an order where every node comes after its
     successors, the sink plays the source: ``rows[j][g]`` becomes the
     longest path from the finish of ``j`` to the sink with at most ``g``
-    delays (the branch-and-bound's tail rows).  Every activity reaches the
-    sink, so the same zero start holds no unreachable state.
+    delays (``tail_rows``).  Every activity reaches the sink, so the same
+    zero start holds no unreachable state.
     """
     for j in order:
         old = rows[j]
@@ -114,6 +114,23 @@ def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) ->
     delays, path = _backtrack(rows, pred, nominal, delayed, sink, gamma)
     return DpResult(value=value, delayed=frozenset(delays), path=tuple(path),
                     leveled_starts=tuple(map(tuple, rows)))
+
+
+def tail_rows(inst: ProjectInstance, gamma: int) -> list[list[int]]:
+    """The backward pass over the instance arcs: ``rows[v][g]`` is the
+    longest path from the finish of ``v`` to the sink with at most ``g``
+    delays, from ``relax_leveled_rows`` on the successor lists in reversed
+    topological order.  Rows that no successor raises share one list."""
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    n_nodes = inst.n_nodes
+    order = reversed(topological_order(n_nodes, inst.precedence))
+    succ = successors(n_nodes, inst.precedence)
+    nominal = inst.nominal_duration
+    delayed = [a + d for a, d in zip(nominal, inst.max_deviation)]
+    rows = [[0] * (gamma + 1)] * n_nodes
+    relax_leveled_rows(rows, order, -1, succ, nominal, delayed)
+    return rows
 
 
 def _backtrack(rows, pred, nominal, delayed, sink, gamma):

@@ -47,16 +47,19 @@ class BenchConfig:
         """Read a config object; raises ``ValueError`` naming the field of
         a missing or bad value, so a bad config fails before any task runs.
 
-        ``instances_dir`` is a string, ``gammas`` are ints >= 0,
-        ``variants`` are names from ``ALL_VARIANTS``, ``time_limit_s`` is
-        null or a finite number >= 0, ``bridge_cmd`` is null or a string,
-        and ``workers`` is an int >= 1; booleans are none of these."""
+        ``instances_dir`` is a string, ``gammas`` are distinct ints >= 0,
+        ``variants`` are distinct names from ``ALL_VARIANTS``,
+        ``time_limit_s`` is null or a finite number >= 0, ``bridge_cmd`` is
+        null or a string, and ``workers`` is an int >= 1; booleans are none
+        of these."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or "instances_dir" not in raw:
             raise ValueError('bench config: expected an object with "instances_dir"')
         gammas = raw.get("gammas", (3, 5, 7))
         if not (isinstance(gammas, (list, tuple)) and all(_is_int(g) and g >= 0 for g in gammas)):
             raise ValueError(f"bench config: gammas must be a list of ints >= 0, not {gammas!r}")
+        if len(set(gammas)) != len(gammas):
+            raise ValueError(f"bench config: gammas must not repeat a value, not {gammas!r}")
         limit = raw.get("time_limit_s")
         if limit is not None and not (isinstance(limit, (int, float)) and not isinstance(limit, bool)
                                       and math.isfinite(limit) and limit >= 0):
@@ -73,6 +76,8 @@ class BenchConfig:
         if not (isinstance(variants, list) and all(v in ALL_VARIANTS for v in variants)):
             raise ValueError(f"bench config: variants must be a list of names from {ALL_VARIANTS}, "
                              f"not {variants!r}")
+        if len(set(variants)) != len(variants):
+            raise ValueError(f"bench config: variants must not repeat a name, not {variants!r}")
         bridge_cmd = raw.get("bridge_cmd")
         if bridge_cmd is not None and not isinstance(bridge_cmd, str):
             raise ValueError("bench config: bridge_cmd must be null or a string, "

@@ -59,9 +59,9 @@ is read from them and a leaf needs nothing more.  Otherwise
 ``i`` as the one dirty predecessor, and the tail rows of ``i`` and its
 ancestors (ascending reach, on successor lists) from ``j`` as the one
 dirty successor.  Adding an arc only lengthens paths, so no other row can
-change.  The root is an entry without an arc: it takes its head rows and
-bound from one ``worst_case_makespan_dp`` call and its tail rows from one
-full backward pass when it is popped.
+change.  The root is an entry without an arc, made before the search
+from one ``worst_case_makespan_dp`` call (its head rows and bound) and
+``tail_rows`` (its tail rows).
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ import time
 from dataclasses import dataclass
 
 from ._graph import closure_bitsets, predecessors, successors
-from .adversary import relax_leveled_rows, worst_case_makespan_dp
+from .adversary import relax_leveled_rows, tail_rows, worst_case_makespan_dp
 from .heuristics import warm_start
 from .instance import ProjectInstance
 from .network import (
@@ -115,14 +115,15 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     delayed = tuple(inst.worst_case_duration(i) for i in range(n_nodes))
     root_closure = tuple(closure_bitsets(n_nodes, inst.precedence))
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
+    root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
     root = worst_case_makespan_dp(inst, Selection(), gamma)
     # Lists, not the DP's tuples: the kernel compares a copied row with
     # the old one to see whether it rose.
     root_rows = [list(row) for row in root.leveled_starts]
-    # The root's entry has no arc, and its "parent" is its own state; its
-    # successor lists and tail rows are made when it is popped.
+    # The root's entry has no arc, and its "parent" is its own state.
     heap = [(root.value, 0, (root_closure, unresolved_sets(root_closure, member, len(catalog)),
-                             root_pred, root_rows, None, None), None, None)]
+                             root_pred, root_rows, root_succ, tail_rows(inst, gamma)),
+             None, None)]
     counter = 0
     seen = set()
     nodes_explored = 0
@@ -160,12 +161,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             incumbent_sel = Selection(frozenset(
                 (a, b) for b in range(n_nodes) for a in pred[b][len(root_pred[b]):]))
             continue
-        if i is None:
-            succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
-            tails = [[0] * (gamma + 1)] * n_nodes  # one shared row: the kernel copies before it raises
-            up = sorted(range(n_nodes), key=lambda v: closure[v].bit_count())
-            relax_leveled_rows(tails, up, -1, succ, nominal, delayed)
-        else:
+        if i is not None:
             rows = list(rows)
             down = _bits(closure[j] | (1 << j))
             down.sort(key=lambda v: -closure[v].bit_count())

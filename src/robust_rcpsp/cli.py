@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -79,7 +80,8 @@ def _build_parser():
     p.add_argument("--gamma", type=int, required=True)
     p.add_argument("--variant", choices=bench.ALL_VARIANTS, default="bnb",
                    help="bnb, or a compact-model variant solved through the bridge")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None,
+                   help="seconds, a finite number >= 0")
     p.add_argument("--bridge-cmd", default=None,
                    help=f"solver command template (default: ${BRIDGE_ENV})")
     p.set_defaults(handler=_cmd_solve)
@@ -101,6 +103,18 @@ def _build_parser():
                    help="tu check: also dump the constraint matrix as CSV here")
     p.set_defaults(handler=_cmd_verify)
     return parser
+
+
+def _time_limit(text):
+    """An argparse type: a finite number of seconds >= 0, as the bench
+    config's ``time_limit_s``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return value
 
 
 def _load_instance(path, *, apply_robustify=True):

@@ -11,16 +11,17 @@ selection is sufficient.  The warm start builds the schedule's order
 once (``network.schedule_order``), reads the selection from it and runs
 the adversary DP kernel over its covering arcs only; that DP gives the
 leveled start times and the upper bound that seed both the
-branch-and-bound and the compact model.  The earliest starts of the
-time windows are the DP's level-zero column.
+branch-and-bound and the compact model.  The time windows' earliest
+starts are the DP's level-zero column; their latest finishes, like the
+LFT priorities, are that of ``tail_rows``.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 
-from ._graph import successors, topological_order
-from .adversary import relax_leveled_rows, worst_case_makespan_dp
+from ._graph import successors
+from .adversary import relax_leveled_rows, tail_rows, worst_case_makespan_dp
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
 from .network import Selection, schedule_order, selection_from_order
@@ -52,16 +53,6 @@ class WarmStart:
     upper_bound: int
 
 
-def _latest_finishes(inst: ProjectInstance, horizon: int) -> tuple[int, ...]:
-    """Latest nominal finishes: ``horizon`` less each node's tail row at
-    gamma 0 (its longest nominal path to the sink) over the instance arcs."""
-    tails = [[0]] * inst.n_nodes  # one shared row: the kernel copies before it raises
-    order = reversed(topological_order(inst.n_nodes, inst.precedence))
-    succ = successors(inst.n_nodes, inst.precedence)
-    relax_leveled_rows(tails, order, -1, succ, inst.nominal_duration, inst.nominal_duration)
-    return tuple(horizon - row[0] for row in tails)
-
-
 def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     """Start times of a serial schedule-generation scheme under the LFT
     priority rule.
@@ -76,7 +67,8 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     durations = inst.nominal_duration
     capacity = inst.capacity
     horizon = sum(max(d, 1) for d in durations) + 1
-    priorities = _latest_finishes(inst, sum(durations))
+    # Longest nominal paths to the sink, negated: latest finishes less a horizon.
+    priorities = [-row[0] for row in tail_rows(inst, 0)]
     succ = successors(n_nodes, inst.precedence)
     waiting = [0] * n_nodes  # unscheduled predecessors
     for _, j in inst.precedence:
@@ -183,7 +175,8 @@ def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
 
 def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
                  horizon: int) -> TimeWindows:
-    """Nominal forward/backward passes over the instance arcs.
+    """Nominal forward/backward passes over the instance arcs: the
+    level-zero columns of the DP and of ``tail_rows``.
 
     The selection and budget do not enter the passes; windows computed from
     the instance arcs alone are valid bounds for every selection, which is
@@ -197,4 +190,5 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
             f"horizon {horizon} is below the nominal critical path {nominal.value}"
         )
     es = tuple(row[0] for row in nominal.leveled_starts)
-    return TimeWindows(es=es, lf=_latest_finishes(inst, horizon), horizon=horizon)
+    lf = tuple(horizon - row[0] for row in tail_rows(inst, 0))
+    return TimeWindows(es=es, lf=lf, horizon=horizon)

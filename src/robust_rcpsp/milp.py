@@ -31,10 +31,10 @@ and every transitivity model of one size shares one transitivity block.
 A model holds the blocks it was built from, and ``export_lp`` writes each
 block's text, rendered once per block, in place of its rows.  Rows are
 immutable named tuples and the model is frozen, so a model's rows are its
-blocks' rows; a model made any other way holds no blocks and is written
-row by row.  The cache holds a block until a build with other inputs
-replaces it: at j30 and gamma 7, about 4.4 MB for the leveled block,
-2.5 MB for the selection block and 8.9 MB for the transitivity block.
+blocks' rows; a model made any other way is written as one block of its
+own.  Every number is an int.  The cache holds a block until a build with
+other inputs replaces it: at j30 and gamma 7, about 4.4 MB for the leveled
+block, 2.5 MB for the selection block and 8.9 MB for the transitivity block.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,8 +71,8 @@ def flow_name(i, j, k):
 class Variable(NamedTuple):
     name: str
     kind: str  # "continuous" | "integer" | "binary"
-    lb: int | Fraction = 0
-    ub: int | Fraction | None = None
+    lb: int = 0
+    ub: int | None = None
 
 
 class LinearConstraint(NamedTuple):
@@ -106,8 +105,10 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
 
     The model is the leveled block, then the selection block, then the
     transitivity block if asked for, and it holds those blocks; each comes
-    from its builder's cache.
+    from its builder's cache.  Raises ``ValueError`` for a negative gamma.
     """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
     if tighten is not None:
         critical = worst_case_makespan_dp(inst, Selection(), 0).value
         if tighten.horizon < critical:
@@ -139,11 +140,11 @@ class _Block:
         self._text = None
 
     def text(self):
-        # An empty row names the model's first column, which is S_0_0 in
-        # every model build_compact makes.
+        # An empty row names the block's first column: S_0_0 in the
+        # leveled block, the only block build_compact makes empty rows in.
         if self._text is None:
             lines = []
-            _render_rows(lines, self.rows, start_name(0, 0))
+            _render_rows(lines, self.rows, self.columns[0].name if self.columns else None)
             self._text = "\n".join(lines)
         return self._text
 
@@ -340,7 +341,7 @@ def _greedy_flows(inst, start, active):
     return flows
 
 
-def check_assignment(model: MilpModel, values, tol: float | Fraction = 0) -> list[str]:
+def check_assignment(model: MilpModel, values, tol: float = 0) -> list[str]:
     """Violated bounds/rows of the model under ``values`` (empty if feasible).
 
     Sums are taken in the values' own arithmetic: int and Fraction values
@@ -376,27 +377,23 @@ def evaluate_objective(model: MilpModel, values):
 
 
 def export_lp(model: MilpModel) -> str:
-    """Standard LP format with deterministic row and variable order.
-
-    A model that holds its blocks is written block by block, each block's
-    text rendered once; any other model is written row by row.
-    """
+    """Standard LP format, ints only, with deterministic row and variable
+    order: block by block, each block's text rendered once.  A model that
+    holds no blocks is one block of its own columns and rows."""
+    blocks = model.blocks or (_Block(model.variables, model.constraints),)
     out = ["Minimize", f" obj: {_render_terms(model.objective)}", "Subject To"]
-    if model.blocks:
-        out += [block.text() for block in model.blocks if block.rows]
-    else:
-        _render_rows(out, model.constraints, model.variables[0].name if model.variables else None)
+    out += [block.text() for block in blocks if block.rows]
     out.append("Bounds")
     for v in model.variables:
         if v.kind == "binary" and v.lb == 0 and v.ub == 1:
             continue
         if v.ub is not None and v.lb == v.ub:
-            out.append(f" {v.name} = {_num(v.lb)}")
+            out.append(f" {v.name} = {v.lb}")
         else:
             if v.lb != 0:
-                out.append(f" {v.name} >= {_num(v.lb)}")
+                out.append(f" {v.name} >= {v.lb}")
             if v.ub is not None:
-                out.append(f" {v.name} <= {_num(v.ub)}")
+                out.append(f" {v.name} <= {v.ub}")
     generals = [v.name for v in model.variables if v.kind == "integer"]
     if generals:
         out.append("Generals")
@@ -412,18 +409,13 @@ def export_lp(model: MilpModel) -> str:
 def _render_rows(out, rows, first):
     for name, coeffs, sense, rhs in rows:
         body = _render_terms(coeffs) if coeffs else f"0 {first}"
-        out.append(f" {name}: {body} {sense} {rhs if type(rhs) is int else _num(rhs)}")
+        out.append(f" {name}: {body} {sense} {rhs}")
 
 
 def _render_terms(coeffs):
-    # Int coefficients, the only kind build_compact writes, skip _num.
     parts = []
     for name, coef in coeffs:
-        if type(coef) is not int:
-            mag = abs(coef)
-            term = name if mag == 1 else f"{_num(mag)} {name}"
-            parts.append(f"+ {term}" if coef >= 0 else f"- {term}")
-        elif coef == 1:
+        if coef == 1:
             parts.append("+ " + name)
         elif coef == -1:
             parts.append("- " + name)
@@ -433,14 +425,6 @@ def _render_terms(coeffs):
             parts.append(f"- {-coef} {name}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+") else text or "0"
-
-
-def _num(x):
-    if isinstance(x, Fraction):  # LP text has no ratios: 1/2 is written 0.5
-        x = int(x) if x.denominator == 1 else float(x)
-    if isinstance(x, float) and x.is_integer():
-        x = int(x)
-    return str(x)
 
 
 def read_lp(text: str):
@@ -463,7 +447,7 @@ def export_warm_start(assignment, model: MilpModel) -> str:
     """MST-style lines ``<name> <value>``, one per assigned variable, in the
     model's declaration order."""
     names = [v.name for v in model.variables if v.name in assignment]
-    return "\n".join(f"{name} {_num(assignment[name])}" for name in names) + "\n"
+    return "\n".join(f"{name} {assignment[name]}" for name in names) + "\n"
 
 
 @dataclass(frozen=True)
@@ -485,9 +469,13 @@ def solve_external(model: MilpModel, warm=None, *, command: str,
     file starting with a status word (optionally followed by a best bound)
     and one ``name value`` line per variable.  Reported solutions are
     re-validated against the model within 1e-6.  The files go to a
-    temporary directory that is removed before returning.
+    temporary directory that is removed before returning.  A zero time
+    limit is spent before the solver starts: the outcome is ``timeout``
+    and no process is started.
     """
     t0 = time.perf_counter()
+    if time_limit_s == 0:
+        return SolveOutcome(status="timeout", message="time limit of 0 s")
     with tempfile.TemporaryDirectory(prefix="robust_rcpsp_") as scratch:
         return _solve_in(Path(scratch), model, warm, command, time_limit_s, t0)
 

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gen import make_instance, random_dag_instance, random_psplib_instance, random_selection
+from gen import (
+    make_instance,
+    random_dag_instance,
+    random_psplib_instance,
+    random_selection,
+    shuffled_ids,
+)
 from robust_rcpsp.adversary import (
     build_adversary_constraint_matrix,
     check_fractional_certificate,
@@ -13,6 +19,7 @@ from robust_rcpsp.adversary import (
     ghouila_houri_refute,
     path_certificate,
     refutation_row_subset,
+    tail_rows,
     worst_case_makespan_bruteforce,
     worst_case_makespan_dp,
 )
@@ -77,6 +84,24 @@ def test_dp_matches_bruteforce_randomised():
         gamma = rng.randint(0, 3)
         dp = worst_case_makespan_dp(inst, sel, gamma)
         assert dp.value == worst_case_makespan_bruteforce(inst, sel, gamma)
+
+
+def test_tail_rows_are_the_backward_dp():
+    """The source's tail row is the DP value of the empty selection at
+    every level, and the sink's row is all zeros; shuffled ids put
+    instance arcs from higher to lower ids."""
+    rng = random.Random(29)
+    for _ in range(20):
+        inst = random_dag_instance(rng, rng.randint(1, 8), n_res=1)
+        if rng.random() < 0.5:
+            inst = shuffled_ids(rng, inst)
+        gamma = rng.randint(0, 4)
+        tails = tail_rows(inst, gamma)
+        assert tails[0] == [worst_case_makespan_dp(inst, EMPTY, g).value
+                            for g in range(gamma + 1)]
+        assert tails[inst.sink] == [0] * (gamma + 1)
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        tail_rows(counterexample_instance(), -1)
 
 
 def test_dp_delayed_set_reproduces_value():

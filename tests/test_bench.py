@@ -296,6 +296,8 @@ def test_config_from_json():
     ("workers", 0), ("workers", "2"), ("workers", 2.0), ("workers", True),
     ("instances_dir", 5), ("instances_dir", None), ("variants", "bnb"), ("variants", ["nope"]),
     ("variants", [["bnb"]]), ("bridge_cmd", 5), ("bridge_cmd", ["python3"]),
+    ("gammas", [1, 1]), ("gammas", [3, 5, 3]), ("variants", ["bnb", "bnb"]),
+    ("variants", ["warm", "basic", "warm"]),
 ])
 def test_config_from_json_rejects_a_bad_value(field, value):
     with pytest.raises(ValueError, match=field):

@@ -148,6 +148,44 @@ def test_build_and_solve_take_a_variant_not_flags(command, flag, capsys, tmp_pat
     assert not lp.exists()
 
 
+def test_build_with_a_negative_gamma_exits_1(capsys, tmp_path):
+    """It used to exit 0 and write an LP with no start column whose
+    objective was ``S_4_-1``."""
+    lp = tmp_path / "model.lp"
+    code, out, err = run_cli(capsys, "build", str(DATA / "toy5.sm"), "--gamma", "-1",
+                             "--variant", "basic", "-o", str(lp))
+    assert (code, out) == (1, "")
+    assert "error: gamma must be nonnegative" in err
+    assert not lp.exists()
+
+
+@pytest.mark.parametrize("limit", ["-1", "nan", "inf", "abc"])
+@pytest.mark.parametrize("variant", ["bnb", "basic"])
+def test_solve_takes_only_a_finite_time_limit_of_at_least_zero(limit, variant, capsys):
+    """``-5`` used to stop the search at 0 nodes and ``nan`` meant no limit."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(DATA / "toy5.sm"), "--gamma", "1", "--variant", variant,
+              "--time-limit", limit, "--bridge-cmd", BRIDGE])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--time-limit: must be a finite number >= 0" in err
+
+
+def test_solve_a_model_variant_with_a_zero_time_limit_times_out(capsys, tmp_path):
+    """A zero limit stops a model variant as it stops bnb: the solver is
+    not started."""
+    marker = tmp_path / "started"
+    solver = tmp_path / "solver.py"
+    solver.write_text(f"import pathlib\npathlib.Path({str(marker)!r}).touch()\n")
+    code, out, _ = run_cli(capsys, "solve", str(DATA / "toy5.sm"), "--gamma", "1",
+                           "--variant", "basic", "--time-limit", "0",
+                           "--bridge-cmd", f"{sys.executable} {solver} {{lp}} {{sol}}")
+    assert code == 1
+    assert json.loads(out)["status"] == "timeout"
+    assert not marker.exists()
+
+
 def test_solve_bnb_pair_conflict(capsys, tmp_path):
     rng = random.Random(1)
     inst_path = tmp_path / "toy.sm"

@@ -108,6 +108,13 @@ def test_tighten_requires_valid_horizon():
         build_compact(inst, 1, tighten=below_critical_path)
 
 
+def test_build_compact_rejects_a_negative_gamma():
+    """A negative gamma used to build a model with no start column whose
+    objective named ``S_<sink>_-1``."""
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        build_compact(counterexample_instance(), -1)
+
+
 def test_global_big_m_is_total_worst_case_work():
     inst = counterexample_instance()
     assert sum(inst.nominal_duration) + sum(inst.max_deviation) == 6
@@ -282,19 +289,19 @@ PINNED_LP_SHA256 = {
 
 
 def pinned_lp_models():
-    """(label, variant, model) of every entry of PINNED_LP_SHA256."""
+    """(label, variant, model, warm assignment or None) of every entry of
+    PINNED_LP_SHA256."""
     cases = {
         "psplib12": (robustify(random_psplib_instance(random.Random(6), n_act=12, n_res=4)), 3),
         "diamond": (counterexample_instance(), 1),
     }
     for label, (inst, gamma) in cases.items():
         for variant in MILP_VARIANTS:
-            model, _ = build_variant(inst, gamma, variant)
-            yield label, variant, model
+            yield (label, variant) + build_variant(inst, gamma, variant)
 
 
 def test_lp_text_is_pinned():
-    for label, variant, model in pinned_lp_models():
+    for label, variant, model, _ in pinned_lp_models():
         digest = hashlib.sha256(export_lp(model).encode()).hexdigest()
         assert digest == PINNED_LP_SHA256[label, variant], (label, variant)
 
@@ -302,29 +309,26 @@ def test_lp_text_is_pinned():
 def test_highs_reads_the_pinned_lp_texts_like_read_lp():
     """The bridge hands the LP file to HiGHS's reader, which read_lp runs:
     it must see the in-memory model of every pinned text."""
-    for _, _, model in pinned_lp_models():
+    for _, _, model, _ in pinned_lp_models():
         assert_read_back(model, export_lp(model))
 
 
-def test_lp_round_trip_of_non_int_values():
-    """Fraction and float coefficients, bounds and right-hand sides take the
-    general number path of export_lp, which build_compact never uses."""
-    model = MilpModel(
-        variables=(Variable("x", "continuous", Fraction(1, 4), None),
-                   Variable(name="y", kind="integer", ub=4)),
-        constraints=(
-            LinearConstraint("half", (("x", -1), ("y", Fraction(1, 2))), "<=", 3),
-            LinearConstraint(name="mixed", coeffs=(("x", 2.5), ("y", -3)), sense=">=",
-                             rhs=1.5),
-            LinearConstraint("whole", (("y", Fraction(4, 2)), ("x", -2.0)), "=",
-                             Fraction(6, 3)),
-        ),
-        objective=(("x", -1), ("y", 2)),
-    )
-    text = export_lp(model)
-    assert " half: - x + 0.5 y <= 3" in text.splitlines()
-    assert " whole: 2 y - 2 x = 2" in text.splitlines()
-    assert_read_back(model, text)
+def test_bench_variants_hold_ints_only():
+    """The LP and MST writers write ints only: every coefficient,
+    right-hand side, bound and warm value of a bench variant is an int."""
+    def is_int(x):
+        return type(x) is int
+
+    for label, variant, model, assignment in pinned_lp_models():
+        numbers = [c for _, c in model.objective]
+        numbers += [c for row in model.constraints for _, c in row.coeffs]
+        numbers += [row.rhs for row in model.constraints]
+        numbers += [v.lb for v in model.variables]
+        numbers += [v.ub for v in model.variables if v.ub is not None]
+        assert all(map(is_int, numbers)), (label, variant)
+        assert (assignment is None) == (variant in ("basic", "trans"))
+        if assignment is not None:
+            assert all(map(is_int, assignment.values())), (label, variant)
 
 
 def test_rows_and_columns_are_immutable_named_records():
@@ -712,6 +716,20 @@ def test_bridge_rejects_constraint_violating_solution(tmp_path):
     outcome = solve_external(toy_model(), command=f"{sys.executable} {fake} {{sol}}")
     assert outcome.status == "error"
     assert "violates" in outcome.message
+
+
+def test_bridge_with_a_zero_time_limit_starts_no_solver(tmp_path):
+    """A zero limit used to reach the command as ``{time_s}`` 0, which the
+    bridge reads as no limit, so the solve ran to the end."""
+    marker = tmp_path / "started"
+    solver = tmp_path / "solver.py"
+    solver.write_text(f"import pathlib, sys\npathlib.Path({str(marker)!r}).touch()\nsys.exit(3)\n")
+    command = f"{sys.executable} {solver} {{lp}} {{sol}} {{time_s}}"
+    outcome = solve_external(toy_model(), command=command, time_limit_s=0)
+    assert (outcome.status, outcome.objective, outcome.values) == ("timeout", None, {})
+    assert not marker.exists()
+    assert solve_external(toy_model(), command=command, time_limit_s=0.5).status == "error"
+    assert marker.exists()
 
 
 def test_bridge_removes_its_temporary_directory(tmp_path, monkeypatch):
