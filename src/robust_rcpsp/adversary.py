@@ -4,11 +4,14 @@ The adversary distributes up to ``gamma`` unit delays over activities to
 maximise the minimum makespan.  For integer budgets this is a longest path
 over leveled states (node, number of delays so far): staying on a level
 costs the nominal duration of the tail activity, moving up one level costs
-its worst-case duration.  ``relax_leveled_rows`` is the one kernel for that
-recursion.  The same rows are the leveled start times of the compact model
-(the warm start), their level-zero column is the nominal earliest start
-(the time windows), and the branch-and-bound raises them incrementally
-as it adds arcs; ``tail_rows`` runs it backward on successor lists.
+its worst-case duration (``ProjectInstance.worst_case_duration``).
+``relax_leveled_rows`` is the one kernel for that recursion, and
+``leveled_rows`` its one from-scratch run and the one check that the
+budget is nonnegative.  The same rows are the leveled start times of the
+compact model (the warm start), their level-zero column is the nominal
+earliest start (the time windows), and the branch-and-bound raises them
+incrementally as it adds arcs; ``tail_rows`` runs it backward on
+successor lists.
 
 Also houses the single-level linearized adversary model as one labelled
 constraint matrix, the fractional-certificate checker that evaluates its
@@ -91,51 +94,47 @@ def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
             dirty |= 1 << j
 
 
+def leveled_rows(inst: ProjectInstance, gamma: int, order, adj) -> list[list[int]]:
+    """``relax_leveled_rows`` from scratch, all rows zero and every node
+    dirty, over a topological ``order`` and predecessor lists ``adj`` (or
+    the reverse, on successor lists).  Rejects a negative ``gamma``."""
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    rows = [[0] * (gamma + 1)] * inst.n_nodes  # one shared row: the kernel copies before it raises
+    relax_leveled_rows(rows, order, -1, adj, inst.nominal_duration, inst.worst_case_duration)
+    return rows
+
+
 def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) -> DpResult:
     """Worst-case makespan of a selection, with one worst delay set.
 
-    One pass of ``relax_leveled_rows`` over the extended network in
-    topological order (which rejects cyclic extensions); the value is
-    W(sink, gamma) and ``leveled_starts`` holds every row.
+    ``leveled_rows`` over the extended network in topological order (which
+    rejects cyclic extensions); the value is W(sink, gamma) and
+    ``leveled_starts`` holds every row.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     arcs = extended_arcs(inst, sel)
     n_nodes = inst.n_nodes
-    sink = inst.sink
-    order = topological_order(n_nodes, arcs)
     pred = predecessors(n_nodes, arcs)
-    nominal = inst.nominal_duration
-    delayed = [a + d for a, d in zip(nominal, inst.max_deviation)]
-    rows = [[0] * (gamma + 1)] * n_nodes  # one shared row: the kernel copies before it raises
-    relax_leveled_rows(rows, order, -1, pred, nominal, delayed)
-
-    value = rows[sink][gamma]
-    delays, path = _backtrack(rows, pred, nominal, delayed, sink, gamma)
-    return DpResult(value=value, delayed=frozenset(delays), path=tuple(path),
+    rows = leveled_rows(inst, gamma, topological_order(n_nodes, arcs), pred)
+    delays, path = _backtrack(rows, pred, inst, gamma)
+    return DpResult(value=rows[inst.sink][gamma], delayed=frozenset(delays), path=tuple(path),
                     leveled_starts=tuple(map(tuple, rows)))
 
 
 def tail_rows(inst: ProjectInstance, gamma: int) -> list[list[int]]:
     """The backward pass over the instance arcs: ``rows[v][g]`` is the
     longest path from the finish of ``v`` to the sink with at most ``g``
-    delays, from ``relax_leveled_rows`` on the successor lists in reversed
-    topological order.  Rows that no successor raises share one list."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    delays, from ``leveled_rows`` on the successor lists in reversed
+    topological order."""
     n_nodes = inst.n_nodes
-    order = reversed(topological_order(n_nodes, inst.precedence))
-    succ = successors(n_nodes, inst.precedence)
-    nominal = inst.nominal_duration
-    delayed = [a + d for a, d in zip(nominal, inst.max_deviation)]
-    rows = [[0] * (gamma + 1)] * n_nodes
-    relax_leveled_rows(rows, order, -1, succ, nominal, delayed)
-    return rows
+    return leveled_rows(inst, gamma, reversed(topological_order(n_nodes, inst.precedence)),
+                        successors(n_nodes, inst.precedence))
 
 
-def _backtrack(rows, pred, nominal, delayed, sink, gamma):
+def _backtrack(rows, pred, inst, gamma):
     """Recover one optimal delay set; prefers non-delayed predecessors, so
     vacuous delays are never reported."""
+    nominal, delayed, sink = inst.nominal_duration, inst.worst_case_duration, inst.sink
     delays = []
     path = [sink]
     j, g = sink, gamma
@@ -340,7 +339,6 @@ class AdversaryMatrix:
     column_labels: tuple[str, ...]
     groups: dict = field(hash=False)
     arcs: tuple[tuple[int, int], ...]
-    n_nodes: int
 
 
 @dataclass(frozen=True)
@@ -410,7 +408,6 @@ def build_adversary_constraint_matrix(inst: ProjectInstance, sel: Selection,
         column_labels=tuple(columns),
         groups={f"group{g}": (bounds[g - 1], bounds[g]) for g in range(1, 6)},
         arcs=arcs,
-        n_nodes=n_nodes,
     )
 
 
@@ -456,13 +453,11 @@ def matrix_to_csv(matrix: AdversaryMatrix) -> str:
     return buf.getvalue()
 
 
-def ghouila_houri_refute(matrix, rows) -> TuVerdict:
-    """Exhaust all sign assignments of the selected rows.
-
-    Accepts an AdversaryMatrix or any sequence of equal-length integer rows.
+def ghouila_houri_refute(entries, rows) -> TuVerdict:
+    """Exhaust all sign assignments of the rows ``rows`` of ``entries``, a
+    sequence of equal-length integer rows such as ``AdversaryMatrix.entries``.
     Refuses more than 25 rows (2^25 assignments).
     """
-    entries = matrix.entries if isinstance(matrix, AdversaryMatrix) else [tuple(r) for r in matrix]
     rows = tuple(rows)
     if len(rows) > 25:
         raise CapExceeded(f"{len(rows)} rows exceed the exhaustive-search cap of 25")

@@ -305,8 +305,7 @@ def records_from_csv(text: str) -> list[ResultRecord]:
     return records
 
 
-def profile_to_csv(profile: PerformanceProfile, variants=None) -> str:
-    variants = list(variants) if variants else sorted(profile.rho)
+def profile_to_csv(profile: PerformanceProfile, variants) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["tau"] + [f"rho_{v}" for v in variants])
@@ -336,9 +335,8 @@ _SVG_WIDTH = 640
 _SVG_HEIGHT = 420
 
 
-def profile_svg(profile: PerformanceProfile, variants=None) -> str:
+def profile_svg(profile: PerformanceProfile, variants) -> str:
     """Step-function line chart of the profile, no plotting dependency."""
-    variants = list(variants) if variants else sorted(profile.rho)
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     left, right, top, bottom = 60, 20, 30, 50
     plot_w = width - left - right
@@ -385,11 +383,10 @@ def profile_svg(profile: PerformanceProfile, variants=None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_outputs(records, out_dir, variants=None) -> dict:
+def write_outputs(records, out_dir, variants) -> dict:
     """Write results.csv, profile.csv, profile.svg and summary.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    variants = list(variants) if variants else sorted({r.variant for r in records})
     paths = {
         "results": out / "results.csv",
         "profile": out / "profile.csv",

@@ -112,7 +112,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     n_nodes = inst.n_nodes
     member = membership_masks(n_nodes, catalog)
     nominal = inst.nominal_duration
-    delayed = tuple(inst.worst_case_duration(i) for i in range(n_nodes))
+    delayed = inst.worst_case_duration
     root_closure = tuple(closure_bitsets(n_nodes, inst.precedence))
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
     root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
@@ -173,7 +173,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             up.sort(key=lambda v: closure[v].bit_count())
             relax_leveled_rows(tails, up, 1 << j, succ, nominal, delayed)
         parent = (closure, unresolved, pred, rows, succ, tails)
-        for a, b in branch(closure, catalog.sets[first_set(unresolved)]):
+        for a, b in branch(closure, catalog[first_set(unresolved)]):
             child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],
                                                nominal[b], delayed[b]))
             if child_bound >= incumbent_value:

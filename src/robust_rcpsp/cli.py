@@ -260,7 +260,7 @@ def _cmd_verify(args):
     inst = adversary.counterexample_instance()
     matrix = adversary.build_adversary_constraint_matrix(inst, network.Selection(), 1)
     rows = adversary.refutation_row_subset(matrix)
-    verdict = adversary.ghouila_houri_refute(matrix, rows)
+    verdict = adversary.ghouila_houri_refute(matrix.entries, rows)
     if args.matrix_csv:
         Path(args.matrix_csv).write_text(adversary.matrix_to_csv(matrix))
         print(f"matrix: {args.matrix_csv}", file=sys.stderr)

@@ -9,7 +9,7 @@ activities the schedule leaves unordered then hold a common bucket, so
 the members of a forbidden set cannot all be unordered: the implied
 selection is sufficient.  The warm start builds the schedule's order
 once (``network.schedule_order``), reads the selection from it and runs
-the adversary DP kernel over its covering arcs only; that DP gives the
+``adversary.leveled_rows`` over its covering arcs only; that DP gives the
 leveled start times and the upper bound that seed both the
 branch-and-bound and the compact model.  The time windows' earliest
 starts are the DP's level-zero column; their latest finishes, like the
@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 
 from ._graph import successors
-from .adversary import relax_leveled_rows, tail_rows, worst_case_makespan_dp
+from .adversary import leveled_rows, tail_rows, worst_case_makespan_dp
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
 from .network import Selection, schedule_order, selection_from_order
@@ -149,8 +149,6 @@ def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     longer path implies raises no row, since durations are nonnegative, so
     the rows are those of the DP over the whole extended network.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     start = lft_schedule(inst)
     order, cut = schedule_order(inst, start)
     sel = selection_from_order(inst, order, cut)
@@ -165,10 +163,7 @@ def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     for i, c in zip(order, cut):
         for j in order[c:least[c]]:
             pred[j].append(i)
-    nominal = inst.nominal_duration
-    delayed = [a + d for a, d in zip(nominal, inst.max_deviation)]
-    rows = [[0] * (gamma + 1)] * n_nodes  # one shared row: the kernel copies before it raises
-    relax_leveled_rows(rows, order, -1, pred, nominal, delayed)
+    rows = leveled_rows(inst, gamma, order, pred)
     return WarmStart(selection=sel, start=start, leveled_starts=tuple(map(tuple, rows)),
                      upper_bound=rows[inst.sink][gamma])
 

@@ -2,6 +2,9 @@
 
 Usage: ``python -m robust_rcpsp.highs_bridge MODEL.lp OUT.sol [TIME_S] [WARM.mst]``
 
+``TIME_S`` is a finite number of seconds, at least 0; 0, the default, means
+no limit.  Any other ``TIME_S`` exits 2.
+
 HiGHS reads the LP file written by :mod:`robust_rcpsp.milp` itself and
 solves it.  The bridge then writes the solution-file contract expected by
 ``solve_external``: a status line (status word, plus the best bound when the
@@ -107,7 +110,9 @@ def main(argv):
     try:
         lp_path, sol_path = argv[0], argv[1]
         time_limit = float(argv[2]) if len(argv) > 2 else 0.0
-    except (IndexError, ValueError):  # too few arguments, or TIME_S not a number
+        if not 0 <= time_limit < math.inf:
+            raise ValueError(time_limit)
+    except (IndexError, ValueError):  # too few arguments, or TIME_S not a finite number >= 0
         print(__doc__, file=sys.stderr)
         return 2
     try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ._graph import closure_bitsets
 from .errors import CyclicGraphError, ParseError
@@ -33,7 +33,8 @@ class ProjectInstance:
     Activities are 0..n+1 where 0 and n+1 are zero-duration dummies with no
     resource usage.  Every activity is reachable from the source and reaches
     the sink; the precedence graph is acyclic.  Every entry is an integer.
-    Violations raise ValueError at construction time.
+    Violations raise ValueError at construction time.  ``worst_case_duration``
+    is derived: nominal duration plus maximal deviation, per activity.
     """
 
     nominal_duration: tuple[int, ...]
@@ -43,6 +44,7 @@ class ProjectInstance:
     precedence: tuple[tuple[int, int], ...]
     meta: InstanceMeta = InstanceMeta()
     robustified: bool = False
+    worst_case_duration: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_duration", _ints(self.nominal_duration))
@@ -51,6 +53,8 @@ class ProjectInstance:
         object.__setattr__(self, "capacity", _ints(self.capacity))
         object.__setattr__(self, "precedence", tuple(sorted(set(map(_ints, self.precedence)))))
         _validate(self)
+        object.__setattr__(self, "worst_case_duration", tuple(
+            a + d for a, d in zip(self.nominal_duration, self.max_deviation)))
 
     @property
     def n_nodes(self):
@@ -72,9 +76,6 @@ class ProjectInstance:
     @property
     def sink(self):
         return self.n_nodes - 1
-
-    def worst_case_duration(self, i):
-        return self.nominal_duration[i] + self.max_deviation[i]
 
 
 def _ints(values):

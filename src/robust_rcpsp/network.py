@@ -3,6 +3,8 @@
 A selection is a set of extra precedence arcs resolving resource conflicts.
 It is sufficient when the extended graph is acyclic and every minimal
 forbidden set contains two activities that became precedence-related.
+The catalog of those sets is the sorted tuple ``minimal_forbidden_sets``
+returns; a search refers to a set by its index in it.
 
 ``branch`` and ``child_closure`` are the one child step of every search
 over selections: the branch-and-bound and the exhaustive
@@ -16,8 +18,8 @@ visits a child, the branch-and-bound when it pops one.
 pair, without the membership masks.
 
 ``schedule_order`` is the one source of the order a schedule implies,
-with its tie rule; ``selection_from_schedule`` and the warm start's DP
-both read it.
+with its tie rule; the warm start reads both its selection
+(``selection_from_order``) and its DP's input from it.
 """
 from __future__ import annotations
 
@@ -53,16 +55,6 @@ class Selection:
 
 
 @dataclass(frozen=True)
-class ForbiddenSetCatalog:
-    """Inclusion-minimal resource-conflict sets, lexicographically ordered."""
-
-    sets: tuple[tuple[int, ...], ...]
-
-    def __len__(self):
-        return len(self.sets)
-
-
-@dataclass(frozen=True)
 class SelectionVerdict:
     sufficient: bool
     violated_set: tuple[int, ...] | None = None
@@ -85,8 +77,9 @@ def extended_arcs(inst: ProjectInstance, sel: Selection) -> tuple[tuple[int, int
     return tuple(sorted(base | sel.added_arcs))
 
 
-def minimal_forbidden_sets(inst: ProjectInstance, max_sets: int = 10**6) -> ForbiddenSetCatalog:
-    """Enumerate all minimal forbidden sets by depth-first antichain growth.
+def minimal_forbidden_sets(inst: ProjectInstance,
+                           max_sets: int = 10**6) -> tuple[tuple[int, ...], ...]:
+    """All minimal forbidden sets, sorted, by depth-first antichain growth.
 
     Candidates are the activities with a positive requirement; activity
     ids double as bit positions.  A node of the search is an antichain
@@ -120,7 +113,7 @@ def minimal_forbidden_sets(inst: ProjectInstance, max_sets: int = 10**6) -> Forb
     k_range = inst.resource_types
     cands = [i for i in range(1, inst.sink) if any(req[i][k] > 0 for k in k_range)]
     if not cands:
-        return ForbiddenSetCatalog(())
+        return ()
 
     reach = closure_bitsets(inst.n_nodes, inst.precedence)
     reached_by = closure_bitsets(inst.n_nodes, [(j, i) for i, j in inst.precedence])
@@ -176,18 +169,17 @@ def minimal_forbidden_sets(inst: ProjectInstance, max_sets: int = 10**6) -> Forb
                     members.pop()
 
     grow(cand_mask, empty, high)
-    return ForbiddenSetCatalog(tuple(sorted(results)))
+    return tuple(sorted(results))
 
 
-def verify_selection(inst: ProjectInstance, sel: Selection,
-                     catalog: ForbiddenSetCatalog) -> SelectionVerdict:
+def verify_selection(inst: ProjectInstance, sel: Selection, catalog) -> SelectionVerdict:
     """Check sufficiency: acyclic extension and every catalog set resolved."""
     arcs = extended_arcs(inst, sel)
     try:
         reach = closure_bitsets(inst.n_nodes, arcs)
     except CyclicGraphError as exc:
         return SelectionVerdict(sufficient=False, cycle=exc.cycle)
-    for fset in catalog.sets:
+    for fset in catalog:
         if not _resolved(reach, fset):
             return SelectionVerdict(sufficient=False, violated_set=fset)
     return SelectionVerdict(sufficient=True)
@@ -205,7 +197,7 @@ def _resolved(reach, fset):
 # hold some activity of a node bitmask are the OR of their members' masks.
 
 
-def membership_masks(n_nodes: int, catalog: ForbiddenSetCatalog) -> list[int]:
+def membership_masks(n_nodes: int, catalog) -> list[int]:
     """Per activity, the bitmask of catalog indices of the sets holding it.
 
     Bits are set in one little-endian byte buffer per activity and each
@@ -213,7 +205,7 @@ def membership_masks(n_nodes: int, catalog: ForbiddenSetCatalog) -> list[int]:
     """
     n_bytes = (len(catalog) + 7) // 8
     buffers = [bytearray(n_bytes) for _ in range(n_nodes)]
-    for idx, fset in enumerate(catalog.sets):
+    for idx, fset in enumerate(catalog):
         byte, bit = idx >> 3, 1 << (idx & 7)
         for a in fset:
             buffers[a][byte] |= bit
@@ -312,14 +304,7 @@ def selection_from_order(inst: ProjectInstance, order, cut) -> Selection:
     return Selection(frozenset(pairs.difference(inst.precedence)))
 
 
-def selection_from_schedule(inst: ProjectInstance, start) -> Selection:
-    """Arcs implied by start times under the nominal durations: the
-    selection of their ``schedule_order``."""
-    return selection_from_order(inst, *schedule_order(inst, start))
-
-
-def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSetCatalog,
-                                    max_non_dummies: int = 8):
+def enumerate_sufficient_selections(inst: ProjectInstance, catalog, max_non_dummies: int = 8):
     """Yield one selection per closure-minimal sufficient extension.
 
     Exhaustive search for tiny instances: a depth-first search over the
@@ -344,7 +329,7 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
         if not unresolved:
             leaves[closure] = tuple(sorted(added))
             return
-        fset = catalog.sets[first_set(unresolved)]
+        fset = catalog[first_set(unresolved)]
         for i, j in branch(closure, fset):
             key, resolved, _ = child_closure(closure, member, i, j)
             if key not in seen:
@@ -366,8 +351,8 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog: ForbiddenSet
         yield Selection(frozenset(arcs))
 
 
-def catalog_to_jsonable(catalog: ForbiddenSetCatalog):
-    return {"sets": [list(s) for s in catalog.sets]}
+def catalog_to_jsonable(catalog):
+    return {"sets": [list(s) for s in catalog]}
 
 
 def selection_to_jsonable(sel: Selection):

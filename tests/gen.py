@@ -32,6 +32,12 @@ def make_instance(durations, arcs, requirements=None, capacities=(), deviations=
     )
 
 
+def pair_conflict_instance():
+    """Two unit-duration activities that both need the full capacity."""
+    return make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
+                         [(0,), (2,), (2,), (0,)], (2,))
+
+
 def connect_dummies(n_act, inner_arcs):
     """Wire the dummy source/sink around arcs over activities 1..n_act."""
     arcs = set(inner_arcs)

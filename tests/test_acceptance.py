@@ -81,9 +81,9 @@ def test_unimodularity_refutation():
     matrix = build_adversary_constraint_matrix(inst, EMPTY, 1)
     rows = refutation_row_subset(matrix)
     assert len(rows) == 5
-    verdict = ghouila_houri_refute(matrix, rows)
+    verdict = ghouila_houri_refute(matrix.entries, rows)
     assert verdict.refuted and verdict.assignment is None
-    runtime = best_of(lambda: ghouila_houri_refute(matrix, rows))
+    runtime = best_of(lambda: ghouila_houri_refute(matrix.entries, rows))
     assert runtime < 1e-3
     ok("total-unimodularity refutation on the five-row subset")
 

@@ -23,7 +23,9 @@ from robust_rcpsp.adversary import (
     worst_case_makespan_bruteforce,
     worst_case_makespan_dp,
 )
+from robust_rcpsp.bnb import solve_exact
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
+from robust_rcpsp.heuristics import warm_start
 from robust_rcpsp.instance import robustify
 from robust_rcpsp.network import Selection
 
@@ -100,8 +102,18 @@ def test_tail_rows_are_the_backward_dp():
         assert tails[0] == [worst_case_makespan_dp(inst, EMPTY, g).value
                             for g in range(gamma + 1)]
         assert tails[inst.sink] == [0] * (gamma + 1)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda inst: worst_case_makespan_dp(inst, EMPTY, -1),
+    lambda inst: tail_rows(inst, -1),
+    lambda inst: warm_start(inst, -1),
+    lambda inst: solve_exact(inst, -1),
+], ids=["worst_case_makespan_dp", "tail_rows", "warm_start", "solve_exact"])
+def test_a_negative_gamma_is_rejected(entry):
+    """Every caller of ``leveled_rows`` rejects a negative budget."""
     with pytest.raises(ValueError, match="gamma must be nonnegative"):
-        tail_rows(counterexample_instance(), -1)
+        entry(counterexample_instance())
 
 
 def test_dp_delayed_set_reproduces_value():
@@ -335,7 +347,7 @@ def test_refutation_subset_is_not_tu():
     assert len(rows) == 5
     labels = [matrix.row_labels[r] for r in rows]
     assert labels == ["flow_1", "wle_d_1_2", "wle_d_1_3", "wle_a_1_2", "wle_a_1_3"]
-    verdict = ghouila_houri_refute(matrix, rows)
+    verdict = ghouila_houri_refute(matrix.entries, rows)
     assert verdict.refuted
     assert verdict.assignment is None
 
@@ -347,4 +359,4 @@ def test_full_first_rows_admit_a_signing():
     matrix = build_adversary_constraint_matrix(inst, EMPTY, 1)
     g2, g3 = matrix.groups["group2"], matrix.groups["group3"]
     rows = (matrix.row_labels.index("source"), g2[0], g2[0] + 1, g3[0], g3[0] + 1)
-    assert not ghouila_houri_refute(matrix, rows).refuted
+    assert not ghouila_houri_refute(matrix.entries, rows).refuted

@@ -7,11 +7,10 @@ from types import SimpleNamespace
 from gen import connect_dummies, make_instance, random_dag_instance, random_psplib_instance
 from robust_rcpsp import bnb, network
 from robust_rcpsp._graph import closure_bitsets, predecessors, reaches, successors
-from robust_rcpsp.adversary import relax_leveled_rows, worst_case_makespan_dp
+from robust_rcpsp.adversary import leveled_rows, relax_leveled_rows, worst_case_makespan_dp
 from robust_rcpsp.bnb import OptResult, arc_bound, optimality_gap, solve_exact
 from robust_rcpsp.instance import parse_psplib, robustify
 from robust_rcpsp.network import (
-    ForbiddenSetCatalog,
     Selection,
     child_closure,
     enumerate_sufficient_selections,
@@ -101,20 +100,18 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
               for _ in range(6)]
     for inst in cases:
         related = tuple((i, j) for i, j in inst.precedence if i != 0 and j != inst.sink)
-        catalog = ForbiddenSetCatalog(minimal_forbidden_sets(inst).sets + related)
+        catalog = minimal_forbidden_sets(inst) + related
         n_nodes = inst.n_nodes
         member = membership_masks(n_nodes, catalog)
         reach = closure_bitsets(n_nodes, inst.precedence)
         pred = predecessors(n_nodes, inst.precedence)
         succ = successors(n_nodes, inst.precedence)
         nominal = inst.nominal_duration
-        delayed = [inst.worst_case_duration(i) for i in range(n_nodes)]
+        delayed = inst.worst_case_duration
 
         def full_tails(gamma):
-            tails = [[0] * (gamma + 1)] * n_nodes
-            relax_leveled_rows(tails, sorted(range(n_nodes), key=lambda v: reach[v].bit_count()),
-                               -1, succ, nominal, delayed)
-            return tails
+            return leveled_rows(inst, gamma,
+                                sorted(range(n_nodes), key=lambda v: reach[v].bit_count()), succ)
 
         rows = {gamma: [list(row) for row in
                         worst_case_makespan_dp(inst, Selection(), gamma).leveled_starts]
@@ -124,7 +121,7 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
         arcs = set()
         while True:
             assert [idx for idx in range(len(catalog)) if (unresolved >> idx) & 1] == \
-                [idx for idx, f in enumerate(catalog.sets) if not network._resolved(reach, f)]
+                [idx for idx, f in enumerate(catalog) if not network._resolved(reach, f)]
             for gamma in gammas:
                 dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma)
                 assert rows[gamma] == [list(row) for row in dp.leveled_starts]
@@ -134,12 +131,12 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             if not free:
                 break
             if unresolved and rng.random() < 0.5:
-                i, j = rng.choice(list(permutations(catalog.sets[first_set(unresolved)], 2)))
+                i, j = rng.choice(list(permutations(catalog[first_set(unresolved)], 2)))
             else:
                 i, j = rng.choice(free)
             candidates = {(i, j)}
             if unresolved:
-                candidates.update(permutations(catalog.sets[first_set(unresolved)], 2))
+                candidates.update(permutations(catalog[first_set(unresolved)], 2))
             for a, b in candidates:
                 for gamma in gammas:
                     bound = max(rows[gamma][-1][gamma],

@@ -19,7 +19,8 @@ from robust_rcpsp.milp import check_assignment
 from robust_rcpsp.network import (
     Selection,
     minimal_forbidden_sets,
-    selection_from_schedule,
+    schedule_order,
+    selection_from_order,
     verify_selection,
 )
 
@@ -99,7 +100,8 @@ def test_zero_duration_tie_follows_the_instance_arc():
     # orders 2 before 1: the tie goes the instance arc's way, where "smaller
     # id first" added (1, 2) and made the warm selection cyclic
     inst = make_instance([0, 0, 0, 0], [(0, 2), (2, 1), (1, 3)])
-    assert selection_from_schedule(inst, (0, 0, 0, 0)).added_arcs == {(0, 1), (0, 3), (2, 3)}
+    sel = selection_from_order(inst, *schedule_order(inst, (0, 0, 0, 0)))
+    assert sel.added_arcs == {(0, 1), (0, 3), (2, 3)}
     warm = warm_start(inst, 1)
     assert warm.start == (0, 0, 0, 0)
     assert warm.selection.added_arcs == {(0, 1), (0, 3), (2, 3)}
@@ -175,7 +177,7 @@ def test_leveled_starts_satisfy_recursion_bounds():
             for g in range(gamma + 1):
                 assert starts[j][g] >= starts[i][g] + inst.nominal_duration[i]
                 if g:
-                    assert starts[j][g] >= starts[i][g - 1] + inst.worst_case_duration(i)
+                    assert starts[j][g] >= starts[i][g - 1] + inst.worst_case_duration[i]
         sink_row = starts[inst.sink]
         assert all(a <= b for a, b in zip(sink_row, sink_row[1:]))
 

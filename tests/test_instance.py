@@ -123,6 +123,9 @@ def test_robustify_rule_and_flag():
     # ceil(4/2)=2, ceil(3/2)=2, ceil(5/2)=3; dummies stay 0
     assert robust.max_deviation == (0, 2, 2, 3, 0)
     assert robust.robustified
+    # the worst-case durations are derived again by the copy
+    assert (inst.worst_case_duration, robust.worst_case_duration) == ((0, 4, 3, 5, 0),
+                                                                      (0, 6, 5, 8, 0))
     with pytest.raises(ValueError, match="already robustified"):
         robustify(robust)
 

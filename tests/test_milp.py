@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import make_instance, random_dag_instance, random_psplib_instance
+from gen import make_instance, pair_conflict_instance, random_dag_instance, random_psplib_instance
 from robust_rcpsp import highs_bridge, milp
 from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
 from robust_rcpsp.bench import MILP_VARIANTS, build_variant
@@ -39,11 +39,6 @@ from robust_rcpsp.network import Selection, extended_arcs
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
 
 pytest.importorskip("scipy", reason="the reference bridge needs scipy")
-
-
-def pair_conflict_instance():
-    return make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
-                         [(0,), (2,), (2,), (0,)], (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +631,7 @@ def test_bridge_without_scipy_exits_1(tmp_path, monkeypatch, capsys):
 def test_bridge_usage_errors_exit_2(tmp_path, capsys):
     lp, sol = tmp_path / "toy.lp", tmp_path / "toy.sol"
     lp.write_text(export_lp(toy_model()))
-    for argv in ([], [str(lp)], [str(lp), str(sol), "abc"]):
+    for argv in ([], [str(lp)], *([str(lp), str(sol), t] for t in ("abc", "-1", "nan", "inf"))):
         assert highs_bridge.main(argv) == 2, argv
         assert "Usage:" in capsys.readouterr().err
     assert not sol.exists()

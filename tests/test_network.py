@@ -7,6 +7,7 @@ from gen import (
     closure_relation,
     connect_dummies,
     make_instance,
+    pair_conflict_instance,
     random_dag_instance,
     random_psplib_instance,
     random_selection,
@@ -22,15 +23,10 @@ from robust_rcpsp.network import (
     enumerate_sufficient_selections,
     membership_masks,
     minimal_forbidden_sets,
-    selection_from_schedule,
+    schedule_order,
+    selection_from_order,
     verify_selection,
 )
-
-
-def pair_conflict_instance():
-    """Two unit-duration activities that both need the full capacity."""
-    return make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
-                         [(0,), (2,), (2,), (0,)], (2,))
 
 
 def k3_instance():
@@ -79,7 +75,7 @@ def test_closure_cycle_error():
 
 
 def test_pair_catalog():
-    assert minimal_forbidden_sets(k3_instance()).sets == ((1, 2), (1, 3), (2, 3))
+    assert minimal_forbidden_sets(k3_instance()) == ((1, 2), (1, 3), (2, 3))
 
 
 def test_no_conflicts_empty_catalog():
@@ -88,25 +84,25 @@ def test_no_conflicts_empty_catalog():
     no_resources = make_instance([0, 1, 1, 0], arcs, capacities=())
     zero_rows = make_instance([0, 1, 1, 0], arcs, [(0, 0)] * 4, (1, 1))
     for inst in (slack, no_resources, zero_rows):
-        assert minimal_forbidden_sets(inst).sets == ()
+        assert minimal_forbidden_sets(inst) == ()
 
 
 def test_frozen_catalog_family():
     inst = catalog_family()
     catalog = minimal_forbidden_sets(inst)
-    assert catalog.sets == ((1, 5), (2, 6), (3, 4, 5), (5, 6), (6, 7))
-    assert catalog.sets == brute_force_forbidden_sets(inst)
+    assert catalog == ((1, 5), (2, 6), (3, 4, 5), (5, 6), (6, 7))
+    assert catalog == brute_force_forbidden_sets(inst)
 
 
 def test_catalog_matches_brute_force_on_random_instances():
     rng = random.Random(2024)
     for _ in range(40):
         inst = random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 2))
-        assert minimal_forbidden_sets(inst).sets == brute_force_forbidden_sets(inst)
+        assert minimal_forbidden_sets(inst) == brute_force_forbidden_sets(inst)
     # The benchmark's shape: up to four resources, zero entries, slack capacities.
     for _ in range(40):
         inst = random_psplib_instance(rng, n_act=rng.randint(8, 12), n_res=rng.randint(1, 4))
-        assert minimal_forbidden_sets(inst).sets == brute_force_forbidden_sets(inst)
+        assert minimal_forbidden_sets(inst) == brute_force_forbidden_sets(inst)
 
 
 def test_catalog_cap():
@@ -187,12 +183,12 @@ def test_monotonicity_of_sufficiency():
 
 
 # ---------------------------------------------------------------------------
-# selection_from_schedule
+# the selection of a schedule's order
 
 
 def test_serial_schedule_relates_all():
     inst = k3_instance()
-    sel = selection_from_schedule(inst, (0, 0, 1, 2, 3))
+    sel = selection_from_order(inst, *schedule_order(inst, (0, 0, 1, 2, 3)))
     assert {(1, 2), (2, 3), (1, 3)} <= sel.added_arcs
     catalog = minimal_forbidden_sets(inst)
     assert verify_selection(inst, sel, catalog).sufficient
@@ -202,16 +198,16 @@ def test_unconstrained_earliest_schedule_is_vacuously_sufficient():
     inst = make_instance([0, 2, 3, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
                          [(0,), (1,), (1,), (0,)], (2,))
     start = (0, 0, 0, 3)
-    sel = selection_from_schedule(inst, start)
+    sel = selection_from_order(inst, *schedule_order(inst, start))
     catalog = minimal_forbidden_sets(inst)
-    assert catalog.sets == ()
+    assert catalog == ()
     assert verify_selection(inst, sel, catalog).sufficient
     assert (1, 2) not in sel.added_arcs and (2, 1) not in sel.added_arcs
 
 
 def test_zero_duration_ties_stay_acyclic():
     inst = make_instance([0, 0, 0, 0], [(0, 1), (0, 2), (1, 3), (2, 3)])
-    sel = selection_from_schedule(inst, (0, 0, 0, 0))
+    sel = selection_from_order(inst, *schedule_order(inst, (0, 0, 0, 0)))
     # mutual qualifications keep only the direction of the tie rank, here
     # the id order
     assert (1, 2) in sel.added_arcs and (2, 1) not in sel.added_arcs
@@ -234,7 +230,7 @@ def test_selection_from_schedule_is_the_pairwise_order():
             expected = {(i, j) for i in nodes for j in nodes
                         if i != j and start[j] >= start[i] + dur[i]
                         and not (start[i] >= start[j] + dur[j] and rank[j] < rank[i])}
-            sel = selection_from_schedule(inst, start)
+            sel = selection_from_order(inst, *schedule_order(inst, start))
             assert sel.added_arcs == expected - set(inst.precedence)
             if feasible:  # the order holds every instance arc
                 assert set(inst.precedence) <= expected
@@ -319,7 +315,7 @@ def test_enumerate_matches_arc_subset_brute_force():
         while checked < count:
             inst = random_dag_instance(rng, n_act, n_res=1)
             catalog = minimal_forbidden_sets(inst)
-            if not catalog.sets:
+            if not catalog:
                 continue
             checked += 1
             expected = oracle_minimal_closures(inst, catalog)
