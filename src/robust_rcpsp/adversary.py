@@ -14,10 +14,11 @@ incrementally as it adds arcs; ``tail_rows`` runs it backward on
 successor lists.
 
 Also houses the single-level linearized adversary model as one labelled
-constraint matrix, the fractional-certificate checker that evaluates its
-rows, and the Ghouila-Houri refutation of its total unimodularity,
-including the three-activity diamond example on which a fractional flow
-strictly beats every integral delay choice.
+constraint matrix with its objective, the Ghouila-Houri refutation of its
+total unimodularity, and the checker of a fractional certificate: a point
+of that matrix, given as a mapping from its column labels to values.  On
+the three-activity diamond example a fractional flow strictly beats every
+integral delay choice.
 """
 from __future__ import annotations
 
@@ -205,21 +206,6 @@ def worst_case_makespan_bruteforce(inst: ProjectInstance, sel: Selection, gamma:
 # Fractional certificates for the single-level linearized adversary
 
 
-@dataclass
-class FractionalCertificate:
-    """Candidate solution of the linearized adversary: flows alpha, delay
-    picks delta, and linearization terms w, all exact rationals."""
-
-    alpha: dict
-    w: dict
-    delta: dict
-
-    def __post_init__(self):
-        self.alpha = {(int(i), int(j)): Fraction(v) for (i, j), v in self.alpha.items()}
-        self.w = {(int(i), int(j)): Fraction(v) for (i, j), v in self.w.items()}
-        self.delta = {int(i): Fraction(v) for i, v in self.delta.items()}
-
-
 @dataclass(frozen=True)
 class CertificateCheck:
     feasible: bool
@@ -228,29 +214,21 @@ class CertificateCheck:
 
 
 def check_fractional_certificate(inst: ProjectInstance, sel: Selection, gamma: int,
-                                 cert: FractionalCertificate) -> CertificateCheck:
-    """Exact feasibility check of a certificate against the rows of
-    ``build_adversary_constraint_matrix`` and the nonnegativity of its
-    columns.
+                                 cert: dict) -> CertificateCheck:
+    """Exact check of a certificate, a mapping from the column labels of
+    ``build_adversary_constraint_matrix`` to values (a missing label is 0),
+    against the matrix's rows and the nonnegativity of its columns.
 
-    Flows on absent arcs are fixed to zero by the precondition, so the
-    certificate may only index arcs of the extended network.  A cyclic
-    extension raises ``CyclicGraphError``, as in the DP.
+    Flows on absent arcs are fixed to zero by the precondition, so a label
+    that is not a column raises ``ValueError``.  A cyclic extension raises
+    ``CyclicGraphError``, as in the DP.
     """
     matrix = build_adversary_constraint_matrix(inst, sel, gamma)
-    arcs = matrix.arcs
-    arc_set = set(arcs)
-    for key in list(cert.alpha) + list(cert.w):
-        if key not in arc_set:
-            raise ValueError(f"certificate indexes arc {key} outside the extended network")
-    for i in cert.delta:
-        if not 0 <= i < inst.n_nodes:
-            raise ValueError(f"certificate indexes unknown activity {i}")
-
-    zero = Fraction(0)
-    alpha = [cert.alpha.get(a, zero) for a in arcs]
-    w = [cert.w.get(a, zero) for a in arcs]
-    x = alpha + w + [cert.delta.get(v, zero) for v in range(inst.n_nodes)]
+    columns = set(matrix.column_labels)
+    unknown = [label for label in cert if label not in columns]
+    if unknown:
+        raise ValueError(f"certificate names {unknown} outside the columns of the extended network")
+    x = [Fraction(cert.get(label, 0)) for label in matrix.column_labels]
     violations = [f"{label}={v} negative"
                   for label, v in zip(matrix.column_labels, x) if v < 0]
     for label, row, sense, rhs in zip(matrix.row_labels, matrix.entries,
@@ -258,25 +236,20 @@ def check_fractional_certificate(inst: ProjectInstance, sel: Selection, gamma: i
         lhs = sum(c * v for c, v in zip(row, x) if c)
         if (lhs != rhs) if sense == "=" else (lhs > rhs):
             violations.append(f"{label}: {lhs} {sense} {rhs} violated")
-
-    objective = sum(
-        (inst.nominal_duration[i] * a + inst.max_deviation[i] * b
-         for (i, _), a, b in zip(arcs, alpha, w)),
-        zero,
-    )
+    objective = sum((c * v for c, v in zip(matrix.objective, x) if c), Fraction(0))
     return CertificateCheck(feasible=not violations, objective=objective,
                             violations=tuple(violations))
 
 
-def path_certificate(inst: ProjectInstance, sel: Selection, path, delayed) -> FractionalCertificate:
-    """Integral certificate routing the unit flow along one path."""
-    alpha = {}
+def path_certificate(path, delayed) -> dict[str, int]:
+    """Integral certificate routing the unit flow along one path, with the
+    activities in ``delayed`` delayed."""
+    cert = {f"d_{i}": 1 for i in delayed}
     for i, j in zip(path, path[1:]):
-        if i != j:
-            alpha[(i, j)] = Fraction(1)
-    delta = {i: Fraction(1) for i in delayed}
-    w = {a: min(delta.get(a[0], Fraction(0)), v) for a, v in alpha.items()}
-    return FractionalCertificate(alpha=alpha, w=w, delta=delta)
+        cert[f"a_{i}_{j}"] = 1
+        if i in delayed:
+            cert[f"w_{i}_{j}"] = 1
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +273,12 @@ def counterexample_instance() -> ProjectInstance:
     )
 
 
-def counterexample_certificate() -> FractionalCertificate:
+def counterexample_certificate() -> dict[str, Fraction]:
     """The fractional split beating the integral optimum on the diamond."""
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    alpha = {(0, 1): Fraction(1), (1, 2): half, (1, 3): half,
-             (2, 4): half, (3, 4): half}
-    delta = {0: Fraction(0), 1: half, 2: quarter, 3: quarter, 4: Fraction(0)}
-    w = {arc: min(delta[arc[0]], flow) for arc, flow in alpha.items()}
-    return FractionalCertificate(alpha=alpha, w=w, delta=delta)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    return {"a_0_1": 1, "a_1_2": half, "a_1_3": half, "a_2_4": half, "a_3_4": half,
+            "w_1_2": half, "w_1_3": half, "w_2_4": quarter, "w_3_4": quarter,
+            "d_1": half, "d_2": quarter, "d_3": quarter}
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +294,10 @@ class AdversaryMatrix:
     Row order: flow conservation at internal activities (by id, ``= 0``),
     ``source`` and ``sink`` (``= 1``); then per-arc w <= delta rows and
     per-arc w <= alpha rows (``<= 0``); the ``budget`` row (``<= gamma``);
-    and per-activity delta upper bounds (``<= 1``).  Columns: alpha block,
-    w block, delta block, each in arc order or by id.
+    and per-activity delta upper bounds (``<= 1``).  Columns: alpha block
+    ``a_i_j``, w block ``w_i_j``, delta block ``d_v``, each in arc order or
+    by id.  The adversary maximises ``objective . x``: the nominal duration
+    of ``i`` on ``a_i_j``, its deviation on ``w_i_j`` and 0 on ``d_v``.
 
     No row bounds alpha by 1: a nonnegative unit flow on an acyclic
     network carries at most 1 on every arc, and the builder rejects
@@ -339,6 +311,7 @@ class AdversaryMatrix:
     column_labels: tuple[str, ...]
     groups: dict = field(hash=False)
     arcs: tuple[tuple[int, int], ...]
+    objective: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -408,6 +381,8 @@ def build_adversary_constraint_matrix(inst: ProjectInstance, sel: Selection,
         column_labels=tuple(columns),
         groups={f"group{g}": (bounds[g - 1], bounds[g]) for g in range(1, 6)},
         arcs=arcs,
+        objective=(tuple(inst.nominal_duration[i] for i, _ in arcs)
+                   + tuple(inst.max_deviation[i] for i, _ in arcs) + (0,) * n_nodes),
     )
 
 

@@ -47,19 +47,20 @@ class BenchConfig:
         """Read a config object; raises ``ValueError`` naming the field of
         a missing or bad value, so a bad config fails before any task runs.
 
-        ``instances_dir`` is a string, ``gammas`` are distinct ints >= 0,
-        ``variants`` are distinct names from ``ALL_VARIANTS``,
-        ``time_limit_s`` is null or a finite number >= 0, ``bridge_cmd`` is
-        null or a string, and ``workers`` is an int >= 1; booleans are none
-        of these."""
+        ``instances_dir`` is a string, ``gammas`` are one or more distinct
+        ints >= 0, ``variants`` are one or more distinct names from
+        ``ALL_VARIANTS``, ``time_limit_s`` is null or a finite number >= 0,
+        ``bridge_cmd`` is null or a string, and ``workers`` is an int >= 1;
+        booleans are none of these."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or "instances_dir" not in raw:
             raise ValueError('bench config: expected an object with "instances_dir"')
         gammas = raw.get("gammas", (3, 5, 7))
         if not (isinstance(gammas, (list, tuple)) and all(_is_int(g) and g >= 0 for g in gammas)):
             raise ValueError(f"bench config: gammas must be a list of ints >= 0, not {gammas!r}")
-        if len(set(gammas)) != len(gammas):
-            raise ValueError(f"bench config: gammas must not repeat a value, not {gammas!r}")
+        if not gammas or len(set(gammas)) != len(gammas):
+            raise ValueError("bench config: gammas must be non-empty and not repeat a value, "
+                             f"not {gammas!r}")
         limit = raw.get("time_limit_s")
         if limit is not None and not (isinstance(limit, (int, float)) and not isinstance(limit, bool)
                                       and math.isfinite(limit) and limit >= 0):
@@ -76,8 +77,9 @@ class BenchConfig:
         if not (isinstance(variants, list) and all(v in ALL_VARIANTS for v in variants)):
             raise ValueError(f"bench config: variants must be a list of names from {ALL_VARIANTS}, "
                              f"not {variants!r}")
-        if len(set(variants)) != len(variants):
-            raise ValueError(f"bench config: variants must not repeat a name, not {variants!r}")
+        if not variants or len(set(variants)) != len(variants):
+            raise ValueError("bench config: variants must be non-empty and not repeat a name, "
+                             f"not {variants!r}")
         bridge_cmd = raw.get("bridge_cmd")
         if bridge_cmd is not None and not isinstance(bridge_cmd, str):
             raise ValueError("bench config: bridge_cmd must be null or a string, "
@@ -291,17 +293,28 @@ def results_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list[ResultRecord]:
+    """The records of a results CSV; raises ``ValueError`` naming the line
+    of a missing column, a short row or a bad number."""
     reader = csv.DictReader(io.StringIO(text))
+    missing = [c for c in RESULTS_HEADER if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"results CSV line 1: no column {missing[0]!r}")
     records = []
     for row in reader:
-        records.append(ResultRecord(
-            instance=row["instance"], gamma=int(row["gamma"]), variant=row["variant"],
-            status=row["status"],
-            objective=float(row["objective"]) if row["objective"] else None,
-            bound=float(row["bound"]) if row["bound"] else None,
-            gap_percent=float(row["gap_percent"]) if row["gap_percent"] else None,
-            time_s=float(row["time_s"]),
-        ))
+        short = [c for c in RESULTS_HEADER if row[c] is None]
+        if short:
+            raise ValueError(f"results CSV line {reader.line_num}: no value in column {short[0]!r}")
+        try:
+            records.append(ResultRecord(
+                instance=row["instance"], gamma=int(row["gamma"]), variant=row["variant"],
+                status=row["status"],
+                objective=float(row["objective"]) if row["objective"] else None,
+                bound=float(row["bound"]) if row["bound"] else None,
+                gap_percent=float(row["gap_percent"]) if row["gap_percent"] else None,
+                time_s=float(row["time_s"]),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"results CSV line {reader.line_num}: {exc}") from None
     return records
 
 

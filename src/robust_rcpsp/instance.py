@@ -80,11 +80,11 @@ class ProjectInstance:
 
 def _ints(values):
     """``values`` as a tuple of ints; a value that ``int()`` would change,
-    such as 2.7, raises ValueError instead of being truncated."""
+    such as 2.7, or a boolean raises ValueError instead of being converted."""
     values = tuple(values)
     ints = tuple(map(int, values))
-    if ints != values:
-        bad = next(v for v, i in zip(values, ints) if v != i)
+    if ints != values or bool in map(type, values):
+        bad = next(v for v, i in zip(values, ints) if v != i or type(v) is bool)
         raise ValueError(f"{bad!r} is not an integer")
     return ints
 

@@ -15,7 +15,6 @@ from robust_rcpsp.adversary import (
     check_fractional_certificate,
     counterexample_certificate,
     counterexample_instance,
-    FractionalCertificate,
     ghouila_houri_refute,
     path_certificate,
     refutation_row_subset,
@@ -125,7 +124,7 @@ def test_dp_delayed_set_reproduces_value():
         assert len(dp.delayed) <= gamma
         # no vacuous delays: every reported delay lengthens the path
         assert all(inst.max_deviation[i] > 0 for i in dp.delayed)
-        cert = path_certificate(inst, EMPTY, dp.path, dp.delayed & set(dp.path))
+        cert = path_certificate(dp.path, dp.delayed & set(dp.path))
         check = check_fractional_certificate(inst, EMPTY, gamma, cert)
         assert check.feasible
         assert check.objective == dp.value
@@ -183,31 +182,31 @@ def test_diamond_fractional_certificate():
 
 def test_all_zero_certificate_infeasible():
     inst = counterexample_instance()
-    cert = FractionalCertificate(alpha={}, w={}, delta={})
-    check = check_fractional_certificate(inst, EMPTY, 1, cert)
+    check = check_fractional_certificate(inst, EMPTY, 1, {})
     assert not check.feasible
     assert "source: 0 = 1 violated" in check.violations
 
 
 def test_integral_path_certificate_value_three():
     inst = counterexample_instance()
-    cert = path_certificate(inst, EMPTY, (0, 1, 2, 4), {2})
+    cert = path_certificate((0, 1, 2, 4), {2})
     check = check_fractional_certificate(inst, EMPTY, 1, cert)
     assert check.feasible
     assert check.objective == 3
 
 
 def test_certificate_foreign_arc_rejected():
+    # a_0_4 names an arc outside the extended network, z_1 no column at all
     inst = counterexample_instance()
-    cert = FractionalCertificate(alpha={(0, 4): 1}, w={}, delta={})
-    with pytest.raises(ValueError, match="outside"):
-        check_fractional_certificate(inst, EMPTY, 1, cert)
+    for label in ("a_0_4", "z_1"):
+        with pytest.raises(ValueError, match="outside"):
+            check_fractional_certificate(inst, EMPTY, 1, {label: 1})
 
 
 def test_certificate_budget_violation_detected():
     inst = counterexample_instance()
     cert = counterexample_certificate()
-    cert.delta[1] = Fraction(1)
+    cert["d_1"] = 1
     check = check_fractional_certificate(inst, EMPTY, 0, cert)
     assert not check.feasible
     assert any("budget" in v for v in check.violations)
@@ -222,12 +221,8 @@ def test_cyclic_certificate_raises():
         check_fractional_certificate(inst, cyclic, 1, counterexample_certificate())
 
 
-def _diamond_edit(alpha=(), w=(), delta=()):
-    cert = counterexample_certificate()
-    cert.alpha.update(alpha)
-    cert.w.update(w)
-    cert.delta.update(delta)
-    return cert
+def _diamond_edit(**labels):
+    return {**counterexample_certificate(), **labels}
 
 
 half, quarter = Fraction(1, 2), Fraction(1, 4)
@@ -237,26 +232,25 @@ half, quarter = Fraction(1, 2), Fraction(1, 4)
     # one edit per row group.  Every arc enters two of the flow, source and
     # sink rows, so an edit of alpha that keeps the rest feasible breaks two
     # of them.
-    (1, _diamond_edit(alpha={(1, 2): Fraction(3, 4)}),
+    (1, _diamond_edit(a_1_2=Fraction(3, 4)),
      ("flow_1: -1/4 = 0 violated", "flow_2: 1/4 = 0 violated")),
-    (1, _diamond_edit(alpha={(0, 1): Fraction(3, 4)}),
+    (1, _diamond_edit(a_0_1=Fraction(3, 4)),
      ("flow_1: -1/4 = 0 violated", "source: 3/4 = 1 violated")),
-    (1, _diamond_edit(alpha={(2, 4): Fraction(1)}),
+    (1, _diamond_edit(a_2_4=1),
      ("flow_2: -1/2 = 0 violated", "sink: 3/2 = 1 violated")),
-    (1, _diamond_edit(w={(2, 4): half}), ("wle_d_2_4: 1/4 <= 0 violated",)),
-    (2, _diamond_edit(delta={2: Fraction(1)}, w={(2, 4): Fraction(3, 4)}),
+    (1, _diamond_edit(w_2_4=half), ("wle_d_2_4: 1/4 <= 0 violated",)),
+    (2, _diamond_edit(d_2=1, w_2_4=Fraction(3, 4)),
      ("wle_a_2_4: 1/4 <= 0 violated",)),
     (0, counterexample_certificate(), ("budget: 1 <= 0 violated",)),
-    (3, _diamond_edit(delta={4: Fraction(3, 2)}), ("dub_4: 3/2 <= 1 violated",)),
+    (3, _diamond_edit(d_4=Fraction(3, 2)), ("dub_4: 3/2 <= 1 violated",)),
     # one edit per column block.  A negative flow must run along a whole
     # path, and w <= alpha then makes its w negative too.
-    (1, _diamond_edit(alpha={(1, 2): -half, (1, 3): Fraction(3, 2), (2, 4): -half,
-                             (3, 4): Fraction(3, 2)},
-                      w={(1, 2): -half, (2, 4): -half}),
+    (1, _diamond_edit(a_1_2=-half, a_1_3=Fraction(3, 2), a_2_4=-half, a_3_4=Fraction(3, 2),
+                      w_1_2=-half, w_2_4=-half),
      ("a_1_2=-1/2 negative", "a_2_4=-1/2 negative",
       "w_1_2=-1/2 negative", "w_2_4=-1/2 negative")),
-    (1, _diamond_edit(w={(0, 1): -quarter}), ("w_0_1=-1/4 negative",)),
-    (1, _diamond_edit(delta={4: -quarter}), ("d_4=-1/4 negative",)),
+    (1, _diamond_edit(w_0_1=-quarter), ("w_0_1=-1/4 negative",)),
+    (1, _diamond_edit(d_4=-quarter), ("d_4=-1/4 negative",)),
 ], ids=["flow", "source", "sink", "wle_d", "wle_a", "budget", "dub",
         "alpha_negative", "w_negative", "delta_negative"])
 def test_each_broken_constraint_is_reported(gamma, cert, violations):
@@ -273,7 +267,7 @@ def test_path_certificates_never_beat_dp():
         dp = worst_case_makespan_dp(inst, EMPTY, gamma)
         for _ in range(5):
             sub = rng.sample(sorted(dp.delayed), k=rng.randint(0, len(dp.delayed)))
-            cert = path_certificate(inst, EMPTY, dp.path, set(sub) & set(dp.path))
+            cert = path_certificate(dp.path, set(sub) & set(dp.path))
             check = check_fractional_certificate(inst, EMPTY, gamma, cert)
             assert check.feasible
             assert check.objective <= dp.value

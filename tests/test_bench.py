@@ -127,6 +127,22 @@ def test_results_csv_round_trip():
         [(r.instance, r.variant, r.status, r.objective) for r in records]
 
 
+HEADER = "instance,gamma,variant,status,objective,bound,gap_percent,time_s\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("instance,gamma,status,objective,bound,gap_percent,time_s\nj1,1,optimal,3,3,0,0.5\n",
+     "line 1: no column 'variant'"),
+    ("", "line 1: no column 'instance'"),
+    (HEADER + "j1,1,bnb\n", "line 2: no value in column 'status'"),
+    (HEADER + "j1,1,bnb,optimal,3,3,0,0.5\nj2,x,bnb,optimal,3,3,0,0.5\n", "line 3: invalid literal for int"),
+    (HEADER + "j1,1,bnb,optimal,3,3,0,\n", "line 2: could not convert"),
+], ids=["missing_column", "empty", "short_row", "bad_int", "empty_time"])
+def test_records_from_csv_names_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        records_from_csv(text)
+
+
 def test_profile_csv_and_svg_shapes():
     records = [rec("i1", "A", time_s=1.0), rec("i1", "B", time_s=3.0)]
     profile = performance_profile(records, ["A", "B"])
@@ -297,7 +313,7 @@ def test_config_from_json():
     ("instances_dir", 5), ("instances_dir", None), ("variants", "bnb"), ("variants", ["nope"]),
     ("variants", [["bnb"]]), ("bridge_cmd", 5), ("bridge_cmd", ["python3"]),
     ("gammas", [1, 1]), ("gammas", [3, 5, 3]), ("variants", ["bnb", "bnb"]),
-    ("variants", ["warm", "basic", "warm"]),
+    ("variants", ["warm", "basic", "warm"]), ("gammas", []), ("variants", []),
 ])
 def test_config_from_json_rejects_a_bad_value(field, value):
     with pytest.raises(ValueError, match=field):

@@ -247,6 +247,15 @@ def test_bench_and_profile_commands(capsys, tmp_path):
     assert svg_path.exists()
 
 
+def test_profile_of_a_malformed_csv_exits_1(capsys, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text("instance,gamma,status,time_s\nj1,1,optimal,0.5\n")
+    code, out, err = run_cli(capsys, "profile", "--results", str(results))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: results CSV line 1: no column 'variant'")
+
+
 def test_bench_without_instances_exits_1(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"instances_dir": str(tmp_path / "empty")}))

@@ -164,9 +164,11 @@ def test_from_json_cyclic_arcs_is_parse_error():
 @pytest.mark.parametrize("key, index, value", [
     ("nominal", 1, 2.7), ("deviation", 1, 1.5), ("requirements", 1, [1.9]),
     ("capacities", 0, 2.5), ("arcs", 0, [0, 1.9]), ("nominal", 1, float("inf")),
+    ("nominal", 1, True), ("arcs", 0, [0, True]),
 ])
 def test_from_json_rejects_non_integers(key, index, value):
-    # int() would truncate each finite one of these to a valid toy5 instance
+    # int() would truncate each finite one of these to a valid toy5 instance,
+    # and a boolean would pass as 0 or 1
     payload = json.loads(to_json(robustify(parse_psplib((DATA / "toy5.sm").read_text()))))
     payload[key][index] = value
     with pytest.raises(ParseError, match="integer") as err:
