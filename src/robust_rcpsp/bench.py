@@ -6,19 +6,22 @@ variants ``basic``, ``trans``, ``warm``, ``warm+trans``; the model variants
 need an external solver bridge and are recorded as skipped without one.
 The ``warm`` variants supply the heuristic solution as an MST file and use
 it to tighten the big-M values; all model variants use integer starts.
+
+The config keys and their defaults are ``BenchConfig``'s fields, and the
+columns of ``results.csv`` are ``ResultRecord``'s; a reader rejects a key
+or a column that is no field.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-import math
 import re
 import sys
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import bnb as bnb_mod
@@ -29,8 +32,17 @@ from .instance import parse_psplib, robustify
 
 MILP_VARIANTS = ("basic", "trans", "warm", "warm+trans")
 ALL_VARIANTS = MILP_VARIANTS + ("bnb",)
-RESULTS_HEADER = ("instance", "gamma", "variant", "status", "objective",
-                  "bound", "gap_percent", "time_s")
+
+
+def is_seconds(value) -> bool:
+    """Whether ``value`` is a finite number >= 0, the rule for a time limit
+    and a time; a boolean is not a number."""
+    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
+
+
+def _distinct(values, rule) -> bool:
+    return (isinstance(values, list) and all(map(rule, values))
+            and 0 < len(set(values)) == len(values))
 
 
 @dataclass(frozen=True)
@@ -44,58 +56,35 @@ class BenchConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
-        """Read a config object; raises ``ValueError`` naming the field of
-        a missing or bad value, so a bad config fails before any task runs.
-
-        ``instances_dir`` is a string, ``gammas`` are one or more distinct
-        ints >= 0, ``variants`` are one or more distinct names from
-        ``ALL_VARIANTS``, ``time_limit_s`` is null or a finite number >= 0,
-        ``bridge_cmd`` is null or a string, and ``workers`` is an int >= 1;
-        booleans are none of these."""
+        """Read a config object; a key it omits takes its field's default.
+        An unknown key or a bad value raises ``ValueError`` naming the key
+        (``bench config: <field> must be <rule>, not <value>``), so a bad
+        config fails before any task runs."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or "instances_dir" not in raw:
             raise ValueError('bench config: expected an object with "instances_dir"')
-        gammas = raw.get("gammas", (3, 5, 7))
-        if not (isinstance(gammas, (list, tuple)) and all(_is_int(g) and g >= 0 for g in gammas)):
-            raise ValueError(f"bench config: gammas must be a list of ints >= 0, not {gammas!r}")
-        if not gammas or len(set(gammas)) != len(gammas):
-            raise ValueError("bench config: gammas must be non-empty and not repeat a value, "
-                             f"not {gammas!r}")
-        limit = raw.get("time_limit_s")
-        if limit is not None and not (isinstance(limit, (int, float)) and not isinstance(limit, bool)
-                                      and math.isfinite(limit) and limit >= 0):
-            raise ValueError("bench config: time_limit_s must be null or a finite number >= 0, "
-                             f"not {limit!r}")
-        workers = raw.get("workers", 1)
-        if not (_is_int(workers) and workers >= 1):
-            raise ValueError(f"bench config: workers must be an int >= 1, not {workers!r}")
-        instances_dir = raw["instances_dir"]
-        if not isinstance(instances_dir, str):
-            raise ValueError("bench config: instances_dir must be a string, "
-                             f"not {instances_dir!r}")
-        variants = raw.get("variants", ["bnb"])
-        if not (isinstance(variants, list) and all(v in ALL_VARIANTS for v in variants)):
-            raise ValueError(f"bench config: variants must be a list of names from {ALL_VARIANTS}, "
-                             f"not {variants!r}")
-        if not variants or len(set(variants)) != len(variants):
-            raise ValueError("bench config: variants must be non-empty and not repeat a name, "
-                             f"not {variants!r}")
-        bridge_cmd = raw.get("bridge_cmd")
-        if bridge_cmd is not None and not isinstance(bridge_cmd, str):
-            raise ValueError("bench config: bridge_cmd must be null or a string, "
-                             f"not {bridge_cmd!r}")
-        return cls(
-            instances_dir=instances_dir,
-            gammas=tuple(gammas),
-            variants=tuple(variants),
-            time_limit_s=limit,
-            bridge_cmd=bridge_cmd,
-            workers=workers,
-        )
+        names = [f.name for f in fields(cls)]
+        unknown = [key for key in raw if key not in names]
+        if unknown:
+            raise ValueError(f"bench config: unknown key {unknown[0]!r}; the keys are {names}")
+        for name in names:
+            rule, holds = _CONFIG_RULES[name]
+            if name in raw and not holds(raw[name]):
+                raise ValueError(f"bench config: {name} must be {rule}, not {raw[name]!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_CONFIG_RULES = {  # field -> (rule, check)
+    "instances_dir": ("a string", lambda v: isinstance(v, str)),
+    "gammas": ("a non-empty list of distinct ints >= 0",
+               lambda v: _distinct(v, lambda g: type(g) is int and g >= 0)),
+    "variants": (f"a non-empty list of distinct names from {ALL_VARIANTS}",
+                 lambda v: _distinct(v, lambda name: name in ALL_VARIANTS)),
+    "time_limit_s": ("null or a finite number >= 0", lambda v: v is None or is_seconds(v)),
+    "bridge_cmd": (f"null or a command template with fields from {milp.PLACEHOLDERS}",
+                   lambda v: v is None or (isinstance(v, str) and milp.template_error(v) is None)),
+    "workers": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+}
 
 
 @dataclass(frozen=True)
@@ -108,6 +97,9 @@ class ResultRecord:
     bound: float | None
     gap_percent: float | None
     time_s: float
+
+
+RESULTS_HEADER = tuple(f.name for f in fields(ResultRecord))
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,6 @@ def performance_profile(records, variants) -> PerformanceProfile:
     the best time over the compared variants; unsolved pairs get the failure
     ratio P, set to twice the largest finite ratio.
     """
-    keys = sorted({(r.instance, r.gamma) for r in records if r.variant in variants})
     table = {}
     for r in records:
         if r.variant not in variants:
@@ -213,33 +204,20 @@ def performance_profile(records, variants) -> PerformanceProfile:
         if slot in table:
             raise ValueError(f"duplicate record for {slot}")
         table[slot] = r
-    times = {}
+    keys = sorted({key for key, _ in table})
+    ratios = {}  # (key, variant) -> ratio, for the solved pairs only
     for key in keys:
-        solved = {
-            v: table[(key, v)].time_s for v in variants
-            if (key, v) in table and table[(key, v)].status == "optimal"
-        }
-        times[key] = solved
-    ratios = {}
-    finite = []
-    for key in keys:
-        solved = times[key]
-        best = min(solved.values()) if solved else None
-        for v in variants:
-            if v in solved:
-                ratio = solved[v] / max(best, 1e-9)
-                ratios[(key, v)] = max(1.0, ratio)
-                finite.append(ratios[(key, v)])
-            else:
-                ratios[(key, v)] = None
-    failure_ratio = 2.0 * max(finite) if finite else 2.0
-    for slot, value in ratios.items():
-        if value is None:
-            ratios[slot] = failure_ratio
-    taus = tuple(sorted({v for v in finite}))
+        solved = {v: table[(key, v)].time_s for v in variants
+                  if (key, v) in table and table[(key, v)].status == "optimal"}
+        best = max(min(solved.values(), default=0.0), 1e-9)
+        for v, time_s in solved.items():
+            ratios[(key, v)] = max(1.0, time_s / best)
+    failure_ratio = 2.0 * max(ratios.values()) if ratios else 2.0
+    taus = tuple(sorted(set(ratios.values())))
     n = len(keys)
     rho = {
-        v: tuple(sum(1 for key in keys if ratios[(key, v)] <= tau) / n for tau in taus)
+        v: tuple(sum(1 for key in keys if ratios.get((key, v), failure_ratio) <= tau) / n
+                 for tau in taus)
         for v in variants
     }
     return PerformanceProfile(taus=taus, rho=rho, failure_ratio=failure_ratio)
@@ -280,39 +258,53 @@ def _set_key(label):
 # CSV / SVG output
 
 
+def _fmt(value):
+    return "" if value is None else f"{value:.6g}"
+
+
+def _seconds(text):
+    value = float(text)
+    if not is_seconds(value):
+        raise ValueError(f"time_s must be a finite number >= 0, not {text!r}")
+    return value
+
+
+# ResultRecord field type -> (write, read) of its column; time_s is the one
+# plain float, a time in seconds.
+_CODECS = {"str": (str, str), "int": (str, int),
+           "float | None": (_fmt, lambda text: float(text) if text else None),
+           "float": (lambda v: f"{v:.6f}", _seconds)}
+_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(ResultRecord)]  # (name, write, read)
+
+
 def results_to_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(RESULTS_HEADER)
     for r in records:
-        writer.writerow([
-            r.instance, r.gamma, r.variant, r.status,
-            _fmt(r.objective), _fmt(r.bound), _fmt(r.gap_percent), f"{r.time_s:.6f}",
-        ])
+        writer.writerow([write(getattr(r, name)) for name, write, _ in _COLUMNS])
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> list[ResultRecord]:
     """The records of a results CSV; raises ``ValueError`` naming the line
-    of a missing column, a short row or a bad number."""
+    of a missing or unknown column, a short row, a bad number or a
+    ``time_s`` that is not a finite number >= 0."""
     reader = csv.DictReader(io.StringIO(text))
-    missing = [c for c in RESULTS_HEADER if c not in (reader.fieldnames or ())]
+    columns = reader.fieldnames or ()
+    missing = [c for c in RESULTS_HEADER if c not in columns]
     if missing:
         raise ValueError(f"results CSV line 1: no column {missing[0]!r}")
+    unknown = [c for c in columns if c not in RESULTS_HEADER]
+    if unknown:
+        raise ValueError(f"results CSV line 1: unknown column {unknown[0]!r}")
     records = []
     for row in reader:
         short = [c for c in RESULTS_HEADER if row[c] is None]
         if short:
             raise ValueError(f"results CSV line {reader.line_num}: no value in column {short[0]!r}")
         try:
-            records.append(ResultRecord(
-                instance=row["instance"], gamma=int(row["gamma"]), variant=row["variant"],
-                status=row["status"],
-                objective=float(row["objective"]) if row["objective"] else None,
-                bound=float(row["bound"]) if row["bound"] else None,
-                gap_percent=float(row["gap_percent"]) if row["gap_percent"] else None,
-                time_s=float(row["time_s"]),
-            ))
+            records.append(ResultRecord(*(read(row[name]) for name, _, read in _COLUMNS)))
         except ValueError as exc:
             raise ValueError(f"results CSV line {reader.line_num}: {exc}") from None
     return records
@@ -335,12 +327,6 @@ def summary_to_csv(rows) -> str:
         writer.writerow([row["set"], row["variant"], _fmt(row["time"]),
                          _fmt(row["gap"]), row["solved"]])
     return buf.getvalue()
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    return f"{value:.6g}"
 
 
 _COLORS = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#b7950b")

@@ -106,13 +106,13 @@ def _build_parser():
 
 
 def _time_limit(text):
-    """An argparse type: a finite number of seconds >= 0, as the bench
-    config's ``time_limit_s``."""
+    """An argparse type: seconds under the bench's ``is_seconds`` rule, as
+    the bench config's ``time_limit_s``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0):
+    if not bench.is_seconds(value):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
     return value
 

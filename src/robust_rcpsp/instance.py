@@ -2,6 +2,9 @@
 
 Parses single-mode PSPLIB ``.sm`` files, attaches per-activity duration
 deviations, and provides the canonical JSON serialization used by the CLI.
+The JSON ``meta`` object holds ``InstanceMeta``'s fields: it is written as
+the dataclass and read back through its constructor, so a ``meta`` that is
+not an object or has a key that is no field is a ``ParseError``.
 Activity ids are 0-based: PSPLIB job 1 becomes the dummy source 0 and job
 n+2 the dummy sink n+1, so index conventions match the rest of the library.
 """
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from ._graph import closure_bitsets
 from .errors import CyclicGraphError, ParseError
@@ -303,13 +306,6 @@ def _availability_row(lines, n_res):
 
 def to_json(inst: ProjectInstance) -> str:
     """Canonical JSON form; integers only except the meta decimals."""
-    meta = {
-        "name": inst.meta.name,
-        "network_complexity": inst.meta.network_complexity,
-        "resource_factor": inst.meta.resource_factor,
-        "resource_strength": inst.meta.resource_strength,
-        "source_path": inst.meta.source_path,
-    }
     payload = {
         "activities": list(inst.activities),
         "nominal": list(inst.nominal_duration),
@@ -317,7 +313,7 @@ def to_json(inst: ProjectInstance) -> str:
         "requirements": [list(row) for row in inst.requirement],
         "capacities": list(inst.capacity),
         "arcs": [list(arc) for arc in inst.precedence],
-        "meta": meta,
+        "meta": asdict(inst.meta),
     }
     return json.dumps(payload, separators=(", ", ": "))
 
@@ -334,14 +330,7 @@ def from_json(text: str) -> ProjectInstance:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", section="json") from exc
     try:
-        meta_raw = payload.get("meta", {})
-        meta = InstanceMeta(
-            name=meta_raw.get("name", ""),
-            network_complexity=meta_raw.get("network_complexity"),
-            resource_factor=meta_raw.get("resource_factor"),
-            resource_strength=meta_raw.get("resource_strength"),
-            source_path=meta_raw.get("source_path", ""),
-        )
+        meta = InstanceMeta(**payload.get("meta", {}))
         deviation = tuple(payload["deviation"])
         return ProjectInstance(
             nominal_duration=tuple(payload["nominal"]),

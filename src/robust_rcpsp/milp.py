@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import shlex
+import string
 import subprocess
 import tempfile
 import time
@@ -465,19 +466,38 @@ def solve_external(model: MilpModel, warm=None, *, command: str,
     """Run a solver process over the exported LP file.
 
     ``command`` is a template with ``{lp}``, ``{mst}``, ``{sol}`` and
-    ``{time_s}`` placeholders.  The solver must exit 0 and write a solution
-    file starting with a status word (optionally followed by a best bound)
-    and one ``name value`` line per variable.  Reported solutions are
-    re-validated against the model within 1e-6.  The files go to a
-    temporary directory that is removed before returning.  A zero time
-    limit is spent before the solver starts: the outcome is ``timeout``
-    and no process is started.
+    ``{time_s}`` placeholders; a template that :func:`template_error`
+    rejects is an ``error`` outcome, and no process is started.  The solver
+    must exit 0 and write a solution file starting with a status word
+    (optionally followed by a best bound) and one ``name value`` line per
+    variable.  Reported solutions are re-validated against the model
+    within 1e-6.  The files go to a temporary directory that is removed
+    before returning.  A zero time limit is spent before the solver
+    starts: the outcome is ``timeout`` and no process is started.
     """
     t0 = time.perf_counter()
+    problem = template_error(command)
+    if problem:
+        return SolveOutcome(status="error", message=problem)
     if time_limit_s == 0:
         return SolveOutcome(status="timeout", message="time limit of 0 s")
     with tempfile.TemporaryDirectory(prefix="robust_rcpsp_") as scratch:
         return _solve_in(Path(scratch), model, warm, command, time_limit_s, t0)
+
+
+PLACEHOLDERS = ("lp", "mst", "sol", "time_s")
+
+
+def template_error(command: str) -> str | None:
+    """Why ``command`` is not a solver command template, or None: its
+    braces must be well formed and each field one of ``PLACEHOLDERS``."""
+    try:
+        unknown = [name for _, name, _, _ in string.Formatter().parse(command)
+                   if name is not None and name not in PLACEHOLDERS]
+    except ValueError as exc:
+        return f"command template {command!r}: {exc}"
+    return (f"command template {command!r}: unknown placeholder {{{unknown[0]}}}; expected "
+            f"one of {PLACEHOLDERS}") if unknown else None
 
 
 def _solve_in(base: Path, model, warm, command, time_limit_s, t0) -> SolveOutcome:

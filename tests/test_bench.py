@@ -85,6 +85,28 @@ def test_profile_monotone_nondecreasing():
         assert all(0.0 <= x <= 1.0 for x in series)
 
 
+def test_profile_of_no_records():
+    profile = performance_profile([], ["A", "B"])
+    assert (profile.taus, profile.rho, profile.failure_ratio) == ((), {"A": (), "B": ()}, 2.0)
+
+
+def test_profile_with_every_pair_unsolved():
+    records = [rec(i, v, status="timeout", objective=None, time_s=60.0)
+               for i in ("i1", "i2") for v in ("A", "B")]
+    profile = performance_profile(records, ["A", "B"])
+    assert (profile.taus, profile.rho, profile.failure_ratio) == ((), {"A": (), "B": ()}, 2.0)
+
+
+def test_profile_of_zero_times():
+    records = [rec("i1", "A", time_s=0.0), rec("i1", "B", time_s=0.0),
+               rec("i2", "A", time_s=0.0), rec("i2", "B", time_s=1.0)]
+    profile = performance_profile(records, ["A", "B"])
+    # a time of 0 counts as 1e-9 s, and no ratio is below 1
+    assert profile.taus == pytest.approx((1.0, 1e9))
+    assert profile.rho == {"A": (1.0, 1.0), "B": (0.5, 1.0)}
+    assert profile.failure_ratio == pytest.approx(2e9)
+
+
 def test_profile_rejects_duplicates():
     records = [rec("i1", "A"), rec("i1", "A")]
     with pytest.raises(ValueError, match="duplicate"):
@@ -127,6 +149,14 @@ def test_results_csv_round_trip():
         [(r.instance, r.variant, r.status, r.objective) for r in records]
 
 
+def test_results_csv_round_trip_keeps_every_field():
+    records = [ResultRecord("j301_1", 3, "bnb", "optimal", 12.0, 12.0, 0.0, 1.25),
+               ResultRecord("j301_1", 3, "warm", "feasible", 14.0, 11.5, 17.8571, 60.0),
+               ResultRecord("j301_2", 0, "basic", "timeout", None, 9.0, None, 0.0),
+               ResultRecord("j301_2", 0, "trans", "skipped", None, None, None, 0.000125)]
+    assert records_from_csv(results_to_csv(records)) == records
+
+
 HEADER = "instance,gamma,variant,status,objective,bound,gap_percent,time_s\n"
 
 
@@ -137,7 +167,14 @@ HEADER = "instance,gamma,variant,status,objective,bound,gap_percent,time_s\n"
     (HEADER + "j1,1,bnb\n", "line 2: no value in column 'status'"),
     (HEADER + "j1,1,bnb,optimal,3,3,0,0.5\nj2,x,bnb,optimal,3,3,0,0.5\n", "line 3: invalid literal for int"),
     (HEADER + "j1,1,bnb,optimal,3,3,0,\n", "line 2: could not convert"),
-], ids=["missing_column", "empty", "short_row", "bad_int", "empty_time"])
+    (HEADER + "j1,1,bnb,optimal,3,3,0,1\nj2,1,bnb,optimal,3,3,0,nan\n",
+     "line 3: time_s must be a finite number >= 0, not 'nan'"),
+    (HEADER + "j1,1,bnb,optimal,3,3,0,inf\n", "line 2: time_s must be a finite number >= 0, not 'inf'"),
+    (HEADER + "j1,1,bnb,optimal,3,3,0,-4\n", "line 2: time_s must be a finite number >= 0, not '-4'"),
+    (HEADER.replace("\n", ",solver\n") + "j1,1,bnb,optimal,3,3,0,1,x\n",
+     "line 1: unknown column 'solver'"),
+], ids=["missing_column", "empty", "short_row", "bad_int", "empty_time", "nan_time", "inf_time",
+        "negative_time", "unknown_column"])
 def test_records_from_csv_names_the_line(text, message):
     with pytest.raises(ValueError, match=message):
         records_from_csv(text)
@@ -314,6 +351,8 @@ def test_config_from_json():
     ("variants", [["bnb"]]), ("bridge_cmd", 5), ("bridge_cmd", ["python3"]),
     ("gammas", [1, 1]), ("gammas", [3, 5, 3]), ("variants", ["bnb", "bnb"]),
     ("variants", ["warm", "basic", "warm"]), ("gammas", []), ("variants", []),
+    ("gamma", [1]), ("time_limit", 1), ("bridge_cmd", "solver {lp} {limit}"),
+    ("bridge_cmd", "solver {lp"), ("bridge_cmd", "solver {}"),
 ])
 def test_config_from_json_rejects_a_bad_value(field, value):
     with pytest.raises(ValueError, match=field):
@@ -336,6 +375,16 @@ def test_bench_with_a_bad_config_exits_1_before_any_task(instance_dir, tmp_path,
     assert out == ""
     assert "time_limit_s" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_bridge_template_is_an_error_record_without_a_traceback(instance_dir, capsys):
+    """A config built in code skips ``from_json``; the template used to end
+    each model task in a KeyError traceback."""
+    config = BenchConfig(instances_dir=str(instance_dir), gammas=(1,), variants=("basic",),
+                         bridge_cmd=f"{sys.executable} -c pass {{lp}} {{limit}}")
+    records = run_experiment(config)
+    assert [r.status for r in records] == ["error", "error"]
+    assert capsys.readouterr().err == ""
 
 
 def test_record_count_arithmetic():

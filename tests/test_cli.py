@@ -219,6 +219,17 @@ def test_solve_bridge_without_command_fails(capsys, monkeypatch):
     assert "bridge" in err
 
 
+def test_solve_with_an_unknown_bridge_placeholder_exits_1(capsys):
+    code, out, err = run_cli(capsys, "solve", str(DATA / "toy5.sm"), "--gamma", "1",
+                             "--variant", "basic", "--bridge-cmd",
+                             f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{limit}}")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert (payload["method"], payload["status"], payload["objective"]) == ("bridge", "error", None)
+    assert "unknown placeholder {limit}" in payload["message"]
+
+
 def test_bench_and_profile_commands(capsys, tmp_path):
     rng = random.Random(9)
     inst_dir = tmp_path / "instances"

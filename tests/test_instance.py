@@ -8,6 +8,7 @@ from gen import make_instance, psplib_text, random_psplib_instance
 from robust_rcpsp.adversary import worst_case_makespan_dp
 from robust_rcpsp.errors import ParseError
 from robust_rcpsp.instance import (
+    InstanceMeta,
     ProjectInstance,
     from_json,
     parse_psplib,
@@ -174,6 +175,26 @@ def test_from_json_rejects_non_integers(key, index, value):
     with pytest.raises(ParseError, match="integer") as err:
         from_json(json.dumps(payload))
     assert err.value.section == "json"
+
+
+@pytest.mark.parametrize("meta", [None, [], "toy5", {"name": "toy5", "author": "x"}],
+                         ids=["null", "list", "string", "unknown_key"])
+def test_from_json_rejects_a_meta_that_is_no_instance_meta(meta):
+    """A null meta used to end in an AttributeError traceback, and an
+    unknown key was dropped."""
+    payload = json.loads(to_json(parse_psplib((DATA / "toy5.sm").read_text())))
+    payload["meta"] = meta
+    with pytest.raises(ParseError, match="invalid instance payload") as err:
+        from_json(json.dumps(payload))
+    assert err.value.section == "json"
+
+
+def test_from_json_meta_keys_are_optional():
+    payload = json.loads(to_json(parse_psplib((DATA / "toy5.sm").read_text(), name="toy5")))
+    payload["meta"] = {"name": "toy5"}
+    assert from_json(json.dumps(payload)).meta == InstanceMeta(name="toy5")
+    del payload["meta"]
+    assert from_json(json.dumps(payload)).meta == InstanceMeta()
 
 
 def test_validation_rejects_bad_instances():

@@ -727,6 +727,28 @@ def test_bridge_with_a_zero_time_limit_starts_no_solver(tmp_path):
     assert marker.exists()
 
 
+@pytest.mark.parametrize("template, message", [
+    ("{lp} {sol} {limit}", "unknown placeholder {limit}"),
+    ("{lp} {sol} {}", "unknown placeholder {}"),
+    ("{lp} {sol", "expected '}' before end of string"),
+    ("{lp} sol}", "Single '}'"),
+], ids=["unknown", "positional", "open_brace", "close_brace"])
+def test_bridge_with_an_unknown_placeholder_starts_no_solver(tmp_path, monkeypatch, template,
+                                                             message):
+    """An unknown placeholder used to raise KeyError from ``str.format``."""
+    marker = tmp_path / "started"
+    solver = tmp_path / "solver.py"
+    solver.write_text(f"import pathlib\npathlib.Path({str(marker)!r}).touch()\n")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    outcome = solve_external(toy_model(), command=f"{sys.executable} {solver} {template}",
+                             time_limit_s=5)
+    assert (outcome.status, outcome.objective, outcome.values) == ("error", None, {})
+    assert message in outcome.message
+    assert not marker.exists()
+    assert list(tmp_path.glob("robust_rcpsp_*")) == []
+    assert milp.template_error(f"solver '{{lp}}' {{mst}} {{sol}} {{time_s}} {{{{x}}}}") is None
+
+
 def test_bridge_removes_its_temporary_directory(tmp_path, monkeypatch):
     solver = tmp_path / "solver.py"
     solver.write_text("import sys, pathlib\n"
