@@ -8,8 +8,8 @@ The ``warm`` variants supply the heuristic solution as an MST file and use
 it to tighten the big-M values; all model variants use integer starts.
 
 The config keys and their defaults are ``BenchConfig``'s fields, and the
-columns of ``results.csv`` are ``ResultRecord``'s; a reader rejects a key
-or a column that is no field.
+columns of ``results.csv`` and ``summary.csv`` are those of ``ResultRecord``
+and ``SummaryRow``; a reader rejects a key or a column that is no field.
 """
 from __future__ import annotations
 
@@ -103,6 +103,18 @@ RESULTS_HEADER = tuple(f.name for f in fields(ResultRecord))
 
 
 @dataclass(frozen=True)
+class SummaryRow:
+    """Per (set, variant): mean time over solved, mean gap over unsolved
+    with a gap (None over no record), and the solved count."""
+
+    set: str
+    variant: str
+    time: float | None
+    gap: float | None
+    solved: int
+
+
+@dataclass(frozen=True)
 class PerformanceProfile:
     taus: tuple[float, ...]
     rho: dict  # variant -> tuple of fractions, aligned with taus
@@ -152,19 +164,14 @@ def _run_task(config, path, gamma, variant):
     if variant == "bnb":
         res = bnb_mod.solve_exact(inst, gamma, time_limit_s=config.time_limit_s)
         status = "optimal" if res.status == "optimal" else "feasible"
-        gap = bnb_mod.optimality_gap(res)
         return ResultRecord(name, gamma, variant, status, float(res.value),
-                            float(res.best_bound), gap, res.time_s)
+                            float(res.best_bound), bnb_mod.optimality_gap(res), res.time_s)
     if config.bridge_cmd is None:
         return ResultRecord(name, gamma, variant, "skipped", None, None, None, 0.0)
     model, assignment = build_variant(inst, gamma, variant)
     outcome = milp.solve_external(model, assignment, command=config.bridge_cmd,
                                   time_limit_s=config.time_limit_s)
-    gap = None
-    if outcome.status == "optimal":
-        gap = 0.0
-    elif outcome.objective is not None and outcome.bound is not None and outcome.objective > 0:
-        gap = max(0.0, 100.0 * (outcome.objective - outcome.bound) / outcome.objective)
+    gap = bnb_mod.gap_percent(outcome.status, outcome.objective, outcome.bound)
     return ResultRecord(name, gamma, variant, outcome.status, outcome.objective,
                         outcome.bound, gap, outcome.time_s)
 
@@ -229,23 +236,17 @@ def instance_set_label(name: str) -> str:
     return f"J30{m.group(1)}" if m else name
 
 
-def summarize(records) -> list[dict]:
-    """Per (set, variant): mean time over solved, mean gap over
-    unsolved-but-feasible, and the solved count."""
+def summarize(records) -> list[SummaryRow]:
+    """One row per (set, variant), in PSPLIB set order, then by variant."""
     groups = {}
     for r in records:
         groups.setdefault((instance_set_label(r.instance), r.variant), []).append(r)
     rows = []
     for (label, variant), recs in sorted(groups.items(), key=lambda kv: (_set_key(kv[0][0]), kv[0][1])):
-        solved = [r for r in recs if r.status == "optimal"]
-        feas = [r for r in recs if r.status != "optimal" and r.gap_percent is not None]
-        rows.append({
-            "set": label,
-            "variant": variant,
-            "time": round(sum(r.time_s for r in solved) / len(solved), 4) if solved else None,
-            "gap": round(sum(r.gap_percent for r in feas) / len(feas), 4) if feas else None,
-            "solved": len(solved),
-        })
+        times = [r.time_s for r in recs if r.status == "optimal"]
+        gaps = [r.gap_percent for r in recs if r.status != "optimal" and r.gap_percent is not None]
+        rows.append(SummaryRow(label, variant, round(sum(times) / len(times), 4) if times else None,
+                               round(sum(gaps) / len(gaps), 4) if gaps else None, len(times)))
     return rows
 
 
@@ -269,21 +270,26 @@ def _seconds(text):
     return value
 
 
-# ResultRecord field type -> (write, read) of its column; time_s is the one
-# plain float, a time in seconds.
+# Field type -> (write, read) of its CSV column; ResultRecord.time_s is the
+# one plain float, a time in seconds.
 _CODECS = {"str": (str, str), "int": (str, int),
            "float | None": (_fmt, lambda text: float(text) if text else None),
            "float": (lambda v: f"{v:.6f}", _seconds)}
 _COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(ResultRecord)]  # (name, write, read)
 
 
-def results_to_csv(records) -> str:
+def _to_csv(cls, rows) -> str:
+    """A header of the dataclass's field names, then each row by its fields."""
+    writes = [(f.name, _CODECS[f.type][0]) for f in fields(cls)]
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(RESULTS_HEADER)
-    for r in records:
-        writer.writerow([write(getattr(r, name)) for name, write, _ in _COLUMNS])
+    writer.writerow([name for name, _ in writes])
+    writer.writerows([write(getattr(row, name)) for name, write in writes] for row in rows)
     return buf.getvalue()
+
+
+def results_to_csv(records) -> str:
+    return _to_csv(ResultRecord, records)
 
 
 def records_from_csv(text: str) -> list[ResultRecord]:
@@ -320,13 +326,7 @@ def profile_to_csv(profile: PerformanceProfile, variants) -> str:
 
 
 def summary_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["set", "variant", "time", "gap", "solved"])
-    for row in rows:
-        writer.writerow([row["set"], row["variant"], _fmt(row["time"]),
-                         _fmt(row["gap"]), row["solved"]])
-    return buf.getvalue()
+    return _to_csv(SummaryRow, rows)
 
 
 _COLORS = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#b7950b")

@@ -221,14 +221,15 @@ def _bits(mask):
     return out
 
 
-def optimality_gap(result: OptResult) -> float | None:
-    """Relative gap in percent: 100 * (incumbent - bound) / incumbent.
-
-    Returns None when the incumbent is not positive.
-    """
-    incumbent = result.value
-    if incumbent <= 0:
-        return None
-    if result.status == "optimal":
+def gap_percent(status, objective, bound) -> float | None:
+    """Relative gap in percent, ``max(0, 100 * (objective - bound) / objective)``:
+    0.0 for a proven optimum, else None without a bound or a positive objective."""
+    if status == "optimal":
         return 0.0
-    return max(0.0, 100.0 * (incumbent - result.best_bound) / incumbent)
+    if bound is None or objective is None or objective <= 0:
+        return None
+    return max(0.0, 100.0 * (objective - bound) / objective)
+
+
+def optimality_gap(result: OptResult) -> float | None:
+    return gap_percent(result.status, result.value, result.best_bound)

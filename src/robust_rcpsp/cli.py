@@ -27,10 +27,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except RobustRcpspError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (RobustRcpspError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -137,8 +134,7 @@ def _cmd_parse(args):
 
 def _cmd_forbidden(args):
     inst = _load_instance(args.file, apply_robustify=False)
-    catalog = network.minimal_forbidden_sets(inst)
-    _emit(network.catalog_to_jsonable(catalog))
+    _emit({"sets": [list(s) for s in network.minimal_forbidden_sets(inst)]})
     return 0
 
 
@@ -165,7 +161,7 @@ def _cmd_warmstart(args):
     inst = _load_instance(args.file)
     warm = warm_start(inst, args.gamma)
     _emit({
-        "selection": network.selection_to_jsonable(warm.selection),
+        "selection": [list(arc) for arc in warm.selection.sorted_arcs()],
         "upper_bound": warm.upper_bound,
         "starts": [list(row) for row in warm.leveled_starts],
     })
@@ -199,7 +195,7 @@ def _cmd_solve(args):
             "bound": res.best_bound,
             "gap_percent": bnb.optimality_gap(res),
             "nodes": res.nodes,
-            "selection": network.selection_to_jsonable(res.selection),
+            "selection": [list(arc) for arc in res.selection.sorted_arcs()],
             "time_s": round(res.time_s, 6),
         })
         return 0

@@ -2,9 +2,9 @@
 
 Parses single-mode PSPLIB ``.sm`` files, attaches per-activity duration
 deviations, and provides the canonical JSON serialization used by the CLI.
-The JSON ``meta`` object holds ``InstanceMeta``'s fields: it is written as
-the dataclass and read back through its constructor, so a ``meta`` that is
-not an object or has a key that is no field is a ``ParseError``.
+A JSON instance is an object whose ``meta`` holds ``InstanceMeta``'s fields,
+written as the dataclass and read back through its type-checking constructor;
+other JSON, or a ``meta`` key that is no field, is a ``ParseError``.
 Activity ids are 0-based: PSPLIB job 1 becomes the dummy source 0 and job
 n+2 the dummy sink n+1, so index conventions match the rest of the library.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from ._graph import closure_bitsets
 from .errors import CyclicGraphError, ParseError
@@ -27,6 +27,13 @@ class InstanceMeta:
     resource_factor: float | None = None
     resource_strength: float | None = None
     source_path: str = ""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = type(value) in (int, float) and abs(value) < float("inf")
+            if not (isinstance(value, str) if f.type == "str" else value is None or number):
+                raise TypeError(f"meta {f.name} must be {f.type}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -330,6 +337,8 @@ def from_json(text: str) -> ProjectInstance:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", section="json") from exc
     try:
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected an object, not {payload!r}")
         meta = InstanceMeta(**payload.get("meta", {}))
         deviation = tuple(payload["deviation"])
         return ProjectInstance(

@@ -15,7 +15,7 @@ ancestors of the arc's tail when the caller needs them.  Each caller keeps its o
 merge children that reach one closure: the enumerator checks it when it
 visits a child, the branch-and-bound when it pops one.
 ``verify_selection`` checks a finished selection independently, pair by
-pair, without the membership masks.
+pair, without the membership masks.  The CLI writes their JSON itself.
 
 ``schedule_order`` is the one source of the order a schedule implies,
 with its tie rule; the warm start reads both its selection
@@ -349,11 +349,3 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog, max_non_dumm
                if rel not in map(rel.__or__, rels[:idx])]
     for arcs in sorted(minimal):
         yield Selection(frozenset(arcs))
-
-
-def catalog_to_jsonable(catalog):
-    return {"sets": [list(s) for s in catalog]}
-
-
-def selection_to_jsonable(sel: Selection):
-    return [list(arc) for arc in sel.sorted_arcs()]

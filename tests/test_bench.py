@@ -9,6 +9,7 @@ from robust_rcpsp import bench, bnb, cli, milp
 from robust_rcpsp.bench import (
     BenchConfig,
     ResultRecord,
+    SummaryRow,
     instance_set_label,
     performance_profile,
     profile_svg,
@@ -17,6 +18,7 @@ from robust_rcpsp.bench import (
     results_to_csv,
     run_experiment,
     summarize,
+    summary_to_csv,
     write_outputs,
 )
 from robust_rcpsp.errors import CapExceeded
@@ -131,14 +133,33 @@ def test_summarize_columns():
             gap=25.0, time_s=60.0),
     ]
     rows = summarize(records)
-    assert rows == [{"set": "J301", "variant": "bnb", "time": 3.0, "gap": 25.0,
-                     "solved": 2}]
+    assert rows == [SummaryRow(set="J301", variant="bnb", time=3.0, gap=25.0,
+                               solved=2)]
 
 
 def test_summarize_all_solved_has_empty_gap():
     rows = summarize([rec("j301_1", "bnb"), rec("j301_2", "bnb")])
-    assert rows[0]["gap"] is None
-    assert rows[0]["solved"] == 2
+    assert rows[0].gap is None
+    assert rows[0].solved == 2
+
+
+def test_summary_csv_text():
+    records = [
+        rec("j3012_1", "bnb", time_s=2.0),
+        rec("j3012_2", "bnb", status="timeout", objective=None, time_s=60.0),
+        rec("j302_1", "bnb", status="feasible", objective=12.0, bound=9.0, gap=25.0,
+            time_s=60.0),
+        rec("j302_2", "bnb", status="feasible", objective=16.0, bound=14.0, gap=12.5,
+            time_s=60.0),
+        rec("j302_1", "basic", time_s=1.5),
+        rec("toy5", "bnb", time_s=1 / 3),
+    ]
+    assert summary_to_csv(summarize(records)) == (
+        "set,variant,time,gap,solved\r\n"
+        "J302,basic,1.5,,1\r\n"
+        "J302,bnb,,18.75,0\r\n"
+        "J3012,bnb,2,,1\r\n"
+        "toy5,bnb,0.3333,,1\r\n")
 
 
 def test_results_csv_round_trip():

@@ -315,3 +315,6 @@ def test_optimality_gap():
     empty = OptResult(selection=Selection(), value=0, status="incumbent", nodes=0,
                       time_s=0.0, best_bound=0)
     assert optimality_gap(empty) is None
+    zero = OptResult(selection=Selection(), value=0, status="optimal", nodes=1,
+                     time_s=0.0, best_bound=0)
+    assert optimality_gap(zero) == 0.0

@@ -199,6 +199,17 @@ def test_solve_bnb_pair_conflict(capsys, tmp_path):
     assert payload["gap_percent"] == 0.0
 
 
+def test_solve_of_a_zero_duration_instance_has_gap_0(capsys, tmp_path):
+    """A proven optimum of 0 used to print a gap of null."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"nominal": [0, 0, 0], "deviation": [0, 0, 0],
+                                "requirements": [[0], [1], [0]], "capacities": [1],
+                                "arcs": [[0, 1], [1, 2]]}))
+    code, out, _ = run_cli(capsys, "solve", str(path), "--gamma", "1")
+    assert code == 0
+    assert '"status": "optimal"' in out and '"gap_percent": 0.0' in out
+
+
 def test_solve_bridge(capsys):
     pytest.importorskip("scipy")
     for variant in MILP_VARIANTS:

@@ -177,8 +177,11 @@ def test_from_json_rejects_non_integers(key, index, value):
     assert err.value.section == "json"
 
 
-@pytest.mark.parametrize("meta", [None, [], "toy5", {"name": "toy5", "author": "x"}],
-                         ids=["null", "list", "string", "unknown_key"])
+@pytest.mark.parametrize("meta", [None, [], "toy5", {"name": "toy5", "author": "x"},
+                                  {"name": 5}, {"resource_strength": "high"},
+                                  {"network_complexity": True}],
+                         ids=["null", "list", "string", "unknown_key", "int_name",
+                              "string_strength", "boolean_complexity"])
 def test_from_json_rejects_a_meta_that_is_no_instance_meta(meta):
     """A null meta used to end in an AttributeError traceback, and an
     unknown key was dropped."""
@@ -186,6 +189,13 @@ def test_from_json_rejects_a_meta_that_is_no_instance_meta(meta):
     payload["meta"] = meta
     with pytest.raises(ParseError, match="invalid instance payload") as err:
         from_json(json.dumps(payload))
+    assert err.value.section == "json"
+
+
+@pytest.mark.parametrize("text", ["[1]", "5", "null", '"x"'])
+def test_from_json_rejects_a_value_that_is_no_object(text):
+    with pytest.raises(ParseError, match="invalid instance payload") as err:
+        from_json(text)
     assert err.value.section == "json"
 
 
