@@ -269,7 +269,6 @@ def counterexample_instance() -> ProjectInstance:
         capacity=(),
         precedence=((0, 1), (1, 2), (1, 3), (2, 4), (3, 4)),
         meta=InstanceMeta(name="counterexample"),
-        robustified=True,
     )
 
 

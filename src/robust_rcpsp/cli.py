@@ -114,12 +114,18 @@ def _time_limit(text):
     return value
 
 
-def _load_instance(path, *, apply_robustify=True):
+def _load_instance(path, robust=None):
+    """A JSON instance if the text parses as JSON, else PSPLIB; robustified if
+    ``robust``, which defaults to robustifying PSPLIB and not JSON."""
     text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return from_json(text)
-    inst = parse_psplib(text, source_path=str(path))
-    return robustify(inst) if apply_robustify else inst
+    try:
+        json.loads(text)
+    except json.JSONDecodeError:
+        inst = parse_psplib(text, source_path=str(path))
+        robust = robust is None or robust
+    else:
+        inst = from_json(text)
+    return robustify(inst) if robust else inst
 
 
 def _emit(payload):
@@ -127,13 +133,13 @@ def _emit(payload):
 
 
 def _cmd_parse(args):
-    inst = _load_instance(args.file, apply_robustify=args.robustify)
+    inst = _load_instance(args.file, robust=args.robustify)
     print(to_json(inst))
     return 0
 
 
 def _cmd_forbidden(args):
-    inst = _load_instance(args.file, apply_robustify=False)
+    inst = _load_instance(args.file, robust=False)
     _emit({"sets": [list(s) for s in network.minimal_forbidden_sets(inst)]})
     return 0
 
@@ -232,8 +238,8 @@ def _cmd_bench(args):
 
 def _cmd_profile(args):
     records = bench.records_from_csv(Path(args.results).read_text())
-    records = [r for r in records if r.status != "skipped"]
     variants = sorted({r.variant for r in records})
+    records = [r for r in records if r.status != "skipped"]
     profile = bench.performance_profile(records, variants)
     if args.svg:
         Path(args.svg).write_text(bench.profile_svg(profile, variants))

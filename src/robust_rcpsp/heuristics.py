@@ -133,7 +133,7 @@ def validate_schedule(inst: ProjectInstance, start) -> None:
     makespan = start[-1] + dur[-1]
     for k in inst.resource_types:
         profile = [0] * (makespan + 1)
-        for i in inst.activities:
+        for i in range(inst.n_nodes):
             for t in range(start[i], start[i] + dur[i]):
                 profile[t] += inst.requirement[i][k]
         for t, load in enumerate(profile):

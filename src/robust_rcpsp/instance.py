@@ -2,9 +2,9 @@
 
 Parses single-mode PSPLIB ``.sm`` files, attaches per-activity duration
 deviations, and provides the canonical JSON serialization used by the CLI.
-A JSON instance is an object whose ``meta`` holds ``InstanceMeta``'s fields,
-written as the dataclass and read back through its type-checking constructor;
-other JSON, or a ``meta`` key that is no field, is a ``ParseError``.
+A JSON instance has one key per field, from the key table that ``to_json``
+and ``from_json`` share, and the optional ``activities`` (0..n+1) and ``meta``
+(``InstanceMeta``'s fields); other JSON or another key is a ``ParseError``.
 Activity ids are 0-based: PSPLIB job 1 becomes the dummy source 0 and job
 n+2 the dummy sink n+1, so index conventions match the rest of the library.
 """
@@ -53,7 +53,6 @@ class ProjectInstance:
     capacity: tuple[int, ...]
     precedence: tuple[tuple[int, int], ...]
     meta: InstanceMeta = InstanceMeta()
-    robustified: bool = False
     worst_case_duration: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -74,10 +73,6 @@ class ProjectInstance:
     def n_activities(self):
         """Number of non-dummy activities."""
         return self.n_nodes - 2
-
-    @property
-    def activities(self):
-        return range(self.n_nodes)
 
     @property
     def resource_types(self):
@@ -149,14 +144,15 @@ def _validate(inst: ProjectInstance):
 def robustify(inst: ProjectInstance) -> ProjectInstance:
     """Attach duration deviations: half the nominal duration, rounded up.
 
-    Dummies keep a zero deviation.  May be applied only once per instance.
+    Dummies keep a zero deviation.  An instance with a positive deviation
+    is already robustified and is refused.
     """
-    if inst.robustified:
+    if any(inst.max_deviation):
         raise ValueError("instance already robustified")
     dev = [0] * inst.n_nodes
     for i in range(1, inst.sink):
         dev[i] = -(-inst.nominal_duration[i] // 2)
-    return replace(inst, max_deviation=tuple(dev), robustified=True)
+    return replace(inst, max_deviation=tuple(dev))
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +307,22 @@ def _availability_row(lines, n_res):
 # Canonical JSON serialization
 
 
+# The JSON key of each ProjectInstance field, in the order ``to_json`` writes them.
+_JSON_KEYS = {"nominal": "nominal_duration", "deviation": "max_deviation",
+             "requirements": "requirement", "capacities": "capacity", "arcs": "precedence"}
+
+
 def to_json(inst: ProjectInstance) -> str:
     """Canonical JSON form; integers only except the meta decimals."""
-    payload = {
-        "activities": list(inst.activities),
-        "nominal": list(inst.nominal_duration),
-        "deviation": list(inst.max_deviation),
-        "requirements": [list(row) for row in inst.requirement],
-        "capacities": list(inst.capacity),
-        "arcs": [list(arc) for arc in inst.precedence],
-        "meta": asdict(inst.meta),
-    }
+    payload = {"activities": list(range(inst.n_nodes)),
+               **{key: getattr(inst, name) for key, name in _JSON_KEYS.items()},
+               "meta": asdict(inst.meta)}
     return json.dumps(payload, separators=(", ", ": "))
 
 
 def from_json(text: str) -> ProjectInstance:
-    """Inverse of :func:`to_json`.
-
-    The robustified flag is not serialized; it is inferred from the presence
-    of nonzero deviations, which is faithful for any instance with at least
-    one positive nominal duration.
-    """
+    """Inverse of :func:`to_json`.  The instance's constructor checks the
+    ``_JSON_KEYS`` values; ``activities`` other than 0..n+1 is a ParseError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -339,16 +330,14 @@ def from_json(text: str) -> ProjectInstance:
     try:
         if not isinstance(payload, dict):
             raise TypeError(f"expected an object, not {payload!r}")
-        meta = InstanceMeta(**payload.get("meta", {}))
-        deviation = tuple(payload["deviation"])
-        return ProjectInstance(
-            nominal_duration=tuple(payload["nominal"]),
-            max_deviation=deviation,
-            requirement=tuple(tuple(row) for row in payload["requirements"]),
-            capacity=tuple(payload["capacities"]),
-            precedence=tuple((i, j) for i, j in payload["arcs"]),
-            meta=meta,
-            robustified=any(d > 0 for d in deviation),
-        )
+        unknown = payload.keys() - _JSON_KEYS.keys() - {"activities", "meta"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        inst = ProjectInstance(**{name: payload[key] for key, name in _JSON_KEYS.items()},
+                               meta=InstanceMeta(**payload.get("meta", {})))
+        nodes = tuple(range(inst.n_nodes))
+        if _ints(payload.get("activities", nodes)) != nodes:
+            raise ValueError(f"activities must be 0..{inst.sink}")
+        return inst
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ParseError(f"invalid instance payload: {exc}", section="json") from exc

@@ -35,6 +35,28 @@ def test_parse_with_robustify(capsys):
     assert json.loads(out)["deviation"] == [0, 2, 2, 3, 0]
 
 
+def test_parse_robustify_of_a_json_instance(capsys, tmp_path):
+    """``--robustify`` was ignored for a JSON instance."""
+    plain, robust = tmp_path / "plain.json", tmp_path / "robust.json"
+    plain.write_text(run_cli(capsys, "parse", str(DATA / "toy5.sm"))[1])
+    robust.write_text(run_cli(capsys, "parse", str(DATA / "toy5.sm"), "--robustify")[1])
+    assert run_cli(capsys, "parse", str(plain), "--robustify") == (0, robust.read_text(), "")
+    code, out, err = run_cli(capsys, "parse", str(robust), "--robustify")
+    assert (code, out, err) == (1, "", "error: instance already robustified\n")
+    assert run_cli(capsys, "parse", str(robust)) == (0, robust.read_text(), "")
+
+
+@pytest.mark.parametrize("text", ["[1]", "5", "null"])
+def test_parse_of_json_that_is_no_object_names_the_payload(text, capsys, tmp_path):
+    """A JSON file that did not start with ``{`` went to the PSPLIB parser,
+    which reported a missing ``jobs`` header."""
+    path = tmp_path / "value.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "parse", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid instance payload: expected an object")
+
+
 def test_parse_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "parse", str(DATA / "toy5.sm"))
     _, second, _ = run_cli(capsys, "parse", str(DATA / "toy5.sm"))
@@ -267,6 +289,20 @@ def test_bench_and_profile_commands(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[0].startswith("tau,")
     assert svg_path.exists()
+
+
+def test_profile_keeps_a_variant_whose_records_are_all_skipped(capsys, tmp_path):
+    """Without a bridge command every basic record is skipped; bench's
+    profile has a basic column, and profile of its results used to drop it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instances_dir": str(DATA), "gammas": [1],
+                                  "variants": ["bnb", "basic"]}))
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "bench", "--config", str(config), "--out", str(out_dir))[0] == 0
+    assert (out_dir / "profile.csv").read_text().splitlines()[0] == "tau,rho_bnb,rho_basic"
+    code, out, _ = run_cli(capsys, "profile", "--results", str(out_dir / "results.csv"))
+    assert code == 0
+    assert out.splitlines()[0] == "tau,rho_basic,rho_bnb"
 
 
 def test_profile_of_a_malformed_csv_exits_1(capsys, tmp_path):

@@ -123,7 +123,6 @@ def test_robustify_rule_and_flag():
     robust = robustify(inst)
     # ceil(4/2)=2, ceil(3/2)=2, ceil(5/2)=3; dummies stay 0
     assert robust.max_deviation == (0, 2, 2, 3, 0)
-    assert robust.robustified
     # the worst-case durations are derived again by the copy
     assert (inst.worst_case_duration, robust.worst_case_duration) == ((0, 4, 3, 5, 0),
                                                                       (0, 6, 5, 8, 0))
@@ -143,6 +142,15 @@ def test_json_round_trip_identity():
     assert again == inst
     # canonical serialization is stable
     assert to_json(again) == to_json(inst)
+
+
+def test_a_zero_duration_instance_round_trips_and_robustifies_again():
+    """A robustified all-zero-duration instance used to read back with its
+    flag off, so ``robustify`` accepted the copy and refused the original."""
+    robust = robustify(make_instance([0, 0, 0, 0], [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    again = from_json(to_json(robust))
+    assert again == robust
+    assert robustify(robust) == robustify(again) == robust
 
 
 def test_json_keys_are_canonical():
@@ -192,7 +200,19 @@ def test_from_json_rejects_a_meta_that_is_no_instance_meta(meta):
     assert err.value.section == "json"
 
 
-@pytest.mark.parametrize("text", ["[1]", "5", "null", '"x"'])
+def _toy5_json_with(**keys):
+    """toy5's JSON form with ``keys`` added or replaced."""
+    payload = json.loads(to_json(parse_psplib((DATA / "toy5.sm").read_text())))
+    return json.dumps({**payload, **keys})
+
+
+@pytest.mark.parametrize("text", ["[1]", "5", "null", '"x"',
+    pytest.param(_toy5_json_with(robustified=True), id="robustified_key"),
+    pytest.param(_toy5_json_with(deviations=[9, 0, 0, 0, 0]), id="deviations_key"),
+    pytest.param(_toy5_json_with(activities=[0, 1]), id="short_activities"),
+    pytest.param(_toy5_json_with(activities=[0, 1, 2, 3, 5]), id="wrong_activities"),
+    pytest.param(_toy5_json_with(activities=[0, True, 2, 3, 4]), id="boolean_activity"),
+])
 def test_from_json_rejects_a_value_that_is_no_object(text):
     with pytest.raises(ParseError, match="invalid instance payload") as err:
         from_json(text)
