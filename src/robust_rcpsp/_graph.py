@@ -82,19 +82,34 @@ def closure_bitsets(n_nodes, arcs):
     return reach
 
 
-def add_arc_to_closure(reach, u, v):
-    """Update closure bitmasks in place for a newly added arc (u, v).
+def ancestor_bitsets(n_nodes, arcs):
+    """Per-node bitmask of the nodes that strictly reach it: the transpose
+    of ``closure_bitsets``."""
+    return closure_bitsets(n_nodes, [(j, i) for i, j in arcs])
 
-    Assumes v does not already reach u, i.e. the extended graph stays acyclic.
-    Returns the bitmask of u and its ancestors, the nodes whose sets grew.
+
+def add_arc_to_closure(reach, ancestors, u, v):
+    """Update a closure and its transpose in place for a new arc (u, v).
+
+    Assumes v does not already reach u, i.e. the extended graph stays
+    acyclic.  The arc relates every ancestor-or-self of u to every
+    descendant-or-self of v, so only those nodes' masks grow; they are
+    read from ``ancestors[u]`` and ``reach[v]``.  Returns the bitmask of u
+    and its ancestors.
     """
-    gained = reach[v] | (1 << v)
-    ancestors = 0
-    for a in range(len(reach)):
-        if a == u or (reach[a] >> u) & 1:
-            reach[a] |= gained
-            ancestors |= 1 << a
-    return ancestors
+    above = ancestors[u] | (1 << u)
+    below = reach[v] | (1 << v)
+    mask = above
+    while mask:
+        low = mask & -mask
+        reach[low.bit_length() - 1] |= below
+        mask ^= low
+    mask = below
+    while mask:
+        low = mask & -mask
+        ancestors[low.bit_length() - 1] |= above
+        mask ^= low
+    return above
 
 
 def reaches(reach, i, j):

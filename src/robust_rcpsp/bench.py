@@ -34,6 +34,14 @@ MILP_VARIANTS = ("basic", "trans", "warm", "warm+trans")
 ALL_VARIANTS = MILP_VARIANTS + ("bnb",)
 
 
+def variant_order(names) -> tuple[str, ...]:
+    """The profile's column order for the variants ``names``: that of
+    ``ALL_VARIANTS``, then any other name, sorted.  ``write_outputs`` and
+    CLI ``profile`` both use it, so both write one profile of one run."""
+    return tuple(sorted(set(names), key=lambda v: (
+        ALL_VARIANTS.index(v) if v in ALL_VARIANTS else len(ALL_VARIANTS), v)))
+
+
 def is_seconds(value) -> bool:
     """Whether ``value`` is a finite number >= 0, the rule for a time limit
     and a time; a boolean is not a number."""
@@ -393,6 +401,7 @@ def write_outputs(records, out_dir, variants) -> dict:
         "summary": out / "summary.csv",
     }
     paths["results"].write_text(results_to_csv(records))
+    variants = variant_order(variants)
     profiled = [r for r in records if r.status != "skipped"]
     profile = performance_profile(profiled, variants)
     paths["profile"].write_text(profile_to_csv(profile, variants))

@@ -4,18 +4,21 @@ Search nodes carry a partial selection.  Branching picks the first
 unresolved minimal forbidden set and adds one ordered precedence pair from
 it per child; the worst-case makespan of the partial extension is a valid
 lower bound because adding arcs never shortens the adversary's longest
-path.  The child step is the one the exhaustive
-``enumerate_sufficient_selections`` shares: ``network.branch`` yields the
-arcs of a node's children and ``network.child_closure`` builds a child.
+path.  The branching routine is the one the exhaustive
+``enumerate_sufficient_selections`` shares: ``network.conflict_finder``
+gives a node's branching set, ``network.branch`` yields the arcs of its
+children and ``network.child_closure`` builds a child.
 
-The search runs on bitsets.  A node holds its closure (one reachability
-bitmask per activity) and its unresolved catalog sets as one bitmask over
-catalog indices.  With ``member[a]`` the sets holding activity ``a``, adding
-arc (i, j) resolves exactly the sets that touch both the ancestors-or-self
-of ``i`` and the descendants-or-self of ``j`` (two disjoint node sets in an
-acyclic graph), so a child costs a few big-int operations per activity
-rather than a pair scan of every open set.  The branching set is the lowest
-unresolved index.
+The search builds no catalog of minimal forbidden sets, so everything
+after the warm start and the root bound runs under the time limit.  A
+node holds its closure (one reachability bitmask per activity) and the
+closure's transpose (one ancestor mask per activity), and finds its own
+branching set: the first minimal forbidden set after its parent's that is
+an antichain of its closure.  Every set before the parent's was resolved
+in the parent, and the node's arc resolves the parent's set, so this is
+the node's first unresolved set of the whole catalog, the one the
+catalog's lowest unresolved index gave (see ``conflict_finder``).  The
+root searches from the first set on.
 
 Every bound is the adversary DP's value, read from two tables of leveled
 rows that an expanded node keeps: head rows W (``rows[v][g]``, the longest
@@ -27,13 +30,13 @@ child's exact DP value in O(gamma) from ``W(i, .)`` and ``T(j, .)``.
 
 A child costs only that bound until it is popped.  Open nodes are heap
 entries ``(bound, counter, parent, i, j)``, where ``parent = (closure,
-unresolved, pred, rows, succ, tails)`` is one tuple of the expanded node
-that all its children share.  Expanding a node tests each ordered pair of
-the branching set for reach, bounds it and pushes the entry; no closure is
-built.  On pop the child's closure, the sets its arc resolves and the
-ancestors-or-self of ``i`` come from ``child_closure`` on a copy of the
-parent's, and the closure is checked against ``seen``, the closures of
-the nodes popped so far:
+ancestors, fset, pred, rows, succ, tails)`` is one tuple of the expanded
+node that all its children share, with ``fset`` its branching set.
+Expanding a node tests each ordered pair of the branching set for reach,
+bounds it and pushes the entry; no closure is built.  On pop the child's
+closure, its transpose and the ancestors-or-self of ``i`` come from
+``child_closure`` on a copy of the parent's, and the closure is checked
+against ``seen``, the closures of the nodes popped so far:
 
 - A closure already in ``seen`` makes the entry a duplicate.  It is
   dropped and is not a node.
@@ -52,8 +55,9 @@ duplicates.
 
 A popped, unpruned node derives its own state from the parent's.  Its
 predecessor lists are the parent's plus ``i`` appended to ``j``'s; those
-appended after the root's are the node's added arcs, so a leaf's selection
-is read from them and a leaf needs nothing more.  Otherwise
+appended after the root's are the node's added arcs.  A node for which
+the finder returns no set is a leaf: its selection is read from them and
+it needs nothing more.  Otherwise
 ``relax_leveled_rows`` raises the head rows of ``j`` and its descendants
 (in the closure's descending-reach order, which is topological) from
 ``i`` as the one dirty predecessor, and the tail rows of ``i`` and its
@@ -69,19 +73,15 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from ._graph import closure_bitsets, predecessors, successors
+from ._graph import ancestor_bitsets, closure_bitsets, predecessors, successors
 from .adversary import relax_leveled_rows, tail_rows, worst_case_makespan_dp
 from .heuristics import warm_start
 from .instance import ProjectInstance
-from .network import (
-    Selection,
-    branch,
-    child_closure,
-    first_set,
-    membership_masks,
-    minimal_forbidden_sets,
-    unresolved_sets,
-)
+from .network import Selection, branch, child_closure, conflict_finder
+# The search never builds the catalog; perfbench's ExactSearch wraps this
+# name to record the solver's catalog, and checks against a fresh one
+# when the solver built none.
+from .network import minimal_forbidden_sets  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -105,24 +105,25 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     node cap stops the search.
     """
     t0 = time.perf_counter()
-    catalog = minimal_forbidden_sets(inst)
     warm = warm_start(inst, gamma)
     incumbent_value, incumbent_sel = warm.upper_bound, warm.selection
 
     n_nodes = inst.n_nodes
-    member = membership_masks(n_nodes, catalog)
+    first_conflict = conflict_finder(inst)
     nominal = inst.nominal_duration
     delayed = inst.worst_case_duration
     root_closure = tuple(closure_bitsets(n_nodes, inst.precedence))
+    root_ancestors = tuple(ancestor_bitsets(n_nodes, inst.precedence))
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
     root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
     root = worst_case_makespan_dp(inst, Selection(), gamma)
     # Lists, not the DP's tuples: the kernel compares a copied row with
     # the old one to see whether it rose.
     root_rows = [list(row) for row in root.leveled_starts]
-    # The root's entry has no arc, and its "parent" is its own state.
-    heap = [(root.value, 0, (root_closure, unresolved_sets(root_closure, member, len(catalog)),
-                             root_pred, root_rows, root_succ, tail_rows(inst, gamma)),
+    # The root's entry has no arc, and its "parent" is its own state, with
+    # no branching set before it.
+    heap = [(root.value, 0, (root_closure, root_ancestors, (), root_pred, root_rows, root_succ,
+                             tail_rows(inst, gamma)),
              None, None)]
     counter = 0
     seen = set()
@@ -136,10 +137,9 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
         )
 
     while heap:
-        bound, _, (closure, unresolved, pred, rows, succ, tails), i, j = heapq.heappop(heap)
+        bound, _, (closure, ancestors, fset, pred, rows, succ, tails), i, j = heapq.heappop(heap)
         if i is not None:
-            closure, resolved, above = child_closure(closure, member, i, j)
-            unresolved &= ~resolved
+            closure, ancestors, above = child_closure(closure, ancestors, i, j)
         if closure in seen:
             continue
         seen.add(closure)
@@ -156,7 +156,8 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
         if i is not None:
             pred = list(pred)
             pred[j] += (i,)
-        if not unresolved:
+        fset = first_conflict(closure, ancestors, fset)
+        if fset is None:
             incumbent_value = bound
             incumbent_sel = Selection(frozenset(
                 (a, b) for b in range(n_nodes) for a in pred[b][len(root_pred[b]):]))
@@ -172,8 +173,8 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             up = _bits(above)
             up.sort(key=lambda v: closure[v].bit_count())
             relax_leveled_rows(tails, up, 1 << j, succ, nominal, delayed)
-        parent = (closure, unresolved, pred, rows, succ, tails)
-        for a, b in branch(closure, catalog[first_set(unresolved)]):
+        parent = (closure, ancestors, fset, pred, rows, succ, tails)
+        for a, b in branch(closure, fset):
             child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],
                                                nominal[b], delayed[b]))
             if child_bound >= incumbent_value:

@@ -238,7 +238,7 @@ def _cmd_bench(args):
 
 def _cmd_profile(args):
     records = bench.records_from_csv(Path(args.results).read_text())
-    variants = sorted({r.variant for r in records})
+    variants = bench.variant_order(r.variant for r in records)
     records = [r for r in records if r.status != "skipped"]
     profile = bench.performance_profile(records, variants)
     if args.svg:

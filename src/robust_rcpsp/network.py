@@ -3,19 +3,24 @@
 A selection is a set of extra precedence arcs resolving resource conflicts.
 It is sufficient when the extended graph is acyclic and every minimal
 forbidden set contains two activities that became precedence-related.
-The catalog of those sets is the sorted tuple ``minimal_forbidden_sets``
-returns; a search refers to a set by its index in it.
 
-``branch`` and ``child_closure`` are the one child step of every search
-over selections: the branch-and-bound and the exhaustive
-``enumerate_sufficient_selections`` both extend a closure by one ordered
-pair of the first unresolved set.  ``branch`` yields the arcs only, and
-``child_closure`` builds a child's closure, resolved-set mask and the
-ancestors of the arc's tail when the caller needs them.  Each caller keeps its own ``seen`` set of closures to
-merge children that reach one closure: the enumerator checks it when it
-visits a child, the branch-and-bound when it pops one.
+One depth-first kernel, ``_antichain_search``, lists the minimal forbidden
+sets that are antichains of a closure, in lexicographic order.
+``minimal_forbidden_sets`` takes all of the instance's: the catalog, which
+the CLI's ``forbidden``, ``verify_selection`` and the tests read.  The
+searches over selections keep no catalog.
+
+``conflict_finder``, ``branch`` and ``child_closure`` are the one
+branching routine of the branch-and-bound and of the exhaustive
+``enumerate_sufficient_selections``: the finder gives a node's first
+unresolved set (the kernel's first hit after the parent's set), ``branch``
+the arcs of its children, and ``child_closure`` a child's closure, its
+transpose and the ancestors of the arc's tail.  Each caller keeps its own
+``seen`` set of closures to merge children that reach one closure: the
+enumerator checks it when it visits a child, the branch-and-bound when it
+pops one.
 ``verify_selection`` checks a finished selection independently, pair by
-pair, without the membership masks.  The CLI writes their JSON itself.
+pair, against a catalog.  The CLI writes their JSON itself.
 
 ``schedule_order`` is the one source of the order a schedule implies,
 with its tie rule; the warm start reads both its selection
@@ -25,9 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import islice, permutations, repeat
 
-from ._graph import add_arc_to_closure, closure_bitsets, reaches, topological_order
+from ._graph import add_arc_to_closure, ancestor_bitsets, closure_bitsets, reaches, topological_order
 from .errors import CapExceeded, CyclicGraphError
 from .instance import ProjectInstance
 
@@ -77,16 +82,22 @@ def extended_arcs(inst: ProjectInstance, sel: Selection) -> tuple[tuple[int, int
     return tuple(sorted(base | sel.added_arcs))
 
 
-def minimal_forbidden_sets(inst: ProjectInstance,
-                           max_sets: int = 10**6) -> tuple[tuple[int, ...], ...]:
-    """All minimal forbidden sets, sorted, by depth-first antichain growth.
+def _antichain_search(inst: ProjectInstance):
+    """The one depth-first kernel over minimal forbidden sets.
+
+    Returns ``search(reach, reached_by, after=())``, a generator of the
+    minimal forbidden sets that are antichains of the closure ``reach``
+    (with its transpose ``reached_by``) and come after the sorted tuple
+    ``after``, in lexicographic order.  ``minimal_forbidden_sets`` takes
+    every set of the instance's own closure, and ``conflict_finder`` the
+    first set of a search node's.
 
     Candidates are the activities with a positive requirement; activity
     ids double as bit positions.  A node of the search is an antichain
     (members added in increasing id order) and an ``allowed`` mask of the
     larger candidates unrelated to every member; it tries them lowest bit
-    first.  Supersets of a forbidden set are never explored, and a hard cap
-    guards pathological inputs.
+    first, so sets are found in lexicographic order.  Supersets of a
+    forbidden set are never explored.
 
     Resource sums are packed into one int with a field of ``w`` bits per
     resource, resource k in bits ``[k*w, (k+1)*w)``.  Field k starts at
@@ -107,21 +118,21 @@ def minimal_forbidden_sets(inst: ProjectInstance,
     any other extension leaves no usable resource, and no set below it can
     be minimal.  Both cuts skip only antichains that lead to no minimal
     forbidden set, so the sets are found in the same order as without them.
+
+    A run after ``after`` resumes the search where it left ``after``:
+    it walks down ``after``'s members while they extend an antichain that
+    is not overloaded and passes the usable cut, and each level it enters
+    keeps only the candidates above the member it took.  Lexicographic
+    order is the search's order, so what follows is exactly the sets
+    after ``after``.  The DFS keeps its levels on int stacks and
+    allocates no container per step.
     """
     req = inst.requirement
     cap = inst.capacity
     k_range = inst.resource_types
     cands = [i for i in range(1, inst.sink) if any(req[i][k] > 0 for k in k_range)]
-    if not cands:
-        return ()
-
-    reach = closure_bitsets(inst.n_nodes, inst.precedence)
-    reached_by = closure_bitsets(inst.n_nodes, [(j, i) for i, j in inst.precedence])
     cand_mask = sum(1 << c for c in cands)
-    unrelated = [cand_mask & ~(r | b | (1 << c))
-                 for c, (r, b) in enumerate(zip(reach, reached_by))]
-
-    bound = max(sum(row[k] for row in req) for k in k_range) + max(cap)
+    bound = max((sum(row[k] for row in req) for k in k_range), default=0) + max(cap, default=0)
     w = bound.bit_length() + 1
     top = 1 << (w - 1)
     high = sum(top << (k * w) for k in k_range)
@@ -129,20 +140,42 @@ def minimal_forbidden_sets(inst: ProjectInstance,
     packed = [sum(r[k] << (k * w) for k in k_range) for r in req]
     positive = [sum(top << (k * w) for k in k_range if r[k] > 0) for r in req]
 
-    positive_on_memo = {}
+    class PositiveOn(dict):
+        """``positive_on[usable]``: the candidates positive on some usable
+        resource, computed once per ``usable``."""
 
-    def positive_on(usable):
-        mask = positive_on_memo.get(usable)
-        if mask is None:
-            mask = sum(1 << c for c in cands if positive[c] & usable)
-            positive_on_memo[usable] = mask
-        return mask
+        def __missing__(self, usable):
+            mask = self[usable] = sum(1 << c for c in cands if positive[c] & usable)
+            return mask
 
-    results = []
-    members = []
+    positive_on = PositiveOn()
 
-    def grow(allowed, total, usable):
-        while allowed:
+    def search(reach, reached_by, after=()):
+        members = []
+        # The allowed candidates and usable resources of the levels above.
+        allowed_above = []
+        usable_above = []
+        allowed, total, usable = cand_mask, empty, high
+        for a in after:
+            above = allowed & -(2 << a)
+            new_total = total + packed[a]
+            if not (allowed >> a) & 1 or new_total & high:
+                allowed = above
+                break
+            allowed_above.append(above)
+            usable_above.append(usable)
+            members.append(a)
+            usable &= positive[a]
+            allowed = above & ~(reach[a] | reached_by[a]) & positive_on[usable]
+            total = new_total
+        while True:
+            if not allowed:
+                if not members:
+                    return
+                total -= packed[members.pop()]
+                allowed = allowed_above.pop()
+                usable = usable_above.pop()
+                continue
             low = allowed & -allowed
             allowed ^= low
             c = low.bit_length() - 1
@@ -156,20 +189,57 @@ def minimal_forbidden_sets(inst: ProjectInstance,
                     if (new_total - packed[m]) & high:
                         break
                 else:
-                    results.append((*members, c))
-                    if len(results) > max_sets:
-                        raise CapExceeded(
-                            f"more than {max_sets} minimal forbidden sets; raise max_sets"
-                        )
+                    yield (*members, c)
             else:
-                child = allowed & unrelated[c] & positive_on(new_usable)
+                child = allowed & ~(reach[c] | reached_by[c]) & positive_on[new_usable]
                 if child:
+                    allowed_above.append(allowed)
+                    usable_above.append(usable)
                     members.append(c)
-                    grow(child, new_total, new_usable)
-                    members.pop()
+                    allowed, total, usable = child, new_total, new_usable
 
-    grow(cand_mask, empty, high)
-    return tuple(sorted(results))
+    return search
+
+
+def minimal_forbidden_sets(inst: ProjectInstance,
+                           max_sets: int = 10**6) -> tuple[tuple[int, ...], ...]:
+    """All minimal forbidden sets of the instance, sorted (the catalog).
+
+    One run of the ``_antichain_search`` kernel on the instance's closure;
+    a hard cap guards pathological inputs.
+    """
+    n_nodes = inst.n_nodes
+    sets = _antichain_search(inst)(closure_bitsets(n_nodes, inst.precedence),
+                                   ancestor_bitsets(n_nodes, inst.precedence))
+    found = tuple(islice(sets, max_sets + 1))
+    if len(found) > max_sets:
+        raise CapExceeded(f"more than {max_sets} minimal forbidden sets; raise max_sets")
+    return found
+
+
+def conflict_finder(inst: ProjectInstance):
+    """The branching rule of every search over selections, for one instance.
+
+    Returns ``first_conflict(closure, ancestors, after=())``: the
+    lexicographically first minimal forbidden set that is an antichain of
+    ``closure`` (with its transpose ``ancestors``) and comes after the set
+    ``after``, or None when the closure resolves every such set.  It is
+    one run of the ``_antichain_search`` kernel that stops at its first
+    hit.
+
+    A search node passes its parent's branching set as ``after``.  Every
+    set before that one was resolved in the parent, and the arc that made
+    the node resolves the set itself, so the first set after it is the
+    node's first unresolved set of the whole catalog: the branching set
+    the catalog's lowest unresolved index would give, found without the
+    catalog.
+    """
+    search = _antichain_search(inst)
+
+    def first_conflict(closure, ancestors, after=()):
+        return next(search(closure, ancestors, after), None)
+
+    return first_conflict
 
 
 def verify_selection(inst: ProjectInstance, sel: Selection, catalog) -> SelectionVerdict:
@@ -189,53 +259,6 @@ def _resolved(reach, fset):
     return any(reaches(reach, i, j) for i, j in permutations(fset, 2))
 
 
-# ---------------------------------------------------------------------------
-# Catalog membership masks: the resolution primitive of the search
-#
-# Sets of catalog indices are kept as int bitmasks.  ``member[a]`` holds the
-# indices of the forbidden sets containing activity ``a``, so the sets that
-# hold some activity of a node bitmask are the OR of their members' masks.
-
-
-def membership_masks(n_nodes: int, catalog) -> list[int]:
-    """Per activity, the bitmask of catalog indices of the sets holding it.
-
-    Bits are set in one little-endian byte buffer per activity and each
-    buffer is converted once, which keeps the build linear in the catalog.
-    """
-    n_bytes = (len(catalog) + 7) // 8
-    buffers = [bytearray(n_bytes) for _ in range(n_nodes)]
-    for idx, fset in enumerate(catalog):
-        byte, bit = idx >> 3, 1 << (idx & 7)
-        for a in fset:
-            buffers[a][byte] |= bit
-    return [int.from_bytes(buf, "little") for buf in buffers]
-
-
-def _sets_touching(nodes: int, member) -> int:
-    """Catalog indices of the sets that hold some node of the bitmask."""
-    acc = 0
-    while nodes:
-        low = nodes & -nodes
-        acc |= member[low.bit_length() - 1]
-        nodes ^= low
-    return acc
-
-
-def unresolved_sets(reach, member, n_sets: int) -> int:
-    """Bitmask of the catalog sets no precedence-related pair resolves."""
-    resolved = 0
-    for a, sets in enumerate(member):
-        if sets:
-            resolved |= sets & _sets_touching(reach[a], member)
-    return ((1 << n_sets) - 1) & ~resolved
-
-
-def first_set(unresolved: int) -> int:
-    """Catalog index of the lowest unresolved set; the branching set."""
-    return (unresolved & -unresolved).bit_length() - 1
-
-
 def branch(closure, fset):
     """Arcs of the children of a search node that branches on the
     forbidden set ``fset``.
@@ -252,22 +275,16 @@ def branch(closure, fset):
             yield i, j
 
 
-def child_closure(closure, member, i, j):
-    """The child of arc (i, j): ``(key, resolved, above)``, with ``key``
-    the extended closure as a tuple, ``resolved`` the catalog sets the arc
-    resolves and ``above`` the mask of ``i`` and its ancestors.
-    ``closure`` is left as it is; ``j`` must not reach ``i``.
-
-    The arc relates every ancestor-or-self of i to every descendant-or-self
-    of j and nothing else.  In an acyclic graph those two node sets are
-    disjoint, so a set holding a node of each contains a newly related pair:
-    the newly resolved sets are exactly the AND of the two touching masks.
+def child_closure(closure, ancestors, i, j):
+    """The child of arc (i, j): ``(key, ancestors, above)``, with ``key``
+    the extended closure as a tuple, ``ancestors`` its transpose as a tuple
+    and ``above`` the mask of ``i`` and its ancestors.  The node's tuples
+    are left as they are; ``j`` must not reach ``i``.
     """
     child = list(closure)
-    below = child[j] | (1 << j)
-    above = add_arc_to_closure(child, i, j)
-    resolved = _sets_touching(above, member) & _sets_touching(below, member)
-    return tuple(child), resolved, above
+    child_ancestors = list(ancestors)
+    above = add_arc_to_closure(child, child_ancestors, i, j)
+    return tuple(child), tuple(child_ancestors), above
 
 
 def schedule_order(inst: ProjectInstance, start):
@@ -304,15 +321,15 @@ def selection_from_order(inst: ProjectInstance, order, cut) -> Selection:
     return Selection(frozenset(pairs.difference(inst.precedence)))
 
 
-def enumerate_sufficient_selections(inst: ProjectInstance, catalog, max_non_dummies: int = 8):
+def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int = 8):
     """Yield one selection per closure-minimal sufficient extension.
 
     Exhaustive search for tiny instances: a depth-first search over the
-    same ``branch`` children as the branch-and-bound, without a bound, then
-    keeps only closures not strictly containing another sufficient closure.
-    A child is built when it is visited and skipped when its closure was
-    visited before, so the subtrees of earlier siblings are in ``seen`` by
-    then.
+    same ``branch`` children of the same ``conflict_finder`` sets as the
+    branch-and-bound, without a bound, then keeps only closures not
+    strictly containing another sufficient closure.  A child is built when
+    it is visited and skipped when its closure was visited before, so the
+    subtrees of earlier siblings are in ``seen`` by then.
     Deterministic order: sorted added-arc tuples.
     """
     if inst.n_activities > max_non_dummies:
@@ -320,23 +337,23 @@ def enumerate_sufficient_selections(inst: ProjectInstance, catalog, max_non_dumm
             f"{inst.n_activities} non-dummy activities exceed the cap of {max_non_dummies}"
         )
     n_nodes = inst.n_nodes
+    first_conflict = conflict_finder(inst)
     root = tuple(closure_bitsets(n_nodes, inst.precedence))
-    member = membership_masks(n_nodes, catalog)
     leaves = {}
     seen = {root}
 
-    def visit(closure, added, unresolved):
-        if not unresolved:
+    def visit(closure, ancestors, added, after):
+        fset = first_conflict(closure, ancestors, after)
+        if fset is None:
             leaves[closure] = tuple(sorted(added))
             return
-        fset = catalog[first_set(unresolved)]
         for i, j in branch(closure, fset):
-            key, resolved, _ = child_closure(closure, member, i, j)
+            key, key_ancestors, _ = child_closure(closure, ancestors, i, j)
             if key not in seen:
                 seen.add(key)
-                visit(key, added | {(i, j)}, unresolved & ~resolved)
+                visit(key, key_ancestors, added | {(i, j)}, fset)
 
-    visit(root, frozenset(), unresolved_sets(root, member, len(catalog)))
+    visit(root, tuple(ancestor_bitsets(n_nodes, inst.precedence)), frozenset(), ())
 
     # A leaf is kept unless another leaf's closure is a strict subset of its
     # own.  Each closure is packed into one int of n_nodes**2 bits; in order

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from robust_rcpsp._graph import closure_bitsets
+from robust_rcpsp._graph import add_arc_to_closure, ancestor_bitsets, closure_bitsets, reaches
 from robust_rcpsp.instance import InstanceMeta, ProjectInstance, robustify
 from robust_rcpsp.network import Selection
 
@@ -90,20 +90,19 @@ def shuffled_ids(rng: random.Random, inst):
 
 def random_selection(rng: random.Random, inst, max_arcs=3):
     """A random acyclic selection over non-dummy pairs."""
-    reach = list(closure_bitsets(inst.n_nodes, inst.precedence))
+    reach = closure_bitsets(inst.n_nodes, inst.precedence)
+    ancestors = ancestor_bitsets(inst.n_nodes, inst.precedence)
     base = set(inst.precedence)
     added = set()
     candidates = [(i, j) for i in range(1, inst.sink) for j in range(1, inst.sink)
                   if i != j and (i, j) not in base]
     rng.shuffle(candidates)
-    from robust_rcpsp._graph import add_arc_to_closure, reaches
-
     for i, j in candidates:
         if len(added) >= max_arcs:
             break
         if reaches(reach, j, i) or reaches(reach, i, j):
             continue
-        add_arc_to_closure(reach, i, j)
+        add_arc_to_closure(reach, ancestors, i, j)
         added.add((i, j))
     return Selection(frozenset(added))
 

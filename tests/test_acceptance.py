@@ -36,11 +36,7 @@ from robust_rcpsp.milp import (
     warm_start_assignment,
 )
 from robust_rcpsp.bench import ResultRecord, performance_profile
-from robust_rcpsp.network import (
-    Selection,
-    enumerate_sufficient_selections,
-    minimal_forbidden_sets,
-)
+from robust_rcpsp.network import Selection, enumerate_sufficient_selections
 
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
 EMPTY = Selection()
@@ -119,8 +115,7 @@ def test_exact_solver_oracle_equivalence():
     t0 = time.perf_counter()
     solved = []
     for inst in _oracle_suite():
-        catalog = minimal_forbidden_sets(inst)
-        selections = list(enumerate_sufficient_selections(inst, catalog))
+        selections = list(enumerate_sufficient_selections(inst))
         for gamma in (0, 1, 2):
             res = solve_exact(inst, gamma)
             exhaustive = min(worst_case_makespan_dp(inst, sel, gamma).value
@@ -139,9 +134,8 @@ def test_budget_zero_reduction():
     rng = random.Random(808)
     for _ in range(20):
         inst = random_dag_instance(rng, rng.randint(2, 6), n_res=rng.randint(1, 2))
-        catalog = minimal_forbidden_sets(inst)
         deterministic = min(worst_case_makespan_dp(inst, sel, 0).value
-                            for sel in enumerate_sufficient_selections(inst, catalog))
+                            for sel in enumerate_sufficient_selections(inst))
         assert solve_exact(inst, 0).value == deterministic
     ok("budget-zero solves reduce to the deterministic optimum")
 

@@ -1,23 +1,22 @@
 import hashlib
 import random
+import time
 from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
 from gen import connect_dummies, make_instance, random_dag_instance, random_psplib_instance
 from robust_rcpsp import bnb, network
-from robust_rcpsp._graph import closure_bitsets, predecessors, reaches, successors
+from robust_rcpsp._graph import ancestor_bitsets, closure_bitsets, predecessors, reaches, successors
 from robust_rcpsp.adversary import leveled_rows, relax_leveled_rows, worst_case_makespan_dp
 from robust_rcpsp.bnb import OptResult, arc_bound, optimality_gap, solve_exact
 from robust_rcpsp.instance import parse_psplib, robustify
 from robust_rcpsp.network import (
     Selection,
     child_closure,
+    conflict_finder,
     enumerate_sufficient_selections,
-    first_set,
-    membership_masks,
     minimal_forbidden_sets,
-    unresolved_sets,
     verify_selection,
 )
 
@@ -25,9 +24,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def exhaustive_optimum(inst, gamma):
-    catalog = minimal_forbidden_sets(inst)
     return min(worst_case_makespan_dp(inst, sel, gamma).value
-               for sel in enumerate_sufficient_selections(inst, catalog))
+               for sel in enumerate_sufficient_selections(inst))
 
 
 def test_deterministic_instance_root_is_leaf():
@@ -74,7 +72,7 @@ def test_matches_exhaustive_oracle_seven_and_eight_activities():
     rng = random.Random(2004)
     for _ in range(6):
         inst = random_dag_instance(rng, rng.randint(7, 8), n_res=rng.randint(2, 3))
-        selections = list(enumerate_sufficient_selections(inst, minimal_forbidden_sets(inst)))
+        selections = list(enumerate_sufficient_selections(inst))
         for gamma in (0, 1, 2, 3):
             res = solve_exact(inst, gamma)
             assert res.status == "optimal"
@@ -83,27 +81,28 @@ def test_matches_exhaustive_oracle_seven_and_eight_activities():
 
 
 def test_kernel_masks_and_bounds_follow_arc_additions():
-    """Along random acyclic arc sequences, the unresolved-set mask matches
-    the pair-wise filter, the incrementally raised head and tail rows match
-    a full forward and backward pass, row for row, and for every arc of the
-    branching set (and the arc the walk adds) ``arc_bound`` gives the DP
-    value of the extended selection.
+    """Along random acyclic arc sequences, the branching set that
+    ``conflict_finder`` gives is the first catalog set the pair-wise filter
+    leaves unresolved, both from the start and after the last set known to
+    be resolved with every set before it; the carried ancestor masks are
+    the closure's transpose; the incrementally raised head and tail rows
+    match a full forward and backward pass, row for row; and for every arc
+    of the branching set (and the arc the walk adds) ``arc_bound`` gives
+    the DP value of the extended selection.
 
-    The catalog also gets the instance's own arcs between activities as
-    two-element sets, which the root closure already resolves.  The walks
-    run on j12-j20-shaped instances and on small DAGs with zero-duration
-    activities."""
+    The walks run on j12-j20-shaped instances and on small DAGs with
+    zero-duration activities."""
     rng = random.Random(2020)
     gammas = (0, 1, 3)
     cases = [robustify(random_psplib_instance(rng, rng.randint(12, 20), 4)) for _ in range(6)]
     cases += [random_dag_instance(rng, rng.randint(4, 9), n_res=2, max_dur=rng.choice((0, 2)))
               for _ in range(6)]
     for inst in cases:
-        related = tuple((i, j) for i, j in inst.precedence if i != 0 and j != inst.sink)
-        catalog = minimal_forbidden_sets(inst) + related
+        catalog = minimal_forbidden_sets(inst)
+        first_conflict = conflict_finder(inst)
         n_nodes = inst.n_nodes
-        member = membership_masks(n_nodes, catalog)
         reach = closure_bitsets(n_nodes, inst.precedence)
+        ancestors = ancestor_bitsets(n_nodes, inst.precedence)
         pred = predecessors(n_nodes, inst.precedence)
         succ = successors(n_nodes, inst.precedence)
         nominal = inst.nominal_duration
@@ -117,11 +116,13 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
                         worst_case_makespan_dp(inst, Selection(), gamma).leveled_starts]
                 for gamma in gammas}
         tails = {gamma: full_tails(gamma) for gamma in gammas}
-        unresolved = unresolved_sets(reach, member, len(catalog))
+        after = ()
         arcs = set()
         while True:
-            assert [idx for idx in range(len(catalog)) if (unresolved >> idx) & 1] == \
-                [idx for idx, f in enumerate(catalog) if not network._resolved(reach, f)]
+            fset = first_conflict(reach, ancestors, after)
+            assert fset == first_conflict(reach, ancestors) == \
+                next((f for f in catalog if not network._resolved(reach, f)), None)
+            assert list(ancestors) == ancestor_bitsets(n_nodes, inst.precedence + tuple(arcs))
             for gamma in gammas:
                 dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma)
                 assert rows[gamma] == [list(row) for row in dp.leveled_starts]
@@ -130,13 +131,13 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
                     if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
             if not free:
                 break
-            if unresolved and rng.random() < 0.5:
-                i, j = rng.choice(list(permutations(catalog[first_set(unresolved)], 2)))
+            if fset and rng.random() < 0.5:
+                i, j = rng.choice(list(permutations(fset, 2)))
             else:
                 i, j = rng.choice(free)
             candidates = {(i, j)}
-            if unresolved:
-                candidates.update(permutations(catalog[first_set(unresolved)], 2))
+            if fset:
+                candidates.update(permutations(fset, 2))
             for a, b in candidates:
                 for gamma in gammas:
                     bound = max(rows[gamma][-1][gamma],
@@ -144,8 +145,9 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
                                           delayed[a], nominal[b], delayed[b]))
                     dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs | {(a, b)})), gamma)
                     assert bound == dp.value
-            reach, resolved, _ = child_closure(reach, member, i, j)
-            unresolved &= ~resolved
+            reach, ancestors, _ = child_closure(reach, ancestors, i, j)
+            if fset and network._resolved(reach, fset):
+                after = fset
             pred[j].append(i)
             succ[i].append(j)
             arcs.add((i, j))
@@ -200,6 +202,42 @@ def test_time_limit_yields_the_warm_incumbent():
     assert worst_case_makespan_dp(inst, res.selection, 3).value == res.value
 
 
+def test_the_search_builds_no_catalog(monkeypatch):
+    """Each node finds its own branching set: the search solves with
+    ``minimal_forbidden_sets`` raising, to the exhaustive optimum."""
+    rng = random.Random(99)
+    cases = [random_dag_instance(rng, rng.randint(4, 7), n_res=2) for _ in range(4)]
+    expected = [exhaustive_optimum(inst, 1) for inst in cases]
+
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("the search built the catalog")
+
+    monkeypatch.setattr(network, "minimal_forbidden_sets", no_catalog)
+    monkeypatch.setattr(bnb, "minimal_forbidden_sets", no_catalog)
+    results = [solve_exact(inst, 1) for inst in cases]
+    assert [(res.status, res.value) for res in results] == [("optimal", v) for v in expected]
+
+
+def test_a_time_limit_holds_where_the_catalog_would_not():
+    """At n=90 the catalog passes 10**6 sets after seconds; the search,
+    which builds none, stops at its time limit with an incumbent."""
+    inst = robustify(random_psplib_instance(random.Random(7), 90, 4))
+    t0 = time.perf_counter()
+    res = solve_exact(inst, 3, time_limit_s=1)
+    assert time.perf_counter() - t0 < 1.5
+    assert res.status == "incumbent"
+    assert res.best_bound <= res.value
+
+
+def test_a_limited_n60_selection_is_sufficient():
+    inst = robustify(random_psplib_instance(random.Random(60), 60, 4))
+    res = solve_exact(inst, 3, time_limit_s=0.3)
+    assert res.nodes > 0
+    assert verify_selection(inst, res.selection, minimal_forbidden_sets(inst)).sufficient
+    assert worst_case_makespan_dp(inst, res.selection, 3).value == res.value
+    assert res.best_bound <= res.value
+
+
 def test_limit_exit_at_a_closed_bound_is_optimal():
     """A cap or time-limit exit whose best open bound already reaches the
     incumbent proves the incumbent optimal, with the nodes counted so far."""
@@ -238,8 +276,8 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
                         lambda inst, gamma: SimpleNamespace(upper_bound=8, selection=chain))
     made, expanded = [], []
 
-    def child_closure(closure, member, i, j):
-        child = network.child_closure(closure, member, i, j)
+    def child_closure(closure, ancestors, i, j):
+        child = network.child_closure(closure, ancestors, i, j)
         made.append(child[0])
         return child
 

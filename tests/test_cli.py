@@ -293,16 +293,21 @@ def test_bench_and_profile_commands(capsys, tmp_path):
 
 def test_profile_keeps_a_variant_whose_records_are_all_skipped(capsys, tmp_path):
     """Without a bridge command every basic record is skipped; bench's
-    profile has a basic column, and profile of its results used to drop it."""
+    profile has a basic column, and profile of its results used to drop it.
+    Both write one profile, in the order of ``ALL_VARIANTS``, where profile
+    used to sort by name and bench to follow the config."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"instances_dir": str(DATA), "gammas": [1],
                                   "variants": ["bnb", "basic"]}))
     out_dir = tmp_path / "out"
     assert run_cli(capsys, "bench", "--config", str(config), "--out", str(out_dir))[0] == 0
-    assert (out_dir / "profile.csv").read_text().splitlines()[0] == "tau,rho_bnb,rho_basic"
-    code, out, _ = run_cli(capsys, "profile", "--results", str(out_dir / "results.csv"))
+    assert (out_dir / "profile.csv").read_text().splitlines()[0] == "tau,rho_basic,rho_bnb"
+    svg = tmp_path / "profile.svg"
+    code, out, _ = run_cli(capsys, "profile", "--results", str(out_dir / "results.csv"),
+                           "--svg", str(svg))
     assert code == 0
-    assert out.splitlines()[0] == "tau,rho_basic,rho_bnb"
+    assert out == (out_dir / "profile.csv").read_bytes().decode()
+    assert svg.read_bytes() == (out_dir / "profile.svg").read_bytes()
 
 
 def test_profile_of_a_malformed_csv_exits_1(capsys, tmp_path):

@@ -13,15 +13,15 @@ from gen import (
     random_selection,
     shuffled_ids,
 )
-from robust_rcpsp._graph import closure_bitsets, topological_order
+from robust_rcpsp._graph import ancestor_bitsets, closure_bitsets, reaches, topological_order
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
 from robust_rcpsp.heuristics import lft_schedule
 from robust_rcpsp.network import (
     Selection,
     branch,
     child_closure,
+    conflict_finder,
     enumerate_sufficient_selections,
-    membership_masks,
     minimal_forbidden_sets,
     schedule_order,
     selection_from_order,
@@ -243,48 +243,91 @@ def test_selection_from_schedule_is_the_pairwise_order():
 
 def test_branch_merges_seen_closures():
     """``branch`` yields a node's child arcs, ``child_closure`` builds one
-    child without touching the node, and two arc orders that reach one
-    closure give one key, which a caller's ``seen`` set merges."""
-    inst = k3_instance()
-    catalog = minimal_forbidden_sets(inst)  # (1, 2), (1, 3), (2, 3)
-    member = membership_masks(inst.n_nodes, catalog)
-    root = tuple(closure_bitsets(inst.n_nodes, inst.precedence))
+    child and its ancestor masks without touching the node, two arc orders
+    that reach one closure give one key, which a caller's ``seen`` set
+    merges, and ``conflict_finder`` gives each node's first unresolved
+    set."""
+    inst = k3_instance()  # catalog (1, 2), (1, 3), (2, 3)
+    first_conflict = conflict_finder(inst)
 
-    def closure_of(*arcs):
-        return tuple(closure_bitsets(inst.n_nodes, inst.precedence + arcs))
+    def node_of(*arcs):
+        arcs = inst.precedence + arcs
+        return (tuple(closure_bitsets(inst.n_nodes, arcs)),
+                tuple(ancestor_bitsets(inst.n_nodes, arcs)))
 
-    assert list(branch(root, (1, 2))) == [(1, 2), (2, 1)]
-    # (closure, resolved sets, ancestors-or-self of i); node 0 is the source
-    assert [child_closure(root, member, i, j) for i, j in branch(root, (1, 2))] == \
-        [(closure_of((1, 2)), 0b001, 0b0011), (closure_of((2, 1)), 0b001, 0b0101)]
-    assert root == closure_of()
-    one_two = closure_of((1, 2))
-    assert list(branch(one_two, (1, 2))) == [(1, 2)]  # 1 reaches 2: no arc 2 -> 1
-    chain = child_closure(one_two, member, 2, 3)
-    assert chain == (closure_of((1, 2), (2, 3)), 0b110, 0b0111)
+    root = node_of()
+    assert first_conflict(*root) == (1, 2)
+    assert list(branch(root[0], (1, 2))) == [(1, 2), (2, 1)]
+    # (closure, ancestors, ancestors-or-self of i); node 0 is the source
+    assert [child_closure(*root, i, j) for i, j in branch(root[0], (1, 2))] == \
+        [(*node_of((1, 2)), 0b0011), (*node_of((2, 1)), 0b0101)]
+    assert root == node_of()
+    one_two = node_of((1, 2))
+    assert first_conflict(*one_two, (1, 2)) == first_conflict(*one_two) == (1, 3)
+    assert list(branch(one_two[0], (1, 2))) == [(1, 2)]  # 1 reaches 2: no arc 2 -> 1
+    chain = child_closure(*one_two, 2, 3)
+    assert chain == (*node_of((1, 2), (2, 3)), 0b0111)
+    assert first_conflict(*chain[:2], (1, 3)) is None  # a leaf
     # 2 -> 3 then 1 -> 2 reaches the same closure as 1 -> 2 then 2 -> 3: merged
-    seen = {root, one_two, chain[0]}
-    two_three = child_closure(root, member, 2, 3)[0]
-    assert [(i, j) for i, j in branch(two_three, (1, 2))
-            if child_closure(two_three, member, i, j)[0] not in seen] == [(2, 1)]
+    seen = {root[0], one_two[0], chain[0]}
+    two_three = child_closure(*root, 2, 3)
+    assert [(i, j) for i, j in branch(two_three[0], (1, 2))
+            if child_closure(*two_three[:2], i, j)[0] not in seen] == [(2, 1)]
+
+
+def test_conflict_finder_matches_brute_force():
+    """On closures grown by random acyclic arcs, the finder gives the least
+    set of the brute-force catalog that is an antichain of the closure and
+    comes after ``after``, or None: for ``after`` empty, each catalog set,
+    and sorted activity tuples that are no catalog set."""
+    rng = random.Random(2027)
+    cases = [random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 3))
+             for _ in range(25)]
+    cases += [random_psplib_instance(rng, n_act=rng.randint(8, 10), n_res=rng.randint(1, 4))
+              for _ in range(15)]
+    for inst in cases:
+        catalog = brute_force_forbidden_sets(inst)
+        first_conflict = conflict_finder(inst)
+        acts = range(1, inst.sink)
+        arcs = set(inst.precedence)
+        reach = closure_bitsets(inst.n_nodes, inst.precedence)
+        ancestors = ancestor_bitsets(inst.n_nodes, inst.precedence)
+        while True:
+            open_sets = [f for f in catalog
+                         if not any(reaches(reach, i, j) for i in f for j in f)]
+            afters = [(), *catalog]
+            afters += [tuple(sorted(rng.sample(acts, rng.randint(1, min(3, len(acts))))))
+                       for _ in range(4)]
+            for after in afters:
+                expected = next((f for f in open_sets if f > after), None)
+                assert first_conflict(reach, ancestors, after) == expected, (inst, arcs, after)
+            free = [(i, j) for i in acts for j in acts
+                    if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
+            if not free:
+                break
+            i, j = rng.choice(free)
+            arcs.add((i, j))
+            reach, ancestors, _ = child_closure(reach, ancestors, i, j)
+            assert (list(reach), list(ancestors)) == \
+                (closure_bitsets(inst.n_nodes, arcs), ancestor_bitsets(inst.n_nodes, arcs))
 
 
 def test_enumerate_empty_catalog():
     inst = make_instance([0, 1, 0], [(0, 1), (1, 2)])
-    sels = list(enumerate_sufficient_selections(inst, minimal_forbidden_sets(inst)))
+    sels = list(enumerate_sufficient_selections(inst))
     assert sels == [Selection()]
 
 
 def test_enumerate_single_pair():
     inst = pair_conflict_instance()
-    sels = list(enumerate_sufficient_selections(inst, minimal_forbidden_sets(inst)))
+    sels = list(enumerate_sufficient_selections(inst))
     assert [s.sorted_arcs() for s in sels] == [((1, 2),), ((2, 1),)]
 
 
 def test_enumerate_k3_gives_six_orders():
     inst = k3_instance()
     catalog = minimal_forbidden_sets(inst)
-    sels = list(enumerate_sufficient_selections(inst, catalog))
+    sels = list(enumerate_sufficient_selections(inst))
     closures = {closure_relation(inst, s.added_arcs) for s in sels}
     assert len(sels) == len(closures) == 6
     for s in sels:
@@ -320,7 +363,7 @@ def test_enumerate_matches_arc_subset_brute_force():
             checked += 1
             expected = oracle_minimal_closures(inst, catalog)
             got = {closure_relation(inst, s.added_arcs)
-                   for s in enumerate_sufficient_selections(inst, catalog)}
+                   for s in enumerate_sufficient_selections(inst)}
             assert got == expected
 
 
@@ -328,7 +371,7 @@ def test_enumerate_cap():
     rng = random.Random(1)
     inst = random_dag_instance(rng, 9, n_res=1)
     with pytest.raises(CapExceeded):
-        list(enumerate_sufficient_selections(inst, minimal_forbidden_sets(inst)))
+        list(enumerate_sufficient_selections(inst))
 
 
 def test_every_enumerated_selection_is_sufficient():
@@ -336,5 +379,5 @@ def test_every_enumerated_selection_is_sufficient():
     for _ in range(15):
         inst = random_dag_instance(rng, rng.randint(2, 5), n_res=1)
         catalog = minimal_forbidden_sets(inst)
-        for sel in enumerate_sufficient_selections(inst, catalog):
+        for sel in enumerate_sufficient_selections(inst):
             assert verify_selection(inst, sel, catalog).sufficient
