@@ -71,6 +71,12 @@ def _find_cycle(n_nodes, succ, indeg):
 
 def closure_bitsets(n_nodes, arcs):
     """Per-node bitmask of strictly reachable nodes (nonempty paths only)."""
+    return ordered_closure(n_nodes, arcs)[1]
+
+
+def ordered_closure(n_nodes, arcs):
+    """``(topological_order(n_nodes, arcs), closure_bitsets(n_nodes, arcs))``
+    from one sort."""
     order = topological_order(n_nodes, arcs)
     succ = successors(n_nodes, arcs)
     reach = [0] * n_nodes
@@ -79,13 +85,26 @@ def closure_bitsets(n_nodes, arcs):
         for w in succ[v]:
             acc |= reach[w] | (1 << w)
         reach[v] = acc
-    return reach
+    return order, reach
 
 
 def ancestor_bitsets(n_nodes, arcs):
     """Per-node bitmask of the nodes that strictly reach it: the transpose
     of ``closure_bitsets``."""
     return closure_bitsets(n_nodes, [(j, i) for i, j in arcs])
+
+
+def transpose_bitsets(reach):
+    """The transpose of a closure ``reach``: per node, the bitmask of the
+    nodes whose mask holds it, from one pass over the set bits."""
+    ancestors = [0] * len(reach)
+    for v, mask in enumerate(reach):
+        bit = 1 << v
+        while mask:
+            low = mask & -mask
+            ancestors[low.bit_length() - 1] |= bit
+            mask ^= low
+    return ancestors
 
 
 def add_arc_to_closure(reach, ancestors, u, v):

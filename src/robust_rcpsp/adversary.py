@@ -110,13 +110,14 @@ def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) ->
     """Worst-case makespan of a selection, with one worst delay set.
 
     ``leveled_rows`` over the extended network in topological order (which
-    rejects cyclic extensions); the value is W(sink, gamma) and
-    ``leveled_starts`` holds every row.
+    rejects cyclic extensions; without added arcs it is ``inst.order``);
+    the value is W(sink, gamma) and ``leveled_starts`` holds every row.
     """
     arcs = extended_arcs(inst, sel)
     n_nodes = inst.n_nodes
     pred = predecessors(n_nodes, arcs)
-    rows = leveled_rows(inst, gamma, topological_order(n_nodes, arcs), pred)
+    order = topological_order(n_nodes, arcs) if sel.added_arcs else inst.order
+    rows = leveled_rows(inst, gamma, order, pred)
     delays, path = _backtrack(rows, pred, inst, gamma)
     return DpResult(value=rows[inst.sink][gamma], delayed=frozenset(delays), path=tuple(path),
                     leveled_starts=tuple(map(tuple, rows)))
@@ -126,10 +127,9 @@ def tail_rows(inst: ProjectInstance, gamma: int) -> list[list[int]]:
     """The backward pass over the instance arcs: ``rows[v][g]`` is the
     longest path from the finish of ``v`` to the sink with at most ``g``
     delays, from ``leveled_rows`` on the successor lists in reversed
-    topological order."""
-    n_nodes = inst.n_nodes
-    return leveled_rows(inst, gamma, reversed(topological_order(n_nodes, inst.precedence)),
-                        successors(n_nodes, inst.precedence))
+    ``inst.order``."""
+    return leveled_rows(inst, gamma, reversed(inst.order),
+                        successors(inst.n_nodes, inst.precedence))
 
 
 def _backtrack(rows, pred, inst, gamma):

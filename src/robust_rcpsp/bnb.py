@@ -64,8 +64,10 @@ it needs nothing more.  Otherwise
 ancestors (ascending reach, on successor lists) from ``j`` as the one
 dirty successor.  Adding an arc only lengthens paths, so no other row can
 change.  The root is an entry without an arc, made before the search
-from one ``worst_case_makespan_dp`` call (its head rows and bound) and
-``tail_rows`` (its tail rows).
+from the instance's derived ``closure`` (its closure, and its transpose in
+one pass over the bits) and ``order``: its head rows are ``leveled_rows``
+over ``order`` and the predecessor lists, their sink row at ``gamma`` its
+bound, and its tail rows are ``tail_rows``, the same run backward.
 """
 from __future__ import annotations
 
@@ -73,8 +75,13 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from ._graph import ancestor_bitsets, closure_bitsets, predecessors, successors
-from .adversary import relax_leveled_rows, tail_rows, worst_case_makespan_dp
+from ._graph import predecessors, successors, transpose_bitsets
+from .adversary import leveled_rows, relax_leveled_rows, tail_rows
+# The root reads its rows from ``leveled_rows``, not from the DP;
+# perfbench's ExactSearch hooks this name by ``getattr``, so a traced root
+# bound reads 0 until the hook moves.
+from .adversary import worst_case_makespan_dp  # noqa: F401
+# perfbench's ExactSearch hooks this name too, and here it is called.
 from .heuristics import warm_start
 from .instance import ProjectInstance
 from .network import Selection, branch, child_closure, conflict_finder
@@ -112,18 +119,16 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     first_conflict = conflict_finder(inst)
     nominal = inst.nominal_duration
     delayed = inst.worst_case_duration
-    root_closure = tuple(closure_bitsets(n_nodes, inst.precedence))
-    root_ancestors = tuple(ancestor_bitsets(n_nodes, inst.precedence))
+    root_closure = inst.closure
+    root_ancestors = tuple(transpose_bitsets(root_closure))
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
     root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
-    root = worst_case_makespan_dp(inst, Selection(), gamma)
-    # Lists, not the DP's tuples: the kernel compares a copied row with
-    # the old one to see whether it rose.
-    root_rows = [list(row) for row in root.leveled_starts]
+    root_rows = leveled_rows(inst, gamma, inst.order, root_pred)
     # The root's entry has no arc, and its "parent" is its own state, with
     # no branching set before it.
-    heap = [(root.value, 0, (root_closure, root_ancestors, (), root_pred, root_rows, root_succ,
-                             tail_rows(inst, gamma)),
+    heap = [(root_rows[inst.sink][gamma], 0,
+             (root_closure, root_ancestors, (), root_pred, root_rows, root_succ,
+              tail_rows(inst, gamma)),
              None, None)]
     counter = 0
     seen = set()

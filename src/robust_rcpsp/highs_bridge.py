@@ -3,15 +3,21 @@
 Usage: ``python -m robust_rcpsp.highs_bridge MODEL.lp OUT.sol [TIME_S] [WARM.mst]``
 
 ``TIME_S`` is a finite number of seconds, at least 0; 0, the default, means
-no limit.  Any other ``TIME_S`` exits 2.
+no limit.  Any other ``TIME_S`` exits 2.  ``WARM.mst`` is a warm-start file
+of ``name value`` lines, as ``milp.export_warm_start`` writes it; an empty
+argument, which a quoted ``'{mst}'`` becomes for a model without a warm
+start, means none.
 
 HiGHS reads the LP file written by :mod:`robust_rcpsp.milp` itself and
 solves it.  The bridge then writes the solution-file contract expected by
 ``solve_external``: a status line (status word, plus the best bound when the
 model has integer columns, a solution was found and the bound is finite,
 since ``solve_external`` rejects a non-finite one) followed by one
-``name value`` line per variable.  A warm-start file is accepted for
-interface compatibility but is not passed to HiGHS.
+``name value`` line per variable.  A warm start is handed to HiGHS with
+``setSolution`` before the solve, each name mapped to its column in
+``getLp().col_names_``; a column the file does not name is left undefined
+for HiGHS to complete.  A line that is not a name and a finite number, or
+a name that is not a column of the model, exits 1 with a message on stderr.
 
 The HiGHS extension ``scipy/optimize/_highspy/_core`` is loaded straight
 from its file, inside :func:`solve_lp_file`.  Neither ``scipy.optimize``,
@@ -77,9 +83,42 @@ def read_model(lp_path):
     return highs
 
 
-def solve_lp_file(lp_path, sol_path, time_limit_s=None):
+def set_warm_start(highs, mst_path):
+    """Hand HiGHS the column values of the warm-start file ``mst_path``."""
+    core = load_core()
+    try:
+        text = Path(mst_path).read_text()
+    except OSError as exc:
+        raise BridgeError(f"cannot read the warm start {mst_path}: {exc}") from exc
+    names = highs.getLp().col_names_
+    column = {name: col for col, name in enumerate(names)}
+    values = [math.inf] * len(names)  # HiGHS's kHighsUndefined: a value to complete
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            name, value = line.split()
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(value)
+        except ValueError:
+            raise BridgeError(f"{mst_path} line {lineno}: expected a name and a finite "
+                              f"value, not {line!r}") from None
+        if name not in column:
+            raise BridgeError(f"{mst_path} line {lineno}: {name!r} is not a column of the model")
+        values[column[name]] = value
+    solution = core.HighsSolution()
+    solution.col_value = values
+    solution.value_valid = True
+    if highs.setSolution(solution) == core.HighsStatus.kError:
+        raise BridgeError(f"HiGHS rejected the warm start {mst_path}")
+
+
+def solve_lp_file(lp_path, sol_path, time_limit_s=None, mst_path=None):
     core = load_core()
     highs = read_model(lp_path)
+    if mst_path:
+        set_warm_start(highs, mst_path)
     if time_limit_s:
         highs.setOptionValue("time_limit", float(time_limit_s))
     highs.run()
@@ -112,11 +151,12 @@ def main(argv):
         time_limit = float(argv[2]) if len(argv) > 2 else 0.0
         if not 0 <= time_limit < math.inf:
             raise ValueError(time_limit)
+        mst_path = argv[3] if len(argv) > 3 else ""
     except (IndexError, ValueError):  # too few arguments, or TIME_S not a finite number >= 0
         print(__doc__, file=sys.stderr)
         return 2
     try:
-        solve_lp_file(lp_path, sol_path, time_limit if time_limit > 0 else None)
+        solve_lp_file(lp_path, sol_path, time_limit if time_limit > 0 else None, mst_path)
     except BridgeError as exc:
         print(f"highs_bridge: {exc}", file=sys.stderr)
         return 1

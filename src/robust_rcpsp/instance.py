@@ -7,6 +7,12 @@ and ``from_json`` share, and the optional ``activities`` (0..n+1) and ``meta``
 (``InstanceMeta``'s fields); other JSON or another key is a ``ParseError``.
 Activity ids are 0-based: PSPLIB job 1 becomes the dummy source 0 and job
 n+2 the dummy sink n+1, so index conventions match the rest of the library.
+
+An instance also holds three derived fields, set at construction and left
+out of ``==``, the hash, ``repr`` and the JSON: ``worst_case_duration``,
+and the ``order`` and ``closure`` of its arcs that validation computes.
+The DP, the time windows, the warm start, the forbidden-set kernel and the
+branch-and-bound's root read these two instead of sorting the arcs again.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from ._graph import closure_bitsets
+from ._graph import ordered_closure
 from .errors import CyclicGraphError, ParseError
 
 
@@ -43,8 +49,12 @@ class ProjectInstance:
     Activities are 0..n+1 where 0 and n+1 are zero-duration dummies with no
     resource usage.  Every activity is reachable from the source and reaches
     the sink; the precedence graph is acyclic.  Every entry is an integer.
-    Violations raise ValueError at construction time.  ``worst_case_duration``
-    is derived: nominal duration plus maximal deviation, per activity.
+    Violations raise ValueError at construction time.  Three fields are
+    derived: ``worst_case_duration``, the nominal duration plus the maximal
+    deviation per activity; ``order``, the topological order of the arcs
+    (``_graph.topological_order``, ties by smallest id); and ``closure``,
+    their reachability bitmasks (``_graph.closure_bitsets``), both tuples
+    that the check for cycles computes.
     """
 
     nominal_duration: tuple[int, ...]
@@ -54,6 +64,8 @@ class ProjectInstance:
     precedence: tuple[tuple[int, int], ...]
     meta: InstanceMeta = InstanceMeta()
     worst_case_duration: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    closure: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_duration", _ints(self.nominal_duration))
@@ -61,7 +73,9 @@ class ProjectInstance:
         object.__setattr__(self, "requirement", tuple(map(_ints, self.requirement)))
         object.__setattr__(self, "capacity", _ints(self.capacity))
         object.__setattr__(self, "precedence", tuple(sorted(set(map(_ints, self.precedence)))))
-        _validate(self)
+        order, closure = _validate(self)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "closure", closure)
         object.__setattr__(self, "worst_case_duration", tuple(
             a + d for a, d in zip(self.nominal_duration, self.max_deviation)))
 
@@ -95,6 +109,8 @@ def _ints(values):
 
 
 def _validate(inst: ProjectInstance):
+    """Raise ValueError unless the instance is well formed; return the
+    topological order and the closure of its arcs, as tuples."""
     n_nodes = inst.n_nodes
     if n_nodes < 2:
         raise ValueError("an instance needs at least the two dummy activities")
@@ -130,7 +146,7 @@ def _validate(inst: ProjectInstance):
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise ValueError(f"arc ({i}, {j}) references an unknown activity")
     try:
-        reach = closure_bitsets(n_nodes, inst.precedence)
+        order, reach = ordered_closure(n_nodes, inst.precedence)
     except CyclicGraphError as exc:
         raise ValueError(f"cyclic precedence relations: {exc}") from exc
     for v in range(1, n_nodes):
@@ -139,6 +155,7 @@ def _validate(inst: ProjectInstance):
     for v in range(n_nodes - 1):
         if not (reach[v] >> sink) & 1:
             raise ValueError(f"activity {v} does not reach the sink")
+    return tuple(order), tuple(reach)
 
 
 def robustify(inst: ProjectInstance) -> ProjectInstance:

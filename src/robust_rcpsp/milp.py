@@ -467,7 +467,9 @@ def solve_external(model: MilpModel, warm=None, *, command: str,
 
     ``command`` is a template with ``{lp}``, ``{mst}``, ``{sol}`` and
     ``{time_s}`` placeholders; a template that :func:`template_error`
-    rejects is an ``error`` outcome, and no process is started.  The solver
+    rejects is an ``error`` outcome, and no process is started.  The
+    warm start ``warm`` is written as an MST file only when the template
+    names ``{mst}``; without one, ``{mst}`` renders empty.  The solver
     must exit 0 and write a solution file starting with a status word
     (optionally followed by a best bound) and one ``name value`` line per
     variable.  Reported solutions are re-validated against the model
@@ -492,23 +494,28 @@ def template_error(command: str) -> str | None:
     """Why ``command`` is not a solver command template, or None: its
     braces must be well formed and each field one of ``PLACEHOLDERS``."""
     try:
-        unknown = [name for _, name, _, _ in string.Formatter().parse(command)
-                   if name is not None and name not in PLACEHOLDERS]
+        unknown = [name for name in _fields(command) if name not in PLACEHOLDERS]
     except ValueError as exc:
         return f"command template {command!r}: {exc}"
     return (f"command template {command!r}: unknown placeholder {{{unknown[0]}}}; expected "
             f"one of {PLACEHOLDERS}") if unknown else None
 
 
+def _fields(command):
+    """The field names of a template; raises ``ValueError`` for a lone brace."""
+    return [name for _, name, _, _ in string.Formatter().parse(command) if name is not None]
+
+
 def _solve_in(base: Path, model, warm, command, time_limit_s, t0) -> SolveOutcome:
     lp_path = base / "model.lp"
-    mst_path = base / "warm.mst"
     sol_path = base / "solution.sol"
     lp_path.write_text(export_lp(model))
-    if warm is not None:
+    mst_path = ""
+    if warm is not None and "mst" in _fields(command):
+        mst_path = base / "warm.mst"
         mst_path.write_text(export_warm_start(warm, model))
-    cmd = command.format(lp=lp_path, mst=mst_path if warm is not None else "",
-                         sol=sol_path, time_s=time_limit_s if time_limit_s else 0)
+    cmd = command.format(lp=lp_path, mst=mst_path, sol=sol_path,
+                         time_s=time_limit_s if time_limit_s else 0)
     try:
         proc = subprocess.run(
             shlex.split(cmd), capture_output=True, text=True,

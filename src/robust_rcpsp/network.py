@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, permutations, repeat
 
-from ._graph import add_arc_to_closure, ancestor_bitsets, closure_bitsets, reaches, topological_order
+from ._graph import add_arc_to_closure, closure_bitsets, reaches, transpose_bitsets
 from .errors import CapExceeded, CyclicGraphError
 from .instance import ProjectInstance
 
@@ -129,26 +129,32 @@ def _antichain_search(inst: ProjectInstance):
     """
     req = inst.requirement
     cap = inst.capacity
-    k_range = inst.resource_types
-    cands = [i for i in range(1, inst.sink) if any(req[i][k] > 0 for k in k_range)]
-    cand_mask = sum(1 << c for c in cands)
-    bound = max((sum(row[k] for row in req) for k in k_range), default=0) + max(cap, default=0)
+    bound = max(map(sum, zip(*req)), default=0) + max(cap, default=0)
     w = bound.bit_length() + 1
     top = 1 << (w - 1)
-    high = sum(top << (k * w) for k in k_range)
-    empty = sum((top - 1 - cap[k]) << (k * w) for k in k_range)
-    packed = [sum(r[k] << (k * w) for k in k_range) for r in req]
-    positive = [sum(top << (k * w) for k in k_range if r[k] > 0) for r in req]
+    shifts = [k * w for k in inst.resource_types]
+    high = sum(top << s for s in shifts)
+    empty = sum((top - 1 - c) << s for c, s in zip(cap, shifts))
+    packed = []
+    positive = []
+    for row in req:
+        total = on = 0
+        for r, s in zip(row, shifts):
+            if r:
+                total += r << s
+                on += top << s
+        packed.append(total)
+        positive.append(on)
+    cands = [i for i in range(1, inst.sink) if positive[i]]
+    cand_mask = sum(1 << c for c in cands)
 
-    class PositiveOn(dict):
-        """``positive_on[usable]``: the candidates positive on some usable
-        resource, computed once per ``usable``."""
+    # ``positive_on[usable]``: the candidates positive on some usable
+    # resource, filled by ``usable_candidates`` once per ``usable``.
+    positive_on = {}
 
-        def __missing__(self, usable):
-            mask = self[usable] = sum(1 << c for c in cands if positive[c] & usable)
-            return mask
-
-    positive_on = PositiveOn()
+    def usable_candidates(usable):
+        mask = positive_on[usable] = sum(1 << c for c in cands if positive[c] & usable)
+        return mask
 
     def search(reach, reached_by, after=()):
         members = []
@@ -166,7 +172,8 @@ def _antichain_search(inst: ProjectInstance):
             usable_above.append(usable)
             members.append(a)
             usable &= positive[a]
-            allowed = above & ~(reach[a] | reached_by[a]) & positive_on[usable]
+            allowed = above & ~(reach[a] | reached_by[a]) & (
+                positive_on[usable] if usable in positive_on else usable_candidates(usable))
             total = new_total
         while True:
             if not allowed:
@@ -191,7 +198,9 @@ def _antichain_search(inst: ProjectInstance):
                 else:
                     yield (*members, c)
             else:
-                child = allowed & ~(reach[c] | reached_by[c]) & positive_on[new_usable]
+                child = allowed & ~(reach[c] | reached_by[c]) & (
+                    positive_on[new_usable] if new_usable in positive_on
+                    else usable_candidates(new_usable))
                 if child:
                     allowed_above.append(allowed)
                     usable_above.append(usable)
@@ -208,9 +217,7 @@ def minimal_forbidden_sets(inst: ProjectInstance,
     One run of the ``_antichain_search`` kernel on the instance's closure;
     a hard cap guards pathological inputs.
     """
-    n_nodes = inst.n_nodes
-    sets = _antichain_search(inst)(closure_bitsets(n_nodes, inst.precedence),
-                                   ancestor_bitsets(n_nodes, inst.precedence))
+    sets = _antichain_search(inst)(inst.closure, transpose_bitsets(inst.closure))
     found = tuple(islice(sets, max_sets + 1))
     if len(found) > max_sets:
         raise CapExceeded(f"more than {max_sets} minimal forbidden sets; raise max_sets")
@@ -293,9 +300,9 @@ def schedule_order(inst: ProjectInstance, start):
 
     Returns ``(order, cut)``.  ``order`` lists the nodes by start time,
     zero-duration nodes first, then by tie rank: the position in
-    ``topological_order`` of the instance arcs.  Node ``order[q]`` precedes
-    exactly the nodes ``order[cut[q]:]``: those after it that start when
-    it ends or later.  A pair qualifies both ways only between
+    ``inst.order``, the topological order of the instance arcs.  Node
+    ``order[q]`` precedes exactly the nodes ``order[cut[q]:]``: those after
+    it that start when it ends or later.  A pair qualifies both ways only between
     zero-duration nodes starting together; the arc then goes the way of the
     tie rank, which is the way of any instance arc between them.  Every
     related pair goes forward in ``order``, so the order is acyclic, and
@@ -305,7 +312,7 @@ def schedule_order(inst: ProjectInstance, start):
     dur = inst.nominal_duration
     n_nodes = inst.n_nodes
     rank = [0] * n_nodes
-    for r, v in enumerate(topological_order(n_nodes, inst.precedence)):
+    for r, v in enumerate(inst.order):
         rank[v] = r
     order = sorted(range(n_nodes), key=lambda v: (start[v], dur[v] > 0, rank[v]))
     starts = [start[v] for v in order]
@@ -338,7 +345,7 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
         )
     n_nodes = inst.n_nodes
     first_conflict = conflict_finder(inst)
-    root = tuple(closure_bitsets(n_nodes, inst.precedence))
+    root = inst.closure
     leaves = {}
     seen = {root}
 
@@ -353,7 +360,7 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
                 seen.add(key)
                 visit(key, key_ancestors, added | {(i, j)}, fset)
 
-    visit(root, tuple(ancestor_bitsets(n_nodes, inst.precedence)), frozenset(), ())
+    visit(root, tuple(transpose_bitsets(root)), frozenset(), ())
 
     # A leaf is kept unless another leaf's closure is a strict subset of its
     # own.  Each closure is packed into one int of n_nodes**2 bits; in order

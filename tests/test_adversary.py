@@ -10,12 +10,14 @@ from gen import (
     random_selection,
     shuffled_ids,
 )
+from robust_rcpsp._graph import predecessors, successors, topological_order
 from robust_rcpsp.adversary import (
     build_adversary_constraint_matrix,
     check_fractional_certificate,
     counterexample_certificate,
     counterexample_instance,
     ghouila_houri_refute,
+    leveled_rows,
     path_certificate,
     refutation_row_subset,
     tail_rows,
@@ -90,7 +92,9 @@ def test_dp_matches_bruteforce_randomised():
 def test_tail_rows_are_the_backward_dp():
     """The source's tail row is the DP value of the empty selection at
     every level, and the sink's row is all zeros; shuffled ids put
-    instance arcs from higher to lower ids."""
+    instance arcs from higher to lower ids.  Both read the instance's
+    ``order``, and their rows are those of ``leveled_rows`` over a fresh
+    topological sort of the arcs."""
     rng = random.Random(29)
     for _ in range(20):
         inst = random_dag_instance(rng, rng.randint(1, 8), n_res=1)
@@ -101,6 +105,12 @@ def test_tail_rows_are_the_backward_dp():
         assert tails[0] == [worst_case_makespan_dp(inst, EMPTY, g).value
                             for g in range(gamma + 1)]
         assert tails[inst.sink] == [0] * (gamma + 1)
+        n_nodes, arcs = inst.n_nodes, inst.precedence
+        order = topological_order(n_nodes, arcs)
+        assert tails == leveled_rows(inst, gamma, reversed(order), successors(n_nodes, arcs))
+        rows = worst_case_makespan_dp(inst, EMPTY, gamma).leveled_starts
+        assert list(map(list, rows)) == leveled_rows(inst, gamma, order,
+                                                     predecessors(n_nodes, arcs))
 
 
 @pytest.mark.parametrize("entry", [

@@ -5,10 +5,28 @@ from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
-from gen import connect_dummies, make_instance, random_dag_instance, random_psplib_instance
+from gen import (
+    connect_dummies,
+    make_instance,
+    random_dag_instance,
+    random_psplib_instance,
+    shuffled_ids,
+)
 from robust_rcpsp import bnb, network
-from robust_rcpsp._graph import ancestor_bitsets, closure_bitsets, predecessors, reaches, successors
-from robust_rcpsp.adversary import leveled_rows, relax_leveled_rows, worst_case_makespan_dp
+from robust_rcpsp._graph import (
+    ancestor_bitsets,
+    closure_bitsets,
+    predecessors,
+    reaches,
+    successors,
+    topological_order,
+)
+from robust_rcpsp.adversary import (
+    leveled_rows,
+    relax_leveled_rows,
+    tail_rows,
+    worst_case_makespan_dp,
+)
 from robust_rcpsp.bnb import OptResult, arc_bound, optimality_gap, solve_exact
 from robust_rcpsp.instance import parse_psplib, robustify
 from robust_rcpsp.network import (
@@ -45,6 +63,43 @@ def test_pair_conflict_budget_zero():
     assert res.value == 2
     catalog = minimal_forbidden_sets(inst)
     assert verify_selection(inst, res.selection, catalog).sufficient
+
+
+def test_the_root_state_is_that_of_the_arcs(monkeypatch):
+    """The root's closure, its transpose, head rows and tail rows, read
+    from the instance's ``order`` and ``closure``, equal a fresh
+    derivation from the arcs: ``closure_bitsets``, ``ancestor_bitsets``,
+    the DP of the empty selection and a backward pass over a fresh sort.
+    A node-capped solve reports the root's DP value as its bound."""
+    roots = []
+    heads = []
+    tails = []
+
+    def recorded(table, function):
+        """``function``, appending each call's arguments and result to ``table``."""
+        def record(*args):
+            table.append((*args, function(*args)))
+            return table[-1][-1]
+        return record
+
+    monkeypatch.setattr(bnb, "transpose_bitsets", recorded(roots, bnb.transpose_bitsets))
+    monkeypatch.setattr(bnb, "leveled_rows", recorded(heads, leveled_rows))
+    monkeypatch.setattr(bnb, "tail_rows", recorded(tails, tail_rows))
+    rng = random.Random(28)
+    for _ in range(12):
+        inst = robustify(shuffled_ids(rng, random_psplib_instance(rng, rng.randint(4, 14), 2)))
+        n_nodes, arcs = inst.n_nodes, inst.precedence
+        gamma = rng.randint(0, 3)
+        for table in (roots, heads, tails):
+            table.clear()
+        res = solve_exact(inst, gamma, node_cap=0)
+        dp = worst_case_makespan_dp(inst, Selection(), gamma)
+        assert [(closure, list(ancestors)) for closure, ancestors in roots] == \
+            [(tuple(closure_bitsets(n_nodes, arcs)), ancestor_bitsets(n_nodes, arcs))]
+        assert [rows for *_, rows in heads] == [list(map(list, dp.leveled_starts))]
+        assert [rows for *_, rows in tails] == [leveled_rows(
+            inst, gamma, reversed(topological_order(n_nodes, arcs)), successors(n_nodes, arcs))]
+        assert res.best_bound == (res.value if res.status == "optimal" else dp.value)
 
 
 def test_matches_exhaustive_oracle():

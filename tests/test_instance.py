@@ -1,10 +1,13 @@
+import dataclasses
+import hashlib
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from gen import make_instance, psplib_text, random_psplib_instance
+from gen import make_instance, psplib_text, random_psplib_instance, shuffled_ids
+from robust_rcpsp._graph import closure_bitsets, topological_order
 from robust_rcpsp.adversary import worst_case_makespan_dp
 from robust_rcpsp.errors import ParseError
 from robust_rcpsp.instance import (
@@ -250,3 +253,48 @@ def test_instances_are_hashable_and_immutable():
     assert hash(inst) == hash(from_json(to_json(inst)))
     with pytest.raises(AttributeError):
         inst.capacity = (9,)
+
+
+def _built_each_way(rng):
+    """One seeded instance as ``parse_psplib``, ``from_json``, ``robustify``
+    and ``dataclasses.replace`` build it; the replaced copy gains an arc
+    between two activities taken in topological order."""
+    parsed = parse_psplib(psplib_text(shuffled_ids(rng, random_psplib_instance(
+        rng, rng.randint(2, 20), 3))))
+    robust = robustify(parsed)
+    a, b = sorted(rng.sample(range(1, robust.sink), 2), key=robust.order.index)
+    extended = dataclasses.replace(robust, precedence=robust.precedence + ((a, b),))
+    return parsed, from_json(to_json(parsed)), robust, from_json(to_json(robust)), extended
+
+
+def test_order_and_closure_are_those_of_the_arcs():
+    """The derived ``order`` and ``closure`` equal ``topological_order`` and
+    ``closure_bitsets`` of the arcs, as tuples, however the instance was
+    built; the ids are shuffled, so the order is not the id order."""
+    rng = random.Random(28)
+    for _ in range(30):
+        for inst in _built_each_way(rng):
+            assert inst.order == tuple(topological_order(inst.n_nodes, inst.precedence))
+            assert inst.closure == tuple(closure_bitsets(inst.n_nodes, inst.precedence))
+
+
+def test_order_and_closure_stay_out_of_equality_hash_repr_and_json():
+    """Equality and the hash read the six declared fields only; ``repr``
+    and ``to_json`` name neither derived field, and their text is that of
+    the code before the fields were held (the digest below)."""
+    rng = random.Random(28)
+    insts = [robustify(parse_psplib(psplib_text(random_psplib_instance(rng, 12, 4)),
+                                    name=f"r{k}")) for k in range(5)]
+    text = "".join(repr(inst) + to_json(inst) for inst in insts)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "27eb64d4fab6b9b550c2ec7261ebb2b138cae8c9858edc4b07efa2a5630110b8"
+    for inst in insts:
+        assert "order" not in repr(inst) and "closure" not in repr(inst)
+        declared = ("nominal_duration", "max_deviation", "requirement", "capacity",
+                    "precedence", "meta")
+        assert hash(inst) == hash(tuple(getattr(inst, name) for name in declared))
+        other = from_json(to_json(inst))
+        object.__setattr__(other, "order", ())
+        object.__setattr__(other, "closure", ())
+        assert other == inst and hash(other) == hash(inst)
+        assert to_json(other) == to_json(inst)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import math
 import random
 import subprocess
@@ -9,6 +10,7 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from robust_rcpsp.bench import MILP_VARIANTS, build_variant
 from robust_rcpsp.bnb import solve_exact
 from robust_rcpsp.errors import InvalidHorizonError
 from robust_rcpsp.heuristics import time_windows, warm_start
-from robust_rcpsp.instance import robustify
+from robust_rcpsp.instance import parse_psplib, robustify
 from robust_rcpsp.milp import (
     LinearConstraint,
     MilpModel,
@@ -37,6 +39,7 @@ from robust_rcpsp.milp import (
 from robust_rcpsp.network import Selection, extended_arcs
 
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
+DATA = Path(__file__).parent / "data"
 
 pytest.importorskip("scipy", reason="the reference bridge needs scipy")
 
@@ -652,6 +655,92 @@ def test_bridge_leaves_scipy_optimize_and_numpy_unimported(tmp_path):
     assert [solved, heavy] == ["optimal", "[]"]
     assert (tmp_path / "toy.sol").read_text() == "optimal\nx 2\n"
     assert ours == str(["robust_rcpsp", "robust_rcpsp.errors", "robust_rcpsp.highs_bridge"])
+
+
+BRIDGE_MST = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}} '{{mst}}'"
+
+
+def test_bridge_warm_start_keeps_the_status_and_objective():
+    """A solve given the warm start ends with the status and objective of
+    one without; HiGHS holds the start column by column, by name, and an
+    empty ``{mst}`` (a model without a warm start) runs as none."""
+    rng = random.Random(28)
+    cases = [(robustify(parse_psplib((DATA / "toy5.sm").read_text())), 1)]
+    cases += [(random_dag_instance(rng, rng.randint(3, 5), n_res=2), rng.randint(1, 2))
+              for _ in range(3)]
+    for inst, gamma in cases:
+        for variant in ("basic", "warm+trans"):
+            model, assignment = build_variant(inst, gamma, variant)
+            warm = solve_external(model, assignment, command=BRIDGE_MST, time_limit_s=60)
+            cold = solve_external(model, command=BRIDGE, time_limit_s=60)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == cold.objective
+
+
+def test_bridge_hands_highs_each_warm_start_value_by_name(tmp_path):
+    inst = robustify(parse_psplib((DATA / "toy5.sm").read_text()))
+    model, assignment = build_variant(inst, 1, "warm+trans")
+    lp, mst = tmp_path / "warm.lp", tmp_path / "warm.mst"
+    lp.write_text(export_lp(model))
+    mst.write_text(export_warm_start(assignment, model))
+    highs = highs_bridge.read_model(lp)
+    highs_bridge.set_warm_start(highs, mst)
+    held = dict(zip(highs.getLp().col_names_, highs.getSolution().col_value))
+    assert held == assignment
+    partial = tmp_path / "partial.mst"
+    partial.write_text("S_1_0 0\n\nS_2_0 4\n")
+    highs = highs_bridge.read_model(lp)
+    highs_bridge.set_warm_start(highs, partial)
+    held = dict(zip(highs.getLp().col_names_, highs.getSolution().col_value))
+    assert held.pop("S_1_0") == 0 and held.pop("S_2_0") == 4
+    assert set(held.values()) == {math.inf}  # HiGHS completes the undefined columns
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("S_1_0\n", "expected a name and a finite value, not 'S_1_0'"),
+    ("S_1_0 0 1\n", "line 1: expected a name and a finite value"),
+    ("S_1_0 0\nS_2_0 four\n", "line 2: expected a name and a finite value"),
+    ("S_1_0 nan\n", "expected a name and a finite value, not 'S_1_0 nan'"),
+    ("S_1_0 0\nS_9_0 1\n", "line 2: 'S_9_0' is not a column of the model"),
+    (None, "cannot read the warm start"),
+], ids=["no_value", "extra_field", "non_number", "nan", "unknown_name", "missing_file"])
+def test_bridge_rejects_a_malformed_warm_start(tmp_path, capsys, text, problem):
+    inst = robustify(parse_psplib((DATA / "toy5.sm").read_text()))
+    lp, mst, sol = tmp_path / "warm.lp", tmp_path / "warm.mst", tmp_path / "warm.sol"
+    lp.write_text(export_lp(build_variant(inst, 1, "warm")[0]))
+    if text is not None:
+        mst.write_text(text)
+    assert highs_bridge.main([str(lp), str(sol), "60", str(mst)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("highs_bridge: ") and problem in err
+    assert not sol.exists()
+
+
+def test_solve_external_writes_the_mst_only_for_a_template_that_names_it(tmp_path):
+    """The solver sees the warm-start file's path and text where the
+    template names ``{mst}``, an empty argument for a quoted ``'{mst}'``
+    without a warm start, and no file in its directory otherwise."""
+    seen = tmp_path / "seen.txt"
+    solver = tmp_path / "solver.py"
+    solver.write_text(
+        "import json, pathlib, sys\n"
+        "sol = pathlib.Path(sys.argv[1])\n"
+        "mst = sys.argv[2] if len(sys.argv) > 2 else None\n"
+        "files = sorted(p.name for p in sol.parent.iterdir())\n"
+        "text = pathlib.Path(mst).read_text() if mst else None\n"
+        f"pathlib.Path({str(seen)!r}).write_text(json.dumps([text, mst, files]))\n"
+        "sol.write_text('optimal\\nx 2\\n')\n")
+    runs = {}
+    for name, template, warm in (("named", "{sol} '{mst}'", {"x": 2}),
+                                 ("empty", "{sol} '{mst}'", None),
+                                 ("unnamed", "{sol}", {"x": 2})):
+        outcome = solve_external(toy_model(), warm, command=f"{sys.executable} {solver} {template}")
+        assert outcome.status == "optimal"
+        runs[name] = json.loads(seen.read_text())
+    text, path, files = runs["named"]
+    assert text == "x 2\n" and path.endswith("warm.mst") and "warm.mst" in files
+    assert runs["empty"] == [None, "", ["model.lp"]]
+    assert runs["unnamed"] == [None, None, ["model.lp"]]
 
 
 def toy_model():

@@ -13,7 +13,13 @@ from gen import (
     random_selection,
     shuffled_ids,
 )
-from robust_rcpsp._graph import ancestor_bitsets, closure_bitsets, reaches, topological_order
+from robust_rcpsp._graph import (
+    ancestor_bitsets,
+    closure_bitsets,
+    reaches,
+    topological_order,
+    transpose_bitsets,
+)
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
 from robust_rcpsp.heuristics import lft_schedule
 from robust_rcpsp.network import (
@@ -68,6 +74,15 @@ def test_closure_diamond():
 def test_closure_cycle_error():
     with pytest.raises(CyclicGraphError):
         closure_bitsets(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_transpose_is_the_closure_of_the_reversed_arcs():
+    rng = random.Random(5)
+    for _ in range(40):
+        inst = shuffled_ids(rng, random_dag_instance(rng, rng.randint(0, 9)))
+        arcs = inst.precedence + tuple(random_selection(rng, inst, 4).added_arcs)
+        assert transpose_bitsets(closure_bitsets(inst.n_nodes, arcs)) == \
+            ancestor_bitsets(inst.n_nodes, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +232,8 @@ def test_zero_duration_ties_stay_acyclic():
 def test_selection_from_schedule_is_the_pairwise_order():
     # the definition pair by pair: i before j when j starts once i ends,
     # and two zero-duration activities starting together in the order of
-    # their positions in the topological order of the instance arcs
+    # their positions in a fresh topological sort of the instance arcs,
+    # which is also the tie rank of the schedule order
     rng = random.Random(77)
     for _ in range(150):
         inst = shuffled_ids(rng, random_dag_instance(rng, rng.randint(0, 7), n_res=1,
@@ -230,7 +246,9 @@ def test_selection_from_schedule_is_the_pairwise_order():
             expected = {(i, j) for i in nodes for j in nodes
                         if i != j and start[j] >= start[i] + dur[i]
                         and not (start[i] >= start[j] + dur[j] and rank[j] < rank[i])}
-            sel = selection_from_order(inst, *schedule_order(inst, start))
+            order, cut = schedule_order(inst, start)
+            assert order == sorted(nodes, key=lambda v: (start[v], dur[v] > 0, rank[v]))
+            sel = selection_from_order(inst, order, cut)
             assert sel.added_arcs == expected - set(inst.precedence)
             if feasible:  # the order holds every instance arc
                 assert set(inst.precedence) <= expected
