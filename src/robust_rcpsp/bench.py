@@ -21,7 +21,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import bnb as bnb_mod
@@ -176,9 +176,8 @@ def _run_task(config, path, gamma, variant):
                             float(res.best_bound), bnb_mod.optimality_gap(res), res.time_s)
     if config.bridge_cmd is None:
         return ResultRecord(name, gamma, variant, "skipped", None, None, None, 0.0)
-    model, assignment = build_variant(inst, gamma, variant)
-    outcome = milp.solve_external(model, assignment, command=config.bridge_cmd,
-                                  time_limit_s=config.time_limit_s)
+    outcome = solve_variant(inst, gamma, variant, command=config.bridge_cmd,
+                            time_limit_s=config.time_limit_s)
     gap = bnb_mod.gap_percent(outcome.status, outcome.objective, outcome.bound)
     return ResultRecord(name, gamma, variant, outcome.status, outcome.objective,
                         outcome.bound, gap, outcome.time_s)
@@ -198,6 +197,20 @@ def build_variant(inst, gamma, variant):
                                tighten=tighten, integral_starts=True)
     assignment = None if warm is None else milp.warm_start_assignment(inst, gamma, warm)
     return model, assignment
+
+
+def solve_variant(inst, gamma, variant, *, command, time_limit_s=None):
+    """Build a MILP variant and solve it through the bridge ``command``,
+    both within ``time_limit_s``: the solver gets what the build left of
+    it, so a build that spends it all gives ``timeout`` and starts no
+    process, and the outcome's ``time_s`` counts from before the build."""
+    t0 = time.perf_counter()
+    model, assignment = build_variant(inst, gamma, variant)
+    if time_limit_s is not None:
+        time_limit_s = max(0, time_limit_s - (time.perf_counter() - t0))
+    outcome = milp.solve_external(model, assignment, command=command,
+                                  time_limit_s=time_limit_s)
+    return replace(outcome, time_s=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

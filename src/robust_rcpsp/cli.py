@@ -210,8 +210,7 @@ def _cmd_solve(args):
         print(f"error: no bridge command; pass --bridge-cmd or set ${BRIDGE_ENV}",
               file=sys.stderr)
         return 1
-    model, assignment = bench.build_variant(inst, args.gamma, args.variant)
-    outcome = milp.solve_external(model, assignment, command=command,
+    outcome = bench.solve_variant(inst, args.gamma, args.variant, command=command,
                                   time_limit_s=args.time_limit)
     _emit({
         "method": "bridge",

@@ -1,19 +1,20 @@
 """Deterministic scheduling heuristics and big-M time windows.
 
 A latest-finish-time priority rule drives a serial schedule-generation
-scheme on the nominal durations.  An activity of duration d started at t
-holds its resources over the buckets ``range(t, t + max(d, 1))``, so a
-zero-duration activity holds its start bucket and no activity that would
-overload a resource together with it runs across that instant.  Two
-activities the schedule leaves unordered then hold a common bucket, so
-the members of a forbidden set cannot all be unordered: the implied
-selection is sufficient.  The warm start builds the schedule's order
-once (``network.schedule_order``), reads the selection from it and runs
-``adversary.leveled_rows`` over its covering arcs only; that DP gives the
-leveled start times and the upper bound that seed both the
-branch-and-bound and the compact model.  The time windows' earliest
-starts are the DP's level-zero column; their latest finishes, like the
-LFT priorities, are that of ``tail_rows``.
+scheme on the nominal durations and the forbidden-set kernel's packed
+resource sums (``network.resource_fields``).  An activity of duration d
+started at t holds its resources over the buckets
+``range(t, t + max(d, 1))``, so a zero-duration activity holds its start
+bucket and no activity that would overload a resource together with it
+runs across that instant.  Two activities the schedule leaves unordered
+then hold a common bucket, so the members of a forbidden set cannot all
+be unordered: the implied selection is sufficient.  The warm start
+builds the schedule's order once (``network.schedule_order``), reads the
+selection from it and runs ``adversary.leveled_rows`` over its covering
+arcs only; that DP gives the leveled start times and the upper bound
+that seed both the branch-and-bound and the compact model.  The time
+windows' earliest starts are the DP's level-zero column; their latest
+finishes, like the LFT priorities, are that of ``tail_rows``.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from ._graph import successors
 from .adversary import leveled_rows, tail_rows, worst_case_makespan_dp
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
-from .network import Selection, schedule_order, selection_from_order
+from .network import Selection, resource_fields, schedule_order, selection_from_order
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,15 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     at its earliest precedence- and resource-feasible start.  The eligible
     activities wait in a heap keyed by (latest finish, id), and an activity
     joins it when its count of unscheduled predecessors reaches zero.
+
+    A bucket's usage is one int of ``network.resource_fields``.  A window is
+    tested from its last bucket down, and an overloaded bucket moves the
+    start past it, as every earlier start holds it too.  No carry crosses a
+    field: a bucket holds at most ``cap[k]`` in field k and a requirement
+    adds at most ``cap[k]``, and ``w`` leaves room for the largest capacity.
     """
     n_nodes = inst.n_nodes
     durations = inst.nominal_duration
-    capacity = inst.capacity
     horizon = sum(max(d, 1) for d in durations) + 1
     # Longest nominal paths to the sink, negated: latest finishes less a horizon.
     priorities = [-row[0] for row in tail_rows(inst, 0)]
@@ -73,27 +79,26 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     waiting = [0] * n_nodes  # unscheduled predecessors
     for _, j in inst.precedence:
         waiting[j] += 1
-    usage = [[0] * horizon for _ in inst.resource_types]
+    packed, _, high, empty = resource_fields(inst)
+    profile = [empty] * horizon  # per bucket: empty plus the packed usage
     start = [0] * n_nodes
     earliest = [0] * n_nodes
     ready = [(priorities[0], 0)]
 
     while ready:
         _, j = heapq.heappop(ready)
-        # Each need: (usage profile of its resource, need, headroom beside it).
-        needs = [(usage[k], need, capacity[k] - need)
-                 for k, need in enumerate(inst.requirement[j]) if need]
+        need = packed[j]
         length = max(durations[j], 1)
         t = earliest[j]
-        while True:
-            clash = _conflict(needs, t, t + length)
-            if clash is None:
-                break
-            t = clash + 1
+        u = t + length  # buckets u.. of the window fit
+        while u > t:
+            u -= 1
+            if (profile[u] + need) & high:
+                t = u + 1
+                u = t + length
+        for u in range(t, t + length):
+            profile[u] += need
         start[j] = t
-        for profile, need, _ in needs:
-            for u in range(t, t + length):
-                profile[u] += need
         finish = t + durations[j]
         for w in succ[j]:
             if finish > earliest[w]:
@@ -102,20 +107,6 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
             if not waiting[w]:
                 heapq.heappush(ready, (priorities[w], w))
     return tuple(start)
-
-
-def _conflict(needs, lo, hi):
-    # Buckets ``lo..hi-1`` are every bucket the activity holds, its start
-    # bucket even at zero duration.  Returns the last one without headroom
-    # for the first need that lacks some; no start up to that bucket can
-    # hold the activity, so the search resumes after it.
-    for profile, _, headroom in needs:
-        if max(profile[lo:hi]) > headroom:
-            u = hi - 1
-            while profile[u] <= headroom:
-                u -= 1
-            return u
-    return None
 
 
 def validate_schedule(inst: ProjectInstance, start) -> None:

@@ -482,7 +482,8 @@ def solve_external(model: MilpModel, warm=None, *, command: str,
     if problem:
         return SolveOutcome(status="error", message=problem)
     if time_limit_s == 0:
-        return SolveOutcome(status="timeout", message="time limit of 0 s")
+        return SolveOutcome(status="timeout",
+                            message="time limit spent before the solver started")
     with tempfile.TemporaryDirectory(prefix="robust_rcpsp_") as scratch:
         return _solve_in(Path(scratch), model, warm, command, time_limit_s, t0)
 

@@ -5,7 +5,8 @@ It is sufficient when the extended graph is acyclic and every minimal
 forbidden set contains two activities that became precedence-related.
 
 One depth-first kernel, ``_antichain_search``, lists the minimal forbidden
-sets that are antichains of a closure, in lexicographic order.
+sets that are antichains of a closure, in lexicographic order, on the
+packed resource sums of ``resource_fields``, which the LFT schedule shares.
 ``minimal_forbidden_sets`` takes all of the instance's: the catalog, which
 the CLI's ``forbidden``, ``verify_selection`` and the tests read.  The
 searches over selections keep no catalog.
@@ -82,6 +83,35 @@ def extended_arcs(inst: ProjectInstance, sel: Selection) -> tuple[tuple[int, int
     return tuple(sorted(base | sel.added_arcs))
 
 
+def resource_fields(inst: ProjectInstance):
+    """``(packed, positive, high, empty)``: requirements packed into one int
+    with a ``w``-bit field per resource, k in bits ``[k*w, (k+1)*w)``.
+    Field k of ``empty`` is ``2**(w-1) - 1 - cap[k]``, so its top bit (the
+    overflow bit) in ``empty + sum(packed[i] for i in S)`` is set exactly
+    when S needs more than ``cap[k]``; ``high`` holds those bits and
+    ``positive[i]`` the ones i needs.  ``w`` fits every requirement sum
+    plus the largest capacity, so no carry crosses into the next field."""
+    req = inst.requirement
+    cap = inst.capacity
+    bound = max(map(sum, zip(*req)), default=0) + max(cap, default=0)
+    w = bound.bit_length() + 1
+    top = 1 << (w - 1)
+    shifts = [k * w for k in inst.resource_types]
+    high = sum(top << s for s in shifts)
+    empty = sum((top - 1 - c) << s for c, s in zip(cap, shifts))
+    packed = []
+    positive = []
+    for row in req:
+        total = on = 0
+        for r, s in zip(row, shifts):
+            if r:
+                total += r << s
+                on += top << s
+        packed.append(total)
+        positive.append(on)
+    return packed, positive, high, empty
+
+
 def _antichain_search(inst: ProjectInstance):
     """The one depth-first kernel over minimal forbidden sets.
 
@@ -99,15 +129,10 @@ def _antichain_search(inst: ProjectInstance):
     first, so sets are found in lexicographic order.  Supersets of a
     forbidden set are never explored.
 
-    Resource sums are packed into one int with a field of ``w`` bits per
-    resource, resource k in bits ``[k*w, (k+1)*w)``.  Field k starts at
-    ``2**(w-1) - 1 - cap[k]``, so its top bit (the overflow bit) is set
-    exactly when the summed requirement exceeds ``cap[k]``; ``w`` leaves
-    room for every requirement sum plus the largest capacity, so no carry
-    crosses into the next field.  Adding an activity is one int add and the
-    overload test is ``total & high``.  An overloaded antichain is minimal
-    when dropping any member clears every overflow bit; each field holds at
-    least that member's requirement, so the subtraction borrows nothing.
+    Resource sums are ``resource_fields``' ints, tested with ``& high``.  An
+    overloaded antichain is minimal when dropping any member clears every
+    overflow bit; each field holds at least that member's requirement, so
+    the subtraction borrows nothing.
 
     The usable-resource cut is exact.  A set that overloads resource k is
     minimal only if every member has a positive requirement on k, since
@@ -127,24 +152,7 @@ def _antichain_search(inst: ProjectInstance):
     after ``after``.  The DFS keeps its levels on int stacks and
     allocates no container per step.
     """
-    req = inst.requirement
-    cap = inst.capacity
-    bound = max(map(sum, zip(*req)), default=0) + max(cap, default=0)
-    w = bound.bit_length() + 1
-    top = 1 << (w - 1)
-    shifts = [k * w for k in inst.resource_types]
-    high = sum(top << s for s in shifts)
-    empty = sum((top - 1 - c) << s for c, s in zip(cap, shifts))
-    packed = []
-    positive = []
-    for row in req:
-        total = on = 0
-        for r, s in zip(row, shifts):
-            if r:
-                total += r << s
-                on += top << s
-        packed.append(total)
-        positive.append(on)
+    packed, positive, high, empty = resource_fields(inst)
     cands = [i for i in range(1, inst.sink) if positive[i]]
     cand_mask = sum(1 << c for c in cands)
 

@@ -3,8 +3,11 @@ independent PSPLIB text renderer used to synthesize corpus files."""
 from __future__ import annotations
 
 import random
+import sys
+import time
 from dataclasses import replace
 
+from robust_rcpsp import bench
 from robust_rcpsp._graph import add_arc_to_closure, ancestor_bitsets, closure_bitsets, reaches
 from robust_rcpsp.instance import InstanceMeta, ProjectInstance, robustify
 from robust_rcpsp.network import Selection
@@ -213,3 +216,25 @@ def random_psplib_instance(rng: random.Random, n_act=30, n_res=4):
     cap = tuple(max(max(r[k] for r in req), 1) + rng.randint(2, 8) for k in range(n_res))
     reqs = [(0,) * n_res] + req + [(0,) * n_res]
     return make_instance(dur, arcs, reqs, cap, name=f"j30synth")
+
+
+def slow_build(monkeypatch, seconds):
+    """Make every model build take ``seconds`` longer."""
+    real = bench.build_variant
+
+    def slow(inst, gamma, variant):
+        time.sleep(seconds)
+        return real(inst, gamma, variant)
+
+    monkeypatch.setattr(bench, "build_variant", slow)
+
+
+def recording_solver(tmp_path):
+    """A bridge command whose solver writes the ``{time_s}`` it was given
+    to a file and reports ``infeasible``; returns (command, that file)."""
+    given = tmp_path / "time_s"
+    solver = tmp_path / "solver.py"
+    solver.write_text("import pathlib, sys\n"
+                      f"pathlib.Path({str(given)!r}).write_text(sys.argv[2])\n"
+                      "pathlib.Path(sys.argv[1]).write_text('infeasible\\n')\n")
+    return f"{sys.executable} {solver} {{sol}} {{time_s}}", given

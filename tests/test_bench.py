@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gen import psplib_text, random_dag_instance
+from gen import psplib_text, random_dag_instance, recording_solver, slow_build
 from robust_rcpsp import bench, bnb, cli, milp
 from robust_rcpsp.bench import (
     BenchConfig,
@@ -280,6 +280,24 @@ def test_run_experiment_gap_of_a_feasible_milp(instance_dir, monkeypatch, object
     records = run_experiment(config)
     assert [(r.status, r.objective, r.bound, r.gap_percent) for r in records] == \
         [("feasible", objective, bound, gap)] * 2
+
+
+@pytest.mark.parametrize("limit, status", [(5, "infeasible"), (0.2, "timeout")])
+def test_a_model_task_spends_its_time_limit_on_the_build_first(limit, status, instance_dir,
+                                                               tmp_path, monkeypatch):
+    """The solver used to get the whole limit after the build, even when
+    the build had spent it, and the record's time left the build out."""
+    slow_build(monkeypatch, 0.3)
+    command, given = recording_solver(tmp_path)
+    config = BenchConfig(instances_dir=str(instance_dir), gammas=(1,), variants=("basic",),
+                         bridge_cmd=command, time_limit_s=limit)
+    records = run_experiment(config)
+    assert [r.status for r in records] == [status] * 2
+    assert all(r.time_s >= 0.3 for r in records)
+    if status == "timeout":
+        assert not given.exists()
+    else:
+        assert 0 < float(given.read_text()) <= 5 - 0.3
 
 
 def test_run_experiment_records_error_for_unreadable(tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gen import psplib_text, random_dag_instance
+from gen import psplib_text, random_dag_instance, recording_solver, slow_build
 from robust_rcpsp.bench import MILP_VARIANTS, build_variant
 from robust_rcpsp.cli import main
 from robust_rcpsp.instance import parse_psplib, robustify
@@ -206,6 +206,25 @@ def test_solve_a_model_variant_with_a_zero_time_limit_times_out(capsys, tmp_path
     assert code == 1
     assert json.loads(out)["status"] == "timeout"
     assert not marker.exists()
+
+
+@pytest.mark.parametrize("limit, code, status", [("5", 0, "infeasible"), ("0.2", 1, "timeout")])
+def test_solve_a_model_variant_within_one_time_limit_with_its_build(limit, code, status, capsys,
+                                                                    tmp_path, monkeypatch):
+    """The build's time counts against ``--time-limit`` and in ``time_s``:
+    the solver gets what is left, and none starts when nothing is."""
+    slow_build(monkeypatch, 0.3)
+    command, given = recording_solver(tmp_path)
+    result = run_cli(capsys, "solve", str(DATA / "toy5.sm"), "--gamma", "1",
+                     "--variant", "basic", "--time-limit", limit, "--bridge-cmd", command)
+    payload = json.loads(result[1])
+    assert (result[0], payload["status"]) == (code, status)
+    assert payload["time_s"] >= 0.3
+    if status == "timeout":
+        assert payload["message"] == "time limit spent before the solver started"
+        assert not given.exists()
+    else:
+        assert 0 < float(given.read_text()) <= 5 - 0.3
 
 
 def test_solve_bnb_pair_conflict(capsys, tmp_path):

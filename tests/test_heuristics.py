@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import random
 
 import pytest
@@ -67,6 +68,65 @@ def test_lft_on_synthetic_psplib_instances():
         warm = warm_start(inst, 3)
         catalog = minimal_forbidden_sets(inst)
         assert verify_selection(inst, warm.selection, catalog).sufficient
+
+
+def brute_force_sgs(inst):
+    """The LFT serial schedule by its definition: activities are placed in
+    the order a heap keyed by (-longest nominal path from the finish to
+    the sink, id) releases them once their predecessors are placed, each
+    at the least t from its precedence-earliest start at which every
+    bucket of ``[t, t + max(d, 1))`` fits every resource beside the
+    activities placed before it."""
+    dur, req, cap = inst.nominal_duration, inst.requirement, inst.capacity
+    n = inst.n_nodes
+    succ = [[j for i, j in inst.precedence if i == v] for v in range(n)]
+    pred = [[i for i, j in inst.precedence if j == v] for v in range(n)]
+    tail = {}
+
+    def to_sink(v):
+        if v not in tail:
+            tail[v] = max((to_sink(w) + dur[w] for w in succ[v]), default=0)
+        return tail[v]
+
+    def holds(i, u):
+        return start[i] <= u < start[i] + max(dur[i], 1)
+
+    def fits(j, t):
+        return all(req[j][k] + sum(req[i][k] for i in start if holds(i, u)) <= cap[k]
+                   for u in range(t, t + max(dur[j], 1)) for k in range(len(cap)))
+
+    start = {}
+    ready = [(-to_sink(0), 0)]
+    while ready:
+        _, j = heapq.heappop(ready)
+        t = max((start[i] + dur[i] for i in pred[j]), default=0)
+        while not fits(j, t):
+            t += 1
+        start[j] = t
+        for w in succ[j]:
+            if all(i in start for i in pred[w]):
+                heapq.heappush(ready, (-to_sink(w), w))
+    return tuple(start[v] for v in range(n))
+
+
+def test_lft_schedule_is_the_serial_scheme_by_its_definition():
+    # requirements equal to the capacity serialize; zero-duration activity
+    # 2 needs all of resource 0, so it waits out activity 1 and then holds
+    # bucket 3, which delays activity 3 by a bucket
+    cases = [make_instance([0, 3, 2, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
+                           [(0,), (4,), (4,), (0,)], (4,)),
+             make_instance([0, 3, 0, 2, 0], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+                           [(0, 0), (2, 1), (2, 0), (1, 1), (0, 0)], (2, 1))]
+    assert [lft_schedule(inst) for inst in cases] == [(0, 0, 3, 5), (0, 0, 3, 4, 6)]
+    rng = random.Random(29)
+    cases += [shuffled_ids(rng, random_dag_instance(rng, rng.randint(0, 10),
+                                                    n_res=rng.randint(0, 3),
+                                                    max_dur=rng.choice((0, 2))))
+              for _ in range(60)]
+    cases += [shuffled_ids(rng, random_psplib_instance(rng, n_act, n_res))
+              for n_res in range(1, 7) for n_act in (5, 20, 60)]
+    for inst in cases:
+        assert lft_schedule(inst) == brute_force_sgs(inst)
 
 
 def test_warm_start_budget_zero_is_deterministic_makespan():

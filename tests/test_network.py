@@ -29,6 +29,7 @@ from robust_rcpsp.network import (
     conflict_finder,
     enumerate_sufficient_selections,
     minimal_forbidden_sets,
+    resource_fields,
     schedule_order,
     selection_from_order,
     verify_selection,
@@ -87,6 +88,31 @@ def test_transpose_is_the_closure_of_the_reversed_arcs():
 
 # ---------------------------------------------------------------------------
 # minimal forbidden sets
+
+
+def test_resource_fields_flag_exactly_the_overloaded_resources():
+    """Field k's overflow bit in ``empty`` plus the packed requirements of
+    a set is set exactly when the set needs more than ``cap[k]``, for any
+    set up to all activities together."""
+    rng = random.Random(29)
+    cases = [random_dag_instance(rng, rng.randint(0, 8), n_res=rng.randint(0, 3))
+             for _ in range(30)]
+    cases += [random_psplib_instance(rng, rng.choice((5, 30, 60)), n_res)
+              for n_res in range(1, 7) for _ in range(3)]
+    for inst in cases:
+        packed, positive, high, empty = resource_fields(inst)
+        top_bits = [1 << b for b in range(high.bit_length()) if (high >> b) & 1]
+        assert len(top_bits) == len(inst.capacity)
+        for row, on in zip(inst.requirement, positive):
+            assert on == sum(bit for r, bit in zip(row, top_bits) if r)
+        nodes = range(inst.n_nodes)
+        subsets = [(), tuple(nodes)] + [rng.sample(nodes, rng.randint(1, inst.n_nodes))
+                                        for _ in range(40)]
+        for subset in subsets:
+            total = empty + sum(packed[i] for i in subset)
+            for k, bit in enumerate(top_bits):
+                over = sum(inst.requirement[i][k] for i in subset) > inst.capacity[k]
+                assert bool(total & bit) == over
 
 
 def test_pair_catalog():
