@@ -75,6 +75,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
+from ._collector import collector_paused
 from ._graph import predecessors, successors, transpose_bitsets
 from .adversary import leveled_rows, relax_leveled_rows, tail_rows
 # The root reads its rows from ``leveled_rows``, not from the DP;
@@ -101,6 +102,7 @@ class OptResult:
     best_bound: int
 
 
+@collector_paused
 def solve_exact(inst: ProjectInstance, gamma: int, *,
                 time_limit_s: float | None = None,
                 node_cap: int | None = None) -> OptResult:
@@ -109,7 +111,10 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     The incumbent starts from the LFT warm start.  Nodes whose bound
     reaches the incumbent are pruned; when the best open bound reaches the
     incumbent the incumbent is optimal, also when the time limit or the
-    node cap stops the search.
+    node cap stops the search.  The cyclic collector is paused while the
+    solve runs (``_collector.collector_paused``): the open entries hold no
+    reference cycle, and one full collection over them can span a time
+    limit.
     """
     t0 = time.perf_counter()
     warm = warm_start(inst, gamma)

@@ -23,18 +23,27 @@ each block reads only its own inputs:
 - the transitivity block: the ``pair_`` and ``tri_`` rows, from the node
   count alone.
 
+Each builder writes its block's LP text in the loop that makes the rows,
+from the names and coefficients it already holds, and joins it once: the
+rows' lines and the columns' ``Bounds``, ``Generals`` and ``Binaries``
+lines.  ``export_lp`` only joins the texts of a model's blocks;
+``_render_rows`` writes the rows of a model without blocks, one by one,
+and is the referee the tests hold each block's text to.  The cyclic
+collector is paused while a build runs (``_collector.collector_paused``):
+a build makes tens of thousands of tracked rows, none in a cycle.
+
 Each builder keeps its most recent block (``functools.lru_cache`` of size
 one, emptied by its ``cache_clear``), so models that read equal inputs
-share the same row and column objects: the four bench variants of one
-instance at one gamma build two leveled blocks and one selection block,
-and every transitivity model of one size shares one transitivity block.
-A model holds the blocks it was built from, and ``export_lp`` writes each
-block's text, rendered once per block, in place of its rows.  Rows are
-immutable named tuples and the model is frozen, so a model's rows are its
-blocks' rows; a model made any other way is written as one block of its
-own.  Every number is an int.  The cache holds a block until a build with
-other inputs replaces it: at j30 and gamma 7, about 4.4 MB for the leveled
-block, 2.5 MB for the selection block and 8.9 MB for the transitivity block.
+share the same row and column objects and the same text: the four bench
+variants of one instance at one gamma build two leveled blocks and one
+selection block, and every transitivity model of one size shares one
+transitivity block.  A model holds the blocks it was built from.  Rows
+are immutable named tuples and the model is frozen, so a model's rows are
+its blocks' rows; a model made any other way holds no blocks and is
+written as one block of its own.  Every number is an int.  The cache
+holds a block until a build with other inputs replaces it: at j30 and
+gamma 7, about 4.4 MB for the leveled block, 2.5 MB for the selection
+block and 8.9 MB for the transitivity block, before their text.
 """
 from __future__ import annotations
 
@@ -50,6 +59,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import highs_bridge
+from ._collector import collector_paused
 from .adversary import worst_case_makespan_dp
 from .errors import BridgeError, InvalidHorizonError
 from .heuristics import TimeWindows, WarmStart
@@ -93,6 +103,7 @@ class MilpModel:
     blocks: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
+@collector_paused
 def build_compact(inst: ProjectInstance, gamma: int, *,
                   transitivity: bool = False,
                   tighten: TimeWindows | None = None,
@@ -106,7 +117,9 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
 
     The model is the leveled block, then the selection block, then the
     transitivity block if asked for, and it holds those blocks; each comes
-    from its builder's cache.  Raises ``ValueError`` for a negative gamma.
+    from its builder's cache.  The cyclic collector is paused while the
+    build runs (``_collector.collector_paused``).  Raises ``ValueError``
+    for a negative gamma.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -131,23 +144,21 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
     return model
 
 
-class _Block:
-    """A builder's columns and rows, and the rows' LP text once an export
-    asks for it."""
+class _Block(NamedTuple):
+    """A builder's columns and rows with their LP text, written once: the
+    rows' lines, and the columns' lines of the ``Bounds``, ``Generals``
+    and ``Binaries`` sections, each section's lines joined."""
+    columns: tuple[Variable, ...]
+    rows: tuple[LinearConstraint, ...]
+    text: str
+    bounds: str
+    generals: str
+    binaries: str
 
-    def __init__(self, columns, rows):
-        self.columns = columns
-        self.rows = rows
-        self._text = None
 
-    def text(self):
-        # An empty row names the block's first column: S_0_0 in the
-        # leveled block, the only block build_compact makes empty rows in.
-        if self._text is None:
-            lines = []
-            _render_rows(lines, self.rows, self.columns[0].name if self.columns else None)
-            self._text = "\n".join(lines)
-        return self._text
+def _block(columns, rows, lines):
+    """The block of ``columns`` and ``rows``, whose LP lines are ``lines``."""
+    return _Block(columns, rows, "\n".join(lines), *_column_sections(columns))
 
 
 @functools.lru_cache(maxsize=1)
@@ -169,6 +180,7 @@ def _leveled_block(gamma, integral_starts, nominal, dev, windows):
     columns = tuple(Variable(S[i][g], start_kind, 0, 0 if i == g == 0 else None)
                     for i in nodes for g in levels)
     rows = []
+    lines = []
     for i in nodes:
         for j in nodes:
             if windows is None:
@@ -177,21 +189,34 @@ def _leveled_block(gamma, integral_starts, nominal, dev, windows):
                 m_same = max(0, lf[i] - es[j])
                 m_cross = max(0, lf[i] + dev[i] - es[j])
             y = arc_name(i, j)
-            s_j, s_i = s_pos[j], s_neg[i]
-            big_m = ((y, -m_same),) if m_same else ()
+            s_j, s_i, S_j, S_i = s_pos[j], s_neg[i], S[j], S[i]
+            big_m, m_text = _big_m(y, m_same)
             pre = f"nom_{i}_{j}_"
             rhs = nominal[i] - m_same
             if i == j:  # the start terms cancel on the diagonal
+                # An empty row names the block's first column.
+                body = m_text[1:] if big_m else f"0 {S[0][0]}"
                 rows += [LinearConstraint(pre + suffix[g], big_m, ">=", rhs) for g in levels]
+                lines += [f" {pre}{suffix[g]}: {body} >= {rhs}" for g in levels]
             else:
                 rows += [LinearConstraint(pre + suffix[g], (s_j[g], s_i[g]) + big_m, ">=", rhs)
                          for g in levels]
-            big_m = ((y, -m_cross),) if m_cross else ()
+                lines += [f" {pre}{suffix[g]}: {S_j[g]} - {S_i[g]}{m_text} >= {rhs}"
+                          for g in levels]
+            big_m, m_text = _big_m(y, m_cross)
             pre = f"dev_{i}_{j}_"
             rhs = nominal[i] + dev[i] - m_cross
             rows += [LinearConstraint(pre + suffix[g], (s_j[g + 1], s_i[g]) + big_m, ">=", rhs)
                      for g in range(gamma)]
-    return _Block(columns, tuple(rows))
+            lines += [f" {pre}{suffix[g]}: {S_j[g + 1]} - {S_i[g]}{m_text} >= {rhs}"
+                      for g in range(gamma)]
+    return _block(columns, tuple(rows), lines)
+
+
+def _big_m(y, m):
+    """The big-M term ``(y, -m)`` of a precedence row as a term tuple and
+    as LP text after a space, both empty for a zero ``m``."""
+    return (((y, -m),), f" {_coef(-m)}{y}") if m else ((), "")
 
 
 @functools.lru_cache(maxsize=1)
@@ -207,6 +232,7 @@ def _selection_block(precedence, capacity, requirement):
     Y = [[arc_name(i, j) for j in nodes] for i in nodes]
     F = [[[flow_name(i, j, k) for k in resources] for j in nodes] for i in nodes]
     f_pos = [[[(f, 1) for f in fs] for fs in row] for row in F]
+    cap = [_coef(-c) for c in capacity]
     base_arcs = set(precedence)
     columns = []
     for i in nodes:
@@ -220,11 +246,13 @@ def _selection_block(precedence, capacity, requirement):
             columns.append(Variable(Y[i][j], "binary", lb, ub))
     columns += [Variable(f, "continuous", 0, None) for row in F for fs in row for f in fs]
     rows = []
+    lines = []
     for i in nodes:
         for j in nodes:
-            y, f_ij, pre = Y[i][j], f_pos[i][j], f"cap_{i}_{j}_"
+            y, F_ij, f_ij, pre = Y[i][j], F[i][j], f_pos[i][j], f"cap_{i}_{j}_"
             rows += [LinearConstraint(pre + suffix[k], (f_ij[k], (y, -capacity[k])), "<=", 0)
                      for k in resources]
+            lines += [f" {pre}{suffix[k]}: {F_ij[k]} {cap[k]}{y} <= 0" for k in resources]
     # The source emits and the sink absorbs the full capacity: with the
     # dummies' zero requirements in the balance, as the paper writes it, no
     # flow could leave the source and every positive demand would strand.
@@ -233,12 +261,16 @@ def _selection_block(precedence, capacity, requirement):
             rhs = 0 if j == 0 else capacity[k] if j == sink else requirement[j][k]
             rows.append(LinearConstraint(f"fin_{j}_{k}", tuple(f_pos[i][j][k] for i in nodes),
                                          "=", rhs))
+            body = " + ".join(F[i][j][k] for i in nodes)
+            lines.append(f" fin_{j}_{k}: {body} = {rhs}")
     for i in nodes:
         for k in resources:
             rhs = capacity[k] if i == 0 else 0 if i == sink else requirement[i][k]
             rows.append(LinearConstraint(f"fout_{i}_{k}", tuple(f_pos[i][j][k] for j in nodes),
                                          "=", rhs))
-    return _Block(tuple(columns), tuple(rows))
+            body = " + ".join(F[i][j][k] for j in nodes)
+            lines.append(f" fout_{i}_{k}: {body} = {rhs}")
+    return _block(tuple(columns), tuple(rows), lines)
 
 
 @functools.lru_cache(maxsize=1)
@@ -253,23 +285,32 @@ def _transitivity_block(n_nodes):
     y_pos = [[(y, 1) for y in row] for row in Y]
     y_neg = [[(y, -1) for y in row] for row in Y]
     rows = []
+    lines = []
     for i in nodes:
         for j in nodes:
             if (i, j) == (sink, sink):
                 continue
-            coeffs = ((Y[i][i], 2),) if i == j else (y_pos[i][j], y_pos[j][i])
+            if i == j:
+                coeffs, body = ((Y[i][i], 2),), f"2 {Y[i][i]}"
+            else:
+                coeffs, body = (y_pos[i][j], y_pos[j][i]), f"{Y[i][j]} + {Y[j][i]}"
             rows.append(LinearConstraint(f"pair_{i}_{j}", coeffs, "<=", 1))
+            lines.append(f" pair_{i}_{j}: {body} <= 1")
     for i in nodes:
         for l in nodes:
             # y_il + y_lj - y_ij <= 1; the names coincide only when
-            # i == l or l == j, and only those rows need merging.
-            y_il = y_pos[i][l]
+            # i == l or l == j, and only those rows need merging.  What is
+            # left of a merged row is y_ll, with coefficient 1.
+            y_il, Y_il, Y_l, Y_i = y_pos[i][l], Y[i][l], Y[l], Y[i]
             coeffs = [(y_il, y_lj, y_ij) for y_lj, y_ij in zip(y_pos[l], y_neg[i])]
+            bodies = [f"{Y_il} + {Y_l[j]} - {Y_i[j]}" for j in nodes]
             for j in (nodes if i == l else (l,)):
                 coeffs[j] = _merge_terms(coeffs[j])
+                bodies[j] = Y_l[l]
             pre = f"tri_{i}_{l}_"
             rows += [LinearConstraint(pre + sfx, c, "<=", 1) for sfx, c in zip(suffix, coeffs)]
-    return _Block((), tuple(rows))
+            lines += [f" {pre}{sfx}: {body} <= 1" for sfx, body in zip(suffix, bodies)]
+    return _block((), tuple(rows), lines)
 
 
 def _merge_terms(terms):
@@ -379,35 +420,50 @@ def evaluate_objective(model: MilpModel, values):
 
 def export_lp(model: MilpModel) -> str:
     """Standard LP format, ints only, with deterministic row and variable
-    order: block by block, each block's text rendered once.  A model that
-    holds no blocks is one block of its own columns and rows."""
-    blocks = model.blocks or (_Block(model.variables, model.constraints),)
+    order: block by block, each section joining the text its blocks
+    wrote when they were built.  A model that holds no blocks is written
+    as one block of its own columns and rows, each row rendered here."""
+    blocks = model.blocks
+    if not blocks:
+        lines = []
+        _render_rows(lines, model.constraints,
+                     model.variables[0].name if model.variables else None)
+        blocks = (_block(model.variables, model.constraints, lines),)
     out = ["Minimize", f" obj: {_render_terms(model.objective)}", "Subject To"]
-    out += [block.text() for block in blocks if block.rows]
+    out += [block.text for block in blocks if block.text]
     out.append("Bounds")
-    for v in model.variables:
-        if v.kind == "binary" and v.lb == 0 and v.ub == 1:
-            continue
-        if v.ub is not None and v.lb == v.ub:
-            out.append(f" {v.name} = {v.lb}")
-        else:
-            if v.lb != 0:
-                out.append(f" {v.name} >= {v.lb}")
-            if v.ub is not None:
-                out.append(f" {v.name} <= {v.ub}")
-    generals = [v.name for v in model.variables if v.kind == "integer"]
+    out += [block.bounds for block in blocks if block.bounds]
+    generals = [block.generals for block in blocks if block.generals]
     if generals:
-        out.append("Generals")
-        out.extend(f" {name}" for name in generals)
-    binaries = [v.name for v in model.variables if v.kind == "binary"]
+        out += ["Generals", *generals]
+    binaries = [block.binaries for block in blocks if block.binaries]
     if binaries:
-        out.append("Binaries")
-        out.extend(f" {name}" for name in binaries)
+        out += ["Binaries", *binaries]
     out.append("End")
     return "\n".join(out) + "\n"
 
 
+def _column_sections(columns):
+    """The columns' lines of the ``Bounds``, ``Generals`` and ``Binaries``
+    sections, each section's lines joined."""
+    bounds = []
+    for v in columns:
+        if v.kind == "binary" and v.lb == 0 and v.ub == 1:
+            continue
+        if v.ub is not None and v.lb == v.ub:
+            bounds.append(f" {v.name} = {v.lb}")
+        else:
+            if v.lb != 0:
+                bounds.append(f" {v.name} >= {v.lb}")
+            if v.ub is not None:
+                bounds.append(f" {v.name} <= {v.ub}")
+    generals = [f" {v.name}" for v in columns if v.kind == "integer"]
+    binaries = [f" {v.name}" for v in columns if v.kind == "binary"]
+    return "\n".join(bounds), "\n".join(generals), "\n".join(binaries)
+
+
 def _render_rows(out, rows, first):
+    """Append each row's LP line to ``out``; an empty row names ``first``."""
     for name, coeffs, sense, rhs in rows:
         body = _render_terms(coeffs) if coeffs else f"0 {first}"
         out.append(f" {name}: {body} {sense} {rhs}")
@@ -426,6 +482,17 @@ def _render_terms(coeffs):
             parts.append(f"- {-coef} {name}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+") else text or "0"
+
+
+def _coef(coef):
+    """The sign and the coefficient that a builder writes before a name,
+    as ``_render_terms`` writes a term after the first: ``+ ``, ``- ``,
+    ``+ c `` or ``- c ``."""
+    if coef == 1:
+        return "+ "
+    if coef == -1:
+        return "- "
+    return f"+ {coef} " if coef >= 0 else f"- {-coef} "
 
 
 def read_lp(text: str):

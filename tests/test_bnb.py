@@ -1,9 +1,14 @@
+import gc
 import hashlib
 import random
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 from gen import (
     connect_dummies,
@@ -12,7 +17,7 @@ from gen import (
     random_psplib_instance,
     shuffled_ids,
 )
-from robust_rcpsp import bnb, network
+from robust_rcpsp import bnb, milp, network
 from robust_rcpsp._graph import (
     ancestor_bitsets,
     closure_bitsets,
@@ -411,3 +416,73 @@ def test_optimality_gap():
     zero = OptResult(selection=Selection(), value=0, status="optimal", nodes=1,
                      time_s=0.0, best_bound=0)
     assert optimality_gap(zero) == 0.0
+
+
+def collector_state():
+    return gc.isenabled(), gc.get_threshold()
+
+
+def test_a_search_leaves_the_callers_collector_as_it_found_it(monkeypatch):
+    """The collector is off inside a solve and as the caller left it after
+    one: on, or off, also after a solve that raises."""
+    inst = random_dag_instance(random.Random(3), 6, n_res=2)
+    inside = []
+    warm_start = bnb.warm_start
+
+    def recording(*args):
+        inside.append(gc.isenabled())
+        return warm_start(*args)
+
+    caller = collector_state()
+    assert caller[0]
+    for enabled in (True, False):
+        if not enabled:
+            gc.disable()
+        try:
+            monkeypatch.setattr(bnb, "warm_start", recording)
+            solve_exact(inst, 2)
+            assert collector_state() == (enabled, caller[1])
+            monkeypatch.setattr(bnb, "warm_start", lambda *args: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                solve_exact(inst, 2)
+            assert collector_state() == (enabled, caller[1])
+        finally:
+            gc.enable()
+    assert inside == [False, False]
+    assert collector_state() == caller
+
+
+def test_a_build_that_ends_under_a_running_search_leaves_the_collector_off(monkeypatch):
+    """A solve and a model build in two threads share one guard: the
+    build ends while the solve runs, and the collector stays off until
+    the solve ends too."""
+    inst = random_dag_instance(random.Random(3), 6, n_res=2)
+    both_in = threading.Barrier(2, timeout=60)
+    build_left = threading.Event()
+    under_search = []
+    warm_start = bnb.warm_start
+    selection_block = milp._selection_block
+
+    def searching(*args):
+        both_in.wait()
+        assert build_left.wait(60)
+        under_search.append(gc.isenabled())
+        return warm_start(*args)
+
+    def building(*args):
+        both_in.wait()
+        return selection_block(*args)
+
+    def build():
+        milp.build_compact(inst, 2)
+        build_left.set()
+
+    monkeypatch.setattr(bnb, "warm_start", searching)
+    monkeypatch.setattr(milp, "_selection_block", building)
+    caller = collector_state()
+    with ThreadPoolExecutor(2) as pool:
+        solved = pool.submit(solve_exact, inst, 2)
+        pool.submit(build).result(timeout=120)
+        assert solved.result(timeout=120).status == "optimal"
+    assert under_search == [False]
+    assert collector_state() == caller

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
@@ -20,7 +21,7 @@ from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_
 from robust_rcpsp.bench import MILP_VARIANTS, build_variant
 from robust_rcpsp.bnb import solve_exact
 from robust_rcpsp.errors import InvalidHorizonError
-from robust_rcpsp.heuristics import time_windows, warm_start
+from robust_rcpsp.heuristics import TimeWindows, time_windows, warm_start
 from robust_rcpsp.instance import parse_psplib, robustify
 from robust_rcpsp.milp import (
     LinearConstraint,
@@ -97,8 +98,6 @@ def test_transitivity_row_counts():
 
 
 def test_tighten_requires_valid_horizon():
-    from robust_rcpsp.heuristics import TimeWindows
-
     inst = counterexample_instance()
     below_critical_path = TimeWindows(es=(0,) * inst.n_nodes, lf=(1,) * inst.n_nodes,
                                       horizon=1)
@@ -395,52 +394,77 @@ def per_row_text(model):
     return export_lp(dataclasses.replace(model))
 
 
+RENDER_ROWS = milp._render_rows
+
+
+def rows_text(block):
+    """The referee of a block's text: its rows rendered one by one, an
+    empty row naming the block's first column."""
+    lines = []
+    RENDER_ROWS(lines, block.rows, block.columns[0].name if block.columns else None)
+    return "\n".join(lines)
+
+
+def collector_state():
+    return gc.isenabled(), gc.get_threshold()
+
+
+def builds():
+    """How many blocks each builder has made so far."""
+    return [build.cache_info().misses for build in BUILDERS]
+
+
 @pytest.fixture
 def rendered(monkeypatch):
     """The row count of every ``_render_rows`` call, in order, starting
-    with no block cached."""
+    with no block cached.  Only a model without blocks calls it."""
     clear_blocks()
     calls = []
-    render_rows = milp._render_rows
 
     def spy(out, rows, first):
         calls.append(len(rows))
-        return render_rows(out, rows, first)
+        return RENDER_ROWS(out, rows, first)
 
     monkeypatch.setattr(milp, "_render_rows", spy)
     return calls
 
 
 def test_cached_block_text_equals_the_per_row_text(rendered):
-    """n = 14, 6, 14: the second 14 finds the cache evicted and builds and
-    renders its blocks anew.  A copy of each model with newly constructed
-    rows holds no blocks and renders every row."""
+    """n = 14, 6, 14: the second 14 finds the cache evicted and builds its
+    blocks anew.  Each block's text is written once, by the build that
+    makes the block: a second build of the same model makes no block and
+    hands back the same text, and no export renders a row of a block.  A
+    copy of each model with newly constructed rows holds no blocks and
+    renders every row."""
     seen = []
     for n_nodes in (14, 6, 14):
+        made = builds()
         model = trans_model(n_nodes)
+        assert builds() == [n + 1 for n in made]
         blocks = model.blocks
         assert blocks[-1] is milp._transitivity_block(n_nodes)
-        assert [block._text for block in blocks] == [None] * 3
+        assert [block.text for block in blocks] == [rows_text(block) for block in blocks]
         assert is_shared(model.constraints, sum((block.rows for block in blocks), ()))
         assert is_shared(model.variables, blocks[0].columns + blocks[1].columns)
         assert all(block is not old for block in blocks for old in seen)
         seen += blocks
-        rendered.clear()
+        again = trans_model(n_nodes)
+        assert builds() == [n + 1 for n in made]
+        assert all(a.text is b.text for a, b in zip(again.blocks, blocks))
         text = export_lp(model)
-        assert rendered == [len(block.rows) for block in blocks]  # each rendered once
-        rendered.clear()
-        assert export_lp(model) == text
+        assert export_lp(again) == export_lp(model) == text
         assert rendered == []
         fresh = MilpModel(model.variables, tuple(LinearConstraint(*r) for r in model.constraints),
                           model.objective)
         assert fresh == model and fresh.blocks == ()
         assert export_lp(fresh) == text
         assert rendered == [len(model.constraints)]
+        rendered.clear()
 
 
 def test_a_model_that_differs_from_the_block_is_written_from_its_own_rows(rendered):
     model = trans_model(8)
-    text = export_lp(model)  # renders the blocks' text
+    text = export_lp(model)  # joins the blocks' text
     rows = model.constraints
     k = next(k for k, r in enumerate(rows) if r.name == "tri_1_2_3")
     line = f" tri_1_2_3: {milp._render_terms(rows[k].coeffs)} <= "
@@ -454,13 +478,13 @@ def test_a_model_that_differs_from_the_block_is_written_from_its_own_rows(render
         rendered.clear()
         assert export_lp(MilpModel(model.variables, constraints, model.objective)) == want
         assert rendered == [len(constraints)]
-    assert all(block._text is not None for block in model.blocks)
+    assert export_lp(model) == text
 
 
 def test_a_model_keeps_its_blocks_text_after_another_build_evicts_them(rendered):
     """A, then B of the same size with other durations and requirements:
     B's build evicts A's leveled and selection blocks from the cache, but
-    A holds them, so A's second export renders no row."""
+    A holds them and their text, so no export of A renders a row."""
     inst = robustify(random_psplib_instance(random.Random(6), n_act=8, n_res=2))
     durations = list(inst.nominal_duration)
     durations[1] += 1
@@ -473,10 +497,74 @@ def test_a_model_keeps_its_blocks_text_after_another_build_evicts_them(rendered)
     assert a_model.blocks[2] is b_model.blocks[2]
     export_lp(b_model)
     text = export_lp(a_model)
-    rendered.clear()
     assert export_lp(a_model) == text
     assert rendered == []
     assert text == per_row_text(a_model)
+
+
+def hand_windows(inst):
+    """Windows that give big-Ms of 0, of 1 and above: ``es[j] = j``
+    and ``lf[i] = i + i % 3``, so the diagonal ``nom_`` rows of every third
+    node are empty, and a horizon that any instance passes."""
+    nodes = range(inst.n_nodes)
+    return TimeWindows(es=tuple(nodes), lf=tuple(i + i % 3 for i in nodes),
+                       horizon=sum(inst.nominal_duration) + sum(inst.max_deviation))
+
+
+def unit_capacity_instance(rng):
+    """Five activities on one resource of capacity 1, two of them
+    requiring it."""
+    inst = random_dag_instance(rng, 5, n_res=1)
+    requirement = [(0,)] * inst.n_nodes
+    requirement[2] = requirement[4] = (1,)
+    return dataclasses.replace(inst, capacity=(1,), requirement=tuple(requirement))
+
+
+def lines_seen(model):
+    """Which edge cases the model's rows hold."""
+    for row in model.constraints:
+        terms = dict(row.coeffs)
+        y = "y_" + row.name.split("_", 1)[1].rsplit("_", 1)[0]
+        if row.name.startswith(("nom_", "dev_")):
+            if y not in terms:
+                yield "zero big-M"
+            elif terms[y] == -1:
+                yield "big-M of 1"
+            if not row.coeffs:
+                yield "empty row"
+        elif row.name.startswith("tri_") and len(row.coeffs) == 1:
+            yield "merged tri_"
+        elif row.name.startswith("cap_") and terms[y] == -1:
+            yield "capacity 1"
+
+
+def test_each_block_writes_the_text_of_its_rows():
+    """A seeded sweep of every block's text against its rows rendered one
+    by one, and of each model's text against its copy without blocks: DAG
+    and PSPLIB-shaped instances at gamma 0, 1, 3 and 7, untightened, with
+    the warm start's windows and with windows giving big-Ms of 0 and 1;
+    and a capacity of 1.  Every case holds the merged ``tri_`` rows."""
+    rng = random.Random(41)
+    instances = [random_dag_instance(rng, rng.randint(1, 7), n_res=rng.randint(0, 2),
+                                     max_dur=rng.choice((0, 3, 9)))
+                 for _ in range(6)]
+    instances += [robustify(random_psplib_instance(rng, n_act=rng.randint(4, 10), n_res=3))
+                  for _ in range(3)]
+    instances += [unit_capacity_instance(rng), counterexample_instance()]
+    seen = set()
+    for inst in instances:
+        for gamma in (0, 1, 3, 7):
+            warm = warm_start(inst, gamma)
+            warm_windows = time_windows(inst, warm.selection, gamma, warm.upper_bound)
+            for tighten in (None, warm_windows, hand_windows(inst)):
+                for integral_starts in (False, True):
+                    model = build_compact(inst, gamma, transitivity=True, tighten=tighten,
+                                          integral_starts=integral_starts)
+                    for block in model.blocks:
+                        assert block.text == rows_text(block), (inst.meta.name, gamma)
+                    assert export_lp(model) == per_row_text(model), (inst.meta.name, gamma)
+                    seen.update(lines_seen(model))
+    assert seen == {"zero big-M", "big-M of 1", "empty row", "merged tri_", "capacity 1"}
 
 
 def test_bench_variants_share_the_blocks_that_read_the_same_inputs():
@@ -551,7 +639,7 @@ def test_bench_variants_share_the_blocks_that_read_the_same_inputs():
     diamond = build_variant(counterexample_instance(), 0, "warm")[0]
     assert any(not row.coeffs for row in diamond.constraints)
     assert diamond.variables[0].name == "S_0_0"
-    assert " 0 S_0_0 >= " in diamond.blocks[0].text()
+    assert " 0 S_0_0 >= " in diamond.blocks[0].text
     assert export_lp(diamond) == per_row_text(diamond)
 
 
@@ -562,14 +650,24 @@ def test_build_variant_rejects_an_unknown_name():
             build_variant(inst, 1, name)
 
 
-def test_threads_building_two_sizes_get_the_single_threaded_text():
+def test_threads_building_two_sizes_get_the_single_threaded_text(monkeypatch):
     """More threads than cores, switching often, each building and
     exporting trans models while the others evict its blocks: two
     instances of 9 nodes evict each other's leveled and selection blocks
-    and share one transitivity block, which the 13-node instance evicts."""
+    and share one transitivity block, which the 13-node instance evicts.
+    The collector is off in every build and back on after the last."""
     cases = ((9, None), (13, None), (9, 90), (13, None))
     expected = {case: export_lp(trans_model(*case)) for case in set(cases)}
     barrier = threading.Barrier(len(cases), timeout=60)
+    collector_in_builds = set()
+    leveled_block = milp._leveled_block
+
+    def recording(*args):
+        collector_in_builds.add(gc.isenabled())
+        return leveled_block(*args)
+
+    monkeypatch.setattr(milp, "_leveled_block", recording)
+    caller = collector_state()
 
     def build_and_export(case):
         texts = []
@@ -587,6 +685,77 @@ def test_threads_building_two_sizes_get_the_single_threaded_text():
         sys.setswitchinterval(interval)
     for case, texts in zip(cases, results):
         assert texts == [expected[case]] * 6, case
+    assert collector_in_builds == {False}
+    assert collector_state() == caller
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector, paused while a build runs
+
+
+def test_a_build_leaves_the_callers_collector_as_it_found_it(monkeypatch):
+    """The collector is off inside a build and as the caller left it
+    after one: on, or off, also after a build that raises."""
+    inst = counterexample_instance()
+    inside = []
+    selection_block = milp._selection_block
+
+    def recording(*args):
+        inside.append(gc.isenabled())
+        return selection_block(*args)
+
+    def broken(n_nodes):
+        raise RuntimeError("broken builder")
+
+    monkeypatch.setattr(milp, "_selection_block", recording)
+    monkeypatch.setattr(milp, "_transitivity_block", broken)
+    caller = collector_state()
+    assert caller[0]
+    for enabled in (True, False):
+        if not enabled:
+            gc.disable()
+        try:
+            build_compact(inst, 1)
+            assert collector_state() == (enabled, caller[1])
+            with pytest.raises(RuntimeError, match="broken builder"):
+                build_compact(inst, 1, transitivity=True)
+            assert collector_state() == (enabled, caller[1])
+        finally:
+            gc.enable()
+    assert inside == [False] * 4
+    assert collector_state() == caller
+
+
+def test_the_collector_stays_off_until_the_last_of_two_builds_leaves(monkeypatch):
+    """Two threads build at once; the first to finish leaves the
+    collector off under the second, and the second switches it back on."""
+    inst = counterexample_instance()
+    both_in = threading.Barrier(2, timeout=60)
+    first_left = threading.Event()
+    role = threading.local()
+    under_second = []
+    selection_block = milp._selection_block
+
+    def waiting(*args):
+        both_in.wait()
+        if role.name == "second":
+            assert first_left.wait(60)
+            under_second.append(gc.isenabled())
+        return selection_block(*args)
+
+    def build(name):
+        role.name = name
+        build_compact(inst, 1)
+        if name == "first":
+            first_left.set()
+
+    monkeypatch.setattr(milp, "_selection_block", waiting)
+    caller = collector_state()
+    with ThreadPoolExecutor(2) as pool:
+        for future in [pool.submit(build, name) for name in ("first", "second")]:
+            future.result(timeout=120)
+    assert under_second == [False]
+    assert collector_state() == caller
 
 
 # ---------------------------------------------------------------------------
