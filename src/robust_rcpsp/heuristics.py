@@ -14,7 +14,9 @@ selection from it and runs ``adversary.leveled_rows`` over its covering
 arcs only; that DP gives the leveled start times and the upper bound
 that seed both the branch-and-bound and the compact model.  The time
 windows' earliest starts are the DP's level-zero column; their latest
-finishes, like the LFT priorities, are that of ``tail_rows``.
+finishes, like the LFT priorities, are that of ``tail_rows``, whose
+level-zero column is the same at every gamma: the branch-and-bound hands
+the warm start its root's tail rows, so a solve runs one backward pass.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ class WarmStart:
     upper_bound: int
 
 
-def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
+def lft_schedule(inst: ProjectInstance, tails=None) -> tuple[int, ...]:
     """Start times of a serial schedule-generation scheme under the LFT
     priority rule.
 
@@ -63,6 +65,11 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     at its earliest precedence- and resource-feasible start.  The eligible
     activities wait in a heap keyed by (latest finish, id), and an activity
     joins it when its count of unscheduled predecessors reaches zero.
+
+    The latest finishes come from ``tails``, the instance's tail rows
+    (``adversary.tail_rows``) at any gamma: their level-zero column is the
+    longest nominal path from each finish to the sink.  Without them the
+    schedule runs that pass at gamma 0.
 
     A bucket's usage is one int of ``network.resource_fields``.  A window is
     tested from its last bucket down, and an overloaded bucket moves the
@@ -73,8 +80,10 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     n_nodes = inst.n_nodes
     durations = inst.nominal_duration
     horizon = sum(max(d, 1) for d in durations) + 1
+    if tails is None:
+        tails = tail_rows(inst, 0)
     # Longest nominal paths to the sink, negated: latest finishes less a horizon.
-    priorities = [-row[0] for row in tail_rows(inst, 0)]
+    priorities = [-row[0] for row in tails]
     succ = successors(n_nodes, inst.precedence)
     waiting = [0] * n_nodes  # unscheduled predecessors
     for _, j in inst.precedence:
@@ -132,15 +141,18 @@ def validate_schedule(inst: ProjectInstance, start) -> None:
                 raise ValueError(f"resource {k} overloaded at time {t}: {load}")
 
 
-def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
+def warm_start(inst: ProjectInstance, gamma: int, tails=None) -> WarmStart:
     """LFT schedule -> its order -> adversary DP: leveled starts and bound.
 
+    ``tails`` are the instance's tail rows at any gamma, handed to
+    ``lft_schedule`` for its priorities; a caller that holds them (the
+    root of ``bnb.solve_exact``) spares the schedule its backward pass.
     The selection and the DP's input both come from one ``schedule_order``.
     The DP runs over its covering arcs only, in schedule order: an arc a
     longer path implies raises no row, since durations are nonnegative, so
     the rows are those of the DP over the whole extended network.
     """
-    start = lft_schedule(inst)
+    start = lft_schedule(inst, tails)
     order, cut = schedule_order(inst, start)
     sel = selection_from_order(inst, order, cut)
     n_nodes = inst.n_nodes

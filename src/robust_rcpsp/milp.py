@@ -23,27 +23,39 @@ each block reads only its own inputs:
 - the transitivity block: the ``pair_`` and ``tri_`` rows, from the node
   count alone.
 
-Each builder writes its block's LP text in the loop that makes the rows,
-from the names and coefficients it already holds, and joins it once: the
-rows' lines and the columns' ``Bounds``, ``Generals`` and ``Binaries``
-lines.  ``export_lp`` only joins the texts of a model's blocks;
-``_render_rows`` writes the rows of a model without blocks, one by one,
-and is the referee the tests hold each block's text to.  The cyclic
-collector is paused while a build runs (``_collector.collector_paused``):
-a build makes tens of thousands of tracked rows, none in a cycle.
+The leveled and selection builders each split into a frame and a fill.
+The frame is what the block holds whatever the instance, made once per
+shape: the leveled frame per node count and gamma, the selection frame
+per node and resource counts.  It holds the column and row names, the
+``(name, +-1)`` terms that read no instance data, and the text of each
+row's LP line up to where the instance's numbers go (for a leveled row,
+its big-M; for a ``cap_`` row, the capacity; for a balance row, its
+right-hand side).  The fill writes only those numbers, and makes the
+rows and their text with ``map``/``zip`` over the frame.  The
+transitivity block reads nothing but the node count, so it is a frame
+alone.  ``export_lp`` only joins the texts of a model's blocks, section
+by section; ``_render_rows`` writes the rows of a model without blocks,
+one by one, and is the referee the tests hold each block's text to.  The
+cyclic collector is paused while a build runs
+(``_collector.collector_paused``): a build makes tens of thousands of
+tracked rows, none in a cycle.
 
-Each builder keeps its most recent block (``functools.lru_cache`` of size
-one, emptied by its ``cache_clear``), so models that read equal inputs
-share the same row and column objects and the same text: the four bench
-variants of one instance at one gamma build two leveled blocks and one
-selection block, and every transitivity model of one size shares one
-transitivity block.  A model holds the blocks it was built from.  Rows
-are immutable named tuples and the model is frozen, so a model's rows are
-its blocks' rows; a model made any other way holds no blocks and is
-written as one block of its own.  Every number is an int.  The cache
-holds a block until a build with other inputs replaces it: at j30 and
-gamma 7, about 4.4 MB for the leveled block, 2.5 MB for the selection
-block and 8.9 MB for the transitivity block, before their text.
+Each builder and each frame keeps its most recent result (``_one_slot``,
+emptied by its ``cache_clear``), which it drops before it builds one for
+other inputs.  Models that read equal inputs share the same row and
+column objects and the same text: the four bench variants of one instance
+at one gamma build two leveled blocks and one selection block, and every
+transitivity model of one size shares one transitivity block.  Instances
+of one size share their frames, so their blocks share every name string.
+A frame is rebuilt only when the node count, gamma or the resource count
+changes; a block whenever its inputs do.  A model holds the blocks it was
+built from.  Rows are immutable named tuples and the model is frozen, so
+a model's rows are its blocks' rows; a model made any other way holds no
+blocks and is written as one block of its own.  Every number is an int.
+At j30 and gamma 7 (tracemalloc, text included), the leveled frame takes
+about 2.6 MB and the selection frame 1.6 MB; above them a leveled block
+takes 3.0-3.3 MB and a selection block 1.0-1.1 MB, and the transitivity
+block 8.5 MB.
 """
 from __future__ import annotations
 
@@ -55,6 +67,8 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -161,56 +175,141 @@ def _block(columns, rows, lines):
     return _Block(columns, rows, "\n".join(lines), *_column_sections(columns))
 
 
-@functools.lru_cache(maxsize=1)
-def _leveled_block(gamma, integral_starts, nominal, dev, windows):
-    """The start columns ``S_i_g`` and the big-M precedence rows ``nom_``
-    and ``dev_`` over ``gamma + 1`` levels.  ``windows`` is ``(es, lf)``
-    for per-arc big-Ms, or None for the global one."""
-    nodes = range(len(nominal))
+def _one_slot(build):
+    """``build`` keeping its most recent result, by its arguments.
+
+    A call with other arguments drops the kept result before it builds,
+    so the result it replaces is freed while the new one is made, unless
+    a caller holds it.  Threads that miss at once each build and get the
+    result of their own arguments; the last to finish is kept.
+    ``cache_clear()`` drops the kept result.
+    """
+    slot = [None]  # (args, result), or None
+
+    @functools.wraps(build)
+    def cached(*args):
+        kept = slot[0]
+        if kept is not None and kept[0] == args:
+            return kept[1]
+        slot[0] = kept = None
+        result = build(*args)
+        slot[0] = args, result
+        return result
+
+    def cache_clear():
+        slot[0] = None
+
+    cached.cache_clear = cache_clear
+    return cached
+
+
+# A row from its (name, coeffs, sense, rhs) tuple, made in C without a
+# call of the named tuple's Python-level __new__.
+_new_row = functools.partial(tuple.__new__, LinearConstraint)
+
+
+class _LeveledFrame(NamedTuple):
+    """What the leveled block of ``n_nodes`` nodes at ``gamma`` holds
+    whatever the instance.
+
+    - ``starts``: the start names ``S_i_g``, node by node;
+    - ``columns`` and ``sections``: by kind, the start columns and their
+      ``Bounds``/``Generals``/``Binaries`` text;
+    - ``pairs``: each ordered pair ``(i, j, y_i_j)``;
+    - ``names`` and ``terms``: each row's name and start terms, pair by
+      pair, the ``gamma + 1`` rows ``nom_i_j_g`` before the ``gamma``
+      rows ``dev_i_j_g``;
+    - ``families``: per pair, the text of its ``nom_`` rows and then of
+      its ``dev_`` rows, each line up to its big-M (``' nom_i_j_g: S_j_g -
+      S_i_g'``) and ending in a newline.
+    """
+    starts: tuple[str, ...]
+    columns: dict
+    sections: dict
+    pairs: tuple[tuple[int, int, str], ...]
+    names: tuple[str, ...]
+    terms: tuple[tuple[tuple[str, int], ...], ...]
+    families: tuple[str, ...]
+
+
+@_one_slot
+def _leveled_frame(n_nodes, gamma):
+    nodes = range(n_nodes)
     levels = range(gamma + 1)
-    m_global = sum(nominal) + sum(dev)  # total worst-case work bounds any makespan
-    # Names and the (name, +-1) terms are built once and shared by every row
-    # that uses them; a row name is a per-pair prefix plus an index suffix.
     suffix = [str(g) for g in levels]
     S = [[start_name(i, g) for g in levels] for i in nodes]
     s_pos = [[(s, 1) for s in row] for row in S]
     s_neg = [[(s, -1) for s in row] for row in S]
-    es, lf = windows or (None, None)
-    start_kind = "integer" if integral_starts else "continuous"
-    columns = tuple(Variable(S[i][g], start_kind, 0, 0 if i == g == 0 else None)
-                    for i in nodes for g in levels)
-    rows = []
-    lines = []
+    names = []
+    terms = []
+    families = []
     for i in nodes:
         for j in nodes:
-            if windows is None:
-                m_same = m_cross = m_global
-            else:
-                m_same = max(0, lf[i] - es[j])
-                m_cross = max(0, lf[i] + dev[i] - es[j])
-            y = arc_name(i, j)
-            s_j, s_i, S_j, S_i = s_pos[j], s_neg[i], S[j], S[i]
-            big_m, m_text = _big_m(y, m_same)
             pre = f"nom_{i}_{j}_"
-            rhs = nominal[i] - m_same
+            names += [pre + sfx for sfx in suffix]
             if i == j:  # the start terms cancel on the diagonal
-                # An empty row names the block's first column.
-                body = m_text[1:] if big_m else f"0 {S[0][0]}"
-                rows += [LinearConstraint(pre + suffix[g], big_m, ">=", rhs) for g in levels]
-                lines += [f" {pre}{suffix[g]}: {body} >= {rhs}" for g in levels]
+                terms += [()] * len(suffix)
+                families.append("".join(f" {pre}{sfx}:\n" for sfx in suffix))
             else:
-                rows += [LinearConstraint(pre + suffix[g], (s_j[g], s_i[g]) + big_m, ">=", rhs)
-                         for g in levels]
-                lines += [f" {pre}{suffix[g]}: {S_j[g]} - {S_i[g]}{m_text} >= {rhs}"
-                          for g in levels]
-            big_m, m_text = _big_m(y, m_cross)
+                terms += [(s_pos[j][g], s_neg[i][g]) for g in levels]
+                families.append("".join(f" {pre}{suffix[g]}: {S[j][g]} - {S[i][g]}\n"
+                                        for g in levels))
             pre = f"dev_{i}_{j}_"
-            rhs = nominal[i] + dev[i] - m_cross
-            rows += [LinearConstraint(pre + suffix[g], (s_j[g + 1], s_i[g]) + big_m, ">=", rhs)
-                     for g in range(gamma)]
-            lines += [f" {pre}{suffix[g]}: {S_j[g + 1]} - {S_i[g]}{m_text} >= {rhs}"
-                      for g in range(gamma)]
-    return _block(columns, tuple(rows), lines)
+            names += [pre + suffix[g] for g in range(gamma)]
+            terms += [(s_pos[j][g + 1], s_neg[i][g]) for g in range(gamma)]
+            families.append("".join(f" {pre}{suffix[g]}: {S[j][g + 1]} - {S[i][g]}\n"
+                                    for g in range(gamma)))
+    starts = tuple(s for row in S for s in row)
+    columns = {kind: tuple(Variable(s, kind, 0, None if k else 0) for k, s in enumerate(starts))
+               for kind in ("continuous", "integer")}
+    return _LeveledFrame(starts, columns,
+                         {kind: _column_sections(c) for kind, c in columns.items()},
+                         tuple((i, j, arc_name(i, j)) for i in nodes for j in nodes),
+                         tuple(names), tuple(terms), tuple(families))
+
+
+@_one_slot
+def _leveled_block(gamma, integral_starts, nominal, dev, windows):
+    """The start columns ``S_i_g`` and the big-M precedence rows ``nom_``
+    and ``dev_`` over ``gamma + 1`` levels.  ``windows`` is ``(es, lf)``
+    for per-arc big-Ms, or None for the global one.
+
+    The names, the start terms and the lines up to the big-M come from
+    the frame of the node count and gamma.  The block writes what the
+    instance fixes: each pair's two big-Ms and right-hand sides, and the
+    tail of each line, which ends every line of its family."""
+    frame = _leveled_frame(len(nominal), gamma)
+    m_global = sum(nominal) + sum(dev)  # total worst-case work bounds any makespan
+    es, lf = windows or (None, None)
+    empty = f" 0 {frame.starts[0]}"  # an empty row names the block's first column
+    big_ms = []
+    rhss = []
+    tails = []
+    for i, j, y in frame.pairs:
+        if windows is None:
+            m_same = m_cross = m_global
+        else:
+            m_same = max(0, lf[i] - es[j])
+            m_cross = max(0, lf[i] + dev[i] - es[j])
+        nom_m, nom_text = _big_m(y, m_same)
+        dev_m, dev_text = _big_m(y, m_cross)
+        nom_rhs = nominal[i] - m_same
+        dev_rhs = nominal[i] + dev[i] - m_cross
+        if i == j and not m_same:
+            nom_text = empty
+        big_ms += nom_m, dev_m
+        rhss += nom_rhs, dev_rhs
+        tails += f"{nom_text} >= {nom_rhs}\n", f"{dev_text} >= {dev_rhs}\n"
+
+    def per_row(values):
+        """One value per family, repeated for each of its rows."""
+        return chain.from_iterable(map(repeat, values, cycle((gamma + 1, gamma))))
+
+    rows = tuple(map(_new_row, zip(frame.names, map(add, frame.terms, per_row(big_ms)),
+                                   repeat(">="), per_row(rhss))))
+    text = "".join(map(str.replace, frame.families, repeat("\n"), tails))[:-1]
+    kind = "integer" if integral_starts else "continuous"
+    return _Block(frame.columns[kind], rows, text, *frame.sections[kind])
 
 
 def _big_m(y, m):
@@ -219,61 +318,118 @@ def _big_m(y, m):
     return (((y, -m),), f" {_coef(-m)}{y}") if m else ((), "")
 
 
-@functools.lru_cache(maxsize=1)
-def _selection_block(precedence, capacity, requirement):
-    """The arc binaries ``y_i_j``, the flows ``f_i_j_k`` and the flow rows
-    ``cap_``, ``fin_`` and ``fout_``: the arcs fixed by the precedence, and
-    the flows routing each resource from the source to the sink."""
-    n_nodes = len(requirement)
+class _SelectionFrame(NamedTuple):
+    """What the selection block of ``n_nodes`` nodes and ``n_resources``
+    resources holds whatever the instance: the arc names ``y_i_j`` and
+    the flow names ``f_i_j_k``, row by row; the arc columns that no
+    precedence fixes (a self-arc fixed at 0, the sink's at 1, the others
+    free) with their ``Bounds`` lines (None for a free arc); the flow
+    columns and the ``Binaries`` text; and the rows' names and their
+    terms that read no instance data, with an LP ``template`` of their
+    lines holding a ``%s`` where the instance writes a capacity's
+    coefficient (``cap_``) or a right-hand side (``fin_``, ``fout_``)."""
+    arcs: tuple[str, ...]
+    arc_columns: tuple[Variable, ...]
+    arc_bounds: tuple[str | None, ...]
+    flows: tuple[str, ...]
+    flow_columns: tuple[Variable, ...]
+    binaries: str
+    cap_names: tuple[str, ...]
+    cap_flows: tuple[tuple[str, int], ...]
+    cap_arcs: tuple[str, ...]
+    balance_names: tuple[str, ...]
+    balance_terms: tuple[tuple[tuple[str, int], ...], ...]
+    template: str
+
+
+@_one_slot
+def _selection_frame(n_nodes, n_resources):
     sink = n_nodes - 1
     nodes = range(n_nodes)
-    resources = range(len(capacity))
-    suffix = [str(k) for k in resources]
+    resources = range(n_resources)
     Y = [[arc_name(i, j) for j in nodes] for i in nodes]
     F = [[[flow_name(i, j, k) for k in resources] for j in nodes] for i in nodes]
     f_pos = [[[(f, 1) for f in fs] for fs in row] for row in F]
-    cap = [_coef(-c) for c in capacity]
-    base_arcs = set(precedence)
-    columns = []
+    arc_columns = []
+    arc_bounds = []
     for i in nodes:
         for j in nodes:
-            if (i, j) in base_arcs or (i, j) == (sink, sink):
-                lb = ub = 1
-            elif i == j:
-                lb = ub = 0  # self-arcs are meaningless and poison big-M rows
-            else:
-                lb, ub = 0, 1
-            columns.append(Variable(Y[i][j], "binary", lb, ub))
-    columns += [Variable(f, "continuous", 0, None) for row in F for fs in row for f in fs]
-    rows = []
-    lines = []
+            if i != j:
+                arc_columns.append(Variable(Y[i][j], "binary", 0, 1))
+                arc_bounds.append(None)
+            else:  # self-arcs are meaningless and poison big-M rows
+                fixed = int(i == sink)
+                arc_columns.append(Variable(Y[i][j], "binary", fixed, fixed))
+                arc_bounds.append(f" {Y[i][j]} = {fixed}")
+    flows = tuple(f for row in F for fs in row for f in fs)
+    cap_names = []
+    heads = []
     for i in nodes:
         for j in nodes:
-            y, F_ij, f_ij, pre = Y[i][j], F[i][j], f_pos[i][j], f"cap_{i}_{j}_"
-            rows += [LinearConstraint(pre + suffix[k], (f_ij[k], (y, -capacity[k])), "<=", 0)
-                     for k in resources]
-            lines += [f" {pre}{suffix[k]}: {F_ij[k]} {cap[k]}{y} <= 0" for k in resources]
+            pre = f"cap_{i}_{j}_"
+            cap_names += [f"{pre}{k}" for k in resources]
+            heads += [f" {pre}{k}: {F[i][j][k]} %s{Y[i][j]} <= 0" for k in resources]
+    balance_names = []
+    balance_terms = []
+    for j in nodes:
+        for k in resources:
+            balance_names.append(f"fin_{j}_{k}")
+            balance_terms.append(tuple(f_pos[i][j][k] for i in nodes))
+            heads.append(f" fin_{j}_{k}: {' + '.join(F[i][j][k] for i in nodes)} = %s")
+    for i in nodes:
+        for k in resources:
+            balance_names.append(f"fout_{i}_{k}")
+            balance_terms.append(tuple(f_pos[i][j][k] for j in nodes))
+            heads.append(f" fout_{i}_{k}: {' + '.join(F[i][j][k] for j in nodes)} = %s")
+    return _SelectionFrame(
+        arcs=tuple(y for row in Y for y in row), arc_columns=tuple(arc_columns),
+        arc_bounds=tuple(arc_bounds), flows=flows,
+        flow_columns=tuple(Variable(f, "continuous", 0, None) for f in flows),
+        binaries="\n".join(f" {y}" for row in Y for y in row),
+        cap_names=tuple(cap_names), cap_flows=tuple(t for row in f_pos for ts in row for t in ts),
+        cap_arcs=tuple(y for row in Y for y in row for _ in resources),
+        balance_names=tuple(balance_names), balance_terms=tuple(balance_terms),
+        template="\n".join(heads))
+
+
+@_one_slot
+def _selection_block(precedence, capacity, requirement):
+    """The arc binaries ``y_i_j``, the flows ``f_i_j_k`` and the flow rows
+    ``cap_``, ``fin_`` and ``fout_``: the arcs fixed by the precedence, and
+    the flows routing each resource from the source to the sink.
+
+    The names, the flow terms and the line heads come from the frame of
+    the node and resource counts; the block writes what the instance
+    fixes: the precedence arcs' bounds, each ``cap_`` row's capacity and
+    the balance rows' right-hand sides."""
+    n_nodes = len(requirement)
+    sink = n_nodes - 1
+    frame = _selection_frame(n_nodes, len(capacity))
+    arc_columns = list(frame.arc_columns)
+    arc_bounds = list(frame.arc_bounds)
+    for i, j in precedence:
+        a = i * n_nodes + j
+        arc_columns[a] = Variable(frame.arcs[a], "binary", 1, 1)
+        arc_bounds[a] = f" {frame.arcs[a]} = 1"
     # The source emits and the sink absorbs the full capacity: with the
     # dummies' zero requirements in the balance, as the paper writes it, no
     # flow could leave the source and every positive demand would strand.
-    for j in nodes:
-        for k in resources:
-            rhs = 0 if j == 0 else capacity[k] if j == sink else requirement[j][k]
-            rows.append(LinearConstraint(f"fin_{j}_{k}", tuple(f_pos[i][j][k] for i in nodes),
-                                         "=", rhs))
-            body = " + ".join(F[i][j][k] for i in nodes)
-            lines.append(f" fin_{j}_{k}: {body} = {rhs}")
-    for i in nodes:
-        for k in resources:
-            rhs = capacity[k] if i == 0 else 0 if i == sink else requirement[i][k]
-            rows.append(LinearConstraint(f"fout_{i}_{k}", tuple(f_pos[i][j][k] for j in nodes),
-                                         "=", rhs))
-            body = " + ".join(F[i][j][k] for j in nodes)
-            lines.append(f" fout_{i}_{k}: {body} = {rhs}")
-    return _block(tuple(columns), tuple(rows), lines)
+    rhss = [0 if j == 0 else c if j == sink else r
+            for j, reqs in enumerate(requirement) for c, r in zip(capacity, reqs)]
+    rhss += [c if i == 0 else 0 if i == sink else r
+             for i, reqs in enumerate(requirement) for c, r in zip(capacity, reqs)]
+    caps = zip(frame.cap_arcs, cycle([-c for c in capacity]))
+    rows = chain(map(_new_row, zip(frame.cap_names, zip(frame.cap_flows, caps),
+                                   repeat("<="), repeat(0))),
+                 map(_new_row, zip(frame.balance_names, frame.balance_terms,
+                                   repeat("="), rhss)))
+    text = frame.template % (tuple(_coef(-c) for c in capacity) * (n_nodes * n_nodes)
+                             + tuple(rhss))
+    return _Block(tuple(arc_columns) + frame.flow_columns, tuple(rows), text,
+                  "\n".join(filter(None, arc_bounds)), "", frame.binaries)
 
 
-@functools.lru_cache(maxsize=1)
+@_one_slot
 def _transitivity_block(n_nodes):
     """The ``pair_`` and ``tri_`` rows over the arc binaries of ``n_nodes``
     nodes: they read no instance data but the node count, with the sink as
@@ -331,23 +487,24 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
 
     Arc binaries follow the schedule-derived selection (which is closed
     under transitivity), start values are the leveled recursion, and flows
-    are routed greedily along the selection's arcs in start order.
+    are routed greedily along the selection's arcs in start order.  The
+    names, in the model's column order, are those of the leveled and
+    selection frames of the instance's size and ``gamma``.
     """
     n_nodes = inst.n_nodes
-    sink = inst.sink
-    values: dict[str, int] = {}
-    for i in range(n_nodes):
-        for g in range(gamma + 1):
-            values[start_name(i, g)] = warm.leveled_starts[i][g]
-    active = set(extended_arcs(inst, warm.selection)) | {(sink, sink)}
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            values[arc_name(i, j)] = 1 if (i, j) in active else 0
-    flows = _greedy_flows(inst, warm.start, active)
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            for k in inst.resource_types:
-                values[flow_name(i, j, k)] = flows.get((i, j, k), 0)
+    n_resources = len(inst.capacity)
+    selection = _selection_frame(n_nodes, n_resources)
+    values = dict(zip(_leveled_frame(n_nodes, gamma).starts,
+                      chain.from_iterable(warm.leveled_starts)))
+    active = set(extended_arcs(inst, warm.selection)) | {(inst.sink, inst.sink)}
+    arcs = [0] * (n_nodes * n_nodes)
+    for i, j in active:
+        arcs[i * n_nodes + j] = 1
+    values.update(zip(selection.arcs, arcs))
+    flows = [0] * len(selection.flows)
+    for (i, j, k), value in _greedy_flows(inst, warm.start, active).items():
+        flows[(i * n_nodes + j) * n_resources + k] = value
+    values.update(zip(selection.flows, flows))
     return values
 
 

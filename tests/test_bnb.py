@@ -17,7 +17,7 @@ from gen import (
     random_psplib_instance,
     shuffled_ids,
 )
-from robust_rcpsp import bnb, milp, network
+from robust_rcpsp import bnb, heuristics, milp, network
 from robust_rcpsp._graph import (
     ancestor_bitsets,
     closure_bitsets,
@@ -105,6 +105,26 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
         assert [rows for *_, rows in tails] == [leveled_rows(
             inst, gamma, reversed(topological_order(n_nodes, arcs)), successors(n_nodes, arcs))]
         assert res.best_bound == (res.value if res.status == "optimal" else dp.value)
+
+
+def test_a_solve_runs_one_backward_pass(monkeypatch):
+    """The root's tail rows give the warm start its LFT priorities, so a
+    solve runs the backward pass once, at its gamma; the warm start alone
+    runs its own at gamma 0."""
+    passes = []
+
+    def counted(inst, gamma):
+        passes.append(gamma)
+        return tail_rows(inst, gamma)
+
+    monkeypatch.setattr(bnb, "tail_rows", counted)
+    monkeypatch.setattr(heuristics, "tail_rows", counted)
+    inst = robustify(random_psplib_instance(random.Random(4), 12, 2))
+    solve_exact(inst, 3, node_cap=0)
+    assert passes == [3]
+    passes.clear()
+    heuristics.warm_start(inst, 3)
+    assert passes == [0]
 
 
 def test_matches_exhaustive_oracle():
@@ -333,7 +353,7 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
     chain = Selection(frozenset({(1, 2), (2, 3), (3, 4)}))
     assert worst_case_makespan_dp(inst, chain, 0).value == 8
     monkeypatch.setattr(bnb, "warm_start",
-                        lambda inst, gamma: SimpleNamespace(upper_bound=8, selection=chain))
+                        lambda inst, gamma, tails: SimpleNamespace(upper_bound=8, selection=chain))
     made, expanded = [], []
 
     def child_closure(closure, ancestors, i, j):

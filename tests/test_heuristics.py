@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 
 from gen import make_instance, random_dag_instance, random_psplib_instance, shuffled_ids
-from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
+from robust_rcpsp.adversary import counterexample_instance, tail_rows, worst_case_makespan_dp
 from robust_rcpsp.bench import build_variant
 from robust_rcpsp.bnb import solve_exact
 from robust_rcpsp.errors import InvalidHorizonError
@@ -223,6 +224,27 @@ def test_warm_start_is_pinned():
     for family, recs in records.items():
         digest = hashlib.sha256(repr(recs).encode()).hexdigest()
         assert digest == PINNED_WARM_SHA256[family], family
+
+
+def test_the_warm_start_takes_its_priorities_from_tail_rows_at_any_gamma():
+    """Handed the instance's tail rows at any gamma, the schedule and the
+    warm start are those they make alone, from a backward pass at gamma 0.
+    Deviations drawn apart from the durations make a delayed tail order
+    the activities otherwise than the nominal one."""
+    rng = random.Random(31)
+    cases = [robustify(shuffled_ids(rng, random_psplib_instance(rng, n_act=rng.randint(4, 20))))
+             for _ in range(12)]
+    for _ in range(12):
+        inst = random_psplib_instance(rng, n_act=rng.randint(4, 20))
+        deviations = [0] + [rng.randint(0, 12) for _ in range(inst.n_activities)] + [0]
+        cases.append(dataclasses.replace(inst, max_deviation=tuple(deviations)))
+    cases += [random_dag_instance(rng, rng.randint(1, 9), n_res=2, max_dur=rng.choice((0, 5)))
+              for _ in range(8)]
+    for inst in cases:
+        for gamma in (0, 2, 5):
+            tails = tail_rows(inst, gamma)
+            assert lft_schedule(inst, tails) == lft_schedule(inst)
+            assert warm_start(inst, gamma, tails) == warm_start(inst, gamma)
 
 
 def test_leveled_starts_satisfy_recursion_bounds():

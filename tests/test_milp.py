@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,7 @@ from robust_rcpsp.milp import (
     check_assignment,
     export_lp,
     export_warm_start,
+    flow_name,
     read_lp,
     solve_external,
     start_name,
@@ -371,10 +373,12 @@ def test_mst_lines():
 
 
 BUILDERS = (milp._leveled_block, milp._selection_block, milp._transitivity_block)
+FRAMES = (milp._leveled_frame, milp._selection_frame)
 
 
 def clear_blocks():
-    for build in BUILDERS:
+    """Empty every block's and every frame's cache."""
+    for build in BUILDERS + FRAMES:
         build.cache_clear()
 
 
@@ -409,11 +413,6 @@ def collector_state():
     return gc.isenabled(), gc.get_threshold()
 
 
-def builds():
-    """How many blocks each builder has made so far."""
-    return [build.cache_info().misses for build in BUILDERS]
-
-
 @pytest.fixture
 def rendered(monkeypatch):
     """The row count of every ``_render_rows`` call, in order, starting
@@ -433,14 +432,12 @@ def test_cached_block_text_equals_the_per_row_text(rendered):
     """n = 14, 6, 14: the second 14 finds the cache evicted and builds its
     blocks anew.  Each block's text is written once, by the build that
     makes the block: a second build of the same model makes no block and
-    hands back the same text, and no export renders a row of a block.  A
+    hands back the same blocks, and no export renders a row of a block.  A
     copy of each model with newly constructed rows holds no blocks and
     renders every row."""
     seen = []
     for n_nodes in (14, 6, 14):
-        made = builds()
         model = trans_model(n_nodes)
-        assert builds() == [n + 1 for n in made]
         blocks = model.blocks
         assert blocks[-1] is milp._transitivity_block(n_nodes)
         assert [block.text for block in blocks] == [rows_text(block) for block in blocks]
@@ -449,8 +446,7 @@ def test_cached_block_text_equals_the_per_row_text(rendered):
         assert all(block is not old for block in blocks for old in seen)
         seen += blocks
         again = trans_model(n_nodes)
-        assert builds() == [n + 1 for n in made]
-        assert all(a.text is b.text for a, b in zip(again.blocks, blocks))
+        assert all(a is b for a, b in zip(again.blocks, blocks))
         text = export_lp(model)
         assert export_lp(again) == export_lp(model) == text
         assert rendered == []
@@ -567,6 +563,137 @@ def test_each_block_writes_the_text_of_its_rows():
     assert seen == {"zero big-M", "big-M of 1", "empty row", "merged tri_", "capacity 1"}
 
 
+def test_the_one_slot_cache_drops_its_result_before_it_builds_another():
+    """A call with new arguments finds the kept result freed, unless a
+    caller holds it; equal arguments get the kept result back, and
+    ``cache_clear`` frees it."""
+    class Result:
+        pass
+
+    kept = []  # per build: was the previous result alive while it ran?
+    made = []
+
+    @milp._one_slot
+    def build(*args):
+        kept.append([ref() is not None for ref in made])
+        result = Result()
+        made.append(weakref.ref(result))
+        return result
+
+    first = build(1, (2,))
+    assert build(1, (2,)) is first
+    del first
+    held = build(3, None)
+    assert kept == [[], [False]]
+    assert build(3, None) is held
+    build(1, (2,))
+    assert kept[-1] == [False, True]
+    build.cache_clear()
+    assert [ref() is not None for ref in made] == [False, True, False]
+
+
+def test_a_block_built_from_a_kept_frame_equals_one_built_cold():
+    """Instances of two sizes in turns at gamma 0, 2 and 7, so that most
+    builds take their frames from another instance's build: each block
+    equals the block built after every cache is emptied, its rows are
+    exactly ``LinearConstraint`` records of ints, and its text is its rows
+    rendered one by one."""
+    rng = random.Random(32)
+    instances = [robustify(random_psplib_instance(rng, n_act=n, n_res=3)) for n in (6, 9, 6, 9)]
+    for gamma in (0, 2, 7):
+        for inst in instances:
+            warm = warm_start(inst, gamma)
+            windows = time_windows(inst, warm.selection, gamma, warm.upper_bound)
+            for tighten, integral_starts in ((None, False), (windows, True)):
+                def build():
+                    return build_compact(inst, gamma, transitivity=True, tighten=tighten,
+                                         integral_starts=integral_starts)
+
+                model = build()
+                for block in model.blocks:
+                    assert all(type(row) is LinearConstraint for row in block.rows)
+                    assert all(type(c) is int for row in block.rows for _, c in row.coeffs)
+                    assert all(type(row.rhs) is int for row in block.rows)
+                    assert block.text == rows_text(block), (inst.meta.name, gamma)
+                clear_blocks()
+                assert model.blocks == build().blocks, (inst.meta.name, gamma)
+
+
+def test_two_instances_of_one_size_share_their_names():
+    """The second instance of one size and gamma builds new blocks, whose
+    rows and columns hold the name strings of the first's: both come from
+    the same frames."""
+    clear_blocks()
+    rng = random.Random(5)
+    a, b = (robustify(random_psplib_instance(rng, n_act=10, n_res=2)) for _ in range(2))
+    a_model = build_compact(a, 3, transitivity=True)
+    b_model = build_compact(b, 3, transitivity=True)
+    assert not any(x is y for x, y in zip(a_model.blocks[:2], b_model.blocks[:2]))
+    assert a_model.constraints != b_model.constraints
+    assert all(x.name is y.name for x, y in zip(a_model.constraints, b_model.constraints))
+    assert all(x.name is y.name for x, y in zip(a_model.variables, b_model.variables))
+
+
+def test_a_new_node_count_or_gamma_builds_a_new_frame(monkeypatch):
+    """Frames are kept by node count and gamma (leveled) and by node and
+    resource counts (selection): another instance of the same shape
+    reuses both, a new gamma a new leveled frame, and a new node count
+    builds both anew."""
+    clear_blocks()
+    frames = {"_leveled_frame": [], "_selection_frame": []}
+    for name, made in frames.items():
+        def spy(*args, build=getattr(milp, name), made=made):
+            made.append(build(*args))
+            return made[-1]
+        monkeypatch.setattr(milp, name, spy)
+    rng = random.Random(11)
+    a, b = (robustify(random_psplib_instance(rng, n_act=8, n_res=2)) for _ in range(2))
+    c = robustify(random_psplib_instance(rng, n_act=11, n_res=2))
+    for inst, gamma in ((a, 2), (b, 2), (b, 3), (c, 3)):
+        build_compact(inst, gamma)
+    leveled, selection = frames.values()
+    # b at gamma 3 takes its selection block from the cache.
+    assert [f is leveled[0] for f in leveled] == [True, True, False, False]
+    assert leveled[3] is not leveled[2]
+    assert [f is selection[0] for f in selection] == [True, True, False]
+    assert [len(f.starts) for f in leveled] == [10 * 3, 10 * 3, 10 * 4, 13 * 4]
+    assert [len(f.arcs) for f in selection] == [10 * 10, 10 * 10, 13 * 13]
+
+
+def reference_assignment(inst, gamma, warm):
+    """The warm start assignment with each entry named by ``start_name``,
+    ``arc_name`` and ``flow_name``, in the model's column order."""
+    nodes = range(inst.n_nodes)
+    values = {start_name(i, g): warm.leveled_starts[i][g] for i in nodes for g in range(gamma + 1)}
+    active = set(extended_arcs(inst, warm.selection)) | {(inst.sink, inst.sink)}
+    values.update((arc_name(i, j), 1 if (i, j) in active else 0) for i in nodes for j in nodes)
+    flows = milp._greedy_flows(inst, warm.start, active)
+    values.update((flow_name(i, j, k), flows.get((i, j, k), 0))
+                  for i in nodes for j in nodes for k in inst.resource_types)
+    return values
+
+
+def test_warm_start_assignment_equals_the_entry_by_entry_reference():
+    """The same keys, values and order as the reference, whether the
+    frames it reads were kept by a build or not, and the keys in the
+    order of the model's columns."""
+    rng = random.Random(2026)
+    cases = [random_dag_instance(rng, rng.randint(1, 6), n_res=rng.randint(0, 2))
+             for _ in range(6)]
+    cases += [robustify(random_psplib_instance(rng, n_act=n, n_res=4)) for n in (10, 10, 14)]
+    for inst in cases:
+        for gamma in (0, 1, 3):
+            warm = warm_start(inst, gamma)
+            clear_blocks()
+            got = warm_start_assignment(inst, gamma, warm)
+            want = reference_assignment(inst, gamma, warm)
+            assert list(got.items()) == list(want.items()), (inst.meta.name, gamma)
+            assert all(type(value) is int for value in got.values())
+            model = build_compact(inst, gamma)
+            assert list(got) == [v.name for v in model.variables]
+            assert list(warm_start_assignment(inst, gamma, warm).items()) == list(want.items())
+
+
 def test_bench_variants_share_the_blocks_that_read_the_same_inputs():
     """The four bench variants at gamma 1 and 2: ``basic``/``trans`` and
     ``warm``/``warm+trans`` share their leveled rows, all eight one
@@ -652,10 +779,11 @@ def test_build_variant_rejects_an_unknown_name():
 
 def test_threads_building_two_sizes_get_the_single_threaded_text(monkeypatch):
     """More threads than cores, switching often, each building and
-    exporting trans models while the others evict its blocks: two
-    instances of 9 nodes evict each other's leveled and selection blocks
-    and share one transitivity block, which the 13-node instance evicts.
-    The collector is off in every build and back on after the last."""
+    exporting trans models while the others evict its blocks and frames:
+    two instances of 9 nodes evict each other's leveled and selection
+    blocks and share their frames and one transitivity block, which the
+    13-node instance evicts with the frames.  The collector is off in
+    every build and back on after the last."""
     cases = ((9, None), (13, None), (9, 90), (13, None))
     expected = {case: export_lp(trans_model(*case)) for case in set(cases)}
     barrier = threading.Barrier(len(cases), timeout=60)
