@@ -67,9 +67,7 @@ change.  The root is an entry without an arc, made before the search
 from the instance's derived ``closure`` (its closure, and its transpose in
 one pass over the bits) and ``order``: its head rows are ``leveled_rows``
 over ``order`` and the predecessor lists, their sink row at ``gamma`` its
-bound, and its tail rows are ``tail_rows``, the same run backward.  The
-warm start takes those tail rows for its schedule's LFT priorities, their
-level-zero column, so a solve runs the backward pass once.
+bound, and its tail rows are ``tail_rows``, the same run backward.
 """
 from __future__ import annotations
 
@@ -119,8 +117,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     limit.
     """
     t0 = time.perf_counter()
-    root_tails = tail_rows(inst, gamma)
-    warm = warm_start(inst, gamma, root_tails)
+    warm = warm_start(inst, gamma)
     incumbent_value, incumbent_sel = warm.upper_bound, warm.selection
 
     n_nodes = inst.n_nodes
@@ -135,7 +132,8 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     # The root's entry has no arc, and its "parent" is its own state, with
     # no branching set before it.
     heap = [(root_rows[inst.sink][gamma], 0,
-             (root_closure, root_ancestors, (), root_pred, root_rows, root_succ, root_tails),
+             (root_closure, root_ancestors, (), root_pred, root_rows, root_succ,
+              tail_rows(inst, gamma)),
              None, None)]
     counter = 0
     seen = set()

@@ -14,9 +14,9 @@ selection from it and runs ``adversary.leveled_rows`` over its covering
 arcs only; that DP gives the leveled start times and the upper bound
 that seed both the branch-and-bound and the compact model.  The time
 windows' earliest starts are the DP's level-zero column; their latest
-finishes, like the LFT priorities, are that of ``tail_rows``, whose
-level-zero column is the same at every gamma: the branch-and-bound hands
-the warm start its root's tail rows, so a solve runs one backward pass.
+finishes, like the LFT priorities, are the instance's ``nominal_tail``,
+the level-zero column of ``tail_rows`` at every gamma, made once with the
+instance.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 
 from ._graph import successors
-from .adversary import leveled_rows, tail_rows, worst_case_makespan_dp
+from .adversary import leveled_rows, worst_case_makespan_dp
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
 from .network import Selection, resource_fields, schedule_order, selection_from_order
@@ -56,7 +56,7 @@ class WarmStart:
     upper_bound: int
 
 
-def lft_schedule(inst: ProjectInstance, tails=None) -> tuple[int, ...]:
+def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     """Start times of a serial schedule-generation scheme under the LFT
     priority rule.
 
@@ -66,10 +66,8 @@ def lft_schedule(inst: ProjectInstance, tails=None) -> tuple[int, ...]:
     activities wait in a heap keyed by (latest finish, id), and an activity
     joins it when its count of unscheduled predecessors reaches zero.
 
-    The latest finishes come from ``tails``, the instance's tail rows
-    (``adversary.tail_rows``) at any gamma: their level-zero column is the
-    longest nominal path from each finish to the sink.  Without them the
-    schedule runs that pass at gamma 0.
+    The latest finishes come from ``inst.nominal_tail``, the longest
+    nominal path from each finish to the sink.
 
     A bucket's usage is one int of ``network.resource_fields``.  A window is
     tested from its last bucket down, and an overloaded bucket moves the
@@ -80,10 +78,8 @@ def lft_schedule(inst: ProjectInstance, tails=None) -> tuple[int, ...]:
     n_nodes = inst.n_nodes
     durations = inst.nominal_duration
     horizon = sum(max(d, 1) for d in durations) + 1
-    if tails is None:
-        tails = tail_rows(inst, 0)
     # Longest nominal paths to the sink, negated: latest finishes less a horizon.
-    priorities = [-row[0] for row in tails]
+    priorities = [-t for t in inst.nominal_tail]
     succ = successors(n_nodes, inst.precedence)
     waiting = [0] * n_nodes  # unscheduled predecessors
     for _, j in inst.precedence:
@@ -141,18 +137,15 @@ def validate_schedule(inst: ProjectInstance, start) -> None:
                 raise ValueError(f"resource {k} overloaded at time {t}: {load}")
 
 
-def warm_start(inst: ProjectInstance, gamma: int, tails=None) -> WarmStart:
+def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     """LFT schedule -> its order -> adversary DP: leveled starts and bound.
 
-    ``tails`` are the instance's tail rows at any gamma, handed to
-    ``lft_schedule`` for its priorities; a caller that holds them (the
-    root of ``bnb.solve_exact``) spares the schedule its backward pass.
     The selection and the DP's input both come from one ``schedule_order``.
     The DP runs over its covering arcs only, in schedule order: an arc a
     longer path implies raises no row, since durations are nonnegative, so
     the rows are those of the DP over the whole extended network.
     """
-    start = lft_schedule(inst, tails)
+    start = lft_schedule(inst)
     order, cut = schedule_order(inst, start)
     sel = selection_from_order(inst, order, cut)
     n_nodes = inst.n_nodes
@@ -174,7 +167,8 @@ def warm_start(inst: ProjectInstance, gamma: int, tails=None) -> WarmStart:
 def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
                  horizon: int) -> TimeWindows:
     """Nominal forward/backward passes over the instance arcs: the
-    level-zero columns of the DP and of ``tail_rows``.
+    level-zero column of the DP, and the instance's ``nominal_tail``, that
+    of ``tail_rows``.
 
     The selection and budget do not enter the passes; windows computed from
     the instance arcs alone are valid bounds for every selection, which is
@@ -188,5 +182,5 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
             f"horizon {horizon} is below the nominal critical path {nominal.value}"
         )
     es = tuple(row[0] for row in nominal.leveled_starts)
-    lf = tuple(horizon - row[0] for row in tail_rows(inst, 0))
+    lf = tuple(horizon - t for t in inst.nominal_tail)
     return TimeWindows(es=es, lf=lf, horizon=horizon)

@@ -8,11 +8,14 @@ and ``from_json`` share, and the optional ``activities`` (0..n+1) and ``meta``
 Activity ids are 0-based: PSPLIB job 1 becomes the dummy source 0 and job
 n+2 the dummy sink n+1, so index conventions match the rest of the library.
 
-An instance also holds three derived fields, set at construction and left
-out of ``==``, the hash, ``repr`` and the JSON: ``worst_case_duration``,
-and the ``order`` and ``closure`` of its arcs that validation computes.
-The DP, the time windows, the warm start, the forbidden-set kernel and the
-branch-and-bound's root read these two instead of sorting the arcs again.
+An instance also holds four derived fields, set at construction and left
+out of ``==``, the hash, ``repr`` and the JSON: ``worst_case_duration``;
+the ``order`` and ``closure`` of its arcs that validation computes, which
+the DP, the time windows, the warm start, the forbidden-set kernel and
+the branch-and-bound's root read instead of sorting the arcs again; and
+``nominal_tail``, the backward pass over ``order`` at no delay, which
+gives the LFT schedule its priorities and the time windows their latest
+finishes.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from ._graph import ordered_closure
+from ._graph import ordered_closure, successors
 from .errors import CyclicGraphError, ParseError
 
 
@@ -49,12 +52,14 @@ class ProjectInstance:
     Activities are 0..n+1 where 0 and n+1 are zero-duration dummies with no
     resource usage.  Every activity is reachable from the source and reaches
     the sink; the precedence graph is acyclic.  Every entry is an integer.
-    Violations raise ValueError at construction time.  Three fields are
+    Violations raise ValueError at construction time.  Four fields are
     derived: ``worst_case_duration``, the nominal duration plus the maximal
     deviation per activity; ``order``, the topological order of the arcs
-    (``_graph.topological_order``, ties by smallest id); and ``closure``,
+    (``_graph.topological_order``, ties by smallest id); ``closure``,
     their reachability bitmasks (``_graph.closure_bitsets``), both tuples
-    that the check for cycles computes.
+    that the check for cycles computes; and ``nominal_tail``, the longest
+    nominal path from each activity's finish to the sink, the level-zero
+    column of ``adversary.tail_rows`` at every gamma.
     """
 
     nominal_duration: tuple[int, ...]
@@ -66,6 +71,7 @@ class ProjectInstance:
     worst_case_duration: tuple[int, ...] = field(init=False, compare=False, repr=False)
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
     closure: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    nominal_tail: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_duration", _ints(self.nominal_duration))
@@ -76,6 +82,8 @@ class ProjectInstance:
         order, closure = _validate(self)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "nominal_tail",
+                           _nominal_tail(self.nominal_duration, self.precedence, order))
         object.__setattr__(self, "worst_case_duration", tuple(
             a + d for a, d in zip(self.nominal_duration, self.max_deviation)))
 
@@ -106,6 +114,16 @@ def _ints(values):
         bad = next(v for v, i in zip(values, ints) if v != i or type(v) is bool)
         raise ValueError(f"{bad!r} is not an integer")
     return ints
+
+
+def _nominal_tail(durations, arcs, order):
+    """The longest path of ``durations`` from each node's finish to the
+    last node of the topological ``order``, over ``arcs``."""
+    succ = successors(len(durations), arcs)
+    tail = [0] * len(durations)
+    for v in reversed(order):
+        tail[v] = max([tail[j] + durations[j] for j in succ[v]], default=0)
+    return tuple(tail)
 
 
 def _validate(inst: ProjectInstance):

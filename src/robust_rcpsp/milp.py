@@ -25,13 +25,15 @@ each block reads only its own inputs:
 
 The leveled and selection builders each split into a frame and a fill.
 The frame is what the block holds whatever the instance, made once per
-shape: the leveled frame per node count and gamma, the selection frame
-per node and resource counts.  It holds the column and row names, the
-``(name, +-1)`` terms that read no instance data, and the text of each
-row's LP line up to where the instance's numbers go (for a leveled row,
-its big-M; for a ``cap_`` row, the capacity; for a balance row, its
-right-hand side).  The fill writes only those numbers, and makes the
-rows and their text with ``map``/``zip`` over the frame.  The
+shape: the leveled frame per node count, for every gamma up to the one
+it was made for, and the selection frame per node and resource counts.
+It holds the column and row names, the ``(name, +-1)`` terms that read
+no instance data, and the text of each row's LP line up to where the
+instance's numbers go (for a leveled row, its big-M; for a ``cap_`` row,
+the capacity; for a balance row, its right-hand side).  The fill writes
+only those numbers, and makes the rows and their text with
+``map``/``zip`` over the frame, a leveled family's rows cut to its
+gamma by a slice.  The
 transitivity block reads nothing but the node count, so it is a frame
 alone.  ``export_lp`` only joins the texts of a model's blocks, section
 by section; ``_render_rows`` writes the rows of a model without blocks,
@@ -40,22 +42,26 @@ cyclic collector is paused while a build runs
 (``_collector.collector_paused``): a build makes tens of thousands of
 tracked rows, none in a cycle.
 
-Each builder and each frame keeps its most recent result (``_one_slot``,
-emptied by its ``cache_clear``), which it drops before it builds one for
-other inputs.  Models that read equal inputs share the same row and
-column objects and the same text: the four bench variants of one instance
-at one gamma build two leveled blocks and one selection block, and every
-transitivity model of one size shares one transitivity block.  Instances
-of one size share their frames, so their blocks share every name string.
-A frame is rebuilt only when the node count, gamma or the resource count
-changes; a block whenever its inputs do.  A model holds the blocks it was
+Each builder and each frame keeps its most recent result
+(``functools.lru_cache(maxsize=1)``; the leveled frame in a slot of its
+own), emptied by its ``cache_clear``; the result it replaces is freed
+after the new one is built.  Models that read equal inputs share the
+same row and column objects and the same text: the four bench variants
+of one instance at one gamma build two leveled blocks and one selection
+block, and every transitivity model of one size shares one transitivity
+block.  Instances of one size share their frames, so their blocks share
+every name string.  The leveled frame is rebuilt only when the node
+count changes or a gamma exceeds the one it was made for, so the bench's
+gammas 3, 5 and 7 over a set of one size make three leveled frames in
+all; the selection frame when the node or resource count changes; a
+block whenever its inputs do.  A model holds the blocks it was
 built from.  Rows are immutable named tuples and the model is frozen, so
 a model's rows are its blocks' rows; a model made any other way holds no
 blocks and is written as one block of its own.  Every number is an int.
 At j30 and gamma 7 (tracemalloc, text included), the leveled frame takes
-about 2.6 MB and the selection frame 1.6 MB; above them a leveled block
-takes 3.0-3.3 MB and a selection block 1.0-1.1 MB, and the transitivity
-block 8.5 MB.
+about 3.0 MB and the selection frame 1.6 MB; above them a leveled block
+takes 3.2-3.3 MB and a selection block 1.0-1.1 MB, and the transitivity
+block 8.3 MB.
 """
 from __future__ import annotations
 
@@ -67,8 +73,8 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
-from operator import add
+from itertools import accumulate, chain, cycle, repeat
+from operator import add, getitem
 from pathlib import Path
 from typing import NamedTuple
 
@@ -175,113 +181,107 @@ def _block(columns, rows, lines):
     return _Block(columns, rows, "\n".join(lines), *_column_sections(columns))
 
 
-def _one_slot(build):
-    """``build`` keeping its most recent result, by its arguments.
-
-    A call with other arguments drops the kept result before it builds,
-    so the result it replaces is freed while the new one is made, unless
-    a caller holds it.  Threads that miss at once each build and get the
-    result of their own arguments; the last to finish is kept.
-    ``cache_clear()`` drops the kept result.
-    """
-    slot = [None]  # (args, result), or None
-
-    @functools.wraps(build)
-    def cached(*args):
-        kept = slot[0]
-        if kept is not None and kept[0] == args:
-            return kept[1]
-        slot[0] = kept = None
-        result = build(*args)
-        slot[0] = args, result
-        return result
-
-    def cache_clear():
-        slot[0] = None
-
-    cached.cache_clear = cache_clear
-    return cached
-
-
 # A row from its (name, coeffs, sense, rhs) tuple, made in C without a
 # call of the named tuple's Python-level __new__.
 _new_row = functools.partial(tuple.__new__, LinearConstraint)
 
 
 class _LeveledFrame(NamedTuple):
-    """What the leveled block of ``n_nodes`` nodes at ``gamma`` holds
-    whatever the instance.
+    """What the leveled block of ``n_nodes`` nodes holds whatever the
+    instance, at every gamma up to ``top``.  The block at a gamma takes
+    the first ``gamma + 1`` entries of a node's starts and of a ``nom_``
+    family, and the first ``gamma`` of a ``dev_`` family.
 
-    - ``starts``: the start names ``S_i_g``, node by node;
-    - ``columns`` and ``sections``: by kind, the start columns and their
-      ``Bounds``/``Generals``/``Binaries`` text;
+    - ``starts`` and ``columns``: per node, the start names ``S_i_g``
+      and, by kind, the start columns;
     - ``pairs``: each ordered pair ``(i, j, y_i_j)``;
-    - ``names`` and ``terms``: each row's name and start terms, pair by
-      pair, the ``gamma + 1`` rows ``nom_i_j_g`` before the ``gamma``
-      rows ``dev_i_j_g``;
-    - ``families``: per pair, the text of its ``nom_`` rows and then of
-      its ``dev_`` rows, each line up to its big-M (``' nom_i_j_g: S_j_g -
-      S_i_g'``) and ending in a newline.
+    - ``names`` and ``terms``: per family, its rows' names and start
+      terms; the families run pair by pair, the rows ``nom_i_j_g``
+      before the rows ``dev_i_j_g``;
+    - ``lines`` and ``ends``: per family, the text of its rows' LP lines,
+      each up to its big-M (``' nom_i_j_g: S_j_g - S_i_g'``) and ending
+      in a newline, and the text's length after each line: ``ends[f][k]``
+      is the length of the family's first ``k`` lines.
     """
-    starts: tuple[str, ...]
+    n_nodes: int
+    top: int
+    starts: tuple[tuple[str, ...], ...]
     columns: dict
-    sections: dict
     pairs: tuple[tuple[int, int, str], ...]
-    names: tuple[str, ...]
-    terms: tuple[tuple[tuple[str, int], ...], ...]
-    families: tuple[str, ...]
+    names: tuple[tuple[str, ...], ...]
+    terms: tuple[tuple[tuple[tuple[str, int], ...], ...], ...]
+    lines: tuple[str, ...]
+    ends: tuple[tuple[int, ...], ...]
 
 
-@_one_slot
+_leveled_kept = [None]  # the leveled frame of the last call, or None
+
+
 def _leveled_frame(n_nodes, gamma):
+    """The kept leveled frame if it was made for ``n_nodes`` nodes at
+    ``gamma`` or above, so that it serves ``gamma``; else a frame made
+    for ``n_nodes`` and ``gamma``, kept in its place.  Threads that miss
+    at once each make a frame that serves them; the last made is kept.
+    ``cache_clear()`` drops the kept frame."""
+    frame = _leveled_kept[0]
+    if frame is None or frame.n_nodes != n_nodes or frame.top < gamma:
+        frame = _leveled_kept[0] = _make_leveled_frame(n_nodes, gamma)
+    return frame
+
+
+_leveled_frame.cache_clear = lambda: _leveled_kept.__setitem__(0, None)
+
+
+def _make_leveled_frame(n_nodes, top):
     nodes = range(n_nodes)
-    levels = range(gamma + 1)
+    levels = range(top + 1)
     suffix = [str(g) for g in levels]
     S = [[start_name(i, g) for g in levels] for i in nodes]
     s_pos = [[(s, 1) for s in row] for row in S]
     s_neg = [[(s, -1) for s in row] for row in S]
     names = []
     terms = []
-    families = []
+    lines = []
     for i in nodes:
         for j in nodes:
             pre = f"nom_{i}_{j}_"
-            names += [pre + sfx for sfx in suffix]
+            names.append(tuple(pre + sfx for sfx in suffix))
             if i == j:  # the start terms cancel on the diagonal
-                terms += [()] * len(suffix)
-                families.append("".join(f" {pre}{sfx}:\n" for sfx in suffix))
+                terms.append(((),) * len(suffix))
+                lines.append([f" {pre}{sfx}:\n" for sfx in suffix])
             else:
-                terms += [(s_pos[j][g], s_neg[i][g]) for g in levels]
-                families.append("".join(f" {pre}{suffix[g]}: {S[j][g]} - {S[i][g]}\n"
-                                        for g in levels))
+                terms.append(tuple((s_pos[j][g], s_neg[i][g]) for g in levels))
+                lines.append([f" {pre}{suffix[g]}: {S[j][g]} - {S[i][g]}\n" for g in levels])
             pre = f"dev_{i}_{j}_"
-            names += [pre + suffix[g] for g in range(gamma)]
-            terms += [(s_pos[j][g + 1], s_neg[i][g]) for g in range(gamma)]
-            families.append("".join(f" {pre}{suffix[g]}: {S[j][g + 1]} - {S[i][g]}\n"
-                                    for g in range(gamma)))
-    starts = tuple(s for row in S for s in row)
-    columns = {kind: tuple(Variable(s, kind, 0, None if k else 0) for k, s in enumerate(starts))
-               for kind in ("continuous", "integer")}
-    return _LeveledFrame(starts, columns,
-                         {kind: _column_sections(c) for kind, c in columns.items()},
-                         tuple((i, j, arc_name(i, j)) for i in nodes for j in nodes),
-                         tuple(names), tuple(terms), tuple(families))
+            names.append(tuple(pre + suffix[g] for g in range(top)))
+            terms.append(tuple((s_pos[j][g + 1], s_neg[i][g]) for g in range(top)))
+            lines.append([f" {pre}{suffix[g]}: {S[j][g + 1]} - {S[i][g]}\n"
+                          for g in range(top)])
+    first = S[0][0]  # the source's first start is fixed at zero
+    return _LeveledFrame(
+        n_nodes, top, tuple(map(tuple, S)),
+        {kind: tuple(tuple(Variable(s, kind, 0, 0 if s is first else None) for s in row)
+                     for row in S)
+         for kind in ("continuous", "integer")},
+        tuple((i, j, arc_name(i, j)) for i in nodes for j in nodes),
+        tuple(names), tuple(terms), tuple(map("".join, lines)),
+        tuple(tuple(accumulate(map(len, family), initial=0)) for family in lines))
 
 
-@_one_slot
+@functools.lru_cache(maxsize=1)
 def _leveled_block(gamma, integral_starts, nominal, dev, windows):
     """The start columns ``S_i_g`` and the big-M precedence rows ``nom_``
     and ``dev_`` over ``gamma + 1`` levels.  ``windows`` is ``(es, lf)``
     for per-arc big-Ms, or None for the global one.
 
     The names, the start terms and the lines up to the big-M come from
-    the frame of the node count and gamma.  The block writes what the
-    instance fixes: each pair's two big-Ms and right-hand sides, and the
-    tail of each line, which ends every line of its family."""
+    the frame of the node count, cut to ``gamma``.  The block writes what
+    the instance fixes: each pair's two big-Ms and right-hand sides, and
+    the tail of each line, which ends every line of its family."""
     frame = _leveled_frame(len(nominal), gamma)
     m_global = sum(nominal) + sum(dev)  # total worst-case work bounds any makespan
     es, lf = windows or (None, None)
-    empty = f" 0 {frame.starts[0]}"  # an empty row names the block's first column
+    empty = f" 0 {frame.starts[0][0]}"  # an empty row names the block's first column
     big_ms = []
     rhss = []
     tails = []
@@ -301,15 +301,24 @@ def _leveled_block(gamma, integral_starts, nominal, dev, windows):
         rhss += nom_rhs, dev_rhs
         tails += f"{nom_text} >= {nom_rhs}\n", f"{dev_text} >= {dev_rhs}\n"
 
+    sizes = (gamma + 1, gamma)  # the rows of a nom_ and of a dev_ family
+
     def per_row(values):
         """One value per family, repeated for each of its rows."""
-        return chain.from_iterable(map(repeat, values, cycle((gamma + 1, gamma))))
+        return chain.from_iterable(map(repeat, values, cycle(sizes)))
 
-    rows = tuple(map(_new_row, zip(frame.names, map(add, frame.terms, per_row(big_ms)),
+    def cut(families):
+        """Each family's first rows, as many as gamma keeps."""
+        return chain.from_iterable(map(getitem, families, cycle(map(slice, sizes))))
+
+    rows = tuple(map(_new_row, zip(cut(frame.names), map(add, cut(frame.terms), per_row(big_ms)),
                                    repeat(">="), per_row(rhss))))
-    text = "".join(map(str.replace, frame.families, repeat("\n"), tails))[:-1]
+    lines = map(getitem, frame.lines, map(slice, map(getitem, frame.ends, cycle(sizes))))
+    text = "".join(map(str.replace, lines, repeat("\n"), tails))[:-1]
     kind = "integer" if integral_starts else "continuous"
-    return _Block(frame.columns[kind], rows, text, *frame.sections[kind])
+    columns = tuple(chain.from_iterable(map(getitem, frame.columns[kind],
+                                            repeat(slice(gamma + 1)))))
+    return _Block(columns, rows, text, *_column_sections(columns))
 
 
 def _big_m(y, m):
@@ -342,7 +351,7 @@ class _SelectionFrame(NamedTuple):
     template: str
 
 
-@_one_slot
+@functools.lru_cache(maxsize=1)
 def _selection_frame(n_nodes, n_resources):
     sink = n_nodes - 1
     nodes = range(n_nodes)
@@ -392,7 +401,7 @@ def _selection_frame(n_nodes, n_resources):
         template="\n".join(heads))
 
 
-@_one_slot
+@functools.lru_cache(maxsize=1)
 def _selection_block(precedence, capacity, requirement):
     """The arc binaries ``y_i_j``, the flows ``f_i_j_k`` and the flow rows
     ``cap_``, ``fin_`` and ``fout_``: the arcs fixed by the precedence, and
@@ -429,7 +438,7 @@ def _selection_block(precedence, capacity, requirement):
                   "\n".join(filter(None, arc_bounds)), "", frame.binaries)
 
 
-@_one_slot
+@functools.lru_cache(maxsize=1)
 def _transitivity_block(n_nodes):
     """The ``pair_`` and ``tri_`` rows over the arc binaries of ``n_nodes``
     nodes: they read no instance data but the node count, with the sink as
@@ -494,8 +503,9 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
     n_nodes = inst.n_nodes
     n_resources = len(inst.capacity)
     selection = _selection_frame(n_nodes, n_resources)
-    values = dict(zip(_leveled_frame(n_nodes, gamma).starts,
-                      chain.from_iterable(warm.leveled_starts)))
+    starts = chain.from_iterable(map(getitem, _leveled_frame(n_nodes, gamma).starts,
+                                     repeat(slice(gamma + 1))))
+    values = dict(zip(starts, chain.from_iterable(warm.leveled_starts)))
     active = set(extended_arcs(inst, warm.selection)) | {(inst.sink, inst.sink)}
     arcs = [0] * (n_nodes * n_nodes)
     for i, j in active:

@@ -108,9 +108,9 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
 
 
 def test_a_solve_runs_one_backward_pass(monkeypatch):
-    """The root's tail rows give the warm start its LFT priorities, so a
-    solve runs the backward pass once, at its gamma; the warm start alone
-    runs its own at gamma 0."""
+    """The warm start reads its LFT priorities from the instance's
+    ``nominal_tail``, so a solve runs the backward pass once, for the
+    root's tail rows at its gamma.  No other module holds ``tail_rows``."""
     passes = []
 
     def counted(inst, gamma):
@@ -118,13 +118,10 @@ def test_a_solve_runs_one_backward_pass(monkeypatch):
         return tail_rows(inst, gamma)
 
     monkeypatch.setattr(bnb, "tail_rows", counted)
-    monkeypatch.setattr(heuristics, "tail_rows", counted)
     inst = robustify(random_psplib_instance(random.Random(4), 12, 2))
     solve_exact(inst, 3, node_cap=0)
     assert passes == [3]
-    passes.clear()
-    heuristics.warm_start(inst, 3)
-    assert passes == [0]
+    assert not hasattr(heuristics, "tail_rows")
 
 
 def test_matches_exhaustive_oracle():
@@ -353,7 +350,7 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
     chain = Selection(frozenset({(1, 2), (2, 3), (3, 4)}))
     assert worst_case_makespan_dp(inst, chain, 0).value == 8
     monkeypatch.setattr(bnb, "warm_start",
-                        lambda inst, gamma, tails: SimpleNamespace(upper_bound=8, selection=chain))
+                        lambda inst, gamma: SimpleNamespace(upper_bound=8, selection=chain))
     made, expanded = [], []
 
     def child_closure(closure, ancestors, i, j):

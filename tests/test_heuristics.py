@@ -226,11 +226,12 @@ def test_warm_start_is_pinned():
         assert digest == PINNED_WARM_SHA256[family], family
 
 
-def test_the_warm_start_takes_its_priorities_from_tail_rows_at_any_gamma():
-    """Handed the instance's tail rows at any gamma, the schedule and the
-    warm start are those they make alone, from a backward pass at gamma 0.
-    Deviations drawn apart from the durations make a delayed tail order
-    the activities otherwise than the nominal one."""
+def test_the_nominal_tail_is_the_level_zero_column_of_tail_rows():
+    """An instance's ``nominal_tail``, which gives the LFT schedule its
+    priorities and the time windows their latest finishes, is the
+    level-zero column of ``tail_rows`` at every gamma.  Deviations drawn
+    apart from the durations make a delayed tail order the activities
+    otherwise than the nominal one."""
     rng = random.Random(31)
     cases = [robustify(shuffled_ids(rng, random_psplib_instance(rng, n_act=rng.randint(4, 20))))
              for _ in range(12)]
@@ -242,9 +243,7 @@ def test_the_warm_start_takes_its_priorities_from_tail_rows_at_any_gamma():
               for _ in range(8)]
     for inst in cases:
         for gamma in (0, 2, 5):
-            tails = tail_rows(inst, gamma)
-            assert lft_schedule(inst, tails) == lft_schedule(inst)
-            assert warm_start(inst, gamma, tails) == warm_start(inst, gamma)
+            assert list(inst.nominal_tail) == [row[0] for row in tail_rows(inst, gamma)]
 
 
 def test_leveled_starts_satisfy_recursion_bounds():

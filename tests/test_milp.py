@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -413,6 +412,11 @@ def collector_state():
     return gc.isenabled(), gc.get_threshold()
 
 
+def builds():
+    """How many blocks each builder has made so far."""
+    return [build.cache_info().misses for build in BUILDERS]
+
+
 @pytest.fixture
 def rendered(monkeypatch):
     """The row count of every ``_render_rows`` call, in order, starting
@@ -437,7 +441,9 @@ def test_cached_block_text_equals_the_per_row_text(rendered):
     renders every row."""
     seen = []
     for n_nodes in (14, 6, 14):
+        made = builds()
         model = trans_model(n_nodes)
+        assert builds() == [n + 1 for n in made]
         blocks = model.blocks
         assert blocks[-1] is milp._transitivity_block(n_nodes)
         assert [block.text for block in blocks] == [rows_text(block) for block in blocks]
@@ -446,6 +452,7 @@ def test_cached_block_text_equals_the_per_row_text(rendered):
         assert all(block is not old for block in blocks for old in seen)
         seen += blocks
         again = trans_model(n_nodes)
+        assert builds() == [n + 1 for n in made]
         assert all(a is b for a, b in zip(again.blocks, blocks))
         text = export_lp(model)
         assert export_lp(again) == export_lp(model) == text
@@ -563,45 +570,15 @@ def test_each_block_writes_the_text_of_its_rows():
     assert seen == {"zero big-M", "big-M of 1", "empty row", "merged tri_", "capacity 1"}
 
 
-def test_the_one_slot_cache_drops_its_result_before_it_builds_another():
-    """A call with new arguments finds the kept result freed, unless a
-    caller holds it; equal arguments get the kept result back, and
-    ``cache_clear`` frees it."""
-    class Result:
-        pass
-
-    kept = []  # per build: was the previous result alive while it ran?
-    made = []
-
-    @milp._one_slot
-    def build(*args):
-        kept.append([ref() is not None for ref in made])
-        result = Result()
-        made.append(weakref.ref(result))
-        return result
-
-    first = build(1, (2,))
-    assert build(1, (2,)) is first
-    del first
-    held = build(3, None)
-    assert kept == [[], [False]]
-    assert build(3, None) is held
-    build(1, (2,))
-    assert kept[-1] == [False, True]
-    build.cache_clear()
-    assert [ref() is not None for ref in made] == [False, True, False]
-
-
 def test_a_block_built_from_a_kept_frame_equals_one_built_cold():
-    """Instances of two sizes in turns at gamma 0, 2 and 7, so that most
-    builds take their frames from another instance's build: each block
-    equals the block built after every cache is emptied, its rows are
-    exactly ``LinearConstraint`` records of ints, and its text is its rows
-    rendered one by one."""
+    """Each build takes its frames from another instance of its size
+    built at a larger gamma, 9: each block equals the block built after
+    every cache is emptied, its rows are exactly ``LinearConstraint``
+    records of ints, and its text is its rows rendered one by one."""
     rng = random.Random(32)
     instances = [robustify(random_psplib_instance(rng, n_act=n, n_res=3)) for n in (6, 9, 6, 9)]
-    for gamma in (0, 2, 7):
-        for inst in instances:
+    for inst, other in zip(instances, instances[2:] + instances[:2]):
+        for gamma in (0, 2, 7, 9):
             warm = warm_start(inst, gamma)
             windows = time_windows(inst, warm.selection, gamma, warm.upper_bound)
             for tighten, integral_starts in ((None, False), (windows, True)):
@@ -609,36 +586,42 @@ def test_a_block_built_from_a_kept_frame_equals_one_built_cold():
                     return build_compact(inst, gamma, transitivity=True, tighten=tighten,
                                          integral_starts=integral_starts)
 
+                clear_blocks()
+                cold = build()
+                clear_blocks()
+                build_compact(other, 9)
                 model = build()
                 for block in model.blocks:
                     assert all(type(row) is LinearConstraint for row in block.rows)
                     assert all(type(c) is int for row in block.rows for _, c in row.coeffs)
                     assert all(type(row.rhs) is int for row in block.rows)
                     assert block.text == rows_text(block), (inst.meta.name, gamma)
-                clear_blocks()
-                assert model.blocks == build().blocks, (inst.meta.name, gamma)
+                assert model.blocks == cold.blocks, (inst.meta.name, gamma)
+                assert export_lp(model) == export_lp(cold)
 
 
 def test_two_instances_of_one_size_share_their_names():
-    """The second instance of one size and gamma builds new blocks, whose
-    rows and columns hold the name strings of the first's: both come from
-    the same frames."""
+    """The second instance of one size builds new blocks, whose rows and
+    columns hold the name strings of the first's, at its gamma and at a
+    smaller one: all come from the same frames."""
     clear_blocks()
     rng = random.Random(5)
     a, b = (robustify(random_psplib_instance(rng, n_act=10, n_res=2)) for _ in range(2))
     a_model = build_compact(a, 3, transitivity=True)
-    b_model = build_compact(b, 3, transitivity=True)
-    assert not any(x is y for x, y in zip(a_model.blocks[:2], b_model.blocks[:2]))
+    for gamma in (3, 1):
+        b_model = build_compact(b, gamma, transitivity=True)
+        assert not any(x is y for x, y in zip(a_model.blocks[:2], b_model.blocks[:2]))
+        names = {x.name: x.name for x in a_model.constraints + a_model.variables}
+        assert all(names[x.name] is x.name for x in b_model.constraints + b_model.variables)
     assert a_model.constraints != b_model.constraints
-    assert all(x.name is y.name for x, y in zip(a_model.constraints, b_model.constraints))
-    assert all(x.name is y.name for x, y in zip(a_model.variables, b_model.variables))
 
 
-def test_a_new_node_count_or_gamma_builds_a_new_frame(monkeypatch):
-    """Frames are kept by node count and gamma (leveled) and by node and
-    resource counts (selection): another instance of the same shape
-    reuses both, a new gamma a new leveled frame, and a new node count
-    builds both anew."""
+def test_a_new_node_count_or_a_larger_gamma_builds_a_new_frame(monkeypatch):
+    """The leveled frame is kept by node count and serves every gamma up
+    to the one it was made for; the selection frame is kept by node and
+    resource counts.  Another instance of the same shape reuses both, a
+    larger gamma makes a new leveled frame and a smaller one keeps it,
+    and a new node count makes both anew."""
     clear_blocks()
     frames = {"_leveled_frame": [], "_selection_frame": []}
     for name, made in frames.items():
@@ -649,15 +632,15 @@ def test_a_new_node_count_or_gamma_builds_a_new_frame(monkeypatch):
     rng = random.Random(11)
     a, b = (robustify(random_psplib_instance(rng, n_act=8, n_res=2)) for _ in range(2))
     c = robustify(random_psplib_instance(rng, n_act=11, n_res=2))
-    for inst, gamma in ((a, 2), (b, 2), (b, 3), (c, 3)):
+    for inst, gamma in ((a, 2), (b, 2), (b, 3), (a, 1), (c, 1)):
         build_compact(inst, gamma)
     leveled, selection = frames.values()
+    assert [f is leveled[0] for f in leveled] == [True, True, False, False, False]
+    assert leveled[3] is leveled[2] and leveled[4] is not leveled[3]
     # b at gamma 3 takes its selection block from the cache.
-    assert [f is leveled[0] for f in leveled] == [True, True, False, False]
-    assert leveled[3] is not leveled[2]
-    assert [f is selection[0] for f in selection] == [True, True, False]
-    assert [len(f.starts) for f in leveled] == [10 * 3, 10 * 3, 10 * 4, 13 * 4]
-    assert [len(f.arcs) for f in selection] == [10 * 10, 10 * 10, 13 * 13]
+    assert [f is selection[0] for f in selection] == [True, True, True, False]
+    assert [(f.n_nodes, f.top) for f in leveled] == [(10, 2), (10, 2), (10, 3), (10, 3), (13, 1)]
+    assert [len(f.arcs) for f in selection] == [10 * 10, 10 * 10, 10 * 10, 13 * 13]
 
 
 def reference_assignment(inst, gamma, warm):
@@ -675,8 +658,9 @@ def reference_assignment(inst, gamma, warm):
 
 def test_warm_start_assignment_equals_the_entry_by_entry_reference():
     """The same keys, values and order as the reference, whether the
-    frames it reads were kept by a build or not, and the keys in the
-    order of the model's columns."""
+    frames it reads were kept by a build at its gamma, by one at a larger
+    gamma or not at all, and the keys in the order of the model's
+    columns."""
     rng = random.Random(2026)
     cases = [random_dag_instance(rng, rng.randint(1, 6), n_res=rng.randint(0, 2))
              for _ in range(6)]
@@ -691,6 +675,8 @@ def test_warm_start_assignment_equals_the_entry_by_entry_reference():
             assert all(type(value) is int for value in got.values())
             model = build_compact(inst, gamma)
             assert list(got) == [v.name for v in model.variables]
+            assert list(warm_start_assignment(inst, gamma, warm).items()) == list(want.items())
+            build_compact(inst, gamma + 2)
             assert list(warm_start_assignment(inst, gamma, warm).items()) == list(want.items())
 
 
