@@ -1,13 +1,26 @@
-"""Small directed-graph primitives shared by the instance and network modules.
+"""Directed-graph primitives that every other module may import, the
+instance module included.
 
 Nodes are integers 0..n-1 and reachability sets are kept as bitmasks, which
 keeps closure updates cheap inside the branch-and-bound search.
+
+``relax_leveled_rows`` is the one longest-path kernel over leveled states
+(node, number of delays so far) and ``leveled_rows`` its one from-scratch
+run.  Forward, on predecessor lists in topological order, it gives the
+adversary DP, the warm start's leveled starts, the time windows' earliest
+starts and the branch-and-bound's head rows; backward, on successor lists
+in reversed order, the instance's ``nominal_tail`` and the
+branch-and-bound's tail rows.
 """
 from __future__ import annotations
 
 import heapq
+from typing import TYPE_CHECKING
 
 from .errors import CyclicGraphError
+
+if TYPE_CHECKING:
+    from .instance import ProjectInstance
 
 
 def successors(n_nodes, arcs):
@@ -133,3 +146,63 @@ def add_arc_to_closure(reach, ancestors, u, v):
 
 def reaches(reach, i, j):
     return bool((reach[i] >> j) & 1)
+
+
+def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
+    """The leveled longest-path kernel: raise in place the rows of the
+    nodes in ``order`` through their predecessors in the bitmask ``dirty``.
+
+    ``rows[j][g]`` is the longest path from the source to ``j`` with at
+    most ``g`` delays:
+    W(j, g) = max over i in pred[j] of max(W(i, g) + nominal_i,
+    W(i, g-1) + delayed_i), with W(source, .) = 0.  Durations are
+    nonnegative and every activity is reachable from the source, so rows
+    that start at zero and are only raised hold no unreachable state.
+
+    ``order`` must be topological.  A row is copied once before it is
+    raised, so rows shared with other tables are never written; a node
+    whose row rises becomes dirty for the nodes after it.
+
+    Run on successor lists, in an order where every node comes after its
+    successors, the sink plays the source: ``rows[j][g]`` becomes the
+    longest path from the finish of ``j`` to the sink with at most ``g``
+    delays.  Every activity reaches the sink, so the same zero start holds
+    no unreachable state.
+    """
+    for j in order:
+        old = rows[j]
+        new = None
+        for i in pred[j]:
+            if not (dirty >> i) & 1:
+                continue
+            if new is None:
+                new = list(old)
+            row = rows[i]
+            a = nominal[i]
+            b = delayed[i]
+            prev = row[0]
+            if prev + a > new[0]:
+                new[0] = prev + a
+            for g in range(1, len(new)):
+                cur = row[g]
+                x = cur + a
+                y = prev + b
+                if y > x:
+                    x = y
+                if x > new[g]:
+                    new[g] = x
+                prev = cur
+        if new is not None and new != old:
+            rows[j] = new
+            dirty |= 1 << j
+
+
+def leveled_rows(inst: ProjectInstance, gamma: int, order, adj) -> list[list[int]]:
+    """``relax_leveled_rows`` from scratch, all rows zero and every node
+    dirty, over a topological ``order`` and predecessor lists ``adj`` (or
+    the reverse, on successor lists).  Rejects a negative ``gamma``."""
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    rows = [[0] * (gamma + 1)] * inst.n_nodes  # one shared row: the kernel copies before it raises
+    relax_leveled_rows(rows, order, -1, adj, inst.nominal_duration, inst.worst_case_duration)
+    return rows

@@ -5,13 +5,9 @@ maximise the minimum makespan.  For integer budgets this is a longest path
 over leveled states (node, number of delays so far): staying on a level
 costs the nominal duration of the tail activity, moving up one level costs
 its worst-case duration (``ProjectInstance.worst_case_duration``).
-``relax_leveled_rows`` is the one kernel for that recursion, and
-``leveled_rows`` its one from-scratch run and the one check that the
-budget is nonnegative.  The same rows are the leveled start times of the
-compact model (the warm start), their level-zero column is the nominal
-earliest start (the time windows), and the branch-and-bound raises them
-incrementally as it adds arcs; ``tail_rows`` runs it backward on
-successor lists.
+The DP is one run of ``_graph.leveled_rows``, the one kernel for that
+recursion and the one check that the budget is nonnegative, over the
+extended network of a selection, plus a backtrack to one worst delay set.
 
 Also houses the single-level linearized adversary model as one labelled
 constraint matrix with its objective, the Ghouila-Houri refutation of its
@@ -26,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from ._graph import predecessors, successors, topological_order
+from ._graph import leveled_rows, predecessors, topological_order
 from .errors import CapExceeded
 from .instance import InstanceMeta, ProjectInstance
 from .network import Selection, extended_arcs
@@ -46,90 +42,20 @@ class DpResult:
     leveled_starts: tuple[tuple[int, ...], ...]
 
 
-def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
-    """The leveled longest-path kernel: raise in place the rows of the
-    nodes in ``order`` through their predecessors in the bitmask ``dirty``.
-
-    ``rows[j][g]`` is the longest path from the source to ``j`` with at
-    most ``g`` delays:
-    W(j, g) = max over i in pred[j] of max(W(i, g) + nominal_i,
-    W(i, g-1) + delayed_i), with W(source, .) = 0.  Durations are
-    nonnegative and every activity is reachable from the source, so rows
-    that start at zero and are only raised hold no unreachable state.
-
-    ``order`` must be topological.  A row is copied once before it is
-    raised, so rows shared with other tables are never written; a node
-    whose row rises becomes dirty for the nodes after it.
-
-    Run on successor lists, in an order where every node comes after its
-    successors, the sink plays the source: ``rows[j][g]`` becomes the
-    longest path from the finish of ``j`` to the sink with at most ``g``
-    delays (``tail_rows``).  Every activity reaches the sink, so the same
-    zero start holds no unreachable state.
-    """
-    for j in order:
-        old = rows[j]
-        new = None
-        for i in pred[j]:
-            if not (dirty >> i) & 1:
-                continue
-            if new is None:
-                new = list(old)
-            row = rows[i]
-            a = nominal[i]
-            b = delayed[i]
-            prev = row[0]
-            if prev + a > new[0]:
-                new[0] = prev + a
-            for g in range(1, len(new)):
-                cur = row[g]
-                x = cur + a
-                y = prev + b
-                if y > x:
-                    x = y
-                if x > new[g]:
-                    new[g] = x
-                prev = cur
-        if new is not None and new != old:
-            rows[j] = new
-            dirty |= 1 << j
-
-
-def leveled_rows(inst: ProjectInstance, gamma: int, order, adj) -> list[list[int]]:
-    """``relax_leveled_rows`` from scratch, all rows zero and every node
-    dirty, over a topological ``order`` and predecessor lists ``adj`` (or
-    the reverse, on successor lists).  Rejects a negative ``gamma``."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    rows = [[0] * (gamma + 1)] * inst.n_nodes  # one shared row: the kernel copies before it raises
-    relax_leveled_rows(rows, order, -1, adj, inst.nominal_duration, inst.worst_case_duration)
-    return rows
-
-
 def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) -> DpResult:
     """Worst-case makespan of a selection, with one worst delay set.
 
-    ``leveled_rows`` over the extended network in topological order (which
-    rejects cyclic extensions; without added arcs it is ``inst.order``);
-    the value is W(sink, gamma) and ``leveled_starts`` holds every row.
+    ``leveled_rows`` over the extended network in topological order (the
+    sort rejects cyclic extensions); the value is W(sink, gamma) and
+    ``leveled_starts`` holds every row.
     """
     arcs = extended_arcs(inst, sel)
     n_nodes = inst.n_nodes
     pred = predecessors(n_nodes, arcs)
-    order = topological_order(n_nodes, arcs) if sel.added_arcs else inst.order
-    rows = leveled_rows(inst, gamma, order, pred)
+    rows = leveled_rows(inst, gamma, topological_order(n_nodes, arcs), pred)
     delays, path = _backtrack(rows, pred, inst, gamma)
     return DpResult(value=rows[inst.sink][gamma], delayed=frozenset(delays), path=tuple(path),
                     leveled_starts=tuple(map(tuple, rows)))
-
-
-def tail_rows(inst: ProjectInstance, gamma: int) -> list[list[int]]:
-    """The backward pass over the instance arcs: ``rows[v][g]`` is the
-    longest path from the finish of ``v`` to the sink with at most ``g``
-    delays, from ``leveled_rows`` on the successor lists in reversed
-    ``inst.order``."""
-    return leveled_rows(inst, gamma, reversed(inst.order),
-                        successors(inst.n_nodes, inst.precedence))
 
 
 def _backtrack(rows, pred, inst, gamma):

@@ -6,8 +6,9 @@ it per child; the worst-case makespan of the partial extension is a valid
 lower bound because adding arcs never shortens the adversary's longest
 path.  The branching routine is the one the exhaustive
 ``enumerate_sufficient_selections`` shares: ``network.conflict_finder``
-gives a node's branching set, ``network.branch`` yields the arcs of its
-children and ``network.child_closure`` builds a child.
+gives a node's branching set, an antichain of the node's closure, so each
+of its ordered pairs is the arc of a child, and ``network.child_closure``
+builds a child.
 
 The search builds no catalog of minimal forbidden sets, so everything
 after the warm start and the root bound runs under the time limit.  A
@@ -32,11 +33,11 @@ A child costs only that bound until it is popped.  Open nodes are heap
 entries ``(bound, counter, parent, i, j)``, where ``parent = (closure,
 ancestors, fset, pred, rows, succ, tails)`` is one tuple of the expanded
 node that all its children share, with ``fset`` its branching set.
-Expanding a node tests each ordered pair of the branching set for reach,
-bounds it and pushes the entry; no closure is built.  On pop the child's
-closure, its transpose and the ancestors-or-self of ``i`` come from
-``child_closure`` on a copy of the parent's, and the closure is checked
-against ``seen``, the closures of the nodes popped so far:
+Expanding a node bounds each ordered pair of the branching set and
+pushes the entry; no closure is built.  On pop the child's closure, its
+transpose and the ancestors-or-self of ``i`` come from ``child_closure``
+on a copy of the parent's, and the closure is checked against ``seen``,
+the closures of the nodes popped so far:
 
 - A closure already in ``seen`` makes the entry a duplicate.  It is
   dropped and is not a node.
@@ -57,8 +58,8 @@ A popped, unpruned node derives its own state from the parent's.  Its
 predecessor lists are the parent's plus ``i`` appended to ``j``'s; those
 appended after the root's are the node's added arcs.  A node for which
 the finder returns no set is a leaf: its selection is read from them and
-it needs nothing more.  Otherwise
-``relax_leveled_rows`` raises the head rows of ``j`` and its descendants
+it needs nothing more.  Otherwise ``_graph.relax_leveled_rows``, the one
+longest-path kernel, raises the head rows of ``j`` and its descendants
 (in the closure's descending-reach order, which is topological) from
 ``i`` as the one dirty predecessor, and the tail rows of ``i`` and its
 ancestors (ascending reach, on successor lists) from ``j`` as the one
@@ -67,17 +68,18 @@ change.  The root is an entry without an arc, made before the search
 from the instance's derived ``closure`` (its closure, and its transpose in
 one pass over the bits) and ``order``: its head rows are ``leveled_rows``
 over ``order`` and the predecessor lists, their sink row at ``gamma`` its
-bound, and its tail rows are ``tail_rows``, the same run backward.
+bound, and its tail rows are ``leveled_rows`` over reversed ``order`` and
+the successor lists, the same run backward.
 """
 from __future__ import annotations
 
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import permutations
 
 from ._collector import collector_paused
-from ._graph import predecessors, successors, transpose_bitsets
-from .adversary import leveled_rows, relax_leveled_rows, tail_rows
+from ._graph import leveled_rows, predecessors, relax_leveled_rows, successors, transpose_bitsets
 # The root reads its rows from ``leveled_rows``, not from the DP;
 # perfbench's ExactSearch hooks this name by ``getattr``, so a traced root
 # bound reads 0 until the hook moves.
@@ -85,7 +87,7 @@ from .adversary import worst_case_makespan_dp  # noqa: F401
 # perfbench's ExactSearch hooks this name too, and here it is called.
 from .heuristics import warm_start
 from .instance import ProjectInstance
-from .network import Selection, branch, child_closure, conflict_finder
+from .network import Selection, child_closure, conflict_finder
 # The search never builds the catalog; perfbench's ExactSearch wraps this
 # name to record the solver's catalog, and checks against a fresh one
 # when the solver built none.
@@ -129,11 +131,11 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
     root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
     root_rows = leveled_rows(inst, gamma, inst.order, root_pred)
+    root_tails = leveled_rows(inst, gamma, reversed(inst.order), root_succ)
     # The root's entry has no arc, and its "parent" is its own state, with
     # no branching set before it.
     heap = [(root_rows[inst.sink][gamma], 0,
-             (root_closure, root_ancestors, (), root_pred, root_rows, root_succ,
-              tail_rows(inst, gamma)),
+             (root_closure, root_ancestors, (), root_pred, root_rows, root_succ, root_tails),
              None, None)]
     counter = 0
     seen = set()
@@ -184,7 +186,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             up.sort(key=lambda v: closure[v].bit_count())
             relax_leveled_rows(tails, up, 1 << j, succ, nominal, delayed)
         parent = (closure, ancestors, fset, pred, rows, succ, tails)
-        for a, b in branch(closure, fset):
+        for a, b in permutations(fset, 2):
             child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],
                                                nominal[b], delayed[b]))
             if child_bound >= incumbent_value:

@@ -10,21 +10,21 @@ runs across that instant.  Two activities the schedule leaves unordered
 then hold a common bucket, so the members of a forbidden set cannot all
 be unordered: the implied selection is sufficient.  The warm start
 builds the schedule's order once (``network.schedule_order``), reads the
-selection from it and runs ``adversary.leveled_rows`` over its covering
+selection from it and runs ``_graph.leveled_rows`` over its covering
 arcs only; that DP gives the leveled start times and the upper bound
 that seed both the branch-and-bound and the compact model.  The time
-windows' earliest starts are the DP's level-zero column; their latest
-finishes, like the LFT priorities, are the instance's ``nominal_tail``,
-the level-zero column of ``tail_rows`` at every gamma, made once with the
-instance.
+windows run no DP: their earliest starts are the level-zero column of
+``leveled_rows`` forward over the instance arcs at no delay; their latest
+finishes, like the LFT priorities, and the critical path a horizon is
+checked against come from the instance's ``nominal_tail``, the same
+kernel run backward once with the instance.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 
-from ._graph import successors
-from .adversary import leveled_rows, worst_case_makespan_dp
+from ._graph import leveled_rows, predecessors, successors
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
 from .network import Selection, resource_fields, schedule_order, selection_from_order
@@ -167,20 +167,22 @@ def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
 def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
                  horizon: int) -> TimeWindows:
     """Nominal forward/backward passes over the instance arcs: the
-    level-zero column of the DP, and the instance's ``nominal_tail``, that
-    of ``tail_rows``.
+    level-zero column of ``leveled_rows`` over ``inst.order`` at no delay,
+    and the instance's ``nominal_tail``, that of the backward run.
 
     The selection and budget do not enter the passes; windows computed from
     the instance arcs alone are valid bounds for every selection, which is
     what the big-M tightening requires.  Raises InvalidHorizonError when the
-    horizon cannot accommodate even the nominal critical path.
+    horizon cannot accommodate even the nominal critical path,
+    ``inst.nominal_tail[0]`` (the source has zero duration).
     """
     del sel, gamma  # part of the call contract; see docstring
-    nominal = worst_case_makespan_dp(inst, Selection(), 0)
-    if horizon < nominal.value:
+    critical = inst.nominal_tail[0]
+    if horizon < critical:
         raise InvalidHorizonError(
-            f"horizon {horizon} is below the nominal critical path {nominal.value}"
+            f"horizon {horizon} is below the nominal critical path {critical}"
         )
-    es = tuple(row[0] for row in nominal.leveled_starts)
+    rows = leveled_rows(inst, 0, inst.order, predecessors(inst.n_nodes, inst.precedence))
+    es = tuple(row[0] for row in rows)
     lf = tuple(horizon - t for t in inst.nominal_tail)
     return TimeWindows(es=es, lf=lf, horizon=horizon)

@@ -11,11 +11,13 @@ n+2 the dummy sink n+1, so index conventions match the rest of the library.
 An instance also holds four derived fields, set at construction and left
 out of ``==``, the hash, ``repr`` and the JSON: ``worst_case_duration``;
 the ``order`` and ``closure`` of its arcs that validation computes, which
-the DP, the time windows, the warm start, the forbidden-set kernel and
+the warm start's tie rank, the time windows, the forbidden-set kernel and
 the branch-and-bound's root read instead of sorting the arcs again; and
-``nominal_tail``, the backward pass over ``order`` at no delay, which
-gives the LFT schedule its priorities and the time windows their latest
-finishes.
+``nominal_tail``, a run of the one longest-path kernel
+(``_graph.leveled_rows``) backward over ``order`` at no delay, which gives
+the LFT schedule its priorities, the time windows their latest finishes
+and the nominal critical path (``nominal_tail[0]``) that a horizon is
+checked against.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from ._graph import ordered_closure, successors
+from ._graph import leveled_rows, ordered_closure, successors
 from .errors import CyclicGraphError, ParseError
 
 
@@ -59,7 +61,8 @@ class ProjectInstance:
     their reachability bitmasks (``_graph.closure_bitsets``), both tuples
     that the check for cycles computes; and ``nominal_tail``, the longest
     nominal path from each activity's finish to the sink, the level-zero
-    column of ``adversary.tail_rows`` at every gamma.
+    column of ``_graph.leveled_rows`` on the successor lists in reversed
+    ``order``, at every gamma.
     """
 
     nominal_duration: tuple[int, ...]
@@ -82,10 +85,10 @@ class ProjectInstance:
         order, closure = _validate(self)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "closure", closure)
-        object.__setattr__(self, "nominal_tail",
-                           _nominal_tail(self.nominal_duration, self.precedence, order))
         object.__setattr__(self, "worst_case_duration", tuple(
             a + d for a, d in zip(self.nominal_duration, self.max_deviation)))
+        tail = leveled_rows(self, 0, reversed(order), successors(self.n_nodes, self.precedence))
+        object.__setattr__(self, "nominal_tail", tuple(row[0] for row in tail))
 
     @property
     def n_nodes(self):
@@ -114,16 +117,6 @@ def _ints(values):
         bad = next(v for v, i in zip(values, ints) if v != i or type(v) is bool)
         raise ValueError(f"{bad!r} is not an integer")
     return ints
-
-
-def _nominal_tail(durations, arcs, order):
-    """The longest path of ``durations`` from each node's finish to the
-    last node of the topological ``order``, over ``arcs``."""
-    succ = successors(len(durations), arcs)
-    tail = [0] * len(durations)
-    for v in reversed(order):
-        tail[v] = max([tail[j] + durations[j] for j in succ[v]], default=0)
-    return tuple(tail)
 
 
 def _validate(inst: ProjectInstance):

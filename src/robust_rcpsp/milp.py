@@ -16,7 +16,9 @@ each block reads only its own inputs:
 
 - the leveled block: the ``S`` columns and the ``nom_``/``dev_`` rows, from
   gamma, ``integral_starts``, the nominal durations, the deviations, and
-  the windows' ``es``/``lf`` (or none);
+  the windows' ``es``/``lf`` (or none), whose horizon is checked against
+  the instance's nominal critical path, ``nominal_tail[0]``, so no build
+  runs the adversary DP;
 - the selection block: the ``y`` and ``f`` columns and the ``cap_``,
   ``fin_`` and ``fout_`` rows, from the precedence, the capacities and the
   requirements;
@@ -80,11 +82,10 @@ from typing import NamedTuple
 
 from . import highs_bridge
 from ._collector import collector_paused
-from .adversary import worst_case_makespan_dp
 from .errors import BridgeError, InvalidHorizonError
 from .heuristics import TimeWindows, WarmStart
 from .instance import ProjectInstance
-from .network import Selection, extended_arcs
+from .network import extended_arcs
 
 
 def start_name(i, g):
@@ -139,16 +140,15 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
     transitivity block if asked for, and it holds those blocks; each comes
     from its builder's cache.  The cyclic collector is paused while the
     build runs (``_collector.collector_paused``).  Raises ``ValueError``
-    for a negative gamma.
+    for a negative gamma, and ``InvalidHorizonError`` for a ``tighten``
+    horizon below the nominal critical path, ``inst.nominal_tail[0]``.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if tighten is not None:
-        critical = worst_case_makespan_dp(inst, Selection(), 0).value
-        if tighten.horizon < critical:
-            raise InvalidHorizonError(
-                f"tightening horizon {tighten.horizon} is below the nominal critical path"
-            )
+    if tighten is not None and tighten.horizon < inst.nominal_tail[0]:
+        raise InvalidHorizonError(
+            f"tightening horizon {tighten.horizon} is below the nominal critical path"
+        )
     windows = None if tighten is None else (tuple(tighten.es), tuple(tighten.lf))
     blocks = (_leveled_block(gamma, integral_starts, inst.nominal_duration,
                              inst.max_deviation, windows),

@@ -11,15 +11,16 @@ packed resource sums of ``resource_fields``, which the LFT schedule shares.
 the CLI's ``forbidden``, ``verify_selection`` and the tests read.  The
 searches over selections keep no catalog.
 
-``conflict_finder``, ``branch`` and ``child_closure`` are the one
-branching routine of the branch-and-bound and of the exhaustive
+``conflict_finder`` and ``child_closure`` are the one branching routine
+of the branch-and-bound and of the exhaustive
 ``enumerate_sufficient_selections``: the finder gives a node's first
-unresolved set (the kernel's first hit after the parent's set), ``branch``
-the arcs of its children, and ``child_closure`` a child's closure, its
-transpose and the ancestors of the arc's tail.  Each caller keeps its own
-``seen`` set of closures to merge children that reach one closure: the
-enumerator checks it when it visits a child, the branch-and-bound when it
-pops one.
+unresolved set (the kernel's first hit after the parent's set), an
+antichain of the node's closure, so every ordered pair (i, j) of it is the
+arc of a child, with no reach test; ``child_closure`` gives a child's
+closure, its transpose and the ancestors of the arc's tail.  Each caller
+keeps its own ``seen`` set of closures to merge children that reach one
+closure: the enumerator checks it when it visits a child, the
+branch-and-bound when it pops one.
 ``verify_selection`` checks a finished selection independently, pair by
 pair, against a catalog.  The CLI writes their JSON itself.
 
@@ -274,22 +275,6 @@ def _resolved(reach, fset):
     return any(reaches(reach, i, j) for i, j in permutations(fset, 2))
 
 
-def branch(closure, fset):
-    """Arcs of the children of a search node that branches on the
-    forbidden set ``fset``.
-
-    Yields every ordered pair (i, j) of ``fset`` with j not reaching i;
-    the child is the closure extended by arc (i, j).  No pair of an
-    unresolved set is related, so the reach test only guards the
-    acyclicity that ``child_closure`` assumes.  Only the arc is yielded:
-    a caller builds the child with ``child_closure`` when it needs it, and
-    owns the ``seen`` set that merges children reaching one closure.
-    """
-    for i, j in permutations(fset, 2):
-        if not reaches(closure, j, i):
-            yield i, j
-
-
 def child_closure(closure, ancestors, i, j):
     """The child of arc (i, j): ``(key, ancestors, above)``, with ``key``
     the extended closure as a tuple, ``ancestors`` its transpose as a tuple
@@ -340,8 +325,8 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
     """Yield one selection per closure-minimal sufficient extension.
 
     Exhaustive search for tiny instances: a depth-first search over the
-    same ``branch`` children of the same ``conflict_finder`` sets as the
-    branch-and-bound, without a bound, then keeps only closures not
+    same children as the branch-and-bound, one per ordered pair of each
+    ``conflict_finder`` set, without a bound, then keeps only closures not
     strictly containing another sufficient closure.  A child is built when
     it is visited and skipped when its closure was visited before, so the
     subtrees of earlier siblings are in ``seen`` by then.
@@ -362,7 +347,7 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
         if fset is None:
             leaves[closure] = tuple(sorted(added))
             return
-        for i, j in branch(closure, fset):
+        for i, j in permutations(fset, 2):
             key, key_ancestors, _ = child_closure(closure, ancestors, i, j)
             if key not in seen:
                 seen.add(key)

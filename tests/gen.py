@@ -8,7 +8,14 @@ import time
 from dataclasses import replace
 
 from robust_rcpsp import bench
-from robust_rcpsp._graph import add_arc_to_closure, ancestor_bitsets, closure_bitsets, reaches
+from robust_rcpsp._graph import (
+    add_arc_to_closure,
+    ancestor_bitsets,
+    closure_bitsets,
+    leveled_rows,
+    reaches,
+    successors,
+)
 from robust_rcpsp.instance import InstanceMeta, ProjectInstance, robustify
 from robust_rcpsp.network import Selection
 
@@ -89,6 +96,15 @@ def shuffled_ids(rng: random.Random, inst):
                    max_deviation=tuple(inst.max_deviation[inv[v]] for v in range(n)),
                    requirement=tuple(inst.requirement[inv[v]] for v in range(n)),
                    precedence=tuple((perm[i], perm[j]) for i, j in inst.precedence))
+
+
+def tail_rows(inst, gamma):
+    """The backward pass over the instance arcs, as the branch-and-bound's
+    root runs it: ``leveled_rows`` on the successor lists in reversed
+    ``inst.order``, so ``rows[v][g]`` is the longest path from the finish
+    of ``v`` to the sink with at most ``g`` delays."""
+    return leveled_rows(inst, gamma, reversed(inst.order),
+                        successors(inst.n_nodes, inst.precedence))
 
 
 def random_selection(rng: random.Random, inst, max_arcs=3):

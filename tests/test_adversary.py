@@ -9,18 +9,17 @@ from gen import (
     random_psplib_instance,
     random_selection,
     shuffled_ids,
+    tail_rows,
 )
-from robust_rcpsp._graph import predecessors, successors, topological_order
+from robust_rcpsp._graph import leveled_rows, predecessors, successors, topological_order
 from robust_rcpsp.adversary import (
     build_adversary_constraint_matrix,
     check_fractional_certificate,
     counterexample_certificate,
     counterexample_instance,
     ghouila_houri_refute,
-    leveled_rows,
     path_certificate,
     refutation_row_subset,
-    tail_rows,
     worst_case_makespan_bruteforce,
     worst_case_makespan_dp,
 )

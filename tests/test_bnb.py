@@ -21,17 +21,14 @@ from robust_rcpsp import bnb, heuristics, milp, network
 from robust_rcpsp._graph import (
     ancestor_bitsets,
     closure_bitsets,
+    leveled_rows,
     predecessors,
     reaches,
+    relax_leveled_rows,
     successors,
     topological_order,
 )
-from robust_rcpsp.adversary import (
-    leveled_rows,
-    relax_leveled_rows,
-    tail_rows,
-    worst_case_makespan_dp,
-)
+from robust_rcpsp.adversary import worst_case_makespan_dp
 from robust_rcpsp.bnb import OptResult, arc_bound, optimality_gap, solve_exact
 from robust_rcpsp.instance import parse_psplib, robustify
 from robust_rcpsp.network import (
@@ -77,8 +74,7 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
     the DP of the empty selection and a backward pass over a fresh sort.
     A node-capped solve reports the root's DP value as its bound."""
     roots = []
-    heads = []
-    tails = []
+    passes = []
 
     def recorded(table, function):
         """``function``, appending each call's arguments and result to ``table``."""
@@ -88,40 +84,50 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
         return record
 
     monkeypatch.setattr(bnb, "transpose_bitsets", recorded(roots, bnb.transpose_bitsets))
-    monkeypatch.setattr(bnb, "leveled_rows", recorded(heads, leveled_rows))
-    monkeypatch.setattr(bnb, "tail_rows", recorded(tails, tail_rows))
+    monkeypatch.setattr(bnb, "leveled_rows", recorded(passes, leveled_rows))
     rng = random.Random(28)
     for _ in range(12):
         inst = robustify(shuffled_ids(rng, random_psplib_instance(rng, rng.randint(4, 14), 2)))
         n_nodes, arcs = inst.n_nodes, inst.precedence
         gamma = rng.randint(0, 3)
-        for table in (roots, heads, tails):
+        for table in (roots, passes):
             table.clear()
         res = solve_exact(inst, gamma, node_cap=0)
         dp = worst_case_makespan_dp(inst, Selection(), gamma)
         assert [(closure, list(ancestors)) for closure, ancestors in roots] == \
             [(tuple(closure_bitsets(n_nodes, arcs)), ancestor_bitsets(n_nodes, arcs))]
-        assert [rows for *_, rows in heads] == [list(map(list, dp.leveled_starts))]
-        assert [rows for *_, rows in tails] == [leveled_rows(
-            inst, gamma, reversed(topological_order(n_nodes, arcs)), successors(n_nodes, arcs))]
+        assert [rows for *_, rows in passes] == [
+            list(map(list, dp.leveled_starts)),
+            leveled_rows(inst, gamma, reversed(topological_order(n_nodes, arcs)),
+                         successors(n_nodes, arcs))]
         assert res.best_bound == (res.value if res.status == "optimal" else dp.value)
 
 
 def test_a_solve_runs_one_backward_pass(monkeypatch):
     """The warm start reads its LFT priorities from the instance's
-    ``nominal_tail``, so a solve runs the backward pass once, for the
-    root's tail rows at its gamma.  No other module holds ``tail_rows``."""
+    ``nominal_tail``, so the search's ``leveled_rows`` runs twice, both at
+    the solve's gamma: the root's head rows over ``inst.order`` and its
+    tail rows, the one backward pass, over the reverse."""
     passes = []
 
-    def counted(inst, gamma):
-        passes.append(gamma)
-        return tail_rows(inst, gamma)
+    def counted(inst, gamma, order, adj):
+        order = list(order)
+        passes.append((gamma, order))
+        return leveled_rows(inst, gamma, order, adj)
 
-    monkeypatch.setattr(bnb, "tail_rows", counted)
+    monkeypatch.setattr(bnb, "leveled_rows", counted)
     inst = robustify(random_psplib_instance(random.Random(4), 12, 2))
     solve_exact(inst, 3, node_cap=0)
-    assert passes == [3]
-    assert not hasattr(heuristics, "tail_rows")
+    assert passes == [(3, list(inst.order)), (3, list(reversed(inst.order)))]
+
+
+def test_the_windows_and_the_model_run_no_dp():
+    """The time windows and the compact model read the nominal critical
+    path from the instance's ``nominal_tail``: neither module holds the
+    adversary DP, and the search holds it only as the benchmark's hook."""
+    assert not hasattr(heuristics, "worst_case_makespan_dp")
+    assert not hasattr(milp, "worst_case_makespan_dp")
+    assert bnb.worst_case_makespan_dp is worst_case_makespan_dp
 
 
 def test_matches_exhaustive_oracle():
@@ -358,12 +364,20 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
         made.append(child[0])
         return child
 
-    def branch(closure, fset):
-        expanded.append(closure)
-        return network.branch(closure, fset)
+    def conflict_finder(inst):
+        """The finder, recording each closure that gets a branching set:
+        the nodes the search expands."""
+        first_conflict = network.conflict_finder(inst)
+
+        def recorded(closure, ancestors, after=()):
+            fset = first_conflict(closure, ancestors, after)
+            if fset is not None:
+                expanded.append(closure)
+            return fset
+        return recorded
 
     monkeypatch.setattr(bnb, "child_closure", child_closure)
-    monkeypatch.setattr(bnb, "branch", branch)
+    monkeypatch.setattr(bnb, "conflict_finder", conflict_finder)
     res = solve_exact(inst, 0, node_cap=7)
     assert (res.status, res.nodes, res.value, res.best_bound) == ("incumbent", 7, 8, 4)
     stars = [tuple(closure_bitsets(inst.n_nodes, inst.precedence + arcs))

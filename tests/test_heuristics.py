@@ -5,8 +5,14 @@ import random
 
 import pytest
 
-from gen import make_instance, random_dag_instance, random_psplib_instance, shuffled_ids
-from robust_rcpsp.adversary import counterexample_instance, tail_rows, worst_case_makespan_dp
+from gen import (
+    make_instance,
+    random_dag_instance,
+    random_psplib_instance,
+    shuffled_ids,
+    tail_rows,
+)
+from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
 from robust_rcpsp.bench import build_variant
 from robust_rcpsp.bnb import solve_exact
 from robust_rcpsp.errors import InvalidHorizonError
@@ -226,13 +232,23 @@ def test_warm_start_is_pinned():
         assert digest == PINNED_WARM_SHA256[family], family
 
 
-def test_the_nominal_tail_is_the_level_zero_column_of_tail_rows():
-    """An instance's ``nominal_tail``, which gives the LFT schedule its
-    priorities and the time windows their latest finishes, is the
-    level-zero column of ``tail_rows`` at every gamma.  Deviations drawn
-    apart from the durations make a delayed tail order the activities
-    otherwise than the nominal one."""
-    rng = random.Random(31)
+def nominal_tails(inst):
+    """Referee: the longest nominal path from each node's finish to the
+    sink, by the plain recursion over successors, memoised per node."""
+    succ = {v: [j for i, j in inst.precedence if i == v] for v in range(inst.n_nodes)}
+    tail = {}
+
+    def of(v):
+        if v not in tail:
+            tail[v] = max((of(j) + inst.nominal_duration[j] for j in succ[v]), default=0)
+        return tail[v]
+    return tuple(map(of, range(inst.n_nodes)))
+
+
+def nominal_tail_cases(rng):
+    """Shuffled ids, deviations drawn apart from the durations (a delayed
+    tail then orders the activities otherwise than the nominal one) and
+    zero durations."""
     cases = [robustify(shuffled_ids(rng, random_psplib_instance(rng, n_act=rng.randint(4, 20))))
              for _ in range(12)]
     for _ in range(12):
@@ -241,9 +257,45 @@ def test_the_nominal_tail_is_the_level_zero_column_of_tail_rows():
         cases.append(dataclasses.replace(inst, max_deviation=tuple(deviations)))
     cases += [random_dag_instance(rng, rng.randint(1, 9), n_res=2, max_dur=rng.choice((0, 5)))
               for _ in range(8)]
-    for inst in cases:
+    return cases
+
+
+def test_the_nominal_tail_is_the_level_zero_column_of_tail_rows():
+    """An instance's ``nominal_tail``, which gives the LFT schedule its
+    priorities and the time windows their latest finishes and critical
+    path, is the plain successor recursion's tails, and the level-zero
+    column of the backward pass at every gamma."""
+    for inst in nominal_tail_cases(random.Random(31)):
+        assert inst.nominal_tail == nominal_tails(inst)
         for gamma in (0, 2, 5):
             assert list(inst.nominal_tail) == [row[0] for row in tail_rows(inst, gamma)]
+
+
+def reversed_instance(inst):
+    """The project with every arc turned around and node v renamed
+    ``sink - v``, so the old sink is the new source."""
+    sink = inst.sink
+    return make_instance(inst.nominal_duration[::-1], [(sink - j, sink - i)
+                                                       for i, j in inst.precedence])
+
+
+def test_time_windows_are_those_of_the_nominal_dp():
+    """The windows equal those the adversary DP of the empty selection at
+    gamma 0 gives: ``es`` its level-zero column, ``lf`` the horizon less
+    the same DP's on the reversed project, and the horizon is refused one
+    period below the DP value and accepted at it."""
+    rng = random.Random(33)
+    for inst in nominal_tail_cases(rng):
+        dp = worst_case_makespan_dp(inst, Selection(), 0)
+        back = worst_case_makespan_dp(reversed_instance(inst), Selection(), 0)
+        horizon = dp.value + rng.choice((0, 0, 1, 6))
+        tw = time_windows(inst, None, rng.randint(0, 3), horizon)
+        assert tw.es == tuple(row[0] for row in dp.leveled_starts)
+        assert tw.lf == tuple(horizon - row[0] for row in back.leveled_starts[::-1])
+        assert tw.horizon == horizon
+        assert time_windows(inst, None, 0, dp.value).lf[inst.sink] == dp.value
+        with pytest.raises(InvalidHorizonError):
+            time_windows(inst, None, 0, dp.value - 1)
 
 
 def test_leveled_starts_satisfy_recursion_bounds():

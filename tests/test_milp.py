@@ -99,11 +99,21 @@ def test_transitivity_row_counts():
 
 
 def test_tighten_requires_valid_horizon():
-    inst = counterexample_instance()
-    below_critical_path = TimeWindows(es=(0,) * inst.n_nodes, lf=(1,) * inst.n_nodes,
-                                      horizon=1)
-    with pytest.raises(InvalidHorizonError):
-        build_compact(inst, 1, tighten=below_critical_path)
+    """The horizon check's boundary on hand-made windows: a horizon equal
+    to the nominal critical path builds, one period less raises."""
+    rng = random.Random(34)
+    for inst in [counterexample_instance()] + [random_dag_instance(rng, rng.randint(1, 7))
+                                               for _ in range(6)]:
+        critical = worst_case_makespan_dp(inst, Selection(), 0).value
+        assert critical == inst.nominal_tail[0]
+        for horizon in (critical, critical + 1):
+            windows = TimeWindows(es=(0,) * inst.n_nodes, lf=(horizon,) * inst.n_nodes,
+                                  horizon=horizon)
+            assert build_compact(inst, 1, tighten=windows).constraints
+        with pytest.raises(InvalidHorizonError):
+            build_compact(inst, 1, tighten=TimeWindows(es=(0,) * inst.n_nodes,
+                                                       lf=(critical - 1,) * inst.n_nodes,
+                                                       horizon=critical - 1))
 
 
 def test_build_compact_rejects_a_negative_gamma():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -24,7 +25,6 @@ from robust_rcpsp.errors import CapExceeded, CyclicGraphError
 from robust_rcpsp.heuristics import lft_schedule
 from robust_rcpsp.network import (
     Selection,
-    branch,
     child_closure,
     conflict_finder,
     enumerate_sufficient_selections,
@@ -282,15 +282,15 @@ def test_selection_from_schedule_is_the_pairwise_order():
 
 
 # ---------------------------------------------------------------------------
-# branch and enumerate_sufficient_selections
+# the branching routine and enumerate_sufficient_selections
 
 
 def test_branch_merges_seen_closures():
-    """``branch`` yields a node's child arcs, ``child_closure`` builds one
-    child and its ancestor masks without touching the node, two arc orders
-    that reach one closure give one key, which a caller's ``seen`` set
-    merges, and ``conflict_finder`` gives each node's first unresolved
-    set."""
+    """A node's child arcs are the ordered pairs of its branching set,
+    ``child_closure`` builds one child and its ancestor masks without
+    touching the node, two arc orders that reach one closure give one key,
+    which a caller's ``seen`` set merges, and ``conflict_finder`` gives
+    each node's first unresolved set."""
     inst = k3_instance()  # catalog (1, 2), (1, 3), (2, 3)
     first_conflict = conflict_finder(inst)
 
@@ -301,21 +301,20 @@ def test_branch_merges_seen_closures():
 
     root = node_of()
     assert first_conflict(*root) == (1, 2)
-    assert list(branch(root[0], (1, 2))) == [(1, 2), (2, 1)]
     # (closure, ancestors, ancestors-or-self of i); node 0 is the source
-    assert [child_closure(*root, i, j) for i, j in branch(root[0], (1, 2))] == \
+    assert [child_closure(*root, i, j) for i, j in permutations((1, 2))] == \
         [(*node_of((1, 2)), 0b0011), (*node_of((2, 1)), 0b0101)]
     assert root == node_of()
     one_two = node_of((1, 2))
     assert first_conflict(*one_two, (1, 2)) == first_conflict(*one_two) == (1, 3)
-    assert list(branch(one_two[0], (1, 2))) == [(1, 2)]  # 1 reaches 2: no arc 2 -> 1
     chain = child_closure(*one_two, 2, 3)
     assert chain == (*node_of((1, 2), (2, 3)), 0b0111)
     assert first_conflict(*chain[:2], (1, 3)) is None  # a leaf
     # 2 -> 3 then 1 -> 2 reaches the same closure as 1 -> 2 then 2 -> 3: merged
     seen = {root[0], one_two[0], chain[0]}
     two_three = child_closure(*root, 2, 3)
-    assert [(i, j) for i, j in branch(two_three[0], (1, 2))
+    assert first_conflict(*two_three[:2]) == (1, 2)
+    assert [(i, j) for i, j in permutations((1, 2))
             if child_closure(*two_three[:2], i, j)[0] not in seen] == [(2, 1)]
 
 
@@ -393,7 +392,7 @@ def oracle_minimal_closures(inst, catalog):
 
 
 def test_enumerate_matches_arc_subset_brute_force():
-    """The shared ``branch`` step, checked through the enumerator against
+    """The shared branching step, checked through the enumerator against
     every arc subset: eight instances of three activities and four of four
     (at most 12 candidate pairs, 4,096 subsets)."""
     rng = random.Random(77)
