@@ -3,7 +3,8 @@
 Usage: ``python -m robust_rcpsp.highs_bridge MODEL.lp OUT.sol [TIME_S] [WARM.mst]``
 
 ``TIME_S`` is a finite number of seconds, at least 0; 0, the default, means
-no limit.  Any other ``TIME_S`` exits 2.  ``WARM.mst`` is a warm-start file
+no limit.  Any other ``TIME_S``, fewer than two arguments or more than
+four exits 2 with this usage on stderr.  ``WARM.mst`` is a warm-start file
 of ``name value`` lines, as ``milp.export_warm_start`` writes it; an empty
 argument, which a quoted ``'{mst}'`` becomes for a model without a warm
 start, means none.
@@ -147,12 +148,14 @@ def _clean(value):
 
 def main(argv):
     try:
+        if len(argv) > 4:
+            raise ValueError(argv)
         lp_path, sol_path = argv[0], argv[1]
         time_limit = float(argv[2]) if len(argv) > 2 else 0.0
         if not 0 <= time_limit < math.inf:
             raise ValueError(time_limit)
         mst_path = argv[3] if len(argv) > 3 else ""
-    except (IndexError, ValueError):  # too few arguments, or TIME_S not a finite number >= 0
+    except (IndexError, ValueError):  # too few or too many arguments, or a bad TIME_S
         print(__doc__, file=sys.stderr)
         return 2
     try:

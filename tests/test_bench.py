@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from robust_rcpsp.bench import (
 )
 from robust_rcpsp.errors import CapExceeded
 
+DATA = Path(__file__).parent / "data"
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
 
 
@@ -305,6 +307,43 @@ def test_run_experiment_records_error_for_unreadable(tmp_path):
     config = BenchConfig(instances_dir=str(tmp_path), gammas=(1,), variants=("bnb",))
     records = run_experiment(config)
     assert [r.status for r in records] == ["error"]
+
+
+def test_files_that_cannot_be_read_are_error_records_beside_a_good_one(tmp_path, capsys):
+    """A directory named like an instance and a file that is not UTF-8
+    are ``error`` records in every variant, with nothing on stderr; the
+    good instance beside them gets the records it gets alone."""
+    toy = (DATA / "toy5.sm").read_text()
+    alone, corpus = tmp_path / "alone", tmp_path / "corpus"
+    for folder in (alone, corpus):
+        folder.mkdir()
+        (folder / "toy5.sm").write_text(toy)
+    (corpus / "bad.sm").mkdir()
+    (corpus / "binary.sm").write_bytes(b"\xff\xfe\x00 not text\n")
+
+    def run(folder):
+        config = BenchConfig(instances_dir=str(folder), gammas=(0, 1),
+                             variants=bench.ALL_VARIANTS, workers=2)
+        return [(r.instance, r.gamma, r.variant, r.status, r.objective, r.bound, r.gap_percent)
+                for r in run_experiment(config)]
+
+    expected = run(alone)
+    capsys.readouterr()
+    records = run(corpus)
+    assert capsys.readouterr().err == ""
+    assert [r for r in records if r[0] == "toy5"] == expected
+    bad = [r for r in records if r[0] != "toy5"]
+    assert bad == [(name, gamma, variant, "error", None, None, None)
+                   for name in ("bad", "binary") for gamma in (0, 1)
+                   for variant in sorted(bench.ALL_VARIANTS)]
+
+
+def test_run_experiment_rejects_an_unknown_variant_before_any_task(instance_dir, monkeypatch):
+    """A config built in code skips ``from_json``'s check of the names."""
+    monkeypatch.setattr(bench, "_solve_one", None)  # a task run would fail
+    config = BenchConfig(instances_dir=str(instance_dir), variants=("bnb", "cplex"))
+    with pytest.raises(ValueError, match="unknown variant 'cplex'"):
+        run_experiment(config)
 
 
 def test_run_experiment_records_error_for_failed_search(instance_dir, monkeypatch):

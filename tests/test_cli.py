@@ -112,6 +112,13 @@ def test_evaluate_rejects_a_selection_entry_that_is_not_a_pair_of_ints(selection
         assert err.startswith("error: selection") and "pair" in err
 
 
+def test_evaluate_rejects_a_selection_arc_naming_an_unknown_activity(capsys):
+    code, out, err = run_cli(capsys, "evaluate", str(DATA / "toy5.sm"), "--gamma", "1",
+                             "--selection", "[[1, 99]]")
+    assert (code, out) == (1, "")
+    assert err == "error: selection arc (1, 99) references an unknown activity\n"
+
+
 def test_warmstart_output(capsys):
     code, out, _ = run_cli(capsys, "warmstart", str(DATA / "toy5.sm"),
                            "--gamma", "1")

@@ -230,15 +230,65 @@ def test_from_json_meta_keys_are_optional():
     assert from_json(json.dumps(payload)).meta == InstanceMeta()
 
 
-def test_validation_rejects_bad_instances():
-    with pytest.raises(ValueError, match="available"):
-        make_instance([0, 1, 0], [(0, 1), (1, 2)], [(0,), (5,), (0,)], (3,))
-    with pytest.raises(ValueError, match="zero duration"):
-        ProjectInstance((1, 1, 0), (0, 0, 0), ((), (), ()), (), ((0, 1), (1, 2)))
-    with pytest.raises(ValueError, match="reachable"):
-        make_instance([0, 1, 1, 0], [(0, 1), (1, 3), (2, 3)])
-    with pytest.raises(ValueError, match="reach the sink"):
-        make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3)])
+# A valid chain 0 -> 1 -> 2 -> 3 with one resource, as ProjectInstance's
+# keyword arguments; each case below breaks one rule of it.
+CHAIN = dict(nominal_duration=(0, 2, 3, 0), max_deviation=(0, 1, 1, 0),
+             requirement=((0,), (1,), (2,), (0,)), capacity=(2,),
+             precedence=((0, 1), (1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(dict(nominal_duration=(0,), max_deviation=(0,), requirement=((0,),),
+                      precedence=()),
+                 "an instance needs at least the two dummy activities", id="one_node"),
+    pytest.param(dict(max_deviation=(0, 1, 0)),
+                 "max_deviation must have one entry per activity", id="short_deviations"),
+    pytest.param(dict(nominal_duration=(0, 2, 3, 1, 0)),
+                 "max_deviation must have one entry per activity", id="long_durations"),
+    pytest.param(dict(nominal_duration=(0, -2, 3, 0)),
+                 "nominal_duration entries must be nonnegative", id="negative_duration"),
+    pytest.param(dict(max_deviation=(0, 1, -1, 0)),
+                 "max_deviation entries must be nonnegative", id="negative_deviation"),
+    pytest.param(dict(requirement=((0,), (1,), (2,))),
+                 "requirement must have one row per activity", id="missing_row"),
+    pytest.param(dict(requirement=((0,), (1, 0), (2,), (0,))),
+                 "requirement row 1 must have 1 entries", id="long_row"),
+    pytest.param(dict(requirement=((0,), (1,), (-1,), (0,))),
+                 "requirement row 2 has a negative entry", id="negative_requirement"),
+    pytest.param(dict(requirement=((0,), (5,), (2,), (0,))),
+                 "activity 1 needs 5 of resource 0 but only 2 is available",
+                 id="over_capacity"),
+    pytest.param(dict(requirement=((0,),) * 4, capacity=(0,)),
+                 "resource capacities must be positive", id="zero_capacity"),
+    pytest.param(dict(nominal_duration=(1, 2, 3, 0)),
+                 "dummy activity 0 must have zero duration", id="source_duration"),
+    pytest.param(dict(requirement=((1,), (1,), (2,), (0,))),
+                 "dummy activity 0 must not use resources", id="source_demand"),
+    pytest.param(dict(requirement=((0,), (1,), (2,), (1,))),
+                 "dummy activity 3 must not use resources", id="sink_demand"),
+    pytest.param(dict(precedence=((0, 1), (1, 2), (2, 3), (2, 9))),
+                 r"arc \(2, 9\) references an unknown activity", id="unknown_head"),
+    pytest.param(dict(precedence=((0, 1), (1, 2), (2, 3), (-1, 2))),
+                 r"arc \(-1, 2\) references an unknown activity", id="unknown_tail"),
+    pytest.param(dict(precedence=((0, 1), (1, 2), (2, 3), (2, 1))),
+                 "cyclic precedence relations: .*", id="cycle"),
+    pytest.param(dict(precedence=((0, 2), (1, 2), (2, 3))),
+                 "activity 1 is not reachable from the source", id="unreachable"),
+    pytest.param(dict(precedence=((0, 1), (1, 2), (1, 3))),
+                 "activity 2 does not reach the sink", id="dead_end"),
+])
+def test_construction_rejects_each_broken_rule(change, message):
+    ProjectInstance(**CHAIN)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProjectInstance(**{**CHAIN, **change})
+
+
+def test_a_selection_arc_naming_an_unknown_activity_is_rejected():
+    inst = ProjectInstance(**CHAIN)
+    for arc in ((1, 99), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"^selection arc \({arc[0]}, {arc[1]}\) "
+                                             "references an unknown activity$"):
+            worst_case_makespan_dp(inst, Selection(frozenset({arc})), 1)
 
 
 def test_budget_validation():

@@ -611,46 +611,43 @@ def test_a_block_built_from_a_kept_frame_equals_one_built_cold():
 
 
 def test_two_instances_of_one_size_share_their_names():
-    """The second instance of one size builds new blocks, whose rows and
-    columns hold the name strings of the first's, at its gamma and at a
-    smaller one: all come from the same frames."""
+    """The second instance of one size at the same gamma builds new
+    blocks, whose rows and columns hold the name strings of the first's:
+    both come from the same frames."""
     clear_blocks()
     rng = random.Random(5)
     a, b = (robustify(random_psplib_instance(rng, n_act=10, n_res=2)) for _ in range(2))
     a_model = build_compact(a, 3, transitivity=True)
-    for gamma in (3, 1):
-        b_model = build_compact(b, gamma, transitivity=True)
-        assert not any(x is y for x, y in zip(a_model.blocks[:2], b_model.blocks[:2]))
-        names = {x.name: x.name for x in a_model.constraints + a_model.variables}
-        assert all(names[x.name] is x.name for x in b_model.constraints + b_model.variables)
+    b_model = build_compact(b, 3, transitivity=True)
+    assert not any(x is y for x, y in zip(a_model.blocks[:2], b_model.blocks[:2]))
+    names = {x.name: x.name for x in a_model.constraints + a_model.variables}
+    assert all(names[x.name] is x.name for x in b_model.constraints + b_model.variables)
     assert a_model.constraints != b_model.constraints
 
 
-def test_a_new_node_count_or_a_larger_gamma_builds_a_new_frame(monkeypatch):
-    """The leveled frame is kept by node count and serves every gamma up
-    to the one it was made for; the selection frame is kept by node and
-    resource counts.  Another instance of the same shape reuses both, a
-    larger gamma makes a new leveled frame and a smaller one keeps it,
-    and a new node count makes both anew."""
+def test_a_frame_is_remade_exactly_when_its_shape_or_gamma_changes():
+    """The leveled frame is kept by node count and gamma, the selection
+    frame by node and resource counts.  Another instance of the same
+    shape and gamma reuses both; another gamma, larger or smaller, makes
+    a new leveled frame; a new node count makes both anew."""
     clear_blocks()
-    frames = {"_leveled_frame": [], "_selection_frame": []}
-    for name, made in frames.items():
-        def spy(*args, build=getattr(milp, name), made=made):
-            made.append(build(*args))
-            return made[-1]
-        monkeypatch.setattr(milp, name, spy)
     rng = random.Random(11)
     a, b = (robustify(random_psplib_instance(rng, n_act=8, n_res=2)) for _ in range(2))
     c = robustify(random_psplib_instance(rng, n_act=11, n_res=2))
-    for inst, gamma in ((a, 2), (b, 2), (b, 3), (a, 1), (c, 1)):
-        build_compact(inst, gamma)
-    leveled, selection = frames.values()
-    assert [f is leveled[0] for f in leveled] == [True, True, False, False, False]
-    assert leveled[3] is leveled[2] and leveled[4] is not leveled[3]
-    # b at gamma 3 takes its selection block from the cache.
-    assert [f is selection[0] for f in selection] == [True, True, True, False]
-    assert [(f.n_nodes, f.top) for f in leveled] == [(10, 2), (10, 2), (10, 3), (10, 3), (13, 1)]
-    assert [len(f.arcs) for f in selection] == [10 * 10, 10 * 10, 10 * 10, 13 * 13]
+    made = []
+    leveled = []
+    selection = []
+    for inst, gamma in ((a, 2), (b, 2), (b, 3), (a, 1), (a, 1), (c, 1)):
+        model = build_compact(inst, gamma)
+        made.append([frame.cache_info().misses for frame in FRAMES])
+        leveled.append(milp._leveled_frame(inst.n_nodes, gamma))
+        selection.append(milp._selection_frame(inst.n_nodes, len(inst.capacity)))
+        assert [v.name for v in model.blocks[0].columns] == list(leveled[-1].starts)
+    assert made == [[1, 1], [1, 1], [2, 1], [3, 1], [3, 1], [4, 2]]
+    assert [f is g for f, g in zip(leveled, leveled[1:])] == [True, False, False, True, False]
+    assert [f is g for f, g in zip(selection, selection[1:])] == [True, True, True, True, False]
+    assert [len(f.starts) for f in leveled] == [10 * 3, 10 * 3, 10 * 4, 10 * 2, 10 * 2, 13 * 2]
+    assert [len(f.arcs) for f in selection] == [10 * 10] * 5 + [13 * 13]
 
 
 def reference_assignment(inst, gamma, warm):
@@ -668,9 +665,9 @@ def reference_assignment(inst, gamma, warm):
 
 def test_warm_start_assignment_equals_the_entry_by_entry_reference():
     """The same keys, values and order as the reference, whether the
-    frames it reads were kept by a build at its gamma, by one at a larger
-    gamma or not at all, and the keys in the order of the model's
-    columns."""
+    frames it reads were kept by a build at its gamma, dropped by one at
+    a larger gamma or not made yet, and the keys in the order of the
+    model's columns."""
     rng = random.Random(2026)
     cases = [random_dag_instance(rng, rng.randint(1, 6), n_res=rng.randint(0, 2))
              for _ in range(6)]
@@ -927,7 +924,11 @@ def test_bridge_without_scipy_exits_1(tmp_path, monkeypatch, capsys):
 def test_bridge_usage_errors_exit_2(tmp_path, capsys):
     lp, sol = tmp_path / "toy.lp", tmp_path / "toy.sol"
     lp.write_text(export_lp(toy_model()))
-    for argv in ([], [str(lp)], *([str(lp), str(sol), t] for t in ("abc", "-1", "nan", "inf"))):
+    mst = tmp_path / "toy.mst"
+    mst.write_text("x 2\n")
+    extra = [str(lp), str(sol), "0", str(mst), str(mst)]  # a template naming {mst} twice
+    for argv in ([], [str(lp)], *([str(lp), str(sol), t] for t in ("abc", "-1", "nan", "inf")),
+                 extra):
         assert highs_bridge.main(argv) == 2, argv
         assert "Usage:" in capsys.readouterr().err
     assert not sol.exists()
