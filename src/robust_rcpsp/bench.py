@@ -36,8 +36,9 @@ ALL_VARIANTS = MILP_VARIANTS + ("bnb",)
 
 def variant_order(names) -> tuple[str, ...]:
     """The profile's column order for the variants ``names``: that of
-    ``ALL_VARIANTS``, then any other name, sorted.  ``write_outputs`` and
-    CLI ``profile`` both use it, so both write one profile of one run."""
+    ``ALL_VARIANTS``, then any other name, sorted.  ``performance_profile``
+    orders its columns by it, so ``write_outputs`` and CLI ``profile``
+    write one profile of one run."""
     return tuple(sorted(set(names), key=lambda v: (
         ALL_VARIANTS.index(v) if v in ALL_VARIANTS else len(ALL_VARIANTS), v)))
 
@@ -49,12 +50,15 @@ def is_seconds(value) -> bool:
 
 
 def _distinct(values, rule) -> bool:
-    return (isinstance(values, list) and all(map(rule, values))
+    return (isinstance(values, tuple) and all(map(rule, values))
             and 0 < len(set(values)) == len(values))
 
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """A bench run's settings.  However it is built, a bad value raises
+    ``ValueError`` (``bench config: <field> must be <rule>, not <value>``)."""
+
     instances_dir: str
     gammas: tuple[int, ...] = (3, 5, 7)
     variants: tuple[str, ...] = ("bnb",)
@@ -62,12 +66,17 @@ class BenchConfig:
     bridge_cmd: str | None = None
     workers: int = 1
 
+    def __post_init__(self):
+        for name, (rule, holds) in _CONFIG_RULES.items():
+            value = getattr(self, name)
+            if not holds(value):
+                raise ValueError(f"bench config: {name} must be {rule}, not {value!r}")
+
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
-        """Read a config object; a key it omits takes its field's default.
-        An unknown key or a bad value raises ``ValueError`` naming the key
-        (``bench config: <field> must be <rule>, not <value>``), so a bad
-        config fails before any task runs."""
+        """Read a config object, its lists as tuples; a key it omits takes
+        its field's default.  An unknown key raises ``ValueError`` naming
+        it, and a bad value the field's own."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or "instances_dir" not in raw:
             raise ValueError('bench config: expected an object with "instances_dir"')
@@ -75,18 +84,14 @@ class BenchConfig:
         unknown = [key for key in raw if key not in names]
         if unknown:
             raise ValueError(f"bench config: unknown key {unknown[0]!r}; the keys are {names}")
-        for name in names:
-            rule, holds = _CONFIG_RULES[name]
-            if name in raw and not holds(raw[name]):
-                raise ValueError(f"bench config: {name} must be {rule}, not {raw[name]!r}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 _CONFIG_RULES = {  # field -> (rule, check)
     "instances_dir": ("a string", lambda v: isinstance(v, str)),
-    "gammas": ("a non-empty list of distinct ints >= 0",
+    "gammas": ("a non-empty list (in code, a tuple) of distinct ints >= 0",
                lambda v: _distinct(v, lambda g: type(g) is int and g >= 0)),
-    "variants": (f"a non-empty list of distinct names from {ALL_VARIANTS}",
+    "variants": (f"a non-empty list (in code, a tuple) of distinct names from {ALL_VARIANTS}",
                  lambda v: _distinct(v, lambda name: name in ALL_VARIANTS)),
     "time_limit_s": ("null or a finite number >= 0", lambda v: v is None or is_seconds(v)),
     "bridge_cmd": (f"null or a command template with fields from {milp.PLACEHOLDERS}",
@@ -125,7 +130,7 @@ class SummaryRow:
 @dataclass(frozen=True)
 class PerformanceProfile:
     taus: tuple[float, ...]
-    rho: dict  # variant -> tuple of fractions, aligned with taus
+    rho: dict  # variant -> tuple of fractions, aligned with taus; in column order
     failure_ratio: float
 
 
@@ -133,9 +138,6 @@ def run_experiment(config: BenchConfig) -> list[ResultRecord]:
     """Solve every (instance, gamma, variant) combination of the config on
     a pool of ``config.workers`` threads; raises ``ValueError`` when the
     instance directory holds no ``.sm`` file."""
-    for v in config.variants:
-        if v not in ALL_VARIANTS:
-            raise ValueError(f"unknown variant {v!r}; expected one of {ALL_VARIANTS}")
     files = sorted(Path(config.instances_dir).glob("*.sm"))
     if not files:
         raise ValueError(f"no .sm instances in {config.instances_dir}")
@@ -222,11 +224,14 @@ def performance_profile(records, variants) -> PerformanceProfile:
 
     The performance ratio of a variant on an instance is its time divided by
     the best time over the compared variants; unsolved pairs get the failure
-    ratio P, set to twice the largest finite ratio.
+    ratio P, set to twice the largest finite ratio.  ``skipped`` records
+    are left out, and ``rho`` has the columns ``variants`` in
+    ``variant_order``.
     """
+    variants = variant_order(variants)
     table = {}
     for r in records:
-        if r.variant not in variants:
+        if r.variant not in variants or r.status == "skipped":
             continue
         slot = ((r.instance, r.gamma), r.variant)
         if slot in table:
@@ -337,12 +342,12 @@ def records_from_csv(text: str) -> list[ResultRecord]:
     return records
 
 
-def profile_to_csv(profile: PerformanceProfile, variants) -> str:
+def profile_to_csv(profile: PerformanceProfile) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["tau"] + [f"rho_{v}" for v in variants])
-    for idx, tau in enumerate(profile.taus):
-        writer.writerow([f"{tau:.6f}"] + [f"{profile.rho[v][idx]:.6f}" for v in variants])
+    writer.writerow(["tau"] + [f"rho_{v}" for v in profile.rho])
+    for tau, *fracs in zip(profile.taus, *profile.rho.values()):
+        writer.writerow([f"{tau:.6f}"] + [f"{frac:.6f}" for frac in fracs])
     return buf.getvalue()
 
 
@@ -355,7 +360,7 @@ _SVG_WIDTH = 640
 _SVG_HEIGHT = 420
 
 
-def profile_svg(profile: PerformanceProfile, variants) -> str:
+def profile_svg(profile: PerformanceProfile) -> str:
     """Step-function line chart of the profile, no plotting dependency."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     left, right, top, bottom = 60, 20, 30, 50
@@ -385,11 +390,11 @@ def profile_svg(profile: PerformanceProfile, variants) -> str:
     for frac in (0.0, 0.5, 1.0):
         parts.append(f'<text x="{left - 8}" y="{y(frac) + 4:.1f}" text-anchor="end" '
                      f'font-size="11">{frac:.1f}</text>')
-    for idx, variant in enumerate(variants):
+    for idx, (variant, series) in enumerate(profile.rho.items()):
         color = _COLORS[idx % len(_COLORS)]
         pts = []
         prev = 0.0
-        for tau, frac in zip(profile.taus, profile.rho[variant]):
+        for tau, frac in zip(profile.taus, series):
             pts.append((x(tau), y(prev)))
             pts.append((x(tau), y(frac)))
             prev = frac
@@ -414,10 +419,8 @@ def write_outputs(records, out_dir, variants) -> dict:
         "summary": out / "summary.csv",
     }
     paths["results"].write_text(results_to_csv(records))
-    variants = variant_order(variants)
-    profiled = [r for r in records if r.status != "skipped"]
-    profile = performance_profile(profiled, variants)
-    paths["profile"].write_text(profile_to_csv(profile, variants))
-    paths["svg"].write_text(profile_svg(profile, variants))
+    profile = performance_profile(records, variants)
+    paths["profile"].write_text(profile_to_csv(profile))
+    paths["svg"].write_text(profile_svg(profile))
     paths["summary"].write_text(summary_to_csv(summarize(records)))
     return paths

@@ -237,13 +237,11 @@ def _cmd_bench(args):
 
 def _cmd_profile(args):
     records = bench.records_from_csv(Path(args.results).read_text())
-    variants = bench.variant_order(r.variant for r in records)
-    records = [r for r in records if r.status != "skipped"]
-    profile = bench.performance_profile(records, variants)
+    profile = bench.performance_profile(records, {r.variant for r in records})
     if args.svg:
-        Path(args.svg).write_text(bench.profile_svg(profile, variants))
+        Path(args.svg).write_text(bench.profile_svg(profile))
         print(f"svg: {args.svg}", file=sys.stderr)
-    print(bench.profile_to_csv(profile, variants), end="")
+    print(bench.profile_to_csv(profile), end="")
     return 0
 
 

@@ -137,11 +137,16 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
     transitivity block if asked for, and it holds those blocks; each comes
     from its builder's cache.  The cyclic collector is paused while the
     build runs (``_collector.collector_paused``).  Raises ``ValueError``
-    for a negative gamma, and ``InvalidHorizonError`` for a ``tighten``
-    horizon below the nominal critical path, ``inst.nominal_tail[0]``.
+    for a negative gamma or for ``tighten`` windows whose length is not
+    the instance's node count, and ``InvalidHorizonError`` for a
+    ``tighten`` horizon below the nominal critical path,
+    ``inst.nominal_tail[0]``.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
+    if tighten is not None and not len(tighten.es) == len(tighten.lf) == inst.n_nodes:
+        raise ValueError(f"tightening windows of length {len(tighten.es)} (es) and "
+                         f"{len(tighten.lf)} (lf) for an instance of {inst.n_nodes} nodes")
     if tighten is not None and tighten.horizon < inst.nominal_tail[0]:
         raise InvalidHorizonError(
             f"tightening horizon {tighten.horizon} is below the nominal critical path"
@@ -463,9 +468,17 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
     under transitivity), start values are the leveled recursion, and flows
     are routed greedily along the selection's arcs in start order.  The
     names, in the model's column order, are those of the leveled and
-    selection frames of the instance's size and ``gamma``.
+    selection frames of the instance's size and ``gamma``.  Raises
+    ``ValueError`` unless ``warm.leveled_starts`` has a row of
+    ``gamma + 1`` levels per node, as a warm start made at ``gamma`` for
+    this instance has.
     """
     n_nodes = inst.n_nodes
+    levels = {len(row) for row in warm.leveled_starts}
+    if len(warm.leveled_starts) != n_nodes or levels != {gamma + 1}:
+        raise ValueError(f"warm start of {len(warm.leveled_starts)} nodes with "
+                         f"{sorted(levels)} levels; expected {n_nodes} nodes with "
+                         f"{gamma + 1} levels (gamma {gamma})")
     n_resources = len(inst.capacity)
     selection = _selection_frame(n_nodes, n_resources)
     values = dict(zip(_leveled_frame(n_nodes, gamma).starts,

@@ -325,6 +325,13 @@ def test_entries_are_signs():
     assert {v for row in matrix.entries for v in row} <= {-1, 0, 1}
 
 
+def test_refutation_row_subset_needs_an_activity_with_two_out_arcs():
+    chain = make_instance([0, 3, 2, 0], [(0, 1), (1, 2), (2, 3)])
+    matrix = build_adversary_constraint_matrix(chain, EMPTY, 1)
+    with pytest.raises(ValueError, match="no activity with two outgoing arcs"):
+        refutation_row_subset(matrix)
+
+
 def test_ghouila_houri_identity_matrix():
     identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     verdict = ghouila_houri_refute(identity, rows=(0, 1, 2, 3))

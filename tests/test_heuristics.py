@@ -48,6 +48,20 @@ def test_pair_conflict_serializes():
     validate_schedule(inst, start)
 
 
+@pytest.mark.parametrize("start, message", [
+    ((1, 1, 3, 6), "dummy source must start at time 0"),
+    ((0, -1, 1, 4), "negative start time"),
+    ((0, 0, 2, 2), r"precedence \(2, 3\) violated"),
+    ((0, 0, 0, 3), "resource 0 overloaded at time 0: 2"),
+], ids=["late_source", "negative_start", "violated_arc", "overloaded_resource"])
+def test_validate_schedule_rejects_each_broken_rule(start, message):
+    inst = make_instance([0, 2, 3, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
+                         [(0,), (1,), (1,), (0,)], (1,))
+    validate_schedule(inst, (0, 0, 2, 5))
+    with pytest.raises(ValueError, match=message):
+        validate_schedule(inst, start)
+
+
 def test_lft_schedules_are_feasible_and_sufficient():
     rng = random.Random(21)
     cases = [random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 3))

@@ -188,6 +188,12 @@ def test_from_json_rejects_non_integers(key, index, value):
     assert err.value.section == "json"
 
 
+def test_from_json_of_text_that_is_no_json_is_a_parse_error():
+    with pytest.raises(ParseError, match="invalid JSON") as err:
+        from_json("{")
+    assert err.value.section == "json"
+
+
 @pytest.mark.parametrize("meta", [None, [], "toy5", {"name": "toy5", "author": "x"},
                                   {"name": 5}, {"resource_strength": "high"},
                                   {"network_complexity": True}],

@@ -116,6 +116,21 @@ def test_tighten_requires_valid_horizon():
                                                        horizon=critical - 1))
 
 
+def test_build_compact_rejects_windows_of_another_node_count():
+    """Windows were indexed by node id unchecked: the 14-node instance's
+    built silently on the 8-node one, and the 8-node instance's raised a
+    bare ``IndexError`` on the 14-node one."""
+    rng = random.Random(3)
+    small, large = (robustify(random_psplib_instance(rng, n_act=n, n_res=2)) for n in (6, 12))
+    for inst, other in ((small, large), (large, small)):
+        warm = warm_start(other, 3)
+        windows = time_windows(other, warm.selection, 3, warm.upper_bound)
+        message = (f"windows of length {other.n_nodes} \\(es\\) and {other.n_nodes} \\(lf\\) "
+                   f"for an instance of {inst.n_nodes} nodes")
+        with pytest.raises(ValueError, match=message):
+            build_compact(inst, 3, tighten=windows)
+
+
 def test_build_compact_rejects_a_negative_gamma():
     """A negative gamma used to build a model with no start column whose
     objective named ``S_<sink>_-1``."""
@@ -164,6 +179,23 @@ def test_warm_start_assignment_feasible_all_variants():
                 assert check_assignment(model, assignment) == []
 
 
+@pytest.mark.parametrize("n_act, gamma, message", [
+    (6, 1, r"warm start of 8 nodes with \[4\] levels; expected 8 nodes with 2 levels"),
+    (6, 5, r"warm start of 8 nodes with \[4\] levels; expected 8 nodes with 6 levels"),
+    (12, 3, r"warm start of 14 nodes with \[4\] levels; expected 8 nodes with 4 levels"),
+], ids=["smaller_gamma", "larger_gamma", "larger_instance"])
+def test_warm_start_assignment_rejects_a_warm_start_of_another_shape(n_act, gamma, message):
+    """A warm start made at gamma 3 used to be assigned silently at
+    another gamma: at gamma 1 its starts shifted between nodes and
+    violated 39 rows, at gamma 5 the last starts were missing and 149
+    rows were violated.  One made for another instance size is also
+    rejected by its shape."""
+    inst = robustify(random_psplib_instance(random.Random(3), n_act=6, n_res=2))
+    source = robustify(random_psplib_instance(random.Random(3), n_act=n_act, n_res=2))
+    with pytest.raises(ValueError, match=message):
+        warm_start_assignment(inst, gamma, warm_start(source, 3))
+
+
 def test_check_assignment_compares_solver_floats_within_tol():
     model = MilpModel(
         variables=(Variable("x", "continuous", 0, 5), Variable("b", "binary", 0, 1)),
@@ -178,6 +210,18 @@ def test_check_assignment_compares_solver_floats_within_tol():
     assert check_assignment(model, {"x": 1, "b": 1}) == []
     assert check_assignment(model, {"x": 1 - Fraction(1, 10**9), "b": 1}) == [
         "floor: 1999999999/1000000000 >= 2 violated"]
+
+
+def test_check_assignment_names_each_violated_bound_and_row():
+    model = MilpModel(
+        variables=(Variable("x", "continuous", 1, 5), Variable("n", "integer", 0, 3)),
+        constraints=(LinearConstraint("cap", (("x", 1), ("n", 1)), "<=", 6),
+                     LinearConstraint("tie", (("x", 1), ("n", -1)), "=", 0)),
+        objective=(("x", 1),),
+    )
+    assert check_assignment(model, {"x": 0, "n": 7}) == [
+        "x=0 below lower bound 1", "n=7 above upper bound 3",
+        "cap: 7 <= 6 violated", "tie: -7 = 0 violated"]
 
 
 def test_warm_start_objective_matches_bound():
@@ -582,7 +626,7 @@ def test_each_block_writes_the_text_of_its_rows():
 
 def test_a_block_built_from_a_kept_frame_equals_one_built_cold():
     """Each build takes its frames from another instance of its size
-    built at a larger gamma, 9: each block equals the block built after
+    built at the same gamma: each block equals the block built after
     every cache is emptied, its rows are exactly ``LinearConstraint``
     records of ints, and its text is its rows rendered one by one."""
     rng = random.Random(32)
@@ -599,7 +643,7 @@ def test_a_block_built_from_a_kept_frame_equals_one_built_cold():
                 clear_blocks()
                 cold = build()
                 clear_blocks()
-                build_compact(other, 9)
+                build_compact(other, gamma)
                 model = build()
                 for block in model.blocks:
                     assert all(type(row) is LinearConstraint for row in block.rows)
@@ -1058,6 +1102,21 @@ def test_bridge_garbage_solution_is_error(tmp_path):
     outcome = solve_external(toy_model(), command=f"{sys.executable} {fake} {{sol}}")
     assert outcome.status == "error"
     assert "status" in outcome.message
+
+
+@pytest.mark.parametrize("write, problem", [
+    ("", "solver wrote no solution file at "),
+    ("pathlib.Path(sys.argv[1]).write_text('')", "solution file is empty"),
+    ("pathlib.Path(sys.argv[1]).write_text('optimal\\nx 1 2\\n')",
+     "malformed solution line 'x 1 2'"),
+], ids=["no_file", "empty_file", "three_fields"])
+def test_bridge_without_a_usable_solution_file_is_error(tmp_path, write, problem):
+    """The solver exits 0 each time."""
+    fake = tmp_path / "fake_solver.py"
+    fake.write_text(f"import sys, pathlib\n{write}\n")
+    outcome = solve_external(toy_model(), command=f"{sys.executable} {fake} {{sol}}")
+    assert (outcome.status, outcome.objective) == ("error", None)
+    assert problem in outcome.message
 
 
 @pytest.mark.parametrize("head, x, n, problem", [
