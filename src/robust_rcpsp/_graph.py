@@ -101,12 +101,6 @@ def ordered_closure(n_nodes, arcs):
     return order, reach
 
 
-def ancestor_bitsets(n_nodes, arcs):
-    """Per-node bitmask of the nodes that strictly reach it: the transpose
-    of ``closure_bitsets``."""
-    return closure_bitsets(n_nodes, [(j, i) for i, j in arcs])
-
-
 def transpose_bitsets(reach):
     """The transpose of a closure ``reach``: per node, the bitmask of the
     nodes whose mask holds it, from one pass over the set bits."""

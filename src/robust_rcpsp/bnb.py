@@ -1,25 +1,25 @@
 """Self-contained exact solver: branch-and-bound over conflict resolutions.
 
-Search nodes carry a partial selection.  Branching picks the first
-unresolved minimal forbidden set and adds one ordered precedence pair from
-it per child; the worst-case makespan of the partial extension is a valid
-lower bound because adding arcs never shortens the adversary's longest
-path.  The branching routine is the one the exhaustive
-``enumerate_sufficient_selections`` shares: ``network.conflict_finder``
-gives a node's branching set, an antichain of the node's closure, so each
-of its ordered pairs is the arc of a child, and ``network.child_closure``
-builds a child.
+Search nodes carry a partial selection.  Branching picks the smallest
+unresolved minimal forbidden set, ties broken lexicographically, and adds
+one ordered precedence pair from it per child; the worst-case makespan of
+the partial extension is a valid lower bound because adding arcs never
+shortens the adversary's longest path.  The branching routine is the one
+the exhaustive ``enumerate_sufficient_selections`` shares:
+``network.conflict_finder`` gives a node's branching set, an antichain of
+the node's closure, so each of its ordered pairs is the arc of a child,
+and ``network.child_closure`` builds a child.
 
 The search builds no catalog of minimal forbidden sets, so everything
 after the warm start and the root bound runs under the time limit.  A
 node holds its closure (one reachability bitmask per activity) and the
 closure's transpose (one ancestor mask per activity), and finds its own
-branching set: the first minimal forbidden set after its parent's that is
-an antichain of its closure.  Every set before the parent's was resolved
-in the parent, and the node's arc resolves the parent's set, so this is
-the node's first unresolved set of the whole catalog, the one the
-catalog's lowest unresolved index gave (see ``conflict_finder``).  The
-root searches from the first set on.
+branching set from them alone: its first unresolved conflicting pair, in
+O(n) from per-activity pair-conflict masks, or, when every pair is
+resolved, the lexicographically first unresolved set of the least size,
+from the kernel under a growing size cap (see ``conflict_finder``).  So a
+node branches into as few children as its unresolved sets allow: two for
+a pair, k(k - 1) for a set of k members.
 
 Every bound is the adversary DP's value, read from two tables of leveled
 rows that an expanded node keeps: head rows W (``rows[v][g]``, the longest
@@ -31,13 +31,12 @@ child's exact DP value in O(gamma) from ``W(i, .)`` and ``T(j, .)``.
 
 A child costs only that bound until it is popped.  Open nodes are heap
 entries ``(bound, counter, parent, i, j)``, where ``parent = (closure,
-ancestors, fset, pred, rows, succ, tails)`` is one tuple of the expanded
-node that all its children share, with ``fset`` its branching set.
-Expanding a node bounds each ordered pair of the branching set and
-pushes the entry; no closure is built.  On pop the child's closure, its
-transpose and the ancestors-or-self of ``i`` come from ``child_closure``
-on a copy of the parent's, and the closure is checked against ``seen``,
-the closures of the nodes popped so far:
+ancestors, pred, rows, succ, tails)`` is one tuple of the expanded node
+that all its children share.  Expanding a node bounds each ordered pair
+of the branching set and pushes the entry; no closure is built.  On pop
+the child's closure, its transpose and the ancestors-or-self of ``i``
+come from ``child_closure`` on a copy of the parent's, and the closure is
+checked against ``seen``, the closures of the nodes popped so far:
 
 - A closure already in ``seen`` makes the entry a duplicate.  It is
   dropped and is not a node.
@@ -46,13 +45,13 @@ the closures of the nodes popped so far:
   bound and leaf checks run.
 
 This is the search that merging children when they are made would give.
-A child's bound is the exact DP value of its closure, and the DP value
-depends on the closure only, so all entries with one closure share one
-bound; the first pushed has the lowest counter and is popped first.  A
-duplicate of a pruned child is pruned too, since the incumbent only falls.
-So nodes, values, bounds and selections are those of merging at push time,
-and a limit exit reports the best bound of the entries that are not
-duplicates.
+A child's bound is the exact DP value of its closure, and both the DP
+value and the branching set depend on the closure only, so all entries
+with one closure share one bound and one subtree; the first pushed has
+the lowest counter and is popped first.  A duplicate of a pruned child is
+pruned too, since the incumbent only falls.  So nodes, values, bounds and
+selections are those of merging at push time, and a limit exit reports
+the best bound of the entries that are not duplicates.
 
 A popped, unpruned node derives its own state from the parent's.  Its
 predecessor lists are the parent's plus ``i`` appended to ``j``'s; those
@@ -132,10 +131,9 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
     root_rows = leveled_rows(inst, gamma, inst.order, root_pred)
     root_tails = leveled_rows(inst, gamma, reversed(inst.order), root_succ)
-    # The root's entry has no arc, and its "parent" is its own state, with
-    # no branching set before it.
+    # The root's entry has no arc, and its "parent" is its own state.
     heap = [(root_rows[inst.sink][gamma], 0,
-             (root_closure, root_ancestors, (), root_pred, root_rows, root_succ, root_tails),
+             (root_closure, root_ancestors, root_pred, root_rows, root_succ, root_tails),
              None, None)]
     counter = 0
     seen = set()
@@ -149,7 +147,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
         )
 
     while heap:
-        bound, _, (closure, ancestors, fset, pred, rows, succ, tails), i, j = heapq.heappop(heap)
+        bound, _, (closure, ancestors, pred, rows, succ, tails), i, j = heapq.heappop(heap)
         if i is not None:
             closure, ancestors, above = child_closure(closure, ancestors, i, j)
         if closure in seen:
@@ -168,7 +166,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
         if i is not None:
             pred = list(pred)
             pred[j] += (i,)
-        fset = first_conflict(closure, ancestors, fset)
+        fset = first_conflict(closure, ancestors)
         if fset is None:
             incumbent_value = bound
             incumbent_sel = Selection(frozenset(
@@ -185,7 +183,7 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             up = _bits(above)
             up.sort(key=lambda v: closure[v].bit_count())
             relax_leveled_rows(tails, up, 1 << j, succ, nominal, delayed)
-        parent = (closure, ancestors, fset, pred, rows, succ, tails)
+        parent = (closure, ancestors, pred, rows, succ, tails)
         for a, b in permutations(fset, 2):
             child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],
                                                nominal[b], delayed[b]))

@@ -6,21 +6,24 @@ forbidden set contains two activities that became precedence-related.
 
 One depth-first kernel, ``_antichain_search``, lists the minimal forbidden
 sets that are antichains of a closure, in lexicographic order, on the
-packed resource sums of ``resource_fields``, which the LFT schedule shares.
-``minimal_forbidden_sets`` takes all of the instance's: the catalog, which
-the CLI's ``forbidden``, ``verify_selection`` and the tests read.  The
-searches over selections keep no catalog.
+packed resource sums of ``resource_fields``, which the LFT schedule shares;
+a size cap limits a run to the sets of at most that many members.
+``minimal_forbidden_sets`` takes all of the instance's, with no cap: the
+catalog, which the CLI's ``forbidden``, ``verify_selection`` and the
+tests read.  The searches over selections keep no catalog.
 
 ``conflict_finder`` and ``child_closure`` are the one branching routine
 of the branch-and-bound and of the exhaustive
-``enumerate_sufficient_selections``: the finder gives a node's first
-unresolved set (the kernel's first hit after the parent's set), an
-antichain of the node's closure, so every ordered pair (i, j) of it is the
-arc of a child, with no reach test; ``child_closure`` gives a child's
-closure, its transpose and the ancestors of the arc's tail.  Each caller
-keeps its own ``seen`` set of closures to merge children that reach one
-closure: the enumerator checks it when it visits a child, the
-branch-and-bound when it pops one.
+``enumerate_sufficient_selections``: the finder gives a node's smallest
+unresolved set, ties broken lexicographically, as a function of the
+node's closure alone.  It scans per-activity pair-conflict masks first,
+in O(n), and runs the kernel under a size cap of 3, 4, ... only when no
+pair is left.  The set is an antichain of the node's closure, so every
+ordered pair (i, j) of it is the arc of a child, with no reach test;
+``child_closure`` gives a child's closure, its transpose and the
+ancestors of the arc's tail.  Each caller keeps its own ``seen`` set of
+closures to merge children that reach one closure: the enumerator checks
+it when it visits a child, the branch-and-bound when it pops one.
 ``verify_selection`` checks a finished selection independently, pair by
 pair, against a catalog.  The CLI writes their JSON itself.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, permutations, repeat
+from itertools import count, islice, permutations, repeat
 
 from ._graph import add_arc_to_closure, closure_bitsets, reaches, transpose_bitsets
 from .errors import CapExceeded, CyclicGraphError
@@ -116,12 +119,14 @@ def resource_fields(inst: ProjectInstance):
 def _antichain_search(inst: ProjectInstance):
     """The one depth-first kernel over minimal forbidden sets.
 
-    Returns ``search(reach, reached_by, after=())``, a generator of the
-    minimal forbidden sets that are antichains of the closure ``reach``
-    (with its transpose ``reached_by``) and come after the sorted tuple
-    ``after``, in lexicographic order.  ``minimal_forbidden_sets`` takes
-    every set of the instance's own closure, and ``conflict_finder`` the
-    first set of a search node's.
+    Returns ``search(reach, reached_by, cap=...)``, a generator of the
+    minimal forbidden sets of at most ``cap`` members that are antichains
+    of the closure ``reach`` (with its transpose ``reached_by``), in
+    lexicographic order.  Its return value (the ``StopIteration`` value)
+    tells whether the cap cut a branch.  ``minimal_forbidden_sets`` takes
+    every set of the instance's own closure, with no cap, and
+    ``conflict_finder`` the first set of a search node's under a cap of
+    3, 4, ... once no pair is left.
 
     Candidates are the activities with a positive requirement; activity
     ids double as bit positions.  A node of the search is an antichain
@@ -145,13 +150,16 @@ def _antichain_search(inst: ProjectInstance):
     be minimal.  Both cuts skip only antichains that lead to no minimal
     forbidden set, so the sets are found in the same order as without them.
 
-    A run after ``after`` resumes the search where it left ``after``:
-    it walks down ``after``'s members while they extend an antichain that
-    is not overloaded and passes the usable cut, and each level it enters
-    keeps only the candidates above the member it took.  Lexicographic
-    order is the search's order, so what follows is exactly the sets
-    after ``after``.  The DFS keeps its levels on int stacks and
-    allocates no container per step.
+    The size cap is the one cut that may skip a set: an antichain of
+    ``cap`` members that is not overloaded is not extended, and the run
+    notes that it cut a branch only when some candidate was left to
+    extend it with.  Every prefix of a minimal forbidden set is an
+    antichain that is not overloaded, so a run under ``cap`` finds exactly
+    the sets of at most ``cap`` members, in lexicographic order.  A run
+    that cut no branch explored what a run without the cap would have, so
+    when it found nothing the closure resolves every minimal forbidden
+    set.  The DFS keeps its levels on int stacks and allocates no
+    container per step.
     """
     packed, positive, high, empty = resource_fields(inst)
     cands = [i for i in range(1, inst.sink) if positive[i]]
@@ -165,29 +173,17 @@ def _antichain_search(inst: ProjectInstance):
         mask = positive_on[usable] = sum(1 << c for c in cands if positive[c] & usable)
         return mask
 
-    def search(reach, reached_by, after=()):
+    def search(reach, reached_by, cap=len(cands)):
         members = []
         # The allowed candidates and usable resources of the levels above.
         allowed_above = []
         usable_above = []
         allowed, total, usable = cand_mask, empty, high
-        for a in after:
-            above = allowed & -(2 << a)
-            new_total = total + packed[a]
-            if not (allowed >> a) & 1 or new_total & high:
-                allowed = above
-                break
-            allowed_above.append(above)
-            usable_above.append(usable)
-            members.append(a)
-            usable &= positive[a]
-            allowed = above & ~(reach[a] | reached_by[a]) & (
-                positive_on[usable] if usable in positive_on else usable_candidates(usable))
-            total = new_total
+        cut = False
         while True:
             if not allowed:
                 if not members:
-                    return
+                    return cut
                 total -= packed[members.pop()]
                 allowed = allowed_above.pop()
                 usable = usable_above.pop()
@@ -211,6 +207,9 @@ def _antichain_search(inst: ProjectInstance):
                     positive_on[new_usable] if new_usable in positive_on
                     else usable_candidates(new_usable))
                 if child:
+                    if len(members) + 1 >= cap:
+                        cut = True
+                        continue
                     allowed_above.append(allowed)
                     usable_above.append(usable)
                     members.append(c)
@@ -236,26 +235,59 @@ def minimal_forbidden_sets(inst: ProjectInstance,
 def conflict_finder(inst: ProjectInstance):
     """The branching rule of every search over selections, for one instance.
 
-    Returns ``first_conflict(closure, ancestors, after=())``: the
-    lexicographically first minimal forbidden set that is an antichain of
-    ``closure`` (with its transpose ``ancestors``) and comes after the set
-    ``after``, or None when the closure resolves every such set.  It is
-    one run of the ``_antichain_search`` kernel that stops at its first
-    hit.
+    Returns ``first_conflict(closure, ancestors)``: the smallest minimal
+    forbidden set that is an antichain of ``closure`` (with its transpose
+    ``ancestors``), ties broken lexicographically, or None when the closure
+    resolves every minimal forbidden set.  The set depends on the closure
+    alone.
 
-    A search node passes its parent's branching set as ``after``.  Every
-    set before that one was resolved in the parent, and the arc that made
-    the node resolves the set itself, so the first set after it is the
-    node's first unresolved set of the whole catalog: the branching set
-    the catalog's lowest unresolved index would give, found without the
-    catalog.
+    Every requirement fits its capacity (the instance checks it), so two
+    activities that overload a resource together form a minimal forbidden
+    set.  On the first call the finder lists, for each candidate ``i``,
+    the mask ``conf`` of the later candidates ``j`` it overloads a resource
+    with.  A node's first unresolved pair is then the first ``i`` whose
+    ``conf & ~(closure[i] | ancestors[i])`` is not zero, with that mask's
+    lowest ``j``: O(n) per node.  When no pair is left, the
+    ``_antichain_search`` kernel runs under a size cap of 3, 4, ... and the
+    first set it finds is the answer; the first run that finds none and
+    cut no branch proves the closure a leaf.  A solve stopped before its
+    first node (``node_cap=0``) builds neither the masks nor the kernel.
     """
-    search = _antichain_search(inst)
+    pairs = search = None
 
-    def first_conflict(closure, ancestors, after=()):
-        return next(search(closure, ancestors, after), None)
+    def first_conflict(closure, ancestors):
+        nonlocal pairs, search
+        if pairs is None:
+            pairs = _pair_conflicts(inst)
+        for i, conf in pairs:
+            free = conf & ~(closure[i] | ancestors[i])
+            if free:
+                return i, (free & -free).bit_length() - 1
+        if search is None:
+            search = _antichain_search(inst)
+        for cap in count(3):
+            try:
+                return next(search(closure, ancestors, cap))
+            except StopIteration as done:
+                if not done.value:  # the run cut no branch: no set is left
+                    return None
 
     return first_conflict
+
+
+def _pair_conflicts(inst: ProjectInstance):
+    """``(i, conf)`` for each activity ``i`` that overloads some resource
+    together with a later one, in increasing ``i``: ``conf`` is the mask
+    of those later activities ``j``."""
+    packed, positive, high, empty = resource_fields(inst)
+    cands = [i for i in range(1, inst.sink) if positive[i]]
+    pairs = []
+    for idx, i in enumerate(cands):
+        base = empty + packed[i]
+        conf = sum(1 << j for j in cands[idx + 1:] if (base + packed[j]) & high)
+        if conf:
+            pairs.append((i, conf))
+    return pairs
 
 
 def verify_selection(inst: ProjectInstance, sel: Selection, catalog) -> SelectionVerdict:
@@ -342,8 +374,8 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
     leaves = {}
     seen = {root}
 
-    def visit(closure, ancestors, added, after):
-        fset = first_conflict(closure, ancestors, after)
+    def visit(closure, ancestors, added):
+        fset = first_conflict(closure, ancestors)
         if fset is None:
             leaves[closure] = tuple(sorted(added))
             return
@@ -351,9 +383,9 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
             key, key_ancestors, _ = child_closure(closure, ancestors, i, j)
             if key not in seen:
                 seen.add(key)
-                visit(key, key_ancestors, added | {(i, j)}, fset)
+                visit(key, key_ancestors, added | {(i, j)})
 
-    visit(root, tuple(transpose_bitsets(root)), frozenset(), ())
+    visit(root, tuple(transpose_bitsets(root)), frozenset())
 
     # A leaf is kept unless another leaf's closure is a strict subset of its
     # own.  Each closure is packed into one int of n_nodes**2 bits; in order

@@ -10,7 +10,6 @@ from dataclasses import replace
 from robust_rcpsp import bench
 from robust_rcpsp._graph import (
     add_arc_to_closure,
-    ancestor_bitsets,
     closure_bitsets,
     leveled_rows,
     reaches,
@@ -105,6 +104,13 @@ def tail_rows(inst, gamma):
     of ``v`` to the sink with at most ``g`` delays."""
     return leveled_rows(inst, gamma, reversed(inst.order),
                         successors(inst.n_nodes, inst.precedence))
+
+
+def ancestor_bitsets(n_nodes, arcs):
+    """Per-node bitmask of the nodes that strictly reach it: the closure of
+    the reversed arcs, the tests' independent referee for the transpose
+    (``_graph.transpose_bitsets``) of ``closure_bitsets``."""
+    return closure_bitsets(n_nodes, [(j, i) for i, j in arcs])
 
 
 def random_selection(rng: random.Random, inst, max_arcs=3):

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from gen import (
+    ancestor_bitsets,
     connect_dummies,
     make_instance,
     random_dag_instance,
@@ -19,7 +20,6 @@ from gen import (
 )
 from robust_rcpsp import bnb, heuristics, milp, network
 from robust_rcpsp._graph import (
-    ancestor_bitsets,
     closure_bitsets,
     leveled_rows,
     predecessors,
@@ -165,10 +165,11 @@ def test_matches_exhaustive_oracle_seven_and_eight_activities():
 
 def test_kernel_masks_and_bounds_follow_arc_additions():
     """Along random acyclic arc sequences, the branching set that
-    ``conflict_finder`` gives is the first catalog set the pair-wise filter
-    leaves unresolved, both from the start and after the last set known to
-    be resolved with every set before it; the carried ancestor masks are
-    the closure's transpose; the incrementally raised head and tail rows
+    ``conflict_finder`` gives is the smallest catalog set the pair-wise
+    filter leaves unresolved, ties broken lexicographically, or None, and
+    the walks reach sets of three or more members once every pair is
+    resolved, and leaves; the carried ancestor masks are the closure's
+    transpose; the incrementally raised head and tail rows
     match a full forward and backward pass, row for row; and for every arc
     of the branching set (and the arc the walk adds) ``arc_bound`` gives
     the DP value of the extended selection.
@@ -180,6 +181,7 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
     cases = [robustify(random_psplib_instance(rng, rng.randint(12, 20), 4)) for _ in range(6)]
     cases += [random_dag_instance(rng, rng.randint(4, 9), n_res=2, max_dur=rng.choice((0, 2)))
               for _ in range(6)]
+    sizes = set()
     for inst in cases:
         catalog = minimal_forbidden_sets(inst)
         first_conflict = conflict_finder(inst)
@@ -199,12 +201,12 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
                         worst_case_makespan_dp(inst, Selection(), gamma).leveled_starts]
                 for gamma in gammas}
         tails = {gamma: full_tails(gamma) for gamma in gammas}
-        after = ()
         arcs = set()
         while True:
-            fset = first_conflict(reach, ancestors, after)
-            assert fset == first_conflict(reach, ancestors) == \
-                next((f for f in catalog if not network._resolved(reach, f)), None)
+            fset = first_conflict(reach, ancestors)
+            assert fset == min((f for f in catalog if not network._resolved(reach, f)),
+                               key=lambda f: (len(f), f), default=None)
+            sizes.add(None if fset is None else min(len(fset), 3))
             assert list(ancestors) == ancestor_bitsets(n_nodes, inst.precedence + tuple(arcs))
             for gamma in gammas:
                 dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma)
@@ -229,8 +231,6 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
                     dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs | {(a, b)})), gamma)
                     assert bound == dp.value
             reach, ancestors, _ = child_closure(reach, ancestors, i, j)
-            if fset and network._resolved(reach, fset):
-                after = fset
             pred[j].append(i)
             succ[i].append(j)
             arcs.add((i, j))
@@ -241,6 +241,7 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             for gamma in gammas:
                 relax_leveled_rows(rows[gamma], down, 1 << i, pred, nominal, delayed)
                 relax_leveled_rows(tails[gamma], up, 1 << j, succ, nominal, delayed)
+    assert sizes == {2, 3, None}
 
 
 def test_budget_zero_equals_deterministic_optimum():
@@ -369,8 +370,8 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
         the nodes the search expands."""
         first_conflict = network.conflict_finder(inst)
 
-        def recorded(closure, ancestors, after=()):
-            fset = first_conflict(closure, ancestors, after)
+        def recorded(closure, ancestors):
+            fset = first_conflict(closure, ancestors)
             if fset is not None:
                 expanded.append(closure)
             return fset
@@ -392,9 +393,9 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
 # SHA-256 of (value, status, nodes, best_bound, sorted arcs) of the solves of
 # search_pins(), per instance size.
 PINNED_SEARCH_SHA256 = {
-    10: "8e973d45c943600b3049c6c8a3284d96bd16a5f0febde3830717940523d48d47",
-    20: "efb29680cffb53c22ce5ec5e5690eedfbd197cb982ff947cd7e23147dfc1b470",
-    30: "b474ca1f6b23c604adf5f44235a2b0d6030724473acb34adfa6ff8b6c2691855",
+    10: "c99a1636f3aeae52ef4d8fe05ae71f40100522679c974ed90e32d558c5b1ba91",
+    20: "1bc3b006afbfca142a686384d1eb4bc3ab9a18df410339ad2406c09b5907807e",
+    30: "38434d9118a68f21d348c76ef664b0470f6185e97c3153f50e320c576bb10080",
 }
 
 

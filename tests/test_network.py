@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from gen import (
+    ancestor_bitsets,
     brute_force_forbidden_sets,
     closure_relation,
     connect_dummies,
@@ -15,7 +16,6 @@ from gen import (
     shuffled_ids,
 )
 from robust_rcpsp._graph import (
-    ancestor_bitsets,
     closure_bitsets,
     reaches,
     topological_order,
@@ -290,7 +290,7 @@ def test_branch_merges_seen_closures():
     ``child_closure`` builds one child and its ancestor masks without
     touching the node, two arc orders that reach one closure give one key,
     which a caller's ``seen`` set merges, and ``conflict_finder`` gives
-    each node's first unresolved set."""
+    each node's smallest unresolved set, the first of its size."""
     inst = k3_instance()  # catalog (1, 2), (1, 3), (2, 3)
     first_conflict = conflict_finder(inst)
 
@@ -306,10 +306,10 @@ def test_branch_merges_seen_closures():
         [(*node_of((1, 2)), 0b0011), (*node_of((2, 1)), 0b0101)]
     assert root == node_of()
     one_two = node_of((1, 2))
-    assert first_conflict(*one_two, (1, 2)) == first_conflict(*one_two) == (1, 3)
+    assert first_conflict(*one_two) == (1, 3)
     chain = child_closure(*one_two, 2, 3)
     assert chain == (*node_of((1, 2), (2, 3)), 0b0111)
-    assert first_conflict(*chain[:2], (1, 3)) is None  # a leaf
+    assert first_conflict(*chain[:2]) is None  # a leaf
     # 2 -> 3 then 1 -> 2 reaches the same closure as 1 -> 2 then 2 -> 3: merged
     seen = {root[0], one_two[0], chain[0]}
     two_three = child_closure(*root, 2, 3)
@@ -319,15 +319,17 @@ def test_branch_merges_seen_closures():
 
 
 def test_conflict_finder_matches_brute_force():
-    """On closures grown by random acyclic arcs, the finder gives the least
-    set of the brute-force catalog that is an antichain of the closure and
-    comes after ``after``, or None: for ``after`` empty, each catalog set,
-    and sorted activity tuples that are no catalog set."""
+    """On closures grown by random acyclic arcs, the finder gives the
+    smallest set of the brute-force catalog that is an antichain of the
+    closure, ties broken lexicographically, or None.  Half the arcs come
+    from the finder's own set, so the walks reach sets of three or more
+    members once every pair is resolved, and they end at leaves."""
     rng = random.Random(2027)
     cases = [random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 3))
              for _ in range(25)]
     cases += [random_psplib_instance(rng, n_act=rng.randint(8, 10), n_res=rng.randint(1, 4))
               for _ in range(15)]
+    sizes = set()
     for inst in cases:
         catalog = brute_force_forbidden_sets(inst)
         first_conflict = conflict_finder(inst)
@@ -338,21 +340,23 @@ def test_conflict_finder_matches_brute_force():
         while True:
             open_sets = [f for f in catalog
                          if not any(reaches(reach, i, j) for i in f for j in f)]
-            afters = [(), *catalog]
-            afters += [tuple(sorted(rng.sample(acts, rng.randint(1, min(3, len(acts))))))
-                       for _ in range(4)]
-            for after in afters:
-                expected = next((f for f in open_sets if f > after), None)
-                assert first_conflict(reach, ancestors, after) == expected, (inst, arcs, after)
+            expected = min(open_sets, key=lambda f: (len(f), f), default=None)
+            fset = first_conflict(reach, ancestors)
+            assert fset == expected, (inst, arcs)
+            sizes.add(None if fset is None else min(len(fset), 3))
             free = [(i, j) for i in acts for j in acts
                     if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
             if not free:
                 break
-            i, j = rng.choice(free)
+            if fset and rng.random() < 0.5:
+                i, j = rng.choice(list(permutations(fset, 2)))
+            else:
+                i, j = rng.choice(free)
             arcs.add((i, j))
             reach, ancestors, _ = child_closure(reach, ancestors, i, j)
             assert (list(reach), list(ancestors)) == \
                 (closure_bitsets(inst.n_nodes, arcs), ancestor_bitsets(inst.n_nodes, arcs))
+    assert sizes == {2, 3, None}
 
 
 def test_enumerate_empty_catalog():
