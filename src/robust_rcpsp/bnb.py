@@ -15,9 +15,11 @@ after the warm start and the root bound runs under the time limit.  A
 node holds its closure (one reachability bitmask per activity) and the
 closure's transpose (one ancestor mask per activity), and finds its own
 branching set from them alone: its first unresolved conflicting pair, in
-O(n) from per-activity pair-conflict masks, or, when every pair is
-resolved, the lexicographically first unresolved set of the least size,
-from the kernel under a growing size cap (see ``conflict_finder``).  So a
+O(n) from per-activity pair masks; when every pair is resolved, its first
+unresolved triple, from the instance's triple rows, each filled the first
+time a node reads it; and only when no triple is left either, the
+lexicographically first unresolved set of the least size, from the
+kernel under a size cap of 4, 5, ... (see ``conflict_finder``).  So a
 node branches into as few children as its unresolved sets allow: two for
 a pair, k(k - 1) for a set of k members.
 
@@ -58,14 +60,25 @@ predecessor lists are the parent's plus ``i`` appended to ``j``'s; those
 appended after the root's are the node's added arcs.  A node for which
 the finder returns no set is a leaf: its selection is read from them and
 it needs nothing more.  Otherwise ``_graph.relax_leveled_rows``, the one
-longest-path kernel, raises the head rows of ``j`` and its descendants
-(in the closure's descending-reach order, which is topological) from
-``i`` as the one dirty predecessor, and the tail rows of ``i`` and its
-ancestors (ascending reach, on successor lists) from ``j`` as the one
-dirty successor.  Adding an arc only lengthens paths, so no other row can
-change.  The root is an entry without an arc, made before the search
-from the instance's derived ``closure`` (its closure, and its transpose in
-one pass over the bits) and ``order``: its head rows are ``leveled_rows``
+longest-path kernel, raises the head row of ``j`` alone, from ``i`` as the
+one dirty predecessor, and sweeps ``j``'s descendants from ``j`` as the
+one dirty predecessor only if that row rose.  The sweep takes them in
+descending order of their closure masks read as ints, which is
+topological: a node's mask strictly contains each descendant's, so it is
+the larger int.  The rule is exact.  The arc changed no predecessor
+list but ``j``'s, so any other row can rise only through a predecessor
+whose row rose: when ``j``'s did not, no row did.  When it
+did, a sweep that also held ``i`` dirty would raise nothing more from
+it: ``i`` is not a descendant of ``j``, so its row is unchanged, and any
+other node that has ``i`` as a predecessor already accounts for that row.
+The tail rows follow the same rule on successor lists: the tail row of
+``i`` from ``j`` as the one dirty successor, then, only if it rose, the
+tail rows of ``i``'s ancestors (ascending masks) from ``i``.  Adding an
+arc only lengthens paths, so no other row can change.
+
+The root is an entry without an arc, made before the search from the
+instance's derived ``closure`` (its closure, and its transpose in one
+pass over the bits) and ``order``: its head rows are ``leveled_rows``
 over ``order`` and the predecessor lists, their sink row at ``gamma`` its
 bound, and its tail rows are ``leveled_rows`` over reversed ``order`` and
 the successor lists, the same run backward.
@@ -174,15 +187,21 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             continue
         if i is not None:
             rows = list(rows)
-            down = _bits(closure[j] | (1 << j))
-            down.sort(key=lambda v: -closure[v].bit_count())
-            relax_leveled_rows(rows, down, 1 << i, pred, nominal, delayed)
+            row = rows[j]
+            relax_leveled_rows(rows, (j,), 1 << i, pred, nominal, delayed)
+            if rows[j] is not row:
+                down = _bits(closure[j])
+                down.sort(key=closure.__getitem__, reverse=True)
+                relax_leveled_rows(rows, down, 1 << j, pred, nominal, delayed)
             succ = list(succ)
             succ[i] += (j,)
             tails = list(tails)
-            up = _bits(above)
-            up.sort(key=lambda v: closure[v].bit_count())
-            relax_leveled_rows(tails, up, 1 << j, succ, nominal, delayed)
+            row = tails[i]
+            relax_leveled_rows(tails, (i,), 1 << j, succ, nominal, delayed)
+            if tails[i] is not row:
+                up = _bits(above ^ (1 << i))
+                up.sort(key=closure.__getitem__)
+                relax_leveled_rows(tails, up, 1 << i, succ, nominal, delayed)
         parent = (closure, ancestors, pred, rows, succ, tails)
         for a, b in permutations(fset, 2):
             child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],

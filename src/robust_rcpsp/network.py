@@ -16,9 +16,13 @@ tests read.  The searches over selections keep no catalog.
 of the branch-and-bound and of the exhaustive
 ``enumerate_sufficient_selections``: the finder gives a node's smallest
 unresolved set, ties broken lexicographically, as a function of the
-node's closure alone.  It scans per-activity pair-conflict masks first,
-in O(n), and runs the kernel under a size cap of 3, 4, ... only when no
-pair is left.  The set is an antichain of the node's closure, so every
+node's closure alone.  It looks in three stages, from one per-instance
+conflict table (``_conflict_table``) whose threshold masks ``above[k][t]``
+hold the candidates that need more than t units of resource k: pair
+masks, in O(n) per node; once no pair is left, triple rows, each filled
+the first time a scan reaches its activity; and once no triple is left
+either, the kernel under a size cap of 4, 5, ....  The set is an
+antichain of the node's closure, so every
 ordered pair (i, j) of it is the arc of a child, with no reach test;
 ``child_closure`` gives a child's closure, its transpose and the
 ancestors of the arc's tail.  Each caller keeps its own ``seen`` set of
@@ -126,7 +130,7 @@ def _antichain_search(inst: ProjectInstance):
     tells whether the cap cut a branch.  ``minimal_forbidden_sets`` takes
     every set of the instance's own closure, with no cap, and
     ``conflict_finder`` the first set of a search node's under a cap of
-    3, 4, ... once no pair is left.
+    4, 5, ... once no pair or triple is left.
 
     Candidates are the activities with a positive requirement; activity
     ids double as bit positions.  A node of the search is an antichain
@@ -239,33 +243,60 @@ def conflict_finder(inst: ProjectInstance):
     forbidden set that is an antichain of ``closure`` (with its transpose
     ``ancestors``), ties broken lexicographically, or None when the closure
     resolves every minimal forbidden set.  The set depends on the closure
-    alone.
+    alone.  It looks in three stages, each reached only when the one before
+    finds nothing:
 
-    Every requirement fits its capacity (the instance checks it), so two
-    activities that overload a resource together form a minimal forbidden
-    set.  On the first call the finder lists, for each candidate ``i``,
-    the mask ``conf`` of the later candidates ``j`` it overloads a resource
-    with.  A node's first unresolved pair is then the first ``i`` whose
-    ``conf & ~(closure[i] | ancestors[i])`` is not zero, with that mask's
-    lowest ``j``: O(n) per node.  When no pair is left, the
-    ``_antichain_search`` kernel runs under a size cap of 3, 4, ... and the
-    first set it finds is the answer; the first run that finds none and
-    cut no branch proves the closure a leaf.  A solve stopped before its
-    first node (``node_cap=0``) builds neither the masks nor the kernel.
+    1. *Pair masks.*  Every requirement fits its capacity (the instance
+       checks it), so two activities that overload a resource together form
+       a minimal forbidden set.  ``_conflict_table`` gives, for each
+       candidate ``a``, the mask of the later candidates it overloads a
+       resource with.  A node's first unresolved pair is the first ``a``
+       whose mask has a bit outside ``closure[a] | ancestors[a]``, with
+       that bit's lowest ``b``: O(n) per node.
+    2. *Triple rows.*  With no pair left, a set of three is minimal exactly
+       when it overloads a resource and none of its pairs does.  Row ``a``
+       maps each later ``b`` that fits with ``a`` to the mask of the
+       candidates ``c > b`` that overload a resource with both and conflict
+       with neither as a pair.  The scan walks the rows in increasing ``a``
+       and each row in increasing ``b``; the first ``(a, b, c)`` with ``b``
+       and ``c`` unrelated to ``a``, and ``c`` unrelated to ``b``, is the
+       lexicographically smallest unresolved triple.  A row is filled when
+       a scan first reaches its ``a``, so a short search pays only for the
+       rows it reads.
+    3. *The kernel from cap 4.*  With no triple left either, the
+       ``_antichain_search`` kernel runs under a size cap of 4, 5, ... and
+       the first set it finds is the answer; the first run that finds none
+       and cut no branch proves the closure a leaf.
+
+    A solve stopped before its first node (``node_cap=0``) builds neither
+    the table nor the kernel.
     """
-    pairs = search = None
+    table = rows = search = None
 
     def first_conflict(closure, ancestors):
-        nonlocal pairs, search
-        if pairs is None:
-            pairs = _pair_conflicts(inst)
-        for i, conf in pairs:
-            free = conf & ~(closure[i] | ancestors[i])
+        nonlocal table, rows, search
+        if table is None:
+            table = _conflict_table(inst)
+            rows = [None] * len(table[1])  # the triple rows filled so far
+        pairs, cands, triple_row = table
+        for a, conf in pairs:
+            free = conf & ~(closure[a] | ancestors[a])
             if free:
-                return i, (free & -free).bit_length() - 1
+                return a, (free & -free).bit_length() - 1
+        for idx, a in enumerate(cands):
+            row = rows[idx]
+            if row is None:
+                row = rows[idx] = triple_row(idx)
+            if row:
+                free = ~(closure[a] | ancestors[a])
+                for b, third in row:
+                    if (free >> b) & 1:
+                        third &= free & ~(closure[b] | ancestors[b])
+                        if third:
+                            return a, b, (third & -third).bit_length() - 1
         if search is None:
             search = _antichain_search(inst)
-        for cap in count(3):
+        for cap in count(4):
             try:
                 return next(search(closure, ancestors, cap))
             except StopIteration as done:
@@ -275,19 +306,64 @@ def conflict_finder(inst: ProjectInstance):
     return first_conflict
 
 
-def _pair_conflicts(inst: ProjectInstance):
-    """``(i, conf)`` for each activity ``i`` that overloads some resource
-    together with a later one, in increasing ``i``: ``conf`` is the mask
-    of those later activities ``j``."""
-    packed, positive, high, empty = resource_fields(inst)
-    cands = [i for i in range(1, inst.sink) if positive[i]]
-    pairs = []
-    for idx, i in enumerate(cands):
-        base = empty + packed[i]
-        conf = sum(1 << j for j in cands[idx + 1:] if (base + packed[j]) & high)
-        if conf:
-            pairs.append((i, conf))
-    return pairs
+def _conflict_table(inst: ProjectInstance):
+    """The instance's pair and triple conflicts, from threshold masks.
+
+    Returns ``(pairs, cands, triple_row)``.  ``cands`` are the
+    activities with a positive requirement, in increasing order, as in
+    ``_antichain_search``.  For each resource k, ``above[k][t]`` is the mask
+    of the candidates that need more than t units of k, for t up to the
+    largest requirement on k; no candidate needs more than that.  ``a``
+    overloads k together with ``b`` exactly when ``b`` is in
+    ``above[k][R_k - r_ak]``, so the mask of every candidate ``a`` conflicts
+    with is an OR over k, in O(nK).  ``pairs`` lists ``(a, mask of the
+    later ones)`` for each ``a`` whose mask is not zero.
+
+    ``triple_row(idx)`` gives the row of ``a = cands[idx]``: ``(b, mask)``
+    for each later ``b`` that fits with ``a``, in increasing ``b``, with
+    ``mask`` the candidates ``c > b`` in ``above[k][R_k - r_ak - r_bk]`` for
+    some k, minus those that conflict with ``a`` or ``b`` as a pair; a ``b``
+    whose mask is zero is left out.  So the rows hold exactly the minimal
+    forbidden sets of three members, whatever their precedence.
+    """
+    req = inst.requirement
+    capacity = inst.capacity
+    cands = [i for i in range(1, inst.sink) if any(req[i])]
+    above = [[0] * (top + 1) for top in map(max, zip(*req))]
+    for c in cands:
+        for masks, r in zip(above, req[c]):
+            if r:
+                masks[r - 1] |= 1 << c
+    for masks in above:
+        for t in range(len(masks) - 2, -1, -1):
+            masks[t] |= masks[t + 1]
+
+    conf = [0] * inst.n_nodes  # the candidates each one conflicts with as a pair
+    for a in cands:
+        mask = 0
+        for masks, cap, r in zip(above, capacity, req[a]):
+            if r and cap - r < len(masks):
+                mask |= masks[cap - r]
+        conf[a] = mask & ~(1 << a)
+    pairs = [(a, later) for a in cands if (later := conf[a] >> (a + 1) << (a + 1))]
+
+    def triple_row(idx):
+        a = cands[idx]
+        room = [cap - r for cap, r in zip(capacity, req[a])]
+        row = []
+        for b in cands[idx + 1:]:
+            if (conf[a] >> b) & 1:
+                continue
+            third = 0
+            for masks, left, r in zip(above, room, req[b]):
+                if left - r < len(masks):
+                    third |= masks[left - r]
+            third = (third >> (b + 1) << (b + 1)) & ~(conf[a] | conf[b])
+            if third:
+                row.append((b, third))
+        return row
+
+    return pairs, cands, triple_row
 
 
 def verify_selection(inst: ProjectInstance, sel: Selection, catalog) -> SelectionVerdict:

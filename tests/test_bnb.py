@@ -4,6 +4,7 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
@@ -167,20 +168,32 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
     """Along random acyclic arc sequences, the branching set that
     ``conflict_finder`` gives is the smallest catalog set the pair-wise
     filter leaves unresolved, ties broken lexicographically, or None, and
-    the walks reach sets of three or more members once every pair is
-    resolved, and leaves; the carried ancestor masks are the closure's
-    transpose; the incrementally raised head and tail rows
+    the walks reach pairs, triples (from the finder's triple rows), sets of
+    four or more members (from the kernel's run from cap 4) and leaves; the
+    carried ancestor masks are the closure's transpose; the head and tail
+    rows, raised as ``solve_exact`` raises them (the new arc's endpoint
+    first, then its descendants or ancestors only when that row rose),
     match a full forward and backward pass, row for row; and for every arc
     of the branching set (and the arc the walk adds) ``arc_bound`` gives
     the DP value of the extended selection.
 
-    The walks run on j12-j20-shaped instances and on small DAGs with
-    zero-duration activities."""
+    The walks run on j12-j20-shaped instances, on small DAGs with
+    zero-duration activities and on sparse DAGs with sets of four."""
     rng = random.Random(2020)
     gammas = (0, 1, 3)
     cases = [robustify(random_psplib_instance(rng, rng.randint(12, 20), 4)) for _ in range(6)]
     cases += [random_dag_instance(rng, rng.randint(4, 9), n_res=2, max_dur=rng.choice((0, 2)))
               for _ in range(6)]
+    # Sparse DAGs on one resource of four units, most activities needing
+    # one: triples, sets of four and sets of five, so the walks also reach
+    # the kernel's run from cap 4.  A generator of their own leaves the walks
+    # above as they were.
+    quads = random.Random(4)
+    for _ in range(4):
+        dag = random_dag_instance(quads, quads.randint(6, 9), arc_prob=0.05, max_dur=3)
+        cases.append(replace(dag, capacity=(4,), requirement=tuple(
+            (quads.choice((1, 1, 2)) if 0 < v < dag.sink else 0,)
+            for v in range(dag.n_nodes))))
     sizes = set()
     for inst in cases:
         catalog = minimal_forbidden_sets(inst)
@@ -206,7 +219,7 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             fset = first_conflict(reach, ancestors)
             assert fset == min((f for f in catalog if not network._resolved(reach, f)),
                                key=lambda f: (len(f), f), default=None)
-            sizes.add(None if fset is None else min(len(fset), 3))
+            sizes.add(None if fset is None else min(len(fset), 4))
             assert list(ancestors) == ancestor_bitsets(n_nodes, inst.precedence + tuple(arcs))
             for gamma in gammas:
                 dp = worst_case_makespan_dp(inst, Selection(frozenset(arcs)), gamma)
@@ -234,14 +247,19 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             pred[j].append(i)
             succ[i].append(j)
             arcs.add((i, j))
-            down = sorted((v for v in range(n_nodes) if v == j or reaches(reach, j, v)),
+            down = sorted((v for v in range(n_nodes) if reaches(reach, j, v)),
                           key=lambda v: -reach[v].bit_count())
-            up = sorted((v for v in range(n_nodes) if v == i or reaches(reach, v, i)),
+            up = sorted((v for v in range(n_nodes) if reaches(reach, v, i)),
                         key=lambda v: reach[v].bit_count())
             for gamma in gammas:
-                relax_leveled_rows(rows[gamma], down, 1 << i, pred, nominal, delayed)
-                relax_leveled_rows(tails[gamma], up, 1 << j, succ, nominal, delayed)
-    assert sizes == {2, 3, None}
+                head, tail = rows[gamma][j], tails[gamma][i]
+                relax_leveled_rows(rows[gamma], (j,), 1 << i, pred, nominal, delayed)
+                if rows[gamma][j] != head:
+                    relax_leveled_rows(rows[gamma], down, 1 << j, pred, nominal, delayed)
+                relax_leveled_rows(tails[gamma], (i,), 1 << j, succ, nominal, delayed)
+                if tails[gamma][i] != tail:
+                    relax_leveled_rows(tails[gamma], up, 1 << i, succ, nominal, delayed)
+    assert sizes == {2, 3, 4, None}
 
 
 def test_budget_zero_equals_deterministic_optimum():

@@ -25,6 +25,7 @@ from robust_rcpsp.errors import CapExceeded, CyclicGraphError
 from robust_rcpsp.heuristics import lft_schedule
 from robust_rcpsp.network import (
     Selection,
+    _conflict_table,
     child_closure,
     conflict_finder,
     enumerate_sufficient_selections,
@@ -322,8 +323,9 @@ def test_conflict_finder_matches_brute_force():
     """On closures grown by random acyclic arcs, the finder gives the
     smallest set of the brute-force catalog that is an antichain of the
     closure, ties broken lexicographically, or None.  Half the arcs come
-    from the finder's own set, so the walks reach sets of three or more
-    members once every pair is resolved, and they end at leaves."""
+    from the finder's own set, so the walks reach triples once every pair
+    is resolved (the finder's triple rows), sets of four or more members
+    once every triple is too (its kernel from cap 4), and leaves."""
     rng = random.Random(2027)
     cases = [random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 3))
              for _ in range(25)]
@@ -337,13 +339,21 @@ def test_conflict_finder_matches_brute_force():
         arcs = set(inst.precedence)
         reach = closure_bitsets(inst.n_nodes, inst.precedence)
         ancestors = ancestor_bitsets(inst.n_nodes, inst.precedence)
+        # The table's pairs and triples are the instance's minimal forbidden
+        # sets of two and three members: the catalog's, once related ones go.
+        pairs, cands, triple_row = _conflict_table(inst)
+        table = [(a, b) for a, later in pairs for b in acts if (later >> b) & 1]
+        table += [(a, b, c) for idx, a in enumerate(cands) for b, third in triple_row(idx)
+                  for c in acts if (third >> c) & 1]
+        assert sorted(f for f in table if not any(reaches(reach, i, j) for i in f for j in f)) \
+            == [f for f in catalog if len(f) <= 3]
         while True:
             open_sets = [f for f in catalog
                          if not any(reaches(reach, i, j) for i in f for j in f)]
             expected = min(open_sets, key=lambda f: (len(f), f), default=None)
             fset = first_conflict(reach, ancestors)
             assert fset == expected, (inst, arcs)
-            sizes.add(None if fset is None else min(len(fset), 3))
+            sizes.add(None if fset is None else min(len(fset), 4))
             free = [(i, j) for i in acts for j in acts
                     if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
             if not free:
@@ -356,7 +366,7 @@ def test_conflict_finder_matches_brute_force():
             reach, ancestors, _ = child_closure(reach, ancestors, i, j)
             assert (list(reach), list(ancestors)) == \
                 (closure_bitsets(inst.n_nodes, arcs), ancestor_bitsets(inst.n_nodes, arcs))
-    assert sizes == {2, 3, None}
+    assert sizes == {2, 3, 4, None}
 
 
 def test_enumerate_empty_catalog():
