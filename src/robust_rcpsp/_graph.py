@@ -15,12 +15,8 @@ branch-and-bound's tail rows.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING
 
 from .errors import CyclicGraphError
-
-if TYPE_CHECKING:
-    from .instance import ProjectInstance
 
 
 def successors(n_nodes, arcs):
@@ -42,10 +38,16 @@ def topological_order(n_nodes, arcs):
 
     Ties are broken by smallest node id so the order is deterministic.
     """
+    return _kahn_order(successors(n_nodes, arcs))
+
+
+def _kahn_order(succ):
+    """``topological_order`` of the arcs whose successor lists are ``succ``."""
+    n_nodes = len(succ)
     indeg = [0] * n_nodes
-    succ = successors(n_nodes, arcs)
-    for _, j in arcs:
-        indeg[j] += 1
+    for heads in succ:
+        for j in heads:
+            indeg[j] += 1
     ready = [v for v in range(n_nodes) if indeg[v] == 0]
     heapq.heapify(ready)
     order = []
@@ -84,15 +86,14 @@ def _find_cycle(n_nodes, succ, indeg):
 
 def closure_bitsets(n_nodes, arcs):
     """Per-node bitmask of strictly reachable nodes (nonempty paths only)."""
-    return ordered_closure(n_nodes, arcs)[1]
+    return ordered_closure(successors(n_nodes, arcs))[1]
 
 
-def ordered_closure(n_nodes, arcs):
-    """``(topological_order(n_nodes, arcs), closure_bitsets(n_nodes, arcs))``
-    from one sort."""
-    order = topological_order(n_nodes, arcs)
-    succ = successors(n_nodes, arcs)
-    reach = [0] * n_nodes
+def ordered_closure(succ):
+    """``(topological_order, closure_bitsets)`` of the arcs whose successor
+    lists are ``succ``, from one sort over those lists."""
+    order = _kahn_order(succ)
+    reach = [0] * len(succ)
     for v in reversed(order):
         acc = 0
         for w in succ[v]:
@@ -191,12 +192,14 @@ def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
             dirty |= 1 << j
 
 
-def leveled_rows(inst: ProjectInstance, gamma: int, order, adj) -> list[list[int]]:
+def leveled_rows(nominal, delayed, gamma: int, order, adj) -> list[list[int]]:
     """``relax_leveled_rows`` from scratch, all rows zero and every node
     dirty, over a topological ``order`` and predecessor lists ``adj`` (or
-    the reverse, on successor lists).  Rejects a negative ``gamma``."""
+    the reverse, on successor lists), with one entry per node in the
+    duration vectors ``nominal`` and ``delayed``.  Rejects a negative
+    ``gamma``."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    rows = [[0] * (gamma + 1)] * inst.n_nodes  # one shared row: the kernel copies before it raises
-    relax_leveled_rows(rows, order, -1, adj, inst.nominal_duration, inst.worst_case_duration)
+    rows = [[0] * (gamma + 1)] * len(nominal)  # one shared row: the kernel copies before it raises
+    relax_leveled_rows(rows, order, -1, adj, nominal, delayed)
     return rows

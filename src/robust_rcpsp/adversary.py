@@ -52,7 +52,8 @@ def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) ->
     arcs = extended_arcs(inst, sel)
     n_nodes = inst.n_nodes
     pred = predecessors(n_nodes, arcs)
-    rows = leveled_rows(inst, gamma, topological_order(n_nodes, arcs), pred)
+    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma,
+                        topological_order(n_nodes, arcs), pred)
     delays, path = _backtrack(rows, pred, inst, gamma)
     return DpResult(value=rows[inst.sink][gamma], delayed=frozenset(delays), path=tuple(path),
                     leveled_starts=tuple(map(tuple, rows)))

@@ -142,8 +142,8 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     root_ancestors = tuple(transpose_bitsets(root_closure))
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
     root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
-    root_rows = leveled_rows(inst, gamma, inst.order, root_pred)
-    root_tails = leveled_rows(inst, gamma, reversed(inst.order), root_succ)
+    root_rows = leveled_rows(nominal, delayed, gamma, inst.order, root_pred)
+    root_tails = leveled_rows(nominal, delayed, gamma, reversed(inst.order), root_succ)
     # The root's entry has no arc, and its "parent" is its own state.
     heap = [(root_rows[inst.sink][gamma], 0,
              (root_closure, root_ancestors, root_pred, root_rows, root_succ, root_tails),

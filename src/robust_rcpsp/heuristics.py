@@ -159,7 +159,7 @@ def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     for i, c in zip(order, cut):
         for j in order[c:least[c]]:
             pred[j].append(i)
-    rows = leveled_rows(inst, gamma, order, pred)
+    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma, order, pred)
     return WarmStart(selection=sel, start=start, leveled_starts=tuple(map(tuple, rows)),
                      upper_bound=rows[inst.sink][gamma])
 
@@ -182,7 +182,8 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
         raise InvalidHorizonError(
             f"horizon {horizon} is below the nominal critical path {critical}"
         )
-    rows = leveled_rows(inst, 0, inst.order, predecessors(inst.n_nodes, inst.precedence))
+    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, 0, inst.order,
+                        predecessors(inst.n_nodes, inst.precedence))
     es = tuple(row[0] for row in rows)
     lf = tuple(horizon - t for t in inst.nominal_tail)
     return TimeWindows(es=es, lf=lf, horizon=horizon)

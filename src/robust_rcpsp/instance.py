@@ -10,20 +10,31 @@ n+2 the dummy sink n+1, so index conventions match the rest of the library.
 
 An instance also holds four derived fields, set at construction and left
 out of ``==``, the hash, ``repr`` and the JSON: ``worst_case_duration``;
-the ``order`` and ``closure`` of its arcs that validation computes, which
-the warm start's tie rank, the time windows, the forbidden-set kernel and
-the branch-and-bound's root read instead of sorting the arcs again; and
+the ``order`` and ``closure`` of its arcs, which the warm start's tie
+rank, the time windows, the forbidden-set kernel and the
+branch-and-bound's root read instead of sorting the arcs again; and
 ``nominal_tail``, a run of the one longest-path kernel
 (``_graph.leveled_rows``) backward over ``order`` at no delay, which gives
 the LFT schedule its priorities, the time windows their latest finishes
 and the nominal critical path (``nominal_tail[0]``) that a horizon is
 checked against.
+
+Construction checks each field once: one ``_ints`` call over its values,
+regrouped into rows or arcs, then ``_validate`` on every field but the
+arcs.  The arc checks and the last three derived fields are one pure
+function of the nominal durations and the arcs, ``_arc_derivation``,
+cached for the last pair of them like ``milp``'s frames and blocks; so
+``robustify``, a ``dataclasses.replace`` that keeps both and a parse of an
+instance just built derive nothing again, and share its tuples.
 """
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import accumulate, chain
 
 from ._graph import leveled_rows, ordered_closure, successors
 from .errors import CyclicGraphError, ParseError
@@ -53,16 +64,19 @@ class ProjectInstance:
 
     Activities are 0..n+1 where 0 and n+1 are zero-duration dummies with no
     resource usage.  Every activity is reachable from the source and reaches
-    the sink; the precedence graph is acyclic.  Every entry is an integer.
-    Violations raise ValueError at construction time.  Four fields are
-    derived: ``worst_case_duration``, the nominal duration plus the maximal
-    deviation per activity; ``order``, the topological order of the arcs
-    (``_graph.topological_order``, ties by smallest id); ``closure``,
-    their reachability bitmasks (``_graph.closure_bitsets``), both tuples
-    that the check for cycles computes; and ``nominal_tail``, the longest
-    nominal path from each activity's finish to the sink, the level-zero
-    column of ``_graph.leveled_rows`` on the successor lists in reversed
-    ``order``, at every gamma.
+    the sink; the precedence graph is acyclic.  Every entry is an integer
+    and every arc a pair.  Violations raise ValueError at construction
+    time.  Four fields are derived: ``worst_case_duration``, the nominal
+    duration plus the maximal deviation per activity; ``order``, the
+    topological order of the arcs (``_graph.topological_order``, ties by
+    smallest id); ``closure``, their reachability bitmasks
+    (``_graph.closure_bitsets``), both tuples that the check for cycles
+    computes; and ``nominal_tail``, the longest nominal path from each
+    activity's finish to the sink, the level-zero column of
+    ``_graph.leveled_rows`` on the successor lists in reversed ``order``,
+    at every gamma.  The last three depend on ``nominal_duration`` and
+    ``precedence`` alone, and an instance that shares both with the one
+    built before it shares those three tuples too (``_arc_derivation``).
     """
 
     nominal_duration: tuple[int, ...]
@@ -79,16 +93,16 @@ class ProjectInstance:
     def __post_init__(self):
         object.__setattr__(self, "nominal_duration", _ints(self.nominal_duration))
         object.__setattr__(self, "max_deviation", _ints(self.max_deviation))
-        object.__setattr__(self, "requirement", tuple(map(_ints, self.requirement)))
+        object.__setattr__(self, "requirement", _int_rows(self.requirement))
         object.__setattr__(self, "capacity", _ints(self.capacity))
-        object.__setattr__(self, "precedence", tuple(sorted(set(map(_ints, self.precedence)))))
-        order, closure = _validate(self)
+        object.__setattr__(self, "precedence", _int_pairs(self.precedence))
+        _validate(self)
+        order, closure, tail = _arc_derivation(self.nominal_duration, self.precedence)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "nominal_tail", tail)
         object.__setattr__(self, "worst_case_duration", tuple(
             a + d for a, d in zip(self.nominal_duration, self.max_deviation)))
-        tail = leveled_rows(self, 0, reversed(order), successors(self.n_nodes, self.precedence))
-        object.__setattr__(self, "nominal_tail", tuple(row[0] for row in tail))
 
     @property
     def n_nodes(self):
@@ -119,9 +133,29 @@ def _ints(values):
     return ints
 
 
+def _int_rows(rows):
+    """``rows`` as a tuple of int tuples, of the same lengths, from one
+    ``_ints`` call over their values in order."""
+    rows = tuple(map(tuple, rows))
+    values = _ints(chain.from_iterable(rows))
+    ends = tuple(accumulate(map(len, rows), initial=0))
+    return tuple(values[a:b] for a, b in zip(ends, ends[1:]))
+
+
+def _int_pairs(arcs):
+    """``arcs`` as sorted distinct pairs of ints, from one ``_ints`` call
+    over their values; an arc that is no pair raises ValueError."""
+    arcs = tuple(map(tuple, arcs))
+    values = _ints(chain.from_iterable(arcs))
+    if {*map(len, arcs)} - {2}:
+        bad = next(arc for arc in arcs if len(arc) != 2)
+        raise ValueError(f"arc {bad} is not a pair")
+    return tuple(sorted(set(zip(values[::2], values[1::2]))))
+
+
 def _validate(inst: ProjectInstance):
-    """Raise ValueError unless the instance is well formed; return the
-    topological order and the closure of its arcs, as tuples."""
+    """Raise ValueError unless every field but the arcs is well formed;
+    ``_arc_derivation`` checks the arcs."""
     n_nodes = inst.n_nodes
     if n_nodes < 2:
         raise ValueError("an instance needs at least the two dummy activities")
@@ -129,35 +163,61 @@ def _validate(inst: ProjectInstance):
                       ("max_deviation", inst.max_deviation)):
         if len(vec) != n_nodes:
             raise ValueError(f"{name} must have one entry per activity")
-        if any(v < 0 for v in vec):
+        if min(vec) < 0:
             raise ValueError(f"{name} entries must be nonnegative")
-    if len(inst.requirement) != n_nodes:
+    rows, capacity = inst.requirement, inst.capacity
+    if len(rows) != n_nodes:
         raise ValueError("requirement must have one row per activity")
-    k = len(inst.capacity)
-    for i, row in enumerate(inst.requirement):
+    if ({*map(len, rows)} - {len(capacity)} or min(chain.from_iterable(rows), default=0) < 0
+            or any(map(operator.gt, map(max, zip(*rows)), capacity))):
+        _raise_row_fault(rows, capacity)
+    if any(c <= 0 for c in inst.capacity):
+        raise ValueError("resource capacities must be positive")
+    for dummy in (0, inst.sink):
+        if inst.nominal_duration[dummy] != 0 or inst.max_deviation[dummy] != 0:
+            raise ValueError(f"dummy activity {dummy} must have zero duration")
+        if any(inst.requirement[dummy]):
+            raise ValueError(f"dummy activity {dummy} must not use resources")
+
+
+def _raise_row_fault(rows, capacity):
+    """Raise ValueError naming the first requirement row of the wrong
+    length, with a negative entry or with more than a capacity."""
+    k = len(capacity)
+    for i, row in enumerate(rows):
         if len(row) != k:
             raise ValueError(f"requirement row {i} must have {k} entries")
         if any(r < 0 for r in row):
             raise ValueError(f"requirement row {i} has a negative entry")
         for kk, r in enumerate(row):
-            if r > inst.capacity[kk]:
+            if r > capacity[kk]:
                 raise ValueError(
                     f"activity {i} needs {r} of resource {kk} but only "
-                    f"{inst.capacity[kk]} is available"
+                    f"{capacity[kk]} is available"
                 )
-    if any(c <= 0 for c in inst.capacity):
-        raise ValueError("resource capacities must be positive")
-    sink = inst.sink
-    for dummy in (0, sink):
-        if inst.nominal_duration[dummy] != 0 or inst.max_deviation[dummy] != 0:
-            raise ValueError(f"dummy activity {dummy} must have zero duration")
-        if any(inst.requirement[dummy]):
-            raise ValueError(f"dummy activity {dummy} must not use resources")
-    for i, j in inst.precedence:
+
+
+@functools.lru_cache(maxsize=1)
+def _arc_derivation(nominal_duration, precedence):
+    """Check the arcs ``precedence`` over the activities of
+    ``nominal_duration`` and derive ``(order, closure, nominal_tail)``
+    from them, as tuples.
+
+    Raise ValueError unless every arc joins two known activities, the
+    arcs are acyclic, every activity is reachable from the source and
+    every activity reaches the sink.  The result depends on nothing else,
+    so it is cached for the last pair of inputs: ``robustify``, a
+    ``dataclasses.replace`` that keeps both and a parse of the instance
+    just built derive nothing again.  A failed check is never cached.
+    """
+    n_nodes = len(nominal_duration)
+    sink = n_nodes - 1
+    for i, j in precedence:
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise ValueError(f"arc ({i}, {j}) references an unknown activity")
+    succ = successors(n_nodes, precedence)
     try:
-        order, reach = ordered_closure(n_nodes, inst.precedence)
+        order, reach = ordered_closure(succ)
     except CyclicGraphError as exc:
         raise ValueError(f"cyclic precedence relations: {exc}") from exc
     for v in range(1, n_nodes):
@@ -166,7 +226,8 @@ def _validate(inst: ProjectInstance):
     for v in range(n_nodes - 1):
         if not (reach[v] >> sink) & 1:
             raise ValueError(f"activity {v} does not reach the sink")
-    return tuple(order), tuple(reach)
+    tail = leveled_rows(nominal_duration, nominal_duration, 0, reversed(order), succ)
+    return tuple(order), tuple(reach), tuple(row[0] for row in tail)
 
 
 def robustify(inst: ProjectInstance) -> ProjectInstance:

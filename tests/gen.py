@@ -102,8 +102,8 @@ def tail_rows(inst, gamma):
     root runs it: ``leveled_rows`` on the successor lists in reversed
     ``inst.order``, so ``rows[v][g]`` is the longest path from the finish
     of ``v`` to the sink with at most ``g`` delays."""
-    return leveled_rows(inst, gamma, reversed(inst.order),
-                        successors(inst.n_nodes, inst.precedence))
+    return leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma,
+                        reversed(inst.order), successors(inst.n_nodes, inst.precedence))
 
 
 def ancestor_bitsets(n_nodes, arcs):

@@ -106,9 +106,10 @@ def test_tail_rows_are_the_backward_dp():
         assert tails[inst.sink] == [0] * (gamma + 1)
         n_nodes, arcs = inst.n_nodes, inst.precedence
         order = topological_order(n_nodes, arcs)
-        assert tails == leveled_rows(inst, gamma, reversed(order), successors(n_nodes, arcs))
+        durations = inst.nominal_duration, inst.worst_case_duration
+        assert tails == leveled_rows(*durations, gamma, reversed(order), successors(n_nodes, arcs))
         rows = worst_case_makespan_dp(inst, EMPTY, gamma).leveled_starts
-        assert list(map(list, rows)) == leveled_rows(inst, gamma, order,
+        assert list(map(list, rows)) == leveled_rows(*durations, gamma, order,
                                                      predecessors(n_nodes, arcs))
 
 

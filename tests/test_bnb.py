@@ -99,7 +99,8 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
             [(tuple(closure_bitsets(n_nodes, arcs)), ancestor_bitsets(n_nodes, arcs))]
         assert [rows for *_, rows in passes] == [
             list(map(list, dp.leveled_starts)),
-            leveled_rows(inst, gamma, reversed(topological_order(n_nodes, arcs)),
+            leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma,
+                         reversed(topological_order(n_nodes, arcs)),
                          successors(n_nodes, arcs))]
         assert res.best_bound == (res.value if res.status == "optimal" else dp.value)
 
@@ -111,10 +112,10 @@ def test_a_solve_runs_one_backward_pass(monkeypatch):
     tail rows, the one backward pass, over the reverse."""
     passes = []
 
-    def counted(inst, gamma, order, adj):
+    def counted(nominal, delayed, gamma, order, adj):
         order = list(order)
         passes.append((gamma, order))
-        return leveled_rows(inst, gamma, order, adj)
+        return leveled_rows(nominal, delayed, gamma, order, adj)
 
     monkeypatch.setattr(bnb, "leveled_rows", counted)
     inst = robustify(random_psplib_instance(random.Random(4), 12, 2))
@@ -207,7 +208,7 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
         delayed = inst.worst_case_duration
 
         def full_tails(gamma):
-            return leveled_rows(inst, gamma,
+            return leveled_rows(nominal, delayed, gamma,
                                 sorted(range(n_nodes), key=lambda v: reach[v].bit_count()), succ)
 
         rows = {gamma: [list(row) for row in

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gen import make_instance, psplib_text, random_psplib_instance, shuffled_ids
+from test_heuristics import nominal_tails
 from robust_rcpsp._graph import closure_bitsets, topological_order
 from robust_rcpsp.adversary import worst_case_makespan_dp
 from robust_rcpsp.errors import ParseError
@@ -188,6 +189,16 @@ def test_from_json_rejects_non_integers(key, index, value):
     assert err.value.section == "json"
 
 
+def test_from_json_names_an_arc_that_is_no_pair():
+    """Such an arc used to be passed on as Python's unpacking error."""
+    payload = json.loads(to_json(parse_psplib((DATA / "toy5.sm").read_text())))
+    payload["arcs"][0] = [0, 1, 2]
+    with pytest.raises(ParseError, match=r"^invalid instance payload: arc \(0, 1, 2\) "
+                                         "is not a pair") as err:
+        from_json(json.dumps(payload))
+    assert err.value.section == "json"
+
+
 def test_from_json_of_text_that_is_no_json_is_a_parse_error():
     with pytest.raises(ParseError, match="invalid JSON") as err:
         from_json("{")
@@ -276,6 +287,10 @@ CHAIN = dict(nominal_duration=(0, 2, 3, 0), max_deviation=(0, 1, 1, 0),
                  r"arc \(2, 9\) references an unknown activity", id="unknown_head"),
     pytest.param(dict(precedence=((0, 1), (1, 2), (2, 3), (-1, 2))),
                  r"arc \(-1, 2\) references an unknown activity", id="unknown_tail"),
+    pytest.param(dict(precedence=((0, 1), (1, 2), (2, 3), (2, 3, 1))),
+                 r"arc \(2, 3, 1\) is not a pair", id="triple_arc"),
+    pytest.param(dict(precedence=((0, 1), (1, 2), (2,), (2, 3))),
+                 r"arc \(2,\) is not a pair", id="single_arc"),
     pytest.param(dict(precedence=((0, 1), (1, 2), (2, 3), (2, 1))),
                  "cyclic precedence relations: .*", id="cycle"),
     pytest.param(dict(precedence=((0, 2), (1, 2), (2, 3))),
@@ -312,26 +327,89 @@ def test_instances_are_hashable_and_immutable():
 
 
 def _built_each_way(rng):
-    """One seeded instance as ``parse_psplib``, ``from_json``, ``robustify``
-    and ``dataclasses.replace`` build it; the replaced copy gains an arc
-    between two activities taken in topological order."""
-    parsed = parse_psplib(psplib_text(shuffled_ids(rng, random_psplib_instance(
-        rng, rng.randint(2, 20), 3))))
+    """One seeded instance as the generator, ``parse_psplib``,
+    ``robustify``, ``from_json`` and ``dataclasses.replace`` build it; the
+    replaced copy gains an arc between two activities taken in topological
+    order."""
+    generated = shuffled_ids(rng, random_psplib_instance(rng, rng.randint(2, 20), 3))
+    parsed = parse_psplib(psplib_text(generated))
     robust = robustify(parsed)
     a, b = sorted(rng.sample(range(1, robust.sink), 2), key=robust.order.index)
     extended = dataclasses.replace(robust, precedence=robust.precedence + ((a, b),))
-    return parsed, from_json(to_json(parsed)), robust, from_json(to_json(robust)), extended
+    return (generated, from_json(to_json(generated)), parsed, from_json(to_json(parsed)),
+            robust, from_json(to_json(robust)), extended)
+
+
+def assert_derived_from_scratch(inst):
+    """The derived ``order``, ``closure`` and ``nominal_tail`` equal the
+    referees run on the instance's own arcs and durations, as tuples."""
+    assert inst.order == tuple(topological_order(inst.n_nodes, inst.precedence))
+    assert inst.closure == tuple(closure_bitsets(inst.n_nodes, inst.precedence))
+    assert inst.nominal_tail == nominal_tails(inst)
 
 
 def test_order_and_closure_are_those_of_the_arcs():
-    """The derived ``order`` and ``closure`` equal ``topological_order`` and
-    ``closure_bitsets`` of the arcs, as tuples, however the instance was
-    built; the ids are shuffled, so the order is not the id order."""
+    """The derived ``order``, ``closure`` and ``nominal_tail`` equal
+    ``topological_order``, ``closure_bitsets`` and the plain successor
+    recursion, as tuples, however the instance was built; the ids are
+    shuffled, so the order is not the id order."""
     rng = random.Random(28)
     for _ in range(30):
         for inst in _built_each_way(rng):
-            assert inst.order == tuple(topological_order(inst.n_nodes, inst.precedence))
-            assert inst.closure == tuple(closure_bitsets(inst.n_nodes, inst.precedence))
+            assert_derived_from_scratch(inst)
+
+
+def test_robustify_shares_the_derived_fields():
+    """The derivation is a function of the durations and the arcs alone,
+    which ``robustify`` keeps, so the copy holds the same tuples."""
+    inst = parse_psplib((DATA / "toy5.sm").read_text())
+    robust = robustify(inst)
+    assert robust.order is inst.order
+    assert robust.closure is inst.closure
+    assert robust.nominal_tail is inst.nominal_tail
+
+
+def test_another_instance_between_leaves_the_derived_fields_right():
+    """Build A, then B with other arcs, then robustify A: the copy's
+    derived fields are A's, not B's."""
+    rng = random.Random(38)
+    for _ in range(10):
+        first, second = (random_psplib_instance(rng, rng.randint(3, 15), 2) for _ in range(2))
+        robust = robustify(first)
+        assert (robust.order, robust.closure, robust.nominal_tail) == \
+            (first.order, first.closure, first.nominal_tail)
+        assert_derived_from_scratch(robust)
+        assert_derived_from_scratch(second)
+
+
+def test_a_rejected_construction_leaves_the_next_one_right():
+    """A construction that raises caches nothing: the next one derives
+    its own fields, and the rejected input is rejected again."""
+    inst = ProjectInstance(**CHAIN)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^cyclic precedence relations"):
+            ProjectInstance(**{**CHAIN, "precedence": CHAIN["precedence"] + ((2, 1),)})
+    again = dataclasses.replace(inst, max_deviation=(0, 0, 0, 0))
+    assert again.closure is inst.closure
+    assert_derived_from_scratch(again)
+
+
+def test_a_changed_arc_set_or_duration_is_derived_again():
+    """``dataclasses.replace`` with other arcs or other durations derives
+    its fields again instead of reusing those of the instance it copies."""
+    rng = random.Random(39)
+    for _ in range(20):
+        inst = random_psplib_instance(rng, rng.randint(3, 15), 2)
+        # an arc between unrelated activities changes the closure
+        for a, b in [(a, b) for a in range(1, inst.sink) for b in range(a + 1, inst.sink)
+                     if not ((inst.closure[a] >> b) | (inst.closure[b] >> a)) & 1][:1]:
+            extended = dataclasses.replace(inst, precedence=inst.precedence + ((a, b),))
+            assert extended.closure != inst.closure
+            assert_derived_from_scratch(extended)
+        longer = dataclasses.replace(inst, nominal_duration=tuple(
+            d + (0 < v < inst.sink) for v, d in enumerate(inst.nominal_duration)))
+        assert longer.nominal_tail[0] > inst.nominal_tail[0]
+        assert_derived_from_scratch(longer)
 
 
 def test_order_and_closure_stay_out_of_equality_hash_repr_and_json():
