@@ -9,15 +9,16 @@ bucket and no activity that would overload a resource together with it
 runs across that instant.  Two activities the schedule leaves unordered
 then hold a common bucket, so the members of a forbidden set cannot all
 be unordered: the implied selection is sufficient.  The warm start
-builds the schedule's order once (``network.schedule_order``), reads the
-selection from it and runs ``_graph.leveled_rows`` over its covering
-arcs only; that DP gives the leveled start times and the upper bound
-that seed both the branch-and-bound and the compact model.  The time
-windows run no DP: their earliest starts are the level-zero column of
-``leveled_rows`` forward over the instance arcs at no delay; their latest
-finishes, like the LFT priorities, and the critical path a horizon is
-checked against come from the instance's ``nominal_tail``, the same
-kernel run backward once with the instance.
+builds the schedule's order once (``network.schedule_order``) and takes
+its covering arcs (``network.covering_arcs``): the selection is those
+arcs less the instance arcs, whose closure is the whole order, and
+``_graph.leveled_rows`` over them gives the leveled start times and the
+upper bound that seed both the branch-and-bound and the compact model.
+The time windows run no DP: their earliest starts are the level-zero
+column of ``leveled_rows`` forward over the instance arcs at no delay;
+their latest finishes, like the LFT priorities, and the critical path a
+horizon is checked against come from the instance's ``nominal_tail``,
+the same kernel run backward once with the instance.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from ._graph import leveled_rows, predecessors, successors
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
-from .network import Selection, resource_fields, schedule_order, selection_from_order
+from .network import Selection, covering_arcs, resource_fields, schedule_order
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ class TimeWindows:
 @dataclass(frozen=True)
 class WarmStart:
     """LFT selection, its schedule's start times, leveled starts and the
-    implied bound."""
+    implied bound.  The selection holds the covering arcs of the
+    schedule's order that are no instance arcs, not the order's closure."""
 
     selection: Selection
     start: tuple[int, ...]
@@ -140,27 +142,22 @@ def validate_schedule(inst: ProjectInstance, start) -> None:
 def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     """LFT schedule -> its order -> adversary DP: leveled starts and bound.
 
-    The selection and the DP's input both come from one ``schedule_order``.
-    The DP runs over its covering arcs only, in schedule order: an arc a
-    longer path implies raises no row, since durations are nonnegative, so
-    the rows are those of the DP over the whole extended network.
+    The selection and the DP's input both come from the covering arcs of
+    one ``schedule_order``: the selection is those arcs less the instance
+    arcs, which has the order's closure.  The DP runs over the covering
+    arcs in schedule order: an arc a longer path implies raises no row,
+    since durations are nonnegative, so the rows are those of the DP over
+    the whole order.
     """
     start = lft_schedule(inst)
     order, cut = schedule_order(inst, start)
-    sel = selection_from_order(inst, order, cut)
-    n_nodes = inst.n_nodes
-    # Node order[q] precedes order[cut[q]:].  A successor at position p is
-    # covered when some successor m has cut[m] <= p, so the covering ones
-    # lie before the least cut from cut[q] on: ``least[x] = min(cut[x:])``.
-    least = cut + [n_nodes]
-    for x in reversed(range(n_nodes)):
-        least[x] = min(least[x], least[x + 1])
-    pred = [[] for _ in range(n_nodes)]
-    for i, c in zip(order, cut):
-        for j in order[c:least[c]]:
-            pred[j].append(i)
+    arcs = covering_arcs(order, cut)
+    pred = [[] for _ in range(inst.n_nodes)]
+    for i, j in arcs:
+        pred[j].append(i)
     rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma, order, pred)
-    return WarmStart(selection=sel, start=start, leveled_starts=tuple(map(tuple, rows)),
+    return WarmStart(selection=Selection(frozenset(arcs).difference(inst.precedence)),
+                     start=start, leveled_starts=tuple(map(tuple, rows)),
                      upper_bound=rows[inst.sink][gamma])
 
 

@@ -79,6 +79,7 @@ from typing import NamedTuple
 
 from . import highs_bridge
 from ._collector import collector_paused
+from ._graph import closure_bitsets
 from .errors import BridgeError, InvalidHorizonError
 from .heuristics import TimeWindows, WarmStart
 from .instance import ProjectInstance
@@ -464,9 +465,10 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
                           warm: WarmStart) -> dict[str, int]:
     """Full variable assignment feasible for every build_compact variant.
 
-    Arc binaries follow the schedule-derived selection (which is closed
-    under transitivity), start values are the leveled recursion, and flows
-    are routed greedily along the selection's arcs in start order.  The
+    Arc binaries are the closure of the instance arcs and the selection,
+    which the transitivity rows require, so a selection and its closure
+    give one assignment; start values are the leveled recursion, and
+    flows are routed greedily along the closure's arcs in start order.  The
     names, in the model's column order, are those of the leveled and
     selection frames of the instance's size and ``gamma``.  Raises
     ``ValueError`` unless ``warm.leveled_starts`` has a row of
@@ -483,20 +485,25 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
     selection = _selection_frame(n_nodes, n_resources)
     values = dict(zip(_leveled_frame(n_nodes, gamma).starts,
                       chain.from_iterable(warm.leveled_starts)))
-    active = set(extended_arcs(inst, warm.selection)) | {(inst.sink, inst.sink)}
+    reach = closure_bitsets(n_nodes, extended_arcs(inst, warm.selection))
+    reach[inst.sink] |= 1 << inst.sink
     arcs = [0] * (n_nodes * n_nodes)
-    for i, j in active:
-        arcs[i * n_nodes + j] = 1
+    for i, mask in enumerate(reach):
+        while mask:
+            low = mask & -mask
+            arcs[i * n_nodes + low.bit_length() - 1] = 1
+            mask ^= low
     values.update(zip(selection.arcs, arcs))
     flows = [0] * len(selection.flows)
-    for (i, j, k), value in _greedy_flows(inst, warm.start, active).items():
+    for (i, j, k), value in _greedy_flows(inst, warm.start, reach).items():
         flows[(i * n_nodes + j) * n_resources + k] = value
     values.update(zip(selection.flows, flows))
     return values
 
 
-def _greedy_flows(inst, start, active):
-    """Hand resources along the arcs ``active`` in (start, id) order.
+def _greedy_flows(inst, start, reach):
+    """Hand resources along the arcs of the closure ``reach`` in
+    (start, id) order.
 
     An activity takes its demand from the parcels of earlier holders that
     have an arc to it, the source first.  An earlier holder without one
@@ -514,7 +521,7 @@ def _greedy_flows(inst, start, active):
                 if need == 0:
                     break
                 holder, remaining = parcel
-                if remaining == 0 or (holder, j) not in active:
+                if remaining == 0 or not (reach[holder] >> j) & 1:
                     continue
                 take = min(need, remaining)
                 parcel[1] -= take
@@ -583,8 +590,8 @@ def export_lp(model: MilpModel) -> str:
     binaries = [block.binaries for block in blocks if block.binaries]
     if binaries:
         out += ["Binaries", *binaries]
-    out.append("End")
-    return "\n".join(out) + "\n"
+    out += ["End", ""]
+    return "\n".join(out)
 
 
 def _column_sections(columns):

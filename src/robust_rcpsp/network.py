@@ -32,14 +32,15 @@ it when it visits a child, the branch-and-bound when it pops one.
 pair, against a catalog.  The CLI writes their JSON itself.
 
 ``schedule_order`` is the one source of the order a schedule implies,
-with its tie rule; the warm start reads both its selection
-(``selection_from_order``) and its DP's input from it.
+with its tie rule, and ``covering_arcs`` gives that order's covering
+pairs, whose closure is the order: the warm start reads both its
+selection and its DP's input from them.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count, islice, permutations, repeat
+from itertools import count, islice, permutations
 
 from ._graph import add_arc_to_closure, closure_bitsets, reaches, transpose_bitsets
 from .errors import CapExceeded, CyclicGraphError
@@ -421,12 +422,20 @@ def schedule_order(inst: ProjectInstance, start):
     return order, cut
 
 
-def selection_from_order(inst: ProjectInstance, order, cut) -> Selection:
-    """Every pair a ``schedule_order`` relates that is not an instance arc."""
-    pairs = set()
-    for i, c in zip(order, cut):
-        pairs.update(zip(repeat(i), order[c:]))
-    return Selection(frozenset(pairs.difference(inst.precedence)))
+def covering_arcs(order, cut):
+    """The covering pairs of a ``schedule_order``: the (i, j) with i
+    before j and no node after i and before j, listed by the position of
+    i in ``order``, then by that of j.
+
+    Their closure is the whole order.  Node ``order[q]`` precedes
+    ``order[cut[q]:]``, and the successor at position p is covered when
+    some successor m has ``cut[m] <= p``, so the covering successors lie
+    before the least cut from ``cut[q]`` on: ``least[x] = min(cut[x:])``.
+    """
+    least = cut + [len(order)]
+    for x in reversed(range(len(order))):
+        least[x] = min(least[x], least[x + 1])
+    return [(i, j) for i, c in zip(order, cut) for j in order[c:least[c]]]
 
 
 def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int = 8):

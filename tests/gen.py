@@ -14,6 +14,7 @@ from robust_rcpsp._graph import (
     leveled_rows,
     reaches,
     successors,
+    topological_order,
 )
 from robust_rcpsp.instance import InstanceMeta, ProjectInstance, robustify
 from robust_rcpsp.network import Selection
@@ -163,6 +164,29 @@ def closure_relation(inst, extra_arcs=()):
     reach = closure_bitsets(inst.n_nodes, arcs)
     n = inst.n_nodes
     return frozenset((i, j) for i in range(n) for j in range(n) if (reach[i] >> j) & 1)
+
+
+def pairwise_order(inst, start):
+    """Referee for ``network.schedule_order``, pair by pair: i before j
+    when j starts once i ends, and two zero-duration activities starting
+    together in the order of their positions in a fresh topological sort
+    of the instance arcs, which is also the tie rank of the schedule
+    order."""
+    rank = {v: r for r, v in enumerate(topological_order(inst.n_nodes, inst.precedence))}
+    dur = inst.nominal_duration
+    nodes = range(inst.n_nodes)
+    return frozenset((i, j) for i in nodes for j in nodes
+                     if i != j and start[j] >= start[i] + dur[i]
+                     and not (start[i] >= start[j] + dur[j] and rank[j] < rank[i]))
+
+
+def covering_pairs(relation):
+    """The pairs (i, j) of a transitive relation with no k between them."""
+    succ = {}
+    for i, j in relation:
+        succ.setdefault(i, set()).add(j)
+    return frozenset((i, j) for i, j in relation
+                     if not any((k, j) in relation for k in succ[i]))
 
 
 def psplib_text(inst, name="SYNTH"):

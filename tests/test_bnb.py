@@ -412,9 +412,9 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
 # SHA-256 of (value, status, nodes, best_bound, sorted arcs) of the solves of
 # search_pins(), per instance size.
 PINNED_SEARCH_SHA256 = {
-    10: "c99a1636f3aeae52ef4d8fe05ae71f40100522679c974ed90e32d558c5b1ba91",
-    20: "1bc3b006afbfca142a686384d1eb4bc3ab9a18df410339ad2406c09b5907807e",
-    30: "38434d9118a68f21d348c76ef664b0470f6185e97c3153f50e320c576bb10080",
+    10: "534eab03bb3a4d693af174ee0b90d1f3bfb2c93b91925688db655b3e58db1c23",
+    20: "94d6d08651bbd491fdb7236d22ca2860ef1fa33c120bbcc9dbdeebbcc4c0cb01",
+    30: "1862b4ed7ef65a179298143256e929ca34c174b7d03beb849652bff4ebdc1fba",
 }
 
 

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from gen import (
+    closure_relation,
     make_instance,
+    pairwise_order,
     random_dag_instance,
     random_psplib_instance,
     shuffled_ids,
@@ -24,13 +26,7 @@ from robust_rcpsp.heuristics import (
 )
 from robust_rcpsp.instance import robustify
 from robust_rcpsp.milp import check_assignment
-from robust_rcpsp.network import (
-    Selection,
-    minimal_forbidden_sets,
-    schedule_order,
-    selection_from_order,
-    verify_selection,
-)
+from robust_rcpsp.network import Selection, minimal_forbidden_sets, verify_selection
 
 
 def test_unconstrained_schedule_is_earliest_start():
@@ -181,11 +177,14 @@ def test_zero_duration_tie_follows_the_instance_arc():
     # orders 2 before 1: the tie goes the instance arc's way, where "smaller
     # id first" added (1, 2) and made the warm selection cyclic
     inst = make_instance([0, 0, 0, 0], [(0, 2), (2, 1), (1, 3)])
-    sel = selection_from_order(inst, *schedule_order(inst, (0, 0, 0, 0)))
-    assert sel.added_arcs == {(0, 1), (0, 3), (2, 3)}
     warm = warm_start(inst, 1)
     assert warm.start == (0, 0, 0, 0)
-    assert warm.selection.added_arcs == {(0, 1), (0, 3), (2, 3)}
+    # the order is the instance's chain 0, 2, 1, 3, all of whose covering
+    # arcs are instance arcs
+    closure = closure_relation(inst, warm.selection.added_arcs)
+    assert closure == pairwise_order(inst, warm.start)
+    assert (2, 1) in closure and (1, 2) not in closure
+    assert warm.selection.added_arcs == frozenset()
     assert warm.upper_bound == 0
     assert warm.leveled_starts == worst_case_makespan_dp(inst, warm.selection, 1).leveled_starts
     res = solve_exact(inst, 1)
@@ -197,6 +196,7 @@ def test_zero_duration_tie_follows_the_instance_arc():
     for variant in ("warm", "warm+trans"):
         model, assignment = build_variant(inst, 1, variant)
         assert check_assignment(model, assignment) == []
+
 
 def test_warm_table_is_the_dp_table_of_its_selection():
     rng = random.Random(91)
@@ -214,10 +214,31 @@ def test_warm_table_is_the_dp_table_of_its_selection():
         assert warm.upper_bound == dp.value
 
 
+def test_every_warm_arc_is_covering():
+    """The warm selection closes, with the instance arcs, to the pairwise
+    order of its schedule, and no node lies between the ends of one of
+    its arcs in that closure: it holds exactly the order's covering arcs
+    that are no instance arcs."""
+    rng = random.Random(92)
+    cases = [robustify(random_psplib_instance(rng, n_act=rng.randint(5, 20)))
+             for _ in range(10)]
+    cases += [shuffled_ids(rng, random_dag_instance(rng, rng.randint(1, 8),
+                                                    n_res=rng.randint(0, 2),
+                                                    max_dur=rng.choice((0, 3, 9))))
+              for _ in range(40)]
+    for inst in cases:
+        warm = warm_start(inst, 1)
+        closure = closure_relation(inst, warm.selection.added_arcs)
+        assert closure == pairwise_order(inst, warm.start)
+        nodes = range(inst.n_nodes)
+        for i, j in warm.selection.added_arcs:
+            assert not any((i, k) in closure and (k, j) in closure for k in nodes), (i, j)
+
+
 # SHA-256 of the warm starts of warm_start_pins(), per family.
 PINNED_WARM_SHA256 = {
-    "psplib": "e5ae255a27bfb4f318077552e6b21049d61cfda1f9377b10bf3d1fe84a5c6ade",
-    "zero-dag": "cd5692bf70ec81cf5ce9e09ed684219e7e9fac1e2b922dc44b39fde5118b8167",
+    "psplib": "8d5348cff56d15d2c15d5a55e544d0f63a1786fc57958a26625e18bcb4239d7e",
+    "zero-dag": "557723afc29fee7135fbd6d3a1c4ce4328635bb56ec19467ac8fe3bb8472352f",
 }
 
 

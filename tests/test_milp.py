@@ -15,7 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from gen import make_instance, pair_conflict_instance, random_dag_instance, random_psplib_instance
+from gen import (
+    closure_relation,
+    covering_pairs,
+    make_instance,
+    pair_conflict_instance,
+    random_dag_instance,
+    random_psplib_instance,
+)
 from robust_rcpsp import highs_bridge, milp
 from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
 from robust_rcpsp.bench import MILP_VARIANTS, build_variant
@@ -699,9 +706,10 @@ def reference_assignment(inst, gamma, warm):
     ``arc_name`` and ``flow_name``, in the model's column order."""
     nodes = range(inst.n_nodes)
     values = {start_name(i, g): warm.leveled_starts[i][g] for i in nodes for g in range(gamma + 1)}
-    active = set(extended_arcs(inst, warm.selection)) | {(inst.sink, inst.sink)}
+    active = closure_relation(inst, warm.selection.added_arcs) | {(inst.sink, inst.sink)}
     values.update((arc_name(i, j), 1 if (i, j) in active else 0) for i in nodes for j in nodes)
-    flows = milp._greedy_flows(inst, warm.start, active)
+    reach = [sum(1 << j for j in nodes if (i, j) in active) for i in nodes]
+    flows = milp._greedy_flows(inst, warm.start, reach)
     values.update((flow_name(i, j, k), flows.get((i, j, k), 0))
                   for i in nodes for j in nodes for k in inst.resource_types)
     return values
@@ -729,6 +737,29 @@ def test_warm_start_assignment_equals_the_entry_by_entry_reference():
             assert list(warm_start_assignment(inst, gamma, warm).items()) == list(want.items())
             build_compact(inst, gamma + 2)
             assert list(warm_start_assignment(inst, gamma, warm).items()) == list(want.items())
+
+
+def test_a_selection_and_its_closure_give_one_warm_assignment():
+    """The warm start's covering selection, the whole closure and its
+    covering pairs alone give one assignment, feasible for all four
+    variants: the arc binaries and the flows' arcs are those of the
+    closure, whichever sufficient selection stands for it."""
+    rng = random.Random(2027)
+    cases = [robustify(random_psplib_instance(rng, n_act=n, n_res=4)) for n in (8, 10, 14)]
+    cases += [random_dag_instance(rng, rng.randint(2, 6), n_res=2, max_dur=rng.choice((0, 3)))
+              for _ in range(4)]
+    for inst in cases:
+        for gamma in (0, 2):
+            warm = warm_start(inst, gamma)
+            closure = closure_relation(inst, warm.selection.added_arcs)
+            base = set(inst.precedence)
+            got = warm_start_assignment(inst, gamma, warm)
+            for arcs in (closure - base, covering_pairs(closure) - base):
+                other = dataclasses.replace(warm, selection=Selection(frozenset(arcs)))
+                assert warm_start_assignment(inst, gamma, other) == got
+            for variant in MILP_VARIANTS:
+                model = build_variant(inst, gamma, variant)[0]
+                assert check_assignment(model, got) == [], (inst.meta.name, gamma, variant)
 
 
 def test_bench_variants_share_the_blocks_that_read_the_same_inputs():

@@ -8,8 +8,10 @@ from gen import (
     brute_force_forbidden_sets,
     closure_relation,
     connect_dummies,
+    covering_pairs,
     make_instance,
     pair_conflict_instance,
+    pairwise_order,
     random_dag_instance,
     random_psplib_instance,
     random_selection,
@@ -28,11 +30,11 @@ from robust_rcpsp.network import (
     _conflict_table,
     child_closure,
     conflict_finder,
+    covering_arcs,
     enumerate_sufficient_selections,
     minimal_forbidden_sets,
     resource_fields,
     schedule_order,
-    selection_from_order,
     verify_selection,
 )
 
@@ -228,10 +230,20 @@ def test_monotonicity_of_sufficiency():
 # the selection of a schedule's order
 
 
+def order_selection(inst, start):
+    """The warm start's selection for these start times: the covering
+    arcs of their order less the instance arcs."""
+    arcs = covering_arcs(*schedule_order(inst, start))
+    return Selection(frozenset(arcs).difference(inst.precedence))
+
+
 def test_serial_schedule_relates_all():
     inst = k3_instance()
-    sel = selection_from_order(inst, *schedule_order(inst, (0, 0, 1, 2, 3)))
-    assert {(1, 2), (2, 3), (1, 3)} <= sel.added_arcs
+    start = (0, 0, 1, 2, 3)
+    sel = order_selection(inst, start)
+    assert sel.added_arcs == {(1, 2), (2, 3)}
+    assert closure_relation(inst, sel.added_arcs) == pairwise_order(inst, start)
+    assert {(1, 2), (2, 3), (1, 3)} <= pairwise_order(inst, start)
     catalog = minimal_forbidden_sets(inst)
     assert verify_selection(inst, sel, catalog).sufficient
 
@@ -240,27 +252,30 @@ def test_unconstrained_earliest_schedule_is_vacuously_sufficient():
     inst = make_instance([0, 2, 3, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
                          [(0,), (1,), (1,), (0,)], (2,))
     start = (0, 0, 0, 3)
-    sel = selection_from_order(inst, *schedule_order(inst, start))
+    sel = order_selection(inst, start)
     catalog = minimal_forbidden_sets(inst)
     assert catalog == ()
     assert verify_selection(inst, sel, catalog).sufficient
-    assert (1, 2) not in sel.added_arcs and (2, 1) not in sel.added_arcs
+    closure = closure_relation(inst, sel.added_arcs)
+    assert closure == pairwise_order(inst, start)
+    assert (1, 2) not in closure and (2, 1) not in closure
 
 
 def test_zero_duration_ties_stay_acyclic():
     inst = make_instance([0, 0, 0, 0], [(0, 1), (0, 2), (1, 3), (2, 3)])
-    sel = selection_from_order(inst, *schedule_order(inst, (0, 0, 0, 0)))
+    start = (0, 0, 0, 0)
+    sel = order_selection(inst, start)
     # mutual qualifications keep only the direction of the tie rank, here
-    # the id order
-    assert (1, 2) in sel.added_arcs and (2, 1) not in sel.added_arcs
-    closure_relation(inst, sel.added_arcs)  # acyclicity would raise
+    # the id order; acyclicity is checked by the closure, which would raise
+    assert sel.added_arcs == {(1, 2)}
+    assert closure_relation(inst, sel.added_arcs) == pairwise_order(inst, start)
 
 
 def test_selection_from_schedule_is_the_pairwise_order():
-    # the definition pair by pair: i before j when j starts once i ends,
-    # and two zero-duration activities starting together in the order of
-    # their positions in a fresh topological sort of the instance arcs,
-    # which is also the tie rank of the schedule order
+    # the definition pair by pair is gen.pairwise_order; the covering arcs
+    # are exactly the pairs of that order with no node between them, and
+    # for start times that respect the instance arcs, the order holds
+    # every instance arc, so they and the selection close to it
     rng = random.Random(77)
     for _ in range(150):
         inst = shuffled_ids(rng, random_dag_instance(rng, rng.randint(0, 7), n_res=1,
@@ -270,16 +285,17 @@ def test_selection_from_schedule_is_the_pairwise_order():
         nodes = range(inst.n_nodes)
         for feasible, start in ((True, lft_schedule(inst)),
                                 (False, tuple(rng.randint(0, 4) for _ in nodes))):
-            expected = {(i, j) for i in nodes for j in nodes
-                        if i != j and start[j] >= start[i] + dur[i]
-                        and not (start[i] >= start[j] + dur[j] and rank[j] < rank[i])}
+            expected = pairwise_order(inst, start)
             order, cut = schedule_order(inst, start)
             assert order == sorted(nodes, key=lambda v: (start[v], dur[v] > 0, rank[v]))
-            sel = selection_from_order(inst, order, cut)
-            assert sel.added_arcs == expected - set(inst.precedence)
-            if feasible:  # the order holds every instance arc
+            arcs = covering_arcs(order, cut)
+            assert len(arcs) == len(set(arcs))
+            assert set(arcs) == covering_pairs(expected)
+            sel = order_selection(inst, start)
+            assert sel.added_arcs == set(arcs) - set(inst.precedence)
+            if feasible:
                 assert set(inst.precedence) <= expected
-                closure_relation(inst, sel.added_arcs)  # acyclicity would raise
+                assert closure_relation(inst, sel.added_arcs) == expected
 
 
 # ---------------------------------------------------------------------------
