@@ -158,6 +158,12 @@ def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
     raised, so rows shared with other tables are never written; a node
     whose row rises becomes dirty for the nodes after it.
 
+    With ``dirty = -1`` every predecessor counts, and each row in
+    ``order`` is raised to the max of its old value and every
+    predecessor's contribution.  The branch-and-bound settles its stale
+    rows so: when each old row is a lower bound and each predecessor's
+    row is exact or earlier in ``order``, the raised rows are exact.
+
     Run on successor lists, in an order where every node comes after its
     successors, the sink plays the source: ``rows[j][g]`` becomes the
     longest path from the finish of ``j`` to the sink with at most ``g``

@@ -33,12 +33,13 @@ child's exact DP value in O(gamma) from ``W(i, .)`` and ``T(j, .)``.
 
 A child costs only that bound until it is popped.  Open nodes are heap
 entries ``(bound, counter, parent, i, j)``, where ``parent = (closure,
-ancestors, pred, rows, succ, tails)`` is one tuple of the expanded node
-that all its children share.  Expanding a node bounds each ordered pair
-of the branching set and pushes the entry; no closure is built.  On pop
-the child's closure, its transpose and the ancestors-or-self of ``i``
-come from ``child_closure`` on a copy of the parent's, and the closure is
-checked against ``seen``, the closures of the nodes popped so far:
+ancestors, pred, rows, succ, tails, stale_rows, stale_tails)`` is one
+tuple of the expanded node that all its children share.  Expanding a
+node bounds each ordered pair of the branching set and pushes the entry;
+no closure is built.  On pop the child's closure, its transpose and the
+ancestors-or-self of ``i`` come from ``child_closure`` on a copy of the
+parent's, and the closure is checked against ``seen``, the closures of
+the nodes popped so far:
 
 - A closure already in ``seen`` makes the entry a duplicate.  It is
   dropped and is not a node.
@@ -59,35 +60,49 @@ A popped, unpruned node derives its own state from the parent's.  Its
 predecessor lists are the parent's plus ``i`` appended to ``j``'s; those
 appended after the root's are the node's added arcs.  A node for which
 the finder returns no set is a leaf: its selection is read from them and
-it needs nothing more.  Otherwise ``_graph.relax_leveled_rows``, the one
-longest-path kernel, raises the head row of ``j`` alone, from ``i`` as the
-one dirty predecessor, and sweeps ``j``'s descendants from ``j`` as the
-one dirty predecessor only if that row rose.  The sweep takes them in
-descending order of their closure masks read as ints, which is
-topological: a node's mask strictly contains each descendant's, so it is
-the larger int.  The rule is exact.  The arc changed no predecessor
-list but ``j``'s, so any other row can rise only through a predecessor
-whose row rose: when ``j``'s did not, no row did.  When it
-did, a sweep that also held ``i`` dirty would raise nothing more from
-it: ``i`` is not a descendant of ``j``, so its row is unchanged, and any
-other node that has ``i`` as a predecessor already accounts for that row.
-The tail rows follow the same rule on successor lists: the tail row of
-``i`` from ``j`` as the one dirty successor, then, only if it rose, the
-tail rows of ``i``'s ancestors (ascending masks) from ``i``.  Adding an
-arc only lengthens paths, so no other row can change.
+it needs nothing more.  Any other node appends ``j`` to ``i``'s successor
+list and keeps its rows lazily, with two masks in its parent tuple:
+``stale_rows`` and ``stale_tails``.  A row outside its mask is exact for
+the node.  A stale row is the row of an ancestor node, whose graph has
+fewer arcs, so it is a lower bound.
+
+- *Marking.*  The arc (i, j) lengthens only the paths through it, so it
+  can raise only the head rows of ``j`` and its descendants,
+  ``closure[j] | 1 << j``, and the tail rows of ``i`` and its ancestors,
+  ``above``.  The node adds those to its parent's masks.
+- *Settling.*  The children's bounds read only ``rows[a]`` and
+  ``tails[b]`` for members a and b of the branching set.  So the node
+  settles the stale head rows among the members' ancestors-or-self, in
+  descending order of their closure masks read as ints, and the stale
+  tail rows among their descendants-or-self, in ascending order.  Both
+  orders are topological: a node's mask strictly contains each
+  descendant's, so it is the larger int.  Each settle is one
+  ``_graph.relax_leveled_rows`` run, the one longest-path kernel, with
+  every predecessor dirty.  It is exact.  Each predecessor of a settled
+  row is one of its ancestors, so it is either not stale, hence exact,
+  or stale and settled before it; the run raises the row's lower bound
+  to the max over those exact predecessor rows, which is the exact row.
+  Settled rows leave the masks, and ``rows`` or ``tails`` is copied only
+  when a row is settled: every other row stays shared with the parent.
 
 The root is an entry without an arc, made before the search from the
 instance's derived ``closure`` (its closure, and its transpose in one
-pass over the bits) and ``order``: its head rows are ``leveled_rows``
-over ``order`` and the predecessor lists, their sink row at ``gamma`` its
-bound, and its tail rows are ``leveled_rows`` over reversed ``order`` and
-the successor lists, the same run backward.
+pass over the bits) and ``order``.  Its head rows are ``leveled_rows``
+over ``order`` and the predecessor lists, none stale, and their sink row
+at ``gamma`` is its bound.  Its tail rows start as one shared zero row,
+all stale, so a solve runs no backward pass before its search: the
+root settles the tail rows its children read, and its descendants the
+rest as they need them.
+
+A result's ``time_s`` runs from before the warm start until the open
+entries and the seen closures have been freed, so it covers the release
+of the search as well as the search.
 """
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import permutations
 
 from ._collector import collector_paused
@@ -129,6 +144,11 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     solve runs (``_collector.collector_paused``): the open entries hold no
     reference cycle, and one full collection over them can span a time
     limit.
+
+    The head and tail rows are settled only where the children's bounds
+    read them (see the module docstring).  ``time_s`` counts from before
+    the warm start to after the release of the open entries and the
+    seen closures.
     """
     t0 = time.perf_counter()
     warm = warm_start(inst, gamma)
@@ -143,16 +163,23 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
     root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
     root_rows = leveled_rows(nominal, delayed, gamma, inst.order, root_pred)
-    root_tails = leveled_rows(nominal, delayed, gamma, reversed(inst.order), root_succ)
+    # One shared zero row, every tail row stale: the nodes settle what
+    # their children's bounds read.
+    root_tails = [[0] * (gamma + 1)] * n_nodes
     # The root's entry has no arc, and its "parent" is its own state.
     heap = [(root_rows[inst.sink][gamma], 0,
-             (root_closure, root_ancestors, root_pred, root_rows, root_succ, root_tails),
+             (root_closure, root_ancestors, root_pred, root_rows, root_succ, root_tails,
+              0, (1 << n_nodes) - 1),
              None, None)]
     counter = 0
     seen = set()
     nodes_explored = 0
 
     def result(status, best_bound):
+        # The open entries and the seen closures are freed before the
+        # clock is read, so that ``time_s`` covers their release.
+        heap.clear()
+        seen.clear()
         return OptResult(
             selection=incumbent_sel, value=incumbent_value, status=status,
             nodes=nodes_explored, time_s=time.perf_counter() - t0,
@@ -160,7 +187,8 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
         )
 
     while heap:
-        bound, _, (closure, ancestors, pred, rows, succ, tails), i, j = heapq.heappop(heap)
+        (bound, _, (closure, ancestors, pred, rows, succ, tails, stale_rows, stale_tails),
+         i, j) = heappop(heap)
         if i is not None:
             closure, ancestors, above = child_closure(closure, ancestors, i, j)
         if closure in seen:
@@ -186,30 +214,36 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
                 (a, b) for b in range(n_nodes) for a in pred[b][len(root_pred[b]):]))
             continue
         if i is not None:
-            rows = list(rows)
-            row = rows[j]
-            relax_leveled_rows(rows, (j,), 1 << i, pred, nominal, delayed)
-            if rows[j] is not row:
-                down = _bits(closure[j])
-                down.sort(key=closure.__getitem__, reverse=True)
-                relax_leveled_rows(rows, down, 1 << j, pred, nominal, delayed)
             succ = list(succ)
             succ[i] += (j,)
+            stale_rows |= closure[j] | 1 << j
+            stale_tails |= above
+        up = down = 0
+        for v in fset:
+            up |= ancestors[v] | 1 << v
+            down |= closure[v] | 1 << v
+        up &= stale_rows
+        if up:
+            stale_rows ^= up
+            order = _bits(up)
+            order.sort(key=closure.__getitem__, reverse=True)
+            rows = list(rows)
+            relax_leveled_rows(rows, order, -1, pred, nominal, delayed)
+        down &= stale_tails
+        if down:
+            stale_tails ^= down
+            order = _bits(down)
+            order.sort(key=closure.__getitem__)
             tails = list(tails)
-            row = tails[i]
-            relax_leveled_rows(tails, (i,), 1 << j, succ, nominal, delayed)
-            if tails[i] is not row:
-                up = _bits(above ^ (1 << i))
-                up.sort(key=closure.__getitem__)
-                relax_leveled_rows(tails, up, 1 << i, succ, nominal, delayed)
-        parent = (closure, ancestors, pred, rows, succ, tails)
+            relax_leveled_rows(tails, order, -1, succ, nominal, delayed)
+        parent = (closure, ancestors, pred, rows, succ, tails, stale_rows, stale_tails)
         for a, b in permutations(fset, 2):
             child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],
                                                nominal[b], delayed[b]))
             if child_bound >= incumbent_value:
                 continue
             counter += 1
-            heapq.heappush(heap, (child_bound, counter, parent, a, b))
+            heappush(heap, (child_bound, counter, parent, a, b))
     return result("optimal", incumbent_value)
 
 

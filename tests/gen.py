@@ -99,10 +99,10 @@ def shuffled_ids(rng: random.Random, inst):
 
 
 def tail_rows(inst, gamma):
-    """The backward pass over the instance arcs, as the branch-and-bound's
-    root runs it: ``leveled_rows`` on the successor lists in reversed
-    ``inst.order``, so ``rows[v][g]`` is the longest path from the finish
-    of ``v`` to the sink with at most ``g`` delays."""
+    """The backward pass over the instance arcs, the tail rows the
+    branch-and-bound's root settles: ``leveled_rows`` on the successor
+    lists in reversed ``inst.order``, so ``rows[v][g]`` is the longest path
+    from the finish of ``v`` to the sink with at most ``g`` delays."""
     return leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma,
                         reversed(inst.order), successors(inst.n_nodes, inst.precedence))
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import heapq
 import random
 import threading
 import time
@@ -18,6 +19,7 @@ from gen import (
     random_dag_instance,
     random_psplib_instance,
     shuffled_ids,
+    tail_rows,
 )
 from robust_rcpsp import bnb, heuristics, milp, network
 from robust_rcpsp._graph import (
@@ -27,7 +29,6 @@ from robust_rcpsp._graph import (
     reaches,
     relax_leveled_rows,
     successors,
-    topological_order,
 )
 from robust_rcpsp.adversary import worst_case_makespan_dp
 from robust_rcpsp.bnb import OptResult, arc_bound, optimality_gap, solve_exact
@@ -68,26 +69,31 @@ def test_pair_conflict_budget_zero():
     assert verify_selection(inst, res.selection, catalog).sufficient
 
 
+def recorded(table, function):
+    """``function``, appending each call's arguments and result to ``table``."""
+    def record(*args):
+        table.append((*args, function(*args)))
+        return table[-1][-1]
+    return record
+
+
 def test_the_root_state_is_that_of_the_arcs(monkeypatch):
-    """The root's closure, its transpose, head rows and tail rows, read
-    from the instance's ``order`` and ``closure``, equal a fresh
-    derivation from the arcs: ``closure_bitsets``, ``ancestor_bitsets``,
-    the DP of the empty selection and a backward pass over a fresh sort.
-    A node-capped solve reports the root's DP value as its bound."""
+    """The root's closure, its transpose and head rows, read from the
+    instance's ``order`` and ``closure``, equal a fresh derivation from the
+    arcs: ``closure_bitsets``, ``ancestor_bitsets`` and the DP of the
+    empty selection.  A node-capped solve reports the root's DP value as
+    its bound.  A solve with one node expands the root, and every tail row
+    the root settles for its children's bounds equals the backward pass
+    (``gen.tail_rows``); the tail row of each child's ``j`` is settled."""
     roots = []
     passes = []
-
-    def recorded(table, function):
-        """``function``, appending each call's arguments and result to ``table``."""
-        def record(*args):
-            table.append((*args, function(*args)))
-            return table[-1][-1]
-        return record
-
+    pushed = []
     monkeypatch.setattr(bnb, "transpose_bitsets", recorded(roots, bnb.transpose_bitsets))
     monkeypatch.setattr(bnb, "leveled_rows", recorded(passes, leveled_rows))
+    monkeypatch.setattr(bnb, "heappush", recorded(pushed, heapq.heappush))
     rng = random.Random(28)
-    for _ in range(12):
+    expanded = 0
+    for _ in range(30):
         inst = robustify(shuffled_ids(rng, random_psplib_instance(rng, rng.randint(4, 14), 2)))
         n_nodes, arcs = inst.n_nodes, inst.precedence
         gamma = rng.randint(0, 3)
@@ -97,19 +103,26 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
         dp = worst_case_makespan_dp(inst, Selection(), gamma)
         assert [(closure, list(ancestors)) for closure, ancestors in roots] == \
             [(tuple(closure_bitsets(n_nodes, arcs)), ancestor_bitsets(n_nodes, arcs))]
-        assert [rows for *_, rows in passes] == [
-            list(map(list, dp.leveled_starts)),
-            leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma,
-                         reversed(topological_order(n_nodes, arcs)),
-                         successors(n_nodes, arcs))]
+        assert [rows for *_, rows in passes] == [list(map(list, dp.leveled_starts))]
         assert res.best_bound == (res.value if res.status == "optimal" else dp.value)
+        pushed.clear()
+        solve_exact(inst, gamma, node_cap=1)
+        tails = tail_rows(inst, gamma)
+        for _, (_, _, root, a, b), _ in pushed:
+            *_, rows, _, root_tails, stale_rows, stale_tails = root
+            assert rows == list(map(list, dp.leveled_starts)) and stale_rows == 0
+            assert not (stale_tails >> b) & 1
+            assert [row for v, row in enumerate(root_tails) if not (stale_tails >> v) & 1] == \
+                [row for v, row in enumerate(tails) if not (stale_tails >> v) & 1]
+        expanded += bool(pushed)
+    assert expanded > 6
 
 
-def test_a_solve_runs_one_backward_pass(monkeypatch):
+def test_a_solve_runs_no_backward_pass_before_its_search(monkeypatch):
     """The warm start reads its LFT priorities from the instance's
-    ``nominal_tail``, so the search's ``leveled_rows`` runs twice, both at
-    the solve's gamma: the root's head rows over ``inst.order`` and its
-    tail rows, the one backward pass, over the reverse."""
+    ``nominal_tail``, and the root's tail rows start stale, so a solve
+    stopped before its first node runs ``leveled_rows`` once, at the
+    solve's gamma: the root's head rows over ``inst.order``."""
     passes = []
 
     def counted(nominal, delayed, gamma, order, adj):
@@ -120,7 +133,69 @@ def test_a_solve_runs_one_backward_pass(monkeypatch):
     monkeypatch.setattr(bnb, "leveled_rows", counted)
     inst = robustify(random_psplib_instance(random.Random(4), 12, 2))
     solve_exact(inst, 3, node_cap=0)
-    assert passes == [(3, list(inst.order)), (3, list(reversed(inst.order)))]
+    assert passes == [(3, list(inst.order))]
+
+
+def test_every_pushed_bound_is_the_dp_value_of_its_child(monkeypatch):
+    """Each open entry's bound, read from head and tail rows that its
+    parent settled only where its children read them, equals the DP value
+    of the child's selection: the parent's added arcs and the entry's arc.
+    Seeded n <= 14 instances, zero durations included, at gamma 0-3 and
+    node caps of a few hundred."""
+    pushed = []
+    monkeypatch.setattr(bnb, "heappush", recorded(pushed, heapq.heappush))
+    rng = random.Random(40)
+    cases = [robustify(random_psplib_instance(rng, rng.randint(8, 14), 3)) for _ in range(4)]
+    cases += [random_dag_instance(rng, rng.randint(6, 9), n_res=2, max_dur=rng.choice((0, 3)))
+              for _ in range(3)]
+    checked = 0
+    for inst in cases:
+        base = set(inst.precedence)
+        for gamma in range(4):
+            pushed.clear()
+            solve_exact(inst, gamma, node_cap=rng.choice((100, 300)))
+            scores = {}
+            for _, (bound, _, parent, a, b), _ in pushed:
+                pred = parent[2]
+                arcs = {(p, v) for v, ps in enumerate(pred) for p in ps} - base | {(a, b)}
+                key = frozenset(arcs)
+                if key not in scores:
+                    scores[key] = worst_case_makespan_dp(inst, Selection(key), gamma).value
+                assert bound == scores[key], (gamma, sorted(arcs))
+            checked += len(pushed)
+    assert checked > 2000
+
+
+def test_time_s_covers_the_release_of_the_search(monkeypatch):
+    """A solve frees its open entries and the closures it has seen before
+    it reads the clock for ``time_s``.  Each closure the search builds logs
+    its release, into the log where a stand-in clock logs its reads: at the
+    last read, only the closures the solve's own locals hold (the popped
+    node's and the last expanded node's) are alive, and none is after."""
+    log = []
+
+    class Logged(tuple):
+        def __del__(self):
+            log.append("freed")
+
+    def child_closure(closure, ancestors, i, j):
+        closure, ancestors, above = network.child_closure(closure, ancestors, i, j)
+        log.append("built")
+        return Logged(closure), ancestors, above
+
+    def perf_counter():
+        log.append("clock")
+        return 0.0
+
+    monkeypatch.setattr(bnb, "child_closure", child_closure)
+    monkeypatch.setattr(bnb, "time", SimpleNamespace(perf_counter=perf_counter))
+    inst = robustify(random_psplib_instance(random.Random(7), 20, 4))
+    res = solve_exact(inst, 3, node_cap=100)
+    assert (res.status, res.nodes) == ("incumbent", 100)
+    last = len(log) - log[::-1].index("clock")
+    alive = log[:last].count("built") - log[:last].count("freed")
+    assert log.count("built") >= res.nodes and alive <= 2
+    assert log.count("built") == log.count("freed")
 
 
 def test_the_windows_and_the_model_run_no_dp():
@@ -172,8 +247,9 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
     the walks reach pairs, triples (from the finder's triple rows), sets of
     four or more members (from the kernel's run from cap 4) and leaves; the
     carried ancestor masks are the closure's transpose; the head and tail
-    rows, raised as ``solve_exact`` raises them (the new arc's endpoint
-    first, then its descendants or ancestors only when that row rose),
+    rows, raised in full by ``relax_leveled_rows`` after every arc (the new
+    arc's endpoint first, then its descendants or ancestors only when that
+    row rose),
     match a full forward and backward pass, row for row; and for every arc
     of the branching set (and the arc the walk adds) ``arc_bound`` gives
     the DP value of the extended selection.
