@@ -1,8 +1,9 @@
 """Directed-graph primitives that every other module may import, the
 instance module included.
 
-Nodes are integers 0..n-1 and reachability sets are kept as bitmasks, which
-keeps closure updates cheap inside the branch-and-bound search.
+Nodes are integers 0..n-1 and reachability sets are kept as bitmasks; a
+closure and its transpose are extended by an arc in
+``network.child_closure``.
 
 ``relax_leveled_rows`` is the one longest-path kernel over leveled states
 (node, number of delays so far) and ``leveled_rows`` its one from-scratch
@@ -115,37 +116,14 @@ def transpose_bitsets(reach):
     return ancestors
 
 
-def add_arc_to_closure(reach, ancestors, u, v):
-    """Update a closure and its transpose in place for a new arc (u, v).
-
-    Assumes v does not already reach u, i.e. the extended graph stays
-    acyclic.  The arc relates every ancestor-or-self of u to every
-    descendant-or-self of v, so only those nodes' masks grow; they are
-    read from ``ancestors[u]`` and ``reach[v]``.  Returns the bitmask of u
-    and its ancestors.
-    """
-    above = ancestors[u] | (1 << u)
-    below = reach[v] | (1 << v)
-    mask = above
-    while mask:
-        low = mask & -mask
-        reach[low.bit_length() - 1] |= below
-        mask ^= low
-    mask = below
-    while mask:
-        low = mask & -mask
-        ancestors[low.bit_length() - 1] |= above
-        mask ^= low
-    return above
-
-
 def reaches(reach, i, j):
     return bool((reach[i] >> j) & 1)
 
 
-def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
-    """The leveled longest-path kernel: raise in place the rows of the
-    nodes in ``order`` through their predecessors in the bitmask ``dirty``.
+def relax_leveled_rows(rows, order, pred, nominal, delayed):
+    """The leveled longest-path kernel: raise each row of the nodes in
+    ``order``, in that order, to the max of its old value and every
+    predecessor's contribution.
 
     ``rows[j][g]`` is the longest path from the source to ``j`` with at
     most ``g`` delays:
@@ -154,15 +132,11 @@ def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
     nonnegative and every activity is reachable from the source, so rows
     that start at zero and are only raised hold no unreachable state.
 
-    ``order`` must be topological.  A row is copied once before it is
-    raised, so rows shared with other tables are never written; a node
-    whose row rises becomes dirty for the nodes after it.
-
-    With ``dirty = -1`` every predecessor counts, and each row in
-    ``order`` is raised to the max of its old value and every
-    predecessor's contribution.  The branch-and-bound settles its stale
-    rows so: when each old row is a lower bound and each predecessor's
-    row is exact or earlier in ``order``, the raised rows are exact.
+    ``order`` must be topological.  A row that rises is replaced by a
+    raised copy and one that does not stays in place, so rows shared with
+    other tables are never written.  When each old row is a lower bound
+    and each predecessor's row is exact or earlier in ``order``, the
+    raised rows are exact: so the branch-and-bound settles its stale rows.
 
     Run on successor lists, in an order where every node comes after its
     successors, the sink plays the source: ``rows[j][g]`` becomes the
@@ -172,12 +146,8 @@ def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
     """
     for j in order:
         old = rows[j]
-        new = None
+        new = list(old)
         for i in pred[j]:
-            if not (dirty >> i) & 1:
-                continue
-            if new is None:
-                new = list(old)
             row = rows[i]
             a = nominal[i]
             b = delayed[i]
@@ -193,19 +163,17 @@ def relax_leveled_rows(rows, order, dirty, pred, nominal, delayed):
                 if x > new[g]:
                     new[g] = x
                 prev = cur
-        if new is not None and new != old:
+        if new != old:
             rows[j] = new
-            dirty |= 1 << j
 
 
 def leveled_rows(nominal, delayed, gamma: int, order, adj) -> list[list[int]]:
-    """``relax_leveled_rows`` from scratch, all rows zero and every node
-    dirty, over a topological ``order`` and predecessor lists ``adj`` (or
-    the reverse, on successor lists), with one entry per node in the
-    duration vectors ``nominal`` and ``delayed``.  Rejects a negative
-    ``gamma``."""
+    """``relax_leveled_rows`` from scratch, all rows zero, over a
+    topological ``order`` and predecessor lists ``adj`` (or the reverse,
+    on successor lists), with one entry per node in the duration vectors
+    ``nominal`` and ``delayed``.  Rejects a negative ``gamma``."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     rows = [[0] * (gamma + 1)] * len(nominal)  # one shared row: the kernel copies before it raises
-    relax_leveled_rows(rows, order, -1, adj, nominal, delayed)
+    relax_leveled_rows(rows, order, adj, nominal, delayed)
     return rows

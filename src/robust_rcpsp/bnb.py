@@ -77,13 +77,14 @@ fewer arcs, so it is a lower bound.
   tail rows among their descendants-or-self, in ascending order.  Both
   orders are topological: a node's mask strictly contains each
   descendant's, so it is the larger int.  Each settle is one
-  ``_graph.relax_leveled_rows`` run, the one longest-path kernel, with
-  every predecessor dirty.  It is exact.  Each predecessor of a settled
-  row is one of its ancestors, so it is either not stale, hence exact,
-  or stale and settled before it; the run raises the row's lower bound
-  to the max over those exact predecessor rows, which is the exact row.
-  Settled rows leave the masks, and ``rows`` or ``tails`` is copied only
-  when a row is settled: every other row stays shared with the parent.
+  ``_graph.relax_leveled_rows`` run, the one longest-path kernel, over
+  every predecessor of each settled row.  It is exact.  Each predecessor
+  of a settled row is one of its ancestors, so it is either not stale,
+  hence exact, or stale and settled before it; the run raises the row's
+  lower bound to the max over those exact predecessor rows, which is the
+  exact row.  Settled rows leave the masks, and ``rows`` or ``tails`` is
+  copied only when a row is settled: every other row stays shared with
+  the parent, and the kernel replaces a row that rises with a copy.
 
 The root is an entry without an arc, made before the search from the
 instance's derived ``closure`` (its closure, and its transpose in one
@@ -228,14 +229,14 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
             order = _bits(up)
             order.sort(key=closure.__getitem__, reverse=True)
             rows = list(rows)
-            relax_leveled_rows(rows, order, -1, pred, nominal, delayed)
+            relax_leveled_rows(rows, order, pred, nominal, delayed)
         down &= stale_tails
         if down:
             stale_tails ^= down
             order = _bits(down)
             order.sort(key=closure.__getitem__)
             tails = list(tails)
-            relax_leveled_rows(tails, order, -1, succ, nominal, delayed)
+            relax_leveled_rows(tails, order, succ, nominal, delayed)
         parent = (closure, ancestors, pred, rows, succ, tails, stale_rows, stale_tails)
         for a, b in permutations(fset, 2):
             child_bound = max(bound, arc_bound(rows[a], tails[b], nominal[a], delayed[a],

@@ -116,29 +116,6 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     return tuple(start)
 
 
-def validate_schedule(inst: ProjectInstance, start) -> None:
-    """Raise ValueError unless the start times are precedence- and
-    resource-feasible under the nominal durations (checked by a
-    per-time-unit resource profile)."""
-    dur = inst.nominal_duration
-    if start[0] != 0:
-        raise ValueError("dummy source must start at time 0")
-    if any(s < 0 for s in start):
-        raise ValueError("negative start time")
-    for i, j in inst.precedence:
-        if start[j] < start[i] + dur[i]:
-            raise ValueError(f"precedence ({i}, {j}) violated")
-    makespan = start[-1] + dur[-1]
-    for k in inst.resource_types:
-        profile = [0] * (makespan + 1)
-        for i in range(inst.n_nodes):
-            for t in range(start[i], start[i] + dur[i]):
-                profile[t] += inst.requirement[i][k]
-        for t, load in enumerate(profile):
-            if load > inst.capacity[k]:
-                raise ValueError(f"resource {k} overloaded at time {t}: {load}")
-
-
 def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     """LFT schedule -> its order -> adversary DP: leveled starts and bound.
 
@@ -152,10 +129,8 @@ def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     start = lft_schedule(inst)
     order, cut = schedule_order(inst, start)
     arcs = covering_arcs(order, cut)
-    pred = [[] for _ in range(inst.n_nodes)]
-    for i, j in arcs:
-        pred[j].append(i)
-    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma, order, pred)
+    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma, order,
+                        predecessors(inst.n_nodes, arcs))
     return WarmStart(selection=Selection(frozenset(arcs).difference(inst.precedence)),
                      start=start, leveled_starts=tuple(map(tuple, rows)),
                      upper_bound=rows[inst.sink][gamma])

@@ -248,7 +248,7 @@ def robustify(inst: ProjectInstance) -> ProjectInstance:
 # PSPLIB .sm parsing
 
 
-def parse_psplib(text: str, *, name: str = "", source_path: str = "") -> ProjectInstance:
+def parse_psplib(text: str, *, source_path: str = "") -> ProjectInstance:
     """Parse a single-mode PSPLIB ``.sm`` file into a ProjectInstance.
 
     PSPLIB job numbers are 1-based; they are shifted down by one so the
@@ -311,7 +311,7 @@ def parse_psplib(text: str, *, name: str = "", source_path: str = "") -> Project
         for s in succ:
             arcs.append((job - 1, s - 1))
     meta = InstanceMeta(
-        name=name or (os.path.splitext(os.path.basename(source_path))[0] if source_path else ""),
+        name=os.path.splitext(os.path.basename(source_path))[0] if source_path else "",
         source_path=source_path,
     )
     try:

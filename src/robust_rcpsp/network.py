@@ -42,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, islice, permutations
 
-from ._graph import add_arc_to_closure, closure_bitsets, reaches, transpose_bitsets
+from ._graph import closure_bitsets, reaches, transpose_bitsets
 from .errors import CapExceeded, CyclicGraphError
 from .instance import ProjectInstance
 
@@ -387,12 +387,28 @@ def _resolved(reach, fset):
 def child_closure(closure, ancestors, i, j):
     """The child of arc (i, j): ``(key, ancestors, above)``, with ``key``
     the extended closure as a tuple, ``ancestors`` its transpose as a tuple
-    and ``above`` the mask of ``i`` and its ancestors.  The node's tuples
-    are left as they are; ``j`` must not reach ``i``.
+    and ``above`` the mask of ``i`` and its ancestors.  The node's closure
+    and transpose are left as they are; ``j`` must not reach ``i``.
+
+    The arc relates every ancestor-or-self of ``i`` to every
+    descendant-or-self of ``j``, so only those nodes' masks grow: each in
+    ``above`` gains ``below``, the mask of ``j`` and its descendants, and
+    each in ``below`` gains ``above``.
     """
+    above = ancestors[i] | 1 << i
+    below = closure[j] | 1 << j
     child = list(closure)
+    mask = above
+    while mask:
+        low = mask & -mask
+        child[low.bit_length() - 1] |= below
+        mask ^= low
     child_ancestors = list(ancestors)
-    above = add_arc_to_closure(child, child_ancestors, i, j)
+    mask = below
+    while mask:
+        low = mask & -mask
+        child_ancestors[low.bit_length() - 1] |= above
+        mask ^= low
     return tuple(child), tuple(child_ancestors), above
 
 

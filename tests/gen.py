@@ -9,7 +9,6 @@ from dataclasses import replace
 
 from robust_rcpsp import bench
 from robust_rcpsp._graph import (
-    add_arc_to_closure,
     closure_bitsets,
     leveled_rows,
     reaches,
@@ -17,7 +16,7 @@ from robust_rcpsp._graph import (
     topological_order,
 )
 from robust_rcpsp.instance import InstanceMeta, ProjectInstance, robustify
-from robust_rcpsp.network import Selection
+from robust_rcpsp.network import Selection, child_closure
 
 
 def make_instance(durations, arcs, requirements=None, capacities=(), deviations=None,
@@ -128,7 +127,7 @@ def random_selection(rng: random.Random, inst, max_arcs=3):
             break
         if reaches(reach, j, i) or reaches(reach, i, j):
             continue
-        add_arc_to_closure(reach, ancestors, i, j)
+        reach, ancestors, _ = child_closure(reach, ancestors, i, j)
         added.add((i, j))
     return Selection(frozenset(added))
 
@@ -178,6 +177,29 @@ def pairwise_order(inst, start):
     return frozenset((i, j) for i in nodes for j in nodes
                      if i != j and start[j] >= start[i] + dur[i]
                      and not (start[i] >= start[j] + dur[j] and rank[j] < rank[i]))
+
+
+def validate_schedule(inst: ProjectInstance, start) -> None:
+    """Raise ValueError unless the start times are precedence- and
+    resource-feasible under the nominal durations (checked by a
+    per-time-unit resource profile)."""
+    dur = inst.nominal_duration
+    if start[0] != 0:
+        raise ValueError("dummy source must start at time 0")
+    if any(s < 0 for s in start):
+        raise ValueError("negative start time")
+    for i, j in inst.precedence:
+        if start[j] < start[i] + dur[i]:
+            raise ValueError(f"precedence ({i}, {j}) violated")
+    makespan = start[-1] + dur[-1]
+    for k in inst.resource_types:
+        profile = [0] * (makespan + 1)
+        for i in range(inst.n_nodes):
+            for t in range(start[i], start[i] + dur[i]):
+                profile[t] += inst.requirement[i][k]
+        for t, load in enumerate(profile):
+            if load > inst.capacity[k]:
+                raise ValueError(f"resource {k} overloaded at time {t}: {load}")
 
 
 def covering_pairs(relation):

@@ -201,7 +201,7 @@ def test_model_size_formulas():
 def test_psplib_ingestion():
     corpus_dir = os.environ.get("PSPLIB_J30_DIR")
     if corpus_dir and Path(corpus_dir).is_dir():
-        texts = [(p.stem, p.read_text()) for p in sorted(Path(corpus_dir).glob("*.sm"))]
+        texts = [p.read_text() for p in sorted(Path(corpus_dir).glob("*.sm"))]
         source = f"official corpus at {corpus_dir}"
         assert len(texts) >= 480
     else:
@@ -209,11 +209,11 @@ def test_psplib_ingestion():
         texts = []
         for idx in range(480):
             inst = random_psplib_instance(rng)
-            texts.append((f"j30synth_{idx}", psplib_text(inst, name=f"J30S{idx}")))
+            texts.append(psplib_text(inst, name=f"J30S{idx}"))
         source = "synthetic corpus (set PSPLIB_J30_DIR for the official files)"
     assert len(texts) >= 480
-    for name, text in texts:
-        inst = parse_psplib(text, name=name)
+    for text in texts:
+        inst = parse_psplib(text)
         assert inst.nominal_duration[0] == 0 and inst.nominal_duration[-1] == 0
         robust = robustify(inst)
         for i in range(1, robust.sink):

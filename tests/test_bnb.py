@@ -247,12 +247,13 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
     the walks reach pairs, triples (from the finder's triple rows), sets of
     four or more members (from the kernel's run from cap 4) and leaves; the
     carried ancestor masks are the closure's transpose; the head and tail
-    rows, raised in full by ``relax_leveled_rows`` after every arc (the new
-    arc's endpoint first, then its descendants or ancestors only when that
-    row rose),
-    match a full forward and backward pass, row for row; and for every arc
-    of the branching set (and the arc the walk adds) ``arc_bound`` gives
-    the DP value of the extended selection.
+    rows, settled by ``relax_leveled_rows`` after every arc (i, j), head
+    rows over ``j`` and its descendants and tail rows over ``i`` and its
+    ancestors, match a full forward and backward pass, row for row, with
+    no row of the table before the arc written and every row the arc
+    does not raise left in place; and for every arc of the branching set
+    (and the arc the walk adds) ``arc_bound`` gives the DP value of the
+    extended selection.
 
     The walks run on j12-j20-shaped instances, on small DAGs with
     zero-duration activities and on sparse DAGs with sets of four."""
@@ -329,13 +330,16 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             up = sorted((v for v in range(n_nodes) if reaches(reach, v, i)),
                         key=lambda v: reach[v].bit_count())
             for gamma in gammas:
-                head, tail = rows[gamma][j], tails[gamma][i]
-                relax_leveled_rows(rows[gamma], (j,), 1 << i, pred, nominal, delayed)
-                if rows[gamma][j] != head:
-                    relax_leveled_rows(rows[gamma], down, 1 << j, pred, nominal, delayed)
-                relax_leveled_rows(tails[gamma], (i,), 1 << j, succ, nominal, delayed)
-                if tails[gamma][i] != tail:
-                    relax_leveled_rows(tails[gamma], up, 1 << i, succ, nominal, delayed)
+                for table, order, adj in ((rows[gamma], [j] + down, pred),
+                                          (tails[gamma], [i] + up, succ)):
+                    before = list(table)
+                    values = [list(row) for row in before]
+                    relax_leveled_rows(table, order, adj, nominal, delayed)
+                    # No row of the table before the arc is written, and a
+                    # row the arc does not raise is still that row: a B&B
+                    # node's children share its rows.
+                    assert [list(row) for row in before] == values
+                    assert all(row is old for row, old in zip(table, before) if row == old)
     assert sizes == {2, 3, 4, None}
 
 

@@ -13,6 +13,7 @@ from gen import (
     random_psplib_instance,
     shuffled_ids,
     tail_rows,
+    validate_schedule,
 )
 from robust_rcpsp.adversary import counterexample_instance, worst_case_makespan_dp
 from robust_rcpsp.bench import build_variant
@@ -21,7 +22,6 @@ from robust_rcpsp.errors import InvalidHorizonError
 from robust_rcpsp.heuristics import (
     lft_schedule,
     time_windows,
-    validate_schedule,
     warm_start,
 )
 from robust_rcpsp.instance import robustify

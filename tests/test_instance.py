@@ -240,7 +240,7 @@ def test_from_json_rejects_a_value_that_is_no_object(text):
 
 
 def test_from_json_meta_keys_are_optional():
-    payload = json.loads(to_json(parse_psplib((DATA / "toy5.sm").read_text(), name="toy5")))
+    payload = json.loads(to_json(parse_psplib((DATA / "toy5.sm").read_text())))
     payload["meta"] = {"name": "toy5"}
     assert from_json(json.dumps(payload)).meta == InstanceMeta(name="toy5")
     del payload["meta"]
@@ -417,8 +417,9 @@ def test_order_and_closure_stay_out_of_equality_hash_repr_and_json():
     and ``to_json`` name neither derived field, and their text is that of
     the code before the fields were held (the digest below)."""
     rng = random.Random(28)
-    insts = [robustify(parse_psplib(psplib_text(random_psplib_instance(rng, 12, 4)),
-                                    name=f"r{k}")) for k in range(5)]
+    insts = [robustify(dataclasses.replace(
+        parse_psplib(psplib_text(random_psplib_instance(rng, 12, 4))),
+        meta=InstanceMeta(name=f"r{k}"))) for k in range(5)]
     text = "".join(repr(inst) + to_json(inst) for inst in insts)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "27eb64d4fab6b9b550c2ec7261ebb2b138cae8c9858edc4b07efa2a5630110b8"
