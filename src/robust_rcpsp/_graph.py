@@ -1,9 +1,13 @@
 """Directed-graph primitives that every other module may import, the
 instance module included.
 
-Nodes are integers 0..n-1 and reachability sets are kept as bitmasks; a
-closure and its transpose are extended by an arc in
-``network.child_closure``.
+Nodes are integers 0..n-1 and reachability sets are kept as bitmasks.
+``reach_bitsets`` is the one from-scratch closure pass: backward over
+successor lists it gives a closure, forward over predecessor lists its
+transpose (the ancestors), each with one OR per arc.  An instance
+derives both once for its arcs, and ``network.child_closure`` extends a
+closure and its transpose by an arc; nothing transposes a closure bit by
+bit.
 
 ``relax_leveled_rows`` is the one longest-path kernel over leveled states
 (node, number of delays so far) and ``leveled_rows`` its one from-scratch
@@ -94,26 +98,22 @@ def ordered_closure(succ):
     """``(topological_order, closure_bitsets)`` of the arcs whose successor
     lists are ``succ``, from one sort over those lists."""
     order = _kahn_order(succ)
-    reach = [0] * len(succ)
-    for v in reversed(order):
+    return order, reach_bitsets(reversed(order), succ)
+
+
+def reach_bitsets(order, adj):
+    """Per node, the bitmask of the nodes reachable from it along ``adj``
+    by nonempty paths, from one OR pass over ``order``, which must list
+    every node after the nodes of its ``adj`` list.  Successor lists in
+    reversed topological order give the closure; predecessor lists in
+    topological order give its transpose, the ancestors."""
+    reach = [0] * len(adj)
+    for v in order:
         acc = 0
-        for w in succ[v]:
+        for w in adj[v]:
             acc |= reach[w] | (1 << w)
         reach[v] = acc
-    return order, reach
-
-
-def transpose_bitsets(reach):
-    """The transpose of a closure ``reach``: per node, the bitmask of the
-    nodes whose mask holds it, from one pass over the set bits."""
-    ancestors = [0] * len(reach)
-    for v, mask in enumerate(reach):
-        bit = 1 << v
-        while mask:
-            low = mask & -mask
-            ancestors[low.bit_length() - 1] |= bit
-            mask ^= low
-    return ancestors
+    return reach
 
 
 def reaches(reach, i, j):

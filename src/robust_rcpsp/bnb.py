@@ -87,10 +87,11 @@ fewer arcs, so it is a lower bound.
   the parent, and the kernel replaces a row that rises with a copy.
 
 The root is an entry without an arc, made before the search from the
-instance's derived ``closure`` (its closure, and its transpose in one
-pass over the bits) and ``order``.  Its head rows are ``leveled_rows``
-over ``order`` and the predecessor lists, none stale, and their sink row
-at ``gamma`` is its bound.  Its tail rows start as one shared zero row,
+instance's derived tuples: ``closure`` and ``ancestors`` are its closure
+and transpose, ``pred`` and ``succ`` its predecessor and successor lists,
+and nothing is derived from the arcs again.  Its head rows are
+``leveled_rows`` over ``order`` and ``pred``, none stale, and their sink
+row at ``gamma`` is its bound.  Its tail rows start as one shared zero row,
 all stale, so a solve runs no backward pass before its search: the
 root settles the tail rows its children read, and its descendants the
 rest as they need them.
@@ -107,7 +108,7 @@ from heapq import heappop, heappush
 from itertools import permutations
 
 from ._collector import collector_paused
-from ._graph import leveled_rows, predecessors, relax_leveled_rows, successors, transpose_bitsets
+from ._graph import leveled_rows, relax_leveled_rows
 # The root reads its rows from ``leveled_rows``, not from the DP;
 # perfbench's ExactSearch hooks this name by ``getattr``, so a traced root
 # bound reads 0 until the hook moves.
@@ -159,17 +160,14 @@ def solve_exact(inst: ProjectInstance, gamma: int, *,
     first_conflict = conflict_finder(inst)
     nominal = inst.nominal_duration
     delayed = inst.worst_case_duration
-    root_closure = inst.closure
-    root_ancestors = tuple(transpose_bitsets(root_closure))
-    root_pred = tuple(tuple(p) for p in predecessors(n_nodes, inst.precedence))
-    root_succ = tuple(tuple(s) for s in successors(n_nodes, inst.precedence))
+    root_pred = inst.pred
     root_rows = leveled_rows(nominal, delayed, gamma, inst.order, root_pred)
     # One shared zero row, every tail row stale: the nodes settle what
     # their children's bounds read.
     root_tails = [[0] * (gamma + 1)] * n_nodes
     # The root's entry has no arc, and its "parent" is its own state.
     heap = [(root_rows[inst.sink][gamma], 0,
-             (root_closure, root_ancestors, root_pred, root_rows, root_succ, root_tails,
+             (inst.closure, inst.ancestors, root_pred, root_rows, inst.succ, root_tails,
               0, (1 << n_nodes) - 1),
              None, None)]
     counter = 0

@@ -15,17 +15,20 @@ arcs less the instance arcs, whose closure is the whole order, and
 ``_graph.leveled_rows`` over them gives the leveled start times and the
 upper bound that seed both the branch-and-bound and the compact model.
 The time windows run no DP: their earliest starts are the level-zero
-column of ``leveled_rows`` forward over the instance arcs at no delay;
-their latest finishes, like the LFT priorities, and the critical path a
-horizon is checked against come from the instance's ``nominal_tail``,
-the same kernel run backward once with the instance.
+column of ``leveled_rows`` forward over the instance's ``pred`` at no
+delay; their latest finishes, like the LFT priorities, and the critical
+path a horizon is checked against come from the instance's
+``nominal_tail``, the same kernel run backward once with the instance.
+Neither regroups the instance arcs: the LFT schedule releases activities
+along the instance's ``succ`` and counts their predecessors from its
+``pred``, tuples derived once with the instance.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 
-from ._graph import leveled_rows, predecessors, successors
+from ._graph import leveled_rows, predecessors
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
 from .network import Selection, covering_arcs, resource_fields, schedule_order
@@ -69,7 +72,8 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     joins it when its count of unscheduled predecessors reaches zero.
 
     The latest finishes come from ``inst.nominal_tail``, the longest
-    nominal path from each finish to the sink.
+    nominal path from each finish to the sink, and the successors and
+    predecessor counts from ``inst.succ`` and ``inst.pred``.
 
     A bucket's usage is one int of ``network.resource_fields``.  A window is
     tested from its last bucket down, and an overloaded bucket moves the
@@ -82,10 +86,8 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     horizon = sum(max(d, 1) for d in durations) + 1
     # Longest nominal paths to the sink, negated: latest finishes less a horizon.
     priorities = [-t for t in inst.nominal_tail]
-    succ = successors(n_nodes, inst.precedence)
-    waiting = [0] * n_nodes  # unscheduled predecessors
-    for _, j in inst.precedence:
-        waiting[j] += 1
+    succ = inst.succ
+    waiting = list(map(len, inst.pred))  # unscheduled predecessors
     packed, _, high, empty = resource_fields(inst)
     profile = [empty] * horizon  # per bucket: empty plus the packed usage
     start = [0] * n_nodes
@@ -139,8 +141,9 @@ def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
 def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
                  horizon: int) -> TimeWindows:
     """Nominal forward/backward passes over the instance arcs: the
-    level-zero column of ``leveled_rows`` over ``inst.order`` at no delay,
-    and the instance's ``nominal_tail``, that of the backward run.
+    level-zero column of ``leveled_rows`` over ``inst.order`` and
+    ``inst.pred`` at no delay, and the instance's ``nominal_tail``, that
+    of the backward run.
 
     The selection and budget do not enter the passes; windows computed from
     the instance arcs alone are valid bounds for every selection, which is
@@ -154,8 +157,7 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
         raise InvalidHorizonError(
             f"horizon {horizon} is below the nominal critical path {critical}"
         )
-    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, 0, inst.order,
-                        predecessors(inst.n_nodes, inst.precedence))
+    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, 0, inst.order, inst.pred)
     es = tuple(row[0] for row in rows)
     lf = tuple(horizon - t for t in inst.nominal_tail)
     return TimeWindows(es=es, lf=lf, horizon=horizon)

@@ -8,20 +8,28 @@ and ``from_json`` share, and the optional ``activities`` (0..n+1) and ``meta``
 Activity ids are 0-based: PSPLIB job 1 becomes the dummy source 0 and job
 n+2 the dummy sink n+1, so index conventions match the rest of the library.
 
-An instance also holds four derived fields, set at construction and left
-out of ``==``, the hash, ``repr`` and the JSON: ``worst_case_duration``;
-the ``order`` and ``closure`` of its arcs, which the warm start's tie
-rank, the time windows, the forbidden-set kernel and the
-branch-and-bound's root read instead of sorting the arcs again; and
-``nominal_tail``, a run of the one longest-path kernel
-(``_graph.leveled_rows``) backward over ``order`` at no delay, which gives
-the LFT schedule its priorities, the time windows their latest finishes
-and the nominal critical path (``nominal_tail[0]``) that a horizon is
-checked against.
+An instance also holds seven derived fields, set at construction and
+left out of ``==``, the hash, ``repr`` and the JSON:
+
+- ``worst_case_duration``;
+- the ``order`` and ``closure`` of its arcs, which the warm start's tie
+  rank, the time windows, the forbidden-set kernel and the
+  branch-and-bound's root read instead of sorting the arcs again;
+- ``nominal_tail``, a run of the one longest-path kernel
+  (``_graph.leveled_rows``) backward over ``order`` at no delay, which
+  gives the LFT schedule its priorities, the time windows their latest
+  finishes and the nominal critical path (``nominal_tail[0]``) that a
+  horizon is checked against;
+- ``pred`` and ``succ``, the arcs' predecessor and successor tuples,
+  which the LFT schedule (``succ`` and the in-degrees), the time windows'
+  forward pass (``pred``) and the branch-and-bound's root (both) read
+  instead of regrouping the arcs in every solve;
+- ``ancestors``, the transpose of ``closure``, which the catalog, the
+  exhaustive enumerator and the branch-and-bound's root start from.
 
 Construction checks each field once: one ``_ints`` call over its values,
 regrouped into rows or arcs, then ``_validate`` on every field but the
-arcs.  The arc checks and the last three derived fields are one pure
+arcs.  The arc checks and the last six derived fields are one pure
 function of the nominal durations and the arcs, ``_arc_derivation``,
 cached for the last pair of them like ``milp``'s frames and blocks; so
 ``robustify``, a ``dataclasses.replace`` that keeps both and a parse of an
@@ -36,7 +44,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import accumulate, chain
 
-from ._graph import leveled_rows, ordered_closure, successors
+from ._graph import leveled_rows, ordered_closure, predecessors, reach_bitsets, successors
 from .errors import CyclicGraphError, ParseError
 
 
@@ -66,17 +74,22 @@ class ProjectInstance:
     resource usage.  Every activity is reachable from the source and reaches
     the sink; the precedence graph is acyclic.  Every entry is an integer
     and every arc a pair.  Violations raise ValueError at construction
-    time.  Four fields are derived: ``worst_case_duration``, the nominal
+    time.  Seven fields are derived: ``worst_case_duration``, the nominal
     duration plus the maximal deviation per activity; ``order``, the
     topological order of the arcs (``_graph.topological_order``, ties by
     smallest id); ``closure``, their reachability bitmasks
     (``_graph.closure_bitsets``), both tuples that the check for cycles
-    computes; and ``nominal_tail``, the longest nominal path from each
+    computes; ``nominal_tail``, the longest nominal path from each
     activity's finish to the sink, the level-zero column of
     ``_graph.leveled_rows`` on the successor lists in reversed ``order``,
-    at every gamma.  The last three depend on ``nominal_duration`` and
-    ``precedence`` alone, and an instance that shares both with the one
-    built before it shares those three tuples too (``_arc_derivation``).
+    at every gamma; ``pred`` and ``succ``, per activity the tuple of its
+    predecessors and of its successors, in the arc order of
+    ``_graph.predecessors`` and ``_graph.successors``; and ``ancestors``,
+    the transpose of ``closure`` (per activity the mask of the activities
+    that reach it), one forward ``_graph.reach_bitsets`` pass over
+    ``order`` and ``pred``.  The last six depend on ``nominal_duration``
+    and ``precedence`` alone, and an instance that shares both with the
+    one built before it shares those six tuples too (``_arc_derivation``).
     """
 
     nominal_duration: tuple[int, ...]
@@ -89,6 +102,9 @@ class ProjectInstance:
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
     closure: tuple[int, ...] = field(init=False, compare=False, repr=False)
     nominal_tail: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    pred: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    succ: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    ancestors: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_duration", _ints(self.nominal_duration))
@@ -97,10 +113,9 @@ class ProjectInstance:
         object.__setattr__(self, "capacity", _ints(self.capacity))
         object.__setattr__(self, "precedence", _int_pairs(self.precedence))
         _validate(self)
-        order, closure, tail = _arc_derivation(self.nominal_duration, self.precedence)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "closure", closure)
-        object.__setattr__(self, "nominal_tail", tail)
+        for name, value in zip(("order", "closure", "nominal_tail", "pred", "succ", "ancestors"),
+                               _arc_derivation(self.nominal_duration, self.precedence)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "worst_case_duration", tuple(
             a + d for a, d in zip(self.nominal_duration, self.max_deviation)))
 
@@ -200,8 +215,8 @@ def _raise_row_fault(rows, capacity):
 @functools.lru_cache(maxsize=1)
 def _arc_derivation(nominal_duration, precedence):
     """Check the arcs ``precedence`` over the activities of
-    ``nominal_duration`` and derive ``(order, closure, nominal_tail)``
-    from them, as tuples.
+    ``nominal_duration`` and derive ``(order, closure, nominal_tail, pred,
+    succ, ancestors)`` from them, as tuples.
 
     Raise ValueError unless every arc joins two known activities, the
     arcs are acyclic, every activity is reachable from the source and
@@ -227,7 +242,10 @@ def _arc_derivation(nominal_duration, precedence):
         if not (reach[v] >> sink) & 1:
             raise ValueError(f"activity {v} does not reach the sink")
     tail = leveled_rows(nominal_duration, nominal_duration, 0, reversed(order), succ)
-    return tuple(order), tuple(reach), tuple(row[0] for row in tail)
+    pred = predecessors(n_nodes, precedence)
+    return (tuple(order), tuple(reach), tuple(row[0] for row in tail),
+            tuple(map(tuple, pred)), tuple(map(tuple, succ)),
+            tuple(reach_bitsets(order, pred)))
 
 
 def robustify(inst: ProjectInstance) -> ProjectInstance:
@@ -257,14 +275,15 @@ def parse_psplib(text: str, *, source_path: str = "") -> ProjectInstance:
     section for malformed input.
     """
     lines = text.splitlines()
-    n_jobs = _header_int(lines, "jobs", "header")
-    n_res = _header_int(lines, "- renewable", "header")
+    first = _first_lines(lines)
+    n_jobs = _header_int(lines, first, "jobs")
+    n_res = _header_int(lines, first, "- renewable")
     if n_jobs < 2:
         raise ParseError(f"need at least 2 jobs, got {n_jobs}", section="header")
 
-    prec_rows = _table_rows(lines, "PRECEDENCE RELATIONS", n_jobs)
-    req_rows = _table_rows(lines, "REQUESTS/DURATIONS", n_jobs)
-    avail = _availability_row(lines, n_res)
+    prec_rows = _table_rows(lines, first, "PRECEDENCE RELATIONS", n_jobs)
+    req_rows = _table_rows(lines, first, "REQUESTS/DURATIONS", n_jobs)
+    avail = _availability_row(lines, first, n_res)
 
     successors = {}
     for lineno, ints in prec_rows:
@@ -327,30 +346,51 @@ def parse_psplib(text: str, *, source_path: str = "") -> ProjectInstance:
         raise ParseError(str(exc), section="validation") from exc
 
 
-def _header_int(lines, key, section):
+_HEADER_KEYS = ("jobs", "- renewable")
+_SECTION_TITLES = ("PRECEDENCE RELATIONS", "REQUESTS/DURATIONS", "RESOURCEAVAILABILITIES")
+
+
+def _first_lines(lines):
+    """The index of the first line that holds each header key and a colon,
+    and of the first line that starts with each section title (after
+    leading blanks), or None, from one pass over ``lines``."""
+    first = dict.fromkeys(_HEADER_KEYS + _SECTION_TITLES)
     for idx, line in enumerate(lines):
-        if key in line and ":" in line:
-            value = line.split(":", 1)[1].split()
-            if not value:
-                raise ParseError(f"missing value after {key!r}", line=idx + 1, section=section)
-            try:
-                return int(value[0])
-            except ValueError:
-                raise ParseError(f"non-integer value for {key!r}: {value[0]!r}",
-                                 line=idx + 1, section=section) from None
-    raise ParseError(f"missing header entry {key!r}", section=section)
+        if ":" in line:
+            for key in _HEADER_KEYS:
+                if key in line and first[key] is None:
+                    first[key] = idx
+        head = line.lstrip()
+        if head.startswith(_SECTION_TITLES):
+            for title in _SECTION_TITLES:
+                if head.startswith(title) and first[title] is None:
+                    first[title] = idx
+    return first
 
 
-def _section_start(lines, title):
-    for idx, line in enumerate(lines):
-        if line.strip().startswith(title):
-            return idx
-    raise ParseError(f"missing section header {title!r}", section=title)
+def _header_int(lines, first, key):
+    idx = first[key]
+    if idx is None:
+        raise ParseError(f"missing header entry {key!r}", section="header")
+    value = lines[idx].split(":", 1)[1].split()
+    if not value:
+        raise ParseError(f"missing value after {key!r}", line=idx + 1, section="header")
+    try:
+        return int(value[0])
+    except ValueError:
+        raise ParseError(f"non-integer value for {key!r}: {value[0]!r}",
+                         line=idx + 1, section="header") from None
 
 
-def _table_rows(lines, title, n_rows):
+def _section_start(first, title):
+    if first[title] is None:
+        raise ParseError(f"missing section header {title!r}", section=title)
+    return first[title]
+
+
+def _table_rows(lines, first, title, n_rows):
     """Integer rows of a PSPLIB table, skipping column headers and rules."""
-    start = _section_start(lines, title)
+    start = _section_start(first, title)
     rows = []
     idx = start + 1
     while idx < len(lines) and len(rows) < n_rows:
@@ -376,9 +416,9 @@ def _table_rows(lines, title, n_rows):
     return rows
 
 
-def _availability_row(lines, n_res):
+def _availability_row(lines, first, n_res):
     title = "RESOURCEAVAILABILITIES"
-    start = _section_start(lines, title)
+    start = _section_start(first, title)
     for idx in range(start + 1, len(lines)):
         stripped = lines[idx].strip()
         if not stripped or stripped.startswith("*"):

@@ -42,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, islice, permutations
 
-from ._graph import closure_bitsets, reaches, transpose_bitsets
+from ._graph import closure_bitsets, reaches
 from .errors import CapExceeded, CyclicGraphError
 from .instance import ProjectInstance
 
@@ -227,10 +227,10 @@ def minimal_forbidden_sets(inst: ProjectInstance,
                            max_sets: int = 10**6) -> tuple[tuple[int, ...], ...]:
     """All minimal forbidden sets of the instance, sorted (the catalog).
 
-    One run of the ``_antichain_search`` kernel on the instance's closure;
-    a hard cap guards pathological inputs.
+    One run of the ``_antichain_search`` kernel on the instance's
+    ``closure`` and ``ancestors``; a hard cap guards pathological inputs.
     """
-    sets = _antichain_search(inst)(inst.closure, transpose_bitsets(inst.closure))
+    sets = _antichain_search(inst)(inst.closure, inst.ancestors)
     found = tuple(islice(sets, max_sets + 1))
     if len(found) > max_sets:
         raise CapExceeded(f"more than {max_sets} minimal forbidden sets; raise max_sets")
@@ -471,9 +471,8 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
         )
     n_nodes = inst.n_nodes
     first_conflict = conflict_finder(inst)
-    root = inst.closure
     leaves = {}
-    seen = {root}
+    seen = {inst.closure}
 
     def visit(closure, ancestors, added):
         fset = first_conflict(closure, ancestors)
@@ -486,7 +485,7 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
                 seen.add(key)
                 visit(key, key_ancestors, added | {(i, j)})
 
-    visit(root, tuple(transpose_bitsets(root)), frozenset())
+    visit(inst.closure, inst.ancestors, frozenset())
 
     # A leaf is kept unless another leaf's closure is a strict subset of its
     # own.  Each closure is packed into one int of n_nodes**2 bits; in order

@@ -108,8 +108,9 @@ def tail_rows(inst, gamma):
 
 def ancestor_bitsets(n_nodes, arcs):
     """Per-node bitmask of the nodes that strictly reach it: the closure of
-    the reversed arcs, the tests' independent referee for the transpose
-    (``_graph.transpose_bitsets``) of ``closure_bitsets``."""
+    the reversed arcs, the tests' independent referee for an instance's
+    ``ancestors`` and for the transpose that ``network.child_closure``
+    extends."""
     return closure_bitsets(n_nodes, [(j, i) for i, j in arcs])
 
 

@@ -78,17 +78,20 @@ def recorded(table, function):
 
 
 def test_the_root_state_is_that_of_the_arcs(monkeypatch):
-    """The root's closure, its transpose and head rows, read from the
-    instance's ``order`` and ``closure``, equal a fresh derivation from the
-    arcs: ``closure_bitsets``, ``ancestor_bitsets`` and the DP of the
-    empty selection.  A node-capped solve reports the root's DP value as
-    its bound.  A solve with one node expands the root, and every tail row
-    the root settles for its children's bounds equals the backward pass
-    (``gen.tail_rows``); the tail row of each child's ``j`` is settled."""
-    roots = []
+    """The root's closure, its transpose and its predecessor and successor
+    lists are the instance's own ``closure``, ``ancestors``, ``pred`` and
+    ``succ`` tuples, and equal a fresh derivation from the arcs:
+    ``closure_bitsets``, ``ancestor_bitsets``, ``predecessors`` and
+    ``successors``.  Its head rows, read over the instance's ``order``,
+    are the DP of the empty selection.  A node-capped solve reports the
+    root's DP value as its bound.  A solve with one node expands the root,
+    and every tail row the root settles for its children's bounds equals
+    the backward pass (``gen.tail_rows``); the tail row of each child's
+    ``j`` is settled."""
+    popped = []
     passes = []
     pushed = []
-    monkeypatch.setattr(bnb, "transpose_bitsets", recorded(roots, bnb.transpose_bitsets))
+    monkeypatch.setattr(bnb, "heappop", recorded(popped, heapq.heappop))
     monkeypatch.setattr(bnb, "leveled_rows", recorded(passes, leveled_rows))
     monkeypatch.setattr(bnb, "heappush", recorded(pushed, heapq.heappush))
     rng = random.Random(28)
@@ -97,12 +100,18 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
         inst = robustify(shuffled_ids(rng, random_psplib_instance(rng, rng.randint(4, 14), 2)))
         n_nodes, arcs = inst.n_nodes, inst.precedence
         gamma = rng.randint(0, 3)
-        for table in (roots, passes):
+        for table in (popped, passes):
             table.clear()
         res = solve_exact(inst, gamma, node_cap=0)
         dp = worst_case_makespan_dp(inst, Selection(), gamma)
-        assert [(closure, list(ancestors)) for closure, ancestors in roots] == \
-            [(tuple(closure_bitsets(n_nodes, arcs)), ancestor_bitsets(n_nodes, arcs))]
+        [(_, (_, _, (closure, ancestors, pred, _, succ, *_), i, j))] = popped
+        assert (i, j) == (None, None)
+        assert closure is inst.closure and ancestors is inst.ancestors
+        assert pred is inst.pred and succ is inst.succ
+        assert closure == tuple(closure_bitsets(n_nodes, arcs))
+        assert ancestors == tuple(ancestor_bitsets(n_nodes, arcs))
+        assert pred == tuple(map(tuple, predecessors(n_nodes, arcs)))
+        assert succ == tuple(map(tuple, successors(n_nodes, arcs)))
         assert [rows for *_, rows in passes] == [list(map(list, dp.leveled_starts))]
         assert res.best_bound == (res.value if res.status == "optimal" else dp.value)
         pushed.clear()

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from gen import make_instance, psplib_text, random_psplib_instance, shuffled_ids
+from gen import ancestor_bitsets, make_instance, psplib_text, random_psplib_instance, shuffled_ids
 from test_heuristics import nominal_tails
-from robust_rcpsp._graph import closure_bitsets, topological_order
+from robust_rcpsp._graph import closure_bitsets, predecessors, successors, topological_order
 from robust_rcpsp.adversary import worst_case_makespan_dp
 from robust_rcpsp.errors import ParseError
 from robust_rcpsp.instance import (
@@ -120,6 +120,40 @@ def test_parse_error_names_section_and_line(lineno, text, section, line):
         parse_psplib("\n".join(lines))
     assert err.value.section == section
     assert err.value.line == line
+
+
+PRECEDENCE_TABLE = ["PRECEDENCE RELATIONS:", "jobnr.    #modes  #successors   successors",
+                    "   1        1          1           5"]
+
+
+@pytest.mark.parametrize("lineno, text, error", [
+    (6, [], ("missing header entry 'jobs' (section 'header')", "header", None)),
+    (9, [], ("missing header entry '- renewable' (section 'header')", "header", None)),
+    (6, ["jobs (incl. supersource/sink ):  five"],
+     ("non-integer value for 'jobs': 'five' (section 'header', line 6)", "header", 6)),
+    (25, ["REQUESTS:"], ("missing section header 'REQUESTS/DURATIONS' "
+                         "(section 'REQUESTS/DURATIONS')", "REQUESTS/DURATIONS", None)),
+    (7, ["jobs in the project file        :  9", "horizon : 12"], None),
+    (38, PRECEDENCE_TABLE, None),
+    (13, ["PRECEDENCE RELATIONS: below", "PROJECT INFORMATION:"],
+     ("expected 5 rows, found 1 (section 'PRECEDENCE RELATIONS')",
+      "PRECEDENCE RELATIONS", None)),
+], ids=["missing-jobs", "missing-renewable", "jobs-not-int", "missing-section",
+        "repeated-header", "repeated-section-after", "repeated-section-before"])
+def test_parse_reads_the_first_line_of_each_header_and_section(lineno, text, error):
+    """One edit of toy5.sm, line ``lineno`` replaced by the lines ``text``:
+    a header entry or a section title that is missing raises its
+    ParseError, and one that is repeated is read at its first line, so
+    the file parses as toy5.sm when the repeat comes after the original
+    and fails on the repeat when it comes first."""
+    lines = (DATA / "toy5.sm").read_text().splitlines()
+    lines[lineno - 1:lineno] = text
+    if error is None:
+        assert parse_psplib("\n".join(lines)) == parse_psplib((DATA / "toy5.sm").read_text())
+        return
+    with pytest.raises(ParseError) as err:
+        parse_psplib("\n".join(lines))
+    assert (str(err.value), err.value.section, err.value.line) == error
 
 
 def test_robustify_rule_and_flag():
@@ -341,18 +375,24 @@ def _built_each_way(rng):
 
 
 def assert_derived_from_scratch(inst):
-    """The derived ``order``, ``closure`` and ``nominal_tail`` equal the
-    referees run on the instance's own arcs and durations, as tuples."""
-    assert inst.order == tuple(topological_order(inst.n_nodes, inst.precedence))
-    assert inst.closure == tuple(closure_bitsets(inst.n_nodes, inst.precedence))
+    """The derived ``order``, ``closure``, ``nominal_tail``, ``pred``,
+    ``succ`` and ``ancestors`` equal the referees run on the instance's own
+    arcs and durations, as tuples."""
+    n_nodes, arcs = inst.n_nodes, inst.precedence
+    assert inst.order == tuple(topological_order(n_nodes, arcs))
+    assert inst.closure == tuple(closure_bitsets(n_nodes, arcs))
     assert inst.nominal_tail == nominal_tails(inst)
+    assert inst.pred == tuple(map(tuple, predecessors(n_nodes, arcs)))
+    assert inst.succ == tuple(map(tuple, successors(n_nodes, arcs)))
+    assert inst.ancestors == tuple(ancestor_bitsets(n_nodes, arcs))
 
 
 def test_order_and_closure_are_those_of_the_arcs():
     """The derived ``order``, ``closure`` and ``nominal_tail`` equal
     ``topological_order``, ``closure_bitsets`` and the plain successor
-    recursion, as tuples, however the instance was built; the ids are
-    shuffled, so the order is not the id order."""
+    recursion, and ``pred``, ``succ`` and ``ancestors`` their referees, as
+    tuples, however the instance was built; the ids are shuffled, so the
+    order is not the id order."""
     rng = random.Random(28)
     for _ in range(30):
         for inst in _built_each_way(rng):
@@ -367,6 +407,8 @@ def test_robustify_shares_the_derived_fields():
     assert robust.order is inst.order
     assert robust.closure is inst.closure
     assert robust.nominal_tail is inst.nominal_tail
+    assert robust.pred is inst.pred and robust.succ is inst.succ
+    assert robust.ancestors is inst.ancestors
 
 
 def test_another_instance_between_leaves_the_derived_fields_right():
@@ -414,8 +456,9 @@ def test_a_changed_arc_set_or_duration_is_derived_again():
 
 def test_order_and_closure_stay_out_of_equality_hash_repr_and_json():
     """Equality and the hash read the six declared fields only; ``repr``
-    and ``to_json`` name neither derived field, and their text is that of
-    the code before the fields were held (the digest below)."""
+    and ``to_json`` name none of the derived arc fields (``order``,
+    ``closure``, ``pred``, ``succ`` and ``ancestors``), and their text is
+    that of the code before the fields were held (the digest below)."""
     rng = random.Random(28)
     insts = [robustify(dataclasses.replace(
         parse_psplib(psplib_text(random_psplib_instance(rng, 12, 4))),
@@ -423,13 +466,14 @@ def test_order_and_closure_stay_out_of_equality_hash_repr_and_json():
     text = "".join(repr(inst) + to_json(inst) for inst in insts)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "27eb64d4fab6b9b550c2ec7261ebb2b138cae8c9858edc4b07efa2a5630110b8"
+    derived = ("order", "closure", "pred", "succ", "ancestors")
     for inst in insts:
-        assert "order" not in repr(inst) and "closure" not in repr(inst)
+        assert not [name for name in derived if name in repr(inst) + to_json(inst)]
         declared = ("nominal_duration", "max_deviation", "requirement", "capacity",
                     "precedence", "meta")
         assert hash(inst) == hash(tuple(getattr(inst, name) for name in declared))
         other = from_json(to_json(inst))
-        object.__setattr__(other, "order", ())
-        object.__setattr__(other, "closure", ())
+        for name in derived:
+            object.__setattr__(other, name, ())
         assert other == inst and hash(other) == hash(inst)
         assert to_json(other) == to_json(inst)

@@ -19,12 +19,14 @@ from gen import (
 )
 from robust_rcpsp._graph import (
     closure_bitsets,
+    predecessors,
     reaches,
+    successors,
     topological_order,
-    transpose_bitsets,
 )
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
 from robust_rcpsp.heuristics import lft_schedule
+from robust_rcpsp.instance import from_json, robustify, to_json
 from robust_rcpsp.network import (
     Selection,
     _conflict_table,
@@ -81,12 +83,24 @@ def test_closure_cycle_error():
 
 
 def test_transpose_is_the_closure_of_the_reversed_arcs():
+    """An instance's derived ``ancestors``, the transpose of its closure,
+    equal the closure of its reversed arcs (``gen.ancestor_bitsets``), and
+    its ``pred`` and ``succ`` equal ``predecessors`` and ``successors`` of
+    its arcs, as tuples, however it was built: drawn with shuffled ids,
+    read back from its JSON or robustified.  The robustified copy holds
+    the very tuples of the instance it copies."""
     rng = random.Random(5)
-    for _ in range(40):
-        inst = shuffled_ids(rng, random_dag_instance(rng, rng.randint(0, 9)))
-        arcs = inst.precedence + tuple(random_selection(rng, inst, 4).added_arcs)
-        assert transpose_bitsets(closure_bitsets(inst.n_nodes, arcs)) == \
-            ancestor_bitsets(inst.n_nodes, arcs)
+    for k in range(40):
+        drawn = shuffled_ids(rng, random_psplib_instance(rng, rng.randint(2, 20), 3) if k % 2
+                             else random_dag_instance(rng, rng.randint(0, 9), robustified=False))
+        robust = robustify(drawn)
+        for inst in (drawn, from_json(to_json(drawn)), robust):
+            n_nodes, arcs = inst.n_nodes, inst.precedence
+            assert inst.ancestors == tuple(ancestor_bitsets(n_nodes, arcs))
+            assert inst.pred == tuple(map(tuple, predecessors(n_nodes, arcs)))
+            assert inst.succ == tuple(map(tuple, successors(n_nodes, arcs)))
+        assert robust.pred is drawn.pred and robust.succ is drawn.succ
+        assert robust.ancestors is drawn.ancestors
 
 
 # ---------------------------------------------------------------------------
