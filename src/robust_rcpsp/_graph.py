@@ -143,26 +143,29 @@ def relax_leveled_rows(rows, order, pred, nominal, delayed):
     longest path from the finish of ``j`` to the sink with at most ``g``
     delays.  Every activity reaches the sink, so the same zero start holds
     no unreachable state.
+
+    Each predecessor's row is walked once, level by level, carrying the
+    delayed term ``W(i, g-1) + delayed_i`` over from the level before.  At
+    level 0 that term is seeded with the nominal one, which it ties, so
+    the walk needs no first-level case and reads the row by iteration.
     """
     for j in order:
         old = rows[j]
         new = list(old)
         for i in pred[j]:
-            row = rows[i]
             a = nominal[i]
             b = delayed[i]
-            prev = row[0]
-            if prev + a > new[0]:
-                new[0] = prev + a
-            for g in range(1, len(new)):
-                cur = row[g]
+            row = rows[i]
+            y = row[0] + a
+            g = 0
+            for cur in row:
                 x = cur + a
-                y = prev + b
                 if y > x:
                     x = y
                 if x > new[g]:
                     new[g] = x
-                prev = cur
+                y = cur + b
+                g += 1
         if new != old:
             rows[j] = new
 

@@ -361,7 +361,12 @@ _SVG_HEIGHT = 420
 
 
 def profile_svg(profile: PerformanceProfile) -> str:
-    """Step-function line chart of the profile, no plotting dependency."""
+    """Step-function line chart of the profile, no plotting dependency.
+
+    Variant names are escaped as XML text, since a results CSV may hold
+    any name: ``&``, ``<`` and ``>`` become entities, the replacements
+    ``xml.sax.saxutils.escape`` makes.  That module is not imported, as it
+    loads ``urllib.request`` and ``ssl`` with it."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     left, right, top, bottom = 60, 20, 30, 50
     plot_w = width - left - right
@@ -402,8 +407,9 @@ def profile_svg(profile: PerformanceProfile) -> str:
         path = " ".join(f"{px:.1f},{py:.1f}" for px, py in pts)
         parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                      f'stroke-width="1.6"/>')
+        label = variant.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{left + 10}" y="{top + 14 + 14 * idx}" font-size="12" '
-                     f'fill="{color}">{variant}</text>')
+                     f'fill="{color}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -21,7 +21,10 @@ path a horizon is checked against come from the instance's
 ``nominal_tail``, the same kernel run backward once with the instance.
 Neither regroups the instance arcs: the LFT schedule releases activities
 along the instance's ``succ`` and counts their predecessors from its
-``pred``, tuples derived once with the instance.
+``pred``, tuples derived once with the instance.  Its heap holds one int
+key per eligible activity, the tail and the id packed together, and its
+window scan skips the buckets an earlier try already verified.  The key
+list is the one place where the priority rule enters the schedule.
 """
 from __future__ import annotations
 
@@ -67,9 +70,12 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
 
     Activities become eligible once all predecessors are scheduled; the
     eligible activity with the smallest latest finish (ties by id) is placed
-    at its earliest precedence- and resource-feasible start.  The eligible
-    activities wait in a heap keyed by (latest finish, id), and an activity
-    joins it when its count of unscheduled predecessors reaches zero.
+    at its earliest precedence- and resource-feasible start.  An activity
+    joins the heap of eligible ones when its count of unscheduled
+    predecessors reaches zero, under one int key,
+    ``(tail[0] - tail[v]) * n_nodes + v``: ``tail[0]`` is the largest tail,
+    so the key is nonnegative and orders the activities as the tuple
+    (latest finish, id) does, and a pop reads the id as ``key % n_nodes``.
 
     The latest finishes come from ``inst.nominal_tail``, the longest
     nominal path from each finish to the sink, and the successors and
@@ -77,44 +83,49 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
 
     A bucket's usage is one int of ``network.resource_fields``.  A window is
     tested from its last bucket down, and an overloaded bucket moves the
-    start past it, as every earlier start holds it too.  No carry crosses a
-    field: a bucket holds at most ``cap[k]`` in field k and a requirement
-    adds at most ``cap[k]``, and ``w`` leaves room for the largest capacity.
+    start past it, as every earlier start holds it too.  The buckets from
+    the new start to the old window's end were tested for the same
+    requirement against the same profile, so the next scan stops at the
+    old end.  No carry crosses a field: a bucket holds at most ``cap[k]``
+    in field k and a requirement adds at most ``cap[k]``, and ``w`` leaves
+    room for the largest capacity.
     """
     n_nodes = inst.n_nodes
     durations = inst.nominal_duration
-    horizon = sum(max(d, 1) for d in durations) + 1
-    # Longest nominal paths to the sink, negated: latest finishes less a horizon.
-    priorities = [-t for t in inst.nominal_tail]
+    horizon = sum(durations) + durations.count(0) + 1  # sum(max(d, 1)) + 1
+    tail = inst.nominal_tail
+    top = tail[0]  # the largest tail: the source reaches every finish
+    key = [(top - t) * n_nodes + v for v, t in enumerate(tail)]
     succ = inst.succ
     waiting = list(map(len, inst.pred))  # unscheduled predecessors
     packed, _, high, empty = resource_fields(inst)
     profile = [empty] * horizon  # per bucket: empty plus the packed usage
     start = [0] * n_nodes
     earliest = [0] * n_nodes
-    ready = [(priorities[0], 0)]
+    ready = [key[0]]
 
     while ready:
-        _, j = heapq.heappop(ready)
+        j = heapq.heappop(ready) % n_nodes
         need = packed[j]
-        length = max(durations[j], 1)
-        t = earliest[j]
-        u = t + length  # buckets u.. of the window fit
-        while u > t:
+        d = durations[j]
+        t = lo = earliest[j]
+        u = end = t + (d or 1)  # buckets t..lo-1 and u..end-1 fit
+        while u > lo:
             u -= 1
             if (profile[u] + need) & high:
                 t = u + 1
-                u = t + length
-        for u in range(t, t + length):
+                lo = end
+                u = end = t + (d or 1)
+        for u in range(t, end):
             profile[u] += need
         start[j] = t
-        finish = t + durations[j]
+        finish = t + d
         for w in succ[j]:
             if finish > earliest[w]:
                 earliest[w] = finish
             waiting[w] -= 1
             if not waiting[w]:
-                heapq.heappush(ready, (priorities[w], w))
+                heapq.heappush(ready, key[w])
     return tuple(start)
 
 

@@ -99,26 +99,30 @@ def resource_fields(inst: ProjectInstance):
     overflow bit) in ``empty + sum(packed[i] for i in S)`` is set exactly
     when S needs more than ``cap[k]``; ``high`` holds those bits and
     ``positive[i]`` the ones i needs.  ``w`` fits every requirement sum
-    plus the largest capacity, so no carry crosses into the next field."""
+    plus the largest capacity, so no carry crosses into the next field.
+
+    Each row, ``high`` and ``empty`` are packed by Horner's rule in base
+    ``2**w``, from the last resource down.  ``positive[i]`` is
+    ``(packed[i] + fill) & high`` with ``2**(w-1) - 1`` in every field of
+    ``fill``: a requirement below ``2**(w-1)`` sets its field's top bit
+    exactly when it is positive, and carries nothing out of the field."""
     req = inst.requirement
     cap = inst.capacity
     bound = max(map(sum, zip(*req)), default=0) + max(cap, default=0)
     w = bound.bit_length() + 1
     top = 1 << (w - 1)
-    shifts = [k * w for k in inst.resource_types]
-    high = sum(top << s for s in shifts)
-    empty = sum((top - 1 - c) << s for c, s in zip(cap, shifts))
+    high = empty = 0
+    for c in reversed(cap):
+        high = high << w | top
+        empty = empty << w | (top - 1 - c)
     packed = []
-    positive = []
     for row in req:
-        total = on = 0
-        for r, s in zip(row, shifts):
-            if r:
-                total += r << s
-                on += top << s
+        total = 0
+        for r in reversed(row):
+            total = total << w | r
         packed.append(total)
-        positive.append(on)
-    return packed, positive, high, empty
+    fill = high - (high >> (w - 1))
+    return packed, [(p + fill) & high for p in packed], high, empty
 
 
 def _antichain_search(inst: ProjectInstance):
@@ -426,13 +430,14 @@ def schedule_order(inst: ProjectInstance, start):
     related pair goes forward in ``order``, so the order is acyclic, and
     it is transitive.  For start times that respect the instance arcs, it
     holds every instance arc.
+
+    ``order`` is a stable sort of ``inst.order`` by ``2 * start + (d > 0)``,
+    so nodes that tie keep their places in ``inst.order``: the stable sort
+    is the tie rank, and no rank list is built.
     """
     dur = inst.nominal_duration
-    n_nodes = inst.n_nodes
-    rank = [0] * n_nodes
-    for r, v in enumerate(inst.order):
-        rank[v] = r
-    order = sorted(range(n_nodes), key=lambda v: (start[v], dur[v] > 0, rank[v]))
+    key = [2 * s + (d > 0) for s, d in zip(start, dur)]
+    order = sorted(inst.order, key=key.__getitem__)
     starts = [start[v] for v in order]
     cut = [max(q + 1, bisect_left(starts, start[v] + dur[v])) for q, v in enumerate(order)]
     return order, cut
@@ -450,7 +455,8 @@ def covering_arcs(order, cut):
     """
     least = cut + [len(order)]
     for x in reversed(range(len(order))):
-        least[x] = min(least[x], least[x + 1])
+        if least[x] > least[x + 1]:
+            least[x] = least[x + 1]
     return [(i, j) for i, c in zip(order, cut) for j in order[c:least[c]]]
 
 

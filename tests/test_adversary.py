@@ -88,6 +88,22 @@ def test_dp_matches_bruteforce_randomised():
         assert dp.value == worst_case_makespan_bruteforce(inst, sel, gamma)
 
 
+def test_dp_matches_bruteforce_past_the_activity_count():
+    """At gamma = n_activities and n_activities + 2 the kernel's rows are
+    longer than any path has delays, and zero durations leave ties
+    between a predecessor's nominal and delayed terms: every level of the
+    sink's row is the delay-subset value at that budget."""
+    rng = random.Random(4243)
+    for _ in range(30):
+        n_act = rng.randint(1, 6)
+        inst = random_dag_instance(rng, n_act, max_dur=rng.choice((0, 1, 3)))
+        sel = random_selection(rng, inst)
+        for gamma in (n_act, n_act + 2):
+            row = worst_case_makespan_dp(inst, sel, gamma).leveled_starts[inst.sink]
+            assert list(row) == [worst_case_makespan_bruteforce(inst, sel, g, max_budget=gamma)
+                                 for g in range(gamma + 1)]
+
+
 def test_tail_rows_are_the_backward_dp():
     """The source's tail row is the DP value of the empty selection at
     every level, and the sink's row is all zeros; shuffled ids put

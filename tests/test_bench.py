@@ -3,6 +3,7 @@ import random
 import sys
 from dataclasses import fields
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -217,6 +218,18 @@ def test_profile_csv_and_svg_shapes():
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("polyline") == 2
     assert svg.index(">A</text>") < svg.index(">B</text>")
+
+
+
+def test_profile_svg_escapes_variant_names():
+    """A variant name is text, not markup: the SVG of a profile over
+    ``a&b<c`` and ``bnb`` parses, and its labels read back the names."""
+    records = [rec("i1", "a&b<c", time_s=1.0), rec("i1", "bnb", time_s=2.0)]
+    profile = performance_profile(records, ["a&b<c", "bnb"])
+    root = ElementTree.fromstring(profile_svg(profile))
+    labels = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert sorted(profile.rho) == ["a&b<c", "bnb"]
+    assert labels[-2:] == list(profile.rho)
 
 
 # ---------------------------------------------------------------------------

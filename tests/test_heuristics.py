@@ -146,6 +146,37 @@ def test_lft_schedule_is_the_serial_scheme_by_its_definition():
         assert lft_schedule(inst) == brute_force_sgs(inst)
 
 
+def test_lft_window_scan_jumps():
+    """Hand-made jumps of the window scan, one resource each.
+
+    - Activity 5 (3 periods) meets activity 3 in bucket 1, then activity 4
+      in bucket 3, the first bucket past the tested ones: each jump skips
+      the buckets an earlier try verified (2, then 4) and starts at 4.
+    - Zero-duration activity 2 needs one unit while activity 1 saturates
+      buckets 0 and 1: it starts at 2 and holds that bucket, so activity
+      3, which fills the resource, may not straddle it and starts at 3.
+    - Activities 1 and 2 have equal tails, so the id puts 1 first; 3, the
+      largest id, has the largest tail and goes before both.
+    """
+    jumps = make_instance([0, 1, 3, 1, 1, 3, 10, 0],
+                          [(0, 1), (0, 2), (0, 5), (1, 3), (2, 4), (3, 6), (4, 6),
+                           (5, 7), (6, 7)],
+                          [(0,), (0,), (0,), (1,), (1,), (1,), (0,), (0,)], (1,))
+    saturated = make_instance([0, 2, 0, 3, 0],
+                              [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+                              [(0,), (2,), (1,), (2,), (0,)], (2,))
+    tie = make_instance([0, 2, 2, 1, 3, 5, 0],
+                        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 6), (5, 6)],
+                        [(0,), (1,), (1,), (1,), (0,), (0,), (0,)], (1,))
+    assert tie.nominal_tail[1] == tie.nominal_tail[2] < tie.nominal_tail[3]
+    cases = [(jumps, (0, 0, 0, 1, 3, 4, 4, 14)),
+             (saturated, (0, 0, 2, 3, 6)),
+             (tie, (0, 1, 3, 0, 5, 1, 8))]
+    for inst, start in cases:
+        assert lft_schedule(inst) == start == brute_force_sgs(inst)
+        validate_schedule(inst, start)
+
+
 def test_warm_start_budget_zero_is_deterministic_makespan():
     inst = make_instance([0, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
                          [(0,), (2,), (2,), (0,)], (2,))
