@@ -2,12 +2,15 @@
 instance module included.
 
 Nodes are integers 0..n-1 and reachability sets are kept as bitmasks.
-``reach_bitsets`` is the one from-scratch closure pass: backward over
-successor lists it gives a closure, forward over predecessor lists its
-transpose (the ancestors), each with one OR per arc.  An instance
-derives both once for its arcs, and ``network.child_closure`` extends a
-closure and its transpose by an arc; nothing transposes a closure bit by
-bit.
+``arc_graph`` is the one from-scratch derivation of an arc set: its
+topological order, its closure and its predecessor and successor lists,
+which the instance, the adversary DP and its brute force, the adversary's
+constraint matrix, ``verify_selection`` and the MST's arc binaries read.
+Its closure is one backward ``reach_bitsets`` pass over successor lists;
+forward over predecessor lists the same pass gives the transpose (the
+ancestors), each with one OR per arc.  An instance derives both once for
+its arcs, and ``network.child_closure`` extends a closure and its
+transpose by an arc; nothing transposes a closure bit by bit.
 
 ``relax_leveled_rows`` is the one longest-path kernel over leveled states
 (node, number of delays so far) and ``leveled_rows`` its one from-scratch
@@ -38,22 +41,16 @@ def predecessors(n_nodes, arcs):
     return pred
 
 
-def topological_order(n_nodes, arcs):
-    """Kahn topological sort; raises CyclicGraphError with a witness cycle.
-
-    Ties are broken by smallest node id so the order is deterministic.
-    """
-    return _kahn_order(successors(n_nodes, arcs))
-
-
-def _kahn_order(succ):
-    """``topological_order`` of the arcs whose successor lists are ``succ``."""
-    n_nodes = len(succ)
-    indeg = [0] * n_nodes
-    for heads in succ:
-        for j in heads:
-            indeg[j] += 1
-    ready = [v for v in range(n_nodes) if indeg[v] == 0]
+def arc_graph(n_nodes, arcs):
+    """``(order, closure, pred, succ)`` of the arcs ``arcs`` over nodes
+    0..n_nodes-1: the Kahn topological order, ties broken by smallest id;
+    per node the bitmask of the nodes it strictly reaches, from one
+    backward ``reach_bitsets`` pass; and the predecessor and successor
+    lists, in arc order.  Raises CyclicGraphError with a witness cycle."""
+    pred = predecessors(n_nodes, arcs)
+    succ = successors(n_nodes, arcs)
+    indeg = [len(tails) for tails in pred]
+    ready = [v for v in range(n_nodes) if not indeg[v]]
     heapq.heapify(ready)
     order = []
     while ready:
@@ -61,44 +58,26 @@ def _kahn_order(succ):
         order.append(v)
         for w in succ[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
+            if not indeg[w]:
                 heapq.heappush(ready, w)
     if len(order) < n_nodes:
-        raise CyclicGraphError(_find_cycle(n_nodes, succ, indeg))
-    return order
+        raise CyclicGraphError(_find_cycle(pred, indeg))
+    return order, reach_bitsets(reversed(order), succ), pred, succ
 
 
-def _find_cycle(n_nodes, succ, indeg):
+def _find_cycle(pred, indeg):
     # Every node left after Kahn has a predecessor that is also left, so a
     # backward walk must revisit a node; the revisited stretch is a cycle.
-    remaining = {v for v in range(n_nodes) if indeg[v] > 0}
-    pred_in = {v: [] for v in remaining}
-    for v in remaining:
-        for w in succ[v]:
-            if w in remaining:
-                pred_in[w].append(v)
     seen = {}
     path = []
-    v = min(remaining)
+    v = min(v for v, d in enumerate(indeg) if d)
     while v not in seen:
         seen[v] = len(path)
         path.append(v)
-        v = min(pred_in[v])
+        v = min(i for i in pred[v] if indeg[i])
     cycle = path[seen[v]:]
     cycle.reverse()  # report in arc direction
     return cycle
-
-
-def closure_bitsets(n_nodes, arcs):
-    """Per-node bitmask of strictly reachable nodes (nonempty paths only)."""
-    return ordered_closure(successors(n_nodes, arcs))[1]
-
-
-def ordered_closure(succ):
-    """``(topological_order, closure_bitsets)`` of the arcs whose successor
-    lists are ``succ``, from one sort over those lists."""
-    order = _kahn_order(succ)
-    return order, reach_bitsets(reversed(order), succ)
 
 
 def reach_bitsets(order, adj):
@@ -114,10 +93,6 @@ def reach_bitsets(order, adj):
             acc |= reach[w] | (1 << w)
         reach[v] = acc
     return reach
-
-
-def reaches(reach, i, j):
-    return bool((reach[i] >> j) & 1)
 
 
 def relax_leveled_rows(rows, order, pred, nominal, delayed):

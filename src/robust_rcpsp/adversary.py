@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from ._graph import leveled_rows, predecessors, topological_order
+from ._graph import arc_graph, leveled_rows
 from .errors import CapExceeded
 from .instance import InstanceMeta, ProjectInstance
 from .network import Selection, extended_arcs
@@ -49,11 +49,8 @@ def worst_case_makespan_dp(inst: ProjectInstance, sel: Selection, gamma: int) ->
     sort rejects cyclic extensions); the value is W(sink, gamma) and
     ``leveled_starts`` holds every row.
     """
-    arcs = extended_arcs(inst, sel)
-    n_nodes = inst.n_nodes
-    pred = predecessors(n_nodes, arcs)
-    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma,
-                        topological_order(n_nodes, arcs), pred)
+    order, _, pred, _ = arc_graph(inst.n_nodes, extended_arcs(inst, sel))
+    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma, order, pred)
     delays, path = _backtrack(rows, pred, inst, gamma)
     return DpResult(value=rows[inst.sink][gamma], delayed=frozenset(delays), path=tuple(path),
                     leveled_starts=tuple(map(tuple, rows)))
@@ -97,10 +94,8 @@ def worst_case_makespan_bruteforce(inst: ProjectInstance, sel: Selection, gamma:
         )
     if gamma > max_budget:
         raise CapExceeded(f"budget {gamma} exceeds the cap of {max_budget}")
-    arcs = extended_arcs(inst, sel)
     n_nodes = inst.n_nodes
-    order = topological_order(n_nodes, arcs)
-    pred = predecessors(n_nodes, arcs)
+    order, _, pred, _ = arc_graph(n_nodes, extended_arcs(inst, sel))
     candidates = [i for i in range(n_nodes) if inst.max_deviation[i] > 0]
 
     def critical_path(delayed):
@@ -166,17 +161,6 @@ def check_fractional_certificate(inst: ProjectInstance, sel: Selection, gamma: i
     objective = sum((c * v for c, v in zip(matrix.objective, x) if c), Fraction(0))
     return CertificateCheck(feasible=not violations, objective=objective,
                             violations=tuple(violations))
-
-
-def path_certificate(path, delayed) -> dict[str, int]:
-    """Integral certificate routing the unit flow along one path, with the
-    activities in ``delayed`` delayed."""
-    cert = {f"d_{i}": 1 for i in delayed}
-    for i, j in zip(path, path[1:]):
-        cert[f"a_{i}_{j}"] = 1
-        if i in delayed:
-            cert[f"w_{i}_{j}"] = 1
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +242,7 @@ def build_adversary_constraint_matrix(inst: ProjectInstance, sel: Selection,
     ``sel``, with ``gamma`` as the budget; raises ``CyclicGraphError`` on a
     cyclic extension."""
     arcs = extended_arcs(inst, sel)
-    topological_order(inst.n_nodes, arcs)
+    arc_graph(inst.n_nodes, arcs)
     n_nodes = inst.n_nodes
     sink = inst.sink
     n_arcs = len(arcs)

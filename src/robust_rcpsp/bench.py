@@ -28,7 +28,7 @@ from . import bnb as bnb_mod
 from . import milp
 from .errors import ParseError, RobustRcpspError
 from .heuristics import time_windows, warm_start
-from .instance import parse_psplib, robustify
+from .instance import parse_psplib, robustify, unique_keys
 
 MILP_VARIANTS = ("basic", "trans", "warm", "warm+trans")
 ALL_VARIANTS = MILP_VARIANTS + ("bnb",)
@@ -75,9 +75,12 @@ class BenchConfig:
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
         """Read a config object, its lists as tuples; a key it omits takes
-        its field's default.  An unknown key raises ``ValueError`` naming
-        it, and a bad value the field's own."""
-        raw = json.loads(text)
+        its field's default.  An unknown or repeated key raises
+        ``ValueError`` naming it, and a bad value the field's own."""
+        try:
+            raw = json.loads(text, object_pairs_hook=unique_keys)
+        except ValueError as exc:  # a JSONDecodeError or a repeated key
+            raise ValueError(f"bench config: {exc}") from None
         if not isinstance(raw, dict) or "instances_dir" not in raw:
             raise ValueError('bench config: expected an object with "instances_dir"')
         names = [f.name for f in fields(cls)]
@@ -320,8 +323,8 @@ def results_to_csv(records) -> str:
 
 def records_from_csv(text: str) -> list[ResultRecord]:
     """The records of a results CSV; raises ``ValueError`` naming the line
-    of a missing or unknown column, a short row, a bad number or a
-    ``time_s`` that is not a finite number >= 0."""
+    of a missing, unknown or repeated column, a short or long row, a bad
+    number or a ``time_s`` that is not a finite number >= 0."""
     reader = csv.DictReader(io.StringIO(text))
     columns = reader.fieldnames or ()
     missing = [c for c in RESULTS_HEADER if c not in columns]
@@ -330,11 +333,17 @@ def records_from_csv(text: str) -> list[ResultRecord]:
     unknown = [c for c in columns if c not in RESULTS_HEADER]
     if unknown:
         raise ValueError(f"results CSV line 1: unknown column {unknown[0]!r}")
+    repeated = [c for i, c in enumerate(columns) if c in columns[:i]]
+    if repeated:
+        raise ValueError(f"results CSV line 1: repeated column {repeated[0]!r}")
     records = []
     for row in reader:
         short = [c for c in RESULTS_HEADER if row[c] is None]
         if short:
             raise ValueError(f"results CSV line {reader.line_num}: no value in column {short[0]!r}")
+        if None in row:  # DictReader's key for the values past the last column
+            raise ValueError(f"results CSV line {reader.line_num}: "
+                             f"more values than the {len(columns)} columns")
         try:
             records.append(ResultRecord(*(read(row[name]) for name, _, read in _COLUMNS)))
         except ValueError as exc:

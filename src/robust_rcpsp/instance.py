@@ -12,9 +12,10 @@ An instance also holds seven derived fields, set at construction and
 left out of ``==``, the hash, ``repr`` and the JSON:
 
 - ``worst_case_duration``;
-- the ``order`` and ``closure`` of its arcs, which the warm start's tie
-  rank, the time windows, the forbidden-set kernel and the
-  branch-and-bound's root read instead of sorting the arcs again;
+- the ``order`` and ``closure`` of its arcs (``_graph.arc_graph``),
+  which the warm start's tie rank, the time windows, the forbidden-set
+  kernel and the branch-and-bound's root read instead of sorting the
+  arcs again;
 - ``nominal_tail``, a run of the one longest-path kernel
   (``_graph.leveled_rows``) backward over ``order`` at no delay, which
   gives the LFT schedule its priorities, the time windows their latest
@@ -44,7 +45,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import accumulate, chain
 
-from ._graph import leveled_rows, ordered_closure, predecessors, reach_bitsets, successors
+from ._graph import arc_graph, leveled_rows, reach_bitsets
 from .errors import CyclicGraphError, ParseError
 
 
@@ -76,20 +77,19 @@ class ProjectInstance:
     and every arc a pair.  Violations raise ValueError at construction
     time.  Seven fields are derived: ``worst_case_duration``, the nominal
     duration plus the maximal deviation per activity; ``order``, the
-    topological order of the arcs (``_graph.topological_order``, ties by
-    smallest id); ``closure``, their reachability bitmasks
-    (``_graph.closure_bitsets``), both tuples that the check for cycles
-    computes; ``nominal_tail``, the longest nominal path from each
+    topological order of the arcs (ties by smallest id); ``closure``,
+    their reachability bitmasks; ``pred`` and ``succ``, per activity the
+    tuple of its predecessors and of its successors, in arc order, all
+    four the tuples of the ``_graph.arc_graph`` call that checks for
+    cycles; ``nominal_tail``, the longest nominal path from each
     activity's finish to the sink, the level-zero column of
     ``_graph.leveled_rows`` on the successor lists in reversed ``order``,
-    at every gamma; ``pred`` and ``succ``, per activity the tuple of its
-    predecessors and of its successors, in the arc order of
-    ``_graph.predecessors`` and ``_graph.successors``; and ``ancestors``,
-    the transpose of ``closure`` (per activity the mask of the activities
-    that reach it), one forward ``_graph.reach_bitsets`` pass over
-    ``order`` and ``pred``.  The last six depend on ``nominal_duration``
-    and ``precedence`` alone, and an instance that shares both with the
-    one built before it shares those six tuples too (``_arc_derivation``).
+    at every gamma; and ``ancestors``, the transpose of ``closure`` (per
+    activity the mask of the activities that reach it), one forward
+    ``_graph.reach_bitsets`` pass over ``order`` and ``pred``.  The last
+    six depend on ``nominal_duration`` and ``precedence`` alone, and an
+    instance that shares both with the one built before it shares those
+    six tuples too (``_arc_derivation``).
     """
 
     nominal_duration: tuple[int, ...]
@@ -230,9 +230,8 @@ def _arc_derivation(nominal_duration, precedence):
     for i, j in precedence:
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise ValueError(f"arc ({i}, {j}) references an unknown activity")
-    succ = successors(n_nodes, precedence)
     try:
-        order, reach = ordered_closure(succ)
+        order, reach, pred, succ = arc_graph(n_nodes, precedence)
     except CyclicGraphError as exc:
         raise ValueError(f"cyclic precedence relations: {exc}") from exc
     for v in range(1, n_nodes):
@@ -242,7 +241,6 @@ def _arc_derivation(nominal_duration, precedence):
         if not (reach[v] >> sink) & 1:
             raise ValueError(f"activity {v} does not reach the sink")
     tail = leveled_rows(nominal_duration, nominal_duration, 0, reversed(order), succ)
-    pred = predecessors(n_nodes, precedence)
     return (tuple(order), tuple(reach), tuple(row[0] for row in tail),
             tuple(map(tuple, pred)), tuple(map(tuple, succ)),
             tuple(reach_bitsets(order, pred)))
@@ -449,12 +447,24 @@ def to_json(inst: ProjectInstance) -> str:
     return json.dumps(payload, separators=(", ", ": "))
 
 
+def unique_keys(pairs):
+    """``object_pairs_hook`` of the JSON readers: the object of the
+    ``(key, value)`` pairs, or ValueError on a key that it repeats, where
+    ``json`` would keep the last value without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def from_json(text: str) -> ProjectInstance:
     """Inverse of :func:`to_json`.  The instance's constructor checks the
     ``_JSON_KEYS`` values; ``activities`` other than 0..n+1 is a ParseError."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # a JSONDecodeError or a repeated key
         raise ParseError(f"invalid JSON: {exc}", section="json") from exc
     try:
         if not isinstance(payload, dict):

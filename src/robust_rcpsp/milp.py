@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 from . import highs_bridge
 from ._collector import collector_paused
-from ._graph import closure_bitsets
+from ._graph import arc_graph
 from .errors import BridgeError, InvalidHorizonError
 from .heuristics import TimeWindows, WarmStart
 from .instance import ProjectInstance
@@ -435,26 +435,18 @@ def _transitivity_block(n_nodes):
     for i in nodes:
         for l in nodes:
             # y_il + y_lj - y_ij <= 1; the names coincide only when
-            # i == l or l == j, and only those rows need merging.  What is
-            # left of a merged row is y_ll, with coefficient 1.
+            # i == l or l == j, and what is left of those rows is y_ll,
+            # with coefficient 1.
             y_il, Y_il, Y_l, Y_i = y_pos[i][l], Y[i][l], Y[l], Y[i]
             coeffs = [(y_il, y_lj, y_ij) for y_lj, y_ij in zip(y_pos[l], y_neg[i])]
             bodies = [f"{Y_il} + {Y_l[j]} - {Y_i[j]}" for j in nodes]
             for j in (nodes if i == l else (l,)):
-                coeffs[j] = _merge_terms(coeffs[j])
+                coeffs[j] = (y_pos[l][l],)
                 bodies[j] = Y_l[l]
             pre = f"tri_{i}_{l}_"
             rows += [LinearConstraint(pre + sfx, c, "<=", 1) for sfx, c in zip(suffix, coeffs)]
             lines += [f" {pre}{sfx}: {body} <= 1" for sfx, body in zip(suffix, bodies)]
     return _block((), tuple(rows), lines)
-
-
-def _merge_terms(terms):
-    """Sum the coefficients of repeated names and drop the zeros."""
-    merged = {}
-    for name, c in terms:
-        merged[name] = merged.get(name, 0) + c
-    return tuple((name, c) for name, c in merged.items() if c != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +477,7 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
     selection = _selection_frame(n_nodes, n_resources)
     values = dict(zip(_leveled_frame(n_nodes, gamma).starts,
                       chain.from_iterable(warm.leveled_starts)))
-    reach = closure_bitsets(n_nodes, extended_arcs(inst, warm.selection))
+    reach = arc_graph(n_nodes, extended_arcs(inst, warm.selection))[1]
     reach[inst.sink] |= 1 << inst.sink
     arcs = [0] * (n_nodes * n_nodes)
     for i, mask in enumerate(reach):

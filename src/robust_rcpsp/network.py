@@ -42,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, islice, permutations
 
-from ._graph import closure_bitsets, reaches
+from ._graph import arc_graph
 from .errors import CapExceeded, CyclicGraphError
 from .instance import ProjectInstance
 
@@ -375,7 +375,7 @@ def verify_selection(inst: ProjectInstance, sel: Selection, catalog) -> Selectio
     """Check sufficiency: acyclic extension and every catalog set resolved."""
     arcs = extended_arcs(inst, sel)
     try:
-        reach = closure_bitsets(inst.n_nodes, arcs)
+        reach = arc_graph(inst.n_nodes, arcs)[1]
     except CyclicGraphError as exc:
         return SelectionVerdict(sufficient=False, cycle=exc.cycle)
     for fset in catalog:
@@ -385,7 +385,7 @@ def verify_selection(inst: ProjectInstance, sel: Selection, catalog) -> Selectio
 
 
 def _resolved(reach, fset):
-    return any(reaches(reach, i, j) for i, j in permutations(fset, 2))
+    return any((reach[i] >> j) & 1 for i, j in permutations(fset, 2))
 
 
 def child_closure(closure, ancestors, i, j):

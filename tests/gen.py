@@ -8,13 +8,7 @@ import time
 from dataclasses import replace
 
 from robust_rcpsp import bench
-from robust_rcpsp._graph import (
-    closure_bitsets,
-    leveled_rows,
-    reaches,
-    successors,
-    topological_order,
-)
+from robust_rcpsp._graph import arc_graph, leveled_rows, successors
 from robust_rcpsp.instance import InstanceMeta, ProjectInstance, robustify
 from robust_rcpsp.network import Selection, child_closure
 
@@ -111,12 +105,12 @@ def ancestor_bitsets(n_nodes, arcs):
     the reversed arcs, the tests' independent referee for an instance's
     ``ancestors`` and for the transpose that ``network.child_closure``
     extends."""
-    return closure_bitsets(n_nodes, [(j, i) for i, j in arcs])
+    return arc_graph(n_nodes, [(j, i) for i, j in arcs])[1]
 
 
 def random_selection(rng: random.Random, inst, max_arcs=3):
     """A random acyclic selection over non-dummy pairs."""
-    reach = closure_bitsets(inst.n_nodes, inst.precedence)
+    reach = arc_graph(inst.n_nodes, inst.precedence)[1]
     ancestors = ancestor_bitsets(inst.n_nodes, inst.precedence)
     base = set(inst.precedence)
     added = set()
@@ -126,7 +120,7 @@ def random_selection(rng: random.Random, inst, max_arcs=3):
     for i, j in candidates:
         if len(added) >= max_arcs:
             break
-        if reaches(reach, j, i) or reaches(reach, i, j):
+        if (reach[j] >> i) & 1 or (reach[i] >> j) & 1:
             continue
         reach, ancestors, _ = child_closure(reach, ancestors, i, j)
         added.add((i, j))
@@ -138,7 +132,7 @@ def brute_force_forbidden_sets(inst):
     from itertools import combinations
 
     n = inst.n_nodes
-    reach = closure_bitsets(n, inst.precedence)
+    reach = arc_graph(n, inst.precedence)[1]
     acts = list(range(1, inst.sink))
 
     def unrelated(subset):
@@ -161,7 +155,7 @@ def brute_force_forbidden_sets(inst):
 def closure_relation(inst, extra_arcs=()):
     """The full reachability relation of the extended network as pairs."""
     arcs = tuple(set(inst.precedence) | set(extra_arcs))
-    reach = closure_bitsets(inst.n_nodes, arcs)
+    reach = arc_graph(inst.n_nodes, arcs)[1]
     n = inst.n_nodes
     return frozenset((i, j) for i in range(n) for j in range(n) if (reach[i] >> j) & 1)
 
@@ -172,7 +166,7 @@ def pairwise_order(inst, start):
     together in the order of their positions in a fresh topological sort
     of the instance arcs, which is also the tie rank of the schedule
     order."""
-    rank = {v: r for r, v in enumerate(topological_order(inst.n_nodes, inst.precedence))}
+    rank = {v: r for r, v in enumerate(arc_graph(inst.n_nodes, inst.precedence)[0])}
     dur = inst.nominal_duration
     nodes = range(inst.n_nodes)
     return frozenset((i, j) for i in nodes for j in nodes

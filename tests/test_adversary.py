@@ -11,14 +11,13 @@ from gen import (
     shuffled_ids,
     tail_rows,
 )
-from robust_rcpsp._graph import leveled_rows, predecessors, successors, topological_order
+from robust_rcpsp._graph import arc_graph, leveled_rows
 from robust_rcpsp.adversary import (
     build_adversary_constraint_matrix,
     check_fractional_certificate,
     counterexample_certificate,
     counterexample_instance,
     ghouila_houri_refute,
-    path_certificate,
     refutation_row_subset,
     worst_case_makespan_bruteforce,
     worst_case_makespan_dp,
@@ -30,6 +29,17 @@ from robust_rcpsp.instance import robustify
 from robust_rcpsp.network import Selection
 
 EMPTY = Selection()
+
+
+def path_certificate(path, delayed) -> dict[str, int]:
+    """Integral certificate routing the unit flow along one path, with the
+    activities in ``delayed`` delayed."""
+    cert = {f"d_{i}": 1 for i in delayed}
+    for i, j in zip(path, path[1:]):
+        cert[f"a_{i}_{j}"] = 1
+        if i in delayed:
+            cert[f"w_{i}_{j}"] = 1
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +130,11 @@ def test_tail_rows_are_the_backward_dp():
         assert tails[0] == [worst_case_makespan_dp(inst, EMPTY, g).value
                             for g in range(gamma + 1)]
         assert tails[inst.sink] == [0] * (gamma + 1)
-        n_nodes, arcs = inst.n_nodes, inst.precedence
-        order = topological_order(n_nodes, arcs)
+        order, _, pred, succ = arc_graph(inst.n_nodes, inst.precedence)
         durations = inst.nominal_duration, inst.worst_case_duration
-        assert tails == leveled_rows(*durations, gamma, reversed(order), successors(n_nodes, arcs))
+        assert tails == leveled_rows(*durations, gamma, reversed(order), succ)
         rows = worst_case_makespan_dp(inst, EMPTY, gamma).leveled_starts
-        assert list(map(list, rows)) == leveled_rows(*durations, gamma, order,
-                                                     predecessors(n_nodes, arcs))
+        assert list(map(list, rows)) == leveled_rows(*durations, gamma, order, pred)
 
 
 @pytest.mark.parametrize("entry", [

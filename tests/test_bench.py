@@ -198,8 +198,11 @@ HEADER = "instance,gamma,variant,status,objective,bound,gap_percent,time_s\n"
     (HEADER + "j1,1,bnb,optimal,3,3,0,-4\n", "line 2: time_s must be a finite number >= 0, not '-4'"),
     (HEADER.replace("\n", ",solver\n") + "j1,1,bnb,optimal,3,3,0,1,x\n",
      "line 1: unknown column 'solver'"),
+    (HEADER + "j1,1,bnb,optimal,3,3,0,1.5,EXTRA,MORE\n", "line 2: more values than the 8 columns"),
+    (HEADER.replace("\n", ",instance\n") + "j1,1,bnb,optimal,3,3,0,1.5,j2\n",
+     "line 1: repeated column 'instance'"),
 ], ids=["missing_column", "empty", "short_row", "bad_int", "empty_time", "nan_time", "inf_time",
-        "negative_time", "unknown_column"])
+        "negative_time", "unknown_column", "long_row", "repeated_column"])
 def test_records_from_csv_names_the_line(text, message):
     with pytest.raises(ValueError, match=message):
         records_from_csv(text)
@@ -449,6 +452,13 @@ def test_config_from_json_rejects_a_bad_value(field, value):
             BenchConfig(**{"instances_dir": "inst",
                            field: tuple(value) if isinstance(value, list) else value})
         assert str(in_code.value) == str(from_json.value)
+
+
+def test_config_from_json_rejects_a_repeated_key():
+    """``json`` keeps the last value of a repeated key, so this config
+    used to run gamma 2 alone."""
+    with pytest.raises(ValueError, match="^bench config: repeated key 'gammas'$"):
+        BenchConfig.from_json('{"instances_dir": "a", "gammas": [1], "gammas": [2]}')
 
 
 def test_config_from_json_needs_an_instance_directory():

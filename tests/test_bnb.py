@@ -23,10 +23,9 @@ from gen import (
 )
 from robust_rcpsp import bnb, heuristics, milp, network
 from robust_rcpsp._graph import (
-    closure_bitsets,
+    arc_graph,
     leveled_rows,
     predecessors,
-    reaches,
     relax_leveled_rows,
     successors,
 )
@@ -81,8 +80,8 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
     """The root's closure, its transpose and its predecessor and successor
     lists are the instance's own ``closure``, ``ancestors``, ``pred`` and
     ``succ`` tuples, and equal a fresh derivation from the arcs:
-    ``closure_bitsets``, ``ancestor_bitsets``, ``predecessors`` and
-    ``successors``.  Its head rows, read over the instance's ``order``,
+    the closure of ``arc_graph``, ``ancestor_bitsets``, ``predecessors``
+    and ``successors``.  Its head rows, read over the instance's ``order``,
     are the DP of the empty selection.  A node-capped solve reports the
     root's DP value as its bound.  A solve with one node expands the root,
     and every tail row the root settles for its children's bounds equals
@@ -108,7 +107,7 @@ def test_the_root_state_is_that_of_the_arcs(monkeypatch):
         assert (i, j) == (None, None)
         assert closure is inst.closure and ancestors is inst.ancestors
         assert pred is inst.pred and succ is inst.succ
-        assert closure == tuple(closure_bitsets(n_nodes, arcs))
+        assert closure == tuple(arc_graph(n_nodes, arcs)[1])
         assert ancestors == tuple(ancestor_bitsets(n_nodes, arcs))
         assert pred == tuple(map(tuple, predecessors(n_nodes, arcs)))
         assert succ == tuple(map(tuple, successors(n_nodes, arcs)))
@@ -286,10 +285,8 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
         catalog = minimal_forbidden_sets(inst)
         first_conflict = conflict_finder(inst)
         n_nodes = inst.n_nodes
-        reach = closure_bitsets(n_nodes, inst.precedence)
+        _, reach, pred, succ = arc_graph(n_nodes, inst.precedence)
         ancestors = ancestor_bitsets(n_nodes, inst.precedence)
-        pred = predecessors(n_nodes, inst.precedence)
-        succ = successors(n_nodes, inst.precedence)
         nominal = inst.nominal_duration
         delayed = inst.worst_case_duration
 
@@ -313,7 +310,7 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
                 assert rows[gamma] == [list(row) for row in dp.leveled_starts]
                 assert tails[gamma] == full_tails(gamma)
             free = [(i, j) for i in range(1, inst.sink) for j in range(1, inst.sink)
-                    if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
+                    if i != j and not (reach[i] >> j) & 1 and not (reach[j] >> i) & 1]
             if not free:
                 break
             if fset and rng.random() < 0.5:
@@ -334,9 +331,9 @@ def test_kernel_masks_and_bounds_follow_arc_additions():
             pred[j].append(i)
             succ[i].append(j)
             arcs.add((i, j))
-            down = sorted((v for v in range(n_nodes) if reaches(reach, j, v)),
+            down = sorted((v for v in range(n_nodes) if (reach[j] >> v) & 1),
                           key=lambda v: -reach[v].bit_count())
-            up = sorted((v for v in range(n_nodes) if reaches(reach, v, i)),
+            up = sorted((v for v in range(n_nodes) if (reach[v] >> i) & 1),
                         key=lambda v: reach[v].bit_count())
             for gamma in gammas:
                 for table, order, adj in ((rows[gamma], [j] + down, pred),
@@ -489,7 +486,7 @@ def test_a_duplicate_entry_is_dropped_when_popped(monkeypatch):
     monkeypatch.setattr(bnb, "conflict_finder", conflict_finder)
     res = solve_exact(inst, 0, node_cap=7)
     assert (res.status, res.nodes, res.value, res.best_bound) == ("incumbent", 7, 8, 4)
-    stars = [tuple(closure_bitsets(inst.n_nodes, inst.precedence + arcs))
+    stars = [tuple(arc_graph(inst.n_nodes, inst.precedence + arcs)[1])
              for arcs in (((1, 2), (1, 3)), ((2, 1), (3, 1)))]
     assert [made.count(star) for star in stars] == [2, 2]
     assert len(expanded) == len(set(expanded)) == 7

@@ -8,7 +8,7 @@ import pytest
 
 from gen import ancestor_bitsets, make_instance, psplib_text, random_psplib_instance, shuffled_ids
 from test_heuristics import nominal_tails
-from robust_rcpsp._graph import closure_bitsets, predecessors, successors, topological_order
+from robust_rcpsp._graph import arc_graph, predecessors, successors
 from robust_rcpsp.adversary import worst_case_makespan_dp
 from robust_rcpsp.errors import ParseError
 from robust_rcpsp.instance import (
@@ -239,6 +239,16 @@ def test_from_json_of_text_that_is_no_json_is_a_parse_error():
     assert err.value.section == "json"
 
 
+def test_from_json_rejects_a_repeated_key():
+    """``json`` keeps the last value of a repeated key, so this text used
+    to build capacity (8,) where it first said (3,)."""
+    text = to_json(parse_psplib((DATA / "toy5.sm").read_text()))
+    text = text.replace('"capacities": [3], ', '"capacities": [3], "capacities": [8], ')
+    with pytest.raises(ParseError, match="repeated key 'capacities'") as err:
+        from_json(text)
+    assert err.value.section == "json"
+
+
 @pytest.mark.parametrize("meta", [None, [], "toy5", {"name": "toy5", "author": "x"},
                                   {"name": 5}, {"resource_strength": "high"},
                                   {"network_complexity": True}],
@@ -379,8 +389,9 @@ def assert_derived_from_scratch(inst):
     ``succ`` and ``ancestors`` equal the referees run on the instance's own
     arcs and durations, as tuples."""
     n_nodes, arcs = inst.n_nodes, inst.precedence
-    assert inst.order == tuple(topological_order(n_nodes, arcs))
-    assert inst.closure == tuple(closure_bitsets(n_nodes, arcs))
+    order, closure, _, _ = arc_graph(n_nodes, arcs)
+    assert inst.order == tuple(order)
+    assert inst.closure == tuple(closure)
     assert inst.nominal_tail == nominal_tails(inst)
     assert inst.pred == tuple(map(tuple, predecessors(n_nodes, arcs)))
     assert inst.succ == tuple(map(tuple, successors(n_nodes, arcs)))
@@ -389,7 +400,7 @@ def assert_derived_from_scratch(inst):
 
 def test_order_and_closure_are_those_of_the_arcs():
     """The derived ``order``, ``closure`` and ``nominal_tail`` equal
-    ``topological_order``, ``closure_bitsets`` and the plain successor
+    the order and closure of ``arc_graph`` and the plain successor
     recursion, and ``pred``, ``succ`` and ``ancestors`` their referees, as
     tuples, however the instance was built; the ids are shuffled, so the
     order is not the id order."""

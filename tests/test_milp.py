@@ -1283,9 +1283,9 @@ def test_bridge_pair_conflict_matches_bnb():
 
 def fix_arcs_to_closure(model, inst, sel):
     closure_active = set()
-    from robust_rcpsp._graph import closure_bitsets
+    from robust_rcpsp._graph import arc_graph
 
-    reach = closure_bitsets(inst.n_nodes, extended_arcs(inst, sel))
+    reach = arc_graph(inst.n_nodes, extended_arcs(inst, sel))[1]
     for i in range(inst.n_nodes):
         for j in range(inst.n_nodes):
             if (reach[i] >> j) & 1:

@@ -17,13 +17,7 @@ from gen import (
     random_selection,
     shuffled_ids,
 )
-from robust_rcpsp._graph import (
-    closure_bitsets,
-    predecessors,
-    reaches,
-    successors,
-    topological_order,
-)
+from robust_rcpsp._graph import arc_graph, predecessors, successors
 from robust_rcpsp.errors import CapExceeded, CyclicGraphError
 from robust_rcpsp.heuristics import lft_schedule
 from robust_rcpsp.instance import from_json, robustify, to_json
@@ -62,24 +56,27 @@ def catalog_family():
 
 
 def test_closure_chain():
-    reach = closure_bitsets(3, [(0, 1), (1, 2)])
+    reach = arc_graph(3, [(0, 1), (1, 2)])[1]
     reachable = {(i, j) for i in range(3) for j in range(3) if (reach[i] >> j) & 1}
     assert reachable == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_closure_empty():
-    assert closure_bitsets(3, []) == [0, 0, 0]
+    assert arc_graph(3, []) == ([0, 1, 2], [0, 0, 0], [[], [], []], [[], [], []])
 
 
 def test_closure_diamond():
-    reach = closure_bitsets(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+    order, reach, pred, succ = arc_graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+    assert order == [0, 1, 2, 3, 4]
     assert reach[0] == 0b11110
     assert not (reach[2] >> 3) & 1 and not (reach[3] >> 2) & 1
+    assert pred == [[], [0], [1], [1], [2, 3]]
+    assert succ == [[1], [2, 3], [4], [4], []]
 
 
 def test_closure_cycle_error():
     with pytest.raises(CyclicGraphError):
-        closure_bitsets(3, [(0, 1), (1, 2), (2, 0)])
+        arc_graph(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def test_transpose_is_the_closure_of_the_reversed_arcs():
@@ -294,7 +291,7 @@ def test_selection_from_schedule_is_the_pairwise_order():
     for _ in range(150):
         inst = shuffled_ids(rng, random_dag_instance(rng, rng.randint(0, 7), n_res=1,
                                                      max_dur=rng.choice((0, 1, 3))))
-        rank = {v: r for r, v in enumerate(topological_order(inst.n_nodes, inst.precedence))}
+        rank = {v: r for r, v in enumerate(arc_graph(inst.n_nodes, inst.precedence)[0])}
         dur = inst.nominal_duration
         nodes = range(inst.n_nodes)
         for feasible, start in ((True, lft_schedule(inst)),
@@ -327,7 +324,7 @@ def test_branch_merges_seen_closures():
 
     def node_of(*arcs):
         arcs = inst.precedence + arcs
-        return (tuple(closure_bitsets(inst.n_nodes, arcs)),
+        return (tuple(arc_graph(inst.n_nodes, arcs)[1]),
                 tuple(ancestor_bitsets(inst.n_nodes, arcs)))
 
     root = node_of()
@@ -367,7 +364,7 @@ def test_conflict_finder_matches_brute_force():
         first_conflict = conflict_finder(inst)
         acts = range(1, inst.sink)
         arcs = set(inst.precedence)
-        reach = closure_bitsets(inst.n_nodes, inst.precedence)
+        reach = arc_graph(inst.n_nodes, inst.precedence)[1]
         ancestors = ancestor_bitsets(inst.n_nodes, inst.precedence)
         # The table's pairs and triples are the instance's minimal forbidden
         # sets of two and three members: the catalog's, once related ones go.
@@ -375,17 +372,17 @@ def test_conflict_finder_matches_brute_force():
         table = [(a, b) for a, later in pairs for b in acts if (later >> b) & 1]
         table += [(a, b, c) for idx, a in enumerate(cands) for b, third in triple_row(idx)
                   for c in acts if (third >> c) & 1]
-        assert sorted(f for f in table if not any(reaches(reach, i, j) for i in f for j in f)) \
+        assert sorted(f for f in table if not any((reach[i] >> j) & 1 for i in f for j in f)) \
             == [f for f in catalog if len(f) <= 3]
         while True:
             open_sets = [f for f in catalog
-                         if not any(reaches(reach, i, j) for i in f for j in f)]
+                         if not any((reach[i] >> j) & 1 for i in f for j in f)]
             expected = min(open_sets, key=lambda f: (len(f), f), default=None)
             fset = first_conflict(reach, ancestors)
             assert fset == expected, (inst, arcs)
             sizes.add(None if fset is None else min(len(fset), 4))
             free = [(i, j) for i in acts for j in acts
-                    if i != j and not reaches(reach, i, j) and not reaches(reach, j, i)]
+                    if i != j and not (reach[i] >> j) & 1 and not (reach[j] >> i) & 1]
             if not free:
                 break
             if fset and rng.random() < 0.5:
@@ -395,7 +392,7 @@ def test_conflict_finder_matches_brute_force():
             arcs.add((i, j))
             reach, ancestors, _ = child_closure(reach, ancestors, i, j)
             assert (list(reach), list(ancestors)) == \
-                (closure_bitsets(inst.n_nodes, arcs), ancestor_bitsets(inst.n_nodes, arcs))
+                (arc_graph(inst.n_nodes, arcs)[1], ancestor_bitsets(inst.n_nodes, arcs))
     assert sizes == {2, 3, 4, None}
 
 
