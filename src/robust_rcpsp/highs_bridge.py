@@ -10,15 +10,17 @@ argument, which a quoted ``'{mst}'`` becomes for a model without a warm
 start, means none.
 
 HiGHS reads the LP file written by :mod:`robust_rcpsp.milp` itself and
-solves it.  The bridge then writes the solution-file contract expected by
-``solve_external``: a status line (status word, plus the best bound when the
-model has integer columns, a solution was found and the bound is finite,
-since ``solve_external`` rejects a non-finite one) followed by one
-``name value`` line per variable.  A warm start is handed to HiGHS with
+solves it.  The bridge then writes the solution file of the contract this
+module holds for ``solve_external``: a status line, a word of ``STATUSES``
+plus the best bound when the model has integer columns, a solution was
+found and the bound is finite, then one ``name value`` line per variable.
+:func:`read_values` reads those lines, the status line with a bound, and
+the warm start: a blank line is skipped, any other is exactly a name and a
+finite number, and no name repeats.  A warm start is handed to HiGHS with
 ``setSolution`` before the solve, each name mapped to its column in
 ``getLp().col_names_``; a column the file does not name is left undefined
-for HiGHS to complete.  A line that is not a name and a finite number, or
-a name that is not a column of the model, exits 1 with a message on stderr.
+for HiGHS to complete.  A line that breaks that rule, or a name that is
+not a column of the model, exits 1 with a message on stderr.
 
 The HiGHS extension ``scipy/optimize/_highspy/_core`` is loaded straight
 from its file, inside :func:`solve_lp_file`.  Neither ``scipy.optimize``,
@@ -38,6 +40,31 @@ from pathlib import Path
 from .errors import BridgeError
 
 _CORE = "scipy.optimize._highspy._core"
+
+STATUSES = ("optimal", "feasible", "infeasible", "timeout", "error")
+
+
+def read_values(lines, where, start=0):
+    """Yield ``(line number, name, value)`` for each non-blank line from
+    ``lines[start]`` on; a line that is not exactly a name and a finite
+    number, or that repeats a name, raises ``BridgeError`` naming ``where``."""
+    seen = set()
+    for n, line in enumerate(lines[start:], start + 1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            name, value = fields
+            value = float(value)
+            if not math.isfinite(value):  # NaN passes every check, inf cannot be rounded
+                raise ValueError(value)
+        except ValueError:
+            raise BridgeError(f"{where} line {n}: expected a name and a finite "
+                              f"value, not {line!r}") from None
+        if name in seen:
+            raise BridgeError(f"{where} line {n}: repeated name {name!r}")
+        seen.add(name)
+        yield n, name, value
 
 
 def status_word(model_status: str, objective: float) -> str:
@@ -94,17 +121,7 @@ def set_warm_start(highs, mst_path):
     names = highs.getLp().col_names_
     column = {name: col for col, name in enumerate(names)}
     values = [math.inf] * len(names)  # HiGHS's kHighsUndefined: a value to complete
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            name, value = line.split()
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(value)
-        except ValueError:
-            raise BridgeError(f"{mst_path} line {lineno}: expected a name and a finite "
-                              f"value, not {line!r}") from None
+    for lineno, name, value in read_values(text.splitlines(), mst_path):
         if name not in column:
             raise BridgeError(f"{mst_path} line {lineno}: {name!r} is not a column of the model")
         values[column[name]] = value

@@ -65,7 +65,6 @@ machine).
 from __future__ import annotations
 
 import functools
-import math
 import shlex
 import string
 import subprocess
@@ -663,7 +662,7 @@ def export_warm_start(assignment, model: MilpModel) -> str:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    status: str  # optimal | feasible | infeasible | timeout | error
+    status: str  # one of highs_bridge.STATUSES
     objective: float | None = None
     bound: float | None = None
     values: dict = field(default_factory=dict, hash=False)
@@ -680,12 +679,13 @@ def solve_external(model: MilpModel, warm=None, *, command: str,
     rejects is an ``error`` outcome, and no process is started.  The
     warm start ``warm`` is written as an MST file only when the template
     names ``{mst}``; without one, ``{mst}`` renders empty.  The solver
-    must exit 0 and write a solution file starting with a status word
-    (optionally followed by a best bound) and one ``name value`` line per
-    variable.  Reported solutions are re-validated against the model
-    within 1e-6.  The files go to a temporary directory that is removed
-    before returning.  A zero time limit is spent before the solver
-    starts: the outcome is ``timeout`` and no process is started.
+    must exit 0 and write a solution file as :mod:`highs_bridge` sets out,
+    which ``highs_bridge.read_values`` reads; a column it omits reads 0,
+    and a name that is no column is ignored.  Reported solutions are
+    re-validated against the model within 1e-6.  The files go to a
+    temporary directory that is removed before returning.  A zero time
+    limit is spent before the solver starts: the outcome is ``timeout``
+    and no process is started.
     """
     t0 = time.perf_counter()
     problem = template_error(command)
@@ -695,7 +695,45 @@ def solve_external(model: MilpModel, warm=None, *, command: str,
         return SolveOutcome(status="timeout",
                             message="time limit spent before the solver started")
     with tempfile.TemporaryDirectory(prefix="robust_rcpsp_") as scratch:
-        return _solve_in(Path(scratch), model, warm, command, time_limit_s, t0)
+        lp_path = Path(scratch, "model.lp")
+        sol_path = Path(scratch, "solution.sol")
+        lp_path.write_text(export_lp(model))
+        mst_path = ""
+        if warm is not None and "mst" in _fields(command):
+            mst_path = Path(scratch, "warm.mst")
+            mst_path.write_text(export_warm_start(warm, model))
+        cmd = command.format(lp=lp_path, mst=mst_path, sol=sol_path,
+                             time_s=time_limit_s if time_limit_s else 0)
+        try:
+            proc = subprocess.run(
+                shlex.split(cmd), capture_output=True, text=True,
+                timeout=(time_limit_s + 60) if time_limit_s else None,
+            )
+        except subprocess.TimeoutExpired:
+            return SolveOutcome(status="timeout", time_s=time.perf_counter() - t0,
+                                message="solver process exceeded its grace period")
+        except OSError as exc:
+            return SolveOutcome(status="error", time_s=time.perf_counter() - t0,
+                                message=f"failed to launch solver: {exc}")
+        elapsed = time.perf_counter() - t0
+        if proc.returncode != 0:
+            return SolveOutcome(status="error", time_s=elapsed,
+                                message=f"solver exited {proc.returncode}: {proc.stderr.strip()}")
+        try:
+            status, bound, values = _read_solution(sol_path)
+        except BridgeError as exc:
+            return SolveOutcome(status="error", time_s=elapsed, message=str(exc))
+    if status in ("optimal", "feasible"):
+        violations = check_assignment(model, values, tol=1e-6)
+        if violations:
+            return SolveOutcome(status="error", time_s=elapsed, values=values,
+                                message="solution violates the model: "
+                                        + "; ".join(violations[:5]))
+        objective = float(evaluate_objective(model, values))
+        return SolveOutcome(status=status, objective=objective, bound=bound,
+                            values=values, time_s=elapsed)
+    return SolveOutcome(status=status, bound=bound, values=values, time_s=elapsed,
+                        message=proc.stderr.strip())
 
 
 PLACEHOLDERS = ("lp", "mst", "sol", "time_s")
@@ -717,76 +755,18 @@ def _fields(command):
     return [name for _, name, _, _ in string.Formatter().parse(command) if name is not None]
 
 
-def _solve_in(base: Path, model, warm, command, time_limit_s, t0) -> SolveOutcome:
-    lp_path = base / "model.lp"
-    sol_path = base / "solution.sol"
-    lp_path.write_text(export_lp(model))
-    mst_path = ""
-    if warm is not None and "mst" in _fields(command):
-        mst_path = base / "warm.mst"
-        mst_path.write_text(export_warm_start(warm, model))
-    cmd = command.format(lp=lp_path, mst=mst_path, sol=sol_path,
-                         time_s=time_limit_s if time_limit_s else 0)
-    try:
-        proc = subprocess.run(
-            shlex.split(cmd), capture_output=True, text=True,
-            timeout=(time_limit_s + 60) if time_limit_s else None,
-        )
-    except subprocess.TimeoutExpired:
-        return SolveOutcome(status="timeout", time_s=time.perf_counter() - t0,
-                            message="solver process exceeded its grace period")
-    except OSError as exc:
-        return SolveOutcome(status="error", time_s=time.perf_counter() - t0,
-                            message=f"failed to launch solver: {exc}")
-    elapsed = time.perf_counter() - t0
-    if proc.returncode != 0:
-        return SolveOutcome(status="error", time_s=elapsed,
-                            message=f"solver exited {proc.returncode}: {proc.stderr.strip()}")
-    try:
-        status, bound, values = _read_solution(sol_path)
-    except BridgeError as exc:
-        return SolveOutcome(status="error", time_s=elapsed, message=str(exc))
-    if status in ("optimal", "feasible"):
-        violations = check_assignment(model, values, tol=1e-6)
-        if violations:
-            return SolveOutcome(status="error", time_s=elapsed, values=values,
-                                message="solution violates the model: "
-                                        + "; ".join(violations[:5]))
-        objective = float(evaluate_objective(model, values))
-        return SolveOutcome(status=status, objective=objective, bound=bound,
-                            values=values, time_s=elapsed)
-    return SolveOutcome(status=status, bound=bound, values=values, time_s=elapsed,
-                        message=proc.stderr.strip())
-
-
 def _read_solution(path: Path):
     if not path.exists():
         raise BridgeError(f"solver wrote no solution file at {path}")
-    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
+    lines = path.read_text().splitlines()
+    head = next((n for n, line in enumerate(lines) if line.strip()), None)
+    if head is None:
         raise BridgeError("solution file is empty")
-    head = lines[0].split()
-    status = head[0].lower()
-    if status not in ("optimal", "feasible", "infeasible", "timeout", "error"):
+    fields = lines[head].split()
+    status = fields[0].lower()
+    if status not in highs_bridge.STATUSES:
         raise BridgeError(f"unknown solver status {status!r}")
-    bound = _finite(head[1], lines[0]) if len(head) > 1 else None
-    values = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise BridgeError(f"malformed solution line {ln!r}")
-        values[parts[0]] = _finite(parts[1], ln)
+    where = "solution file"
+    bound = next(highs_bridge.read_values(lines, where, head))[2] if len(fields) > 1 else None
+    values = {name: value for _, name, value in highs_bridge.read_values(lines, where, head + 1)}
     return status, bound, values
-
-
-def _finite(text, line):
-    """``text`` as a float.  NaN passes every comparison of
-    ``check_assignment`` and an infinity cannot be rounded, so both are
-    errors, like a non-number."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise BridgeError(f"non-numeric value in line {line!r}") from exc
-    if not math.isfinite(value):
-        raise BridgeError(f"non-finite value in line {line!r}")
-    return value

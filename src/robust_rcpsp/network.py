@@ -460,7 +460,10 @@ def covering_arcs(order, cut):
     return [(i, j) for i, c in zip(order, cut) for j in order[c:least[c]]]
 
 
-def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int = 8):
+MAX_NON_DUMMIES = 8  # the most activities enumerate_sufficient_selections searches
+
+
+def enumerate_sufficient_selections(inst: ProjectInstance):
     """Yield one selection per closure-minimal sufficient extension.
 
     Exhaustive search for tiny instances: a depth-first search over the
@@ -471,10 +474,9 @@ def enumerate_sufficient_selections(inst: ProjectInstance, max_non_dummies: int 
     subtrees of earlier siblings are in ``seen`` by then.
     Deterministic order: sorted added-arc tuples.
     """
-    if inst.n_activities > max_non_dummies:
+    if inst.n_activities > MAX_NON_DUMMIES:
         raise CapExceeded(
-            f"{inst.n_activities} non-dummy activities exceed the cap of {max_non_dummies}"
-        )
+            f"{inst.n_activities} non-dummy activities exceed the cap of {MAX_NON_DUMMIES}")
     n_nodes = inst.n_nodes
     first_conflict = conflict_finder(inst)
     leaves = {}

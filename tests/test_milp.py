@@ -1065,14 +1065,33 @@ def test_bridge_hands_highs_each_warm_start_value_by_name(tmp_path):
     assert set(held.values()) == {math.inf}  # HiGHS completes the undefined columns
 
 
+def test_warm_start_file_reads_back_as_its_assignment():
+    """The MST text ``export_warm_start`` writes reads back through
+    ``highs_bridge.read_values``, the bridge's reader, as exactly its
+    assignment: every name once, in model order, with an equal value."""
+    toy5 = robustify(parse_psplib((DATA / "toy5.sm").read_text()))
+    j30 = robustify(random_psplib_instance(random.Random(7), 30, 4))
+    for inst, gamma in ((toy5, 1), (j30, 7)):
+        for variant in ("warm", "warm+trans"):
+            model, assignment = build_variant(inst, gamma, variant)
+            text = export_warm_start(assignment, model)
+            read = list(highs_bridge.read_values(text.splitlines(), "warm.mst"))
+            names = [v.name for v in model.variables if v.name in assignment]
+            assert [name for _, name, _ in read] == names
+            assert len(names) == len(assignment)
+            assert all(value == assignment[name] for _, name, value in read)
+
+
 @pytest.mark.parametrize("text, problem", [
     ("S_1_0\n", "expected a name and a finite value, not 'S_1_0'"),
     ("S_1_0 0 1\n", "line 1: expected a name and a finite value"),
     ("S_1_0 0\nS_2_0 four\n", "line 2: expected a name and a finite value"),
     ("S_1_0 nan\n", "expected a name and a finite value, not 'S_1_0 nan'"),
     ("S_1_0 0\nS_9_0 1\n", "line 2: 'S_9_0' is not a column of the model"),
+    ("S_1_0 0\nS_1_0 4\n", "line 2: repeated name 'S_1_0'"),
     (None, "cannot read the warm start"),
-], ids=["no_value", "extra_field", "non_number", "nan", "unknown_name", "missing_file"])
+], ids=["no_value", "extra_field", "non_number", "nan", "unknown_name", "repeated_name",
+        "missing_file"])
 def test_bridge_rejects_a_malformed_warm_start(tmp_path, capsys, text, problem):
     inst = robustify(parse_psplib((DATA / "toy5.sm").read_text()))
     lp, mst, sol = tmp_path / "warm.lp", tmp_path / "warm.mst", tmp_path / "warm.sol"
@@ -1139,8 +1158,10 @@ def test_bridge_garbage_solution_is_error(tmp_path):
     ("", "solver wrote no solution file at "),
     ("pathlib.Path(sys.argv[1]).write_text('')", "solution file is empty"),
     ("pathlib.Path(sys.argv[1]).write_text('optimal\\nx 1 2\\n')",
-     "malformed solution line 'x 1 2'"),
-], ids=["no_file", "empty_file", "three_fields"])
+     "solution file line 2: expected a name and a finite value, not 'x 1 2'"),
+    ("pathlib.Path(sys.argv[1]).write_text('optimal\\nx 1\\nx 3\\n')",
+     "solution file line 3: repeated name 'x'"),
+], ids=["no_file", "empty_file", "three_fields", "repeated_name"])
 def test_bridge_without_a_usable_solution_file_is_error(tmp_path, write, problem):
     """The solver exits 0 each time."""
     fake = tmp_path / "fake_solver.py"
@@ -1150,7 +1171,7 @@ def test_bridge_without_a_usable_solution_file_is_error(tmp_path, write, problem
     assert problem in outcome.message
 
 
-@pytest.mark.parametrize("head, x, n, problem", [
+@pytest.mark.parametrize("head, x, n, kind", [
     ("optimal", "nan", "0", "non-finite"),
     ("optimal", "inf", "0", "non-finite"),
     ("optimal", "2", "nan", "non-finite"),
@@ -1160,10 +1181,14 @@ def test_bridge_without_a_usable_solution_file_is_error(tmp_path, write, problem
     ("feasible inf", "2", "0", "non-finite"),
     ("optimal -inf", "2", "0", "non-finite"),
     ("optimal abc", "2", "0", "non-numeric"),
+    ("optimal 2 junk", "2", "0", "extra-field"),
 ])
-def test_bridge_non_finite_or_non_numeric_value_is_error(tmp_path, head, x, n, problem):
+def test_bridge_non_finite_or_non_numeric_value_is_error(tmp_path, head, x, n, kind):
     """NaN passes every comparison of the model check, and rounding an
-    infinite integer value raised ``OverflowError`` out of ``solve_external``."""
+    infinite integer value raised ``OverflowError`` out of ``solve_external``.
+    A status line with a word after its bound was read as its first two.
+    ``kind`` only names the case: every one reads as a line that is not a
+    name and a finite number."""
     model = MilpModel(
         variables=(Variable("x", "continuous", 0, 5), Variable("n", "integer", 0, None)),
         constraints=(LinearConstraint("floor", (("x", 1),), ">=", 2),),
@@ -1174,7 +1199,8 @@ def test_bridge_non_finite_or_non_numeric_value_is_error(tmp_path, head, x, n, p
                     f"pathlib.Path(sys.argv[1]).write_text('{head}\\nx {x}\\nn {n}\\n')\n")
     outcome = solve_external(model, command=f"{sys.executable} {fake} {{sol}}")
     assert (outcome.status, outcome.objective) == ("error", None)
-    assert problem in outcome.message
+    line = 1 if " " in head else 2 if x != "2" else 3
+    assert f"solution file line {line}: expected a name and a finite value" in outcome.message
 
 
 def test_bridge_rejects_constraint_violating_solution(tmp_path):
