@@ -15,10 +15,13 @@ transpose by an arc; nothing transposes a closure bit by bit.
 ``relax_leveled_rows`` is the one longest-path kernel over leveled states
 (node, number of delays so far) and ``leveled_rows`` its one from-scratch
 run.  Forward, on predecessor lists in topological order, it gives the
-adversary DP, the warm start's leveled starts, the time windows' earliest
-starts and the branch-and-bound's head rows; backward, on successor lists
-in reversed order, the instance's ``nominal_tail`` and the
-branch-and-bound's tail rows.
+adversary DP, the time windows' earliest starts and the
+branch-and-bound's head rows; backward, on successor lists in reversed
+order, the instance's ``nominal_tail`` and the branch-and-bound's tail
+rows.  ``schedule_rows`` gives the same rows over a transitive order held
+as ``(order, cut)``, the form ``network.schedule_order`` returns: one
+sweep with the kernel's relaxation once per node and no predecessor
+lists, which the warm start's leveled starts and bound read.
 """
 from __future__ import annotations
 
@@ -143,6 +146,50 @@ def relax_leveled_rows(rows, order, pred, nominal, delayed):
                 g += 1
         if new != old:
             rows[j] = new
+
+
+def schedule_rows(nominal, delayed, gamma: int, order, cut) -> list[tuple[int, ...]]:
+    """The rows of ``leveled_rows`` over every pair of a transitive order,
+    in one sweep: node ``order[q]`` precedes exactly ``order[cut[q]:]``,
+    with ``cut[q] > q``, as in ``network.schedule_order``.  Rejects a
+    negative ``gamma``.
+
+    The predecessors of ``order[p]`` are the ``order[q]`` with ``cut[q] <=
+    p``, a set that only grows with ``p``.  So the sweep keeps ``best``,
+    the max of the contributions of the nodes released so far, releases
+    each node once its cut is reached, with the kernel's own relaxation,
+    and reads each row off ``best``: one relaxation per node, none per
+    pair or covering arc, and no predecessor lists.  A node at whose
+    position no node is released has the predecessors of the node before
+    it, and shares its row tuple.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    released = [[] for _ in range(len(order) + 1)]
+    for i, c in zip(order, cut):
+        released[c].append(i)
+    best = [0] * (gamma + 1)
+    row = tuple(best)
+    rows = [row] * len(nominal)
+    for j, due in zip(order, released):
+        if due:
+            for i in due:
+                a = nominal[i]
+                b = delayed[i]
+                cur_row = rows[i]
+                y = cur_row[0] + a
+                g = 0
+                for cur in cur_row:
+                    x = cur + a
+                    if y > x:
+                        x = y
+                    if x > best[g]:
+                        best[g] = x
+                    y = cur + b
+                    g += 1
+            row = tuple(best)
+        rows[j] = row
+    return rows
 
 
 def leveled_rows(nominal, delayed, gamma: int, order, adj) -> list[list[int]]:

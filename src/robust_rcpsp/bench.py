@@ -299,10 +299,19 @@ def _seconds(text):
     return value
 
 
+def _optional_number(text):
+    if not text:
+        return None
+    value = float(text)
+    if not abs(value) <= sys.float_info.max:  # nan compares false
+        raise ValueError(f"expected a finite number or nothing, not {text!r}")
+    return value
+
+
 # Field type -> (write, read) of its CSV column; ResultRecord.time_s is the
 # one plain float, a time in seconds.
 _CODECS = {"str": (str, str), "int": (str, int),
-           "float | None": (_fmt, lambda text: float(text) if text else None),
+           "float | None": (_fmt, _optional_number),
            "float": (lambda v: f"{v:.6f}", _seconds)}
 _COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(ResultRecord)]  # (name, write, read)
 
@@ -324,7 +333,9 @@ def results_to_csv(records) -> str:
 def records_from_csv(text: str) -> list[ResultRecord]:
     """The records of a results CSV; raises ``ValueError`` naming the line
     of a missing, unknown or repeated column, a short or long row, a bad
-    number or a ``time_s`` that is not a finite number >= 0."""
+    number, an ``objective``, ``bound`` or ``gap_percent`` that is not a
+    finite number or empty, or a ``time_s`` that is not a finite number
+    >= 0."""
     reader = csv.DictReader(io.StringIO(text))
     columns = reader.fieldnames or ()
     missing = [c for c in RESULTS_HEADER if c not in columns]

@@ -1,19 +1,21 @@
 """Deterministic scheduling heuristics and big-M time windows.
 
 A latest-finish-time priority rule drives a serial schedule-generation
-scheme on the nominal durations and the forbidden-set kernel's packed
-resource sums (``network.resource_fields``).  An activity of duration d
+scheme on the nominal durations and the instance's packed resource sums
+(``ProjectInstance.resource_fields``), which the forbidden-set kernel
+reads too.  An activity of duration d
 started at t holds its resources over the buckets
 ``range(t, t + max(d, 1))``, so a zero-duration activity holds its start
 bucket and no activity that would overload a resource together with it
 runs across that instant.  Two activities the schedule leaves unordered
 then hold a common bucket, so the members of a forbidden set cannot all
 be unordered: the implied selection is sufficient.  The warm start
-builds the schedule's order once (``network.schedule_order``) and takes
-its covering arcs (``network.covering_arcs``): the selection is those
-arcs less the instance arcs, whose closure is the whole order, and
-``_graph.leveled_rows`` over them gives the leveled start times and the
-upper bound that seed both the branch-and-bound and the compact model.
+builds the schedule's order once (``network.schedule_order``).  One
+sweep over that order (``_graph.schedule_rows``) gives the leveled start
+times and the upper bound that seed both the branch-and-bound and the
+compact model, with no arcs and no predecessor lists; the order's
+covering arcs (``network.covering_arcs``) less the instance arcs, whose
+closure is the whole order, give only the selection.
 The time windows run no DP: their earliest starts are the level-zero
 column of ``leveled_rows`` forward over the instance's ``pred`` at no
 delay; their latest finishes, like the LFT priorities, and the critical
@@ -31,10 +33,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from ._graph import leveled_rows, predecessors
+from ._graph import leveled_rows, schedule_rows
 from .errors import InvalidHorizonError
 from .instance import ProjectInstance
-from .network import Selection, covering_arcs, resource_fields, schedule_order
+from .network import Selection, covering_arcs, schedule_order
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     nominal path from each finish to the sink, and the successors and
     predecessor counts from ``inst.succ`` and ``inst.pred``.
 
-    A bucket's usage is one int of ``network.resource_fields``.  A window is
+    A bucket's usage is one int of ``inst.resource_fields``.  A window is
     tested from its last bucket down, and an overloaded bucket moves the
     start past it, as every earlier start holds it too.  The buckets from
     the new start to the old window's end were tested for the same
@@ -98,7 +100,7 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
     key = [(top - t) * n_nodes + v for v, t in enumerate(tail)]
     succ = inst.succ
     waiting = list(map(len, inst.pred))  # unscheduled predecessors
-    packed, _, high, empty = resource_fields(inst)
+    packed, high, empty = inst.resource_fields
     profile = [empty] * horizon  # per bucket: empty plus the packed usage
     start = [0] * n_nodes
     earliest = [0] * n_nodes
@@ -132,21 +134,19 @@ def lft_schedule(inst: ProjectInstance) -> tuple[int, ...]:
 def warm_start(inst: ProjectInstance, gamma: int) -> WarmStart:
     """LFT schedule -> its order -> adversary DP: leveled starts and bound.
 
-    The selection and the DP's input both come from the covering arcs of
-    one ``schedule_order``: the selection is those arcs less the instance
-    arcs, which has the order's closure.  The DP runs over the covering
-    arcs in schedule order: an arc a longer path implies raises no row,
-    since durations are nonnegative, so the rows are those of the DP over
-    the whole order.
+    The selection and the DP both read one ``schedule_order``.  The DP is
+    ``_graph.schedule_rows``, the kernel's rows over every pair of the
+    order, in one sweep that relaxes each node once.  The selection is the
+    order's covering arcs less the instance arcs, which has the order's
+    closure; so its DP rows are the sweep's, since an arc a longer path
+    implies raises no row when durations are nonnegative.
     """
     start = lft_schedule(inst)
     order, cut = schedule_order(inst, start)
-    arcs = covering_arcs(order, cut)
-    rows = leveled_rows(inst.nominal_duration, inst.worst_case_duration, gamma, order,
-                        predecessors(inst.n_nodes, arcs))
-    return WarmStart(selection=Selection(frozenset(arcs).difference(inst.precedence)),
-                     start=start, leveled_starts=tuple(map(tuple, rows)),
-                     upper_bound=rows[inst.sink][gamma])
+    rows = schedule_rows(inst.nominal_duration, inst.worst_case_duration, gamma, order, cut)
+    arcs = frozenset(covering_arcs(order, cut))
+    return WarmStart(selection=Selection(arcs.difference(inst.precedence)), start=start,
+                     leveled_starts=tuple(rows), upper_bound=rows[inst.sink][gamma])
 
 
 def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,

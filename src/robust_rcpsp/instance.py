@@ -8,7 +8,7 @@ and ``from_json`` share, and the optional ``activities`` (0..n+1) and ``meta``
 Activity ids are 0-based: PSPLIB job 1 becomes the dummy source 0 and job
 n+2 the dummy sink n+1, so index conventions match the rest of the library.
 
-An instance also holds seven derived fields, set at construction and
+An instance also holds eight derived fields, set at construction and
 left out of ``==``, the hash, ``repr`` and the JSON:
 
 - ``worst_case_duration``;
@@ -26,7 +26,10 @@ left out of ``==``, the hash, ``repr`` and the JSON:
   forward pass (``pred``) and the branch-and-bound's root (both) read
   instead of regrouping the arcs in every solve;
 - ``ancestors``, the transpose of ``closure``, which the catalog, the
-  exhaustive enumerator and the branch-and-bound's root start from.
+  exhaustive enumerator and the branch-and-bound's root start from;
+- ``resource_fields``, the requirement rows packed into one int each
+  with ``high`` and ``empty`` (``_resource_fields``), the one resource
+  arithmetic, which the LFT schedule and the forbidden-set kernel read.
 
 Construction checks each field once: one ``_ints`` call over its values,
 regrouped into rows or arcs, then ``_validate`` on every field but the
@@ -34,7 +37,9 @@ arcs.  The arc checks and the last six derived fields are one pure
 function of the nominal durations and the arcs, ``_arc_derivation``,
 cached for the last pair of them like ``milp``'s frames and blocks; so
 ``robustify``, a ``dataclasses.replace`` that keeps both and a parse of an
-instance just built derive nothing again, and share its tuples.
+instance just built derive nothing again, and share its tuples.  The
+packing is cached the same way for the last pair of requirements and
+capacities.
 """
 from __future__ import annotations
 
@@ -75,7 +80,7 @@ class ProjectInstance:
     resource usage.  Every activity is reachable from the source and reaches
     the sink; the precedence graph is acyclic.  Every entry is an integer
     and every arc a pair.  Violations raise ValueError at construction
-    time.  Seven fields are derived: ``worst_case_duration``, the nominal
+    time.  Eight fields are derived: ``worst_case_duration``, the nominal
     duration plus the maximal deviation per activity; ``order``, the
     topological order of the arcs (ties by smallest id); ``closure``,
     their reachability bitmasks; ``pred`` and ``succ``, per activity the
@@ -89,7 +94,10 @@ class ProjectInstance:
     ``_graph.reach_bitsets`` pass over ``order`` and ``pred``.  The last
     six depend on ``nominal_duration`` and ``precedence`` alone, and an
     instance that shares both with the one built before it shares those
-    six tuples too (``_arc_derivation``).
+    six tuples too (``_arc_derivation``).  ``resource_fields`` is
+    ``(packed, high, empty)``, the packed resource sums of
+    ``_resource_fields``; it depends on ``requirement`` and ``capacity``
+    alone and is shared the same way.
     """
 
     nominal_duration: tuple[int, ...]
@@ -105,6 +113,8 @@ class ProjectInstance:
     pred: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     succ: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     ancestors: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    resource_fields: tuple[tuple[int, ...], int, int] = field(init=False, compare=False,
+                                                               repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nominal_duration", _ints(self.nominal_duration))
@@ -116,6 +126,8 @@ class ProjectInstance:
         for name, value in zip(("order", "closure", "nominal_tail", "pred", "succ", "ancestors"),
                                _arc_derivation(self.nominal_duration, self.precedence)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "resource_fields",
+                           _resource_fields(self.requirement, self.capacity))
         object.__setattr__(self, "worst_case_duration", tuple(
             a + d for a, d in zip(self.nominal_duration, self.max_deviation)))
 
@@ -244,6 +256,36 @@ def _arc_derivation(nominal_duration, precedence):
     return (tuple(order), tuple(reach), tuple(row[0] for row in tail),
             tuple(map(tuple, pred)), tuple(map(tuple, succ)),
             tuple(reach_bitsets(order, pred)))
+
+
+@functools.lru_cache(maxsize=1)
+def _resource_fields(requirement, capacity):
+    """``(packed, high, empty)``: each requirement row packed into one int
+    with a ``w``-bit field per resource, k in bits ``[k*w, (k+1)*w)``.
+    Field k of ``empty`` is ``2**(w-1) - 1 - cap[k]``, so its top bit (the
+    overflow bit) in ``empty + sum(packed[i] for i in S)`` is set exactly
+    when S needs more than ``cap[k]``; ``high`` holds those bits.  ``w``
+    fits every requirement sum plus the largest capacity, so no carry
+    crosses into the next field.  Each row, ``high`` and ``empty`` are
+    packed by Horner's rule in base ``2**w``, from the last resource down.
+
+    The result depends on the two fields alone, so it is cached for the
+    last pair of them, like ``_arc_derivation``.
+    """
+    bound = max(map(sum, zip(*requirement)), default=0) + max(capacity, default=0)
+    w = bound.bit_length() + 1
+    top = 1 << (w - 1)
+    high = empty = 0
+    for c in reversed(capacity):
+        high = high << w | top
+        empty = empty << w | (top - 1 - c)
+    packed = []
+    for row in requirement:
+        total = 0
+        for r in reversed(row):
+            total = total << w | r
+        packed.append(total)
+    return tuple(packed), high, empty
 
 
 def robustify(inst: ProjectInstance) -> ProjectInstance:

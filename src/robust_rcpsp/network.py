@@ -6,8 +6,9 @@ forbidden set contains two activities that became precedence-related.
 
 One depth-first kernel, ``_antichain_search``, lists the minimal forbidden
 sets that are antichains of a closure, in lexicographic order, on the
-packed resource sums of ``resource_fields``, which the LFT schedule shares;
-a size cap limits a run to the sets of at most that many members.
+instance's packed resource sums (``ProjectInstance.resource_fields``),
+which the LFT schedule shares; a size cap limits a run to the sets of at
+most that many members.
 ``minimal_forbidden_sets`` takes all of the instance's, with no cap: the
 catalog, which the CLI's ``forbidden``, ``verify_selection`` and the
 tests read.  The searches over selections keep no catalog.
@@ -32,9 +33,9 @@ it when it visits a child, the branch-and-bound when it pops one.
 pair, against a catalog.  The CLI writes their JSON itself.
 
 ``schedule_order`` is the one source of the order a schedule implies,
-with its tie rule, and ``covering_arcs`` gives that order's covering
-pairs, whose closure is the order: the warm start reads both its
-selection and its DP's input from them.
+with its tie rule: the warm start sweeps it for its DP rows
+(``_graph.schedule_rows``), and ``covering_arcs`` gives that order's
+covering pairs, whose closure is the order, for its selection.
 """
 from __future__ import annotations
 
@@ -92,39 +93,6 @@ def extended_arcs(inst: ProjectInstance, sel: Selection) -> tuple[tuple[int, int
     return tuple(sorted(base | sel.added_arcs))
 
 
-def resource_fields(inst: ProjectInstance):
-    """``(packed, positive, high, empty)``: requirements packed into one int
-    with a ``w``-bit field per resource, k in bits ``[k*w, (k+1)*w)``.
-    Field k of ``empty`` is ``2**(w-1) - 1 - cap[k]``, so its top bit (the
-    overflow bit) in ``empty + sum(packed[i] for i in S)`` is set exactly
-    when S needs more than ``cap[k]``; ``high`` holds those bits and
-    ``positive[i]`` the ones i needs.  ``w`` fits every requirement sum
-    plus the largest capacity, so no carry crosses into the next field.
-
-    Each row, ``high`` and ``empty`` are packed by Horner's rule in base
-    ``2**w``, from the last resource down.  ``positive[i]`` is
-    ``(packed[i] + fill) & high`` with ``2**(w-1) - 1`` in every field of
-    ``fill``: a requirement below ``2**(w-1)`` sets its field's top bit
-    exactly when it is positive, and carries nothing out of the field."""
-    req = inst.requirement
-    cap = inst.capacity
-    bound = max(map(sum, zip(*req)), default=0) + max(cap, default=0)
-    w = bound.bit_length() + 1
-    top = 1 << (w - 1)
-    high = empty = 0
-    for c in reversed(cap):
-        high = high << w | top
-        empty = empty << w | (top - 1 - c)
-    packed = []
-    for row in req:
-        total = 0
-        for r in reversed(row):
-            total = total << w | r
-        packed.append(total)
-    fill = high - (high >> (w - 1))
-    return packed, [(p + fill) & high for p in packed], high, empty
-
-
 def _antichain_search(inst: ProjectInstance):
     """The one depth-first kernel over minimal forbidden sets.
 
@@ -144,10 +112,12 @@ def _antichain_search(inst: ProjectInstance):
     first, so sets are found in lexicographic order.  Supersets of a
     forbidden set are never explored.
 
-    Resource sums are ``resource_fields``' ints, tested with ``& high``.  An
-    overloaded antichain is minimal when dropping any member clears every
-    overflow bit; each field holds at least that member's requirement, so
-    the subtraction borrows nothing.
+    Resource sums are the ints of the instance's ``resource_fields``,
+    tested with ``& high``.  ``positive[i]``, derived here alone, holds the
+    overflow bits of the resources i needs.  An overloaded antichain is
+    minimal when dropping any member clears every overflow bit; each field
+    holds at least that member's requirement, so the subtraction borrows
+    nothing.
 
     The usable-resource cut is exact.  A set that overloads resource k is
     minimal only if every member has a positive requirement on k, since
@@ -170,7 +140,11 @@ def _antichain_search(inst: ProjectInstance):
     set.  The DFS keeps its levels on int stacks and allocates no
     container per step.
     """
-    packed, positive, high, empty = resource_fields(inst)
+    packed, high, empty = inst.resource_fields
+    # ``2**(w-1) - 1`` in every field: a requirement, below ``2**(w-1)``,
+    # sets its field's top bit in ``r + fill`` exactly when it is positive.
+    fill = high - high // (high & -high or 1)
+    positive = [(p + fill) & high for p in packed]
     cands = [i for i in range(1, inst.sink) if positive[i]]
     cand_mask = sum(1 << c for c in cands)
 

@@ -11,7 +11,7 @@ from gen import (
     shuffled_ids,
     tail_rows,
 )
-from robust_rcpsp._graph import arc_graph, leveled_rows
+from robust_rcpsp._graph import arc_graph, leveled_rows, schedule_rows
 from robust_rcpsp.adversary import (
     build_adversary_constraint_matrix,
     check_fractional_certificate,
@@ -135,6 +135,31 @@ def test_tail_rows_are_the_backward_dp():
         assert tails == leveled_rows(*durations, gamma, reversed(order), succ)
         rows = worst_case_makespan_dp(inst, EMPTY, gamma).leveled_starts
         assert list(map(list, rows)) == leveled_rows(*durations, gamma, order, pred)
+
+
+def test_schedule_rows_are_the_kernel_over_the_whole_order():
+    """For any ``cut`` with ``cut[q] > q`` over a shuffled order, node
+    ``order[q]`` preceding ``order[cut[q]:]`` is a transitive order, and
+    the sweep's rows equal ``leveled_rows`` over every pair of it, as
+    tuples: with zero durations, at gamma 0 and above the activity count.
+    A negative gamma is rejected as the kernel rejects it."""
+    rng = random.Random(49)
+    for _ in range(300):
+        n_nodes = rng.randint(1, 12)
+        order = rng.sample(range(n_nodes), n_nodes)
+        cut = [rng.randint(q + 1, n_nodes) for q in range(n_nodes)]
+        nominal = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n_nodes)]
+        delayed = [d + rng.choice((0, 0, 1, 3)) for d in nominal]
+        pred = [[] for _ in range(n_nodes)]
+        for q, i in enumerate(order):
+            for j in order[cut[q]:]:
+                pred[j].append(i)
+        for gamma in (0, rng.randint(1, 3), n_nodes + 1):
+            rows = schedule_rows(nominal, delayed, gamma, order, cut)
+            assert all(type(row) is tuple for row in rows)
+            assert rows == list(map(tuple, leveled_rows(nominal, delayed, gamma, order, pred)))
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        schedule_rows(nominal, delayed, -1, order, cut)
 
 
 @pytest.mark.parametrize("entry", [

@@ -201,8 +201,15 @@ HEADER = "instance,gamma,variant,status,objective,bound,gap_percent,time_s\n"
     (HEADER + "j1,1,bnb,optimal,3,3,0,1.5,EXTRA,MORE\n", "line 2: more values than the 8 columns"),
     (HEADER.replace("\n", ",instance\n") + "j1,1,bnb,optimal,3,3,0,1.5,j2\n",
      "line 1: repeated column 'instance'"),
+    (HEADER + "a,1,bnb,optimal,nan,,,1.0\n",
+     "line 2: expected a finite number or nothing, not 'nan'"),
+    (HEADER + "j1,1,bnb,optimal,3,3,0,1\nj2,1,bnb,feasible,3,-inf,,1\n",
+     "line 3: expected a finite number or nothing, not '-inf'"),
+    (HEADER + "j1,1,bnb,feasible,3,2,inf,1\n",
+     "line 2: expected a finite number or nothing, not 'inf'"),
 ], ids=["missing_column", "empty", "short_row", "bad_int", "empty_time", "nan_time", "inf_time",
-        "negative_time", "unknown_column", "long_row", "repeated_column"])
+        "negative_time", "unknown_column", "long_row", "repeated_column", "nan_objective",
+        "inf_bound", "inf_gap"])
 def test_records_from_csv_names_the_line(text, message):
     with pytest.raises(ValueError, match=message):
         records_from_csv(text)

@@ -412,7 +412,8 @@ def test_order_and_closure_are_those_of_the_arcs():
 
 def test_robustify_shares_the_derived_fields():
     """The derivation is a function of the durations and the arcs alone,
-    which ``robustify`` keeps, so the copy holds the same tuples."""
+    and the packing of the requirements and capacities alone, which
+    ``robustify`` keeps, so the copy holds the same tuples."""
     inst = parse_psplib((DATA / "toy5.sm").read_text())
     robust = robustify(inst)
     assert robust.order is inst.order
@@ -420,6 +421,7 @@ def test_robustify_shares_the_derived_fields():
     assert robust.nominal_tail is inst.nominal_tail
     assert robust.pred is inst.pred and robust.succ is inst.succ
     assert robust.ancestors is inst.ancestors
+    assert robust.resource_fields is inst.resource_fields
 
 
 def test_another_instance_between_leaves_the_derived_fields_right():
@@ -429,8 +431,8 @@ def test_another_instance_between_leaves_the_derived_fields_right():
     for _ in range(10):
         first, second = (random_psplib_instance(rng, rng.randint(3, 15), 2) for _ in range(2))
         robust = robustify(first)
-        assert (robust.order, robust.closure, robust.nominal_tail) == \
-            (first.order, first.closure, first.nominal_tail)
+        assert (robust.order, robust.closure, robust.nominal_tail, robust.resource_fields) == \
+            (first.order, first.closure, first.nominal_tail, first.resource_fields)
         assert_derived_from_scratch(robust)
         assert_derived_from_scratch(second)
 
@@ -468,8 +470,9 @@ def test_a_changed_arc_set_or_duration_is_derived_again():
 def test_order_and_closure_stay_out_of_equality_hash_repr_and_json():
     """Equality and the hash read the six declared fields only; ``repr``
     and ``to_json`` name none of the derived arc fields (``order``,
-    ``closure``, ``pred``, ``succ`` and ``ancestors``), and their text is
-    that of the code before the fields were held (the digest below)."""
+    ``closure``, ``pred``, ``succ`` and ``ancestors``) nor the packed
+    ``resource_fields``, and their text is that of the code before the
+    fields were held (the digest below)."""
     rng = random.Random(28)
     insts = [robustify(dataclasses.replace(
         parse_psplib(psplib_text(random_psplib_instance(rng, 12, 4))),
@@ -477,7 +480,7 @@ def test_order_and_closure_stay_out_of_equality_hash_repr_and_json():
     text = "".join(repr(inst) + to_json(inst) for inst in insts)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "27eb64d4fab6b9b550c2ec7261ebb2b138cae8c9858edc4b07efa2a5630110b8"
-    derived = ("order", "closure", "pred", "succ", "ancestors")
+    derived = ("order", "closure", "pred", "succ", "ancestors", "resource_fields")
     for inst in insts:
         assert not [name for name in derived if name in repr(inst) + to_json(inst)]
         declared = ("nominal_duration", "max_deviation", "requirement", "capacity",

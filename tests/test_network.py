@@ -29,7 +29,6 @@ from robust_rcpsp.network import (
     covering_arcs,
     enumerate_sufficient_selections,
     minimal_forbidden_sets,
-    resource_fields,
     schedule_order,
     verify_selection,
 )
@@ -105,20 +104,26 @@ def test_transpose_is_the_closure_of_the_reversed_arcs():
 
 
 def test_resource_fields_flag_exactly_the_overloaded_resources():
-    """Field k's overflow bit in ``empty`` plus the packed requirements of
-    a set is set exactly when the set needs more than ``cap[k]``, for any
-    set up to all activities together."""
+    """The instance's ``resource_fields``: field k of a packed row holds
+    the row's requirement on k, below the field's top bit, and field k's
+    overflow bit in ``empty`` plus the packed requirements of a set is set
+    exactly when the set needs more than ``cap[k]``, for any set up to all
+    activities together."""
     rng = random.Random(29)
     cases = [random_dag_instance(rng, rng.randint(0, 8), n_res=rng.randint(0, 3))
              for _ in range(30)]
     cases += [random_psplib_instance(rng, rng.choice((5, 30, 60)), n_res)
               for n_res in range(1, 7) for _ in range(3)]
     for inst in cases:
-        packed, positive, high, empty = resource_fields(inst)
+        packed, high, empty = inst.resource_fields
         top_bits = [1 << b for b in range(high.bit_length()) if (high >> b) & 1]
         assert len(top_bits) == len(inst.capacity)
-        for row, on in zip(inst.requirement, positive):
-            assert on == sum(bit for r, bit in zip(row, top_bits) if r)
+        w = top_bits[0].bit_length() if top_bits else 0  # field 0's top bit is bit w - 1
+        assert top_bits == [1 << (k * w + w - 1) for k in inst.resource_types]
+        for row, total in zip(inst.requirement, packed, strict=True):
+            assert total >> (len(row) * w) == 0
+            assert [total >> (k * w) & ((1 << w) - 1) for k in range(len(row))] == list(row)
+            assert all(r < 1 << (w - 1) for r in row)
         nodes = range(inst.n_nodes)
         subsets = [(), tuple(nodes)] + [rng.sample(nodes, rng.randint(1, inst.n_nodes))
                                         for _ in range(40)]
