@@ -260,9 +260,11 @@ def performance_profile(records, variants) -> PerformanceProfile:
 
 
 def instance_set_label(name: str) -> str:
-    """PSPLIB set label (J301..J3048) from a file stem like j3012_7."""
-    m = re.match(r"[jJ]30(\d+)_\d+$", name)
-    return f"J30{m.group(1)}" if m else name
+    """PSPLIB set label from a file stem of a single-mode set: J301..J3048
+    from j3012_7, J601.., J901.. and J1201..J12060 from j12060_10; any
+    other stem is its own label."""
+    m = re.match(r"[jJ](30|60|90|120)(\d+)_\d+$", name)
+    return f"J{m[1]}{m[2]}" if m else name
 
 
 def summarize(records) -> list[SummaryRow]:
@@ -280,8 +282,9 @@ def summarize(records) -> list[SummaryRow]:
 
 
 def _set_key(label):
-    m = re.match(r"J30(\d+)$", label)
-    return (0, int(m.group(1))) if m else (1, label)
+    """PSPLIB sets by size, then by set number; other labels after them."""
+    m = re.match(r"J(30|60|90|120)(\d+)$", label)
+    return (0, int(m[1]), int(m[2])) if m else (1, label)
 
 
 # ---------------------------------------------------------------------------

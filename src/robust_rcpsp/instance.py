@@ -444,16 +444,23 @@ def _table_rows(lines, first, title, n_rows):
         tokens = stripped.split()
         if not tokens[0].lstrip("-").isdigit():
             continue  # column header line
-        ints = []
-        for tok in tokens:
-            try:
-                ints.append(int(tok))
-            except ValueError:
-                raise ParseError(f"non-integer field {tok!r}", line=idx, section=title) from None
+        try:
+            ints = list(map(int, tokens))
+        except ValueError:
+            bad = next(tok for tok in tokens if not _is_int(tok))
+            raise ParseError(f"non-integer field {bad!r}", line=idx, section=title) from None
         rows.append((idx, ints))
     if len(rows) < n_rows:
         raise ParseError(f"expected {n_rows} rows, found {len(rows)}", section=title)
     return rows
+
+
+def _is_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _availability_row(lines, first, n_res):

@@ -32,10 +32,14 @@ per node and resource counts.  It holds the column and row names, the
 ``(name, +-1)`` terms that read no instance data, and the text of each
 row's LP line up to where the instance's numbers go (for a leveled row,
 its big-M; for a ``cap_`` row, the capacity; for a balance row, its
-right-hand side).  The fill writes only those numbers, and makes the
-rows and their text with ``map``/``zip`` over the frame.  The
+right-hand side).  The fill writes only those numbers: the leveled fill
+works out each pair's two big-Ms as flat lists, with no call per pair,
+and repeats each family's term and right-hand side for its rows.  The
 transitivity block reads nothing but the node count, so it is a frame
-alone.  ``export_lp`` only joins the texts of a model's blocks, section
+alone.  All three builders share one row constructor: one pass of
+``map(tuple.__new__, repeat(LinearConstraint), zip(names, coeffs,
+senses, rhss))``, whose zipped columns cost no Python call per row.
+``export_lp`` only joins the texts of a model's blocks, section
 by section; ``_render_rows`` writes the rows of a model without blocks,
 one by one, and is the referee the tests hold each block's text to.  The
 cyclic collector is paused while a build runs
@@ -71,8 +75,8 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
-from operator import add
+from itertools import chain, repeat
+from operator import add, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -183,18 +187,13 @@ def _block(columns, rows, lines):
     return _Block(columns, rows, "\n".join(lines), *_column_sections(columns))
 
 
-# A row from its (name, coeffs, sense, rhs) tuple, made in C without a
-# call of the named tuple's Python-level __new__.
-_new_row = functools.partial(tuple.__new__, LinearConstraint)
-
-
 class _LeveledFrame(NamedTuple):
     """What the leveled block of ``n_nodes`` nodes at ``gamma`` holds
     whatever the instance.
 
     - ``starts`` and ``columns``: the start names ``S_i_g``, node by node,
       and, by kind, their columns;
-    - ``pairs``: each ordered pair ``(i, j, y_i_j)``;
+    - ``arcs``: the arc name ``y_i_j`` of each ordered pair, ``i`` major;
     - ``names`` and ``terms``: each row's name and start terms, pair by
       pair, the ``gamma + 1`` rows ``nom_i_j_g`` before the ``gamma``
       rows ``dev_i_j_g``;
@@ -204,7 +203,7 @@ class _LeveledFrame(NamedTuple):
     """
     starts: tuple[str, ...]
     columns: dict
-    pairs: tuple[tuple[int, int, str], ...]
+    arcs: tuple[str, ...]
     names: tuple[str, ...]
     terms: tuple[tuple[tuple[str, int], ...], ...]
     lines: tuple[str, ...]
@@ -241,8 +240,7 @@ def _leveled_frame(n_nodes, gamma):
     # The source's first start, S_0_0, is fixed at zero.
     columns = {kind: tuple(Variable(s, kind, 0, None if k else 0) for k, s in enumerate(starts))
                for kind in ("continuous", "integer")}
-    return _LeveledFrame(starts, columns,
-                         tuple((i, j, arc_name(i, j)) for i in nodes for j in nodes),
+    return _LeveledFrame(starts, columns, tuple(arc_name(i, j) for i in nodes for j in nodes),
                          tuple(names), tuple(terms), tuple(lines))
 
 
@@ -254,47 +252,42 @@ def _leveled_block(gamma, integral_starts, nominal, dev, windows):
 
     The names, the start terms and the lines up to the big-M come from
     the frame of the node count and gamma.  The block writes what the
-    instance fixes: each pair's two big-Ms and right-hand sides, and the
-    tail of each line, which ends every line of its family."""
+    instance fixes: each pair's two big-Ms, worked out as flat lists pair
+    by pair, and from them the big-M terms, right-hand sides and line
+    tails of its ``nom_`` and ``dev_`` families.  Each family's value is
+    repeated for each of its rows, ``gamma + 1`` or ``gamma``, and the
+    rows are made in one pass of the row constructor."""
     frame = _leveled_frame(len(nominal), gamma)
-    m_global = sum(nominal) + sum(dev)  # total worst-case work bounds any makespan
-    es, lf = windows or (None, None)
-    empty = f" 0 {frame.starts[0]}"  # an empty row names the block's first column
-    big_ms = []
-    rhss = []
-    tails = []
-    for i, j, y in frame.pairs:
-        if windows is None:
-            m_same = m_cross = m_global
-        else:
-            m_same = max(0, lf[i] - es[j])
-            m_cross = max(0, lf[i] + dev[i] - es[j])
-        nom_m, nom_text = _big_m(y, m_same)
-        dev_m, dev_text = _big_m(y, m_cross)
-        nom_rhs = nominal[i] - m_same
-        dev_rhs = nominal[i] + dev[i] - m_cross
-        if i == j and not m_same:
-            nom_text = empty
-        big_ms += nom_m, dev_m
-        rhss += nom_rhs, dev_rhs
-        tails += f"{nom_text} >= {nom_rhs}\n", f"{dev_text} >= {dev_rhs}\n"
+    if windows is None:  # total worst-case work bounds any makespan
+        m_same = m_cross = [sum(nominal) + sum(dev)] * len(frame.arcs)
+    else:
+        es, lf = windows
+        m_same = [l - e if l > e else 0 for l in lf for e in es]
+        m_cross = [l - e if l > e else 0 for l in map(add, lf, dev) for e in es]
 
-    def per_row(values):
-        """One value per family, repeated for each of its rows: a nom_
-        family has gamma + 1, a dev_ family gamma."""
-        return chain.from_iterable(map(repeat, values, cycle((gamma + 1, gamma))))
+    def family(big_ms, work):
+        """The big-M terms, right-hand sides and line tails of one family
+        of each pair, whose rows read ``big_ms`` and the pair's ``work``;
+        a zero big-M writes no term."""
+        rhss = list(map(sub, work, big_ms))
+        terms = [((y, -m),) if m else () for y, m in zip(frame.arcs, big_ms)]
+        tails = [f" - {m} {y} >= {r}\n" if m > 1 else f" - {y} >= {r}\n" if m else f" >= {r}\n"
+                 for y, m, r in zip(frame.arcs, big_ms, rhss)]
+        return terms, rhss, tails
 
-    rows = tuple(map(_new_row, zip(frame.names, map(add, frame.terms, per_row(big_ms)),
-                                   repeat(">="), per_row(rhss))))
+    noms = family(m_same, [w for w in nominal for _ in nominal])
+    devs = family(m_cross, [w + d for w, d in zip(nominal, dev) for _ in nominal])
+    for p in range(0, len(frame.arcs), len(nominal) + 1):
+        if not m_same[p]:  # an empty row names the block's first column
+            noms[2][p] = f" 0 {frame.starts[0]} >= {noms[1][p]}\n"
+    terms, rhss = (chain.from_iterable(zip(*[a] * (gamma + 1), *[b] * gamma))
+                   for a, b in zip(noms[:2], devs[:2]))
+    rows = tuple(map(tuple.__new__, repeat(LinearConstraint),
+                     zip(frame.names, map(add, frame.terms, terms), repeat(">="), rhss)))
+    tails = chain.from_iterable(zip(noms[2], devs[2]))
     text = "".join(map(str.replace, frame.lines, repeat("\n"), tails))[:-1]
     columns = frame.columns["integer" if integral_starts else "continuous"]
     return _Block(columns, rows, text, *_column_sections(columns))
-
-
-def _big_m(y, m):
-    """The big-M term ``(y, -m)`` of a precedence row as a term tuple and
-    as LP text after a space, both empty for a zero ``m``."""
-    return (((y, -m),), f" {_coef(-m)}{y}") if m else ((), "")
 
 
 class _SelectionFrame(NamedTuple):
@@ -303,20 +296,21 @@ class _SelectionFrame(NamedTuple):
     the flow names ``f_i_j_k``, row by row; the arc columns that no
     precedence fixes (a self-arc fixed at 0, the sink's at 1, the others
     free) with their ``Bounds`` lines (None for a free arc); the flow
-    columns and the ``Binaries`` text; and the rows' names and their
-    terms that read no instance data, with an LP ``template`` of their
-    lines holding a ``%s`` where the instance writes a capacity's
-    coefficient (``cap_``) or a right-hand side (``fin_``, ``fout_``)."""
+    columns and the ``Binaries`` text; and the rows' names and senses,
+    the ``cap_`` rows before the balance rows, their terms that read no
+    instance data, and an LP ``template`` of their lines holding a ``%s``
+    where the instance writes a capacity's coefficient (``cap_``) or a
+    right-hand side (``fin_``, ``fout_``)."""
     arcs: tuple[str, ...]
     arc_columns: tuple[Variable, ...]
     arc_bounds: tuple[str | None, ...]
     flows: tuple[str, ...]
     flow_columns: tuple[Variable, ...]
     binaries: str
-    cap_names: tuple[str, ...]
+    names: tuple[str, ...]
+    senses: tuple[str, ...]
     cap_flows: tuple[tuple[str, int], ...]
     cap_arcs: tuple[str, ...]
-    balance_names: tuple[str, ...]
     balance_terms: tuple[tuple[tuple[str, int], ...], ...]
     template: str
 
@@ -365,10 +359,11 @@ def _selection_frame(n_nodes, n_resources):
         arc_bounds=tuple(arc_bounds), flows=flows,
         flow_columns=tuple(Variable(f, "continuous", 0, None) for f in flows),
         binaries="\n".join(f" {y}" for row in Y for y in row),
-        cap_names=tuple(cap_names), cap_flows=tuple(t for row in f_pos for ts in row for t in ts),
+        names=tuple(cap_names + balance_names),
+        senses=("<=",) * len(cap_names) + ("=",) * len(balance_names),
+        cap_flows=tuple(t for row in f_pos for ts in row for t in ts),
         cap_arcs=tuple(y for row in Y for y in row for _ in resources),
-        balance_names=tuple(balance_names), balance_terms=tuple(balance_terms),
-        template="\n".join(heads))
+        balance_terms=tuple(balance_terms), template="\n".join(heads))
 
 
 @functools.lru_cache(maxsize=1)
@@ -377,10 +372,11 @@ def _selection_block(precedence, capacity, requirement):
     ``cap_``, ``fin_`` and ``fout_``: the arcs fixed by the precedence, and
     the flows routing each resource from the source to the sink.
 
-    The names, the flow terms and the line heads come from the frame of
-    the node and resource counts; the block writes what the instance
-    fixes: the precedence arcs' bounds, each ``cap_`` row's capacity and
-    the balance rows' right-hand sides."""
+    The names, the senses, the flow terms and the line heads come from
+    the frame of the node and resource counts; the block writes what the
+    instance fixes: the precedence arcs' bounds, each ``cap_`` row's
+    capacity and the balance rows' right-hand sides, and makes the rows
+    in one pass of the row constructor."""
     n_nodes = len(requirement)
     sink = n_nodes - 1
     frame = _selection_frame(n_nodes, len(capacity))
@@ -397,11 +393,10 @@ def _selection_block(precedence, capacity, requirement):
             for j, reqs in enumerate(requirement) for c, r in zip(capacity, reqs)]
     rhss += [c if i == 0 else 0 if i == sink else r
              for i, reqs in enumerate(requirement) for c, r in zip(capacity, reqs)]
-    caps = zip(frame.cap_arcs, cycle([-c for c in capacity]))
-    rows = chain(map(_new_row, zip(frame.cap_names, zip(frame.cap_flows, caps),
-                                   repeat("<="), repeat(0))),
-                 map(_new_row, zip(frame.balance_names, frame.balance_terms,
-                                   repeat("="), rhss)))
+    caps = zip(frame.cap_arcs, [-c for c in capacity] * (n_nodes * n_nodes))
+    rows = map(tuple.__new__, repeat(LinearConstraint),
+               zip(frame.names, chain(zip(frame.cap_flows, caps), frame.balance_terms),
+                   frame.senses, [0] * len(frame.cap_flows) + rhss))
     text = frame.template % (tuple(_coef(-c) for c in capacity) * (n_nodes * n_nodes)
                              + tuple(rhss))
     return _Block(tuple(arc_columns) + frame.flow_columns, tuple(rows), text,
@@ -412,40 +407,55 @@ def _selection_block(precedence, capacity, requirement):
 def _transitivity_block(n_nodes):
     """The ``pair_`` and ``tri_`` rows over the arc binaries of ``n_nodes``
     nodes: they read no instance data but the node count, with the sink as
-    the last node.  The columns are the selection block's."""
+    the last node.  The columns are the selection block's.  The names,
+    terms and lines are made pair by pair, and the rows in one pass of the
+    row constructor."""
     sink = n_nodes - 1
     nodes = range(n_nodes)
     suffix = [str(x) for x in nodes]
     Y = [[arc_name(i, j) for j in nodes] for i in nodes]
     y_pos = [[(y, 1) for y in row] for row in Y]
     y_neg = [[(y, -1) for y in row] for row in Y]
-    rows = []
+    names = []
+    coeffs = []
     lines = []
     for i in nodes:
         for j in nodes:
             if (i, j) == (sink, sink):
                 continue
             if i == j:
-                coeffs, body = ((Y[i][i], 2),), f"2 {Y[i][i]}"
+                coeffs.append(((Y[i][i], 2),))
+                body = f"2 {Y[i][i]}"
             else:
-                coeffs, body = (y_pos[i][j], y_pos[j][i]), f"{Y[i][j]} + {Y[j][i]}"
-            rows.append(LinearConstraint(f"pair_{i}_{j}", coeffs, "<=", 1))
-            lines.append(f" pair_{i}_{j}: {body} <= 1")
+                coeffs.append((y_pos[i][j], y_pos[j][i]))
+                body = f"{Y[i][j]} + {Y[j][i]}"
+            names.append(f"pair_{i}_{j}")
+            lines.append(f" {names[-1]}: {body} <= 1")
     for i in nodes:
         for l in nodes:
             # y_il + y_lj - y_ij <= 1; the names coincide only when
             # i == l or l == j, and what is left of those rows is y_ll,
             # with coefficient 1.
-            y_il, Y_il, Y_l, Y_i = y_pos[i][l], Y[i][l], Y[l], Y[i]
-            coeffs = [(y_il, y_lj, y_ij) for y_lj, y_ij in zip(y_pos[l], y_neg[i])]
-            bodies = [f"{Y_il} + {Y_l[j]} - {Y_i[j]}" for j in nodes]
-            for j in (nodes if i == l else (l,)):
-                coeffs[j] = (y_pos[l][l],)
-                bodies[j] = Y_l[l]
+            Y_il, Y_l, Y_i = Y[i][l], Y[l], Y[i]
             pre = f"tri_{i}_{l}_"
-            rows += [LinearConstraint(pre + sfx, c, "<=", 1) for sfx, c in zip(suffix, coeffs)]
-            lines += [f" {pre}{sfx}: {body} <= 1" for sfx, body in zip(suffix, bodies)]
-    return _block((), tuple(rows), lines)
+            family = [pre + sfx for sfx in suffix]
+            terms = list(zip(repeat(y_pos[i][l]), y_pos[l], y_neg[i]))
+            family_lines = [f" {name}: {Y_il} + {y_lj} - {y_ij} <= 1"
+                            for name, y_lj, y_ij in zip(family, Y_l, Y_i)]
+            merged = (y_pos[l][l],)
+            for j in (nodes if i == l else (l,)):
+                terms[j] = merged
+                family_lines[j] = f" {family[j]}: {Y_l[l]} <= 1"
+            names += family
+            coeffs += terms
+            lines += family_lines
+    # The lines are joined and freed before the rows are made: holding
+    # both raised model-j30's peak RSS by 2 MB.
+    text = "\n".join(lines)
+    del lines
+    rows = tuple(map(tuple.__new__, repeat(LinearConstraint),
+                     zip(names, coeffs, repeat("<="), repeat(1))))
+    return _Block((), rows, text, "", "", "")
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,16 @@ def test_profile_rejects_duplicates():
 def test_set_labels():
     assert instance_set_label("j301_1") == "J301"
     assert instance_set_label("j3048_10") == "J3048"
+    assert instance_set_label("j6012_7") == "J6012"
+    assert instance_set_label("j901_1") == "J901"
+    assert instance_set_label("j1201_3") == "J1201"
+    assert instance_set_label("j12060_10") == "J12060"
     assert instance_set_label("custom") == "custom"
+    assert instance_set_label("j45_1") == "j45_1"
+    stems = ["j12060_10", "j3048_1", "custom", "j901_2", "j6012_7", "j301_1", "j1201_3",
+             "j302_4", "j601_9", "j6048_1"]
+    assert [row.set for row in summarize([rec(stem, "bnb") for stem in stems])] == [
+        "J301", "J302", "J3048", "J601", "J6012", "J6048", "J901", "J1201", "J12060", "custom"]
 
 
 def test_summarize_columns():

@@ -122,7 +122,32 @@ def test_parse_error_names_section_and_line(lineno, text, section, line):
     assert err.value.line == line
 
 
-PRECEDENCE_TABLE = ["PRECEDENCE RELATIONS:", "jobnr.    #modes  #successors   successors",
+@pytest.mark.parametrize("lineno, text, section", [
+    (29, "  2      1     x       2", "REQUESTS/DURATIONS"),
+    (30, "  3      1     3       2   x", "REQUESTS/DURATIONS"),
+    (19, "   2        1          1           x", "PRECEDENCE RELATIONS"),
+], ids=["requests-mid-row", "requests-last-field", "precedence-successor"])
+def test_a_non_integer_table_field_is_named_with_its_line_and_section(lineno, text, section):
+    """A table row whose first field is an int is read whole: a field
+    that ``int`` rejects after it is named, with its line and section."""
+    lines = (DATA / "toy5.sm").read_text().splitlines()
+    lines[lineno - 1] = text
+    with pytest.raises(ParseError) as err:
+        parse_psplib("\n".join(lines))
+    assert str(err.value) == f"non-integer field 'x' (section {section!r}, line {lineno})"
+    assert (err.value.section, err.value.line) == (section, lineno)
+
+
+def test_a_table_header_row_is_skipped():
+    """Rows whose first field is not an int are column headers, wherever
+    they stand in the table."""
+    lines = (DATA / "toy5.sm").read_text().splitlines()
+    lines[27:27] = ["jobnr. mode duration  R 1"]
+    lines[18:18] = ["jobnr.    #modes  #successors   successors"]
+    assert parse_psplib("\n".join(lines)) == parse_psplib((DATA / "toy5.sm").read_text())
+
+
+PRECEDENCE_TABLE = ["PRECEDENCE RELATIONS:","jobnr.    #modes  #successors   successors",
                     "   1        1          1           5"]
 
 

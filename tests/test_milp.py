@@ -365,6 +365,32 @@ def test_lp_text_is_pinned():
         assert digest == PINNED_LP_SHA256[label, variant], (label, variant)
 
 
+# SHA-256 of the LP text of every bench variant, and of the MST text of
+# the warm variants, for model-j30's shape: the robustified
+# random_psplib_instance(random.Random(7), 30, 4) at gamma 7.  Both warm
+# variants write the same warm start.
+PINNED_J30_SHA256 = {
+    ("basic", "lp"): "af922a5e3aeb8357ed08c8512028a29bd45d5e1d3e6468520f923b0eb13b7cf5",
+    ("trans", "lp"): "5bcb8d8465588db4e2a6dd720eb315dde29681665335ac20968b5edd4c1e64c2",
+    ("warm", "lp"): "fbaa55fbce00f95da890a37fd161e44fe691e502a3365bf8d436f38b99c3e6f4",
+    ("warm", "mst"): "f2ecbfb1343aaf67de700500d90fe99d55d1c2aea80f643836ca730fa9413671",
+    ("warm+trans", "lp"): "175b3677001520cbf254f5f4d6f5f9eb584b0ef745e0a840d5421ac34cb479e9",
+    ("warm+trans", "mst"): "f2ecbfb1343aaf67de700500d90fe99d55d1c2aea80f643836ca730fa9413671",
+}
+
+
+def test_j30_lp_and_mst_texts_are_pinned():
+    inst = robustify(random_psplib_instance(random.Random(7), 30, 4))
+    digests = {}
+    for variant in MILP_VARIANTS:
+        model, assignment = build_variant(inst, 7, variant)
+        digests[variant, "lp"] = hashlib.sha256(export_lp(model).encode()).hexdigest()
+        if assignment is not None:
+            text = export_warm_start(assignment, model)
+            digests[variant, "mst"] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == PINNED_J30_SHA256
+
+
 def test_highs_reads_the_pinned_lp_texts_like_read_lp():
     """The bridge hands the LP file to HiGHS's reader, which read_lp runs:
     it must see the in-memory model of every pinned text."""
@@ -629,6 +655,42 @@ def test_each_block_writes_the_text_of_its_rows():
                     assert export_lp(model) == per_row_text(model), (inst.meta.name, gamma)
                     seen.update(lines_seen(model))
     assert seen == {"zero big-M", "big-M of 1", "empty row", "merged tri_", "capacity 1"}
+
+
+def reference_transitivity_rows(n_nodes):
+    """The ``pair_`` and ``tri_`` rows of ``n_nodes`` nodes, each built by
+    name from ``arc_name``: ``pair_i_j`` is y_ij + y_ji <= 1 (2 y_ii on the
+    diagonal, none for the sink's self-arc), ``tri_i_l_j`` is
+    y_il + y_lj - y_ij <= 1, which is y_ll alone when i == l or l == j."""
+    nodes = range(n_nodes)
+    sink = n_nodes - 1
+    rows = [LinearConstraint(f"pair_{i}_{j}", ((arc_name(i, i), 2),) if i == j
+                             else ((arc_name(i, j), 1), (arc_name(j, i), 1)), "<=", 1)
+            for i in nodes for j in nodes if (i, j) != (sink, sink)]
+    rows += [LinearConstraint(f"tri_{i}_{l}_{j}", ((arc_name(l, l), 1),) if l in (i, j)
+                              else ((arc_name(i, l), 1), (arc_name(l, j), 1),
+                                    (arc_name(i, j), -1)), "<=", 1)
+             for i in nodes for l in nodes for j in nodes]
+    return rows
+
+
+@pytest.mark.parametrize("n_nodes, merged", [(2, 6), (62, 62 * 62 * 2 - 62)])
+def test_the_transitivity_block_is_its_rows_built_by_name(n_nodes, merged):
+    """n = 2 is the source and the sink alone: ``pair_1_1`` is skipped, and
+    only ``tri_0_1_0`` and ``tri_1_0_1`` keep three terms.  n = 62 is the
+    j60 shape.  Each row is exactly a ``LinearConstraint`` of ints, equal
+    to the row built by name, and the block's text is its rows rendered
+    one by one."""
+    block = milp._transitivity_block(n_nodes)
+    assert block.columns == ()
+    assert all(type(row) is LinearConstraint for row in block.rows)
+    assert all(type(c) is int for row in block.rows for _, c in row.coeffs)
+    assert all(type(row.rhs) is int for row in block.rows)
+    assert list(block.rows) == reference_transitivity_rows(n_nodes)
+    assert sum(row.name.startswith("tri_") and len(row.coeffs) == 1
+               for row in block.rows) == merged
+    assert sum(row.name.startswith("pair_") for row in block.rows) == n_nodes * n_nodes - 1
+    assert block.text == rows_text(block)
 
 
 def test_a_block_built_from_a_kept_frame_equals_one_built_cold():
