@@ -14,12 +14,14 @@ The search builds no catalog of minimal forbidden sets, so everything
 after the warm start and the root bound runs under the time limit.  A
 node holds its closure (one reachability bitmask per activity) and the
 closure's transpose (one ancestor mask per activity), and finds its own
-branching set from them alone: its first unresolved conflicting pair, in
-O(n) from per-activity pair masks; when every pair is resolved, its first
-unresolved triple, from the instance's triple rows, each filled the first
-time a node reads it; and only when no triple is left either, the
-lexicographically first unresolved set of the least size, from the
-kernel under a size cap of 4, 5, ... (see ``conflict_finder``).  So a
+branching set from them alone: its first unresolved conflicting pair,
+from per-activity pair masks; when every pair is resolved, its first
+unresolved triple, from the instance's triple rows; and only when no
+triple is left either, the lexicographically first unresolved set of the
+least size, from the kernel under a size cap of 4, 5, ... (see
+``conflict_finder``).  The masks and rows test an overload on the packed
+resource sums, as the kernel does, and each is filled the first time a
+node's scan reaches it, so a search pays only for the ones it reads.  So a
 node branches into as few children as its unresolved sets allow: two for
 a pair, k(k - 1) for a set of k members.
 

@@ -17,14 +17,13 @@ tests read.  The searches over selections keep no catalog.
 of the branch-and-bound and of the exhaustive
 ``enumerate_sufficient_selections``: the finder gives a node's smallest
 unresolved set, ties broken lexicographically, as a function of the
-node's closure alone.  It looks in three stages, from one per-instance
-conflict table (``_conflict_table``) whose threshold masks ``above[k][t]``
-hold the candidates that need more than t units of resource k: pair
-masks, in O(n) per node; once no pair is left, triple rows, each filled
-the first time a scan reaches its activity; and once no triple is left
-either, the kernel under a size cap of 4, 5, ....  The set is an
-antichain of the node's closure, so every
-ordered pair (i, j) of it is the arc of a child, with no reach test;
+node's closure alone.  It tests an overload as the kernel does, on the
+packed resource sums, and looks in three stages: pair masks; once no
+pair is left, triple rows; and once no triple is left either, the kernel
+under a size cap of 4, 5, ....  Each pair mask and triple row is filled
+the first time a scan reaches its activity.  The set is an antichain of
+the node's closure, so every ordered pair (i, j) of it is the arc of a
+child, with no reach test;
 ``child_closure`` gives a child's closure, its transpose and the
 ancestors of the arc's tail.  Each caller keeps its own ``seen`` set of
 closures to merge children that reach one closure: the enumerator checks
@@ -222,23 +221,33 @@ def conflict_finder(inst: ProjectInstance):
     forbidden set that is an antichain of ``closure`` (with its transpose
     ``ancestors``), ties broken lexicographically, or None when the closure
     resolves every minimal forbidden set.  The set depends on the closure
-    alone.  It looks in three stages, each reached only when the one before
-    finds nothing:
+    alone.  The candidates are the activities with a positive requirement,
+    in increasing order, as in ``_antichain_search``, and a set overloads a
+    resource when ``empty`` plus its members' ``packed`` ints has a bit of
+    ``high`` (``inst.resource_fields``), the kernel's own test.  The finder
+    looks in three stages, each reached only when the one before finds
+    nothing:
 
     1. *Pair masks.*  Every requirement fits its capacity (the instance
        checks it), so two activities that overload a resource together form
-       a minimal forbidden set.  ``_conflict_table`` gives, for each
-       candidate ``a``, the mask of the later candidates it overloads a
-       resource with.  A node's first unresolved pair is the first ``a``
-       whose mask has a bit outside ``closure[a] | ancestors[a]``, with
-       that bit's lowest ``b``: O(n) per node.
-    2. *Triple rows.*  With no pair left, a set of three is minimal exactly
-       when it overloads a resource and none of its pairs does.  Row ``a``
-       maps each later ``b`` that fits with ``a`` to the mask of the
-       candidates ``c > b`` that overload a resource with both and conflict
-       with neither as a pair.  The scan walks the rows in increasing ``a``
-       and each row in increasing ``b``; the first ``(a, b, c)`` with ``b``
-       and ``c`` unrelated to ``a``, and ``c`` unrelated to ``b``, is the
+       a minimal forbidden set.  ``later[a]`` is the mask of the candidates
+       after ``a`` that overload a resource with it.  A node's first
+       unresolved pair is the first ``a`` whose mask has a bit outside
+       ``closure[a] | ancestors[a]``, with that bit's lowest ``b``.  The
+       masks are filled in candidate order, each the first time a scan
+       reaches it: a scan reads the filled masks that are not zero, then
+       fills on from where the fill stopped, so it reads no more masks than
+       a table of every candidate's would hold.
+    2. *Triple rows.*  With no pair left, every pair mask is filled, and a
+       set of three is minimal exactly when it overloads a resource and
+       none of its pairs does.  Row ``a`` maps each later ``b`` that fits
+       with ``a`` to the mask of the candidates ``c > b`` that overload a
+       resource with both and are in neither ``later[a]`` nor ``later[b]``;
+       a ``b`` whose mask is zero is left out, so the rows hold exactly the
+       minimal forbidden sets of three members, whatever their precedence.
+       The scan walks the rows in increasing ``a`` and each row in
+       increasing ``b``; the first ``(a, b, c)`` with ``b`` and ``c``
+       unrelated to ``a``, and ``c`` unrelated to ``b``, is the
        lexicographically smallest unresolved triple.  A row is filled when
        a scan first reaches its ``a``, so a short search pays only for the
        rows it reads.
@@ -247,21 +256,47 @@ def conflict_finder(inst: ProjectInstance):
        the first set it finds is the answer; the first run that finds none
        and cut no branch proves the closure a leaf.
 
-    A solve stopped before its first node (``node_cap=0``) builds neither
-    the table nor the kernel.
+    A solve stopped before its first node (``node_cap=0``) fills no mask
+    and builds no kernel.
     """
-    table = rows = search = None
+    packed, high, empty = inst.resource_fields
+    cands = [i for i in range(1, inst.sink) if packed[i]]
+    later = [0] * inst.n_nodes  # the filled pair masks
+    pairs = []  # (a, later[a]) for each filled mask that is not zero
+    rows = [None] * len(cands)  # the triple rows filled so far
+    filled = 0  # the candidates whose pair masks are filled
+    search = None
+
+    def triple_row(idx):
+        a = cands[idx]
+        row = []
+        for at in range(idx + 1, len(cands)):
+            b = cands[at]
+            if (later[a] >> b) & 1:
+                continue
+            both = empty + packed[a] + packed[b]
+            third = sum(1 << c for c in cands[at + 1:] if (both + packed[c]) & high)
+            third &= ~(later[a] | later[b])
+            if third:
+                row.append((b, third))
+        return row
 
     def first_conflict(closure, ancestors):
-        nonlocal table, rows, search
-        if table is None:
-            table = _conflict_table(inst)
-            rows = [None] * len(table[1])  # the triple rows filled so far
-        pairs, cands, triple_row = table
+        nonlocal filled, search
         for a, conf in pairs:
             free = conf & ~(closure[a] | ancestors[a])
             if free:
                 return a, (free & -free).bit_length() - 1
+        while filled < len(cands):
+            a = cands[filled]
+            filled += 1
+            alone = empty + packed[a]
+            conf = later[a] = sum(1 << b for b in cands[filled:] if (alone + packed[b]) & high)
+            if conf:
+                pairs.append((a, conf))
+                free = conf & ~(closure[a] | ancestors[a])
+                if free:
+                    return a, (free & -free).bit_length() - 1
         for idx, a in enumerate(cands):
             row = rows[idx]
             if row is None:
@@ -283,66 +318,6 @@ def conflict_finder(inst: ProjectInstance):
                     return None
 
     return first_conflict
-
-
-def _conflict_table(inst: ProjectInstance):
-    """The instance's pair and triple conflicts, from threshold masks.
-
-    Returns ``(pairs, cands, triple_row)``.  ``cands`` are the
-    activities with a positive requirement, in increasing order, as in
-    ``_antichain_search``.  For each resource k, ``above[k][t]`` is the mask
-    of the candidates that need more than t units of k, for t up to the
-    largest requirement on k; no candidate needs more than that.  ``a``
-    overloads k together with ``b`` exactly when ``b`` is in
-    ``above[k][R_k - r_ak]``, so the mask of every candidate ``a`` conflicts
-    with is an OR over k, in O(nK).  ``pairs`` lists ``(a, mask of the
-    later ones)`` for each ``a`` whose mask is not zero.
-
-    ``triple_row(idx)`` gives the row of ``a = cands[idx]``: ``(b, mask)``
-    for each later ``b`` that fits with ``a``, in increasing ``b``, with
-    ``mask`` the candidates ``c > b`` in ``above[k][R_k - r_ak - r_bk]`` for
-    some k, minus those that conflict with ``a`` or ``b`` as a pair; a ``b``
-    whose mask is zero is left out.  So the rows hold exactly the minimal
-    forbidden sets of three members, whatever their precedence.
-    """
-    req = inst.requirement
-    capacity = inst.capacity
-    cands = [i for i in range(1, inst.sink) if any(req[i])]
-    above = [[0] * (top + 1) for top in map(max, zip(*req))]
-    for c in cands:
-        for masks, r in zip(above, req[c]):
-            if r:
-                masks[r - 1] |= 1 << c
-    for masks in above:
-        for t in range(len(masks) - 2, -1, -1):
-            masks[t] |= masks[t + 1]
-
-    conf = [0] * inst.n_nodes  # the candidates each one conflicts with as a pair
-    for a in cands:
-        mask = 0
-        for masks, cap, r in zip(above, capacity, req[a]):
-            if r and cap - r < len(masks):
-                mask |= masks[cap - r]
-        conf[a] = mask & ~(1 << a)
-    pairs = [(a, later) for a in cands if (later := conf[a] >> (a + 1) << (a + 1))]
-
-    def triple_row(idx):
-        a = cands[idx]
-        room = [cap - r for cap, r in zip(capacity, req[a])]
-        row = []
-        for b in cands[idx + 1:]:
-            if (conf[a] >> b) & 1:
-                continue
-            third = 0
-            for masks, left, r in zip(above, room, req[b]):
-                if left - r < len(masks):
-                    third |= masks[left - r]
-            third = (third >> (b + 1) << (b + 1)) & ~(conf[a] | conf[b])
-            if third:
-                row.append((b, third))
-        return row
-
-    return pairs, cands, triple_row
 
 
 def verify_selection(inst: ProjectInstance, sel: Selection, catalog) -> SelectionVerdict:

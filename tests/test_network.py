@@ -1,5 +1,6 @@
 import random
-from itertools import permutations
+from dataclasses import replace
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,7 +24,6 @@ from robust_rcpsp.heuristics import lft_schedule
 from robust_rcpsp.instance import from_json, robustify, to_json
 from robust_rcpsp.network import (
     Selection,
-    _conflict_table,
     child_closure,
     conflict_finder,
     covering_arcs,
@@ -357,12 +357,25 @@ def test_conflict_finder_matches_brute_force():
     closure, ties broken lexicographically, or None.  Half the arcs come
     from the finder's own set, so the walks reach triples once every pair
     is resolved (the finder's triple rows), sets of four or more members
-    once every triple is too (its kernel from cap 4), and leaves."""
+    once every triple is too (its kernel from cap 4), and leaves.  The
+    cases include a requirement equal to its capacity, a resource that no
+    activity uses and an instance with no resources."""
     rng = random.Random(2027)
     cases = [random_dag_instance(rng, rng.randint(1, 8), n_res=rng.randint(1, 3))
              for _ in range(25)]
     cases += [random_psplib_instance(rng, n_act=rng.randint(8, 10), n_res=rng.randint(1, 4))
               for _ in range(15)]
+    for _ in range(5):
+        inst = random_dag_instance(rng, rng.randint(4, 8), n_res=3)
+        tight = replace(inst, capacity=tuple(max(max(col), 1) for col in zip(*inst.requirement)))
+        unused = replace(inst, requirement=tuple(row[:2] + (0,) for row in inst.requirement))
+        # In ``tight`` each used resource's capacity is its largest requirement.
+        assert all(c in col or not any(col)
+                   for col, c in zip(zip(*tight.requirement), tight.capacity))
+        assert not any(row[2] for row in unused.requirement)
+        cases += [tight, unused]
+    cases.append(random_dag_instance(rng, 6))
+    assert cases[-1].capacity == ()
     sizes = set()
     for inst in cases:
         catalog = brute_force_forbidden_sets(inst)
@@ -371,13 +384,18 @@ def test_conflict_finder_matches_brute_force():
         arcs = set(inst.precedence)
         reach = arc_graph(inst.n_nodes, inst.precedence)[1]
         ancestors = ancestor_bitsets(inst.n_nodes, inst.precedence)
-        # The table's pairs and triples are the instance's minimal forbidden
-        # sets of two and three members: the catalog's, once related ones go.
-        pairs, cands, triple_row = _conflict_table(inst)
-        table = [(a, b) for a, later in pairs for b in acts if (later >> b) & 1]
-        table += [(a, b, c) for idx, a in enumerate(cands) for b, third in triple_row(idx)
-                  for c in acts if (third >> c) & 1]
-        assert sorted(f for f in table if not any((reach[i] >> j) & 1 for i in f for j in f)) \
+        # The pairs and triples the finder can return are the instance's
+        # minimal forbidden sets of two and three members: the catalog's,
+        # once related ones go.  A set of two or three activities is the
+        # finder's answer on a relation that leaves only its own members
+        # unrelated exactly when it is one of them.
+        everything = (1 << inst.n_nodes) - 1
+        unrelated = [s for size in (2, 3) for s in combinations(acts, size)
+                     if not any((reach[i] >> j) & 1 for i in s for j in s)]
+        no_ancestors = (0,) * inst.n_nodes
+        assert sorted(s for s in unrelated if first_conflict(tuple(
+            everything & ~sum(1 << m for m in s) if v in s else everything
+            for v in range(inst.n_nodes)), no_ancestors) == s) \
             == [f for f in catalog if len(f) <= 3]
         while True:
             open_sets = [f for f in catalog
