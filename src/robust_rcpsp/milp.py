@@ -32,13 +32,19 @@ per node and resource counts.  It holds the column and row names, the
 ``(name, +-1)`` terms that read no instance data, and the text of each
 row's LP line up to where the instance's numbers go (for a leveled row,
 its big-M; for a ``cap_`` row, the capacity; for a balance row, its
-right-hand side).  The fill writes only those numbers: the leveled fill
-works out each pair's two big-Ms as flat lists, with no call per pair,
-and repeats each family's term and right-hand side for its rows.  The
-transitivity block reads nothing but the node count, so it is a frame
-alone.  All three builders share one row constructor: one pass of
-``map(tuple.__new__, repeat(LinearConstraint), zip(names, coeffs,
-senses, rhss))``, whose zipped columns cost no Python call per row.  At
+right-hand side).  The fill writes only those numbers, in the frame's
+flat order: the leveled fill works out each pair's two big-Ms as flat
+lists, with no call per pair, and repeats each family's term and
+right-hand side for its rows; the selection fill writes a capacity ``c``
+as ``- c `` before its arc, or ``- `` for a capacity of 1, since the
+instance rejects any capacity below 1.  The warm assignment fills the
+same order: its arc binaries are the closure rows read ``i`` major, and
+its flows one flat list indexed like the frame's flow names,
+``(holder * n + j) * K + k``, zipped with them.  The transitivity block
+reads nothing but the node count, so it is a frame alone.  All three
+builders share one row constructor: one pass of ``map(tuple.__new__,
+repeat(LinearConstraint), zip(names, coeffs, senses, rhss))``, whose
+zipped columns cost no Python call per row.  At
 gamma 7, a leveled block takes about 6 ms at j30 and 25-30 ms at j60, a
 selection block 1.5 and 6 ms, and the transitivity block 18 and
 140-155 ms (best of 15, of 5 for the transitivity block, collector
@@ -385,7 +391,10 @@ def _selection_block(precedence, capacity, requirement):
     the frame of the node and resource counts; the block writes what the
     instance fixes: the precedence arcs' bounds, each ``cap_`` row's
     capacity and the balance rows' right-hand sides, and makes the rows
-    in one pass of the row constructor."""
+    in one pass of the row constructor.  A capacity ``c`` is the arc's
+    coefficient ``-c``, written ``- c `` or, for a capacity of 1, ``- ``;
+    no other form arises, since the instance rejects any capacity below
+    1."""
     n_nodes = len(requirement)
     sink = n_nodes - 1
     frame = _selection_frame(n_nodes, len(capacity))
@@ -406,8 +415,8 @@ def _selection_block(precedence, capacity, requirement):
     rows = map(tuple.__new__, repeat(LinearConstraint),
                zip(frame.names, chain(zip(frame.cap_flows, caps), frame.balance_terms),
                    frame.senses, [0] * len(frame.cap_flows) + rhss))
-    text = frame.template % (tuple(_coef(-c) for c in capacity) * (n_nodes * n_nodes)
-                             + tuple(rhss))
+    text = frame.template % (tuple("- " if c == 1 else f"- {c} " for c in capacity)
+                             * (n_nodes * n_nodes) + tuple(rhss))
     return _Block(tuple(arc_columns) + frame.flow_columns, tuple(rows), text,
                   "\n".join(filter(None, arc_bounds)), "", frame.binaries)
 
@@ -480,7 +489,10 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
     give one assignment; start values are the leveled recursion, and
     flows are routed greedily along the closure's arcs in start order.  The
     names, in the model's column order, are those of the leveled and
-    selection frames of the instance's size and ``gamma``.  Raises
+    selection frames of the instance's size and ``gamma``, and each
+    family's values come in the frame's flat order: the starts node by
+    node, the arc binaries read off the closure rows ``i`` major, and the
+    flows as ``_greedy_flows`` lists them.  Raises
     ``ValueError`` unless ``warm.leveled_starts`` has a row of
     ``gamma + 1`` levels per node, as a warm start made at ``gamma`` for
     this instance has.
@@ -491,29 +503,21 @@ def warm_start_assignment(inst: ProjectInstance, gamma: int,
         raise ValueError(f"warm start of {len(warm.leveled_starts)} nodes with "
                          f"{sorted(levels)} levels; expected {n_nodes} nodes with "
                          f"{gamma + 1} levels (gamma {gamma})")
-    n_resources = len(inst.capacity)
-    selection = _selection_frame(n_nodes, n_resources)
+    selection = _selection_frame(n_nodes, len(inst.capacity))
     values = dict(zip(_leveled_frame(n_nodes, gamma).starts,
                       chain.from_iterable(warm.leveled_starts)))
     reach = arc_graph(n_nodes, extended_arcs(inst, warm.selection))[1]
     reach[inst.sink] |= 1 << inst.sink
-    arcs = [0] * (n_nodes * n_nodes)
-    for i, mask in enumerate(reach):
-        while mask:
-            low = mask & -mask
-            arcs[i * n_nodes + low.bit_length() - 1] = 1
-            mask ^= low
-    values.update(zip(selection.arcs, arcs))
-    flows = [0] * len(selection.flows)
-    for (i, j, k), value in _greedy_flows(inst, warm.start, reach).items():
-        flows[(i * n_nodes + j) * n_resources + k] = value
-    values.update(zip(selection.flows, flows))
+    values.update(zip(selection.arcs, [mask >> j & 1 for mask in reach for j in range(n_nodes)]))
+    values.update(zip(selection.flows, _greedy_flows(inst, warm.start, reach)))
     return values
 
 
 def _greedy_flows(inst, start, reach):
     """Hand resources along the arcs of the closure ``reach`` in
-    (start, id) order.
+    (start, id) order; the flat list of amounts, one per flow name of the
+    selection frame, at ``(holder * n + j) * K + k`` for ``n`` nodes and
+    ``K`` resources.
 
     An activity takes its demand from the parcels of earlier holders that
     have an arc to it, the source first.  An earlier holder without one
@@ -521,8 +525,9 @@ def _greedy_flows(inst, start, reach):
     even at zero duration; the schedule keeps that bucket within capacity,
     so the parcels with an arc always cover the demand.
     """
-    order = sorted(range(1, inst.n_nodes), key=lambda a: (start[a], a))
-    flows = {}
+    n_nodes, n_resources = inst.n_nodes, len(inst.capacity)
+    order = sorted(range(1, n_nodes), key=lambda a: (start[a], a))
+    flows = [0] * (n_nodes * n_nodes * n_resources)
     for k in inst.resource_types:
         parcels = [[0, inst.capacity[k]]]  # [holder, remaining], source first
         for j in order:
@@ -536,7 +541,7 @@ def _greedy_flows(inst, start, reach):
                 take = min(need, remaining)
                 parcel[1] -= take
                 need -= take
-                flows[(holder, j, k)] = flows.get((holder, j, k), 0) + take
+                flows[(holder * n_nodes + j) * n_resources + k] += take
             if need:  # pragma: no cover - schedule feasibility rules this out
                 raise AssertionError(f"flow routing starved activity {j}")
             if j != inst.sink and inst.requirement[j][k]:
@@ -643,17 +648,6 @@ def _render_terms(coeffs):
             parts.append(f"- {-coef} {name}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+") else text or "0"
-
-
-def _coef(coef):
-    """The sign and the coefficient that a builder writes before a name,
-    as ``_render_terms`` writes a term after the first: ``+ ``, ``- ``,
-    ``+ c `` or ``- c ``."""
-    if coef == 1:
-        return "+ "
-    if coef == -1:
-        return "- "
-    return f"+ {coef} " if coef >= 0 else f"- {-coef} "
 
 
 def read_lp(text: str):

@@ -250,7 +250,14 @@ def conflict_finder(inst: ProjectInstance):
        unrelated to ``a``, and ``c`` unrelated to ``b``, is the
        lexicographically smallest unresolved triple.  A row is filled when
        a scan first reaches its ``a``, so a short search pays only for the
-       rows it reads.
+       rows it reads.  Neither the skip of a ``b`` in ``later[a]`` nor the
+       subtraction of ``later[a] | later[b]`` changes the set returned:
+       this stage runs only when every conflicting pair is related, so the
+       closure test would drop those ``b`` and ``c`` anyway.  Both stay
+       because they keep each row to the minimal triples, the sets it
+       stands for, at one shift or one AND per entry; without either, a
+       triple-branching search (n18#2 of the headline, 100k nodes) ran
+       within its noise of the same time.
     3. *The kernel from cap 4.*  With no triple left either, the
        ``_antichain_search`` kernel runs under a size cap of 4, 5, ... and
        the first set it finds is the answer; the first run that finds none

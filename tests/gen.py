@@ -7,7 +7,6 @@ import sys
 import time
 from dataclasses import replace
 
-from robust_rcpsp import bench
 from robust_rcpsp._graph import arc_graph, leveled_rows, successors
 from robust_rcpsp.instance import InstanceMeta, ProjectInstance, robustify
 from robust_rcpsp.network import Selection, child_closure
@@ -283,6 +282,10 @@ def random_psplib_instance(rng: random.Random, n_act=30, n_res=4):
 
 def slow_build(monkeypatch, seconds):
     """Make every model build take ``seconds`` longer."""
+    # Imported here: the bench module's imports are most of the start-up
+    # of every process that imports this module, the headline children too.
+    from robust_rcpsp import bench
+
     real = bench.build_variant
 
     def slow(inst, gamma, variant):

@@ -772,7 +772,8 @@ def reference_assignment(inst, gamma, warm):
     values.update((arc_name(i, j), 1 if (i, j) in active else 0) for i in nodes for j in nodes)
     reach = [sum(1 << j for j in nodes if (i, j) in active) for i in nodes]
     flows = milp._greedy_flows(inst, warm.start, reach)
-    values.update((flow_name(i, j, k), flows.get((i, j, k), 0))
+    n_res = len(inst.capacity)
+    values.update((flow_name(i, j, k), flows[(i * inst.n_nodes + j) * n_res + k])
                   for i in nodes for j in nodes for k in inst.resource_types)
     return values
 
