@@ -20,10 +20,12 @@ unresolved triple, from the instance's triple rows; and only when no
 triple is left either, the lexicographically first unresolved set of the
 least size, from the kernel under a size cap of 4, 5, ... (see
 ``conflict_finder``).  The masks and rows test an overload on the packed
-resource sums, as the kernel does, and each is filled the first time a
-node's scan reaches it, so a search pays only for the ones it reads.  So a
-node branches into as few children as its unresolved sets allow: two for
-a pair, k(k - 1) for a set of k members.
+resource sums, as the kernel does.  The finder builds every pair mask on
+its first call and each triple row the first time a node's scan reaches
+it, so a search pays only for the rows it reads, and a solve stopped
+before its first node builds neither.  So a node branches into as few
+children as its unresolved sets allow: two for a pair, k(k - 1) for a set
+of k members.
 
 Every bound is the adversary DP's value, read from two tables of leveled
 rows that an expanded node keeps: head rows W (``rows[v][g]``, the longest

@@ -129,7 +129,7 @@ def _load_instance(path, robust=None):
 
 
 def _emit(payload):
-    print(json.dumps(payload, separators=(", ", ": ")))
+    print(json.dumps(payload))
 
 
 def _cmd_parse(args):

@@ -493,7 +493,7 @@ def to_json(inst: ProjectInstance) -> str:
     payload = {"activities": list(range(inst.n_nodes)),
                **{key: getattr(inst, name) for key, name in _JSON_KEYS.items()},
                "meta": asdict(inst.meta)}
-    return json.dumps(payload, separators=(", ", ": "))
+    return json.dumps(payload)
 
 
 def unique_keys(pairs):

@@ -20,11 +20,12 @@ unresolved set, ties broken lexicographically, as a function of the
 node's closure alone.  It tests an overload as the kernel does, on the
 packed resource sums, and looks in three stages: pair masks; once no
 pair is left, triple rows; and once no triple is left either, the kernel
-under a size cap of 4, 5, ....  Each pair mask and triple row is filled
-the first time a scan reaches its activity.  The set is an antichain of
-the node's closure, so every ordered pair (i, j) of it is the arc of a
-child, with no reach test;
-``child_closure`` gives a child's closure, its transpose and the
+under a size cap of 4, 5, ....  Each stage builds its table the first
+time it runs: every pair mask on the finder's first call, each triple row
+when a scan first reaches its activity, and the kernel on the first call
+that gets past the triples.  The set is an antichain of the node's
+closure, so every ordered pair (i, j) of it is the arc of a child, with
+no reach test; ``child_closure`` gives a child's closure, its transpose and the
 ancestors of the arc's tail.  Each caller keeps its own ``seen`` set of
 closures to merge children that reach one closure: the enumerator checks
 it when it visits a child, the branch-and-bound when it pops one.
@@ -230,80 +231,63 @@ def conflict_finder(inst: ProjectInstance):
 
     1. *Pair masks.*  Every requirement fits its capacity (the instance
        checks it), so two activities that overload a resource together form
-       a minimal forbidden set.  ``later[a]`` is the mask of the candidates
-       after ``a`` that overload a resource with it.  A node's first
-       unresolved pair is the first ``a`` whose mask has a bit outside
-       ``closure[a] | ancestors[a]``, with that bit's lowest ``b``.  The
-       masks are filled in candidate order, each the first time a scan
-       reaches it: a scan reads the filled masks that are not zero, then
-       fills on from where the fill stopped, so it reads no more masks than
-       a table of every candidate's would hold.
-    2. *Triple rows.*  With no pair left, every pair mask is filled, and a
-       set of three is minimal exactly when it overloads a resource and
-       none of its pairs does.  Row ``a`` maps each later ``b`` that fits
-       with ``a`` to the mask of the candidates ``c > b`` that overload a
-       resource with both and are in neither ``later[a]`` nor ``later[b]``;
-       a ``b`` whose mask is zero is left out, so the rows hold exactly the
-       minimal forbidden sets of three members, whatever their precedence.
-       The scan walks the rows in increasing ``a`` and each row in
-       increasing ``b``; the first ``(a, b, c)`` with ``b`` and ``c``
-       unrelated to ``a``, and ``c`` unrelated to ``b``, is the
-       lexicographically smallest unresolved triple.  A row is filled when
-       a scan first reaches its ``a``, so a short search pays only for the
-       rows it reads.  Neither the skip of a ``b`` in ``later[a]`` nor the
-       subtraction of ``later[a] | later[b]`` changes the set returned:
-       this stage runs only when every conflicting pair is related, so the
-       closure test would drop those ``b`` and ``c`` anyway.  Both stay
-       because they keep each row to the minimal triples, the sets it
-       stands for, at one shift or one AND per entry; without either, a
-       triple-branching search (n18#2 of the headline, 100k nodes) ran
-       within its noise of the same time.
+       a minimal forbidden set.  Candidate ``a``'s pair mask holds the
+       candidates after ``a`` that overload a resource with it.  The masks
+       are built on the finder's first call, and ``pairs`` keeps those that
+       are not zero.  A node's first unresolved pair is the first ``a``
+       whose mask has a bit outside ``closure[a] | ancestors[a]``, with
+       that bit's lowest ``b``.
+    2. *Triple rows.*  Row ``a`` maps each later ``b`` to the mask of the
+       candidates ``c > b`` that overload a resource with both, on the
+       overload test alone; a ``b`` whose mask is zero is left out.  The
+       scan walks the rows in increasing ``a`` and each row in increasing
+       ``b``; the first ``(a, b, c)`` with ``b`` and ``c`` unrelated to
+       ``a``, and ``c`` unrelated to ``b``, is the answer.  A row also
+       holds triples that are not minimal, those with a pair that
+       overloads by itself, but this stage runs only when every such pair
+       is related, so the closure test drops them, and an unrelated
+       overloaded triple whose pairs all fit is a minimal forbidden set:
+       the lexicographically smallest unresolved triple.  A row is built
+       when a scan first reaches its ``a``, so a short search pays only
+       for the rows it reads.
     3. *The kernel from cap 4.*  With no triple left either, the
        ``_antichain_search`` kernel runs under a size cap of 4, 5, ... and
        the first set it finds is the answer; the first run that finds none
        and cut no branch proves the closure a leaf.
 
-    A solve stopped before its first node (``node_cap=0``) fills no mask
-    and builds no kernel.
+    A solve stopped before its first node (``node_cap=0``) never calls the
+    finder, so it builds no mask, row or kernel.
     """
     packed, high, empty = inst.resource_fields
     cands = [i for i in range(1, inst.sink) if packed[i]]
-    later = [0] * inst.n_nodes  # the filled pair masks
-    pairs = []  # (a, later[a]) for each filled mask that is not zero
-    rows = [None] * len(cands)  # the triple rows filled so far
-    filled = 0  # the candidates whose pair masks are filled
+    pairs = None  # (a, pair mask) for each candidate whose mask is not zero
+    rows = [None] * len(cands)  # the triple rows built so far
     search = None
+
+    def later_overloads(base, idx):
+        """The mask of the candidates after ``cands[idx]`` that overload a
+        resource when added to the sum ``base``."""
+        return sum(1 << c for c in cands[idx + 1:] if (base + packed[c]) & high)
 
     def triple_row(idx):
         a = cands[idx]
         row = []
         for at in range(idx + 1, len(cands)):
             b = cands[at]
-            if (later[a] >> b) & 1:
-                continue
-            both = empty + packed[a] + packed[b]
-            third = sum(1 << c for c in cands[at + 1:] if (both + packed[c]) & high)
-            third &= ~(later[a] | later[b])
+            third = later_overloads(empty + packed[a] + packed[b], at)
             if third:
                 row.append((b, third))
         return row
 
     def first_conflict(closure, ancestors):
-        nonlocal filled, search
+        nonlocal pairs, search
+        if pairs is None:
+            pairs = [(a, conf) for idx, a in enumerate(cands)
+                     if (conf := later_overloads(empty + packed[a], idx))]
         for a, conf in pairs:
             free = conf & ~(closure[a] | ancestors[a])
             if free:
                 return a, (free & -free).bit_length() - 1
-        while filled < len(cands):
-            a = cands[filled]
-            filled += 1
-            alone = empty + packed[a]
-            conf = later[a] = sum(1 << b for b in cands[filled:] if (alone + packed[b]) & high)
-            if conf:
-                pairs.append((a, conf))
-                free = conf & ~(closure[a] | ancestors[a])
-                if free:
-                    return a, (free & -free).bit_length() - 1
         for idx, a in enumerate(cands):
             row = rows[idx]
             if row is None:

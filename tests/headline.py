@@ -20,8 +20,10 @@ the machine's speed.  ``--time-limit`` solves each with no node cap
 under its set's time limit instead, 10 s for ``j30`` and 5 s for the
 others; that output moves with the machine, and giving ``--node-cap``
 with it is a usage error (exit 2).  Each instance is solved in a child
-process of its own, at most two at a time.  ``--set`` picks sets (all
-four by default, in the order above).
+process of its own, at most two at a time, forked from a server process
+that has imported the solver and the generator once (the ``forkserver``
+start method, on Linux and macOS).  ``--set`` picks sets (all four by
+default, in the order above).
 
 stdout gets one JSON line per instance, in set and index order::
 
@@ -90,7 +92,9 @@ def run(names, gamma, node_cap):
     """Solve every instance of the sets ``names`` and print the lines."""
     tasks = [(name, index, gamma, node_cap) for name in names
              for index in range(1, SETS[name][2] + 1)]
-    with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["gen", "robust_rcpsp.bnb", "robust_rcpsp.instance"])
+    with context.Pool(2, maxtasksperchild=1) as pool:
         for name, group in groupby(pool.imap(solve_one, tasks), key=itemgetter("set")):
             done = []
             for record in group:

@@ -16,6 +16,7 @@ from gen import (
     ancestor_bitsets,
     connect_dummies,
     make_instance,
+    pair_conflict_instance,
     random_dag_instance,
     random_psplib_instance,
     shuffled_ids,
@@ -142,6 +143,32 @@ def test_a_solve_runs_no_backward_pass_before_its_search(monkeypatch):
     inst = robustify(random_psplib_instance(random.Random(4), 12, 2))
     solve_exact(inst, 3, node_cap=0)
     assert passes == [(3, list(inst.order))]
+
+
+def test_a_solve_stopped_before_its_first_node_calls_no_finder(monkeypatch):
+    """The finder builds its pair masks, triple rows and kernel only when
+    called, and the search calls it once per expanded node: so a solve at
+    ``node_cap=0`` builds none of them, and one at ``node_cap=1`` asks once,
+    for the root's conflicting pair, whose two children both reach the warm
+    start's value and so prove it optimal."""
+    answers = []
+
+    def conflict_finder(inst):
+        first_conflict = network.conflict_finder(inst)
+
+        def counted(closure, ancestors):
+            answers.append(first_conflict(closure, ancestors))
+            return answers[-1]
+        return counted
+
+    monkeypatch.setattr(bnb, "conflict_finder", conflict_finder)
+    inst = pair_conflict_instance()
+    res = solve_exact(inst, 0, node_cap=0)
+    assert (res.status, res.nodes, res.value, res.best_bound) == ("incumbent", 0, 2, 1)
+    assert answers == []
+    res = solve_exact(inst, 0, node_cap=1)
+    assert (res.status, res.nodes, res.value) == ("optimal", 1, 2)
+    assert answers == [(1, 2)]
 
 
 def test_every_pushed_bound_is_the_dp_value_of_its_child(monkeypatch):
