@@ -25,10 +25,10 @@ time it runs: every pair mask on the finder's first call, each triple row
 when a scan first reaches its activity, and the kernel on the first call
 that gets past the triples.  The set is an antichain of the node's
 closure, so every ordered pair (i, j) of it is the arc of a child, with
-no reach test; ``child_closure`` gives a child's closure, its transpose and the
-ancestors of the arc's tail.  Each caller keeps its own ``seen`` set of
-closures to merge children that reach one closure: the enumerator checks
-it when it visits a child, the branch-and-bound when it pops one.
+no reach test; ``child_closure`` gives a child's closure, its transpose
+and the ancestors of the arc's tail.  Each caller keeps its own ``seen``
+set of closures to merge children that reach one closure: the enumerator
+checks it when it visits a child, the branch-and-bound when it pops one.
 ``verify_selection`` checks a finished selection independently, pair by
 pair, against a catalog.  The CLI writes their JSON itself.
 

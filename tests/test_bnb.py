@@ -151,24 +151,16 @@ def test_a_solve_stopped_before_its_first_node_calls_no_finder(monkeypatch):
     ``node_cap=0`` builds none of them, and one at ``node_cap=1`` asks once,
     for the root's conflicting pair, whose two children both reach the warm
     start's value and so prove it optimal."""
-    answers = []
-
-    def conflict_finder(inst):
-        first_conflict = network.conflict_finder(inst)
-
-        def counted(closure, ancestors):
-            answers.append(first_conflict(closure, ancestors))
-            return answers[-1]
-        return counted
-
-    monkeypatch.setattr(bnb, "conflict_finder", conflict_finder)
+    calls = []
+    monkeypatch.setattr(bnb, "conflict_finder",
+                        lambda inst: recorded(calls, network.conflict_finder(inst)))
     inst = pair_conflict_instance()
     res = solve_exact(inst, 0, node_cap=0)
     assert (res.status, res.nodes, res.value, res.best_bound) == ("incumbent", 0, 2, 1)
-    assert answers == []
+    assert calls == []
     res = solve_exact(inst, 0, node_cap=1)
     assert (res.status, res.nodes, res.value) == ("optimal", 1, 2)
-    assert answers == [(1, 2)]
+    assert [fset for *_, fset in calls] == [(1, 2)]
 
 
 def test_every_pushed_bound_is_the_dp_value_of_its_child(monkeypatch):
