@@ -301,7 +301,14 @@ def _leveled_block(gamma, integral_starts, nominal, dev, windows):
                          repeat(">="), repeated(nom_rhss, dev_rhss))))
     tails = chain.from_iterable(zip(nom_tails, dev_tails))
     text = "".join(map(str.replace, frame.lines, repeat("\n"), tails))[:-1]
-    columns = frame.columns["integer" if integral_starts else "continuous"]
+    kind = "integer" if integral_starts else "continuous"
+    if windows is None:
+        columns = frame.columns[kind]
+    else:  # every start within its window; S_0_0 stays fixed at zero
+        lbs = [e for e in es for _ in range(gamma + 1)]
+        ubs = [l - w for l, w in zip(lf, nominal) for _ in range(gamma + 1)]
+        lbs[0] = ubs[0] = 0
+        columns = tuple(map(Variable, frame.starts, repeat(kind), lbs, ubs))
     return _Block(columns, rows, text, *_column_sections(columns))
 
 

@@ -338,12 +338,12 @@ def test_lp_round_trip_reproduces_matrix():
 PINNED_LP_SHA256 = {
     ("psplib12", "basic"): "ed51bb4e70b45fd9d73f14309749e2a069dd5c3d59fdf983ec60e39c327ca27c",
     ("psplib12", "trans"): "cd468a89e9c0ff5bcbf826c6dafbcb6a4eef45b566cf130a6be96488f70ded93",
-    ("psplib12", "warm"): "981751fb8f6924edfb0a7f4f2ad97622e67a34ca739d180a2b2e1b626c599ceb",
-    ("psplib12", "warm+trans"): "6816f8af8175f37ff61ef3d0706b353aedefc7e0b170f93b854a3207223b76cb",
+    ("psplib12", "warm"): "ca6f697ec2a5634aed61ee6689ac145bdea9d8a7cf202518405b339a8cfebc53",
+    ("psplib12", "warm+trans"): "096398ef3d6915d8ba526acd72d09dc5c31d29fa5bbcbabdd16263345a067a56",
     ("diamond", "basic"): "653ec617a46c5c7dfbd8a8c5e2e8932566847d9ddf9f28dbfb5dc05dcfd97f18",
     ("diamond", "trans"): "6dfef9f176c91a1331fb22fec3ebfbaad55e42a324f9755030cbdf563e232a69",
-    ("diamond", "warm"): "3095017dba69ff909e4ff94bbcd2b1c22a79942663c485feae2db9840d9ce8c1",
-    ("diamond", "warm+trans"): "d926dd13a8dc99ddb32d49c74dcd76bef1caa8f8821fe19466308867bf48a380",
+    ("diamond", "warm"): "f923862fa927391daa43bc5192dac73d7e3fa1bd9154f940ea46a332a2239b10",
+    ("diamond", "warm+trans"): "5f1488c2cd31d9d64d9afa7eb689a4095af53328b66cf578736dda898e708e27",
 }
 
 
@@ -372,9 +372,9 @@ def test_lp_text_is_pinned():
 PINNED_J30_SHA256 = {
     ("basic", "lp"): "af922a5e3aeb8357ed08c8512028a29bd45d5e1d3e6468520f923b0eb13b7cf5",
     ("trans", "lp"): "5bcb8d8465588db4e2a6dd720eb315dde29681665335ac20968b5edd4c1e64c2",
-    ("warm", "lp"): "fbaa55fbce00f95da890a37fd161e44fe691e502a3365bf8d436f38b99c3e6f4",
+    ("warm", "lp"): "6d026b71b3cfb5a7ee77120bc0641211cd1640f28f5816aab7237012b4efb28a",
     ("warm", "mst"): "f2ecbfb1343aaf67de700500d90fe99d55d1c2aea80f643836ca730fa9413671",
-    ("warm+trans", "lp"): "175b3677001520cbf254f5f4d6f5f9eb584b0ef745e0a840d5421ac34cb479e9",
+    ("warm+trans", "lp"): "3354db24fd2d87756c16f4c7a3f94f8e9ba9bbb7c43a2af6dbaeb5becd824d95",
     ("warm+trans", "mst"): "f2ecbfb1343aaf67de700500d90fe99d55d1c2aea80f643836ca730fa9413671",
 }
 
