@@ -45,7 +45,7 @@ from robust_rcpsp.milp import (
     start_name,
     warm_start_assignment,
 )
-from robust_rcpsp.network import Selection, extended_arcs
+from robust_rcpsp.network import Selection, enumerate_sufficient_selections, extended_arcs
 
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
 DATA = Path(__file__).parent / "data"
@@ -184,6 +184,40 @@ def test_warm_start_assignment_feasible_all_variants():
             assignment = warm_start_assignment(inst, gamma, warm)
             for model in variant_models(inst, gamma, windows):
                 assert check_assignment(model, assignment) == []
+
+
+def test_window_bounds_cut_no_selection_within_the_warm_horizon():
+    """The warm variants bound each start column by its window.  Every
+    sufficient selection whose worst-case makespan is within the warm
+    horizon, the optimum's among them, has DP rows W(i, g) inside those
+    bounds at every node and level.  Eight instances are triple-heavy:
+    sparse arcs and up to three resources."""
+    rng = random.Random(54)
+    cases = [random_dag_instance(rng, rng.randint(2, 6), n_res=rng.randint(1, 2))
+             for _ in range(8)]
+    cases += [random_dag_instance(rng, rng.randint(5, 8), n_res=rng.randint(1, 3), arc_prob=0.1)
+              for _ in range(8)]
+    within = 0
+    for inst in cases:
+        selections = list(enumerate_sufficient_selections(inst))
+        for gamma in range(4):
+            warm = warm_start(inst, gamma)
+            windows = time_windows(inst, warm.selection, gamma, warm.upper_bound)
+            model = build_compact(inst, gamma, tighten=windows)
+            bounds = {v.name: (v.lb, v.ub) for v in model.variables}
+            assert bounds[start_name(0, 0)] == (0, 0)
+            for sel in selections:
+                dp = worst_case_makespan_dp(inst, sel, gamma)
+                if dp.value > windows.horizon:
+                    continue
+                within += 1
+                for i, row in enumerate(dp.leveled_starts):
+                    for g, w in enumerate(row):
+                        lb, ub = bounds[start_name(i, g)]
+                        assert windows.es[i] == lb <= w <= ub, (sel, gamma, i, g)
+                        if i:
+                            assert ub == windows.lf[i] - inst.nominal_duration[i]
+    assert within > 1000
 
 
 @pytest.mark.parametrize("n_act, gamma, message", [
@@ -1423,3 +1457,31 @@ def test_objective_equivalence_all_variant_combinations():
                 assert outcome.status == "optimal"
                 assert outcome.objective == pytest.approx(exact.value, abs=1e-6), (
                     transitivity, tighten is not None)
+
+
+def test_warm_variants_keep_the_optimum_their_window_bounds_bite_on():
+    """On instances whose warm bound exceeds the optimum, the warm horizon
+    leaves room above the optimum: both warm variants, solved with and
+    without the MST, end at the branch-and-bound optimum.  Windows one
+    period below the optimum bound every start below any solution, so the
+    model is infeasible rather than a big-M model that no longer means
+    what it says."""
+    rng = random.Random(54)
+    cases = []
+    while len(cases) < 2:
+        inst = random_dag_instance(rng, rng.randint(3, 7), n_res=rng.randint(1, 3))
+        gamma = rng.randint(1, 3)
+        optimum = solve_exact(inst, gamma).value
+        if warm_start(inst, gamma).upper_bound > optimum > inst.nominal_tail[0]:
+            cases.append((inst, gamma, optimum))
+    for inst, gamma, optimum in cases:
+        for variant in ("warm", "warm+trans"):
+            model, assignment = build_variant(inst, gamma, variant)
+            for command in (BRIDGE_MST, BRIDGE):
+                outcome = solve_external(model, assignment, command=command, time_limit_s=60)
+                assert (outcome.status, outcome.objective) == ("optimal", optimum), (
+                    variant, command)
+            below = time_windows(inst, None, gamma, optimum - 1)
+            model = build_compact(inst, gamma, transitivity=variant.endswith("trans"),
+                                  tighten=below, integral_starts=True)
+            assert solve_external(model, command=BRIDGE, time_limit_s=60).status == "infeasible"
