@@ -5,7 +5,8 @@ Variants: ``bnb`` (self-contained exact solver) and the four compact-model
 variants ``basic``, ``trans``, ``warm``, ``warm+trans``; the model variants
 need an external solver bridge and are recorded as skipped without one.
 The ``warm`` variants supply the heuristic solution as an MST file and use
-it to tighten the big-M values; all model variants use integer starts.
+its bound as the horizon of the time windows that tighten the big-M values
+and bound the start columns; all model variants use integer starts.
 
 The config keys and their defaults are ``BenchConfig``'s fields, and the
 columns of ``results.csv`` and ``summary.csv`` are those of ``ResultRecord``

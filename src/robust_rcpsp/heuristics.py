@@ -47,6 +47,9 @@ class TimeWindows:
     nominal finish of i in any leveled solution whose makespan stays within
     ``horizon``.  Both passes run over the instance arcs only, so the
     windows remain valid for every selection the compact model may pick.
+    The compact model reads them as per-arc big-Ms and as the bounds
+    ``es[i] <= S_i_g <= lf[i] - d_i`` of every start column
+    (``milp.build_compact``'s ``tighten``).
     """
 
     es: tuple[int, ...]
@@ -158,9 +161,12 @@ def time_windows(inst: ProjectInstance, sel: Selection | None, gamma: int,
 
     The selection and budget do not enter the passes; windows computed from
     the instance arcs alone are valid bounds for every selection, which is
-    what the big-M tightening requires.  Raises InvalidHorizonError when the
-    horizon cannot accommodate even the nominal critical path,
-    ``inst.nominal_tail[0]`` (the source has zero duration).
+    what the big-M tightening and the start bounds require.  At the warm
+    start's bound as the horizon they keep the optimum; at a horizon below
+    the optimum the bounded model is infeasible.  Raises
+    InvalidHorizonError when the horizon cannot accommodate even the
+    nominal critical path, ``inst.nominal_tail[0]`` (the source has zero
+    duration).
     """
     del sel, gamma  # part of the call contract; see docstring
     critical = inst.nominal_tail[0]

@@ -5,7 +5,9 @@ resource flows f_i_j_k.  The big-M precedence rows replicate the extended
 network across gamma+1 levels (one extra level shift per delayed
 predecessor), the flow rows route each resource from the source through the
 activities to the sink, and optional extensions add transitivity rows,
-per-arc tightened big-Ms from time windows, and integer start variables.
+time windows, and integer start variables.  The windows give per-arc
+tightened big-Ms and bound every start column, ``es[i] <= S_i_g <=
+lf[i] - d_i``; both hold for every solution within the windows' horizon.
 
 The model is exported in the standard LP text format; ``solve_external``
 bridges to any solver process that accepts an LP file and writes back a
@@ -18,7 +20,7 @@ each block reads only its own inputs:
   gamma, ``integral_starts``, the nominal durations, the deviations, and
   the windows' ``es``/``lf`` (or none), whose horizon is checked against
   the instance's nominal critical path, ``nominal_tail[0]``, so no build
-  runs the adversary DP;
+  runs the adversary DP; with windows, its columns carry their bounds;
 - the selection block: the ``y`` and ``f`` columns and the ``cap_``,
   ``fin_`` and ``fout_`` rows, from the precedence, the capacities and the
   requirements;
@@ -145,7 +147,11 @@ def build_compact(inst: ProjectInstance, gamma: int, *,
     ``tighten`` replaces the global big-M by per-arc values derived from the
     window bounds: lf[i] - es[j] on same-level rows and additionally the
     deviation of i on level-crossing rows, both clamped at zero.  Zero
-    coefficients are dropped from the big-M and transitivity rows.
+    coefficients are dropped from the big-M and transitivity rows.  It
+    also bounds every start column by its window (``_leveled_block``), so
+    an unselected arc's row is implied by the bounds.  The model keeps its
+    optimum exactly when the windows' horizon is at least that optimum;
+    below it, the model is infeasible.
 
     The model is the leveled block, then the selection block, then the
     transitivity block if asked for, and it holds those blocks; each comes
@@ -258,7 +264,23 @@ def _leveled_frame(n_nodes, gamma):
 def _leveled_block(gamma, integral_starts, nominal, dev, windows):
     """The start columns ``S_i_g`` and the big-M precedence rows ``nom_``
     and ``dev_`` over ``gamma + 1`` levels.  ``windows`` is ``(es, lf)``
-    for per-arc big-Ms, or None for the global one.
+    for per-arc big-Ms and start bounds, or None for the global big-M and
+    starts unbounded above.
+
+    With windows, every start column but ``S_0_0``, which stays fixed at
+    0, is bounded as ``es[i] <= S_i_g <= lf[i] - d_i``, for ``d_i`` the
+    nominal duration.  The bounds cut no selection whose worst-case
+    makespan is within the horizon, ``W(sink, gamma) <= horizon``: its DP
+    rows ``W(i, g)``, the least starts the model admits for it, satisfy
+    both.  ``es`` is the nominal longest path from the source over the
+    instance arcs, which every selection keeps, so it is below every
+    start.  The path from the source to i with at most g delays, then i
+    nominal, then the instance's longest nominal tail from i to the sink,
+    has at most gamma delays, so ``W(i, g) + d_i + nominal_tail[i] <=
+    W(sink, gamma) <= horizon``, and ``lf[i] = horizon - nominal_tail[i]``.
+    So a horizon at least the optimum, such as the warm start's bound,
+    keeps the optimum and the warm assignment, and no solution is added;
+    a horizon below the optimum leaves the model infeasible.
 
     The names, the start terms and the lines up to the big-M come from
     the frame of the node count and gamma.  The block writes what the
