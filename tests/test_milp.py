@@ -45,7 +45,12 @@ from robust_rcpsp.milp import (
     start_name,
     warm_start_assignment,
 )
-from robust_rcpsp.network import Selection, enumerate_sufficient_selections, extended_arcs
+from robust_rcpsp.network import (
+    Selection,
+    enumerate_sufficient_selections,
+    extended_arcs,
+    minimal_forbidden_sets,
+)
 
 BRIDGE = f"{sys.executable} -m robust_rcpsp.highs_bridge {{lp}} {{sol}} {{time_s}}"
 DATA = Path(__file__).parent / "data"
@@ -190,13 +195,15 @@ def test_window_bounds_cut_no_selection_within_the_warm_horizon():
     """The warm variants bound each start column by its window.  Every
     sufficient selection whose worst-case makespan is within the warm
     horizon, the optimum's among them, has DP rows W(i, g) inside those
-    bounds at every node and level.  Eight instances are triple-heavy:
-    sparse arcs and up to three resources."""
+    bounds at every node and level.  Eight instances have sparse arcs, up
+    to three resources and a minimal forbidden set of three or more."""
     rng = random.Random(54)
     cases = [random_dag_instance(rng, rng.randint(2, 6), n_res=rng.randint(1, 2))
              for _ in range(8)]
-    cases += [random_dag_instance(rng, rng.randint(5, 8), n_res=rng.randint(1, 3), arc_prob=0.1)
-              for _ in range(8)]
+    while len(cases) < 16:
+        inst = random_dag_instance(rng, rng.randint(5, 8), n_res=rng.randint(1, 3), arc_prob=0.1)
+        if any(len(s) > 2 for s in minimal_forbidden_sets(inst)):
+            cases.append(inst)
     within = 0
     for inst in cases:
         selections = list(enumerate_sufficient_selections(inst))
